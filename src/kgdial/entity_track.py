@@ -2,7 +2,9 @@
 
 Three interchangeable methods (exact token match, fuzzy windowed edit
 distance, learned pair scorer over a threshold) feed candidate knowledge
-collection for the ranking stage.
+collection for the ranking stage. The fuzzy method runs the edit-distance
+DP only on (name, window) pairs that a character-count lower bound cannot
+rule out, once per distinct window, and stops at a name's first hit.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import (DOMAIN_LEVEL, Dialogue, Entity, KnowledgeBase,
                      KnowledgeSnippet, linearize_entity, linearize_history,
                      tokenize)
-from .kernels import levenshtein
+from .kernels import encode_chars, levenshtein
 from .models import SentencePairScorer
 
 
@@ -81,18 +85,65 @@ def fuzzy_similarity(name: str, utterance_tokens: list[str]) -> float:
     return best
 
 
+def _char_counts(strings: Sequence[str], alphabet: np.ndarray) -> np.ndarray:
+    """Per-string character counts over ``alphabet``, one row per string.
+    Column 0 pools every character outside the alphabet."""
+    codes = encode_chars("".join(strings))
+    pos = np.minimum(np.searchsorted(alphabet, codes), len(alphabet) - 1)
+    column = np.where(alphabet[pos] == codes, pos + 1, 0)
+    row = np.repeat(np.arange(len(strings)), [len(s) for s in strings])
+    width = len(alphabet) + 1
+    return np.bincount(row * width + column,
+                       minlength=len(strings) * width).reshape(len(strings), width)
+
+
 def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
                          threshold: float = 0.8) -> list[Entity]:
+    """Entities whose best ``fuzzy_similarity`` over the utterances reaches
+    ``threshold``; an entity with no same-length window scores 0.0.
+
+    Names are grouped by token length and each distinct window string of
+    that length is compared once. The edit distance is bounded below by
+    the character-count difference max(sum (a-b)+, sum (b-a)+) over the
+    alphabet of the names, which also covers the length difference;
+    characters outside that alphabet share one count, where the name's
+    count is 0. ``levenshtein`` runs only on windows whose bound still
+    allows the threshold, most promising first, up to the name's first hit.
+    """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold out of [0,1]")
+    if threshold == 0.0:  # every score, 0.0 included, reaches it
+        return list(kb.entities)
     utterances = _utterance_tokens(dialogue)
-    out = []
-    for entity in kb.entities:
-        score = max((fuzzy_similarity(entity.name, u) for u in utterances),
-                    default=0.0)
-        if score >= threshold:
-            out.append(entity)
-    return out
+    names = [tokenize(e.name) for e in kb.entities]
+    targets = [" ".join(tokens) for tokens in names]
+    by_length: dict[int, dict[str, None]] = {}
+    for tokens, target in zip(names, targets):
+        if tokens:
+            by_length.setdefault(len(tokens), {})[target] = None
+    # sorted code points; np.unique would import numpy.ma (about 0.6 MB)
+    alphabet = np.array(sorted(set(map(ord, "".join(targets)))), dtype=np.int64)
+    hits = set()
+    for w, group in by_length.items():
+        windows = list(dict.fromkeys(
+            " ".join(u[start:start + w])
+            for u in utterances for start in range(len(u) - w + 1)))
+        if not windows:
+            continue
+        window_counts = _char_counts(windows, alphabet)
+        window_lens = np.array([len(x) for x in windows])
+        for target, counts in zip(group, _char_counts(list(group), alphabet)):
+            surplus = np.maximum(counts - window_counts, 0).sum(axis=1)
+            bound = np.maximum(surplus, surplus + window_lens - len(target))
+            denom = np.maximum(window_lens, len(target))
+            reach = 1.0 - bound / denom
+            open_ = np.flatnonzero(reach >= threshold)
+            for j in open_[np.argsort(-reach[open_], kind="stable")]:
+                dist = levenshtein(target, windows[j])
+                if 1.0 - dist / int(denom[j]) >= threshold:
+                    hits.add(target)
+                    break
+    return [e for e, target in zip(kb.entities, targets) if target in hits]
 
 
 def track_entities(scorer: SentencePairScorer, dialogue: Dialogue,

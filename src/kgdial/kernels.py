@@ -1,9 +1,10 @@
 """Hot inner-loop kernels: Levenshtein distance and LCS length.
 
 Both are O(n*m) dynamic programs sitting on the critical path of fuzzy
-entity matching (edit distance over every same-length token window of
-every utterance) and of LCS-based text overlap scoring (evaluated over
-all candidate pairs in a pool). The default implementations are numba
+entity matching (edit distance between an entity name and each distinct
+same-length token window of the utterances that a character-count lower
+bound cannot rule out) and of LCS-based text overlap scoring (evaluated
+over all candidate pairs in a pool). The default implementations are numba
 @njit kernels over integer code arrays; a vectorized pure-numpy path is
 selected by setting the environment variable KGDIAL_DISABLE_NUMBA=1
 (or automatically when numba is unavailable).

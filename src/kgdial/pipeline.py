@@ -542,9 +542,9 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         tracker_scorer = scorer_from_checkpoint(require(
             config.output_path("tracker.npz"), "train-select"))
     pointwise = _load_rank_model(require(
-        config.output_path("pointwise.npz"), "train-select"), config)
+        config.output_path("pointwise.npz"), "train-select"), config, kb)
     listwise = _load_rank_model(require(
-        config.output_path("listwise.npz"), "train-select"), config)
+        config.output_path("listwise.npz"), "train-select"), config, kb)
     generator = load_generator(require(
         config.output_path("generator.npz"), "train-generate"))
     weights_path = config.output_path("consensus.weights.json")
@@ -584,14 +584,13 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     return [path, manifest]
 
 
-def _load_rank_model(path: str, config: PipelineConfig):
+def _load_rank_model(path: str, config: PipelineConfig, kb: KnowledgeBase):
     from .models import load_checkpoint
     from .rank import ListwiseModel, PointwiseModel
 
     tensors, meta = load_checkpoint(path)
     enc = meta["encoder"]
     if meta["kind"] == "PointwiseModel":
-        _, kb = _load_training_corpus(config)
         domains = sorted({s.domain for s in kb.snippets})
         model = PointwiseModel(meta["vocab"], domains, PointwiseConfig(
             use_mtl=any(k.startswith("mtl.") for k in tensors),

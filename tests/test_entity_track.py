@@ -1,7 +1,13 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgdial import entity_track
 from kgdial.corpus import (
     DOMAIN_LEVEL, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
+    tokenize,
 )
 from kgdial.entity_track import (
     collect_candidates, entity_recall, exact_match_entities,
@@ -85,6 +91,87 @@ class TestFuzzyMatch:
             exact = {e.key for e in exact_match_entities(d, kb)}
             fuzzy = {e.key for e in fuzzy_match_entities(d, kb, 1.0)}
             assert exact <= fuzzy
+
+
+def fuzzy_reference(dialogue, kb, threshold):
+    """The definition fuzzy_match_entities must reproduce: every entity
+    scored against every utterance with fuzzy_similarity."""
+    utterances = [tokenize(t.text) for t in dialogue.turns]
+    return [e for e in kb.entities
+            if max((fuzzy_similarity(e.name, u) for u in utterances),
+                   default=0.0) >= threshold]
+
+
+NAME_WORDS = ("Palm", "court", "SW", "Hotel", "hamilton", "LODGE", "a", "Bo")
+# near misses, punctuation and characters outside every name's alphabet
+NOISE_WORDS = NAME_WORDS + ("plam", "cort", "hotels", "lodg", "ß", "zz", "42",
+                            "?", "court!", "é", "hamiltom")
+
+
+@st.composite
+def fuzzy_cases(draw):
+    name_list = draw(st.lists(
+        st.lists(st.sampled_from(NAME_WORDS), min_size=1, max_size=3)
+        .map(" ".join), min_size=1, max_size=6))
+    kb = KnowledgeBase([snip("hotel", str(i), name, "0")
+                        for i, name in enumerate(name_list)])
+    phrase = draw(st.lists(st.sampled_from(NOISE_WORDS), min_size=1, max_size=4))
+    # a turn cannot be blank; "?" is the shortest, one token and no letter
+    turns = draw(st.lists(
+        st.one_of(st.just(phrase), st.just(["?"]),
+                  st.lists(st.sampled_from(NOISE_WORDS), min_size=1, max_size=8)),
+        max_size=5))
+    threshold = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                               st.floats(0.0, 1.0)))
+    return kb, dlg(*(" ".join(t) for t in turns)), threshold
+
+
+class TestFuzzyPruning:
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzy_cases())
+    def test_equals_reference_definition(self, case):
+        kb, dialogue, threshold = case
+        assert (fuzzy_match_entities(dialogue, kb, threshold)
+                == fuzzy_reference(dialogue, kb, threshold))
+
+    def test_similarity_exactly_at_threshold_is_kept(self):
+        # "abcd" vs "abxy": distance 2 over length 4, similarity exactly 0.5
+        kb = KnowledgeBase([snip("hotel", "1", "abcd", "0")])
+        d = dlg("see abxy there")
+        assert fuzzy_similarity("abcd", tokenize("see abxy there")) == 0.5
+        assert names(fuzzy_match_entities(d, kb, 0.5)) == ["abcd"]
+        assert fuzzy_match_entities(d, kb, math.nextafter(0.5, 1.0)) == []
+
+    def test_non_dyadic_boundary_is_bit_identical(self):
+        noisy = dlg("can I cooking at Hamilton launch")
+        t = 1.0 - 5 / 15
+        assert "Hamilton Lodge" in names(fuzzy_match_entities(noisy, make_kb(), t))
+        above = math.nextafter(t, 1.0)
+        assert "Hamilton Lodge" not in names(fuzzy_match_entities(noisy, make_kb(), above))
+
+    def test_repeated_phrase_runs_fewer_edit_distances(self, monkeypatch):
+        real = entity_track.levenshtein
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(entity_track, "levenshtein", counted)
+        kb = make_kb()
+        d = dlg(*["can I cooking at Hamilton launch"] * 6)
+        expected = fuzzy_reference(d, kb, 0.5)
+        windows_scanned = len(calls)
+        calls.clear()
+        assert fuzzy_match_entities(d, kb, 0.5) == expected
+        utterance = tokenize("can I cooking at Hamilton launch")
+        distinct_pairs = {
+            (" ".join(tokenize(e.name)), " ".join(utterance[i:i + w]))
+            for e in kb.entities
+            for w in [len(tokenize(e.name))]
+            for i in range(len(utterance) - w + 1)}
+        assert len(calls) <= len(distinct_pairs)
+        assert len(calls) < windows_scanned
 
 
 class OracleScorer:
