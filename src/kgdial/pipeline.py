@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -284,6 +284,7 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
     seed = config.seed
     ks = [d for d in corpus if d.label is not None and d.label.is_knowledge_seeking]
 
+    tracker = None
     if str(config["track.method"]) == "learned":
         rng = np.random.default_rng(seed)
         examples = build_tracking_examples(
@@ -318,7 +319,7 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
     _save_rank_model(pointwise, pw_path)
     outputs.append(pw_path)
 
-    tracker_fn = make_tracker(config)
+    tracker_fn = make_tracker(config, tracker)
     instances, stats = build_listwise_training_data(
         ks, kb, pw_config, k=int(config["rank.kfolds"]), seed=seed,
         tracker=lambda d, kb_: collect_candidates(tracker_fn(d, kb_), kb_),
@@ -414,7 +415,7 @@ def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
 
     k = min(int(config["gen.kfolds"]), max(2, len(ks) // 2))
     folds = split_kfold(list(ks), k=k, seed=config.seed)
-    tracker_fn = make_tracker(config)
+    tracker_fn = load_tracker(config)
     pw_config = PointwiseConfig(
         use_mtl=False, variant=Variant(str(config["rank.variant"])),
         epochs=int(config["rank.epochs"]),
@@ -454,15 +455,32 @@ def make_tracker(config: PipelineConfig,
     return tracker
 
 
+def load_tracker(config: PipelineConfig) -> Callable:
+    """`make_tracker` with the tracker that train-select saved, when the
+    configured method is the learned one."""
+    tracker_scorer = None
+    if str(config["track.method"]) == "learned":
+        tracker_scorer = scorer_from_checkpoint(require(
+            config.output_path("tracker.npz"), "train-select"))
+    return make_tracker(config, tracker_scorer)
+
+
 @dataclass
 class DecodeComponents:
-    """Pluggable pieces of the decode path; tests may inject oracles."""
+    """Pluggable pieces of the decode path; tests may inject oracles.
+
+    `ranker` ranks a turn's candidates once. When `reranker` is set, it
+    reorders that very list (called with the dialogue, the ranker's list
+    and the tracked entities) and the two lists are ensembled; otherwise
+    the ranker's list is ensembled alone."""
     detector: Callable[[Dialogue], float]
     tracker: Callable[[Dialogue, KnowledgeBase], list]
-    rankers: list[Callable[[Dialogue, list, list], RankedKnowledgeList]]
+    ranker: Callable[[Dialogue, list, list], RankedKnowledgeList]
     generator: object
     consensus_weights: ConsensusWeights
     nbest: int = 5
+    reranker: Optional[Callable[[Dialogue, RankedKnowledgeList, list],
+                                RankedKnowledgeList]] = None
 
 
 def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
@@ -482,8 +500,10 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                 continue
             tracked = components.tracker(dialogue, kb)
             candidates = collect_candidates(tracked, kb)
-            ranked_lists = [ranker(dialogue, candidates, tracked)
-                            for ranker in components.rankers]
+            first = components.ranker(dialogue, candidates, tracked)
+            ranked_lists = [first]
+            if components.reranker is not None:
+                ranked_lists.append(components.reranker(dialogue, first, tracked))
             merged = ensemble_rank(ranked_lists)
             top5 = [s for s, _ in merged.items]
             context = build_generation_context(
@@ -537,10 +557,7 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     kb = load_knowledge_base(require(config["paths.knowledge"], "synth"))
     detector = scorer_from_checkpoint(require(
         config.output_path("detector.npz"), "train-detect"))
-    tracker_scorer = None
-    if str(config["track.method"]) == "learned":
-        tracker_scorer = scorer_from_checkpoint(require(
-            config.output_path("tracker.npz"), "train-select"))
+    tracker = load_tracker(config)
     pointwise = _load_rank_model(require(
         config.output_path("pointwise.npz"), "train-select"), config, kb)
     listwise = _load_rank_model(require(
@@ -557,19 +574,18 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     def detector_fn(dialogue):
         return detector.score(linearize_history(dialogue, detect_tokens), "")
 
-    def pointwise_ranker(dialogue, candidates, tracked):
+    def ranker(dialogue, candidates, tracked):
         return pointwise_rank(pointwise, dialogue, candidates, kb=kb,
                               tracked=tracked)
 
-    def listwise_ranker(dialogue, candidates, tracked):
-        first = pointwise_rank(pointwise, dialogue, candidates, kb=kb,
-                               tracked=tracked)
+    def reranker(dialogue, first, tracked):
         return listwise_rerank(listwise, dialogue, first, tracked, alpha=alpha)
 
     components = DecodeComponents(
         detector=detector_fn,
-        tracker=make_tracker(config, tracker_scorer),
-        rankers=[pointwise_ranker, listwise_ranker],
+        tracker=tracker,
+        ranker=ranker,
+        reranker=reranker,
         generator=generator,
         consensus_weights=weights,
         nbest=int(config["gen.nbest"]))

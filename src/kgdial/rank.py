@@ -3,6 +3,12 @@ a multi-task head (domain classification + attention-pooled entity
 selection), negative sampling, list-wise 5-way reranking, k-fold
 bootstrapping of list-wise data, and the sum-of-probabilities ensemble.
 
+Ranking one turn scores a list of candidates against one dialogue, so
+whatever depends on the dialogue alone (its tracked entities, history
+tokens and the dialogue part of the sparse features) is computed once per
+ranking call; each candidate then costs its snippet tokens, one encoder
+pass over the history-snippet pair and the per-snippet feature tests.
+
 The multi-task head computes, for a pooled query vector f and per-token
 states H of the concatenated entity names,
 
@@ -73,10 +79,6 @@ class SparseFeatures:
         return vec * scale
 
 
-def _dialogue_tokens(dialogue: Dialogue) -> list[list[str]]:
-    return [tokenize(t.text) for t in dialogue.turns]
-
-
 def _rightmost_occurrence(utterances: list[list[str]], name_tokens: list[str]) -> int:
     """Global token offset just past the last occurrence of name_tokens,
     or -1 when the name never matches. Comparing match ends (with a
@@ -94,6 +96,56 @@ def _rightmost_occurrence(utterances: list[list[str]], name_tokens: list[str]) -
     return best
 
 
+@dataclass(frozen=True)
+class DialogueFeatures:
+    """The part of the sparse features that depends on the dialogue and
+    its tracked entities only, shared by every candidate snippet."""
+    last_entity_key: Optional[tuple[str, str]]
+    tokens: frozenset[str]
+    bigrams: frozenset[tuple[str, str]]
+
+    def snippet_features(self, snippet: KnowledgeSnippet,
+                         variant: Variant = Variant.WD2,
+                         alpha: float = 1.0) -> SparseFeatures:
+        """The per-snippet part: the domain-level flag, whether the
+        snippet's entity is the rightmost tracked one, and (WD2 only)
+        whether any unigram/bigram of its entity name occurs."""
+        unigram = bigram = 0
+        if variant is Variant.WD2:
+            name_tokens = tokenize(snippet.entity_name)
+            if any(tok in self.tokens for tok in name_tokens):
+                unigram = 1
+            if any((name_tokens[i], name_tokens[i + 1]) in self.bigrams
+                   for i in range(len(name_tokens) - 1)):
+                bigram = 1
+        return SparseFeatures(
+            is_domain_level=int(snippet.is_domain_level),
+            is_last_entity=int(self.last_entity_key == snippet.entity_key),
+            unigram_in_dialogue=unigram,
+            bigram_in_dialogue=bigram,
+            alpha=alpha)
+
+
+def dialogue_features(dialogue: Dialogue,
+                      tracked_entities: Sequence[Entity]) -> DialogueFeatures:
+    """Tokenize the utterances once, find the tracked entity with the
+    rightmost string-match occurrence (ties go to the longer, then the
+    later-sorting name), and collect the dialogue's token and bigram sets."""
+    utterances = [tokenize(t.text) for t in dialogue.turns]
+    positions = {}
+    for entity in tracked_entities:
+        name_tokens = tokenize(entity.name)
+        pos = _rightmost_occurrence(utterances, name_tokens)
+        if pos >= 0:
+            positions[entity.key] = (pos, len(name_tokens), entity.name)
+    last_key = max(positions, key=lambda k: positions[k]) if positions else None
+    return DialogueFeatures(
+        last_entity_key=last_key,
+        tokens=frozenset(tok for utt in utterances for tok in utt),
+        bigrams=frozenset((utt[i], utt[i + 1])
+                          for utt in utterances for i in range(len(utt) - 1)))
+
+
 def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
                             tracked_entities: Sequence[Entity],
                             variant: Variant = Variant.WD2,
@@ -104,37 +156,14 @@ def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
     string-match occurrence among the tracked entities. The n-gram
     indicators (WD2 only) fire when any unigram/bigram of the entity name
     occurs in the utterances, catching names scattered across turns.
+
+    This composes the per-dialogue part (`dialogue_features`) with the
+    per-snippet part (`DialogueFeatures.snippet_features`); ranking code
+    that scores several snippets against one dialogue builds the first
+    part once and calls the second for each snippet.
     """
-    utterances = _dialogue_tokens(dialogue)
-    positions = {}
-    for entity in tracked_entities:
-        pos = _rightmost_occurrence(utterances, tokenize(entity.name))
-        if pos >= 0:
-            positions[entity.key] = (pos, len(tokenize(entity.name)), entity.name)
-    is_last = 0
-    if positions:
-        last_key = max(positions, key=lambda k: positions[k])
-        if last_key == snippet.entity_key:
-            is_last = 1
-    unigram = bigram = 0
-    if variant is Variant.WD2:
-        name_tokens = tokenize(snippet.entity_name)
-        all_tokens = [tok for utt in utterances for tok in utt]
-        token_set = set(all_tokens)
-        if any(tok in token_set for tok in name_tokens):
-            unigram = 1
-        dialogue_bigrams = {
-            (utt[i], utt[i + 1]) for utt in utterances for i in range(len(utt) - 1)}
-        name_bigrams = [
-            (name_tokens[i], name_tokens[i + 1]) for i in range(len(name_tokens) - 1)]
-        if any(bg in dialogue_bigrams for bg in name_bigrams):
-            bigram = 1
-    return SparseFeatures(
-        is_domain_level=int(snippet.is_domain_level),
-        is_last_entity=is_last,
-        unigram_in_dialogue=unigram,
-        bigram_in_dialogue=bigram,
-        alpha=alpha)
+    return dialogue_features(dialogue, tracked_entities).snippet_features(
+        snippet, variant, alpha)
 
 
 DEFAULT_POOLS = ("kb", "mentioned", "other_entity")
@@ -396,14 +425,31 @@ class PointwiseModel:
         return extract_sparse_features(dialogue, candidate, tracked,
                                        self.config.variant, alpha)
 
+    def logits(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
+               alpha: float = 1.0,
+               tracked: Optional[Sequence[Entity]] = None) -> list[float]:
+        """Logit of every candidate against one dialogue. The tracked
+        entities, the history tokens and the dialogue part of the sparse
+        features are computed once for the list; each candidate gets its
+        own encoder pass, since the encoder attends across the pair."""
+        if tracked is None:
+            tracked = self._tracked(dialogue)
+        history = tokenize(linearize_history(dialogue))
+        context = dialogue_features(dialogue, tracked)
+        out = []
+        for candidate in candidates:
+            tokens = history + tokenize(linearize_knowledge(candidate))
+            cache = self.encoder.forward(*self.encoder.token_ids(tokens, len(history)))
+            feats = context.snippet_features(
+                candidate, self.config.variant, alpha).vector()
+            out.append(float(self.head["w"] @ pair_readout(cache) + self.head["b"][0]
+                             + self.wide["u"] @ feats))
+        return out
+
     def logit(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
               alpha: float = 1.0,
               tracked: Optional[Sequence[Entity]] = None) -> float:
-        tokens, boundary = self._input1_tokens(dialogue, candidate)
-        cache = self.encoder.forward(*self.encoder.token_ids(tokens, boundary))
-        feats = self.features(dialogue, candidate, tracked, alpha).vector()
-        return float(self.head["w"] @ pair_readout(cache) + self.head["b"][0]
-                     + self.wide["u"] @ feats)
+        return self.logits(dialogue, [candidate], alpha, tracked)[0]
 
     def score(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
               alpha: float = 1.0,
@@ -571,7 +617,8 @@ def pointwise_rank(model: PointwiseModel, dialogue: Dialogue,
         if kb is None:
             raise RankError("empty candidates and no knowledge base to fall back to")
         pool = list(kb.snippets)
-    scored = [(snip, model.score(dialogue, snip, alpha, tracked)) for snip in pool]
+    logits = model.logits(dialogue, pool, alpha, tracked)
+    scored = [(snip, sigmoid(z)) for snip, z in zip(pool, logits)]
     return RankedKnowledgeList(dialogue.id, _sorted_items(scored, top_n))
 
 
@@ -689,15 +736,17 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
         for d in fold:
             decoded_ids.add(d.id)
             candidates = tracker(d, kb) if tracker is not None else list(kb.snippets)
-            ranked = pointwise_rank(model, d, candidates, kb=kb, top_n=top_n)
+            tracked = exact_match_entities(d, kb)
+            ranked = pointwise_rank(model, d, candidates, kb=kb, tracked=tracked,
+                                    top_n=top_n)
             refs = set(d.label.knowledge_refs)
             true_idx = next((j for j, key in enumerate(ranked.keys) if key in refs), None)
             if true_idx is None:
                 dropped += 1
                 continue
             cands = [s for s, _ in ranked.items]
-            tracked = exact_match_entities(d, kb)
-            feats = [extract_sparse_features(d, s, tracked, variant) for s in cands]
+            context = dialogue_features(d, tracked)
+            feats = [context.snippet_features(s, variant) for s in cands]
             instances.append(ListwiseInstance(
                 dialogue=d, candidates=cands, true_index=true_idx, features=feats))
     stats = {"folds": k, "decoded": len(decoded_ids), "emitted": len(instances),
@@ -746,8 +795,8 @@ def listwise_rerank(model: ListwiseModel, dialogue: Dialogue,
     if not ranked.items:
         return ranked
     cands = [s for s, _ in ranked.items]
-    feats = [extract_sparse_features(dialogue, s, tracked, model.config.variant)
-             for s in cands]
+    context = dialogue_features(dialogue, tracked)
+    feats = [context.snippet_features(s, model.config.variant) for s in cands]
     dist = listwise_rank(model, dialogue, cands, feats, alpha)
     return RankedKnowledgeList(ranked.turn_id,
                                _sorted_items(list(zip(cands, dist))))

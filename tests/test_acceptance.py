@@ -429,7 +429,7 @@ def test_criterion_9_end_to_end():
 
         oracle_gen = PerTurnOracle()
         components = DecodeComponents(
-            detector=detector, tracker=tracker, rankers=[ranker],
+            detector=detector, tracker=tracker, ranker=ranker,
             generator=oracle_gen,
             consensus_weights=ConsensusWeights.uniform(), nbest=1)
 
@@ -487,7 +487,7 @@ def test_criterion_9_end_to_end():
 
         trained = DecodeComponents(
             detector=trained_detector, tracker=trained_tracker,
-            rankers=[trained_ranker], generator=generator,
+            ranker=trained_ranker, generator=generator,
             consensus_weights=ConsensusWeights.uniform(), nbest=3)
         run1 = end_to_end_decode(dialogues, kb, trained, max_history_tokens=96)
         run2 = end_to_end_decode(dialogues, kb, trained, max_history_tokens=96)

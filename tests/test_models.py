@@ -145,3 +145,37 @@ class TestCheckpoint:
         assert meta["version"] == 1
         assert meta["kind"] == "test"
         assert np.array_equal(tensors["w"], np.ones(2))
+
+
+def test_every_public_annotation_resolves():
+    """typing.get_type_hints evaluates the postponed annotations of every
+    public function and method in kgdial; a name missing from a module's
+    imports raises NameError here."""
+    import importlib
+    import inspect
+    import pkgutil
+    import typing
+
+    import kgdial
+
+    checked = 0
+    for info in pkgutil.iter_modules(kgdial.__path__):
+        module = importlib.import_module(f"kgdial.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_"):
+                        continue
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    if inspect.isfunction(member):
+                        members.append(member)
+            for member in members:
+                typing.get_type_hints(member)
+                checked += 1
+    assert checked > 100

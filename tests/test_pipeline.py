@@ -1,15 +1,19 @@
+import json
 import os
 
 import pytest
 
 from kgdial.consensus import ConsensusWeights
+from kgdial.corpus import save_corpus, save_knowledge_base
 from kgdial.pipeline import (
-    ConfigError, DecodeComponents, DependencyError, PipelineConfig,
-    end_to_end_decode, evaluate_predictions, load_config, make_tracker,
-    require, validate_labels_schema, write_manifest,
+    CONFIG_DEFAULTS, ConfigError, DecodeComponents, DependencyError,
+    PipelineConfig, end_to_end_decode, evaluate_predictions, load_config,
+    make_tracker, require, stage_augment, stage_decode, stage_train_detect,
+    stage_train_generate, stage_train_select, validate_labels_schema,
+    write_manifest,
 )
-from kgdial.rank import RankedKnowledgeList
-from kgdial.synth import MiniCorpusConfig, build_mini_corpus
+from kgdial.rank import RankedKnowledgeList, ensemble_rank
+from kgdial.synth import MiniCorpusConfig, build_mini_corpus, save_lexicon
 
 
 class TestConfig:
@@ -120,7 +124,7 @@ def oracle_components(dialogues, kb):
             return [("oracle response", -0.5)]
 
     return truth, DecodeComponents(
-        detector=detector, tracker=tracker, rankers=[ranker],
+        detector=detector, tracker=tracker, ranker=ranker,
         generator=ContextualOracleGenerator(),
         consensus_weights=ConsensusWeights.uniform(), nbest=1)
 
@@ -175,6 +179,67 @@ class TestEndToEndOracle:
         with_labels = end_to_end_decode(dialogues, kb, components)
         without = end_to_end_decode(strip_labels(dialogues), kb, components)
         assert with_labels == without
+
+
+def test_decode_ranks_each_turn_once_and_reranks_that_list(mini):
+    dialogues, kb = mini
+    truth, components = oracle_components(dialogues, kb)
+    oracle_ranker = components.ranker
+    first_lists, reranked_lists = {}, {}
+
+    def counting_ranker(dialogue, candidates, tracked):
+        assert dialogue.id not in first_lists
+        first_lists[dialogue.id] = oracle_ranker(dialogue, candidates, tracked)
+        return first_lists[dialogue.id]
+
+    def reversing_reranker(dialogue, first, tracked):
+        assert first is first_lists[dialogue.id]
+        n = len(first.items)
+        reordered = [snip for snip, _ in reversed(first.items)]
+        reranked_lists[dialogue.id] = RankedKnowledgeList(first.turn_id, tuple(
+            (snip, (n - i) / n) for i, snip in enumerate(reordered)))
+        return reranked_lists[dialogue.id]
+
+    components.ranker = counting_ranker
+    components.reranker = reversing_reranker
+    records = end_to_end_decode(dialogues, kb, components)
+    seeking = [d for d in dialogues if truth[d.id].is_knowledge_seeking]
+    assert set(first_lists) == set(reranked_lists) == {d.id for d in seeking}
+    for rec, d in zip(records, dialogues):
+        if d.id not in first_lists:
+            continue
+        merged = ensemble_rank([first_lists[d.id], reranked_lists[d.id]])
+        assert rec["knowledge"] == [
+            {"domain": s.domain, "entity_id": s.entity_id, "doc_id": s.doc_id}
+            for s, _ in merged.items]
+
+
+def test_default_learned_tracking_runs_end_to_end(tmp_path):
+    assert CONFIG_DEFAULTS["track.method"] == "learned"
+    dialogues, kb, lexicon = build_mini_corpus(
+        MiniCorpusConfig(n_dialogues=30, seed=4))
+    data = tmp_path / "data"
+    data.mkdir()
+    save_corpus(dialogues, str(data / "logs.json"), str(data / "labels.json"))
+    save_knowledge_base(kb, str(data / "knowledge.json"))
+    save_lexicon(lexicon, str(data / "lexicon.tsv"))
+    config = PipelineConfig({
+        "paths.logs": str(data / "logs.json"),
+        "paths.labels": str(data / "labels.json"),
+        "paths.knowledge": str(data / "knowledge.json"),
+        "paths.lexicon": str(data / "lexicon.tsv"),
+        "paths.output": str(tmp_path / "out"),
+        "detect.epochs": 1, "track.epochs": 1, "rank.epochs": 1,
+        "rank.listwise_epochs": 1, "gen.epochs": 1})
+    for stage in (stage_augment, stage_train_detect, stage_train_select,
+                  stage_train_generate):
+        stage(config)
+    assert (tmp_path / "out" / "tracker.npz").exists()
+    predictions_path = stage_decode(config)[0]
+    with open(predictions_path, encoding="utf-8") as fh:
+        records = json.load(fh)
+    assert len(records) == len(dialogues)
+    validate_labels_schema(records)
 
 
 class TestTrackerFactory:

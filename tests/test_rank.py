@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from kgdial import rank
 from kgdial.corpus import (
     DOMAIN_LEVEL, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
-    TurnLabel,
+    TurnLabel, linearize_history, linearize_knowledge, tokenize,
 )
 from kgdial.entity_track import collect_candidates, exact_match_entities
-from kgdial.models import finite_difference_check
+from kgdial.models import finite_difference_check, pair_readout, sigmoid
 from kgdial.rank import (
     ListwiseConfig, MTLParams, PointwiseConfig, PointwiseInstance,
     RankedKnowledgeList, RankError, Variant, build_listwise_training_data,
@@ -377,6 +378,89 @@ class TestPointwiseRank:
             pointwise_rank(m, d, [])
 
 
+@pytest.fixture(scope="module")
+def variant_models():
+    kb = make_kb()
+    corpus = make_corpus(kb, 6)
+    return kb, {variant: train_pointwise(corpus, kb, small_config(variant=variant))
+                for variant in Variant}
+
+
+def reference_logit(m, kb, d, snippet, alpha, tracked):
+    """One candidate scored on its own, as the point-wise model defines it."""
+    history = tokenize(linearize_history(d))
+    tokens = history + tokenize(linearize_knowledge(snippet))
+    cache = m.encoder.forward(*m.encoder.token_ids(tokens, len(history)))
+    if tracked is None:
+        tracked = exact_match_entities(d, kb)
+    feats = extract_sparse_features(d, snippet, tracked, m.config.variant, alpha)
+    return float(m.head["w"] @ pair_readout(cache) + m.head["b"][0]
+                 + m.wide["u"] @ feats.vector())
+
+
+class TestBatchedPointwise:
+    """Scoring a list once per dialogue gives the per-candidate results
+    bit for bit."""
+
+    def dialogues(self, kb):
+        compare = Dialogue(id="c", turns=(
+            Turn(Speaker.USER, "compare Hamilton Lodge with SW Hotel"),
+            Turn(Speaker.SYSTEM, "both are nice, the river grill is close"),
+            Turn(Speaker.USER, "does the lodge allow pets?")))
+        return [ks_dialogue("x", "Palm Court", kb), compare]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("alpha", [1.0, 100.0])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_logits_equal_reference(self, variant_models, variant, alpha, given):
+        kb, models = variant_models
+        m = models[variant]
+        assert np.any(m.wide["u"] != 0.0)
+        for d in self.dialogues(kb):
+            tracked = list(kb.entities) if given else None
+            cands = list(kb.snippets)
+            expected = [reference_logit(m, kb, d, s, alpha, tracked) for s in cands]
+            assert m.logits(d, cands, alpha, tracked) == expected
+            assert [m.logit(d, s, alpha, tracked) for s in cands] == expected
+            ranked = pointwise_rank(m, d, cands, alpha=alpha, tracked=tracked,
+                                    top_n=len(cands))
+            assert dict((s.key, p) for s, p in ranked.items) == {
+                s.key: sigmoid(z) for s, z in zip(cands, expected)}
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_untracked_rank_equals_exact_tracked(self, variant_models, variant):
+        kb, models = variant_models
+        for d in self.dialogues(kb):
+            cands = list(kb.snippets)
+            assert pointwise_rank(models[variant], d, cands, alpha=100.0) == \
+                pointwise_rank(models[variant], d, cands, alpha=100.0,
+                               tracked=exact_match_entities(d, kb))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_rerank_features_equal_per_snippet_features(self, monkeypatch, variant):
+        kb = make_kb()
+        corpus = make_corpus(kb, 4)
+        instances, _ = build_listwise_training_data(
+            corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
+        model = train_listwise(instances, kb,
+                               ListwiseConfig(epochs=1, d=10, variant=variant))
+        seen = []
+        real = rank.listwise_rank
+
+        def recording(model_, dialogue, top5, features, alpha=None):
+            seen.append(list(features))
+            return real(model_, dialogue, top5, features, alpha)
+
+        monkeypatch.setattr(rank, "listwise_rank", recording)
+        for d in self.dialogues(kb):
+            tracked = exact_match_entities(d, kb)
+            cands = collect_candidates(list(kb.entities), kb)[:5]
+            ranked = RankedKnowledgeList(d.id, tuple((s, 0.5) for s in cands))
+            listwise_rerank(model, d, ranked, tracked, alpha=100.0)
+            assert seen.pop() == [
+                extract_sparse_features(d, s, tracked, variant) for s in cands]
+
+
 class TestListwise:
     def test_identical_candidates_uniform(self):
         kb = make_kb()
@@ -442,6 +526,10 @@ class TestListwiseData:
             refs = set(inst.dialogue.label.knowledge_refs)
             hits = [j for j, c in enumerate(inst.candidates) if c.key in refs]
             assert inst.true_index in hits
+            tracked = exact_match_entities(inst.dialogue, kb)
+            assert inst.features == [
+                extract_sparse_features(inst.dialogue, c, tracked)
+                for c in inst.candidates]
         assert stats["decoded"] == len(corpus)
         assert stats["emitted"] + stats["dropped"] == len(corpus)
 
