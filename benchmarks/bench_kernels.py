@@ -2,8 +2,10 @@
 """Benchmark the numba kernels against the pure-numpy fallback.
 
 Times the two Levenshtein and LCS implementations on random integer
-sequences of growing length, plus one end-to-end fuzzy-matching workload.
-Run after `pip install -e .`:
+sequences of growing length, the batched edit distance
+(`kernels.levenshtein_many`) against a per-pair `levenshtein_kernel` loop
+on (entity name, same-length window) pairs, and one end-to-end
+fuzzy-matching workload. Run after `pip install -e .`:
 
     python3 benchmarks/bench_kernels.py
 
@@ -44,16 +46,50 @@ def bench_pairwise(name, numba_fn, numpy_fn, reference, sizes, rng):
         print(f"{n:>6} {t_nb:>12.6f} {t_np:>12.6f} {t_np / t_nb:>8.1f}x")
 
 
+def fuzzy_shaped_pairs(rng, n_names=30, n_utterances=50, words_per_utt=30):
+    """Three-word names against every three-word window of the utterances,
+    with the vocabulary fuzzy tracking sees; also returns the names and
+    utterances."""
+    words = [f"word{i:03d}" for i in range(400)]
+    utterances = [
+        [words[int(i)] for i in rng.integers(0, len(words), words_per_utt)]
+        for _ in range(n_utterances)]
+    names = [" ".join(words[int(i)] for i in rng.integers(0, len(words), 3))
+             for _ in range(n_names)]
+    pairs = [(name, " ".join(utt[i:i + 3]))
+             for name in names for utt in utterances
+             for i in range(len(utt) - 2)]
+    return pairs, names, utterances
+
+
+def bench_batched_levenshtein(rng):
+    """One levenshtein_many call against a per-pair levenshtein_kernel loop,
+    both checked against the reference DP first."""
+    pairs, _, _ = fuzzy_shaped_pairs(rng, n_utterances=8)
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    codes = [(kernels.encode_chars(x), kernels.encode_chars(y)) for x, y in pairs]
+    expected = [kernels._levenshtein_py(x, y) for x, y in codes]
+    assert kernels.levenshtein_many(a, b).tolist() == expected
+
+    def per_pair():
+        return [kernels.levenshtein_kernel(x, y) for x, y in codes]
+
+    assert per_pair() == expected
+    t_many = timeit(kernels.levenshtein_many, a, b, repeat=3)
+    t_loop = timeit(per_pair, repeat=3)
+    backend = "numba" if kernels.HAVE_NUMBA else "numpy"
+    print(f"\nbatched edit distance ({backend} active), {len(pairs)} "
+          f"name/window pairs (best of 3, seconds)")
+    print(f"  levenshtein_many      {t_many:.4f}")
+    print(f"  per-pair kernel loop  {t_loop:.4f}  ({t_loop / t_many:.1f}x)")
+
+
 def bench_fuzzy_workload(rng):
     """Windowed edit-distance scan, the shape fuzzy tracking produces."""
     from kgdial.entity_track import fuzzy_similarity
 
-    words = [f"word{i:03d}" for i in range(400)]
-    utterances = [
-        [words[int(i)] for i in rng.integers(0, len(words), 30)]
-        for _ in range(50)]
-    names = [" ".join(words[int(i)] for i in rng.integers(0, len(words), 3))
-             for _ in range(30)]
+    _, names, utterances = fuzzy_shaped_pairs(rng)
     t0 = time.perf_counter()
     total = 0.0
     for name in names:
@@ -86,6 +122,7 @@ def main():
                 b = rng.integers(0, 30, size=n)
                 assert fn(a, b) == reference(a, b)
                 print(f"{name} n={n}: {timeit(fn, a, b):.6f}s")
+    bench_batched_levenshtein(rng)
     bench_fuzzy_workload(rng)
 
 

@@ -2,8 +2,11 @@
 
 Subcommands cover the whole flow: synth (materialize the bundled
 mini-corpus), augment, train-detect, train-select, train-generate,
-decode, ensemble, tune-consensus, evaluate. Exit codes: 0 ok, 2 config
-error, 3 missing-dependency error.
+decode, ensemble, tune-consensus, evaluate. Exit codes: 0 ok; 2 config
+error, or a domain error (CorpusError, ModelError, RankError,
+GenerateError, ConsensusError: malformed corpus, knowledge base,
+checkpoint or stage input), reported as one ``error: ...`` line on
+stderr; 3 missing-dependency error.
 """
 
 from __future__ import annotations
@@ -12,8 +15,16 @@ import argparse
 import sys
 
 from . import pipeline
+from .consensus import ConsensusError
+from .corpus import CorpusError
+from .generate import GenerateError
+from .models import ModelError
 from .pipeline import (ConfigError, DependencyError, EXIT_CONFIG,
                        EXIT_DEPENDENCY, EXIT_OK, load_config)
+from .rank import RankError
+
+DOMAIN_ERRORS = (CorpusError, ModelError, RankError, GenerateError,
+                 ConsensusError)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -137,6 +148,10 @@ def main(argv=None) -> int:
     except DependencyError as exc:
         print(f"dependency error: {exc}", file=sys.stderr)
         return EXIT_DEPENDENCY
+    except DOMAIN_ERRORS as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

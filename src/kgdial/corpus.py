@@ -19,6 +19,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .kernels import char_counts
+
 DOMAIN_LEVEL = "*"
 
 TAG_USER = "⟨user⟩"
@@ -168,8 +170,42 @@ class Entity:
         return self.entity_id == DOMAIN_LEVEL
 
 
+class EntityNameIndex:
+    """The entity names as the matchers of ``entity_track`` read them,
+    built once per knowledge base.
+
+    ``positions`` maps each non-empty name token tuple to the positions of
+    its entities in the entity list, ``lengths`` holds those tuples' token
+    lengths in ascending order, and ``targets`` is each entity's name as
+    its space-joined tokens. For fuzzy matching, ``groups`` maps a token
+    length to the distinct targets of that length (first-seen order) and
+    their ``char_counts`` rows over ``alphabet``, the sorted code points of
+    all targets.
+    """
+
+    def __init__(self, entities: Sequence[Entity]):
+        tokens = [tuple(tokenize(e.name)) for e in entities]
+        self.targets: tuple[str, ...] = tuple(" ".join(t) for t in tokens)
+        positions: dict[tuple[str, ...], list[int]] = {}
+        grouped: dict[int, dict[str, None]] = {}
+        for i, (name, target) in enumerate(zip(tokens, self.targets)):
+            if name:
+                positions.setdefault(name, []).append(i)
+                grouped.setdefault(len(name), {})[target] = None
+        self.positions: dict[tuple[str, ...], tuple[int, ...]] = {
+            k: tuple(v) for k, v in positions.items()}
+        self.lengths: tuple[int, ...] = tuple(sorted(grouped))
+        # sorted code points; np.unique would import numpy.ma (about 0.6 MB)
+        self.alphabet = np.array(sorted(set(map(ord, "".join(self.targets)))),
+                                 dtype=np.int64)
+        self.groups: dict[int, tuple[tuple[str, ...], np.ndarray]] = {
+            w: (tuple(g), char_counts(list(g), self.alphabet))
+            for w, g in grouped.items()}
+
+
 class KnowledgeBase:
-    """Snippet store with an entity index over (domain, entity_id)."""
+    """Snippet store with an entity index over (domain, entity_id) and the
+    entity-name index that entity matching reads."""
 
     def __init__(self, snippets: Sequence[KnowledgeSnippet]):
         self.snippets: tuple[KnowledgeSnippet, ...] = tuple(
@@ -189,6 +225,7 @@ class KnowledgeBase:
             for k, v in sorted(self.entity_index.items()))
         self.entity_set: tuple[str, ...] = tuple(
             dict.fromkeys(e.name for e in self.entities))
+        self.name_index = EntityNameIndex(self.entities)
 
     def snippets_for(self, domain: str, entity_id: str) -> tuple[KnowledgeSnippet, ...]:
         return self.entity_index.get((domain, entity_id), ())

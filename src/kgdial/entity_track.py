@@ -2,9 +2,13 @@
 
 Three interchangeable methods (exact token match, fuzzy windowed edit
 distance, learned pair scorer over a threshold) feed candidate knowledge
-collection for the ranking stage. The fuzzy method runs the edit-distance
-DP only on (name, window) pairs that a character-count lower bound cannot
-rule out, once per distinct window, and stops at a name's first hit.
+collection for the ranking stage. The exact and fuzzy methods read the
+knowledge base's ``name_index``, built once with the knowledge base: exact
+matching is one dict lookup per (utterance position, name token length),
+and fuzzy matching bounds every (name, distinct window) pair of a token
+length by a character-count difference, then computes the edit distances
+of the pairs the bound leaves open in one batched DP
+(``kernels.levenshtein_many``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from .corpus import (DOMAIN_LEVEL, Dialogue, Entity, KnowledgeBase,
                      KnowledgeSnippet, linearize_entity, linearize_history,
                      tokenize)
-from .kernels import encode_chars, levenshtein
+from .kernels import char_counts, levenshtein, levenshtein_many
 from .models import SentencePairScorer
 
 
@@ -46,23 +50,19 @@ def _utterance_tokens(dialogue: Dialogue) -> list[list[str]]:
     return [tokenize(t.text) for t in dialogue.turns]
 
 
-def _contains_subseq(haystack: list[str], needle: list[str]) -> bool:
-    n = len(needle)
-    if n == 0 or n > len(haystack):
-        return False
-    return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
-
-
 def exact_match_entities(dialogue: Dialogue, kb: KnowledgeBase) -> list[Entity]:
     """Entities whose normalized name is a contiguous token subsequence of
-    some utterance. Domain pseudo-entities match on the domain name."""
-    utterances = _utterance_tokens(dialogue)
-    out = []
-    for entity in kb.entities:
-        name = tokenize(entity.name)
-        if any(_contains_subseq(u, name) for u in utterances):
-            out.append(entity)
-    return out
+    some utterance, in knowledge-base order. Domain pseudo-entities match
+    on the domain name; a name with no tokens never matches."""
+    index = kb.name_index
+    hits: set[int] = set()
+    for u in _utterance_tokens(dialogue):
+        for start in range(len(u)):
+            for w in index.lengths:
+                if start + w > len(u):
+                    break
+                hits.update(index.positions.get(tuple(u[start:start + w]), ()))
+    return [kb.entities[i] for i in sorted(hits)]
 
 
 def fuzzy_similarity(name: str, utterance_tokens: list[str]) -> float:
@@ -85,18 +85,6 @@ def fuzzy_similarity(name: str, utterance_tokens: list[str]) -> float:
     return best
 
 
-def _char_counts(strings: Sequence[str], alphabet: np.ndarray) -> np.ndarray:
-    """Per-string character counts over ``alphabet``, one row per string.
-    Column 0 pools every character outside the alphabet."""
-    codes = encode_chars("".join(strings))
-    pos = np.minimum(np.searchsorted(alphabet, codes), len(alphabet) - 1)
-    column = np.where(alphabet[pos] == codes, pos + 1, 0)
-    row = np.repeat(np.arange(len(strings)), [len(s) for s in strings])
-    width = len(alphabet) + 1
-    return np.bincount(row * width + column,
-                       minlength=len(strings) * width).reshape(len(strings), width)
-
-
 def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
                          threshold: float = 0.8) -> list[Entity]:
     """Entities whose best ``fuzzy_similarity`` over the utterances reaches
@@ -107,43 +95,39 @@ def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
     the character-count difference max(sum (a-b)+, sum (b-a)+) over the
     alphabet of the names, which also covers the length difference;
     characters outside that alphabet share one count, where the name's
-    count is 0. ``levenshtein`` runs only on windows whose bound still
-    allows the threshold, most promising first, up to the name's first hit.
+    count is 0. The edit distances of all pairs whose bound still allows
+    the threshold are computed in one ``levenshtein_many`` call per group.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold out of [0,1]")
     if threshold == 0.0:  # every score, 0.0 included, reaches it
         return list(kb.entities)
+    index = kb.name_index
     utterances = _utterance_tokens(dialogue)
-    names = [tokenize(e.name) for e in kb.entities]
-    targets = [" ".join(tokens) for tokens in names]
-    by_length: dict[int, dict[str, None]] = {}
-    for tokens, target in zip(names, targets):
-        if tokens:
-            by_length.setdefault(len(tokens), {})[target] = None
-    # sorted code points; np.unique would import numpy.ma (about 0.6 MB)
-    alphabet = np.array(sorted(set(map(ord, "".join(targets)))), dtype=np.int64)
     hits = set()
-    for w, group in by_length.items():
+    for w, (group, group_counts) in index.groups.items():
         windows = list(dict.fromkeys(
             " ".join(u[start:start + w])
             for u in utterances for start in range(len(u) - w + 1)))
         if not windows:
             continue
-        window_counts = _char_counts(windows, alphabet)
+        window_counts = char_counts(windows, index.alphabet)
         window_lens = np.array([len(x) for x in windows])
-        for target, counts in zip(group, _char_counts(list(group), alphabet)):
+        pair_targets, pair_windows, pair_denoms = [], [], []
+        for target, counts in zip(group, group_counts):
             surplus = np.maximum(counts - window_counts, 0).sum(axis=1)
             bound = np.maximum(surplus, surplus + window_lens - len(target))
             denom = np.maximum(window_lens, len(target))
-            reach = 1.0 - bound / denom
-            open_ = np.flatnonzero(reach >= threshold)
-            for j in open_[np.argsort(-reach[open_], kind="stable")]:
-                dist = levenshtein(target, windows[j])
-                if 1.0 - dist / int(denom[j]) >= threshold:
-                    hits.add(target)
-                    break
-    return [e for e, target in zip(kb.entities, targets) if target in hits]
+            open_ = np.flatnonzero(1.0 - bound / denom >= threshold)
+            pair_targets += [target] * len(open_)
+            pair_windows += [windows[j] for j in open_]
+            pair_denoms.append(denom[open_])
+        if not pair_targets:
+            continue
+        dist = levenshtein_many(pair_targets, pair_windows)
+        keep = 1.0 - dist / np.concatenate(pair_denoms) >= threshold
+        hits.update(t for t, k in zip(pair_targets, keep) if k)
+    return [e for e, target in zip(kb.entities, index.targets) if target in hits]
 
 
 def track_entities(scorer: SentencePairScorer, dialogue: Dialogue,

@@ -1,13 +1,16 @@
 """Hot inner-loop kernels: Levenshtein distance and LCS length.
 
 Both are O(n*m) dynamic programs sitting on the critical path of fuzzy
-entity matching (edit distance between an entity name and each distinct
-same-length token window of the utterances that a character-count lower
-bound cannot rule out) and of LCS-based text overlap scoring (evaluated
-over all candidate pairs in a pool). The default implementations are numba
-@njit kernels over integer code arrays; a vectorized pure-numpy path is
-selected by setting the environment variable KGDIAL_DISABLE_NUMBA=1
-(or automatically when numba is unavailable).
+entity matching and of LCS-based text overlap scoring (evaluated over all
+candidate pairs in a pool). Fuzzy matching computes, per name token
+length, the edit distance of every (name, window) pair that a
+character-count lower bound (``char_counts``) cannot rule out, all in one
+``levenshtein_many`` call: a single row-recurrence DP vectorised over the
+pairs. The default implementations are numba @njit kernels over integer
+code arrays (``levenshtein_many`` then loops the scalar kernel over the
+pairs); a vectorized pure-numpy path is selected by setting the environment
+variable KGDIAL_DISABLE_NUMBA=1 (or automatically when numba is
+unavailable).
 
 ``benchmarks/bench_kernels.py`` times the two paths against each other.
 """
@@ -15,6 +18,7 @@ selected by setting the environment variable KGDIAL_DISABLE_NUMBA=1
 from __future__ import annotations
 
 import os
+from typing import Sequence
 
 import numpy as np
 
@@ -99,6 +103,49 @@ def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[m])
 
 
+def _pad_codes(strings: Sequence[str], fill: int) -> np.ndarray:
+    """Code points of each string, one row per string, right-padded with
+    ``fill``."""
+    lens = np.array([len(s) for s in strings], dtype=np.int64)
+    width = int(lens.max(initial=0))
+    out = np.full((len(strings), width), fill, dtype=np.int64)
+    out[np.arange(width) < lens[:, None]] = encode_chars("".join(strings))
+    return out
+
+
+def levenshtein_many_numpy(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
+    """Edit distance of every pair (a[k], b[k]): the row recurrence of
+    ``levenshtein_numpy`` run over all pairs at once.
+
+    The strings are right-padded with two sentinels that match no code
+    point and each pair's distance is read at row len(a[k]), column
+    len(b[k]); the DP's cell (i, j) depends on a[:i] and b[:j] only, so
+    the padding never reaches it. Pairs are processed longest a[k] first,
+    so each row runs over the pairs still unfinished, a prefix.
+    """
+    la = np.array([len(s) for s in a], dtype=np.int64)
+    lb = np.array([len(s) for s in b], dtype=np.int64)
+    order = np.argsort(-la, kind="stable")
+    la, lb = la[order], lb[order]
+    A = _pad_codes([a[k] for k in order], -1)
+    B = _pad_codes([b[k] for k in order], -2)
+    out = np.empty(len(la), dtype=np.int64)
+    out[order] = np.where(la == 0, lb, 0)
+    idx = np.arange(B.shape[1] + 1, dtype=np.int64)
+    prev = np.broadcast_to(idx, (len(la), idx.shape[0]))
+    for i in range(1, A.shape[1] + 1):
+        active = int(np.count_nonzero(la >= i))
+        row = np.empty((active, idx.shape[0]), dtype=np.int64)
+        row[:, 0] = i
+        np.minimum(prev[:active, :-1] + (A[:active, i - 1:i] != B[:active]),
+                   prev[:active, 1:] + 1, out=row[:, 1:])
+        row = np.minimum.accumulate(row - idx, axis=1) + idx
+        done = np.flatnonzero(la[:active] == i)
+        out[order[done]] = row[done, lb[done]]
+        prev = row
+    return out
+
+
 def lcs_length_numpy(a: np.ndarray, b: np.ndarray) -> int:
     """Row-vectorized LCS length; the left-cell term is a max-scan."""
     n, m = a.shape[0], b.shape[0]
@@ -118,9 +165,14 @@ def lcs_length_numpy(a: np.ndarray, b: np.ndarray) -> int:
 if HAVE_NUMBA:
     levenshtein_kernel = njit(cache=True)(_levenshtein_py)
     lcs_length_kernel = njit(cache=True)(_lcs_py)
+
+    def levenshtein_many_kernel(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
+        return np.array([levenshtein_kernel(encode_chars(x), encode_chars(y))
+                         for x, y in zip(a, b)], dtype=np.int64)
 else:
     levenshtein_kernel = levenshtein_numpy
     lcs_length_kernel = lcs_length_numpy
+    levenshtein_many_kernel = levenshtein_many_numpy
 
 
 def encode_chars(s: str) -> np.ndarray:
@@ -132,6 +184,26 @@ def encode_chars(s: str) -> np.ndarray:
 
 def levenshtein(a: str, b: str) -> int:
     return int(levenshtein_kernel(encode_chars(a), encode_chars(b)))
+
+
+def levenshtein_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
+    """Edit distances of the pairs (a[k], b[k]) as an int64 array."""
+    if len(a) != len(b):
+        raise ValueError(f"levenshtein_many: {len(a)} strings against {len(b)}")
+    return levenshtein_many_kernel(a, b)
+
+
+def char_counts(strings: Sequence[str], alphabet: np.ndarray) -> np.ndarray:
+    """Per-string character counts over ``alphabet`` (sorted code points),
+    one row per string. Column 0 pools every character outside the
+    alphabet."""
+    codes = encode_chars("".join(strings))
+    pos = np.minimum(np.searchsorted(alphabet, codes), len(alphabet) - 1)
+    column = np.where(alphabet[pos] == codes, pos + 1, 0)
+    row = np.repeat(np.arange(len(strings)), [len(s) for s in strings])
+    width = len(alphabet) + 1
+    return np.bincount(row * width + column,
+                       minlength=len(strings) * width).reshape(len(strings), width)
 
 
 def lcs_length_ids(a: np.ndarray, b: np.ndarray) -> int:

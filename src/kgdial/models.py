@@ -377,7 +377,10 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
     np.savez(path, __meta__=blob, **tensors)
 
 
-def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(path: str, kind: Optional[str] = None
+                    ) -> tuple[dict[str, np.ndarray], dict]:
+    """Named tensors and config block of a checkpoint; when ``kind`` is
+    given, the config's ``kind`` must equal it."""
     with np.load(path) as archive:
         if "__meta__" not in archive:
             raise ModelError(f"checkpoint {path} missing metadata block")
@@ -385,7 +388,26 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         if "version" not in meta:
             raise ModelError(f"checkpoint {path} missing version field")
         tensors = {k: archive[k] for k in archive.files if k != "__meta__"}
+    if kind is not None and meta.get("kind") != kind:
+        raise ModelError(f"checkpoint {path}: key 'kind' is {meta.get('kind')!r}, "
+                         f"expected {kind!r}")
     return tensors, meta
+
+
+def restore_params(path: str, params: dict[str, np.ndarray],
+                   tensors: dict[str, np.ndarray]) -> None:
+    """Copy checkpoint tensors into a model's parameter arrays in place.
+    Both must hold the same keys, each with the same shape."""
+    for key in sorted(params.keys() - tensors.keys()):
+        raise ModelError(f"checkpoint {path}: missing tensor {key!r}")
+    for key in sorted(tensors.keys() - params.keys()):
+        raise ModelError(f"checkpoint {path}: unexpected tensor {key!r}")
+    for key, value in sorted(tensors.items()):
+        if value.shape != params[key].shape:
+            raise ModelError(f"checkpoint {path}: tensor {key!r} has shape "
+                             f"{value.shape}, expected {params[key].shape}")
+    for key, value in tensors.items():
+        params[key][...] = value
 
 
 def scorer_to_checkpoint(scorer: ToyPairScorer, path: str) -> None:
@@ -398,15 +420,10 @@ def scorer_to_checkpoint(scorer: ToyPairScorer, path: str) -> None:
 
 
 def scorer_from_checkpoint(path: str) -> ToyPairScorer:
-    tensors, meta = load_checkpoint(path)
-    if meta.get("kind") != "pair_scorer":
-        raise ModelError(f"checkpoint {path} is not a pair scorer")
+    tensors, meta = load_checkpoint(path, "pair_scorer")
     enc_cfg = meta["encoder"]
     encoder = ToyEncoder(meta["vocab"], d=enc_cfg["d"], pooling=enc_cfg["pooling"],
                          max_len=enc_cfg["max_len"], seed=enc_cfg["seed"])
     scorer = ToyPairScorer(encoder)
-    for key, value in tensors.items():
-        scope, name = key.split(".", 1)
-        target = encoder.params if scope == "enc" else scorer.params
-        target[name][...] = value
+    restore_params(path, scorer.all_params(), tensors)
     return scorer

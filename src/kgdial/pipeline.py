@@ -35,7 +35,8 @@ from .generate import (GenTrainConfig, ToyGenerator, build_gen_examples,
                        decode_nbest, mine_frequent_interrogatives,
                        preprocess_responses, train_generator)
 from .metrics import MetricReport, generation_report
-from .models import (TrainConfig, scorer_from_checkpoint,
+from .models import (TrainConfig, load_checkpoint, restore_params,
+                     save_checkpoint, scorer_from_checkpoint,
                      scorer_to_checkpoint, train_pair_classifier)
 from .rank import (ListwiseConfig, PointwiseConfig, RankedKnowledgeList,
                    Variant, build_listwise_training_data, ensemble_rank,
@@ -251,19 +252,23 @@ def stage_augment(config: PipelineConfig) -> list[str]:
     return [logs_path, labels_path, manifest]
 
 
-def _load_training_corpus(config: PipelineConfig) -> tuple[list[Dialogue], KnowledgeBase]:
+def _load_training_corpus(config: PipelineConfig
+                          ) -> tuple[list[Dialogue], KnowledgeBase, list[str]]:
+    """The augmented corpus (the synth one before augment has run), the
+    knowledge base, and the paths of the three files read."""
     logs = config.output_path("augmented.logs.json")
     labels = config.output_path("augmented.labels.json")
     if not os.path.exists(logs):
         logs = require(config["paths.logs"], "synth")
         labels = require(config["paths.labels"], "synth")
+    knowledge = require(config["paths.knowledge"], "synth")
     corpus = load_corpus(logs, labels)
-    kb = load_knowledge_base(require(config["paths.knowledge"], "synth"))
-    return corpus, kb
+    kb = load_knowledge_base(knowledge)
+    return corpus, kb, [logs, labels, knowledge]
 
 
 def stage_train_detect(config: PipelineConfig) -> list[str]:
-    corpus, _ = _load_training_corpus(config)
+    corpus, _, inputs = _load_training_corpus(config)
     examples = []
     for d in corpus:
         if d.label is None:
@@ -274,12 +279,12 @@ def stage_train_detect(config: PipelineConfig) -> list[str]:
     scorer = train_pair_classifier(examples, _model_train_config(config, "detect"))
     path = config.output_path("detector.npz")
     scorer_to_checkpoint(scorer, path)
-    manifest = write_manifest(config, "train-detect", [], [path])
+    manifest = write_manifest(config, "train-detect", inputs, [path])
     return [path, manifest]
 
 
 def stage_train_select(config: PipelineConfig) -> list[str]:
-    corpus, kb = _load_training_corpus(config)
+    corpus, kb, inputs = _load_training_corpus(config)
     outputs = []
     seed = config.seed
     ks = [d for d in corpus if d.label is not None and d.label.is_knowledge_seeking]
@@ -341,20 +346,18 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
     with open(stats_path, "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=1, sort_keys=True)
     outputs.append(stats_path)
-    manifest = write_manifest(config, "train-select", [], outputs)
+    manifest = write_manifest(config, "train-select", inputs, outputs)
     return outputs + [manifest]
 
 
 def _save_rank_model(model, path: str) -> None:
-    from .models import save_checkpoint
-
     meta = {"kind": type(model).__name__, "vocab": model.encoder.vocab,
             "encoder": model.encoder.config()}
     save_checkpoint(path, model.all_params(), meta)
 
 
 def stage_train_generate(config: PipelineConfig) -> list[str]:
-    corpus, kb = _load_training_corpus(config)
+    corpus, kb, inputs = _load_training_corpus(config)
     ks = [d for d in corpus if d.label is not None and d.label.is_knowledge_seeking
           and d.label.response]
     responses = [d.label.response for d in ks]
@@ -383,13 +386,14 @@ def stage_train_generate(config: PipelineConfig) -> list[str]:
     inter_path = config.output_path("interrogatives.json")
     with open(inter_path, "w", encoding="utf-8") as fh:
         json.dump(interrogatives, fh, indent=1)
-    manifest = write_manifest(config, "train-generate", [], [path, inter_path])
+    if str(config["track.method"]) == "learned":  # read by load_tracker
+        inputs.append(config.output_path("tracker.npz"))
+    manifest = write_manifest(config, "train-generate", inputs,
+                              [path, inter_path])
     return [path, inter_path, manifest]
 
 
 def _save_generator(generator: ToyGenerator, path: str) -> None:
-    from .models import save_checkpoint
-
     meta = {"kind": "ToyGenerator", "vocab": generator.vocab,
             "d": generator.d, "max_target_tokens": generator.max_target_tokens,
             "seed": generator.seed}
@@ -397,14 +401,11 @@ def _save_generator(generator: ToyGenerator, path: str) -> None:
 
 
 def load_generator(path: str) -> ToyGenerator:
-    from .models import load_checkpoint
-
-    tensors, meta = load_checkpoint(path)
+    tensors, meta = load_checkpoint(path, "ToyGenerator")
     gen = ToyGenerator(meta["vocab"], d=meta["d"],
                        max_target_tokens=meta["max_target_tokens"],
                        seed=meta["seed"])
-    for key, value in tensors.items():
-        gen.params[key][...] = value
+    restore_params(path, gen.params, tensors)
     return gen
 
 
@@ -559,9 +560,11 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         config.output_path("detector.npz"), "train-detect"))
     tracker = load_tracker(config)
     pointwise = _load_rank_model(require(
-        config.output_path("pointwise.npz"), "train-select"), config, kb)
+        config.output_path("pointwise.npz"), "train-select"), "PointwiseModel",
+        config, kb)
     listwise = _load_rank_model(require(
-        config.output_path("listwise.npz"), "train-select"), config, kb)
+        config.output_path("listwise.npz"), "train-select"), "ListwiseModel",
+        config, kb)
     generator = load_generator(require(
         config.output_path("generator.npz"), "train-generate"))
     weights_path = config.output_path("consensus.weights.json")
@@ -600,13 +603,13 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     return [path, manifest]
 
 
-def _load_rank_model(path: str, config: PipelineConfig, kb: KnowledgeBase):
-    from .models import load_checkpoint
+def _load_rank_model(path: str, kind: str, config: PipelineConfig,
+                     kb: KnowledgeBase):
     from .rank import ListwiseModel, PointwiseModel
 
-    tensors, meta = load_checkpoint(path)
+    tensors, meta = load_checkpoint(path, kind)
     enc = meta["encoder"]
-    if meta["kind"] == "PointwiseModel":
+    if kind == "PointwiseModel":
         domains = sorted({s.domain for s in kb.snippets})
         model = PointwiseModel(meta["vocab"], domains, PointwiseConfig(
             use_mtl=any(k.startswith("mtl.") for k in tensors),
@@ -620,9 +623,7 @@ def _load_rank_model(path: str, config: PipelineConfig, kb: KnowledgeBase):
             seed=enc["seed"], d=enc["d"], max_len=enc["max_len"],
             pooling=enc["pooling"],
             alpha_inference=float(config["rank.alpha"])))
-    params = model.all_params()
-    for key, value in tensors.items():
-        params[key][...] = value
+    restore_params(path, model.all_params(), tensors)
     return model
 
 

@@ -172,15 +172,18 @@ DEFAULT_POOLS = ("kb", "mentioned", "other_entity")
 def sample_negatives(gt_snippet: KnowledgeSnippet, kb: KnowledgeBase,
                      dialogue: Dialogue, rng: np.random.Generator,
                      count: int = 4,
-                     strategy: Sequence[str] = DEFAULT_POOLS) -> list[KnowledgeSnippet]:
+                     strategy: Sequence[str] = DEFAULT_POOLS,
+                     mentioned: Optional[Sequence[Entity]] = None) -> list[KnowledgeSnippet]:
     """Draw negatives without replacement, split equally across pools:
     the whole knowledge base, knowledge of entities mentioned in the
-    utterances, and knowledge of mentioned non-ground-truth entities.
-    Empty or exhausted pools redistribute to the remaining ones."""
+    utterances (``mentioned``, exact matching when ``None``), and knowledge
+    of mentioned non-ground-truth entities. Empty or exhausted pools
+    redistribute to the remaining ones."""
     unknown = set(strategy) - set(DEFAULT_POOLS)
     if unknown:
         raise RankError(f"unknown negative pools: {sorted(unknown)}")
-    mentioned = exact_match_entities(dialogue, kb)
+    if mentioned is None:
+        mentioned = exact_match_entities(dialogue, kb)
     mentioned_keys = {e.key for e in mentioned}
     pools: dict[str, list[KnowledgeSnippet]] = {
         "kb": [s for s in kb.snippets if s.key != gt_snippet.key],
@@ -217,16 +220,21 @@ def sample_negatives(gt_snippet: KnowledgeSnippet, kb: KnowledgeBase,
 
 def sample_entity_candidates(kb: KnowledgeBase, dialogue: Dialogue,
                              gt_entity: Entity, rng: np.random.Generator,
-                             n_total: int = 4) -> tuple[list[str], int]:
+                             n_total: int = 4,
+                             mentioned: Optional[Sequence[Entity]] = None
+                             ) -> tuple[list[str], int]:
     """Entity names for the selection head: n_total - 1 negatives drawn
-    from mentioned and same-domain entities (backfilled from the full
-    entity set), with the ground truth at a uniform random position."""
+    from mentioned (``mentioned``, exact matching when ``None``) and
+    same-domain entities (backfilled from the full entity set), with the
+    ground truth at a uniform random position."""
     names = list(dict.fromkeys(e.name for e in kb.entities))
     if len(names) < n_total:
         raise RankError(f"need {n_total} distinct entity names, have {len(names)}")
-    mentioned = {e.name for e in exact_match_entities(dialogue, kb)}
+    if mentioned is None:
+        mentioned = exact_match_entities(dialogue, kb)
+    mentioned_names = {e.name for e in mentioned}
     same_domain = {e.name for e in kb.entities if e.domain == gt_entity.domain}
-    preferred = sorted((mentioned | same_domain) - {gt_entity.name})
+    preferred = sorted((mentioned_names | same_domain) - {gt_entity.name})
     backfill = [n for n in names if n != gt_entity.name and n not in preferred]
     negatives: list[str] = []
     for pool in (preferred, backfill):
@@ -330,13 +338,16 @@ def _mtl_backward(cache, params: MTLParams, dlogits: np.ndarray,
 
 @dataclass
 class PointwiseInstance:
-    """One (dialogue, candidate) training row with its auxiliary targets."""
+    """One (dialogue, candidate) training row with its auxiliary targets
+    and the dialogue's tracked entities (resolved by the model when
+    ``None``)."""
     dialogue: Dialogue
     candidate: KnowledgeSnippet
     label: int
     domain_id: int
     entity_names: list[str] = field(default_factory=list)
     true_entity_index: int = 0
+    tracked: Optional[list[Entity]] = None
 
 
 @dataclass
@@ -470,7 +481,10 @@ class PointwiseModel:
         cache1 = self.encoder.forward(*self.encoder.token_ids(tokens1, boundary))
         f1 = cache1["f"]
         u1 = pair_readout(cache1)
-        feats = self.features(dialogue, instance.candidate, alpha=1.0).vector()
+        # a dialogue that ENA rewrote (a new object) is tracked afresh
+        tracked = instance.tracked if dialogue is instance.dialogue else None
+        feats = self.features(dialogue, instance.candidate, tracked,
+                              alpha=1.0).vector()
         z = float(self.head["w"] @ u1 + self.head["b"][0] + self.wide["u"] @ feats)
         rank_loss, dz = bce_loss(z, float(instance.label))
         lam_rank = self.mtl.lambda_rank if self.mtl is not None else cfg.lambda_rank
@@ -540,18 +554,21 @@ def build_pointwise_instances(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
         gt = _gt_snippet(d, kb)
         domain_id = domain_ids[gt.domain]
         gt_entity = next(e for e in kb.entities if e.key == gt.entity_key)
+        tracked = exact_match_entities(d, kb)
         rows = [(gt, 1)]
         rows += [(neg, 0) for neg in sample_negatives(
-            gt, kb, d, drng, count=config.negatives, strategy=config.negative_pools)]
+            gt, kb, d, drng, count=config.negatives, strategy=config.negative_pools,
+            mentioned=tracked)]
         for candidate, label in rows:
             names, true_idx = ([], 0)
             if config.use_mtl:
                 names, true_idx = sample_entity_candidates(
-                    kb, d, gt_entity, drng, n_total=config.entity_candidates)
+                    kb, d, gt_entity, drng, n_total=config.entity_candidates,
+                    mentioned=tracked)
             instances.append(PointwiseInstance(
                 dialogue=d, candidate=candidate, label=label,
                 domain_id=domain_id, entity_names=names,
-                true_entity_index=true_idx))
+                true_entity_index=true_idx, tracked=tracked))
     return instances
 
 

@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import pytest
 
 from kgdial.cli import main
+from kgdial.models import load_checkpoint, save_checkpoint
 from kgdial.pipeline import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK
 
 
@@ -89,6 +91,26 @@ def test_manifests_record_hashes(workdir):
     assert manifest["stage"] == "decode"
     assert manifest["seed"] == 5
     assert "predictions.json" in manifest["outputs"]
+    for stage in ("train-detect", "train-select", "train-generate"):
+        manifest = json.loads((root / "out" / f"{stage}.manifest.json").read_text())
+        assert manifest["inputs"], stage
+        assert {"augmented.logs.json", "augmented.labels.json",
+                "knowledge.json"} <= set(manifest["inputs"]), stage
+
+
+def test_corrupt_checkpoint_is_one_line_domain_error(workdir, tmp_path, capsys):
+    root, _, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    tensors, meta = load_checkpoint(str(out / "generator.npz"))
+    tensors["emb"] = tensors["emb"][:1]
+    save_checkpoint(str(out / "generator.npz"), tensors, meta)
+    capsys.readouterr()
+    assert main(["decode", "--config", str(cfg),
+                 "--stage-overrides", f"paths.output={out}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and "'emb'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_ensemble_subcommand(workdir):

@@ -61,6 +61,76 @@ class TestExactMatch:
         assert names(got) == ["hotel"]
 
 
+def _contains_subseq(haystack, needle):
+    n = len(needle)
+    if n == 0 or n > len(haystack):
+        return False
+    return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
+
+
+def exact_reference(dialogue, kb):
+    """The definition exact_match_entities must reproduce: every entity's
+    name tokens searched in every utterance."""
+    utterances = [tokenize(t.text) for t in dialogue.turns]
+    return [e for e in kb.entities
+            if any(_contains_subseq(u, tokenize(e.name)) for u in utterances)]
+
+
+# "Palm" is a prefix of "Palm Court", "court" of "Court Palm"; "hotel" is
+# also a domain; "!" is a name of punctuation only
+EXACT_NAMES = ("Palm", "Palm Court", "Court Palm", "palm court palm", "SW Hotel",
+               "hotel", "Hotel Hotel", "!", "Lodge")
+EXACT_WORDS = ("palm", "Palm", "court", "COURT", "sw", "hotel", "lodge", "!",
+               "the", "é")
+
+
+@st.composite
+def exact_cases(draw):
+    picks = draw(st.lists(
+        st.tuples(st.sampled_from(("hotel", "restaurant")),
+                  st.sampled_from(EXACT_NAMES)),
+        min_size=1, max_size=8))
+    # the same name may recur in both domains
+    snippets = [snip(domain, str(i), name, "0")
+                for i, (domain, name) in enumerate(picks)]
+    for domain in draw(st.sets(st.sampled_from(("hotel", "restaurant")))):
+        snippets.append(snip(domain, DOMAIN_LEVEL, domain, "0"))
+    kb = KnowledgeBase(snippets)
+    turns = draw(st.lists(
+        st.lists(st.sampled_from(EXACT_WORDS), min_size=1, max_size=8),
+        max_size=5))
+    return kb, dlg(*(" ".join(t) for t in turns))
+
+
+class TestExactIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(exact_cases())
+    def test_equals_reference_definition(self, case):
+        kb, dialogue = case
+        assert exact_match_entities(dialogue, kb) == exact_reference(dialogue, kb)
+
+    def test_duplicate_names_and_overlapping_mentions(self):
+        kb = KnowledgeBase([
+            snip("hotel", "1", "Palm", "0"),
+            snip("restaurant", "2", "Palm", "0"),
+            snip("restaurant", "3", "Palm Court", "0"),
+            snip("restaurant", "4", "Court Hotel", "0"),
+            snip("hotel", DOMAIN_LEVEL, "hotel", "0"),
+        ])
+        got = exact_match_entities(dlg("the palm court hotel"), kb)
+        assert [e.key for e in got] == [
+            ("hotel", "*"), ("hotel", "1"), ("restaurant", "2"),
+            ("restaurant", "3"), ("restaurant", "4")]
+
+    def test_name_without_tokens_never_matches(self):
+        kb = KnowledgeBase([snip("hotel", "1", "   ", "0"),
+                            snip("hotel", "2", "Lodge", "0")])
+        assert names(exact_match_entities(dlg("the lodge ."), kb)) == ["Lodge"]
+
+    def test_empty_dialogue_matches_nothing(self):
+        assert exact_match_entities(dlg(), make_kb()) == []
+
+
 class TestFuzzyMatch:
     def test_similarity_frozen_value(self):
         # edit distance("hamilton lodge", "hamilton launch") = 5, max len 15
@@ -150,28 +220,33 @@ class TestFuzzyPruning:
         assert "Hamilton Lodge" not in names(fuzzy_match_entities(noisy, make_kb(), above))
 
     def test_repeated_phrase_runs_fewer_edit_distances(self, monkeypatch):
-        real = entity_track.levenshtein
-        calls = []
+        real, real_many = entity_track.levenshtein, entity_track.levenshtein_many
+        calls, pairs = [], []
 
         def counted(a, b):
             calls.append((a, b))
             return real(a, b)
 
+        def counted_many(a, b):
+            pairs.extend(zip(a, b))
+            return real_many(a, b)
+
         monkeypatch.setattr(entity_track, "levenshtein", counted)
+        monkeypatch.setattr(entity_track, "levenshtein_many", counted_many)
         kb = make_kb()
         d = dlg(*["can I cooking at Hamilton launch"] * 6)
         expected = fuzzy_reference(d, kb, 0.5)
         windows_scanned = len(calls)
-        calls.clear()
         assert fuzzy_match_entities(d, kb, 0.5) == expected
+        assert pairs and len(calls) == windows_scanned
         utterance = tokenize("can I cooking at Hamilton launch")
         distinct_pairs = {
             (" ".join(tokenize(e.name)), " ".join(utterance[i:i + w]))
             for e in kb.entities
             for w in [len(tokenize(e.name))]
             for i in range(len(utterance) - w + 1)}
-        assert len(calls) <= len(distinct_pairs)
-        assert len(calls) < windows_scanned
+        assert len(pairs) <= len(distinct_pairs)
+        assert len(pairs) < windows_scanned
 
 
 class OracleScorer:

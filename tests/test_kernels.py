@@ -76,3 +76,43 @@ def test_both_paths_agree_on_random_arrays():
         b = rng.integers(0, 6, size=rng.integers(0, 40))
         assert kernels.levenshtein_kernel(a, b) == kernels.levenshtein_numpy(a, b)
         assert kernels.lcs_length_kernel(a, b) == kernels.lcs_length_numpy(a, b)
+
+
+def _lev_reference(a: str, b: str) -> int:
+    return kernels._levenshtein_py(kernels.encode_chars(a), kernels.encode_chars(b))
+
+
+# empty strings, unequal lengths, non-BMP code points and characters equal
+# to neither padding sentinel
+PAIR_TEXT = st.text(alphabet="ab é\U0001F600\U00010348", max_size=12)
+
+
+@given(st.lists(st.tuples(PAIR_TEXT, PAIR_TEXT), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_levenshtein_many_matches_reference_pair_by_pair(pairs):
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    got = kernels.levenshtein_many(a, b)
+    assert got.dtype == np.int64 and got.shape == (len(pairs),)
+    assert got.tolist() == [_lev_reference(x, y) for x, y in pairs]
+
+
+def test_levenshtein_many_paths_agree_on_random_pairs():
+    rng = np.random.default_rng(1)
+    chars = np.array(list("abc \U0001F600"))
+    a = ["".join(rng.choice(chars, size=rng.integers(0, 20))) for _ in range(60)]
+    b = ["".join(rng.choice(chars, size=rng.integers(0, 20))) for _ in range(60)]
+    expected = [_lev_reference(x, y) for x, y in zip(a, b)]
+    assert kernels.levenshtein_many_numpy(a, b).tolist() == expected
+    assert kernels.levenshtein_many_kernel(a, b).tolist() == expected
+
+
+def test_levenshtein_many_rejects_unequal_lists():
+    with pytest.raises(ValueError):
+        kernels.levenshtein_many(["a"], [])
+
+
+def test_char_counts_pools_characters_outside_alphabet():
+    alphabet = np.array(sorted(map(ord, "ab")), dtype=np.int64)
+    counts = kernels.char_counts(["abba", "", "a\U0001F600z"], alphabet)
+    assert counts.tolist() == [[0, 2, 2], [0, 0, 0], [2, 1, 0]]

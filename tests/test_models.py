@@ -147,6 +147,68 @@ class TestCheckpoint:
         assert np.array_equal(tensors["w"], np.ones(2))
 
 
+def rewrite_checkpoint(src, dst, edit):
+    """Save a copy of checkpoint ``src`` at ``dst`` after ``edit(tensors,
+    meta)`` changed it in place."""
+    tensors, meta = load_checkpoint(src)
+    edit(tensors, meta)
+    save_checkpoint(dst, tensors, meta)
+    return dst
+
+
+def vector_key(tensors):
+    """A 1-d tensor of more than one entry: a (1,) stand-in broadcasts."""
+    return next(k for k in sorted(tensors)
+                if tensors[k].ndim == 1 and tensors[k].size > 1)
+
+
+def _set_kind(t, m):
+    m["kind"] = "bogus"
+
+
+def _drop(t, m):
+    del t[vector_key(t)]
+
+
+def _add(t, m):
+    t["enc.extra"] = np.zeros(3)
+
+
+def _shrink(t, m):
+    key = vector_key(t)
+    t[key] = t[key][:1]
+
+
+# (edit, pattern naming the key) for each defect a load must reject
+CHECKPOINT_DEFECTS = [
+    (_set_kind, "key 'kind' is 'bogus'"),
+    (_drop, "missing tensor"),
+    (_add, "unexpected tensor 'enc.extra'"),
+    (_shrink, r"has shape \(1,\)"),
+]
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("edit,pattern", CHECKPOINT_DEFECTS)
+    def test_scorer_load_rejects_defect(self, tmp_path, edit, pattern):
+        scorer = train_pair_classifier(separable_set(), TrainConfig(epochs=1))
+        good = str(tmp_path / "good.npz")
+        scorer_to_checkpoint(scorer, good)
+        bad = rewrite_checkpoint(good, str(tmp_path / "bad.npz"), edit)
+        with pytest.raises(ModelError, match=pattern) as info:
+            scorer_from_checkpoint(bad)
+        assert bad in str(info.value)
+
+    def test_missing_key_is_named(self, tmp_path):
+        scorer = train_pair_classifier(separable_set(), TrainConfig(epochs=1))
+        good = str(tmp_path / "good.npz")
+        scorer_to_checkpoint(scorer, good)
+        key = vector_key(scorer.all_params())
+        bad = rewrite_checkpoint(good, str(tmp_path / "bad.npz"), _drop)
+        with pytest.raises(ModelError, match=f"missing tensor '{key}'"):
+            scorer_from_checkpoint(bad)
+
+
 def test_every_public_annotation_resolves():
     """typing.get_type_hints evaluates the postponed annotations of every
     public function and method in kgdial; a name missing from a module's

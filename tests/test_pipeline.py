@@ -12,8 +12,14 @@ from kgdial.pipeline import (
     stage_train_generate, stage_train_select, validate_labels_schema,
     write_manifest,
 )
-from kgdial.rank import RankedKnowledgeList, ensemble_rank
+from kgdial.generate import ToyGenerator
+from kgdial.models import ModelError
+from kgdial.pipeline import (_load_rank_model, _save_generator, _save_rank_model,
+                             load_generator)
+from kgdial.rank import (ListwiseConfig, ListwiseModel, PointwiseConfig,
+                         PointwiseModel, RankedKnowledgeList, ensemble_rank)
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus, save_lexicon
+from test_models import CHECKPOINT_DEFECTS, rewrite_checkpoint
 
 
 class TestConfig:
@@ -240,6 +246,48 @@ def test_default_learned_tracking_runs_end_to_end(tmp_path):
         records = json.load(fh)
     assert len(records) == len(dialogues)
     validate_labels_schema(records)
+
+
+class TestCheckpointValidation:
+    VOCAB = {"a": 0, "b": 1, "c": 2}
+
+    def loaders(self, kb):
+        """(name, save a good checkpoint to a path, load a path) for every
+        model that decode loads from train-* output."""
+        def rank_loader(kind):
+            return lambda path: _load_rank_model(path, kind, PipelineConfig(), kb)
+
+        domains = sorted({s.domain for s in kb.snippets})
+        pointwise = PointwiseModel(self.VOCAB, domains,
+                                   PointwiseConfig(use_mtl=True, d=4, max_len=8))
+        listwise = ListwiseModel(self.VOCAB, ListwiseConfig(d=4, max_len=8))
+        generator = ToyGenerator(self.VOCAB, d=4, max_target_tokens=5)
+        return [
+            ("pointwise", lambda path: _save_rank_model(pointwise, path),
+             rank_loader("PointwiseModel")),
+            ("listwise", lambda path: _save_rank_model(listwise, path),
+             rank_loader("ListwiseModel")),
+            ("generator", lambda path: _save_generator(generator, path),
+             load_generator),
+        ]
+
+    @pytest.mark.parametrize("edit,pattern", CHECKPOINT_DEFECTS)
+    def test_decode_loads_reject_defect(self, mini, tmp_path, edit, pattern):
+        for name, save, load in self.loaders(mini[1]):
+            good = str(tmp_path / f"{name}.npz")
+            save(good)
+            load(good)
+            bad = rewrite_checkpoint(good, str(tmp_path / f"{name}.bad.npz"), edit)
+            with pytest.raises(ModelError, match=pattern) as info:
+                load(bad)
+            assert bad in str(info.value), name
+
+    def test_rank_checkpoint_of_the_other_kind_is_rejected(self, mini, tmp_path):
+        _, save, _ = self.loaders(mini[1])[1]
+        path = str(tmp_path / "listwise.npz")
+        save(path)
+        with pytest.raises(ModelError, match="expected 'PointwiseModel'"):
+            _load_rank_model(path, "PointwiseModel", PipelineConfig(), mini[1])
 
 
 class TestTrackerFactory:

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kgdial import rank
+from kgdial.augment import AugmentConfig
 from kgdial.corpus import (
     DOMAIN_LEVEL, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
     TurnLabel, linearize_history, linearize_knowledge, tokenize,
@@ -308,6 +310,68 @@ class TestPointwiseTraining:
             l1, _ = plain.loss_and_grads(inst)
             l2, _ = mtl.loss_and_grads(mtl_inst)
             assert l1 == pytest.approx(l2, rel=1e-12)
+
+    def test_training_rows_carry_tracking_ena_rewrites_retrack(self, monkeypatch):
+        kb = make_kb()
+        corpus = make_corpus(kb, 4)
+        cfg = small_config(use_mtl=False, epochs=0)
+        model = train_pointwise(corpus, kb, cfg)
+        instances = build_pointwise_instances(corpus, kb, cfg,
+                                              np.random.default_rng(0))
+        for inst in instances:
+            assert inst.tracked == exact_match_entities(inst.dialogue, kb)
+        # the positive row of d0, whose gt entity is the one mentioned
+        inst = next(i for i in instances if i.label == 1)
+        assert [e.name for e in inst.tracked] == [inst.candidate.entity_name]
+
+        def wide_grad(instance):
+            return model.loss_and_grads(instance)[1]["wide.u"]
+
+        # the stored list is what the sparse features see
+        assert not np.array_equal(wide_grad(replace(inst, tracked=[])),
+                                  wide_grad(inst))
+        calls = []
+        real = rank.exact_match_entities
+
+        def counted(dialogue, kb_):
+            calls.append(dialogue)
+            return real(dialogue, kb_)
+
+        monkeypatch.setattr(rank, "exact_match_entities", counted)
+        wide_grad(inst)
+        model.config = replace(cfg, ena=AugmentConfig(ena_probability=0.0))
+        wide_grad(inst)
+        assert calls == []
+        # ENA that fires rewrites the dialogue, which is then tracked afresh
+        model.config = replace(cfg, ena=AugmentConfig(ena_probability=1.0))
+        wide_grad(inst)
+        assert len(calls) == 1 and calls[0] is not inst.dialogue
+
+    def test_instances_match_entities_once_per_dialogue(self, monkeypatch):
+        kb = make_kb()
+        corpus = make_corpus(kb, 4)
+        real = rank.exact_match_entities
+        matched, sampled = [], []
+
+        def counted(dialogue, kb_):
+            matched.append(dialogue.id)
+            return real(dialogue, kb_)
+
+        def checked(sampler):
+            def wrapper(*args, mentioned, **kwargs):
+                dialogue = next(a for a in args if isinstance(a, Dialogue))
+                assert mentioned == real(dialogue, kb)
+                sampled.append(dialogue.id)
+                return sampler(*args, mentioned=mentioned, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rank, "exact_match_entities", counted)
+        for name in ("sample_negatives", "sample_entity_candidates"):
+            monkeypatch.setattr(rank, name, checked(getattr(rank, name)))
+        instances = build_pointwise_instances(
+            corpus, kb, small_config(use_mtl=True), np.random.default_rng(0))
+        assert matched == [d.id for d in corpus]
+        assert len(sampled) == len(corpus) + len(instances)
 
     def test_full_mtl_loss_gradient_check(self):
         kb = make_kb()
