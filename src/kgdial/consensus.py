@@ -3,24 +3,33 @@
 Each candidate is scored by a weighted sum of 10 features: 9 similarity
 features (its mean BLEU-1..4, ROUGE-1/2/L, METEOR-lite and character-F
 against every other candidate in the pool) and the reciprocal of its
-rank within its own system. Feature weights are tuned toward corpus
-BLEU-4 by coordinate ascent with exact line search: along one coordinate
-every pool's selection is a piecewise-constant function of the weight,
-so the objective only changes at candidate-crossing breakpoints, all of
-which are enumerated.
+rank within its own system. The similarities equal the ``metrics``
+functions of the same names bit for bit, but are computed from
+per-candidate statistics built once per pool: tokens, suffix stems and
+word and character 1-4-gram counts. Clipped n-gram counts, LCS lengths
+and character overlaps are symmetric, so each unordered pair is compared
+once; the ROUGE and character-F scores are symmetric F1s and are reused
+for both orders, BLEU-1..4 share one pass over the orders, and only
+METEOR-lite (asymmetric alignment) runs per ordered pair. Feature
+weights are tuned toward corpus BLEU-4 by coordinate ascent with exact
+line search: along one coordinate every pool's selection is a
+piecewise-constant function of the weight, so the objective only
+changes at candidate-crossing breakpoints, all of which are enumerated.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .metrics import (bleu_n, char_f, corpus_bleu, meteor_lite, rouge_l,
-                      rouge_n)
+from .corpus import tokenize
+from .kernels import encode_tokens, lcs_length_ids
+from .metrics import corpus_bleu, ngrams, stem
 
 FEATURE_NAMES = (
     "sim-bleu1", "sim-bleu2", "sim-bleu3", "sim-bleu4",
@@ -28,17 +37,7 @@ FEATURE_NAMES = (
     "reciprocal-rank",
 )
 
-_SIMILARITIES: tuple[Callable[[str, str], float], ...] = (
-    lambda h, r: bleu_n(h, [r], 1),
-    lambda h, r: bleu_n(h, [r], 2),
-    lambda h, r: bleu_n(h, [r], 3),
-    lambda h, r: bleu_n(h, [r], 4),
-    lambda h, r: rouge_n(h, r, 1),
-    lambda h, r: rouge_n(h, r, 2),
-    rouge_l,
-    meteor_lite,
-    char_f,
-)
+_MAX_N = 4  # word and character n-gram orders 1.._MAX_N
 
 
 class ConsensusError(Exception):
@@ -101,22 +100,155 @@ class ConsensusWeights:
         return cls(np.ones(len(FEATURE_NAMES)))
 
 
-def extract_features(candidate: Candidate, pool: CandidatePool) -> np.ndarray:
-    """10-vector: mean similarity to every other pool candidate per
-    metric, then 1/rank. A singleton pool has zero similarity features."""
-    others = [c for c in pool.candidates if c is not candidate]
-    feats = np.zeros(len(FEATURE_NAMES))
-    if others:
-        for m, metric in enumerate(_SIMILARITIES):
-            feats[m] = sum(metric(candidate.text, o.text) for o in others) / len(others)
-    feats[-1] = 1.0 / candidate.rank
+class _TextStats(NamedTuple):
+    """What the similarity features need of one text."""
+    tokens: list[str]
+    stems: list[str]
+    words: list[Counter]  # word n-gram counts, n = 1.._MAX_N
+    chars: list[Counter]  # character n-gram counts of the joined tokens
+    n_chars: int
+
+
+def _text_stats(text: str) -> _TextStats:
+    tokens = tokenize(text)
+    joined = " ".join(tokens)
+    return _TextStats(
+        tokens=tokens,
+        stems=[stem(t) for t in tokens],
+        words=[ngrams(tokens, n) for n in range(1, _MAX_N + 1)],
+        chars=[Counter(joined[i:i + n] for i in range(len(joined) - n + 1))
+               for n in range(1, _MAX_N + 1)],
+        n_chars=len(joined))
+
+
+def _overlap(a: Counter, b: Counter) -> int:
+    """Clipped overlap sum(min(a[g], b[g])), symmetric in a and b."""
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(min(count, b.get(gram, 0)) for gram, count in a.items())
+
+
+def _f1(overlap: int, a_total: int, b_total: int) -> float:
+    """F1 of precision overlap/a_total and recall overlap/b_total. The
+    doubling in 2*p*r is exact, so swapping a and b gives the same bits."""
+    if overlap == 0:
+        return 0.0
+    p = overlap / a_total
+    r = overlap / b_total
+    return 2 * p * r / (p + r)
+
+
+def _bleu_orders(hyp_len: int, ref_len: int, clipped: Sequence[int]) -> list[float]:
+    """metrics.bleu_n(hyp, [ref], n) for n = 1.._MAX_N, from the clipped
+    counts of each order: the log-precision sum of order n is a prefix of
+    the one of order n + 1."""
+    if hyp_len == 0:
+        return [0.0] * _MAX_N
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    scores: list[float] = []
+    log_sum = 0.0
+    used = 0
+    for order, count in enumerate(clipped):
+        total = hyp_len - order
+        if total > 0:  # orders the hypothesis is too short for are skipped
+            if count == 0:
+                return scores + [0.0] * (_MAX_N - order)
+            log_sum += math.log(count / total)
+            used += 1
+        scores.append(bp * math.exp(log_sum / used))
+    return scores
+
+
+def _char_f(a: _TextStats, b: _TextStats) -> float:
+    """metrics.char_f of the two texts, either way round."""
+    if not a.n_chars or not b.n_chars:
+        return 0.0
+    scores = []
+    for n, (x, y) in enumerate(zip(a.chars, b.chars), start=1):
+        if x and y:
+            scores.append(_f1(_overlap(x, y), a.n_chars - n + 1, b.n_chars - n + 1))
+    return sum(scores) / len(scores) if scores else 0.0
+
+
+def _meteor(hyp: _TextStats, ref: _TextStats) -> float:
+    """metrics.meteor_lite(hyp, ref): each stage (exact, then stem) aligns
+    the free hypothesis tokens left to right, each to the leftmost free
+    reference token with the same key."""
+    if not hyp.tokens or not ref.tokens:
+        return 0.0
+    aligned = [-1] * len(hyp.tokens)
+    ref_used = [False] * len(ref.tokens)
+    for hyp_keys, ref_keys in ((hyp.tokens, ref.tokens), (hyp.stems, ref.stems)):
+        free: dict[str, list[int]] = {}
+        for j in range(len(ref_keys) - 1, -1, -1):
+            if not ref_used[j]:
+                free.setdefault(ref_keys[j], []).append(j)
+        for i, key in enumerate(hyp_keys):
+            positions = free.get(key) if aligned[i] < 0 else None
+            if positions:
+                j = positions.pop()
+                aligned[i] = j
+                ref_used[j] = True
+    m = len(aligned) - aligned.count(-1)
+    if m == 0:
+        return 0.0
+    p = m / len(hyp.tokens)
+    r = m / len(ref.tokens)
+    f_mean = 10 * p * r / (r + 9 * p)
+    # a chunk is a maximal run where both sides advance together
+    chunks = 0
+    last_i = last_j = None
+    for i, j in enumerate(aligned):
+        if j < 0:
+            continue
+        if last_i is None or i != last_i + 1 or j != last_j + 1:
+            chunks += 1
+        last_i, last_j = i, j
+    penalty = 0.5 * (chunks / m) ** 3
+    return f_mean * (1.0 - penalty)
+
+
+def _features(pool: CandidatePool, stats: Sequence[_TextStats]) -> np.ndarray:
+    """Feature rows of the pool's candidates from their statistics."""
+    if not pool.candidates:
+        raise ConsensusError(f"empty candidate pool for turn {pool.turn_id}")
+    n = len(stats)
+    vocab: dict[str, int] = {}
+    ids = [encode_tokens(s.tokens, vocab) for s in stats]
+    sims: list[list] = [[None] * n for _ in range(n)]  # [i][j]: i against j
+    for i in range(n):
+        a = stats[i]
+        for j in range(i + 1, n):
+            b = stats[j]
+            clipped = []
+            for x, y in zip(a.words, b.words):
+                clipped.append(_overlap(x, y) if not clipped or clipped[-1] else 0)
+            len_a, len_b = len(a.tokens), len(b.tokens)
+            # symmetric scores: one value serves both orders
+            shared = [_f1(clipped[0], len_a, len_b),
+                      _f1(clipped[1], len_a - 1, len_b - 1),
+                      _f1(lcs_length_ids(ids[i], ids[j]), len_a, len_b)]
+            char_f = _char_f(a, b)
+            sims[i][j] = (_bleu_orders(len_a, len_b, clipped) + shared
+                          + [_meteor(a, b), char_f])
+            sims[j][i] = (_bleu_orders(len_b, len_a, clipped) + shared
+                          + [_meteor(b, a), char_f])
+    feats = np.zeros((n, len(FEATURE_NAMES)))
+    for i, candidate in enumerate(pool.candidates):
+        if n > 1:
+            # Python sum in pool order, as the metric definitions are
+            # averaged, so that the bits match
+            rows = [sims[i][j] for j in range(n) if j != i]
+            feats[i, :-1] = [sum(column) / (n - 1) for column in zip(*rows)]
+        feats[i, -1] = 1.0 / candidate.rank
     return feats
 
 
 def pool_features(pool: CandidatePool) -> np.ndarray:
-    if not pool.candidates:
-        raise ConsensusError(f"empty candidate pool for turn {pool.turn_id}")
-    return np.stack([extract_features(c, pool) for c in pool.candidates])
+    """One row per candidate: its mean similarity to every other pool
+    candidate per metric, then 1/rank. A singleton pool has zero
+    similarity features."""
+    return _features(pool, [_text_stats(c.text) for c in pool.candidates])
 
 
 def _tie_key(candidate: Candidate):
@@ -187,25 +319,24 @@ def _selection_segments(base: np.ndarray, slope: np.ndarray,
     return segments
 
 
-def _bleu_stats(hypothesis: str, reference: str, n: int = 4) -> tuple:
-    """Sufficient statistics for corpus BLEU aggregation."""
-    from .corpus import tokenize
-    from .metrics import _clipped_counts, _closest_ref_len
-
-    hyp = tokenize(hypothesis)
-    ref = tokenize(reference)
-    clipped = []
-    totals = []
-    for order in range(1, n + 1):
-        c, t = _clipped_counts(hyp, [ref], order)
-        clipped.append(c)
-        totals.append(t)
-    return (np.array(clipped), np.array(totals), len(hyp),
-            _closest_ref_len(len(hyp), [len(ref)]) if ref else 0)
+def _bleu_stats(candidates: Sequence[_TextStats], reference: _TextStats) -> np.ndarray:
+    """Corpus-BLEU sufficient statistics of each candidate against the
+    reference, one int64 row each: clipped counts of orders 1.._MAX_N,
+    their totals, then hypothesis and reference length."""
+    rows = np.zeros((len(candidates), 2 * _MAX_N + 2), dtype=np.int64)
+    for k, hyp in enumerate(candidates):
+        for order in range(_MAX_N):
+            rows[k, order] = _overlap(hyp.words[order], reference.words[order])
+            rows[k, _MAX_N + order] = max(len(hyp.tokens) - order, 0)
+        rows[k, -2:] = len(hyp.tokens), len(reference.tokens)
+    return rows
 
 
-def _bleu_from_stats(clipped: np.ndarray, totals: np.ndarray,
-                     hyp_len: int, ref_len: int) -> float:
+def _bleu_from_stats(stats: np.ndarray) -> float:
+    """metrics.corpus_bleu from the summed rows of ``_bleu_stats``."""
+    stats = stats.tolist()
+    clipped, totals = stats[:_MAX_N], stats[_MAX_N:2 * _MAX_N]
+    hyp_len, ref_len = stats[-2:]
     log_sum = 0.0
     used = 0
     for c, t in zip(clipped, totals):
@@ -219,6 +350,19 @@ def _bleu_from_stats(clipped: np.ndarray, totals: np.ndarray,
         return 0.0
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_sum / used)
+
+
+def _selection_bleu(pool_stats: Sequence[Sequence[_TextStats]],
+                    references: Sequence[str]) -> Callable[[Sequence[int]], float]:
+    """Corpus BLEU-4 of one selected candidate per pool against the pool's
+    reference, each reference tokenized once."""
+    rows = [_bleu_stats(stats, _text_stats(ref))
+            for stats, ref in zip(pool_stats, references)]
+
+    def objective(selection: Sequence[int]) -> float:
+        return _bleu_from_stats(sum(rows[pi][ci] for pi, ci in enumerate(selection)))
+
+    return objective
 
 
 def tune_weights(dev_pools: Sequence[CandidatePool],
@@ -237,23 +381,9 @@ def tune_weights(dev_pools: Sequence[CandidatePool],
     if missing:
         raise ConsensusError(f"missing references for turns: {missing[:5]}")
 
-    feats = [pool_features(p) for p in dev_pools]
-    stats = [
-        [_bleu_stats(c.text, references[p.turn_id]) for c in p.candidates]
-        for p in dev_pools
-    ]
-
-    def objective(selection: list[int]) -> float:
-        clipped = np.zeros(4, dtype=np.int64)
-        totals = np.zeros(4, dtype=np.int64)
-        hyp_len = ref_len = 0
-        for pi, ci in enumerate(selection):
-            c, t, hl, rl = stats[pi][ci]
-            clipped += c
-            totals += t
-            hyp_len += hl
-            ref_len += rl
-        return _bleu_from_stats(clipped, totals, hyp_len, ref_len)
+    stats = [[_text_stats(c.text) for c in p.candidates] for p in dev_pools]
+    feats = [_features(p, s) for p, s in zip(dev_pools, stats)]
+    objective = _selection_bleu(stats, [references[p.turn_id] for p in dev_pools])
 
     def select_all(weights: np.ndarray) -> list[int]:
         out = []

@@ -124,10 +124,6 @@ class Dialogue:
         if self.label is not None and (not self.turns or self.turns[-1].speaker is not Speaker.USER):
             raise CorpusError(f"dialogue {self.id}: labeled final turn must be USER")
 
-    @property
-    def final_user_turn(self) -> Turn:
-        return self.turns[-1]
-
 
 @dataclass(frozen=True)
 class KnowledgeSnippet:
@@ -458,10 +454,6 @@ def split_kfold(items: Sequence, k: int, seed: int) -> list[list]:
     for pos, idx in enumerate(order):
         folds[pos % k].append(items[int(idx)])
     return folds
-
-
-def relabel(dialogue: Dialogue, label: Optional[TurnLabel]) -> Dialogue:
-    return replace(dialogue, label=label)
 
 
 def strip_labels(dialogues: Iterable[Dialogue]) -> list[Dialogue]:

@@ -489,7 +489,9 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                       max_history_tokens: int = 512,
                       include_question: bool = False) -> list[dict]:
     """Full pipeline over label-stripped dialogues, emitting the labels
-    schema per turn."""
+    schema per turn. An error raised for a turn propagates with its class
+    kept (so the CLI still maps domain errors) and its message prefixed
+    with the turn id."""
     from .corpus import build_generation_context
 
     results = []
@@ -527,7 +529,8 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                 "response": chosen.text,
             })
         except Exception as exc:
-            raise RuntimeError(f"decode failed at turn {dialogue.id}: {exc}") from exc
+            exc.args = (f"decode failed at turn {dialogue.id}: {exc}",)
+            raise
     return results
 
 

@@ -113,6 +113,20 @@ def test_corrupt_checkpoint_is_one_line_domain_error(workdir, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_decode_time_domain_error_is_one_line(workdir, tmp_path, capsys):
+    # n = 0 passes config loading and fails in generation, inside decode
+    root, _, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    capsys.readouterr()
+    assert main(["decode", "--config", str(cfg), "--stage-overrides",
+                 f"paths.output={out}", "gen.nbest=0"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: decode failed at turn ")
+    assert err.rstrip().endswith("n must be >= 1")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_ensemble_subcommand(workdir):
     root, data, cfg = workdir
     out = root / "out"

@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgdial import consensus
 from kgdial.consensus import (
     Candidate, CandidatePool, ConsensusError, ConsensusWeights, TuneConfig,
-    consensus_select, evaluate_selection, extract_features, load_pools,
+    consensus_select, evaluate_selection, load_pools, pool_features,
     save_pools, save_weights, load_weights, tune_weights,
 )
-from kgdial.metrics import bleu_n, char_f, meteor_lite, rouge_l, rouge_n
+from kgdial.metrics import (bleu_n, char_f, corpus_bleu, meteor_lite, rouge_l,
+                            rouge_n)
 
 
 def cand(text, system="s1", rank=1, logprob=-1.0):
@@ -32,14 +36,14 @@ class TestPoolValidation:
 class TestExtractFeatures:
     def test_singleton_pool(self):
         p = pool("t", cand("hello there", rank=1))
-        feats = extract_features(p.candidates[0], p)
+        feats = pool_features(p)[0]
         assert np.array_equal(feats[:9], np.zeros(9))
         assert feats[9] == 1.0
 
     def test_identical_texts_metric_values(self):
         text = "the room allows pets"
         p = pool("t", cand(text, "s1", 1), cand(text, "s2", 1), cand(text, "s3", 1))
-        feats = extract_features(p.candidates[0], p)
+        feats = pool_features(p)[0]
         # similarity features equal each metric on identical strings
         assert feats[0] == pytest.approx(bleu_n(text, [text], 1))
         assert feats[3] == pytest.approx(bleu_n(text, [text], 4))
@@ -52,7 +56,7 @@ class TestExtractFeatures:
     def test_three_candidate_fixture_means(self):
         texts = ["the cat sat", "the cat stood", "a dog ran"]
         p = pool("t", *(cand(t, f"s{i}", 1) for i, t in enumerate(texts)))
-        feats = extract_features(p.candidates[0], p)
+        feats = pool_features(p)[0]
         expect_rouge1 = (rouge_n(texts[0], texts[1], 1)
                          + rouge_n(texts[0], texts[2], 1)) / 2
         assert feats[4] == pytest.approx(expect_rouge1)
@@ -62,7 +66,7 @@ class TestExtractFeatures:
 
     def test_reciprocal_rank(self):
         p = pool("t", cand("a a", "s1", 1), cand("b b", "s1", 2), cand("c c", "s1", 3))
-        assert extract_features(p.candidates[2], p)[9] == pytest.approx(1 / 3)
+        assert pool_features(p)[2][9] == pytest.approx(1 / 3)
 
     def test_permutation_invariance_over_peers(self):
         texts = ["x y z", "x y w", "u v w"]
@@ -70,9 +74,99 @@ class TestExtractFeatures:
                   cand(texts[2], "s3", 1))
         p2 = pool("t", cand(texts[0], "s1", 1), cand(texts[2], "s3", 1),
                   cand(texts[1], "s2", 1))
-        f1 = extract_features(p1.candidates[0], p1)
-        f2 = extract_features(p2.candidates[0], p2)
+        f1 = pool_features(p1)[0]
+        f2 = pool_features(p2)[0]
         assert np.allclose(f1, f2)
+
+
+# the definitions pool_features must reproduce bit for bit, in feature order
+ORACLE_SIMILARITIES = (
+    lambda h, r: bleu_n(h, [r], 1),
+    lambda h, r: bleu_n(h, [r], 2),
+    lambda h, r: bleu_n(h, [r], 3),
+    lambda h, r: bleu_n(h, [r], 4),
+    lambda h, r: rouge_n(h, r, 1),
+    lambda h, r: rouge_n(h, r, 2),
+    rouge_l,
+    meteor_lite,
+    char_f,
+)
+
+
+def oracle_features(p):
+    """Each candidate's metric against every other one, averaged in pool
+    order, then 1/rank."""
+    rows = []
+    for i, c in enumerate(p.candidates):
+        others = [o for j, o in enumerate(p.candidates) if j != i]
+        row = [sum(metric(c.text, o.text) for o in others) / len(others)
+               if others else 0.0 for metric in ORACLE_SIMILARITIES]
+        rows.append(row + [1.0 / c.rank])
+    return np.array(rows)
+
+
+# stem-related words, tags, punctuation and a casing variant
+WORDS = ("the", "a", "room", "rooms", "roomy", "book", "booked", "booking",
+         "bookings", "pet", "pets", "allowed", "allows", "is", "Room", "café",
+         "?", "!", ".", ",", "'s", "⟨ent⟩", "⟨sys⟩")
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join),
+    st.lists(st.sampled_from("?!.,"), min_size=1, max_size=4).map(" ".join),
+    st.just(""),
+)
+
+
+@st.composite
+def candidate_pools(draw, max_size=6):
+    """1..max_size candidates over 1-3 systems, texts drawn from a small
+    palette so that duplicates are common."""
+    palette = draw(st.lists(TEXTS, min_size=1, max_size=4))
+    n = draw(st.integers(1, max_size))
+    ranks: dict[str, int] = {}
+    cands = []
+    for _ in range(n):
+        system = draw(st.sampled_from(("s1", "s2", "s3")))
+        ranks[system] = ranks.get(system, 0) + 1
+        cands.append(cand(draw(st.sampled_from(palette)), system, ranks[system],
+                          -draw(st.floats(0.0, 10.0))))
+    return pool("t", *cands)
+
+
+class TestPoolFeaturesMatchMetrics:
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_pools())
+    def test_bit_identical_to_metric_definitions(self, p):
+        assert np.array_equal(pool_features(p), oracle_features(p))
+
+    def test_tokenizes_each_candidate_once(self, monkeypatch):
+        seen = []
+        real = consensus.tokenize
+
+        def counting(text):
+            seen.append(text)
+            return real(text)
+
+        monkeypatch.setattr(consensus, "tokenize", counting)
+        texts = ["the room allows pets", "the rooms allow pets .", "", "?",
+                 "the room allows pets"]
+        p = pool("t", *(cand(t, "s1", i + 1) for i, t in enumerate(texts)))
+        pool_features(p)
+        assert sorted(seen) == sorted(texts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(candidate_pools(max_size=4), TEXTS, st.integers(0, 3)),
+        min_size=1, max_size=5))
+    def test_tuning_objective_is_corpus_bleu(self, dev):
+        dev_pools = [p for p, _, _ in dev]
+        references = [ref for _, ref, _ in dev]
+        selection = [k % len(p.candidates) for p, _, k in dev]
+        stats = [[consensus._text_stats(c.text) for c in p.candidates]
+                 for p in dev_pools]
+        objective = consensus._selection_bleu(stats, references)
+        expected = corpus_bleu([(p.candidates[k].text, [ref]) for p, ref, k
+                                in zip(dev_pools, references, selection)], n=4)
+        assert objective(selection) == expected
 
 
 class TestConsensusSelect:

@@ -1,9 +1,10 @@
 import json
 import os
+import re
 
 import pytest
 
-from kgdial.consensus import ConsensusWeights
+from kgdial.consensus import ConsensusError, ConsensusWeights
 from kgdial.corpus import save_corpus, save_knowledge_base
 from kgdial.pipeline import (
     CONFIG_DEFAULTS, ConfigError, DecodeComponents, DependencyError,
@@ -12,7 +13,7 @@ from kgdial.pipeline import (
     stage_train_generate, stage_train_select, validate_labels_schema,
     write_manifest,
 )
-from kgdial.generate import ToyGenerator
+from kgdial.generate import GenerateError, ToyGenerator
 from kgdial.models import ModelError
 from kgdial.pipeline import (_load_rank_model, _save_generator, _save_rank_model,
                              load_generator)
@@ -185,6 +186,26 @@ class TestEndToEndOracle:
         with_labels = end_to_end_decode(dialogues, kb, components)
         without = end_to_end_decode(strip_labels(dialogues), kb, components)
         assert with_labels == without
+
+
+@pytest.mark.parametrize("nbest, error, message", [
+    ([], ConsensusError, "empty candidate pool"),
+    ([("one", -1.0), ("two", -2.0)], GenerateError, "more than n candidates"),
+])
+def test_decode_error_keeps_its_class_and_names_the_turn(mini, nbest, error,
+                                                         message):
+    dialogues, kb = mini
+    truth, components = oracle_components(dialogues, kb)
+    first = next(d for d in dialogues if truth[d.id].is_knowledge_seeking)
+
+    class FixedGenerator:
+        def generate_nbest(self, context, n):
+            return list(nbest)
+
+    components.generator = FixedGenerator()
+    with pytest.raises(error, match=f"^decode failed at turn "
+                                    f"{re.escape(first.id)}: .*{message}"):
+        end_to_end_decode(dialogues, kb, components)
 
 
 def test_decode_ranks_each_turn_once_and_reranks_that_list(mini):
