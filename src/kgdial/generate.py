@@ -11,7 +11,10 @@ The reference generator is an autoregressive word model conditioned on a
 bag-of-words context vector, the previous token and the position. It can
 overfit a small training set exactly, which is all the desk-scale
 harness requires; real pretrained LMs plug in behind the Generator
-contract.
+contract. Its n-best beam search steps all live beams of a position in
+one batched call and stops as soon as the n-best can no longer change
+(finished beams scoring strictly above every live beam hold n distinct
+texts), with the same result as running every position.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .corpus import (Dialogue, GenerationContext, KnowledgeSnippet, TAG_RESP,
                      build_generation_context, normalize_ws, tokenize)
-from .models import AdamW, build_vocab
+from .models import TrainConfig, build_vocab, train_model
 
 EOS = "⟨eos⟩"
 
@@ -182,8 +185,8 @@ class ToyGenerator:
     def _ids(self, tokens: Sequence[str]) -> np.ndarray:
         return np.asarray([self.vocab.get(t, 0) for t in tokens], dtype=np.int64)
 
-    def context_vector(self, context: str) -> np.ndarray:
-        ids = self._ids(tokenize(context))
+    def context_vector(self, ids: np.ndarray) -> np.ndarray:
+        """Mean embedding of the context token ids (zeros when empty)."""
         if ids.size == 0:
             return np.zeros(self.d)
         return self.params["emb"][ids].mean(axis=0)
@@ -195,87 +198,129 @@ class ToyGenerator:
         tokens = tokens[: self.max_target_tokens - 1] + [EOS]
         return self._ids(tokens)
 
-    def _step_forward(self, prev_id: int, pos: int, c: np.ndarray) -> dict:
+    def _step_forward(self, prev_ids: np.ndarray, pos, c: np.ndarray) -> dict:
+        """One step for a batch of rows: row i continues ``prev_ids[i]`` at
+        position ``pos`` (one int for all rows, or one per row). Each row
+        is multiplied as a (1, d) matrix, which numpy does row by row
+        exactly as for a single row; one matrix-matrix product for all rows
+        would round differently."""
         p = self.params
-        x = p["emb"][prev_id]
-        pre = x @ p["wp"] + c @ p["wc"] + p["pos"][pos] + p["bh"]
-        h = np.tanh(pre)
-        logits = h @ p["out"] + p["bo"]
-        shifted = logits - logits.max()
-        logp = shifted - math.log(np.exp(shifted).sum())
-        return {"prev_id": prev_id, "pos": pos, "x": x, "h": h, "logp": logp}
+        x = p["emb"][prev_ids]
+        xw = (x[:, None] @ p["wp"])[:, 0]
+        h = np.tanh(xw + c @ p["wc"] + p["pos"][pos] + p["bh"])
+        logits = (h[:, None] @ p["out"])[:, 0] + p["bo"]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        norm = [math.log(s) for s in np.exp(shifted).sum(axis=1)]
+        logp = shifted - np.asarray(norm)[:, None]
+        return {"x": x, "h": h, "logp": logp}
 
     def loss_and_grads(self, example: GenExample) -> tuple[float, dict]:
-        """Mean token-level cross entropy with analytic gradients."""
+        """Mean token-level cross entropy with analytic gradients. With
+        teacher forcing every position's input is known, so all positions
+        go through one step call."""
         p = self.params
         grads = {k: np.zeros_like(v) for k, v in p.items()}
-        c = self.context_vector(example.context.text)
         ctx_ids = self._ids(tokenize(example.context.text))
+        c = self.context_vector(ctx_ids)
         target = self._target_ids(example.target)
-        bos = self.vocab.get(TAG_RESP, 0)
+        n = len(target)
+        prev_ids = np.concatenate([[self.vocab.get(TAG_RESP, 0)], target[:-1]])
+        step = self._step_forward(prev_ids, np.arange(n), c)
         loss = 0.0
         dc = np.zeros(self.d)
-        prev = bos
-        n = len(target)
         for pos, tok in enumerate(target):
-            step = self._step_forward(prev, pos, c)
-            loss += -float(step["logp"][tok]) / n
-            dlogits = np.exp(step["logp"]) / n
+            logp = step["logp"][pos]
+            loss += -float(logp[tok]) / n
+            dlogits = np.exp(logp) / n
             dlogits[tok] -= 1.0 / n
-            h = step["h"]
+            h = step["h"][pos]
             grads["out"] += np.outer(h, dlogits)
             grads["bo"] += dlogits
             dh = p["out"] @ dlogits
             dpre = dh * (1.0 - h * h)
-            grads["wp"] += np.outer(step["x"], dpre)
+            grads["wp"] += np.outer(step["x"][pos], dpre)
             grads["wc"] += np.outer(c, dpre)
             grads["pos"][pos] += dpre
             grads["bh"] += dpre
-            grads["emb"][step["prev_id"]] += p["wp"] @ dpre
+            grads["emb"][prev_ids[pos]] += p["wp"] @ dpre
             dc += p["wc"] @ dpre
-            prev = int(tok)
         if ctx_ids.size:
             np.add.at(grads["emb"], ctx_ids, dc / ctx_ids.size)
         return loss, grads
 
     def generate_nbest(self, context: str, n: int,
                        beam_width: Optional[int] = None) -> list[tuple[str, float]]:
-        """Beam-search n-best: deduplicated texts sorted by log-probability."""
+        """Beam-search n-best: deduplicated texts sorted by log-probability.
+
+        Each position keeps the ``width`` best of the finished beams and of
+        the ``width`` best tokens (ties to the lower id) each live beam
+        offers, ordered by (-log-probability, tokens). The search stops
+        early once the finished beams that score strictly above the best
+        live beam hold ``n`` distinct texts: log-probabilities only fall,
+        so no descendant of a live beam can displace or outrank them.
+        """
         if n < 1:
             raise GenerateError("n must be >= 1")
         width = max(n, beam_width or 2 * n)
-        c = self.context_vector(context)
+        c = self.context_vector(self._ids(tokenize(context)))
         bos = self.vocab.get(TAG_RESP, 0)
         eos_id = self.vocab[EOS]
         beams: list[tuple[float, list[int], bool]] = [(0.0, [], False)]
         for pos in range(self.max_target_tokens):
-            nxt: list[tuple[float, list[int], bool]] = []
-            for logprob, tokens, done in beams:
-                if done:
-                    nxt.append((logprob, tokens, True))
-                    continue
-                prev = tokens[-1] if tokens else bos
-                step = self._step_forward(prev, pos, c)
-                top = np.argsort(-step["logp"], kind="stable")[:width]
-                for tok in top:
-                    tok = int(tok)
-                    nxt.append((logprob + float(step["logp"][tok]),
-                                tokens + [tok], tok == eos_id))
+            done = [b for b in beams if b[2]]
+            live = [b for b in beams if not b[2]]
+            prev_ids = np.asarray([b[1][-1] if b[1] else bos for b in live])
+            logp = self._step_forward(prev_ids, pos, c)["logp"]
+            rows, toks = np.nonzero(_top_tokens(logp, width))
+            scores = np.asarray([b[0] for b in live])[rows] + logp[rows, toks]
+            # only entries at or above the width-th best score can be kept
+            pool = np.concatenate([[b[0] for b in done], scores])
+            cut = -math.inf
+            if pool.size > width:
+                cut = np.partition(pool, pool.size - width)[pool.size - width]
+            nxt = [b for b in done if b[0] >= cut]
+            for i in np.flatnonzero(scores >= cut):
+                tok = int(toks[i])
+                nxt.append((float(scores[i]), live[rows[i]][1] + [tok],
+                            tok == eos_id))
             nxt.sort(key=lambda b: (-b[0], b[1]))
             beams = nxt[:width]
-            if all(done for _, _, done in beams):
+            live_scores = [lp for lp, _, finished in beams if not finished]
+            if not live_scores:
+                break
+            settled = {self._text(tokens) for lp, tokens, finished in beams
+                       if finished and lp > live_scores[0]}
+            if len(settled) >= n:
                 break
         best: dict[str, float] = {}
         for logprob, tokens, _ in beams:
-            words = [self.inv_vocab[t] for t in tokens if t != eos_id]
-            text = " ".join(words)
+            text = self._text(tokens)
             if text not in best or logprob > best[text]:
                 best[text] = logprob
         ranked = sorted(best.items(), key=lambda t: (-t[1], t[0]))
         return ranked[:n]
 
+    def _text(self, tokens: Sequence[int]) -> str:
+        eos_id = self.vocab[EOS]
+        return " ".join(self.inv_vocab[t] for t in tokens if t != eos_id)
+
     def greedy(self, context: str) -> str:
         return self.generate_nbest(context, 1, beam_width=1)[0][0]
+
+
+def _top_tokens(logp: np.ndarray, width: int) -> np.ndarray:
+    """Mask of each row's ``width`` largest entries, ties to the lower
+    column; the whole row when it has no more than ``width`` entries."""
+    V = logp.shape[1]
+    if width >= V:
+        return np.ones(logp.shape, dtype=bool)
+    kth = np.partition(logp, V - width, axis=1)[:, V - width, None]
+    top = logp >= kth
+    for row in np.flatnonzero(top.sum(axis=1) > width):
+        # more entries tie at the cut than fit: the higher columns drop out
+        ties = np.flatnonzero(logp[row] == kth[row])
+        top[row, ties[width - (top[row].sum() - ties.size):]] = False
+    return top
 
 
 def train_generator(examples: Sequence[GenExample],
@@ -288,26 +333,10 @@ def train_generator(examples: Sequence[GenExample],
     model = ToyGenerator(vocab, d=config.d,
                          max_target_tokens=config.max_target_tokens,
                          seed=config.seed)
-    opt = AdamW(model.params, lr=config.learning_rate,
-                weight_decay=config.weight_decay)
-    rng = np.random.default_rng(config.seed)
-    history = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(examples))
-        total = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-            for idx in batch:
-                loss, g = model.loss_and_grads(examples[int(idx)])
-                total += loss
-                for k in grads:
-                    grads[k] += g[k]
-            for k in grads:
-                grads[k] /= len(batch)
-            if config.learning_rate > 0:
-                opt.step(grads)
-        history.append(total / len(examples))
+    history = train_model(model, list(examples), TrainConfig(
+        epochs=config.epochs, learning_rate=config.learning_rate,
+        batch_size=config.batch_size, weight_decay=config.weight_decay,
+        seed=config.seed))
     return model, history
 
 

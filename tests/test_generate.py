@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgdial.corpus import (
-    Dialogue, GenerationContext, KnowledgeSnippet, Speaker, Turn, TurnLabel,
-    count_tokens,
+    TAG_RESP, Dialogue, GenerationContext, KnowledgeSnippet, Speaker, Turn,
+    TurnLabel, count_tokens, tokenize,
 )
 from kgdial.generate import (
-    GenerateError, GenExample, GenTrainConfig, ToyGenerator,
+    EOS, GenerateError, GenExample, GenTrainConfig, ToyGenerator,
     build_gen_examples, decode_nbest, mine_frequent_interrogatives,
     preprocess_responses, strip_trailing_interrogatives, train_generator,
 )
@@ -195,6 +197,15 @@ class TestGenerator:
         with pytest.raises(GenerateError):
             train_generator([], GenTrainConfig())
 
+    def test_loss_equals_reference_step_by_step(self, trained):
+        model, examples = trained
+        for e in examples + overfit_examples(4):
+            loss, grads = model.loss_and_grads(e)
+            ref_loss, ref_grads = reference_loss_and_grads(model, e)
+            assert loss == ref_loss
+            for key, value in ref_grads.items():
+                assert np.array_equal(grads[key], value), key
+
     def test_generator_gradients(self):
         from kgdial.models import finite_difference_check
 
@@ -216,12 +227,187 @@ def trained():
     return model, examples
 
 
+def reference_context(model, text):
+    """Context token ids and their mean embedding (zeros when empty)."""
+    ids = np.asarray([model.vocab.get(t, 0) for t in tokenize(text)],
+                     dtype=np.int64)
+    c = model.params["emb"][ids].mean(axis=0) if ids.size else np.zeros(model.d)
+    return ids, c
+
+
+def reference_step(model, prev, pos, c):
+    """One position of one hypothesis: (input embedding, hidden state,
+    log-probabilities)."""
+    p = model.params
+    x = p["emb"][prev]
+    h = np.tanh(x @ p["wp"] + c @ p["wc"] + p["pos"][pos] + p["bh"])
+    logits = h @ p["out"] + p["bo"]
+    shifted = logits - logits.max()
+    return x, h, shifted - math.log(np.exp(shifted).sum())
+
+
+def reference_loss_and_grads(model, example):
+    """Teacher-forced cross entropy stepped one position at a time."""
+    p = model.params
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    ctx_ids, c = reference_context(model, example.context.text)
+    target = model._target_ids(example.target)
+    loss, dc, n = 0.0, np.zeros(model.d), len(target)
+    prev = model.vocab.get(TAG_RESP, 0)
+    for pos, tok in enumerate(target):
+        x, h, logp = reference_step(model, prev, pos, c)
+        loss += -float(logp[tok]) / n
+        dlogits = np.exp(logp) / n
+        dlogits[tok] -= 1.0 / n
+        grads["out"] += np.outer(h, dlogits)
+        grads["bo"] += dlogits
+        dpre = (p["out"] @ dlogits) * (1.0 - h * h)
+        grads["wp"] += np.outer(x, dpre)
+        grads["wc"] += np.outer(c, dpre)
+        grads["pos"][pos] += dpre
+        grads["bh"] += dpre
+        grads["emb"][prev] += p["wp"] @ dpre
+        dc += p["wc"] @ dpre
+        prev = int(tok)
+    if ctx_ids.size:
+        np.add.at(grads["emb"], ctx_ids, dc / ctx_ids.size)
+    return loss, grads
+
+
+def reference_nbest(model, context, n, beam_width=None):
+    """The n-best beam search written out plainly: every live beam is
+    stepped on its own at every position, each step's tokens are sorted in
+    full (ties to the lower id), and the search runs until every kept beam
+    has emitted EOS or the positions run out."""
+    width = max(n, beam_width or 2 * n)
+    _, c = reference_context(model, context)
+    bos = model.vocab.get(TAG_RESP, 0)
+    eos_id = model.vocab[EOS]
+    beams = [(0.0, [], False)]
+    for pos in range(model.max_target_tokens):
+        nxt = []
+        for logprob, tokens, done in beams:
+            if done:
+                nxt.append((logprob, tokens, True))
+                continue
+            _, _, logp = reference_step(model, tokens[-1] if tokens else bos,
+                                        pos, c)
+            for tok in np.argsort(-logp, kind="stable")[:width]:
+                tok = int(tok)
+                nxt.append((logprob + float(logp[tok]), tokens + [tok],
+                            tok == eos_id))
+        nxt.sort(key=lambda b: (-b[0], b[1]))
+        beams = nxt[:width]
+        if all(done for _, _, done in beams):
+            break
+    best = {}
+    for logprob, tokens, _ in beams:
+        text = " ".join(model.inv_vocab[t] for t in tokens if t != eos_id)
+        if text not in best or logprob > best[text]:
+            best[text] = logprob
+    return sorted(best.items(), key=lambda t: (-t[1], t[0]))[:n]
+
+
+@st.composite
+def beam_cases(draw):
+    """A small random generator, a context and (n, beam_width)."""
+    V = draw(st.integers(3, 30))  # vocabulary size, EOS included
+    words = [f"w{i}" for i in range(V - 1)]
+    if V > 3 and draw(st.booleans()):
+        # a word that reads as none or two others: distinct token
+        # sequences, one text
+        words[-1] = draw(st.sampled_from(["", " ".join(words[:2])]))
+    model = ToyGenerator({w: i for i, w in enumerate(words)}, d=8,
+                         max_target_tokens=draw(st.integers(1, 10)),
+                         seed=draw(st.integers(0, 2 ** 16)))
+    logits = draw(st.sampled_from(["random", "peaked", "biased", "tied",
+                                   "near_tied"]))
+    if logits == "peaked":
+        model.params["out"] *= 6.0
+    elif logits == "biased":
+        # a few tokens, EOS among them, win at every position
+        model.params["bo"][...] = draw(st.lists(
+            st.floats(-6.0, 6.0), min_size=V, max_size=V))
+    elif logits == "tied":
+        # every logit ties: the lower-id rule picks every token
+        model.params["out"][...] = 0.0
+    elif logits == "near_tied":
+        # logits a few ulps apart, rising with the id: adding a beam's
+        # log-probability can round two of them to one sum
+        model.params["out"][...] = 0.0
+        model.params["bo"][...] = draw(st.sampled_from(
+            [1e-16, 1e-15, 1e-14])) * np.arange(V)
+    context = draw(st.one_of(
+        st.just(""),
+        st.just("unknown words only"),
+        st.lists(st.sampled_from(words), min_size=1, max_size=6).map(" ".join)))
+    n = draw(st.integers(1, 6))
+    beam_width = draw(st.sampled_from([None, 1, n]))
+    return model, context, n, beam_width
+
+
+def flat_generator(V, max_target_tokens, step=0.0):
+    """Logits that ignore context and prefix: token i scores step * i."""
+    model = ToyGenerator({f"w{i}": i for i in range(V - 1)}, d=8,
+                         max_target_tokens=max_target_tokens, seed=0)
+    model.params["out"][...] = 0.0
+    model.params["bo"][...] = step * np.arange(V)
+    return model
+
+
+def one_text_two_sequences():
+    """EOS and the empty word win every position, so [EOS] and
+    [empty word, EOS] finish first and read as one text."""
+    model = ToyGenerator({"": 0, "w1": 1}, d=8, max_target_tokens=6, seed=0)
+    model.params["out"][...] = 0.0
+    model.params["bo"][...] = [2.0, -6.0, 3.0]
+    return model, "", 2, None
+
+
 class TestDecodeNBest:
+
+    @settings(max_examples=250, deadline=None)
+    @given(beam_cases())
+    # finished beams tie the live ones
+    @example((flat_generator(3, 4), "", 5, None))
+    # more tied tokens than the width: the lower ids go on
+    @example((flat_generator(5, 3), "", 2, None))
+    # two different log-probabilities added to one beam's score round to
+    # one sum
+    @example((flat_generator(3, 2, 1e-16), "", 1, 1))
+    @example(one_text_two_sequences())
+    def test_equals_reference_beam(self, case):
+        model, context, n, beam_width = case
+        assert (model.generate_nbest(context, n, beam_width)
+                == reference_nbest(model, context, n, beam_width))
+
+    def test_trained_equals_reference_beam(self, trained):
+        model, examples = trained
+        for e in examples:
+            for n in (1, 3, 5):
+                assert (model.generate_nbest(e.context.text, n)
+                        == reference_nbest(model, e.context.text, n))
+
+    def test_stops_before_last_position(self, trained, monkeypatch):
+        model, examples = trained
+        steps = []
+        step = ToyGenerator._step_forward
+
+        def counted(self, *args):
+            steps.append(1)
+            return step(self, *args)
+
+        monkeypatch.setattr(ToyGenerator, "_step_forward", counted)
+        for e in examples:
+            steps.clear()
+            decode_nbest(model, e.context.text, 4)
+            assert 0 < len(steps) < model.max_target_tokens
 
     def test_n1_is_greedy(self, trained):
         model, examples = trained
-        ctx = examples[0].context.text
-        assert decode_nbest(model, ctx, 1)[0][0] == model.greedy(ctx)
+        for e in examples:
+            ctx = e.context.text
+            assert decode_nbest(model, ctx, 1)[0][0] == model.greedy(ctx)
 
     def test_sorted_dedup_finite(self, trained):
         model, examples = trained
