@@ -99,6 +99,14 @@ class PhoneticIndex:
         self.probe_radius = probe_radius
         rng = np.random.default_rng(hash_seed)
         self._planes = rng.standard_normal((n_tables, n_bits, EMBED_DIM))
+        # XOR masks that reach every signature within probe_radius bits
+        masks = [0]
+        if probe_radius >= 1:
+            masks += [1 << b for b in range(n_bits)]
+        if probe_radius >= 2:
+            masks += [(1 << b1) | (1 << b2)
+                      for b1 in range(n_bits) for b2 in range(b1 + 1, n_bits)]
+        self._probe_masks = np.asarray(masks, dtype=np.int64)
         self._tables: list[dict[int, list[int]]] = []
         for t in range(n_tables):
             sigs = self._signatures(embeddings, t)
@@ -121,16 +129,10 @@ class PhoneticIndex:
     def _candidates(self, vec: np.ndarray) -> np.ndarray:
         found: set[int] = set()
         for t in range(self.n_tables):
-            sig = int(self._signatures(vec[None, :], t)[0])
-            probes = [sig]
-            if self.probe_radius >= 1:
-                probes.extend(sig ^ (1 << b) for b in range(self.n_bits))
-            if self.probe_radius >= 2:
-                for b1 in range(self.n_bits):
-                    for b2 in range(b1 + 1, self.n_bits):
-                        probes.append(sig ^ (1 << b1) ^ (1 << b2))
-            for p in probes:
-                found.update(self._tables[t].get(p, ()))
+            sig = self._signatures(vec[None, :], t)[0]
+            table = self._tables[t]
+            for p in (sig ^ self._probe_masks).tolist():
+                found.update(table.get(p, ()))
         return np.fromiter(found, dtype=np.int64) if found else np.empty(0, dtype=np.int64)
 
     def neighbors(self, word: str, k: int) -> list[tuple[str, float]]:

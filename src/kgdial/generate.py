@@ -154,6 +154,15 @@ def build_gen_examples(dialogues: Sequence[Dialogue],
     return examples
 
 
+@dataclass(frozen=True)
+class GenRow:
+    """A generation example compiled to ids: context, target (ending in
+    EOS) and the teacher-forced input of every target position."""
+    context_ids: np.ndarray
+    target: np.ndarray
+    prev_ids: np.ndarray
+
+
 class ToyGenerator:
     """Word-level conditional generator: tanh state over (previous token,
     position, mean context embedding), softmax over the vocabulary."""
@@ -189,7 +198,7 @@ class ToyGenerator:
         """Mean embedding of the context token ids (zeros when empty)."""
         if ids.size == 0:
             return np.zeros(self.d)
-        return self.params["emb"][ids].mean(axis=0)
+        return self.params["emb"][ids].sum(axis=0) / ids.size
 
     def _target_ids(self, target: str) -> np.ndarray:
         tokens = tokenize(target)
@@ -214,36 +223,43 @@ class ToyGenerator:
         logp = shifted - np.asarray(norm)[:, None]
         return {"x": x, "h": h, "logp": logp}
 
-    def loss_and_grads(self, example: GenExample) -> tuple[float, dict]:
+    def compile(self, example: GenExample) -> GenRow:
+        target = self._target_ids(example.target)
+        return GenRow(
+            context_ids=self._ids(tokenize(example.context.text)), target=target,
+            prev_ids=np.concatenate([[self.vocab.get(TAG_RESP, 0)], target[:-1]]))
+
+    def loss_and_grads(self, example: GenExample | GenRow) -> tuple[float, dict]:
         """Mean token-level cross entropy with analytic gradients. With
         teacher forcing every position's input is known, so all positions
-        go through one step call."""
+        go through one step call. Every sum over positions adds them in
+        position order, starting from the zero gradient, exactly as one
+        position at a time would."""
+        row = example if isinstance(example, GenRow) else self.compile(example)
         p = self.params
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        ctx_ids = self._ids(tokenize(example.context.text))
+        grads = {k: np.zeros(v.shape) for k, v in p.items()}
+        ctx_ids, target, prev_ids = row.context_ids, row.target, row.prev_ids
         c = self.context_vector(ctx_ids)
-        target = self._target_ids(example.target)
         n = len(target)
-        prev_ids = np.concatenate([[self.vocab.get(TAG_RESP, 0)], target[:-1]])
-        step = self._step_forward(prev_ids, np.arange(n), c)
-        loss = 0.0
+        positions = np.arange(n)
+        step = self._step_forward(prev_ids, positions, c)
+        logp, h = step["logp"], step["h"]
+        loss = 0.0 + float(_sum_in_order(-logp[positions, target] / n))
+        dlogits = np.exp(logp) / n
+        dlogits[positions, target] -= 1.0 / n
+        for pos in positions:  # one d x V product at a time
+            grads["out"] += np.outer(h[pos], dlogits[pos])
+        grads["bo"] += _sum_in_order(dlogits)
+        # stacked (d, V) @ (V, 1) products: the kernel of a single one
+        dh = (p["out"] @ dlogits[:, :, None])[:, :, 0]
+        dpre = dh * (1.0 - h * h)
+        grads["wp"] += _sum_in_order(step["x"][:, :, None] * dpre[:, None, :])
+        grads["wc"] += _sum_in_order(c[None, :, None] * dpre[:, None, :])
+        grads["pos"][:n] += dpre
+        grads["bh"] += _sum_in_order(dpre)
+        np.add.at(grads["emb"], prev_ids, (p["wp"] @ dpre[:, :, None])[:, :, 0])
         dc = np.zeros(self.d)
-        for pos, tok in enumerate(target):
-            logp = step["logp"][pos]
-            loss += -float(logp[tok]) / n
-            dlogits = np.exp(logp) / n
-            dlogits[tok] -= 1.0 / n
-            h = step["h"][pos]
-            grads["out"] += np.outer(h, dlogits)
-            grads["bo"] += dlogits
-            dh = p["out"] @ dlogits
-            dpre = dh * (1.0 - h * h)
-            grads["wp"] += np.outer(step["x"][pos], dpre)
-            grads["wc"] += np.outer(c, dpre)
-            grads["pos"][pos] += dpre
-            grads["bh"] += dpre
-            grads["emb"][prev_ids[pos]] += p["wp"] @ dpre
-            dc += p["wc"] @ dpre
+        dc += _sum_in_order((p["wc"] @ dpre[:, :, None])[:, :, 0])
         if ctx_ids.size:
             np.add.at(grads["emb"], ctx_ids, dc / ctx_ids.size)
         return loss, grads
@@ -306,6 +322,12 @@ class ToyGenerator:
 
     def greedy(self, context: str) -> str:
         return self.generate_nbest(context, 1, beam_width=1)[0][0]
+
+
+def _sum_in_order(x: np.ndarray) -> np.ndarray:
+    """Sum over the first axis adding the rows one after the other, as a
+    loop would; numpy's ``sum`` may add them pairwise instead."""
+    return np.add.accumulate(x, axis=0)[-1]
 
 
 def _top_tokens(logp: np.ndarray, width: int) -> np.ndarray:

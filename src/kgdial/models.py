@@ -72,9 +72,10 @@ def bce_loss(z: float, y: float) -> tuple[float, float]:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def softmax_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
@@ -115,21 +116,33 @@ class ToyEncoder:
         return {"d": self.d, "pooling": self.pooling, "max_len": self.max_len,
                 "seed": self.seed}
 
+    def vocab_ids(self, tokens: Sequence[str]) -> np.ndarray:
+        """Vocabulary id of every token (0 for unknown ones), uncut."""
+        return np.fromiter((self.vocab.get(t, 0) for t in tokens),
+                           dtype=np.int64, count=len(tokens))
+
+    def pair_ids(self, left: np.ndarray,
+                 right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(token ids, segment ids) of ``left`` (segment 0) followed by
+        ``right`` (segment 1), both given as `vocab_ids`. An empty pair
+        becomes the single id 0; a pair longer than ``max_len`` keeps its
+        last ``max_len`` positions (the most recent context)."""
+        n = len(left) + len(right)
+        if n == 0:
+            return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        ids = np.concatenate((left, right))
+        segs = np.zeros(n, dtype=np.int64)
+        segs[len(left):] = 1
+        if n > self.max_len:
+            return ids[-self.max_len:], segs[-self.max_len:]
+        return ids, segs
+
     def token_ids(self, tokens: Sequence[str],
                   boundary: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """(token ids, segment ids); boundary marks where segment 1 starts."""
-        ids = [self.vocab.get(t, 0) for t in tokens]
-        segs = [0] * len(ids)
-        if boundary is not None:
-            for i in range(min(boundary, len(ids)), len(ids)):
-                segs[i] = 1
-        if not ids:
-            ids, segs = [0], [0]
-        if len(ids) > self.max_len:
-            ids = ids[-self.max_len:]  # keep the most recent context
-            segs = segs[-self.max_len:]
-        return (np.asarray(ids, dtype=np.int64),
-                np.asarray(segs, dtype=np.int64))
+        cut = len(tokens) if boundary is None else max(0, min(boundary, len(tokens)))
+        return self.pair_ids(self.vocab_ids(tokens[:cut]),
+                             self.vocab_ids(tokens[cut:]))
 
     def forward(self, ids: np.ndarray,
                 segs: Optional[np.ndarray] = None) -> dict:
@@ -144,7 +157,7 @@ class ToyEncoder:
         A = softmax(S, axis=-1)
         H = E + A @ Vm
         if self.pooling == "mean":
-            f = H.mean(axis=0)
+            f = H.sum(axis=0) / H.shape[0]
         else:
             f = H[0]
         return {"ids": ids, "segs": segs, "E": E, "Q": Q, "K": K, "Vm": Vm,
@@ -182,7 +195,7 @@ class ToyEncoder:
         np.add.at(grads["seg"], cache["segs"], dE)
 
     def zero_grads(self) -> dict:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+        return {k: np.zeros(v.shape) for k, v in self.params.items()}
 
 
 class AdamW:
@@ -230,10 +243,10 @@ def pair_readout(cache: dict) -> np.ndarray:
     displacement a matched token picks up from attending to its twin in
     the other segment is cancelled by the twin's mirror-image displacement.
     """
-    segs = cache["segs"]
     H = cache["H"]
-    mask = segs == 1
-    seg_pool = H[mask].mean(axis=0) if mask.any() else np.zeros(H.shape[1])
+    mask = cache["segs"] == 1
+    n = np.count_nonzero(mask)
+    seg_pool = H[mask].sum(axis=0) / n if n else np.zeros(H.shape[1])
     return np.concatenate([cache["f"], seg_pool])
 
 
@@ -246,6 +259,14 @@ def pair_readout_backward(cache: dict, du: np.ndarray) -> tuple[np.ndarray, np.n
     if mask.any():
         dH[mask] = du[d:] / mask.sum()
     return dH, df
+
+
+@dataclass(frozen=True)
+class PairRow:
+    """A sentence-pair training example compiled to encoder inputs."""
+    ids: np.ndarray
+    segs: np.ndarray
+    label: int
 
 
 class ToyPairScorer:
@@ -262,25 +283,29 @@ class ToyPairScorer:
         out.update({f"head.{k}": v for k, v in self.params.items()})
         return out
 
-    def _tokens(self, sentence1: str, sentence2: str) -> tuple[list[str], int]:
-        left = tokenize(sentence1)
-        return left + tokenize(sentence2), len(left)
+    def _pair_ids(self, sentence1: str, sentence2: str) -> tuple[np.ndarray, np.ndarray]:
+        enc = self.encoder
+        return enc.pair_ids(enc.vocab_ids(tokenize(sentence1)),
+                            enc.vocab_ids(tokenize(sentence2)))
 
     def logit(self, sentence1: str, sentence2: str) -> float:
-        tokens, boundary = self._tokens(sentence1, sentence2)
-        cache = self.encoder.forward(*self.encoder.token_ids(tokens, boundary))
+        cache = self.encoder.forward(*self._pair_ids(sentence1, sentence2))
         return float(self.params["w"] @ pair_readout(cache) + self.params["b"][0])
 
     def score(self, sentence1: str, sentence2: str) -> float:
         return sigmoid(self.logit(sentence1, sentence2))
 
-    def loss_and_grads(self, example: tuple[str, str, int]) -> tuple[float, dict]:
+    def compile(self, example: tuple[str, str, int]) -> PairRow:
         s1, s2, label = example
-        tokens, boundary = self._tokens(s1, s2)
-        cache = self.encoder.forward(*self.encoder.token_ids(tokens, boundary))
+        return PairRow(*self._pair_ids(s1, s2), label)
+
+    def loss_and_grads(self, example: tuple[str, str, int] | PairRow
+                       ) -> tuple[float, dict]:
+        row = example if isinstance(example, PairRow) else self.compile(example)
+        cache = self.encoder.forward(row.ids, row.segs)
         u = pair_readout(cache)
         z = float(self.params["w"] @ u + self.params["b"][0])
-        loss, dz = bce_loss(z, float(label))
+        loss, dz = bce_loss(z, float(row.label))
         grads = {f"enc.{k}": v for k, v in self.encoder.zero_grads().items()}
         grads["head.w"] = dz * u
         grads["head.b"] = np.array([dz])
@@ -309,10 +334,13 @@ def train_pair_classifier(examples: Sequence[tuple[str, str, int]],
 
 
 def train_model(model, examples: list, config: TrainConfig) -> list[float]:
-    """Generic minibatch loop over a model exposing loss_and_grads/all_params.
+    """Generic minibatch loop over a model exposing compile/loss_and_grads/
+    all_params. Every example is compiled to model inputs once, before the
+    first epoch; the compiled rows live only for this call.
 
     Returns the mean training loss per epoch.
     """
+    rows = [model.compile(e) for e in examples]
     params = model.all_params()
     opt = AdamW(params, lr=config.learning_rate,
                 weight_decay=config.weight_decay)
@@ -323,9 +351,9 @@ def train_model(model, examples: list, config: TrainConfig) -> list[float]:
         total = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            grads = {k: np.zeros_like(v) for k, v in params.items()}
+            grads = {k: np.zeros(v.shape) for k, v in params.items()}
             for idx in batch:
-                loss, g = model.loss_and_grads(examples[int(idx)])
+                loss, g = model.loss_and_grads(rows[int(idx)])
                 total += loss
                 for k in grads:
                     grads[k] += g[k]
@@ -333,7 +361,7 @@ def train_model(model, examples: list, config: TrainConfig) -> list[float]:
                 grads[k] /= len(batch)
             if config.learning_rate > 0:
                 opt.step(grads)
-        history.append(total / len(examples))
+        history.append(total / len(rows))
     return history
 
 

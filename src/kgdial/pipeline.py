@@ -3,9 +3,9 @@ file handling, and the end-to-end decode path (detect, track, rank,
 rerank, ensemble, generate, consensus).
 
 Every stage writes its outputs plus a manifest recording input hashes,
-the seed and the package version; re-running a stage with identical
-inputs produces identical artifacts. The decode path never reads gold
-labels of the turns it predicts.
+the seed, the resolved configuration and the package version; re-running
+a stage with identical inputs produces identical artifacts. The decode
+path never reads gold labels of the turns it predicts.
 """
 
 from __future__ import annotations
@@ -193,6 +193,7 @@ def write_manifest(config: PipelineConfig, stage: str, inputs: Sequence[str],
         "stage": stage,
         "version": __version__,
         "seed": config.seed,
+        "config": config.values,
         "inputs": {os.path.basename(p): _hash_file(p) for p in inputs if p},
         "outputs": {os.path.basename(p): _hash_file(p) for p in outputs},
     }
@@ -386,10 +387,8 @@ def stage_train_generate(config: PipelineConfig) -> list[str]:
     inter_path = config.output_path("interrogatives.json")
     with open(inter_path, "w", encoding="utf-8") as fh:
         json.dump(interrogatives, fh, indent=1)
-    if str(config["track.method"]) == "learned":  # read by load_tracker
-        inputs.append(config.output_path("tracker.npz"))
-    manifest = write_manifest(config, "train-generate", inputs,
-                              [path, inter_path])
+    manifest = write_manifest(config, "train-generate",
+                              inputs + _tracker_inputs(config), [path, inter_path])
     return [path, inter_path, manifest]
 
 
@@ -454,6 +453,13 @@ def make_tracker(config: PipelineConfig,
         return track_entities(scorer, dialogue, kb, delta_e)
 
     return tracker
+
+
+def _tracker_inputs(config: PipelineConfig) -> list[str]:
+    """The checkpoint `load_tracker` reads, when tracking is learned."""
+    if str(config["track.method"]) == "learned":
+        return [config.output_path("tracker.npz")]
+    return []
 
 
 def load_tracker(config: PipelineConfig) -> Callable:
@@ -559,20 +565,25 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     corpus = load_corpus(require(config["paths.logs"], "synth"),
                          config["paths.labels"] or None)
     kb = load_knowledge_base(require(config["paths.knowledge"], "synth"))
-    detector = scorer_from_checkpoint(require(
-        config.output_path("detector.npz"), "train-detect"))
+    checkpoints = {name: require(config.output_path(f"{name}.npz"), stage)
+                   for name, stage in (("detector", "train-detect"),
+                                       ("pointwise", "train-select"),
+                                       ("listwise", "train-select"),
+                                       ("generator", "train-generate"))}
+    detector = scorer_from_checkpoint(checkpoints["detector"])
     tracker = load_tracker(config)
-    pointwise = _load_rank_model(require(
-        config.output_path("pointwise.npz"), "train-select"), "PointwiseModel",
-        config, kb)
-    listwise = _load_rank_model(require(
-        config.output_path("listwise.npz"), "train-select"), "ListwiseModel",
-        config, kb)
-    generator = load_generator(require(
-        config.output_path("generator.npz"), "train-generate"))
+    pointwise = _load_rank_model(checkpoints["pointwise"], "PointwiseModel",
+                                 config, kb)
+    listwise = _load_rank_model(checkpoints["listwise"], "ListwiseModel",
+                                config, kb)
+    generator = load_generator(checkpoints["generator"])
+    inputs = [config["paths.logs"], config["paths.labels"], config["paths.knowledge"],
+              *checkpoints.values(), *_tracker_inputs(config)]
     weights_path = config.output_path("consensus.weights.json")
-    weights = load_weights(weights_path) if os.path.exists(weights_path) \
-        else ConsensusWeights.uniform()
+    weights = ConsensusWeights.uniform()
+    if os.path.exists(weights_path):
+        weights = load_weights(weights_path)
+        inputs.append(weights_path)
 
     detect_tokens = int(config["detect.max_tokens"])
     alpha = float(config["rank.alpha"])
@@ -602,7 +613,7 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     path = config.output_path("predictions.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, ensure_ascii=False, indent=1)
-    manifest = write_manifest(config, "decode", [config["paths.logs"]], [path])
+    manifest = write_manifest(config, "decode", inputs, [path])
     return [path, manifest]
 
 

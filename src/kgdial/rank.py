@@ -4,10 +4,18 @@ selection), negative sampling, list-wise 5-way reranking, k-fold
 bootstrapping of list-wise data, and the sum-of-probabilities ensemble.
 
 Ranking one turn scores a list of candidates against one dialogue, so
-whatever depends on the dialogue alone (its tracked entities, history
-tokens and the dialogue part of the sparse features) is computed once per
-ranking call; each candidate then costs its snippet tokens, one encoder
-pass over the history-snippet pair and the per-snippet feature tests.
+whatever depends on the dialogue alone (its tracked entities, history ids
+and the dialogue part of the sparse features) is computed once per ranking
+call; each candidate then costs one encoder pass over the history-snippet
+pair, built from id arrays, and the per-snippet feature tests. A model
+maps each snippet to ids on its first use and keeps them, since its
+vocabulary is fixed.
+
+Training compiles each row once per training run, not once per epoch:
+the encoder pair, the sparse-feature vector and (with MTL) the entity-name
+input of a point-wise row, the pairs and feature vectors of a list-wise
+one. A row that online entity-name augmentation rewrites on a call is
+built afresh for that call.
 
 The multi-task head computes, for a pooled query vector f and per-token
 states H of the concatenated entity names,
@@ -336,6 +344,24 @@ def _mtl_backward(cache, params: MTLParams, dlogits: np.ndarray,
     return df, dH
 
 
+def _pair_inputs(encoder: ToyEncoder, snippet_ids: dict[KnowledgeSnippet, np.ndarray],
+                 dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet]
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(ids, segs) of the dialogue history followed by each candidate,
+    equal to ``encoder.token_ids(history + snippet, len(history))``. The
+    history is mapped to ids once; a snippet is mapped on its first use and
+    kept in ``snippet_ids``, the model's table (its vocabulary is fixed)."""
+    history = encoder.vocab_ids(tokenize(linearize_history(dialogue)))
+    pairs = []
+    for snippet in candidates:
+        ids = snippet_ids.get(snippet)
+        if ids is None:
+            ids = snippet_ids[snippet] = encoder.vocab_ids(
+                tokenize(linearize_knowledge(snippet)))
+        pairs.append(encoder.pair_ids(history, ids))
+    return pairs
+
+
 @dataclass
 class PointwiseInstance:
     """One (dialogue, candidate) training row with its auxiliary targets
@@ -370,6 +396,17 @@ class PointwiseConfig:
     ena: Optional[AugmentConfig] = None
 
 
+@dataclass(frozen=True)
+class PointwiseRow:
+    """A point-wise training row compiled to model inputs: the encoder pair
+    and the sparse-feature vector built from ``instance.dialogue``, and the
+    entity-name input of the multi-task head (``None`` without MTL)."""
+    instance: PointwiseInstance
+    pair: tuple[np.ndarray, np.ndarray]
+    features: np.ndarray
+    entity_input: Optional[tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]
+
+
 class PointwiseModel:
     """Wide & Deep point-wise scorer with an optional multi-task head."""
 
@@ -392,6 +429,7 @@ class PointwiseModel:
                 lambda_entity=config.lambda_entity)
         self._ena_rng = np.random.default_rng(config.seed + 2)
         self._kb: Optional[KnowledgeBase] = None
+        self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
 
     def bind_kb(self, kb: KnowledgeBase) -> None:
         self._kb = kb
@@ -407,11 +445,6 @@ class PointwiseModel:
                         "mtl.dom": self.mtl.domain_weights,
                         "mtl.bdom": self.mtl.domain_bias})
         return out
-
-    def _input1_tokens(self, dialogue: Dialogue,
-                       candidate: KnowledgeSnippet) -> tuple[list[str], int]:
-        history = tokenize(linearize_history(dialogue))
-        return history + tokenize(linearize_knowledge(candidate)), len(history)
 
     def _input2(self, entity_names: Sequence[str]) -> tuple[list[str], list[tuple[int, int]]]:
         tokens: list[str] = []
@@ -445,12 +478,11 @@ class PointwiseModel:
         own encoder pass, since the encoder attends across the pair."""
         if tracked is None:
             tracked = self._tracked(dialogue)
-        history = tokenize(linearize_history(dialogue))
         context = dialogue_features(dialogue, tracked)
         out = []
-        for candidate in candidates:
-            tokens = history + tokenize(linearize_knowledge(candidate))
-            cache = self.encoder.forward(*self.encoder.token_ids(tokens, len(history)))
+        pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
+        for candidate, pair in zip(candidates, pairs):
+            cache = self.encoder.forward(*pair)
             feats = context.snippet_features(
                 candidate, self.config.variant, alpha).vector()
             out.append(float(self.head["w"] @ pair_readout(cache) + self.head["b"][0]
@@ -467,24 +499,42 @@ class PointwiseModel:
               tracked: Optional[Sequence[Entity]] = None) -> float:
         return sigmoid(self.logit(dialogue, candidate, alpha, tracked))
 
-    def loss_and_grads(self, instance: PointwiseInstance) -> tuple[float, dict]:
+    def _dialogue_inputs(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
+                         tracked: Optional[Sequence[Entity]]
+                         ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        pair, = _pair_inputs(self.encoder, self._snippet_ids, dialogue, [candidate])
+        return pair, self.features(dialogue, candidate, tracked, alpha=1.0).vector()
+
+    def compile(self, instance: PointwiseInstance) -> PointwiseRow:
+        entity_input = None
+        if self.mtl is not None:
+            tokens2, spans = self._input2(instance.entity_names)
+            ids2, segs2 = self.encoder.token_ids(tokens2)
+            if len(ids2) != len(tokens2):
+                raise RankError("entity input exceeds encoder max_len; raise max_len")
+            entity_input = (ids2, segs2, spans)
+        pair, feats = self._dialogue_inputs(instance.dialogue, instance.candidate,
+                                            instance.tracked)
+        return PointwiseRow(instance, pair, feats, entity_input)
+
+    def loss_and_grads(self, instance: PointwiseInstance | PointwiseRow
+                       ) -> tuple[float, dict]:
         cfg = self.config
-        dialogue = instance.dialogue
+        row = instance if isinstance(instance, PointwiseRow) else self.compile(instance)
+        instance = row.instance
+        pair, feats = row.pair, row.features
         if cfg.ena is not None:
             dialogue = augment_entity_name(
-                dialogue, instance.candidate, bool(instance.label),
+                instance.dialogue, instance.candidate, bool(instance.label),
                 cfg.ena, self._ena_rng)
+            if dialogue is not instance.dialogue:  # rewritten: built and tracked afresh
+                pair, feats = self._dialogue_inputs(dialogue, instance.candidate, None)
         params = self.all_params()
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        grads = {k: np.zeros(v.shape) for k, v in params.items()}
 
-        tokens1, boundary = self._input1_tokens(dialogue, instance.candidate)
-        cache1 = self.encoder.forward(*self.encoder.token_ids(tokens1, boundary))
+        cache1 = self.encoder.forward(*pair)
         f1 = cache1["f"]
         u1 = pair_readout(cache1)
-        # a dialogue that ENA rewrote (a new object) is tracked afresh
-        tracked = instance.tracked if dialogue is instance.dialogue else None
-        feats = self.features(dialogue, instance.candidate, tracked,
-                              alpha=1.0).vector()
         z = float(self.head["w"] @ u1 + self.head["b"][0] + self.wide["u"] @ feats)
         rank_loss, dz = bce_loss(z, float(instance.label))
         lam_rank = self.mtl.lambda_rank if self.mtl is not None else cfg.lambda_rank
@@ -509,10 +559,7 @@ class PointwiseModel:
             df1 = df1 + self.mtl.domain_weights @ ddom
 
             # entity selection over the sampled candidate names
-            tokens2, spans = self._input2(instance.entity_names)
-            ids2, segs2 = self.encoder.token_ids(tokens2)
-            if len(ids2) != len(tokens2):
-                raise RankError("entity input exceeds encoder max_len; raise max_len")
+            ids2, segs2, spans = row.entity_input
             cache2 = self.encoder.forward(ids2, segs2)
             mtl_cache = _mtl_forward_cache(f1, cache2["H"], spans, self.mtl)
             p_ent = mtl_cache["p"]
@@ -661,6 +708,15 @@ class ListwiseConfig:
     alpha_mask: tuple[int, int, int, int] = (1, 1, 1, 1)
 
 
+@dataclass(frozen=True)
+class ListwiseRow:
+    """A list-wise training instance compiled to model inputs: one encoder
+    pair and one sparse-feature vector (indicator value 1) per candidate."""
+    instance: ListwiseInstance
+    pairs: list[tuple[np.ndarray, np.ndarray]]
+    vectors: list[np.ndarray]
+
+
 class ListwiseModel:
     """Jointly normalized scorer over a short candidate list."""
 
@@ -671,6 +727,7 @@ class ListwiseModel:
         rng = np.random.default_rng(config.seed + 1)
         self.head = {"w": rng.normal(0.0, 0.1, size=2 * config.d), "b": np.zeros(1)}
         self.wide = {"u": np.zeros(N_SPARSE)}
+        self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
 
     def all_params(self) -> dict[str, np.ndarray]:
         out = {f"enc.{k}": v for k, v in self.encoder.params.items()}
@@ -679,48 +736,59 @@ class ListwiseModel:
         out["wide.u"] = self.wide["u"]
         return out
 
-    def _logits(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
-                features: Sequence[SparseFeatures], alpha: float,
+    def _vectors(self, features: Sequence[SparseFeatures],
+                 alpha: float) -> list[np.ndarray]:
+        return [replace(feat, alpha=alpha).vector(mask=self.config.alpha_mask)
+                for feat in features]
+
+    def _logits(self, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+                vectors: Sequence[np.ndarray],
                 caches: Optional[list] = None) -> np.ndarray:
-        history_tokens = tokenize(linearize_history(dialogue))
-        logits = np.empty(len(candidates))
-        for j, (snip, feat) in enumerate(zip(candidates, features)):
-            tokens = history_tokens + tokenize(linearize_knowledge(snip))
-            cache = self.encoder.forward(
-                *self.encoder.token_ids(tokens, len(history_tokens)))
-            vec = replace(feat, alpha=alpha).vector(mask=self.config.alpha_mask)
-            logits[j] = (self.head["w"] @ pair_readout(cache) + self.head["b"][0]
-                         + self.wide["u"] @ vec)
+        """Logit of every (pair, vector); ``caches`` collects each
+        candidate's (encoder cache, readout, vector)."""
+        logits = np.empty(len(pairs))
+        for j, (pair, vec) in enumerate(zip(pairs, vectors)):
+            cache = self.encoder.forward(*pair)
+            u = pair_readout(cache)
+            logits[j] = self.head["w"] @ u + self.head["b"][0] + self.wide["u"] @ vec
             if caches is not None:
-                caches.append((cache, vec))
+                caches.append((cache, u, vec))
         return logits
 
     def distribution(self, dialogue: Dialogue,
                      candidates: Sequence[KnowledgeSnippet],
                      features: Sequence[SparseFeatures],
                      alpha: Optional[float] = None) -> np.ndarray:
+        """Distribution over the (at most 5) candidates."""
         if not candidates:
             raise RankError("listwise scoring needs at least one candidate")
         if len(candidates) > 5:
             raise RankError("listwise scoring accepts at most 5 candidates")
         alpha = self.config.alpha_inference if alpha is None else alpha
-        return softmax(self._logits(dialogue, candidates, features, alpha))
+        pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
+        return softmax(self._logits(pairs, self._vectors(features, alpha)))
 
-    def loss_and_grads(self, instance: ListwiseInstance) -> tuple[float, dict]:
-        params = self.all_params()
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        caches: list = []
+    def compile(self, instance: ListwiseInstance) -> ListwiseRow:
         # training uses indicator value 1; alpha applies at inference only
-        logits = self._logits(instance.dialogue, instance.candidates,
-                              instance.features, 1.0, caches)
-        p = softmax(logits)
-        loss = -math.log(max(p[instance.true_index], 1e-300))
+        pairs = _pair_inputs(self.encoder, self._snippet_ids, instance.dialogue,
+                             instance.candidates)
+        return ListwiseRow(instance, pairs, self._vectors(instance.features, 1.0))
+
+    def loss_and_grads(self, instance: ListwiseInstance | ListwiseRow
+                       ) -> tuple[float, dict]:
+        row = instance if isinstance(instance, ListwiseRow) else self.compile(instance)
+        params = self.all_params()
+        grads = {k: np.zeros(v.shape) for k, v in params.items()}
+        caches: list = []
+        p = softmax(self._logits(row.pairs, row.vectors, caches))
+        true_index = row.instance.true_index
+        loss = -math.log(max(p[true_index], 1e-300))
         dlogits = p.copy()
-        dlogits[instance.true_index] -= 1.0
+        dlogits[true_index] -= 1.0
         enc_grads = {name: grads[f"enc.{name}"] for name in self.encoder.params}
-        for j, (cache, vec) in enumerate(caches):
+        for j, (cache, u, vec) in enumerate(caches):
             dz = dlogits[j]
-            grads["head.w"] += dz * pair_readout(cache)
+            grads["head.w"] += dz * u
             grads["head.b"] += np.array([dz])
             grads["wide.u"] += dz * vec
             dH, df = pair_readout_backward(cache, dz * self.head["w"])
@@ -797,14 +865,6 @@ def train_listwise(instances: Sequence[ListwiseInstance], kb: KnowledgeBase,
     return model
 
 
-def listwise_rank(model: ListwiseModel, dialogue: Dialogue,
-                  top5: Sequence[KnowledgeSnippet],
-                  features: Sequence[SparseFeatures],
-                  alpha: Optional[float] = None) -> np.ndarray:
-    """Distribution over the (at most 5) candidates."""
-    return model.distribution(dialogue, top5, features, alpha)
-
-
 def listwise_rerank(model: ListwiseModel, dialogue: Dialogue,
                     ranked: RankedKnowledgeList,
                     tracked: Sequence[Entity],
@@ -814,7 +874,7 @@ def listwise_rerank(model: ListwiseModel, dialogue: Dialogue,
     cands = [s for s, _ in ranked.items]
     context = dialogue_features(dialogue, tracked)
     feats = [context.snippet_features(s, model.config.variant) for s in cands]
-    dist = listwise_rank(model, dialogue, cands, feats, alpha)
+    dist = model.distribution(dialogue, cands, feats, alpha)
     return RankedKnowledgeList(ranked.turn_id,
                                _sorted_items(list(zip(cands, dist))))
 

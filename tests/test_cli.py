@@ -1,11 +1,13 @@
+import hashlib
 import json
 import shutil
 
 import pytest
 
 from kgdial.cli import main
+from kgdial.consensus import ConsensusWeights, save_weights
 from kgdial.models import load_checkpoint, save_checkpoint
-from kgdial.pipeline import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK
+from kgdial.pipeline import CONFIG_DEFAULTS, EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK
 
 
 @pytest.fixture(scope="module")
@@ -85,17 +87,41 @@ def test_full_pipeline_runs(workdir, capsys):
     assert "generation-bleu-4" in report["scores"]
 
 
-def test_manifests_record_hashes(workdir):
-    root, _, _ = workdir
-    manifest = json.loads((root / "out" / "decode.manifest.json").read_text())
+def test_manifests_record_hashes(workdir, tmp_path):
+    root, _, cfg = workdir
+    out = root / "out"
+    manifest = json.loads((out / "decode.manifest.json").read_text())
     assert manifest["stage"] == "decode"
     assert manifest["seed"] == 5
     assert "predictions.json" in manifest["outputs"]
+    # fuzzy tracking reads no tracker; no consensus weights were tuned
+    assert set(manifest["inputs"]) == {
+        "logs.json", "labels.json", "knowledge.json", "detector.npz",
+        "pointwise.npz", "listwise.npz", "generator.npz"}
+    for name in ("detector.npz", "generator.npz"):
+        assert manifest["inputs"][name] == hashlib.sha256(
+            (out / name).read_bytes()).hexdigest()
     for stage in ("train-detect", "train-select", "train-generate"):
-        manifest = json.loads((root / "out" / f"{stage}.manifest.json").read_text())
+        manifest = json.loads((out / f"{stage}.manifest.json").read_text())
         assert manifest["inputs"], stage
         assert {"augmented.logs.json", "augmented.labels.json",
                 "knowledge.json"} <= set(manifest["inputs"]), stage
+    for stage in ("augment", "train-detect", "train-select", "train-generate",
+                  "decode", "evaluate"):
+        config = json.loads((out / f"{stage}.manifest.json").read_text())["config"]
+        assert config == dict(CONFIG_DEFAULTS, **config), stage
+        assert config["paths.output"] == f"{root}/out", stage
+        assert config["track.method"] == "fuzzy" and config["seed"] == 5, stage
+        assert config["rank.alpha"] == CONFIG_DEFAULTS["rank.alpha"], stage
+
+    tuned = tmp_path / "out"
+    shutil.copytree(out, tuned)
+    save_weights(ConsensusWeights.uniform(), str(tuned / "consensus.weights.json"))
+    assert main(["decode", "--config", str(cfg), "--stage-overrides",
+                 f"paths.output={tuned}"]) == EXIT_OK
+    manifest = json.loads((tuned / "decode.manifest.json").read_text())
+    assert "consensus.weights.json" in manifest["inputs"]
+    assert manifest["config"]["paths.output"] == str(tuned)
 
 
 def test_corrupt_checkpoint_is_one_line_domain_error(workdir, tmp_path, capsys):

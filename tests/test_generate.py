@@ -200,11 +200,48 @@ class TestGenerator:
     def test_loss_equals_reference_step_by_step(self, trained):
         model, examples = trained
         for e in examples + overfit_examples(4):
-            loss, grads = model.loss_and_grads(e)
             ref_loss, ref_grads = reference_loss_and_grads(model, e)
-            assert loss == ref_loss
-            for key, value in ref_grads.items():
-                assert np.array_equal(grads[key], value), key
+            for given_ in (e, model.compile(e)):
+                loss, grads = model.loss_and_grads(given_)
+                assert loss == ref_loss
+                for key, value in ref_grads.items():
+                    assert np.array_equal(grads[key], value), key
+
+    @settings(max_examples=80, deadline=None)
+    @given(V=st.integers(3, 40), d=st.integers(1, 40), max_target=st.integers(1, 96),
+           n_words=st.integers(0, 120), ctx_words=st.integers(0, 30),
+           scale=st.sampled_from([0.1, 1.0, 30.0]), seed=st.integers(0, 2 ** 16))
+    def test_loss_equals_reference_on_random_generators(
+            self, V, d, max_target, n_words, ctx_words, scale, seed):
+        rng = np.random.default_rng(seed)
+        vocab = {f"w{i}": i for i in range(V - 1)}
+        model = ToyGenerator(vocab, d=d, max_target_tokens=max_target, seed=seed)
+        for key, value in model.params.items():
+            value[...] = rng.normal(0.0, scale, size=value.shape)
+        words = [f"w{i}" for i in rng.integers(0, V + 3, size=n_words)]
+        ctx = [f"w{i}" for i in rng.integers(0, V + 3, size=ctx_words)]
+        e = GenExample(turn_id="r", context=GenerationContext(
+            text=" ".join(ctx), has_knowledge=False),
+            target=" ".join([TAG_RESP] + words))
+        ref_loss, ref_grads = reference_loss_and_grads(model, e)
+        loss, grads = model.loss_and_grads(model.compile(e))
+        assert loss == ref_loss
+        for key, value in ref_grads.items():
+            assert np.array_equal(grads[key], value), key
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_training_tokenizes_each_example_once(self, monkeypatch, epochs):
+        import kgdial.generate as generate
+
+        examples = overfit_examples(4)
+        calls = []
+        real = generate.tokenize
+        monkeypatch.setattr(generate, "tokenize",
+                            lambda text: calls.append(text) or real(text))
+        train_generator(examples, GenTrainConfig(epochs=epochs, seed=1,
+                                                 max_target_tokens=16))
+        # two streams per example for the vocabulary, two for its row
+        assert len(calls) == 4 * len(examples)
 
     def test_generator_gradients(self):
         from kgdial.models import finite_difference_check

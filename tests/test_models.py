@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kgdial import models
+from kgdial.corpus import tokenize
 from kgdial.models import (
-    ModelError, ToyEncoder, ToyPairScorer, TrainConfig, build_vocab,
-    finite_difference_check, load_checkpoint, save_checkpoint,
-    scorer_from_checkpoint, scorer_to_checkpoint, train_pair_classifier,
+    ModelError, PairRow, ToyEncoder, ToyPairScorer, TrainConfig, bce_loss,
+    build_vocab, finite_difference_check, load_checkpoint, pair_readout,
+    pair_readout_backward, save_checkpoint, scorer_from_checkpoint,
+    scorer_to_checkpoint, softmax, train_pair_classifier,
 )
 
 # trivially separable: "alpha ..." pairs are positive, "omega ..." negative
@@ -241,3 +248,153 @@ def test_every_public_annotation_resolves():
                 typing.get_type_hints(member)
                 checked += 1
     assert checked > 100
+
+
+# -- the definitions before rows were compiled, kept as oracles ---------------
+
+
+def reference_token_ids(encoder, tokens, boundary=None):
+    ids = [encoder.vocab.get(t, 0) for t in tokens]
+    segs = [0] * len(ids)
+    if boundary is not None:
+        for i in range(min(boundary, len(ids)), len(ids)):
+            segs[i] = 1
+    if not ids:
+        ids, segs = [0], [0]
+    if len(ids) > encoder.max_len:
+        ids = ids[-encoder.max_len:]
+        segs = segs[-encoder.max_len:]
+    return np.asarray(ids, dtype=np.int64), np.asarray(segs, dtype=np.int64)
+
+
+def reference_softmax(x, axis=-1):
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def reference_pair_readout(cache):
+    H = cache["H"]
+    mask = cache["segs"] == 1
+    seg_pool = H[mask].mean(axis=0) if mask.any() else np.zeros(H.shape[1])
+    return np.concatenate([cache["f"], seg_pool])
+
+
+def reference_forward(encoder, ids, segs):
+    p = encoder.params
+    E = p["emb"][ids] + p["seg"][segs]
+    Q, K, Vm = E @ p["wq"], E @ p["wk"], E @ p["wv"]
+    A = reference_softmax((Q @ K.T) / math.sqrt(encoder.d), axis=-1)
+    H = E + A @ Vm
+    f = H.mean(axis=0) if encoder.pooling == "mean" else H[0]
+    return {"ids": ids, "segs": segs, "E": E, "Q": Q, "K": K, "Vm": Vm,
+            "A": A, "H": H, "f": f}
+
+
+def reference_pair_loss(scorer, example):
+    """ToyPairScorer.loss_and_grads tokenizing its example on every call."""
+    s1, s2, label = example
+    left = tokenize(s1)
+    tokens = left + tokenize(s2)
+    cache = scorer.encoder.forward(
+        *reference_token_ids(scorer.encoder, tokens, len(left)))
+    u = reference_pair_readout(cache)
+    z = float(scorer.params["w"] @ u + scorer.params["b"][0])
+    loss, dz = bce_loss(z, float(label))
+    grads = {f"enc.{k}": v for k, v in scorer.encoder.zero_grads().items()}
+    grads["head.w"] = dz * u
+    grads["head.b"] = np.array([dz])
+    dH, df = pair_readout_backward(cache, dz * scorer.params["w"])
+    enc_grads = {k.split(".", 1)[1]: v for k, v in grads.items() if k.startswith("enc.")}
+    scorer.encoder.backward(cache, dH, df, enc_grads)
+    return loss, grads
+
+
+def assert_same_loss(got, expected):
+    loss, grads = got
+    ref_loss, ref_grads = expected
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for key, value in ref_grads.items():
+        assert np.array_equal(grads[key], value), key
+
+
+TOKENS = st.lists(st.sampled_from(["a", "b", "c", "⟨kng⟩", "zz", "unknown"]),
+                  max_size=12)
+
+
+class TestCompiledInputs:
+    VOCAB = {"⟨unk⟩": 0, "a": 1, "b": 2, "c": 3, "⟨kng⟩": 4}
+
+    @settings(max_examples=300, deadline=None)
+    @given(left=TOKENS, right=TOKENS, max_len=st.integers(1, 14))
+    @example(left=[], right=[], max_len=4)
+    @example(left=["a"] * 5, right=[], max_len=4)
+    @example(left=[], right=["b"] * 5, max_len=4)
+    @example(left=["a"] * 3, right=["b"] * 3, max_len=6)
+    @example(left=["a"] * 3, right=["b"] * 3, max_len=5)
+    def test_pair_ids_equal_token_ids(self, left, right, max_len):
+        enc = ToyEncoder(self.VOCAB, d=4, max_len=max_len)
+        ids, segs = enc.pair_ids(enc.vocab_ids(left), enc.vocab_ids(right))
+        ref_ids, ref_segs = reference_token_ids(enc, left + right, len(left))
+        assert ids.dtype == ref_ids.dtype and segs.dtype == ref_segs.dtype
+        assert np.array_equal(ids, ref_ids) and np.array_equal(segs, ref_segs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=TOKENS, boundary=st.one_of(st.none(), st.integers(0, 16)),
+           max_len=st.integers(1, 14))
+    def test_token_ids_equal_reference(self, tokens, boundary, max_len):
+        enc = ToyEncoder(self.VOCAB, d=4, max_len=max_len)
+        got = enc.token_ids(tokens, boundary)
+        ref = reference_token_ids(enc, tokens, boundary)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.sampled_from([(1,), (5,), (3, 4), (7, 7), (2, 3, 5)]),
+           scale=st.sampled_from([1e-3, 1.0, 40.0, 800.0]),
+           seed=st.integers(0, 2 ** 16))
+    def test_softmax_equals_definition(self, shape, scale, seed):
+        x = np.random.default_rng(seed).normal(0.0, scale, size=shape)
+        for axis in range(-1, -len(shape) - 1, -1):
+            before = x.copy()
+            assert np.array_equal(softmax(x, axis=axis), reference_softmax(x, axis=axis))
+            assert np.array_equal(x, before)  # the input is not written to
+
+    @settings(max_examples=150, deadline=None)
+    @given(left=TOKENS, right=TOKENS, max_len=st.integers(1, 14),
+           pooling=st.sampled_from(["mean", "first"]), seed=st.integers(0, 1000))
+    def test_forward_and_readout_equal_definition(self, left, right, max_len,
+                                                  pooling, seed):
+        enc = ToyEncoder(self.VOCAB, d=6, max_len=max_len, pooling=pooling, seed=seed)
+        ids, segs = enc.pair_ids(enc.vocab_ids(left), enc.vocab_ids(right))
+        cache, ref = enc.forward(ids, segs), reference_forward(enc, ids, segs)
+        for key in ref:
+            assert np.array_equal(cache[key], ref[key]), key
+        assert np.array_equal(pair_readout(cache), reference_pair_readout(ref))
+
+
+class TestCompiledPairRows:
+    def scorer(self):
+        examples = separable_set() + [("", "", 1), ("alpha " * 40, "omega", 0)]
+        return examples, train_pair_classifier(
+            examples, TrainConfig(epochs=2, learning_rate=0.05, seed=3, max_len=16))
+
+    def test_compiled_loss_equals_per_call_path(self):
+        examples, scorer = self.scorer()
+        for example in examples + [("unseen words", "alpha", 1)]:
+            expected = reference_pair_loss(scorer, example)
+            row = scorer.compile(example)
+            assert isinstance(row, PairRow)
+            assert_same_loss(scorer.loss_and_grads(row), expected)
+            assert_same_loss(scorer.loss_and_grads(example), expected)
+
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_training_tokenizes_each_row_once(self, monkeypatch, epochs):
+        examples = separable_set()
+        vocab = build_vocab([tokenize(a) + tokenize(b) for a, b, _ in examples])
+        calls = []
+        real = models.tokenize
+        monkeypatch.setattr(models, "tokenize",
+                            lambda text: calls.append(text) or real(text))
+        train_pair_classifier(examples, TrainConfig(epochs=epochs, seed=1), vocab=vocab)
+        assert len(calls) == 2 * len(examples)

@@ -267,6 +267,9 @@ def test_default_learned_tracking_runs_end_to_end(tmp_path):
         records = json.load(fh)
     assert len(records) == len(dialogues)
     validate_labels_schema(records)
+    for stage in ("train-generate", "decode"):
+        with open(tmp_path / "out" / f"{stage}.manifest.json", encoding="utf-8") as fh:
+            assert "tracker.npz" in json.load(fh)["inputs"], stage
 
 
 class TestCheckpointValidation:

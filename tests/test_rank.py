@@ -3,23 +3,29 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdial import rank
-from kgdial.augment import AugmentConfig
 from kgdial.corpus import (
     DOMAIN_LEVEL, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
     TurnLabel, linearize_history, linearize_knowledge, tokenize,
 )
 from kgdial.entity_track import collect_candidates, exact_match_entities
-from kgdial.models import finite_difference_check, pair_readout, sigmoid
+from kgdial.augment import AugmentConfig, augment_entity_name
+from kgdial.models import (bce_loss, finite_difference_check, pair_readout_backward,
+                           sigmoid)
 from kgdial.rank import (
-    ListwiseConfig, MTLParams, PointwiseConfig, PointwiseInstance,
+    ListwiseConfig, ListwiseModel, MTLParams, PointwiseConfig, PointwiseInstance,
     RankedKnowledgeList, RankError, Variant, build_listwise_training_data,
     build_pointwise_instances, ensemble_rank, extract_sparse_features,
-    listwise_rank, listwise_rerank, mtl_forward, pointwise_rank,
+    listwise_rerank, mtl_forward, pointwise_rank,
     ranking_metrics, sample_entity_candidates, sample_negatives,
     train_listwise, train_pointwise,
 )
+from kgdial.rank import _mtl_forward_cache, _mtl_backward, _pair_inputs
+from test_models import (assert_same_loss, reference_pair_readout, reference_softmax,
+                         reference_token_ids)
 
 
 def snip(domain, entity_id, name, doc_id, q=None, a=None):
@@ -454,11 +460,11 @@ def reference_logit(m, kb, d, snippet, alpha, tracked):
     """One candidate scored on its own, as the point-wise model defines it."""
     history = tokenize(linearize_history(d))
     tokens = history + tokenize(linearize_knowledge(snippet))
-    cache = m.encoder.forward(*m.encoder.token_ids(tokens, len(history)))
+    cache = m.encoder.forward(*reference_token_ids(m.encoder, tokens, len(history)))
     if tracked is None:
         tracked = exact_match_entities(d, kb)
     feats = extract_sparse_features(d, snippet, tracked, m.config.variant, alpha)
-    return float(m.head["w"] @ pair_readout(cache) + m.head["b"][0]
+    return float(m.head["w"] @ reference_pair_readout(cache) + m.head["b"][0]
                  + m.wide["u"] @ feats.vector())
 
 
@@ -509,13 +515,13 @@ class TestBatchedPointwise:
         model = train_listwise(instances, kb,
                                ListwiseConfig(epochs=1, d=10, variant=variant))
         seen = []
-        real = rank.listwise_rank
+        real = ListwiseModel.distribution
 
         def recording(model_, dialogue, top5, features, alpha=None):
             seen.append(list(features))
             return real(model_, dialogue, top5, features, alpha)
 
-        monkeypatch.setattr(rank, "listwise_rank", recording)
+        monkeypatch.setattr(ListwiseModel, "distribution", recording)
         for d in self.dialogues(kb):
             tracked = exact_match_entities(d, kb)
             cands = collect_candidates(list(kb.entities), kb)[:5]
@@ -535,7 +541,7 @@ class TestListwise:
         d = corpus[0]
         same = [kb.snippets_for("hotel", "1")[0]] * 5
         feats = [extract_sparse_features(d, s, []) for s in same]
-        dist = listwise_rank(model, d, same, feats, alpha=1.0)
+        dist = model.distribution(d, same, feats, alpha=1.0)
         assert dist == pytest.approx([0.2] * 5)
 
     def test_distribution_sums_to_one(self):
@@ -551,7 +557,7 @@ class TestListwise:
             cands = [kb.snippets[int(i)] for i in picks]
             d = corpus[int(rng.integers(len(corpus)))]
             feats = [extract_sparse_features(d, s, []) for s in cands]
-            dist = listwise_rank(model, d, cands, feats)
+            dist = model.distribution(d, cands, feats)
             assert abs(dist.sum() - 1.0) < 1e-6
             assert len(dist) == take  # no padding logits
 
@@ -660,3 +666,201 @@ class TestRankingMetrics:
         assert got["mrr@5"] == pytest.approx(1 / 3)
         assert got["r@1"] == 0.0
         assert got["r@5"] == 1.0
+
+
+# -- the per-call training paths before rows were compiled, kept as oracles ----
+
+
+def reference_pointwise_loss(model, instance):
+    """PointwiseModel.loss_and_grads re-tokenizing and re-featurizing its
+    instance on every call."""
+    cfg = model.config
+    dialogue = instance.dialogue
+    if cfg.ena is not None:
+        dialogue = augment_entity_name(
+            dialogue, instance.candidate, bool(instance.label), cfg.ena,
+            model._ena_rng)
+    grads = {k: np.zeros_like(v) for k, v in model.all_params().items()}
+    history = tokenize(linearize_history(dialogue))
+    tokens1 = history + tokenize(linearize_knowledge(instance.candidate))
+    cache1 = model.encoder.forward(
+        *reference_token_ids(model.encoder, tokens1, len(history)))
+    f1 = cache1["f"]
+    u1 = reference_pair_readout(cache1)
+    tracked = instance.tracked if dialogue is instance.dialogue else None
+    feats = model.features(dialogue, instance.candidate, tracked, alpha=1.0).vector()
+    z = float(model.head["w"] @ u1 + model.head["b"][0] + model.wide["u"] @ feats)
+    rank_loss, dz = bce_loss(z, float(instance.label))
+    lam_rank = model.mtl.lambda_rank if model.mtl is not None else cfg.lambda_rank
+    loss = lam_rank * rank_loss
+    dz *= lam_rank
+    grads["head.w"] += dz * u1
+    grads["head.b"] += np.array([dz])
+    grads["wide.u"] += dz * feats
+    dH1, df1 = pair_readout_backward(cache1, dz * model.head["w"])
+    enc_grads = {name: grads[f"enc.{name}"] for name in model.encoder.params}
+    if model.mtl is not None:
+        mtl = model.mtl
+        dom_p = reference_softmax(f1 @ mtl.domain_weights + mtl.domain_bias)
+        loss += -mtl.lambda_domain * math.log(max(dom_p[instance.domain_id], 1e-300))
+        ddom = mtl.lambda_domain * dom_p.copy()
+        ddom[instance.domain_id] -= mtl.lambda_domain
+        grads["mtl.dom"] += np.outer(f1, ddom)
+        grads["mtl.bdom"] += ddom
+        df1 = df1 + mtl.domain_weights @ ddom
+        tokens2, spans = model._input2(instance.entity_names)
+        cache2 = model.encoder.forward(*reference_token_ids(model.encoder, tokens2))
+        mtl_cache = _mtl_forward_cache(f1, cache2["H"], spans, mtl)
+        p_ent = mtl_cache["p"]
+        true_entity = instance.true_entity_index
+        loss += -mtl.lambda_entity * math.log(max(p_ent[true_entity], 1e-300))
+        dlogits = mtl.lambda_entity * p_ent.copy()
+        dlogits[true_entity] -= mtl.lambda_entity
+        df_mtl, dH2 = _mtl_backward(mtl_cache, mtl, dlogits, grads)
+        df1 = df1 + df_mtl
+        model.encoder.backward(cache2, dH2, None, enc_grads)
+    model.encoder.backward(cache1, dH1, df1, enc_grads)
+    return loss, grads
+
+
+def reference_listwise_loss(model, instance):
+    """ListwiseModel.loss_and_grads re-tokenizing its list on every call and
+    computing each readout twice."""
+    grads = {k: np.zeros_like(v) for k, v in model.all_params().items()}
+    history = tokenize(linearize_history(instance.dialogue))
+    caches, logits = [], np.empty(len(instance.candidates))
+    for j, (snip, feat) in enumerate(zip(instance.candidates, instance.features)):
+        tokens = history + tokenize(linearize_knowledge(snip))
+        cache = model.encoder.forward(
+            *reference_token_ids(model.encoder, tokens, len(history)))
+        vec = replace(feat, alpha=1.0).vector(mask=model.config.alpha_mask)
+        logits[j] = (model.head["w"] @ reference_pair_readout(cache)
+                     + model.head["b"][0] + model.wide["u"] @ vec)
+        caches.append((cache, vec))
+    p = reference_softmax(logits)
+    loss = -math.log(max(p[instance.true_index], 1e-300))
+    dlogits = p.copy()
+    dlogits[instance.true_index] -= 1.0
+    enc_grads = {name: grads[f"enc.{name}"] for name in model.encoder.params}
+    for j, (cache, vec) in enumerate(caches):
+        dz = dlogits[j]
+        grads["head.w"] += dz * reference_pair_readout(cache)
+        grads["head.b"] += np.array([dz])
+        grads["wide.u"] += dz * vec
+        dH, df = pair_readout_backward(cache, dz * model.head["w"])
+        model.encoder.backward(cache, dH, df, enc_grads)
+    return loss, grads
+
+
+def twin_pointwise(model, kb):
+    """A second model with the same parameters and ENA generator state."""
+    twin = rank.PointwiseModel(model.encoder.vocab, model.domains, model.config)
+    for key, value in model.all_params().items():
+        twin.all_params()[key][...] = value
+    twin._ena_rng.bit_generator.state = model._ena_rng.bit_generator.state
+    twin.bind_kb(kb)
+    return twin
+
+
+class TestCompiledRows:
+    """Rows compiled once give the per-call training path bit for bit."""
+
+    def long_dialogue(self, kb):
+        text = " ".join(["i want to book Hamilton Lodge near City Cab"] * 12)
+        return ks_dialogue("long", "Hamilton Lodge", kb, text=text)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("use_mtl", [False, True])
+    @pytest.mark.parametrize("ena", [None, 0.6])
+    def test_pointwise_rows_equal_per_call_path(self, monkeypatch, variant,
+                                                use_mtl, ena):
+        kb = make_kb()
+        corpus = make_corpus(kb, 6) + [self.long_dialogue(kb)]
+        cfg = small_config(use_mtl=use_mtl, variant=variant, epochs=2,
+                           learning_rate=0.01, max_len=48,
+                           ena=None if ena is None else AugmentConfig(
+                               ena_probability=ena, seed=3))
+        model = train_pointwise(corpus, kb, cfg)
+        twin = twin_pointwise(model, kb)
+        instances = build_pointwise_instances(corpus, kb, cfg, np.random.default_rng(1))
+        instances.append(replace(instances[0], tracked=None))
+        rewritten = []
+        real = rank.augment_entity_name
+
+        def recording(dialogue, *args):
+            out = real(dialogue, *args)
+            rewritten.append(out is not dialogue)
+            return out
+
+        monkeypatch.setattr(rank, "augment_entity_name", recording)
+        for inst in instances:
+            row = model.compile(inst)
+            assert_same_loss(model.loss_and_grads(row),
+                             reference_pointwise_loss(twin, inst))
+        if ena is not None:
+            assert len(rewritten) == len(instances)
+            assert 0 < sum(rewritten) < len(instances)
+        # an uncompiled instance takes the same path
+        for inst in instances[:3]:
+            assert_same_loss(model.loss_and_grads(inst),
+                             reference_pointwise_loss(twin, inst))
+
+    def test_listwise_rows_equal_per_call_path(self):
+        kb = make_kb()
+        corpus = make_corpus(kb, 6) + [self.long_dialogue(kb)]
+        instances, _ = build_listwise_training_data(
+            corpus, kb, small_config(epochs=1, max_len=48), k=2, seed=0,
+            tracker=exact_tracker)
+        model = train_listwise(instances, kb, ListwiseConfig(
+            epochs=2, d=10, max_len=48, learning_rate=0.01, alpha_mask=(1, 0, 1, 0)))
+        for inst in instances:
+            expected = reference_listwise_loss(model, inst)
+            assert_same_loss(model.loss_and_grads(model.compile(inst)), expected)
+            assert_same_loss(model.loss_and_grads(inst), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(st.sampled_from(
+        ["i want Palm Court", "", "zzz unknown words", "book City Cab please " * 8]),
+        min_size=1, max_size=4), max_len=st.integers(1, 40),
+        picks=st.lists(st.integers(0, 12), max_size=6))
+    def test_pair_inputs_equal_token_ids(self, texts, max_len, picks):
+        kb = make_kb()
+        snippets = list(kb.snippets) + [snip("hotel", "9", "Nowhere Inn", "0",
+                                             q="", a="")]
+        model = ListwiseModel(rank._ranking_vocab(make_corpus(kb, 2), kb),
+                              ListwiseConfig(d=4, max_len=max_len))
+        turns = tuple(Turn(Speaker.USER if i % 2 == 0 else Speaker.SYSTEM, t or "ok")
+                      for i, t in enumerate(texts))
+        d = Dialogue(id="p", turns=turns)
+        cands = [snippets[i % len(snippets)] for i in picks]
+        history = tokenize(linearize_history(d))
+        for _ in range(2):  # the second pass reads the model's snippet table
+            pairs = _pair_inputs(model.encoder, model._snippet_ids, d, cands)
+            assert len(pairs) == len(cands)
+            for (ids, segs), s in zip(pairs, cands):
+                ref_ids, ref_segs = reference_token_ids(
+                    model.encoder, history + tokenize(linearize_knowledge(s)),
+                    len(history))
+                assert np.array_equal(ids, ref_ids) and np.array_equal(segs, ref_segs)
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_training_tokenizes_each_row_once(self, monkeypatch, epochs):
+        kb = make_kb()
+        corpus = make_corpus(kb, 4)
+        cfg = small_config(use_mtl=True, epochs=epochs)
+        instances = build_pointwise_instances(corpus, kb, cfg, np.random.default_rng(0))
+        model = train_pointwise(corpus, kb, replace(cfg, epochs=0))
+        calls = []
+        real = rank.tokenize
+        monkeypatch.setattr(rank, "tokenize",
+                            lambda text: calls.append(text) or real(text))
+        rank.train_model(model, instances, rank.TrainConfig(epochs=epochs, seed=0))
+        per_run = len(calls)
+        assert per_run > 0
+        calls.clear()
+        rows = [model.compile(inst) for inst in instances]
+        assert len(calls) == per_run  # all tokenizing happens while compiling
+        calls.clear()
+        for row in rows:
+            model.loss_and_grads(row)
+        assert calls == []
