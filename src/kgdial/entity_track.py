@@ -5,10 +5,13 @@ distance, learned pair scorer over a threshold) feed candidate knowledge
 collection for the ranking stage. The exact and fuzzy methods read the
 knowledge base's ``name_index``, built once with the knowledge base: exact
 matching is one dict lookup per (utterance position, name token length),
-and fuzzy matching bounds every (name, distinct window) pair of a token
-length by a character-count difference, then computes the edit distances
-of the pairs the bound leaves open in one batched DP
-(``kernels.levenshtein_many``).
+and fuzzy matching bounds the (name, distinct window) pairs of a token
+length by a character-count difference, all pairs of the length as one
+array, then computes the edit distances of the pairs the bound leaves open,
+those of every length together, in one batched DP per call
+(``kernels.levenshtein_many``). Learned tracking scores the history against
+every entity in one ``scores`` call of the pair scorer, which maps the
+history to ids once.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from .corpus import (DOMAIN_LEVEL, Dialogue, Entity, KnowledgeBase,
                      tokenize)
 from .kernels import char_counts, levenshtein, levenshtein_many
 from .models import SentencePairScorer
+
+
+# most elements of the (names x windows x alphabet) count difference that
+# fuzzy matching holds at once: 64 KB of int32 counts
+_BOUND_BLOCK = 1 << 14
 
 
 class TrackMethod(Enum):
@@ -95,8 +103,11 @@ def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
     the character-count difference max(sum (a-b)+, sum (b-a)+) over the
     alphabet of the names, which also covers the length difference;
     characters outside that alphabet share one count, where the name's
-    count is 0. The edit distances of all pairs whose bound still allows
-    the threshold are computed in one ``levenshtein_many`` call per group.
+    count is 0. The bound of every (name, window) pair of a group is one
+    array, computed over blocks of names so that the (names x windows x
+    alphabet) difference stays below ``_BOUND_BLOCK`` elements. The edit
+    distances of all pairs, of every group, whose bound still allows the
+    threshold are computed in one ``levenshtein_many`` call.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold out of [0,1]")
@@ -104,7 +115,7 @@ def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
         return list(kb.entities)
     index = kb.name_index
     utterances = _utterance_tokens(dialogue)
-    hits = set()
+    pair_targets, pair_windows, pair_denoms = [], [], []
     for w, (group, group_counts) in index.groups.items():
         windows = list(dict.fromkeys(
             " ".join(u[start:start + w])
@@ -113,33 +124,34 @@ def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
             continue
         window_counts = char_counts(windows, index.alphabet)
         window_lens = np.array([len(x) for x in windows])
-        pair_targets, pair_windows, pair_denoms = [], [], []
-        for target, counts in zip(group, group_counts):
-            surplus = np.maximum(counts - window_counts, 0).sum(axis=1)
-            bound = np.maximum(surplus, surplus + window_lens - len(target))
-            denom = np.maximum(window_lens, len(target))
-            open_ = np.flatnonzero(1.0 - bound / denom >= threshold)
-            pair_targets += [target] * len(open_)
-            pair_windows += [windows[j] for j in open_]
-            pair_denoms.append(denom[open_])
-        if not pair_targets:
-            continue
-        dist = levenshtein_many(pair_targets, pair_windows)
-        keep = 1.0 - dist / np.concatenate(pair_denoms) >= threshold
-        hits.update(t for t, k in zip(pair_targets, keep) if k)
+        target_lens = np.array([len(t) for t in group])[:, None]
+        denom = np.maximum(window_lens, target_lens)
+        step = max(1, _BOUND_BLOCK // window_counts.size)
+        for lo in range(0, len(group), step):
+            block = slice(lo, lo + step)
+            diff = group_counts[block, None] - window_counts
+            surplus = np.maximum(diff, 0, out=diff).sum(axis=2)
+            bound = np.maximum(surplus, surplus + window_lens - target_lens[block])
+            rows, cols = np.nonzero(1.0 - bound / denom[block] >= threshold)
+            pair_targets += [group[lo + i] for i in rows.tolist()]
+            pair_windows += [windows[j] for j in cols.tolist()]
+            pair_denoms.append(denom[block][rows, cols])
+    if not pair_targets:
+        return []
+    dist = levenshtein_many(pair_targets, pair_windows)
+    keep = 1.0 - dist / np.concatenate(pair_denoms) >= threshold
+    hits = {t for t, k in zip(pair_targets, keep.tolist()) if k}
     return [e for e, target in zip(kb.entities, index.targets) if target in hits]
 
 
 def track_entities(scorer: SentencePairScorer, dialogue: Dialogue,
                    kb: KnowledgeBase, delta_e: float = 0.5,
                    max_history_tokens: int = 0) -> list[Entity]:
-    """Learned tracking: keep entities the scorer rates above delta_e."""
+    """Learned tracking: keep entities the scorer rates above delta_e. The
+    history is scored against every entity in one ``scores`` call."""
     history = linearize_history(dialogue, max_history_tokens)
-    out = []
-    for entity in kb.entities:
-        if scorer.score(history, linearize_entity(entity.name)) > delta_e:
-            out.append(entity)
-    return out
+    scores = scorer.scores(history, [linearize_entity(e.name) for e in kb.entities])
+    return [e for e, s in zip(kb.entities, scores) if s > delta_e]
 
 
 def collect_candidates(entities: Sequence[Entity],

@@ -2,9 +2,9 @@
 
 Both are O(n*m) dynamic programs sitting on the critical path of fuzzy
 entity matching and of LCS-based text overlap scoring (evaluated over all
-candidate pairs in a pool). Fuzzy matching computes, per name token
-length, the edit distance of every (name, window) pair that a
-character-count lower bound (``char_counts``) cannot rule out, all in one
+candidate pairs in a pool). Fuzzy matching computes the edit distance of
+every (name, same-length window) pair of a dialogue that a character-count
+lower bound (``char_counts``) cannot rule out, all in one
 ``levenshtein_many`` call: a single row-recurrence DP vectorised over the
 pairs. The default implementations are numba @njit kernels over integer
 code arrays (``levenshtein_many`` then loops the scalar kernel over the
@@ -195,15 +195,15 @@ def levenshtein_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
 
 def char_counts(strings: Sequence[str], alphabet: np.ndarray) -> np.ndarray:
     """Per-string character counts over ``alphabet`` (sorted code points),
-    one row per string. Column 0 pools every character outside the
+    one int32 row per string. Column 0 pools every character outside the
     alphabet."""
     codes = encode_chars("".join(strings))
     pos = np.minimum(np.searchsorted(alphabet, codes), len(alphabet) - 1)
     column = np.where(alphabet[pos] == codes, pos + 1, 0)
     row = np.repeat(np.arange(len(strings)), [len(s) for s in strings])
     width = len(alphabet) + 1
-    return np.bincount(row * width + column,
-                       minlength=len(strings) * width).reshape(len(strings), width)
+    counts = np.bincount(row * width + column, minlength=len(strings) * width)
+    return counts.astype(np.int32).reshape(len(strings), width)
 
 
 def lcs_length_ids(a: np.ndarray, b: np.ndarray) -> int:

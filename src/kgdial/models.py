@@ -42,6 +42,9 @@ class SentencePairScorer(Protocol):
     def score(self, sentence1: str, sentence2: str) -> float:
         """Probability in [0, 1] that the pair is a true match."""
 
+    def scores(self, sentence1: str, sentences2: Sequence[str]) -> list[float]:
+        """``score(sentence1, s)`` for every s in sentences2."""
+
 
 class Generator(Protocol):
     def generate_nbest(self, context: str, n: int) -> list[tuple[str, float]]:
@@ -288,12 +291,23 @@ class ToyPairScorer:
         return enc.pair_ids(enc.vocab_ids(tokenize(sentence1)),
                             enc.vocab_ids(tokenize(sentence2)))
 
-    def logit(self, sentence1: str, sentence2: str) -> float:
-        cache = self.encoder.forward(*self._pair_ids(sentence1, sentence2))
+    def _logit(self, pair: tuple[np.ndarray, np.ndarray]) -> float:
+        cache = self.encoder.forward(*pair)
         return float(self.params["w"] @ pair_readout(cache) + self.params["b"][0])
+
+    def logit(self, sentence1: str, sentence2: str) -> float:
+        return self._logit(self._pair_ids(sentence1, sentence2))
 
     def score(self, sentence1: str, sentence2: str) -> float:
         return sigmoid(self.logit(sentence1, sentence2))
+
+    def scores(self, sentence1: str, sentences2: Sequence[str]) -> list[float]:
+        """``score(sentence1, s)`` for every s in sentences2, with sentence1
+        mapped to ids once."""
+        enc = self.encoder
+        left = enc.vocab_ids(tokenize(sentence1))
+        return [sigmoid(self._logit(enc.pair_ids(left, enc.vocab_ids(tokenize(s)))))
+                for s in sentences2]
 
     def compile(self, example: tuple[str, str, int]) -> PairRow:
         s1, s2, label = example

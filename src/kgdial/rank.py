@@ -7,9 +7,13 @@ Ranking one turn scores a list of candidates against one dialogue, so
 whatever depends on the dialogue alone (its tracked entities, history ids
 and the dialogue part of the sparse features) is computed once per ranking
 call; each candidate then costs one encoder pass over the history-snippet
-pair, built from id arrays, and the per-snippet feature tests. A model
-maps each snippet to ids on its first use and keeps them, since its
-vocabulary is fixed.
+pair, built from id arrays. The candidates' sparse features are one n x 4
+array, and the head and wide terms of all candidates are added at once, as
+stacked (1, k) @ (k, 1) products that equal the per-candidate 1-D dots bit
+for bit. A model maps each snippet to ids, and each entity name to its
+token and bigram sets (``NameGrams``), on first use and keeps them, since
+its vocabulary is fixed. Inference and training build the features through
+the same ``DialogueFeatures.indicators``.
 
 Training compiles each row once per training run, not once per epoch:
 the encoder pair, the sparse-feature vector and (with MTL) the entity-name
@@ -72,19 +76,38 @@ class SparseFeatures:
     def __post_init__(self):
         if self.alpha <= 0:
             raise RankError("alpha must be positive")
-        for v in (self.is_domain_level, self.is_last_entity,
-                  self.unigram_in_dialogue, self.bigram_in_dialogue):
+        for v in self.indicators:
             if v not in (0, 1):
                 raise RankError("sparse indicators must be binary")
 
+    @property
+    def indicators(self) -> tuple[int, int, int, int]:
+        return (self.is_domain_level, self.is_last_entity,
+                self.unigram_in_dialogue, self.bigram_in_dialogue)
+
     def vector(self, mask: Optional[Sequence[int]] = None) -> np.ndarray:
-        vec = np.array([self.is_domain_level, self.is_last_entity,
-                        self.unigram_in_dialogue, self.bigram_in_dialogue],
-                       dtype=np.float64)
-        scale = np.full(N_SPARSE, self.alpha)
-        if mask is not None:
-            scale = np.where(np.asarray(mask, dtype=bool), scale, 1.0)
-        return vec * scale
+        return np.array(self.indicators, dtype=np.float64) * feature_scale(self.alpha, mask)
+
+
+def feature_scale(alpha: float, mask: Optional[Sequence[int]] = None) -> np.ndarray:
+    """The factor of each sparse-feature column: ``alpha``, or 1.0 in the
+    columns where ``mask`` is 0."""
+    if alpha <= 0:
+        raise RankError("alpha must be positive")
+    scale = np.full(N_SPARSE, alpha)
+    if mask is not None:
+        scale = np.where(np.asarray(mask, dtype=bool), scale, 1.0)
+    return scale
+
+
+class NameGrams(dict):
+    """Entity name -> (its token set, its bigram set), tokenized on the
+    name's first lookup. A ranking model keeps one beside its snippet ids."""
+
+    def __missing__(self, name: str) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
+        tokens = tokenize(name)
+        grams = self[name] = (frozenset(tokens), frozenset(zip(tokens, tokens[1:])))
+        return grams
 
 
 def _rightmost_occurrence(utterances: list[list[str]], name_tokens: list[str]) -> int:
@@ -112,26 +135,38 @@ class DialogueFeatures:
     tokens: frozenset[str]
     bigrams: frozenset[tuple[str, str]]
 
+    def indicators(self, snippets: Sequence[KnowledgeSnippet],
+                   variant: Variant = Variant.WD2,
+                   names: Optional[NameGrams] = None) -> np.ndarray:
+        """The per-snippet part as an n x 4 array of 0/1 indicators, one row
+        per snippet: the domain-level flag, whether the snippet's entity is
+        the rightmost tracked one, and (WD2 only) whether any unigram/bigram
+        of its entity name occurs. ``names`` is the table the name n-grams
+        are read from (a fresh one when ``None``)."""
+        if names is None:
+            names = NameGrams()
+        rows = []
+        for snippet in snippets:
+            unigram = bigram = False
+            if variant is Variant.WD2:
+                tokens, bigrams = names[snippet.entity_name]
+                unigram = not self.tokens.isdisjoint(tokens)
+                bigram = not self.bigrams.isdisjoint(bigrams)
+            rows.append((snippet.is_domain_level,
+                         self.last_entity_key == snippet.entity_key, unigram, bigram))
+        return np.array(rows, dtype=np.float64).reshape(len(rows), N_SPARSE)
+
+    def sparse_features(self, snippets: Sequence[KnowledgeSnippet],
+                        variant: Variant = Variant.WD2, alpha: float = 1.0,
+                        names: Optional[NameGrams] = None) -> list[SparseFeatures]:
+        """The `indicators` of the snippets, one `SparseFeatures` each."""
+        rows = self.indicators(snippets, variant, names).astype(np.int64).tolist()
+        return [SparseFeatures(*row, alpha=alpha) for row in rows]
+
     def snippet_features(self, snippet: KnowledgeSnippet,
                          variant: Variant = Variant.WD2,
                          alpha: float = 1.0) -> SparseFeatures:
-        """The per-snippet part: the domain-level flag, whether the
-        snippet's entity is the rightmost tracked one, and (WD2 only)
-        whether any unigram/bigram of its entity name occurs."""
-        unigram = bigram = 0
-        if variant is Variant.WD2:
-            name_tokens = tokenize(snippet.entity_name)
-            if any(tok in self.tokens for tok in name_tokens):
-                unigram = 1
-            if any((name_tokens[i], name_tokens[i + 1]) in self.bigrams
-                   for i in range(len(name_tokens) - 1)):
-                bigram = 1
-        return SparseFeatures(
-            is_domain_level=int(snippet.is_domain_level),
-            is_last_entity=int(self.last_entity_key == snippet.entity_key),
-            unigram_in_dialogue=unigram,
-            bigram_in_dialogue=bigram,
-            alpha=alpha)
+        return self.sparse_features([snippet], variant, alpha)[0]
 
 
 def dialogue_features(dialogue: Dialogue,
@@ -166,9 +201,9 @@ def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
     occurs in the utterances, catching names scattered across turns.
 
     This composes the per-dialogue part (`dialogue_features`) with the
-    per-snippet part (`DialogueFeatures.snippet_features`); ranking code
-    that scores several snippets against one dialogue builds the first
-    part once and calls the second for each snippet.
+    per-snippet part (`DialogueFeatures.indicators`); ranking code that
+    scores several snippets against one dialogue builds the first part once
+    and the second as one array for all of them.
     """
     return dialogue_features(dialogue, tracked_entities).snippet_features(
         snippet, variant, alpha)
@@ -362,6 +397,28 @@ def _pair_inputs(encoder: ToyEncoder, snippet_ids: dict[KnowledgeSnippet, np.nda
     return pairs
 
 
+def _stacked_dot(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w @ row`` for every row, as a stack of (1, k) @ (k, 1) products:
+    numpy computes each as the 1-D dot, bit for bit, which a plain
+    ``rows @ w`` does not."""
+    return (rows[:, None, :] @ w[:, None])[:, 0, 0]
+
+
+def _wide_deep_logits(model, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+                      vectors: np.ndarray, caches: Optional[list] = None) -> np.ndarray:
+    """``head.w . readout + head.b + wide.u . vector`` of every (encoder
+    pair, sparse-feature row), with one encoder pass per pair; ``caches``
+    collects each pair's (encoder cache, readout)."""
+    readouts = np.empty((len(pairs), model.head["w"].shape[0]))
+    for j, pair in enumerate(pairs):
+        cache = model.encoder.forward(*pair)
+        readouts[j] = pair_readout(cache)
+        if caches is not None:
+            caches.append((cache, readouts[j]))
+    return (_stacked_dot(readouts, model.head["w"]) + model.head["b"][0]
+            + _stacked_dot(vectors, model.wide["u"]))
+
+
 @dataclass
 class PointwiseInstance:
     """One (dialogue, candidate) training row with its auxiliary targets
@@ -430,6 +487,7 @@ class PointwiseModel:
         self._ena_rng = np.random.default_rng(config.seed + 2)
         self._kb: Optional[KnowledgeBase] = None
         self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
+        self._name_grams = NameGrams()
 
     def bind_kb(self, kb: KnowledgeBase) -> None:
         self._kb = kb
@@ -469,6 +527,16 @@ class PointwiseModel:
         return extract_sparse_features(dialogue, candidate, tracked,
                                        self.config.variant, alpha)
 
+    def _vectors(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
+                 tracked: Optional[Sequence[Entity]], alpha: float) -> np.ndarray:
+        """The sparse-feature rows of the candidates at ``alpha``, with the
+        entity-name n-grams read from the model's table."""
+        if tracked is None:
+            tracked = self._tracked(dialogue)
+        indicators = dialogue_features(dialogue, tracked).indicators(
+            candidates, self.config.variant, self._name_grams)
+        return indicators * feature_scale(alpha)
+
     def logits(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
                alpha: float = 1.0,
                tracked: Optional[Sequence[Entity]] = None) -> list[float]:
@@ -476,18 +544,9 @@ class PointwiseModel:
         entities, the history tokens and the dialogue part of the sparse
         features are computed once for the list; each candidate gets its
         own encoder pass, since the encoder attends across the pair."""
-        if tracked is None:
-            tracked = self._tracked(dialogue)
-        context = dialogue_features(dialogue, tracked)
-        out = []
+        vectors = self._vectors(dialogue, candidates, tracked, alpha)
         pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
-        for candidate, pair in zip(candidates, pairs):
-            cache = self.encoder.forward(*pair)
-            feats = context.snippet_features(
-                candidate, self.config.variant, alpha).vector()
-            out.append(float(self.head["w"] @ pair_readout(cache) + self.head["b"][0]
-                             + self.wide["u"] @ feats))
-        return out
+        return _wide_deep_logits(self, pairs, vectors).tolist()
 
     def logit(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
               alpha: float = 1.0,
@@ -503,7 +562,7 @@ class PointwiseModel:
                          tracked: Optional[Sequence[Entity]]
                          ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         pair, = _pair_inputs(self.encoder, self._snippet_ids, dialogue, [candidate])
-        return pair, self.features(dialogue, candidate, tracked, alpha=1.0).vector()
+        return pair, self._vectors(dialogue, [candidate], tracked, 1.0)[0]
 
     def compile(self, instance: PointwiseInstance) -> PointwiseRow:
         entity_input = None
@@ -711,10 +770,10 @@ class ListwiseConfig:
 @dataclass(frozen=True)
 class ListwiseRow:
     """A list-wise training instance compiled to model inputs: one encoder
-    pair and one sparse-feature vector (indicator value 1) per candidate."""
+    pair and one sparse-feature row (indicator value 1) per candidate."""
     instance: ListwiseInstance
     pairs: list[tuple[np.ndarray, np.ndarray]]
-    vectors: list[np.ndarray]
+    vectors: np.ndarray
 
 
 class ListwiseModel:
@@ -728,6 +787,7 @@ class ListwiseModel:
         self.head = {"w": rng.normal(0.0, 0.1, size=2 * config.d), "b": np.zeros(1)}
         self.wide = {"u": np.zeros(N_SPARSE)}
         self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
+        self._name_grams = NameGrams()
 
     def all_params(self) -> dict[str, np.ndarray]:
         out = {f"enc.{k}": v for k, v in self.encoder.params.items()}
@@ -736,24 +796,11 @@ class ListwiseModel:
         out["wide.u"] = self.wide["u"]
         return out
 
-    def _vectors(self, features: Sequence[SparseFeatures],
-                 alpha: float) -> list[np.ndarray]:
-        return [replace(feat, alpha=alpha).vector(mask=self.config.alpha_mask)
-                for feat in features]
-
-    def _logits(self, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                vectors: Sequence[np.ndarray],
-                caches: Optional[list] = None) -> np.ndarray:
-        """Logit of every (pair, vector); ``caches`` collects each
-        candidate's (encoder cache, readout, vector)."""
-        logits = np.empty(len(pairs))
-        for j, (pair, vec) in enumerate(zip(pairs, vectors)):
-            cache = self.encoder.forward(*pair)
-            u = pair_readout(cache)
-            logits[j] = self.head["w"] @ u + self.head["b"][0] + self.wide["u"] @ vec
-            if caches is not None:
-                caches.append((cache, u, vec))
-        return logits
+    def _vectors(self, features: Sequence[SparseFeatures], alpha: float) -> np.ndarray:
+        """The sparse-feature rows at ``alpha``, masked by ``alpha_mask``."""
+        indicators = np.array([f.indicators for f in features], dtype=np.float64)
+        return (indicators.reshape(len(features), N_SPARSE)
+                * feature_scale(alpha, self.config.alpha_mask))
 
     def distribution(self, dialogue: Dialogue,
                      candidates: Sequence[KnowledgeSnippet],
@@ -766,7 +813,7 @@ class ListwiseModel:
             raise RankError("listwise scoring accepts at most 5 candidates")
         alpha = self.config.alpha_inference if alpha is None else alpha
         pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
-        return softmax(self._logits(pairs, self._vectors(features, alpha)))
+        return softmax(_wide_deep_logits(self, pairs, self._vectors(features, alpha)))
 
     def compile(self, instance: ListwiseInstance) -> ListwiseRow:
         # training uses indicator value 1; alpha applies at inference only
@@ -780,13 +827,13 @@ class ListwiseModel:
         params = self.all_params()
         grads = {k: np.zeros(v.shape) for k, v in params.items()}
         caches: list = []
-        p = softmax(self._logits(row.pairs, row.vectors, caches))
+        p = softmax(_wide_deep_logits(self, row.pairs, row.vectors, caches))
         true_index = row.instance.true_index
         loss = -math.log(max(p[true_index], 1e-300))
         dlogits = p.copy()
         dlogits[true_index] -= 1.0
         enc_grads = {name: grads[f"enc.{name}"] for name in self.encoder.params}
-        for j, (cache, u, vec) in enumerate(caches):
+        for j, ((cache, u), vec) in enumerate(zip(caches, row.vectors)):
             dz = dlogits[j]
             grads["head.w"] += dz * u
             grads["head.b"] += np.array([dz])
@@ -808,6 +855,7 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
                if d.label is not None and d.label.is_knowledge_seeking
                and d.label.knowledge_refs]
     folds = split_kfold(labeled, k=k, seed=seed)
+    names = NameGrams()
     instances: list[ListwiseInstance] = []
     dropped = 0
     decoded_ids: set[str] = set()
@@ -831,7 +879,7 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
                 continue
             cands = [s for s, _ in ranked.items]
             context = dialogue_features(d, tracked)
-            feats = [context.snippet_features(s, variant) for s in cands]
+            feats = context.sparse_features(cands, variant, names=names)
             instances.append(ListwiseInstance(
                 dialogue=d, candidates=cands, true_index=true_idx, features=feats))
     stats = {"folds": k, "decoded": len(decoded_ids), "emitted": len(instances),
@@ -873,7 +921,8 @@ def listwise_rerank(model: ListwiseModel, dialogue: Dialogue,
         return ranked
     cands = [s for s, _ in ranked.items]
     context = dialogue_features(dialogue, tracked)
-    feats = [context.snippet_features(s, model.config.variant) for s in cands]
+    feats = context.sparse_features(cands, model.config.variant,
+                                    names=model._name_grams)
     dist = model.distribution(dialogue, cands, feats, alpha)
     return RankedKnowledgeList(ranked.turn_id,
                                _sorted_items(list(zip(cands, dist))))

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdial import entity_track
+from kgdial import entity_track, models
 from kgdial.corpus import (
     DOMAIN_LEVEL, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
-    tokenize,
+    linearize_entity, linearize_history, tokenize,
 )
 from kgdial.entity_track import (
     collect_candidates, entity_recall, exact_match_entities,
     fuzzy_match_entities, fuzzy_similarity, track_entities,
 )
+from kgdial.models import ToyEncoder, ToyPairScorer, build_vocab
 
 
 def snip(domain="hotel", entity_id="1", name="Hamilton Lodge", doc_id="0"):
@@ -249,6 +250,32 @@ class TestFuzzyPruning:
         assert len(pairs) < windows_scanned
 
 
+def test_one_batched_edit_distance_call_per_call(monkeypatch):
+    """Names of 1, 2 and 3 tokens all leave pairs open, and their edit
+    distances still come from a single ``levenshtein_many`` call."""
+    kb = KnowledgeBase([snip("hotel", "1", "Lodge", "0"),
+                        snip("hotel", "2", "SW Hotel", "0"),
+                        snip("hotel", "3", "Union Square Inn", "0"),
+                        snip("taxi", "4", "City Cab", "0")])
+    d = dlg("a lodg near the SW hotl", "or the Union Sqare Inn")
+    real_many = entity_track.levenshtein_many
+    calls = []
+
+    def counted_many(a, b):
+        calls.append(list(a))
+        return real_many(a, b)
+
+    monkeypatch.setattr(entity_track, "levenshtein_many", counted_many)
+    got = fuzzy_match_entities(d, kb, 0.7)
+    assert len(calls) == 1
+    assert {len(t.split()) for t in calls[0]} == {1, 2, 3}
+    assert names(got) == ["Lodge", "SW Hotel", "Union Square Inn"]
+    assert got == fuzzy_reference(d, kb, 0.7)
+    calls.clear()
+    assert fuzzy_match_entities(dlg("nothing alike here"), kb, 0.9) == []
+    assert len(calls) <= 1
+
+
 class OracleScorer:
     """Returns 1.0 exactly for one entity name, 0 for everything else."""
 
@@ -257,6 +284,9 @@ class OracleScorer:
 
     def score(self, s1, s2):
         return 1.0 if self.target in s2 else 0.0
+
+    def scores(self, s1, sentences2):
+        return [self.score(s1, s2) for s2 in sentences2]
 
 
 class TestLearnedTracking:
@@ -269,6 +299,44 @@ class TestLearnedTracking:
         got = track_entities(OracleScorer("Hamilton Lodge"),
                              dlg("anything"), make_kb(), delta_e=1.0)
         assert got == []
+
+
+def toy_scorer(kb, dialogue):
+    vocab = build_vocab([tokenize(linearize_history(dialogue))]
+                        + [tokenize(linearize_entity(e.name)) for e in kb.entities])
+    return ToyPairScorer(ToyEncoder(vocab, d=8, seed=3))
+
+
+class TestLearnedTrackingBatched:
+    """One ``scores`` call gives what a ``score`` call per entity gives."""
+
+    def dialogue(self):
+        return dlg("is the Hamilton Lodge near Palm Court?", "yes it is",
+                   "and the SW hotel?")
+
+    def test_scores_equal_per_entity_score(self):
+        kb, d = make_kb(), self.dialogue()
+        scorer = toy_scorer(kb, d)
+        history = linearize_history(d)
+        entity_texts = [linearize_entity(e.name) for e in kb.entities]
+        expected = [scorer.score(history, t) for t in entity_texts]
+        assert scorer.scores(history, entity_texts) == expected
+        assert len(set(expected)) > 1
+        delta = sorted(expected)[len(expected) // 2]
+        got = track_entities(scorer, d, kb, delta_e=delta)
+        assert got == [e for e, p in zip(kb.entities, expected) if p > delta]
+        assert 0 < len(got) < len(kb.entities)
+
+    def test_history_tokenized_once(self, monkeypatch):
+        kb, d = make_kb(), self.dialogue()
+        scorer = toy_scorer(kb, d)
+        calls = []
+        real = models.tokenize
+        monkeypatch.setattr(models, "tokenize",
+                            lambda text: calls.append(text) or real(text))
+        track_entities(scorer, d, kb, delta_e=0.5)
+        assert len(calls) == 1 + len(kb.entities)
+        assert calls.count(linearize_history(d)) == 1
 
 
 class TestCollectCandidates:

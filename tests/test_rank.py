@@ -13,17 +13,19 @@ from kgdial.corpus import (
 )
 from kgdial.entity_track import collect_candidates, exact_match_entities
 from kgdial.augment import AugmentConfig, augment_entity_name
-from kgdial.models import (bce_loss, finite_difference_check, pair_readout_backward,
-                           sigmoid)
+from kgdial.models import (bce_loss, finite_difference_check, pair_readout,
+                           pair_readout_backward, sigmoid, softmax)
 from kgdial.rank import (
     ListwiseConfig, ListwiseModel, MTLParams, PointwiseConfig, PointwiseInstance,
-    RankedKnowledgeList, RankError, Variant, build_listwise_training_data,
+    RankedKnowledgeList, RankError, SparseFeatures, Variant,
+    build_listwise_training_data,
     build_pointwise_instances, ensemble_rank, extract_sparse_features,
     listwise_rerank, mtl_forward, pointwise_rank,
     ranking_metrics, sample_entity_candidates, sample_negatives,
     train_listwise, train_pointwise,
 )
 from kgdial.rank import _mtl_forward_cache, _mtl_backward, _pair_inputs
+from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 from test_models import (assert_same_loss, reference_pair_readout, reference_softmax,
                          reference_token_ids)
 
@@ -529,6 +531,135 @@ class TestBatchedPointwise:
             listwise_rerank(model, d, ranked, tracked, alpha=100.0)
             assert seen.pop() == [
                 extract_sparse_features(d, s, tracked, variant) for s in cands]
+
+
+# -- the per-candidate inference loops before the features became one array,
+# kept as oracles ---------------------------------------------------------------
+
+
+def reference_indicators(context, snippet, variant):
+    """DialogueFeatures.snippet_features before the n-gram table: the entity
+    name tokenized and scanned on every call."""
+    unigram = bigram = 0
+    if variant is Variant.WD2:
+        name_tokens = tokenize(snippet.entity_name)
+        unigram = int(any(tok in context.tokens for tok in name_tokens))
+        bigram = int(any((name_tokens[i], name_tokens[i + 1]) in context.bigrams
+                         for i in range(len(name_tokens) - 1)))
+    return (int(snippet.is_domain_level),
+            int(context.last_entity_key == snippet.entity_key), unigram, bigram)
+
+
+def reference_logits(m, d, candidates, alpha, tracked):
+    """PointwiseModel.logits as one loop over the candidates."""
+    context = rank.dialogue_features(d, tracked)
+    out = []
+    for candidate, pair in zip(candidates, _pair_inputs(m.encoder, {}, d, candidates)):
+        cache = m.encoder.forward(*pair)
+        feats = context.snippet_features(candidate, m.config.variant, alpha).vector()
+        out.append(float(m.head["w"] @ pair_readout(cache) + m.head["b"][0]
+                         + m.wide["u"] @ feats))
+    return out
+
+
+def reference_distribution(model, d, candidates, features, alpha):
+    """ListwiseModel.distribution as one loop over the candidates."""
+    logits = np.empty(len(candidates))
+    pairs = _pair_inputs(model.encoder, {}, d, candidates)
+    for j, (pair, feat) in enumerate(zip(pairs, features)):
+        u = pair_readout(model.encoder.forward(*pair))
+        vec = replace(feat, alpha=alpha).vector(mask=model.config.alpha_mask)
+        logits[j] = model.head["w"] @ u + model.head["b"][0] + model.wide["u"] @ vec
+    return softmax(logits)
+
+
+@pytest.fixture(scope="module")
+def synth_case():
+    dialogues, kb, _ = build_mini_corpus(MiniCorpusConfig(n_dialogues=12, seed=4))
+    return dialogues, kb
+
+
+class TestFeatureArrays:
+    """The sparse features of a candidate list, built as one array from the
+    model's n-gram table, equal the per-snippet features bit for bit."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("alpha", [1.0, 100.0])
+    def test_rows_equal_snippet_features(self, synth_case, variant, alpha):
+        dialogues, kb = synth_case
+        vocab = rank._ranking_vocab(dialogues, kb)
+        pointwise = rank.PointwiseModel(vocab, ["hotel"], small_config(variant=variant))
+        pointwise.bind_kb(kb)
+        listwise = ListwiseModel(vocab, ListwiseConfig(variant=variant,
+                                                       alpha_mask=(1, 0, 1, 0)))
+        snippets = list(kb.snippets)
+        fired = np.zeros(4)
+        for d in dialogues:
+            tracked = exact_match_entities(d, kb)
+            context = rank.dialogue_features(d, tracked)
+            feats = [context.snippet_features(s, variant, alpha) for s in snippets]
+            assert [f.indicators for f in feats] == [
+                reference_indicators(context, s, variant) for s in snippets]
+            for _ in range(2):  # the second pass reads the filled tables
+                rows = pointwise._vectors(d, snippets, None, alpha)
+                assert rows.shape == (len(snippets), rank.N_SPARSE)
+                assert all(np.array_equal(row, f.vector()) for row, f in zip(rows, feats))
+                rows = listwise._vectors(feats, alpha)
+                assert all(np.array_equal(row, f.vector(mask=(1, 0, 1, 0)))
+                           for row, f in zip(rows, feats))
+                named = context.indicators(snippets, variant, listwise._name_grams)
+                assert np.array_equal(named, [f.indicators for f in feats])
+            fired += np.array([f.indicators for f in feats]).sum(axis=0)
+        assert np.all(fired[:2 if variant is Variant.WD else 4] > 0)
+
+    def test_alpha_must_be_positive(self, synth_case):
+        dialogues, kb = synth_case
+        model = rank.PointwiseModel(rank._ranking_vocab(dialogues, kb), ["hotel"],
+                                    small_config())
+        listwise = ListwiseModel(model.encoder.vocab, ListwiseConfig())
+        feats = [SparseFeatures(0, 1, 0, 0)]
+        for alpha in (0.0, -1.0):
+            with pytest.raises(RankError):
+                model.logits(dialogues[0], list(kb.snippets[:2]), alpha, [])
+            with pytest.raises(RankError):
+                listwise.distribution(dialogues[0], list(kb.snippets[:1]), feats, alpha)
+            with pytest.raises(RankError):
+                SparseFeatures(0, 1, 0, 0, alpha=alpha)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("alpha", [1.0, 100.0])
+    def test_logits_equal_per_candidate_loop(self, variant_models, variant, alpha):
+        kb, models = variant_models
+        m = models[variant]
+        for d in TestBatchedPointwise().dialogues(kb):
+            tracked = exact_match_entities(d, kb)
+            cands = list(kb.snippets)
+            expected = reference_logits(m, d, cands, alpha, tracked)
+            assert np.array_equal(m.logits(d, cands, alpha), expected)
+            assert m.logits(d, [], alpha) == []
+            # an empty list falls back to the whole knowledge base
+            ranked = pointwise_rank(m, d, [], alpha=alpha, kb=kb, top_n=len(cands))
+            assert np.array_equal([p for _, p in ranked.items], sorted(
+                (sigmoid(z) for z in expected), reverse=True))
+            assert ranked == pointwise_rank(m, d, cands, alpha=alpha, top_n=len(cands))
+
+    @pytest.mark.parametrize("alpha", [1.0, 100.0])
+    def test_distribution_equals_per_candidate_loop(self, variant_models, alpha):
+        kb, models = variant_models
+        instances, _ = build_listwise_training_data(
+            make_corpus(kb, 4), kb, small_config(epochs=1), k=2, seed=0,
+            tracker=exact_tracker)
+        model = train_listwise(instances, kb, ListwiseConfig(
+            epochs=1, d=10, alpha_mask=(1, 0, 1, 1)), init_from=models[Variant.WD2])
+        assert np.any(model.wide["u"] != 0.0)
+        for d in TestBatchedPointwise().dialogues(kb):
+            context = rank.dialogue_features(d, list(kb.entities))
+            for start in range(0, len(kb.snippets), 5):
+                cands = list(kb.snippets[start:start + 5])
+                feats = [context.snippet_features(s) for s in cands]
+                assert np.array_equal(model.distribution(d, cands, feats, alpha),
+                                      reference_distribution(model, d, cands, feats,
+                                                             alpha))
 
 
 class TestListwise:
