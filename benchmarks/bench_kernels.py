@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Benchmark the numpy edit-distance and LCS kernels.
 
-Times the two Levenshtein and LCS implementations on random integer
-sequences of growing length, the batched edit distance
-(`kernels.levenshtein_many`) against a per-pair `levenshtein_kernel` loop
-on (entity name, same-length window) pairs, and `fuzzy_match_entities`
-over synth dialogues. Run after `pip install -e .`:
+Times the Levenshtein and LCS kernels on random integer sequences of
+growing length, the batched edit distance (`kernels.levenshtein_many`)
+against a per-pair `levenshtein_numpy` loop on (entity name, same-length
+window) pairs, and `fuzzy_match_entities` over synth dialogues. Run after
+`pip install -e .`:
 
     python3 benchmarks/bench_kernels.py
 
-Set KGDIAL_DISABLE_NUMBA=1 to confirm the package works on the numpy
-path alone (this script always times both implementations directly).
-Before timing, every kernel is checked against the plain-Python reference
-DP (`kernels._levenshtein_py`, `kernels._lcs_py`) on the same inputs, and
-fuzzy matching against its scalar definition (`fuzzy_similarity`);
-the whole script takes about a minute on one x86-64 core.
+Before timing, the kernels are checked against a plain-Python DP of this
+script's own (on the sequences of at most CHECK_MAX elements, where it
+runs in seconds), and fuzzy matching against its scalar definition
+(`fuzzy_similarity`); the whole script takes about half a minute on one
+x86-64 core.
 """
 
 import time
@@ -22,6 +21,9 @@ import time
 import numpy as np
 
 from kgdial import kernels
+
+SIZES = (64, 256, 1024, 4096)
+CHECK_MAX = 256
 
 
 def timeit(fn, *args, repeat=5, warmup=1):
@@ -35,16 +37,38 @@ def timeit(fn, *args, repeat=5, warmup=1):
     return best
 
 
-def bench_pairwise(name, numba_fn, numpy_fn, reference, sizes, rng):
-    print(f"\n{name}  (best of 5, seconds)")
-    print(f"{'n':>6} {'numba':>12} {'numpy':>12} {'speedup':>9}")
-    for n in sizes:
-        a = rng.integers(0, 30, size=n)
-        b = rng.integers(0, 30, size=n)
-        assert numba_fn(a, b) == numpy_fn(a, b) == reference(a, b)
-        t_nb = timeit(numba_fn, a, b)
-        t_np = timeit(numpy_fn, a, b)
-        print(f"{n:>6} {t_nb:>12.6f} {t_np:>12.6f} {t_np / t_nb:>8.1f}x")
+def lev_dp(a, b):
+    """Edit distance by the textbook row DP over two sequences."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            cur.append(min(prev[j - 1] + (x != y), prev[j] + 1, cur[j - 1] + 1))
+        prev = cur
+    return prev[-1]
+
+
+def lcs_dp(a, b):
+    """LCS length by the textbook row DP over two sequences."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def bench_pairwise(rng):
+    print("\nnumpy kernels (best of 5, seconds)")
+    for name, fn, reference in (("levenshtein", kernels.levenshtein_numpy, lev_dp),
+                                ("lcs_length", kernels.lcs_length_numpy, lcs_dp)):
+        for n in SIZES:
+            a = rng.integers(0, 30, size=n)
+            b = rng.integers(0, 30, size=n)
+            if n <= CHECK_MAX:
+                assert fn(a, b) == reference(a.tolist(), b.tolist())
+            print(f"{name} n={n}: {timeit(fn, a, b):.6f}s")
 
 
 def fuzzy_shaped_pairs(rng, n_names=30, n_utterances=50, words_per_utt=30):
@@ -62,24 +86,23 @@ def fuzzy_shaped_pairs(rng, n_names=30, n_utterances=50, words_per_utt=30):
 
 
 def bench_batched_levenshtein(rng):
-    """One levenshtein_many call against a per-pair levenshtein_kernel loop,
+    """One levenshtein_many call against a per-pair levenshtein_numpy loop,
     both checked against the reference DP first."""
     pairs = fuzzy_shaped_pairs(rng, n_utterances=8)
     a = [x for x, _ in pairs]
     b = [y for _, y in pairs]
     codes = [(kernels.encode_chars(x), kernels.encode_chars(y)) for x, y in pairs]
-    expected = [kernels._levenshtein_py(x, y) for x, y in codes]
+    expected = [lev_dp(x, y) for x, y in pairs]
     assert kernels.levenshtein_many(a, b).tolist() == expected
 
     def per_pair():
-        return [kernels.levenshtein_kernel(x, y) for x, y in codes]
+        return [kernels.levenshtein_numpy(x, y) for x, y in codes]
 
     assert per_pair() == expected
     t_many = timeit(kernels.levenshtein_many, a, b, repeat=3)
     t_loop = timeit(per_pair, repeat=3)
-    backend = "numba" if kernels.HAVE_NUMBA else "numpy"
-    print(f"\nbatched edit distance ({backend} active), {len(pairs)} "
-          f"name/window pairs (best of 3, seconds)")
+    print(f"\nbatched edit distance, {len(pairs)} name/window pairs "
+          f"(best of 3, seconds)")
     print(f"  levenshtein_many      {t_many:.4f}")
     print(f"  per-pair kernel loop  {t_loop:.4f}  ({t_loop / t_many:.1f}x)")
 
@@ -106,33 +129,14 @@ def bench_fuzzy_workload(threshold=0.5, n_dialogues=150):
         return [fuzzy_match_entities(d, kb, threshold) for d in dialogues]
 
     elapsed = timeit(run, repeat=3)
-    backend = "numba" if kernels.HAVE_NUMBA else "numpy"
-    print(f"\nfuzzy-matching workload ({backend} active): {len(dialogues)} synth "
-          f"dialogues against {len(kb.entities)} entities at threshold {threshold} "
-          f"in {elapsed:.3f}s (best of 3; {elapsed / len(dialogues) * 1e3:.2f} ms "
-          f"per dialogue)")
+    print(f"\nfuzzy-matching workload: {len(dialogues)} synth dialogues against "
+          f"{len(kb.entities)} entities at threshold {threshold} in {elapsed:.3f}s "
+          f"(best of 3; {elapsed / len(dialogues) * 1e3:.2f} ms per dialogue)")
 
 
 def main():
     rng = np.random.default_rng(0)
-    print(f"numba available: {kernels.HAVE_NUMBA}")
-    if kernels.HAVE_NUMBA:
-        bench_pairwise("levenshtein", kernels.levenshtein_kernel,
-                       kernels.levenshtein_numpy, kernels._levenshtein_py,
-                       (64, 256, 1024, 4096), rng)
-        bench_pairwise("lcs_length", kernels.lcs_length_kernel,
-                       kernels.lcs_length_numpy, kernels._lcs_py,
-                       (64, 256, 1024, 4096), rng)
-    else:
-        print("numba disabled; timing the numpy path only")
-        for name, fn, reference in (
-                ("levenshtein", kernels.levenshtein_numpy, kernels._levenshtein_py),
-                ("lcs_length", kernels.lcs_length_numpy, kernels._lcs_py)):
-            for n in (64, 256, 1024, 4096):
-                a = rng.integers(0, 30, size=n)
-                b = rng.integers(0, 30, size=n)
-                assert fn(a, b) == reference(a, b)
-                print(f"{name} n={n}: {timeit(fn, a, b):.6f}s")
+    bench_pairwise(rng)
     bench_batched_levenshtein(rng)
     bench_fuzzy_workload()
 

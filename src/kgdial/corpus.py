@@ -414,7 +414,6 @@ class GenerationContext:
 def build_generation_context(dialogue: Dialogue,
                              topk: Sequence[KnowledgeSnippet],
                              max_tokens: int = 0,
-                             include_question: bool = False,
                              count_tags: bool = True) -> GenerationContext:
     """History, then knowledge blocks in descending rank order (worst
     first, best adjacent to the final user turn), then the last user turn.
@@ -429,11 +428,7 @@ def build_generation_context(dialogue: Dialogue,
     parts = [f"{t.tag} {normalize_ws(t.text)}" for t in dialogue.turns[:-1]]
     for rank in range(len(topk), 0, -1):
         snip = topk[rank - 1]
-        block = f"{tag_kng_k(rank)} {TAG_ENT} {snip.entity_name} {TAG_ANS} {snip.answer}"
-        if include_question:
-            block = (f"{tag_kng_k(rank)} {TAG_ENT} {snip.entity_name} "
-                     f"{TAG_KNG} {snip.question} {TAG_ANS} {snip.answer}")
-        parts.append(block)
+        parts.append(f"{tag_kng_k(rank)} {TAG_ENT} {snip.entity_name} {TAG_ANS} {snip.answer}")
     parts.append(f"{TAG_USER} {normalize_ws(last.text)}")
     text = truncate_left(" ".join(parts), max_tokens, count_tags=count_tags)
     return GenerationContext(

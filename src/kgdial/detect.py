@@ -41,15 +41,15 @@ class ErrorFixConfig:
             raise DetectError(f"delta_d out of range: {self.delta_d}")
 
 
-def build_detection_examples(dialogues: Sequence[Dialogue],
-                             max_tokens: int = 0) -> list[tuple[str, bool]]:
+def build_detection_examples(dialogues: Sequence[Dialogue], max_tokens: int = 0,
+                             count_tags: bool = True) -> list[tuple[str, bool]]:
     """One (tagged history, is_knowledge_seeking) pair per labeled dialogue."""
     examples = []
     for d in dialogues:
         if d.label is None:
             logger.warning("skipping unlabeled dialogue %s", d.id)
             continue
-        examples.append((linearize_history(d, max_tokens),
+        examples.append((linearize_history(d, max_tokens, count_tags),
                          d.label.is_knowledge_seeking))
     return examples
 

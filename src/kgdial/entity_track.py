@@ -16,7 +16,6 @@ history to ids once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -38,20 +37,6 @@ class TrackMethod(Enum):
     EXACT = "exact"
     FUZZY = "fuzzy"
     LEARNED = "learned"
-
-
-@dataclass(frozen=True)
-class EntityTrackConfig:
-    method: TrackMethod = TrackMethod.FUZZY
-    fuzzy_threshold: float = 0.8
-    delta_e: float = 0.5
-    max_history_tokens: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.fuzzy_threshold <= 1.0:
-            raise ValueError("fuzzy_threshold out of [0,1]")
-        if not 0.0 <= self.delta_e <= 1.0:
-            raise ValueError("delta_e out of [0,1]")
 
 
 def _utterance_tokens(dialogue: Dialogue) -> list[list[str]]:
@@ -145,11 +130,10 @@ def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
 
 
 def track_entities(scorer: SentencePairScorer, dialogue: Dialogue,
-                   kb: KnowledgeBase, delta_e: float = 0.5,
-                   max_history_tokens: int = 0) -> list[Entity]:
+                   kb: KnowledgeBase, delta_e: float = 0.5) -> list[Entity]:
     """Learned tracking: keep entities the scorer rates above delta_e. The
     history is scored against every entity in one ``scores`` call."""
-    history = linearize_history(dialogue, max_history_tokens)
+    history = linearize_history(dialogue)
     scores = scorer.scores(history, [linearize_entity(e.name) for e in kb.entities])
     return [e for e, s in zip(kb.entities, scores) if s > delta_e]
 
@@ -168,8 +152,7 @@ def collect_candidates(entities: Sequence[Entity],
 
 
 def build_tracking_examples(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
-                            rng, negatives_per_dialogue: int = 3,
-                            max_history_tokens: int = 0) -> list[tuple[str, str, int]]:
+                            rng, negatives_per_dialogue: int = 3) -> list[tuple[str, str, int]]:
     """(history, tagged entity name, label) pairs for the learned tracker.
 
     Positives come from the labeled ground-truth knowledge; negatives are
@@ -179,7 +162,7 @@ def build_tracking_examples(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
     for d in dialogues:
         if d.label is None or not d.label.is_knowledge_seeking or not d.label.knowledge_refs:
             continue
-        history = linearize_history(d, max_history_tokens)
+        history = linearize_history(d)
         positive_keys = {(dom, eid) for dom, eid, _ in d.label.knowledge_refs}
         positives = [e for e in kb.entities if e.key in positive_keys]
         negatives = [e for e in kb.entities if e.key not in positive_keys]

@@ -46,12 +46,10 @@ class GenTrainConfig:
     max_history_tokens: int = 512
     max_target_tokens: int = 96
     p_s: float = 0.15
-    k_folds: int = 10
     seed: int = 0
     learning_rate: float = 1e-5
     weight_decay: float = 0.01
     d: int = 32
-    include_question: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.p_s <= 1.0:
@@ -145,8 +143,7 @@ def build_gen_examples(dialogues: Sequence[Dialogue],
                 topk = survivors
                 gold_replaced = True
         context = build_generation_context(
-            d, topk, max_tokens=config.max_history_tokens,
-            include_question=config.include_question)
+            d, topk, max_tokens=config.max_history_tokens)
         examples.append(GenExample(
             turn_id=d.id, context=context,
             target=f"{TAG_RESP} {d.label.response}",

@@ -2,81 +2,24 @@
 
 Both are O(n*m) dynamic programs sitting on the critical path of fuzzy
 entity matching and of LCS-based text overlap scoring (evaluated over all
-candidate pairs in a pool). Fuzzy matching computes the edit distance of
+candidate pairs in a pool). Each runs row by row in numpy, the in-row
+recurrence as a prefix scan. Fuzzy matching computes the edit distance of
 every (name, same-length window) pair of a dialogue that a character-count
 lower bound (``char_counts``) cannot rule out, all in one
 ``levenshtein_many`` call: a single row-recurrence DP vectorised over the
-pairs. The default implementations are numba @njit kernels over integer
-code arrays (``levenshtein_many`` then loops the scalar kernel over the
-pairs); a vectorized pure-numpy path is selected by setting the environment
-variable KGDIAL_DISABLE_NUMBA=1 (or automatically when numba is
-unavailable).
+pairs.
 
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
 
-_DISABLE = os.environ.get("KGDIAL_DISABLE_NUMBA", "").strip() not in ("", "0", "false")
-
-try:
-    if _DISABLE:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def _levenshtein_py(a: np.ndarray, b: np.ndarray) -> int:
-    n, m = a.shape[0], b.shape[0]
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    prev = np.arange(m + 1, dtype=np.int64)
-    cur = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        cur[0] = i
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if ai == b[j - 1] else 1
-            x = prev[j - 1] + cost
-            y = prev[j] + 1
-            z = cur[j - 1] + 1
-            if y < x:
-                x = y
-            if z < x:
-                x = z
-            cur[j] = x
-        prev, cur = cur, prev
-    return int(prev[m])
-
-
-def _lcs_py(a: np.ndarray, b: np.ndarray) -> int:
-    n, m = a.shape[0], b.shape[0]
-    if n == 0 or m == 0:
-        return 0
-    prev = np.zeros(m + 1, dtype=np.int64)
-    cur = np.zeros(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                up = prev[j]
-                left = cur[j - 1]
-                cur[j] = up if up >= left else left
-        prev, cur = cur, prev
-        cur[:] = 0
-    return int(prev[m])
+# no numba backend exists; perfbench/workloads.py still records this flag
+HAVE_NUMBA = False
 
 
 def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
@@ -162,19 +105,6 @@ def lcs_length_numpy(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[m])
 
 
-if HAVE_NUMBA:
-    levenshtein_kernel = njit(cache=True)(_levenshtein_py)
-    lcs_length_kernel = njit(cache=True)(_lcs_py)
-
-    def levenshtein_many_kernel(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
-        return np.array([levenshtein_kernel(encode_chars(x), encode_chars(y))
-                         for x, y in zip(a, b)], dtype=np.int64)
-else:
-    levenshtein_kernel = levenshtein_numpy
-    lcs_length_kernel = lcs_length_numpy
-    levenshtein_many_kernel = levenshtein_many_numpy
-
-
 def encode_chars(s: str) -> np.ndarray:
     """Unicode code points of s as an int64 array."""
     if not s:
@@ -183,14 +113,14 @@ def encode_chars(s: str) -> np.ndarray:
 
 
 def levenshtein(a: str, b: str) -> int:
-    return int(levenshtein_kernel(encode_chars(a), encode_chars(b)))
+    return levenshtein_numpy(encode_chars(a), encode_chars(b))
 
 
 def levenshtein_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
     """Edit distances of the pairs (a[k], b[k]) as an int64 array."""
     if len(a) != len(b):
         raise ValueError(f"levenshtein_many: {len(a)} strings against {len(b)}")
-    return levenshtein_many_kernel(a, b)
+    return levenshtein_many_numpy(a, b)
 
 
 def char_counts(strings: Sequence[str], alphabet: np.ndarray) -> np.ndarray:
@@ -207,8 +137,8 @@ def char_counts(strings: Sequence[str], alphabet: np.ndarray) -> np.ndarray:
 
 
 def lcs_length_ids(a: np.ndarray, b: np.ndarray) -> int:
-    return int(lcs_length_kernel(np.ascontiguousarray(a, dtype=np.int64),
-                                 np.ascontiguousarray(b, dtype=np.int64)))
+    return lcs_length_numpy(np.ascontiguousarray(a, dtype=np.int64),
+                            np.ascontiguousarray(b, dtype=np.int64))
 
 
 def encode_tokens(tokens: list[str], vocab: dict[str, int]) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .consensus import (Candidate, CandidatePool, ConsensusWeights,
 from .corpus import (Dialogue, KnowledgeBase, linearize_history,
                      load_corpus, load_knowledge_base, save_corpus,
                      strip_labels)
-from .detect import predict
+from .detect import build_detection_examples, predict
 from .entity_track import (TrackMethod, build_tracking_examples,
                            collect_candidates, exact_match_entities,
                            fuzzy_match_entities, track_entities)
@@ -35,7 +35,7 @@ from .generate import (GenTrainConfig, ToyGenerator, build_gen_examples,
                        decode_nbest, mine_frequent_interrogatives,
                        preprocess_responses, train_generator)
 from .metrics import MetricReport, generation_report
-from .models import (TrainConfig, load_checkpoint, restore_params,
+from .models import (ModelError, TrainConfig, load_checkpoint, restore_params,
                      save_checkpoint, scorer_from_checkpoint,
                      scorer_to_checkpoint, train_pair_classifier)
 from .rank import (ListwiseConfig, PointwiseConfig, RankedKnowledgeList,
@@ -270,14 +270,10 @@ def _load_training_corpus(config: PipelineConfig
 
 def stage_train_detect(config: PipelineConfig) -> list[str]:
     corpus, _, inputs = _load_training_corpus(config)
-    examples = []
-    for d in corpus:
-        if d.label is None:
-            continue
-        history = linearize_history(d, int(config["detect.max_tokens"]),
-                                    count_tags=bool(config["corpus.count_tags"]))
-        examples.append((history, "", int(d.label.is_knowledge_seeking)))
-    scorer = train_pair_classifier(examples, _model_train_config(config, "detect"))
+    examples = build_detection_examples(corpus, int(config["detect.max_tokens"]),
+                                        bool(config["corpus.count_tags"]))
+    scorer = train_pair_classifier([(text, "", int(label)) for text, label in examples],
+                                   _model_train_config(config, "detect"))
     path = config.output_path("detector.npz")
     scorer_to_checkpoint(scorer, path)
     manifest = write_manifest(config, "train-detect", inputs, [path])
@@ -302,24 +298,7 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
         scorer_to_checkpoint(tracker, tracker_path)
         outputs.append(tracker_path)
 
-    pw_config = PointwiseConfig(
-        use_mtl=bool(config["rank.use_mtl"]),
-        variant=Variant(str(config["rank.variant"])),
-        epochs=int(config["rank.epochs"]),
-        learning_rate=float(config["rank.learning_rate"]),
-        batch_size=int(config["rank.batch_size"]),
-        seed=seed,
-        negatives=int(config["rank.negatives"]),
-        entity_candidates=int(config["rank.entity_negatives"]) + 1,
-        lambda_rank=float(config["rank.lambda_rank"]),
-        lambda_domain=float(config["rank.lambda_domain"]),
-        lambda_entity=float(config["rank.lambda_entity"]),
-        d=int(config["model.d"]),
-        max_len=int(config["model.max_len"]),
-        ena=AugmentConfig(
-            ena_probability=float(config["augment.ena_probability"]),
-            ena_delete_prob=float(config["augment.ena_delete_prob"]),
-            seed=seed))
+    pw_config = _pointwise_config(config)
     pointwise = train_pointwise(ks, kb, pw_config)
     pw_path = config.output_path("pointwise.npz")
     _save_rank_model(pointwise, pw_path)
@@ -328,8 +307,7 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
     tracker_fn = make_tracker(config, tracker)
     instances, stats = build_listwise_training_data(
         ks, kb, pw_config, k=int(config["rank.kfolds"]), seed=seed,
-        tracker=lambda d, kb_: collect_candidates(tracker_fn(d, kb_), kb_),
-        variant=pw_config.variant)
+        tracker=lambda d, kb_: collect_candidates(tracker_fn(d, kb_), kb_))
     lw_config = ListwiseConfig(
         variant=pw_config.variant,
         epochs=int(config["rank.listwise_epochs"]),
@@ -337,8 +315,7 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
         batch_size=int(config["rank.batch_size"]),
         seed=seed,
         d=int(config["model.d"]),
-        max_len=int(config["model.max_len"]),
-        alpha_inference=float(config["rank.alpha"]))
+        max_len=int(config["model.max_len"]))
     listwise = train_listwise(instances, kb, lw_config, init_from=pointwise)
     lw_path = config.output_path("listwise.npz")
     _save_rank_model(listwise, lw_path)
@@ -351,9 +328,34 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
     return outputs + [manifest]
 
 
+def _pointwise_config(config: PipelineConfig) -> PointwiseConfig:
+    """The point-wise ranker's settings, as train-select trains it."""
+    return PointwiseConfig(
+        use_mtl=bool(config["rank.use_mtl"]),
+        variant=Variant(str(config["rank.variant"])),
+        epochs=int(config["rank.epochs"]),
+        learning_rate=float(config["rank.learning_rate"]),
+        batch_size=int(config["rank.batch_size"]),
+        seed=config.seed,
+        negatives=int(config["rank.negatives"]),
+        entity_candidates=int(config["rank.entity_negatives"]) + 1,
+        lambda_rank=float(config["rank.lambda_rank"]),
+        lambda_domain=float(config["rank.lambda_domain"]),
+        lambda_entity=float(config["rank.lambda_entity"]),
+        d=int(config["model.d"]),
+        max_len=int(config["model.max_len"]),
+        ena=AugmentConfig(
+            ena_probability=float(config["augment.ena_probability"]),
+            ena_delete_prob=float(config["augment.ena_delete_prob"]),
+            seed=config.seed))
+
+
 def _save_rank_model(model, path: str) -> None:
     meta = {"kind": type(model).__name__, "vocab": model.encoder.vocab,
-            "encoder": model.encoder.config()}
+            "encoder": model.encoder.config(),
+            "variant": model.config.variant.value}
+    if meta["kind"] == "PointwiseModel":
+        meta.update(use_mtl=model.config.use_mtl, domains=model.domains)
     save_checkpoint(path, model.all_params(), meta)
 
 
@@ -372,7 +374,6 @@ def stage_train_generate(config: PipelineConfig) -> list[str]:
         max_history_tokens=int(config["gen.max_history_tokens"]),
         max_target_tokens=int(config["gen.max_target_tokens"]),
         p_s=float(config["gen.p_s"]),
-        k_folds=int(config["gen.kfolds"]),
         seed=config.seed,
         learning_rate=float(config["gen.learning_rate"]),
         d=int(config["model.d"]))
@@ -416,13 +417,7 @@ def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
     k = min(int(config["gen.kfolds"]), max(2, len(ks) // 2))
     folds = split_kfold(list(ks), k=k, seed=config.seed)
     tracker_fn = load_tracker(config)
-    pw_config = PointwiseConfig(
-        use_mtl=False, variant=Variant(str(config["rank.variant"])),
-        epochs=int(config["rank.epochs"]),
-        learning_rate=float(config["rank.learning_rate"]),
-        batch_size=int(config["rank.batch_size"]), seed=config.seed,
-        negatives=int(config["rank.negatives"]),
-        d=int(config["model.d"]), max_len=int(config["model.max_len"]))
+    pw_config = replace(_pointwise_config(config), use_mtl=False, ena=None)
     outputs: dict[str, list] = {}
     for i, fold in enumerate(folds):
         train_set = [d for j, f in enumerate(folds) if j != i for d in f]
@@ -492,8 +487,7 @@ class DecodeComponents:
 
 def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                       components: DecodeComponents,
-                      max_history_tokens: int = 512,
-                      include_question: bool = False) -> list[dict]:
+                      max_history_tokens: int = 512) -> list[dict]:
     """Full pipeline over label-stripped dialogues, emitting the labels
     schema per turn. An error raised for a turn propagates with its class
     kept (so the CLI still maps domain errors) and its message prefixed
@@ -515,9 +509,8 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                 ranked_lists.append(components.reranker(dialogue, first, tracked))
             merged = ensemble_rank(ranked_lists)
             top5 = [s for s, _ in merged.items]
-            context = build_generation_context(
-                dialogue, top5, max_tokens=max_history_tokens,
-                include_question=include_question)
+            context = build_generation_context(dialogue, top5,
+                                               max_tokens=max_history_tokens)
             nbest = decode_nbest(components.generator, context.text,
                                  components.nbest)
             pool = CandidatePool(
@@ -572,10 +565,8 @@ def stage_decode(config: PipelineConfig) -> list[str]:
                                        ("generator", "train-generate"))}
     detector = scorer_from_checkpoint(checkpoints["detector"])
     tracker = load_tracker(config)
-    pointwise = _load_rank_model(checkpoints["pointwise"], "PointwiseModel",
-                                 config, kb)
-    listwise = _load_rank_model(checkpoints["listwise"], "ListwiseModel",
-                                config, kb)
+    pointwise = _load_rank_model(checkpoints["pointwise"], "PointwiseModel", kb)
+    listwise = _load_rank_model(checkpoints["listwise"], "ListwiseModel", kb)
     generator = load_generator(checkpoints["generator"])
     inputs = [config["paths.logs"], config["paths.labels"], config["paths.knowledge"],
               *checkpoints.values(), *_tracker_inputs(config)]
@@ -586,10 +577,12 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         inputs.append(weights_path)
 
     detect_tokens = int(config["detect.max_tokens"])
+    count_tags = bool(config["corpus.count_tags"])
     alpha = float(config["rank.alpha"])
 
     def detector_fn(dialogue):
-        return detector.score(linearize_history(dialogue, detect_tokens), "")
+        return detector.score(
+            linearize_history(dialogue, detect_tokens, count_tags), "")
 
     def ranker(dialogue, candidates, tracked):
         return pointwise_rank(pointwise, dialogue, candidates, kb=kb,
@@ -617,26 +610,28 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     return [path, manifest]
 
 
-def _load_rank_model(path: str, kind: str, config: PipelineConfig,
-                     kb: KnowledgeBase):
+def _load_rank_model(path: str, kind: str, kb: KnowledgeBase):
+    """A rank model as train-select saved it: its variant, multi-task head
+    and domain list come from the checkpoint, not from the decode config."""
     from .rank import ListwiseModel, PointwiseModel
 
     tensors, meta = load_checkpoint(path, kind)
+    fields = ("variant", "use_mtl", "domains") if kind == "PointwiseModel" else ("variant",)
+    for key in fields:
+        if key not in meta:
+            raise ModelError(f"checkpoint {path}: missing field {key!r}")
     enc = meta["encoder"]
+    variant = Variant(meta["variant"])
     if kind == "PointwiseModel":
-        domains = sorted({s.domain for s in kb.snippets})
-        model = PointwiseModel(meta["vocab"], domains, PointwiseConfig(
-            use_mtl=any(k.startswith("mtl.") for k in tensors),
-            variant=Variant(str(config["rank.variant"])),
+        model = PointwiseModel(meta["vocab"], meta["domains"], PointwiseConfig(
+            use_mtl=meta["use_mtl"], variant=variant,
             seed=enc["seed"], d=enc["d"], max_len=enc["max_len"],
             pooling=enc["pooling"]))
         model.bind_kb(kb)
     else:
         model = ListwiseModel(meta["vocab"], ListwiseConfig(
-            variant=Variant(str(config["rank.variant"])),
-            seed=enc["seed"], d=enc["d"], max_len=enc["max_len"],
-            pooling=enc["pooling"],
-            alpha_inference=float(config["rank.alpha"])))
+            variant=variant, seed=enc["seed"], d=enc["d"],
+            max_len=enc["max_len"], pooling=enc["pooling"]))
     restore_params(path, model.all_params(), tensors)
     return model
 

@@ -442,7 +442,6 @@ class PointwiseConfig:
     batch_size: int = 16
     seed: int = 0
     negatives: int = 4
-    negative_pools: tuple[str, ...] = DEFAULT_POOLS
     entity_candidates: int = 4
     lambda_rank: float = 1.0
     lambda_domain: float = 1.0
@@ -663,8 +662,7 @@ def build_pointwise_instances(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
         tracked = exact_match_entities(d, kb)
         rows = [(gt, 1)]
         rows += [(neg, 0) for neg in sample_negatives(
-            gt, kb, d, drng, count=config.negatives, strategy=config.negative_pools,
-            mentioned=tracked)]
+            gt, kb, d, drng, count=config.negatives, mentioned=tracked)]
         for candidate, label in rows:
             names, true_idx = ([], 0)
             if config.use_mtl:
@@ -763,7 +761,6 @@ class ListwiseConfig:
     d: int = 24
     max_len: int = 128
     pooling: str = "mean"
-    alpha_inference: float = 100.0
     alpha_mask: tuple[int, int, int, int] = (1, 1, 1, 1)
 
 
@@ -805,13 +802,12 @@ class ListwiseModel:
     def distribution(self, dialogue: Dialogue,
                      candidates: Sequence[KnowledgeSnippet],
                      features: Sequence[SparseFeatures],
-                     alpha: Optional[float] = None) -> np.ndarray:
+                     alpha: float) -> np.ndarray:
         """Distribution over the (at most 5) candidates."""
         if not candidates:
             raise RankError("listwise scoring needs at least one candidate")
         if len(candidates) > 5:
             raise RankError("listwise scoring accepts at most 5 candidates")
-        alpha = self.config.alpha_inference if alpha is None else alpha
         pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
         return softmax(_wide_deep_logits(self, pairs, self._vectors(features, alpha)))
 
@@ -846,11 +842,11 @@ class ListwiseModel:
 def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                                  config: PointwiseConfig, k: int = 5,
                                  seed: int = 0,
-                                 tracker: Optional[Callable] = None,
-                                 variant: Variant = Variant.WD2,
-                                 top_n: int = 5) -> tuple[list[ListwiseInstance], dict]:
+                                 tracker: Optional[Callable] = None
+                                 ) -> tuple[list[ListwiseInstance], dict]:
     """Decode each fold with a point-wise model trained on the others and
-    keep the 5-way lists whose ground truth survived in the top-n."""
+    keep the 5-way lists whose ground truth survived in the top 5. The
+    lists' sparse features use the point-wise ``config.variant``."""
     labeled = [d for d in dialogues
                if d.label is not None and d.label.is_knowledge_seeking
                and d.label.knowledge_refs]
@@ -870,8 +866,7 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
             decoded_ids.add(d.id)
             candidates = tracker(d, kb) if tracker is not None else list(kb.snippets)
             tracked = exact_match_entities(d, kb)
-            ranked = pointwise_rank(model, d, candidates, kb=kb, tracked=tracked,
-                                    top_n=top_n)
+            ranked = pointwise_rank(model, d, candidates, kb=kb, tracked=tracked)
             refs = set(d.label.knowledge_refs)
             true_idx = next((j for j, key in enumerate(ranked.keys) if key in refs), None)
             if true_idx is None:
@@ -879,7 +874,7 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
                 continue
             cands = [s for s, _ in ranked.items]
             context = dialogue_features(d, tracked)
-            feats = context.sparse_features(cands, variant, names=names)
+            feats = context.sparse_features(cands, config.variant, names=names)
             instances.append(ListwiseInstance(
                 dialogue=d, candidates=cands, true_index=true_idx, features=feats))
     stats = {"folds": k, "decoded": len(decoded_ids), "emitted": len(instances),
@@ -916,7 +911,7 @@ def train_listwise(instances: Sequence[ListwiseInstance], kb: KnowledgeBase,
 def listwise_rerank(model: ListwiseModel, dialogue: Dialogue,
                     ranked: RankedKnowledgeList,
                     tracked: Sequence[Entity],
-                    alpha: Optional[float] = None) -> RankedKnowledgeList:
+                    alpha: float) -> RankedKnowledgeList:
     if not ranked.items:
         return ranked
     cands = [s for s, _ in ranked.items]

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
+from kgdial import pipeline
 from kgdial.consensus import ConsensusError, ConsensusWeights
-from kgdial.corpus import save_corpus, save_knowledge_base
+from kgdial.corpus import linearize_history, save_corpus, save_knowledge_base
 from kgdial.pipeline import (
     CONFIG_DEFAULTS, ConfigError, DecodeComponents, DependencyError,
     PipelineConfig, end_to_end_decode, evaluate_predictions, load_config,
@@ -14,7 +15,7 @@ from kgdial.pipeline import (
     write_manifest,
 )
 from kgdial.generate import GenerateError, ToyGenerator
-from kgdial.models import ModelError
+from kgdial.models import ModelError, ToyPairScorer
 from kgdial.pipeline import (_load_rank_model, _save_generator, _save_rank_model,
                              load_generator)
 from kgdial.rank import (ListwiseConfig, ListwiseModel, PointwiseConfig,
@@ -272,6 +273,67 @@ def test_default_learned_tracking_runs_end_to_end(tmp_path):
             assert "tracker.npz" in json.load(fh)["inputs"], stage
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small fuzzy-tracking pipeline trained without augment, so train and
+    decode read the same dialogues; the detector budget truncates histories
+    and tags do not count against it."""
+    root = tmp_path_factory.mktemp("trained")
+    dialogues, kb, _ = build_mini_corpus(MiniCorpusConfig(n_dialogues=30, seed=4))
+    save_corpus(dialogues, str(root / "logs.json"), str(root / "labels.json"))
+    save_knowledge_base(kb, str(root / "knowledge.json"))
+    config = PipelineConfig({
+        "paths.logs": str(root / "logs.json"),
+        "paths.labels": str(root / "labels.json"),
+        "paths.knowledge": str(root / "knowledge.json"),
+        "paths.output": str(root / "out"),
+        "corpus.count_tags": False, "detect.max_tokens": 8,
+        "track.method": "fuzzy", "track.fuzzy_threshold": 0.5,
+        "model.d": 8, "model.max_len": 64,
+        "detect.epochs": 4, "detect.learning_rate": 0.02,
+        "rank.epochs": 2, "rank.learning_rate": 0.01,
+        "rank.kfolds": 2, "rank.listwise_epochs": 1, "gen.epochs": 1,
+        "gen.kfolds": 2})
+    for stage in (stage_train_detect, stage_train_select, stage_train_generate):
+        stage(config)
+    return config, dialogues
+
+
+def test_decode_scores_the_detector_input_train_detect_trained_on(trained,
+                                                                  monkeypatch):
+    config, dialogues = trained
+    trained_on, scored = [], []
+    real_train, real_score = pipeline.train_pair_classifier, ToyPairScorer.score
+
+    def recording_train(examples, *args):
+        trained_on.extend(history for history, _, _ in examples)
+        return real_train(examples, *args)
+
+    def recording_score(self, sentence1, sentence2):
+        scored.append(sentence1)
+        return real_score(self, sentence1, sentence2)
+
+    monkeypatch.setattr(pipeline, "train_pair_classifier", recording_train)
+    monkeypatch.setattr(ToyPairScorer, "score", recording_score)
+    stage_train_detect(config)
+    stage_decode(config)
+    assert scored == trained_on
+    # counting tags, the default, would cut the histories shorter
+    assert scored != [linearize_history(d, 8) for d in dialogues]
+
+
+def test_decode_uses_the_variant_the_rankers_were_trained_with(trained):
+    config, _ = trained
+    predictions = {}
+    for variant in ("WD2", "WD"):
+        path = stage_decode(PipelineConfig(dict(config.values,
+                                                **{"rank.variant": variant})))[0]
+        with open(path, encoding="utf-8") as fh:
+            predictions[variant] = json.load(fh)
+    assert any(record["target"] for record in predictions["WD2"])
+    assert predictions["WD"] == predictions["WD2"]
+
+
 class TestCheckpointValidation:
     VOCAB = {"a": 0, "b": 1, "c": 2}
 
@@ -279,7 +341,7 @@ class TestCheckpointValidation:
         """(name, save a good checkpoint to a path, load a path) for every
         model that decode loads from train-* output."""
         def rank_loader(kind):
-            return lambda path: _load_rank_model(path, kind, PipelineConfig(), kb)
+            return lambda path: _load_rank_model(path, kind, kb)
 
         domains = sorted({s.domain for s in kb.snippets})
         pointwise = PointwiseModel(self.VOCAB, domains,
@@ -306,12 +368,25 @@ class TestCheckpointValidation:
                 load(bad)
             assert bad in str(info.value), name
 
+    @pytest.mark.parametrize("index,field", [(0, "variant"), (0, "use_mtl"),
+                                             (0, "domains"), (1, "variant")])
+    def test_rank_checkpoint_without_its_training_settings_is_rejected(
+            self, mini, tmp_path, index, field):
+        _, save, load = self.loaders(mini[1])[index]
+        good = str(tmp_path / "good.npz")
+        save(good)
+        bad = rewrite_checkpoint(good, str(tmp_path / "bad.npz"),
+                                 lambda tensors, meta: meta.pop(field))
+        with pytest.raises(ModelError, match=f"missing field '{field}'") as info:
+            load(bad)
+        assert bad in str(info.value)
+
     def test_rank_checkpoint_of_the_other_kind_is_rejected(self, mini, tmp_path):
         _, save, _ = self.loaders(mini[1])[1]
         path = str(tmp_path / "listwise.npz")
         save(path)
         with pytest.raises(ModelError, match="expected 'PointwiseModel'"):
-            _load_rank_model(path, "PointwiseModel", PipelineConfig(), mini[1])
+            _load_rank_model(path, "PointwiseModel", mini[1])
 
 
 class TestTrackerFactory:

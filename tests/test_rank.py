@@ -688,7 +688,7 @@ class TestListwise:
             cands = [kb.snippets[int(i)] for i in picks]
             d = corpus[int(rng.integers(len(corpus)))]
             feats = [extract_sparse_features(d, s, []) for s in cands]
-            dist = model.distribution(d, cands, feats)
+            dist = model.distribution(d, cands, feats, alpha=100.0)
             assert abs(dist.sum() - 1.0) < 1e-6
             assert len(dist) == take  # no padding logits
 
