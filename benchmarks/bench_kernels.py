@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the numpy edit-distance and LCS kernels.
+"""Benchmark the edit-distance and LCS kernels.
 
-Times the Levenshtein and LCS kernels on random integer sequences of
-growing length, the batched edit distance (`kernels.levenshtein_many`)
+Times the numpy Levenshtein kernel and the bit-parallel LCS kernel
+(`kernels.lcs_length_tokens`, given Python lists as consensus decoding
+gives it token lists) on random integer sequences of growing length, the
+batched edit distance (`kernels.levenshtein_many`)
 against a per-pair `levenshtein_numpy` loop on (entity name, same-length
 window) pairs, and `fuzzy_match_entities` over synth dialogues. Run after
 `pip install -e .`:
@@ -60,14 +62,15 @@ def lcs_dp(a, b):
 
 
 def bench_pairwise(rng):
-    print("\nnumpy kernels (best of 5, seconds)")
-    for name, fn, reference in (("levenshtein", kernels.levenshtein_numpy, lev_dp),
-                                ("lcs_length", kernels.lcs_length_numpy, lcs_dp)):
+    print("\npairwise kernels (best of 5, seconds)")
+    for name, fn, to_input, reference in (
+            ("levenshtein", kernels.levenshtein_numpy, np.asarray, lev_dp),
+            ("lcs_length", kernels.lcs_length_tokens, list, lcs_dp)):
         for n in SIZES:
-            a = rng.integers(0, 30, size=n)
-            b = rng.integers(0, 30, size=n)
+            a = to_input(rng.integers(0, 30, size=n).tolist())
+            b = to_input(rng.integers(0, 30, size=n).tolist())
             if n <= CHECK_MAX:
-                assert fn(a, b) == reference(a.tolist(), b.tolist())
+                assert fn(a, b) == reference(list(a), list(b))
             print(f"{name} n={n}: {timeit(fn, a, b):.6f}s")
 
 

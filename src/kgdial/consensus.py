@@ -5,12 +5,16 @@ features (its mean BLEU-1..4, ROUGE-1/2/L, METEOR-lite and character-F
 against every other candidate in the pool) and the reciprocal of its
 rank within its own system. The similarities equal the ``metrics``
 functions of the same names bit for bit, but are computed from
-per-candidate statistics built once per pool: tokens, suffix stems and
-word and character 1-4-gram counts. Clipped n-gram counts, LCS lengths
-and character overlaps are symmetric, so each unordered pair is compared
-once; the ROUGE and character-F scores are symmetric F1s and are reused
-for both orders, BLEU-1..4 share one pass over the orders, and only
-METEOR-lite (asymmetric alignment) runs per ordered pair. Feature
+per-candidate statistics built once per pool: tokens, suffix stems, the
+tables METEOR-lite aligns with, and word and character 1-4-gram
+multisets. A multiset is held as the set of its occurrences (a gram's
+k-th repeat is the pair (gram, k)), so a clipped overlap is the size of a
+set intersection. Clipped n-gram counts, LCS lengths (the bit-parallel
+``kernels.lcs_length_tokens``) and character overlaps are symmetric, so
+each unordered pair is compared once; the ROUGE and character-F scores
+are symmetric F1s and are reused for both orders, BLEU-1..4 share one
+pass over the orders, and only METEOR-lite (asymmetric alignment) runs
+per ordered pair. Nothing is kept between calls. Feature
 weights are tuned toward corpus BLEU-4 by coordinate ascent with exact
 line search: along one coordinate every pool's selection is a
 piecewise-constant function of the weight, so the objective only
@@ -28,8 +32,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .corpus import tokenize
-from .kernels import encode_tokens, lcs_length_ids
-from .metrics import corpus_bleu, ngrams, stem
+from .kernels import lcs_length_tokens
+from .metrics import corpus_bleu, stem
 
 FEATURE_NAMES = (
     "sim-bleu1", "sim-bleu2", "sim-bleu3", "sim-bleu4",
@@ -101,31 +105,67 @@ class ConsensusWeights:
 
 
 class _TextStats(NamedTuple):
-    """What the similarity features need of one text."""
+    """What the similarity features need of one text. Each n-gram multiset
+    is held as the set of its occurrences (`_occurrences`)."""
     tokens: list[str]
     stems: list[str]
-    words: list[Counter]  # word n-gram counts, n = 1.._MAX_N
-    chars: list[Counter]  # character n-gram counts of the joined tokens
+    words: list[frozenset]  # word n-gram occurrences, n = 1.._MAX_N
+    chars: list[frozenset]  # character n-gram occurrences of the joined tokens
     n_chars: int
+    keys: list  # each token's occurrence key (`_occurrence_keys`)
+    positions: dict  # occurrence key -> token position
+    stem_positions: dict[str, list[int]]  # stem -> its token positions, ascending
+
+
+def _occurrence_keys(items: list) -> list:
+    """Each item's occurrence key: an item's first occurrence is the item
+    itself, its k-th repeat the pair (item, k). Items here are strings or
+    tuples of strings, so no item equals such a pair."""
+    seen: dict = {}
+    keys = []
+    for item in items:
+        k = seen.get(item, 0)
+        seen[item] = k + 1
+        keys.append((item, k) if k else item)
+    return keys
+
+
+def _occurrences(grams: list) -> frozenset:
+    """The multiset ``grams`` as the set of its occurrence keys. Two such
+    sets share min(a[g], b[g]) keys of each gram g, so the size of their
+    intersection is the clipped overlap."""
+    unique = frozenset(grams)
+    if len(unique) == len(grams):
+        return unique
+    return frozenset(_occurrence_keys(grams))
 
 
 def _text_stats(text: str) -> _TextStats:
     tokens = tokenize(text)
+    stems = [stem(t) for t in tokens]
     joined = " ".join(tokens)
+    keys = _occurrence_keys(tokens)
+    stem_positions: dict[str, list[int]] = {}
+    for i, key in enumerate(stems):
+        stem_positions.setdefault(key, []).append(i)
     return _TextStats(
         tokens=tokens,
-        stems=[stem(t) for t in tokens],
-        words=[ngrams(tokens, n) for n in range(1, _MAX_N + 1)],
-        chars=[Counter(joined[i:i + n] for i in range(len(joined) - n + 1))
+        stems=stems,
+        words=[frozenset(keys)] + [
+            _occurrences([tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)])
+            for n in range(2, _MAX_N + 1)],
+        chars=[_occurrences([joined[i:i + n] for i in range(len(joined) - n + 1)])
                for n in range(1, _MAX_N + 1)],
-        n_chars=len(joined))
+        n_chars=len(joined),
+        keys=keys,
+        positions=dict(zip(keys, range(len(keys)))),
+        stem_positions=stem_positions)
 
 
-def _overlap(a: Counter, b: Counter) -> int:
-    """Clipped overlap sum(min(a[g], b[g])), symmetric in a and b."""
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(min(count, b.get(gram, 0)) for gram, count in a.items())
+def _overlap(a: frozenset, b: frozenset) -> int:
+    """Clipped overlap sum_g min(a[g], b[g]) of two n-gram multisets given
+    as `_occurrences`, symmetric in a and b."""
+    return len(a & b)
 
 
 def _f1(overlap: int, a_total: int, b_total: int) -> float:
@@ -173,37 +213,38 @@ def _char_f(a: _TextStats, b: _TextStats) -> float:
 def _meteor(hyp: _TextStats, ref: _TextStats) -> float:
     """metrics.meteor_lite(hyp, ref): each stage (exact, then stem) aligns
     the free hypothesis tokens left to right, each to the leftmost free
-    reference token with the same key."""
+    reference token with the same key. All reference tokens are free in
+    the exact stage, so there the k-th repeat of a token in ``hyp`` takes
+    its k-th repeat in ``ref``: the reference token with the same
+    occurrence key. In the stem stage each stem's free reference positions
+    are taken in order."""
     if not hyp.tokens or not ref.tokens:
         return 0.0
-    aligned = [-1] * len(hyp.tokens)
-    ref_used = [False] * len(ref.tokens)
-    for hyp_keys, ref_keys in ((hyp.tokens, ref.tokens), (hyp.stems, ref.stems)):
-        free: dict[str, list[int]] = {}
-        for j in range(len(ref_keys) - 1, -1, -1):
-            if not ref_used[j]:
-                free.setdefault(ref_keys[j], []).append(j)
-        for i, key in enumerate(hyp_keys):
-            positions = free.get(key) if aligned[i] < 0 else None
-            if positions:
-                j = positions.pop()
-                aligned[i] = j
-                ref_used[j] = True
-    m = len(aligned) - aligned.count(-1)
+    # -2 marks an unaligned token, so j == prev + 1 holds only where two
+    # aligned tokens advance together
+    aligned = [ref.positions.get(key, -2) for key in hyp.keys]
+    used = set(aligned)
+    # each reference position has one stem, so the stems' queues are disjoint
+    free: dict[str, list[int]] = {}
+    for i, j in enumerate(aligned):
+        if j >= 0:
+            continue
+        stem_key = hyp.stems[i]
+        queue = free.get(stem_key)
+        if queue is None:
+            queue = free[stem_key] = [
+                k for k in reversed(ref.stem_positions.get(stem_key, ()))
+                if k not in used]
+        if queue:
+            aligned[i] = queue.pop()
+    m = len(aligned) - aligned.count(-2)
     if m == 0:
         return 0.0
     p = m / len(hyp.tokens)
     r = m / len(ref.tokens)
     f_mean = 10 * p * r / (r + 9 * p)
     # a chunk is a maximal run where both sides advance together
-    chunks = 0
-    last_i = last_j = None
-    for i, j in enumerate(aligned):
-        if j < 0:
-            continue
-        if last_i is None or i != last_i + 1 or j != last_j + 1:
-            chunks += 1
-        last_i, last_j = i, j
+    chunks = m - sum([j == prev + 1 for prev, j in zip(aligned, aligned[1:])])
     penalty = 0.5 * (chunks / m) ** 3
     return f_mean * (1.0 - penalty)
 
@@ -213,8 +254,6 @@ def _features(pool: CandidatePool, stats: Sequence[_TextStats]) -> np.ndarray:
     if not pool.candidates:
         raise ConsensusError(f"empty candidate pool for turn {pool.turn_id}")
     n = len(stats)
-    vocab: dict[str, int] = {}
-    ids = [encode_tokens(s.tokens, vocab) for s in stats]
     sims: list[list] = [[None] * n for _ in range(n)]  # [i][j]: i against j
     for i in range(n):
         a = stats[i]
@@ -227,7 +266,7 @@ def _features(pool: CandidatePool, stats: Sequence[_TextStats]) -> np.ndarray:
             # symmetric scores: one value serves both orders
             shared = [_f1(clipped[0], len_a, len_b),
                       _f1(clipped[1], len_a - 1, len_b - 1),
-                      _f1(lcs_length_ids(ids[i], ids[j]), len_a, len_b)]
+                      _f1(lcs_length_tokens(a.tokens, b.tokens), len_a, len_b)]
             char_f = _char_f(a, b)
             sims[i][j] = (_bleu_orders(len_a, len_b, clipped) + shared
                           + [_meteor(a, b), char_f])

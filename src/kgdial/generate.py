@@ -44,6 +44,7 @@ class GenTrainConfig:
     epochs: int = 6
     batch_size: int = 32
     max_history_tokens: int = 512
+    count_tags: bool = True  # whether tags count against max_history_tokens
     max_target_tokens: int = 96
     p_s: float = 0.15
     seed: int = 0
@@ -143,7 +144,8 @@ def build_gen_examples(dialogues: Sequence[Dialogue],
                 topk = survivors
                 gold_replaced = True
         context = build_generation_context(
-            d, topk, max_tokens=config.max_history_tokens)
+            d, topk, max_tokens=config.max_history_tokens,
+            count_tags=config.count_tags)
         examples.append(GenExample(
             turn_id=d.id, context=context,
             target=f"{TAG_RESP} {d.label.response}",

@@ -1,20 +1,22 @@
 """Hot inner-loop kernels: Levenshtein distance and LCS length.
 
-Both are O(n*m) dynamic programs sitting on the critical path of fuzzy
-entity matching and of LCS-based text overlap scoring (evaluated over all
-candidate pairs in a pool). Each runs row by row in numpy, the in-row
-recurrence as a prefix scan. Fuzzy matching computes the edit distance of
-every (name, same-length window) pair of a dialogue that a character-count
-lower bound (``char_counts``) cannot rule out, all in one
-``levenshtein_many`` call: a single row-recurrence DP vectorised over the
-pairs.
+Both sit on a critical path: the edit distance on fuzzy entity matching,
+the LCS length on ROUGE-L, which consensus decoding evaluates over all
+candidate pairs in a pool. The edit distance is an O(n*m) dynamic
+program run row by row in numpy, the in-row recurrence as a prefix scan.
+Fuzzy matching computes the edit distance of every (name, same-length
+window) pair of a dialogue that a character-count lower bound
+(``char_counts``) cannot rule out, all in one ``levenshtein_many`` call:
+a single row-recurrence DP vectorised over the pairs. The LCS length is
+bit-parallel: one row of its table is one Python int, updated with a
+handful of integer operations per item of the first sequence.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -89,22 +91,6 @@ def levenshtein_many_numpy(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
     return out
 
 
-def lcs_length_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """Row-vectorized LCS length; the left-cell term is a max-scan."""
-    n, m = a.shape[0], b.shape[0]
-    if n == 0 or m == 0:
-        return 0
-    prev = np.zeros(m + 1, dtype=np.int64)
-    row = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        eq = (a[i - 1] == b).astype(np.int64)
-        row[0] = 0
-        np.maximum(prev[1:], prev[:-1] + eq, out=row[1:])
-        row = np.maximum.accumulate(row)
-        prev, row = row, prev
-    return int(prev[m])
-
-
 def encode_chars(s: str) -> np.ndarray:
     """Unicode code points of s as an int64 array."""
     if not s:
@@ -136,23 +122,26 @@ def char_counts(strings: Sequence[str], alphabet: np.ndarray) -> np.ndarray:
     return counts.astype(np.int32).reshape(len(strings), width)
 
 
-def lcs_length_ids(a: np.ndarray, b: np.ndarray) -> int:
-    return lcs_length_numpy(np.ascontiguousarray(a, dtype=np.int64),
-                            np.ascontiguousarray(b, dtype=np.int64))
+def lcs_length_tokens(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Length of the longest common subsequence of two sequences of
+    hashable items (tokens, code points, ids), bit-parallel over ``b``.
 
-
-def encode_tokens(tokens: list[str], vocab: dict[str, int]) -> np.ndarray:
-    """Map tokens to shared integer ids, growing vocab in place."""
-    out = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        code = vocab.get(tok)
-        if code is None:
-            code = len(vocab)
-            vocab[tok] = code
-        out[i] = code
-    return out
-
-
-def lcs_length_tokens(a: list[str], b: list[str]) -> int:
-    vocab: dict[str, int] = {}
-    return lcs_length_ids(encode_tokens(a, vocab), encode_tokens(b, vocab))
+    Bit j of ``V`` is 0 where row i of the LCS table steps up at column
+    j + 1, so the LCS so far is the number of zero bits among the low
+    len(b). Per item t of ``a``, with M the bit set of the positions of t
+    in ``b`` (Allison & Dix 1986, Hyyro 2004): U = V & M, then
+    V = (V + U) | (V - U). The carries of V + U run upwards only, so bits
+    at len(b) and above never reach the low bits and are masked off once,
+    at the end. Python ints are unbounded, so ``b`` has no length limit.
+    """
+    masks: dict[Hashable, int] = {}
+    for j, item in enumerate(b):
+        masks[item] = masks.get(item, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for item in a:
+        m = masks.get(item)
+        if m:
+            u = v & m
+            v = (v + u) | (v - u)
+    return len(b) - (v & full).bit_count()

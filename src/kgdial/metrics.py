@@ -150,6 +150,8 @@ _STEM_SUFFIXES = ("ingly", "fully", "ings", "ing", "edly", "est", "ers",
 
 def stem(word: str) -> str:
     """Tiny deterministic suffix stripper used by the stem match stage."""
+    if not word.endswith(_STEM_SUFFIXES):
+        return word
     for suf in _STEM_SUFFIXES:
         if word.endswith(suf) and len(word) - len(suf) >= 3:
             return word[:len(word) - len(suf)]

@@ -245,11 +245,13 @@ def pair_readout(cache: dict) -> np.ndarray:
     Pooling the second segment separately matters: in the global mean the
     displacement a matched token picks up from attending to its twin in
     the other segment is cancelled by the twin's mirror-image displacement.
+    Segment 1 is a suffix of the sequence (`ToyEncoder.pair_ids` puts it
+    last, and a cut keeps the end), so its rows are the last ones; with no
+    segment 1, as for ``forward(ids)``, its pool is zero.
     """
     H = cache["H"]
-    mask = cache["segs"] == 1
-    n = np.count_nonzero(mask)
-    seg_pool = H[mask].sum(axis=0) / n if n else np.zeros(H.shape[1])
+    n = np.count_nonzero(cache["segs"])
+    seg_pool = H[-n:].sum(axis=0) / n if n else np.zeros(H.shape[1])
     return np.concatenate([cache["f"], seg_pool])
 
 
@@ -258,9 +260,9 @@ def pair_readout_backward(cache: dict, du: np.ndarray) -> tuple[np.ndarray, np.n
     d = cache["H"].shape[1]
     df = du[:d].copy()
     dH = np.zeros_like(cache["H"])
-    mask = cache["segs"] == 1
-    if mask.any():
-        dH[mask] = du[d:] / mask.sum()
+    n = np.count_nonzero(cache["segs"])
+    if n:
+        dH[-n:] = du[d:] / n
     return dH, df
 
 

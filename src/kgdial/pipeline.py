@@ -38,10 +38,10 @@ from .metrics import MetricReport, generation_report
 from .models import (ModelError, TrainConfig, load_checkpoint, restore_params,
                      save_checkpoint, scorer_from_checkpoint,
                      scorer_to_checkpoint, train_pair_classifier)
-from .rank import (ListwiseConfig, PointwiseConfig, RankedKnowledgeList,
-                   Variant, build_listwise_training_data, ensemble_rank,
-                   listwise_rerank, pointwise_rank, train_listwise,
-                   train_pointwise)
+from .rank import (DialogueFeatures, ListwiseConfig, PointwiseConfig,
+                   RankedKnowledgeList, Variant, build_listwise_training_data,
+                   dialogue_features, ensemble_rank, listwise_rerank,
+                   pointwise_rank, train_listwise, train_pointwise)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,6 +122,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(self.values)
         self.values = merged
+        variants = [v.value for v in Variant]
+        if str(merged["rank.variant"]) not in variants:
+            raise ConfigError(f"rank.variant: expected one of {variants}, "
+                              f"got {merged['rank.variant']!r}")
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -315,7 +319,8 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
         batch_size=int(config["rank.batch_size"]),
         seed=seed,
         d=int(config["model.d"]),
-        max_len=int(config["model.max_len"]))
+        max_len=int(config["model.max_len"]),
+        pooling=str(config["model.pooling"]))
     listwise = train_listwise(instances, kb, lw_config, init_from=pointwise)
     lw_path = config.output_path("listwise.npz")
     _save_rank_model(listwise, lw_path)
@@ -344,6 +349,7 @@ def _pointwise_config(config: PipelineConfig) -> PointwiseConfig:
         lambda_entity=float(config["rank.lambda_entity"]),
         d=int(config["model.d"]),
         max_len=int(config["model.max_len"]),
+        pooling=str(config["model.pooling"]),
         ena=AugmentConfig(
             ena_probability=float(config["augment.ena_probability"]),
             ena_delete_prob=float(config["augment.ena_delete_prob"]),
@@ -372,6 +378,7 @@ def stage_train_generate(config: PipelineConfig) -> list[str]:
         epochs=int(config["gen.epochs"]),
         batch_size=int(config["gen.batch_size"]),
         max_history_tokens=int(config["gen.max_history_tokens"]),
+        count_tags=bool(config["corpus.count_tags"]),
         max_target_tokens=int(config["gen.max_target_tokens"]),
         p_s=float(config["gen.p_s"]),
         seed=config.seed,
@@ -471,27 +478,32 @@ def load_tracker(config: PipelineConfig) -> Callable:
 class DecodeComponents:
     """Pluggable pieces of the decode path; tests may inject oracles.
 
-    `ranker` ranks a turn's candidates once. When `reranker` is set, it
-    reorders that very list (called with the dialogue, the ranker's list
-    and the tracked entities) and the two lists are ensembled; otherwise
-    the ranker's list is ensembled alone."""
+    `ranker` ranks a turn's candidates once (called with the dialogue, the
+    candidates, the tracked entities and their `DialogueFeatures`). When
+    `reranker` is set, it reorders that very list (called with the
+    dialogue, the ranker's list, the tracked entities and the same
+    `DialogueFeatures`) and the two lists are ensembled; otherwise the
+    ranker's list is ensembled alone."""
     detector: Callable[[Dialogue], float]
     tracker: Callable[[Dialogue, KnowledgeBase], list]
-    ranker: Callable[[Dialogue, list, list], RankedKnowledgeList]
+    ranker: Callable[[Dialogue, list, list, DialogueFeatures], RankedKnowledgeList]
     generator: object
     consensus_weights: ConsensusWeights
     nbest: int = 5
-    reranker: Optional[Callable[[Dialogue, RankedKnowledgeList, list],
-                                RankedKnowledgeList]] = None
+    reranker: Optional[Callable[[Dialogue, RankedKnowledgeList, list,
+                                 DialogueFeatures], RankedKnowledgeList]] = None
 
 
 def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                       components: DecodeComponents,
-                      max_history_tokens: int = 512) -> list[dict]:
+                      max_history_tokens: int = 512,
+                      count_tags: bool = True) -> list[dict]:
     """Full pipeline over label-stripped dialogues, emitting the labels
-    schema per turn. An error raised for a turn propagates with its class
-    kept (so the CLI still maps domain errors) and its message prefixed
-    with the turn id."""
+    schema per turn. The dialogue part of the sparse ranking features is
+    built once per targeted turn and handed to the ranker and the
+    reranker. An error raised for a turn propagates with its class kept
+    (so the CLI still maps domain errors) and its message prefixed with the
+    turn id."""
     from .corpus import build_generation_context
 
     results = []
@@ -503,14 +515,17 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                 continue
             tracked = components.tracker(dialogue, kb)
             candidates = collect_candidates(tracked, kb)
-            first = components.ranker(dialogue, candidates, tracked)
+            features = dialogue_features(dialogue, tracked)
+            first = components.ranker(dialogue, candidates, tracked, features)
             ranked_lists = [first]
             if components.reranker is not None:
-                ranked_lists.append(components.reranker(dialogue, first, tracked))
+                ranked_lists.append(
+                    components.reranker(dialogue, first, tracked, features))
             merged = ensemble_rank(ranked_lists)
             top5 = [s for s, _ in merged.items]
             context = build_generation_context(dialogue, top5,
-                                               max_tokens=max_history_tokens)
+                                               max_tokens=max_history_tokens,
+                                               count_tags=count_tags)
             nbest = decode_nbest(components.generator, context.text,
                                  components.nbest)
             pool = CandidatePool(
@@ -584,12 +599,13 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         return detector.score(
             linearize_history(dialogue, detect_tokens, count_tags), "")
 
-    def ranker(dialogue, candidates, tracked):
+    def ranker(dialogue, candidates, tracked, features):
         return pointwise_rank(pointwise, dialogue, candidates, kb=kb,
-                              tracked=tracked)
+                              tracked=tracked, context=features)
 
-    def reranker(dialogue, first, tracked):
-        return listwise_rerank(listwise, dialogue, first, tracked, alpha=alpha)
+    def reranker(dialogue, first, tracked, features):
+        return listwise_rerank(listwise, dialogue, first, tracked, alpha=alpha,
+                               context=features)
 
     components = DecodeComponents(
         detector=detector_fn,
@@ -601,7 +617,8 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         nbest=int(config["gen.nbest"]))
     records = end_to_end_decode(
         corpus, kb, components,
-        max_history_tokens=int(config["gen.max_history_tokens"]))
+        max_history_tokens=int(config["gen.max_history_tokens"]),
+        count_tags=count_tags)
     validate_labels_schema(records)
     path = config.output_path("predictions.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -527,23 +527,29 @@ class PointwiseModel:
                                        self.config.variant, alpha)
 
     def _vectors(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
-                 tracked: Optional[Sequence[Entity]], alpha: float) -> np.ndarray:
+                 tracked: Optional[Sequence[Entity]], alpha: float,
+                 context: Optional[DialogueFeatures] = None) -> np.ndarray:
         """The sparse-feature rows of the candidates at ``alpha``, with the
-        entity-name n-grams read from the model's table."""
-        if tracked is None:
-            tracked = self._tracked(dialogue)
-        indicators = dialogue_features(dialogue, tracked).indicators(
-            candidates, self.config.variant, self._name_grams)
+        entity-name n-grams read from the model's table. ``context`` is
+        `dialogue_features(dialogue, tracked)` when the caller has it."""
+        if context is None:
+            if tracked is None:
+                tracked = self._tracked(dialogue)
+            context = dialogue_features(dialogue, tracked)
+        indicators = context.indicators(candidates, self.config.variant,
+                                        self._name_grams)
         return indicators * feature_scale(alpha)
 
     def logits(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
                alpha: float = 1.0,
-               tracked: Optional[Sequence[Entity]] = None) -> list[float]:
+               tracked: Optional[Sequence[Entity]] = None,
+               context: Optional[DialogueFeatures] = None) -> list[float]:
         """Logit of every candidate against one dialogue. The tracked
         entities, the history tokens and the dialogue part of the sparse
-        features are computed once for the list; each candidate gets its
-        own encoder pass, since the encoder attends across the pair."""
-        vectors = self._vectors(dialogue, candidates, tracked, alpha)
+        features (``context``, built here when not given) are computed once
+        for the list; each candidate gets its own encoder pass, since the
+        encoder attends across the pair."""
+        vectors = self._vectors(dialogue, candidates, tracked, alpha, context)
         pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
         return _wide_deep_logits(self, pairs, vectors).tolist()
 
@@ -730,15 +736,17 @@ def pointwise_rank(model: PointwiseModel, dialogue: Dialogue,
                    candidates: Sequence[KnowledgeSnippet],
                    alpha: float = 1.0, kb: Optional[KnowledgeBase] = None,
                    tracked: Optional[Sequence[Entity]] = None,
-                   top_n: int = 5) -> RankedKnowledgeList:
+                   top_n: int = 5,
+                   context: Optional[DialogueFeatures] = None) -> RankedKnowledgeList:
     """Score candidates independently and keep the top ones. An empty
-    candidate list falls back to the full knowledge base."""
+    candidate list falls back to the full knowledge base. ``context`` is
+    `dialogue_features(dialogue, tracked)` when the caller has it."""
     pool = list(candidates)
     if not pool:
         if kb is None:
             raise RankError("empty candidates and no knowledge base to fall back to")
         pool = list(kb.snippets)
-    logits = model.logits(dialogue, pool, alpha, tracked)
+    logits = model.logits(dialogue, pool, alpha, tracked, context)
     scored = [(snip, sigmoid(z)) for snip, z in zip(pool, logits)]
     return RankedKnowledgeList(dialogue.id, _sorted_items(scored, top_n))
 
@@ -866,14 +874,15 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
             decoded_ids.add(d.id)
             candidates = tracker(d, kb) if tracker is not None else list(kb.snippets)
             tracked = exact_match_entities(d, kb)
-            ranked = pointwise_rank(model, d, candidates, kb=kb, tracked=tracked)
+            context = dialogue_features(d, tracked)
+            ranked = pointwise_rank(model, d, candidates, kb=kb, tracked=tracked,
+                                    context=context)
             refs = set(d.label.knowledge_refs)
             true_idx = next((j for j, key in enumerate(ranked.keys) if key in refs), None)
             if true_idx is None:
                 dropped += 1
                 continue
             cands = [s for s, _ in ranked.items]
-            context = dialogue_features(d, tracked)
             feats = context.sparse_features(cands, config.variant, names=names)
             instances.append(ListwiseInstance(
                 dialogue=d, candidates=cands, true_index=true_idx, features=feats))
@@ -911,11 +920,15 @@ def train_listwise(instances: Sequence[ListwiseInstance], kb: KnowledgeBase,
 def listwise_rerank(model: ListwiseModel, dialogue: Dialogue,
                     ranked: RankedKnowledgeList,
                     tracked: Sequence[Entity],
-                    alpha: float) -> RankedKnowledgeList:
+                    alpha: float,
+                    context: Optional[DialogueFeatures] = None) -> RankedKnowledgeList:
+    """Reorder a point-wise list by the list-wise distribution. ``context``
+    is `dialogue_features(dialogue, tracked)` when the caller has it."""
     if not ranked.items:
         return ranked
     cands = [s for s, _ in ranked.items]
-    context = dialogue_features(dialogue, tracked)
+    if context is None:
+        context = dialogue_features(dialogue, tracked)
     feats = context.sparse_features(cands, model.config.variant,
                                     names=model._name_grams)
     dist = model.distribution(dialogue, cands, feats, alpha)

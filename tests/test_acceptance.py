@@ -411,7 +411,7 @@ def test_criterion_9_end_to_end():
             return [entities_by_key[(dom, eid)]
                     for dom, eid, _ in truth[dialogue.id].knowledge_refs]
 
-        def ranker(dialogue, candidates, tracked):
+        def ranker(dialogue, candidates, tracked, features):
             refs = set(truth[dialogue.id].knowledge_refs)
             scored = sorted(((s, 1.0 if s.key in refs else 0.0)
                              for s in candidates), key=lambda t: -t[1])
@@ -482,8 +482,9 @@ def test_criterion_9_end_to_end():
         def trained_tracker(dialogue, kb_):
             return fuzzy_match_entities(dialogue, kb_, 0.5)
 
-        def trained_ranker(dialogue, candidates, tracked):
-            return pointwise_rank(pw, dialogue, candidates, kb=kb, tracked=tracked)
+        def trained_ranker(dialogue, candidates, tracked, features):
+            return pointwise_rank(pw, dialogue, candidates, kb=kb, tracked=tracked,
+                                  context=features)
 
         trained = DecodeComponents(
             detector=trained_detector, tracker=trained_tracker,

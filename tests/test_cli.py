@@ -66,6 +66,17 @@ def test_unknown_config_key_is_config_error(workdir):
                  "--stage-overrides", "bogus.key=1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["train-select", "decode"])
+def test_unknown_rank_variant_is_one_line_config_error(workdir, command, capsys):
+    _, _, cfg = workdir
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg),
+                 "--stage-overrides", "rank.variant=XX"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: rank.variant") and "'XX'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_full_pipeline_runs(workdir, capsys):
     root, data, cfg = workdir
     for command in ("augment", "train-detect", "train-select", "train-generate",

@@ -138,6 +138,14 @@ class TestPoolFeaturesMatchMetrics:
     def test_bit_identical_to_metric_definitions(self, p):
         assert np.array_equal(pool_features(p), oracle_features(p))
 
+    # texts longer than 64 tokens, where repeats and stem matches abound
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(WORDS), min_size=60, max_size=90)
+                    .map(" ".join), min_size=2, max_size=4))
+    def test_bit_identical_on_long_texts(self, texts):
+        p = pool("t", *(cand(t, "s1", i + 1) for i, t in enumerate(texts)))
+        assert np.array_equal(pool_features(p), oracle_features(p))
+
     def test_tokenizes_each_candidate_once(self, monkeypatch):
         seen = []
         real = consensus.tokenize

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdial import kernels
@@ -59,7 +59,7 @@ def test_levenshtein_matches_oracle(a, b):
 def test_numpy_path_matches_oracle(a, b):
     ca, cb = kernels.encode_chars(a), kernels.encode_chars(b)
     assert kernels.levenshtein_numpy(ca, cb) == lev_oracle(a, b)
-    assert kernels.lcs_length_numpy(ca, cb) == lcs_oracle(a, b)
+    assert kernels.lcs_length_tokens(ca, cb) == lcs_oracle(a, b)
 
 
 @given(st.lists(st.sampled_from(["a", "b", "cat", "dog"]), max_size=25),
@@ -67,6 +67,30 @@ def test_numpy_path_matches_oracle(a, b):
 @settings(max_examples=200, deadline=None)
 def test_lcs_tokens_matches_oracle(a, b):
     assert kernels.lcs_length_tokens(a, b) == lcs_oracle(a, b)
+
+
+# long sides (one row of the bit-parallel LCS spans several 64-bit words),
+# empty sides, heavily repeated items, and tokens as well as ids
+LONG_SEQ = st.one_of(
+    st.lists(st.integers(0, 3), max_size=200),
+    st.lists(st.integers(0, 40), min_size=65, max_size=160),
+    st.lists(st.just(7), max_size=150),
+    st.lists(st.sampled_from(["a", "b", "cat", "⟨ent⟩"]), min_size=65, max_size=120),
+)
+
+
+@given(LONG_SEQ, LONG_SEQ)
+@settings(max_examples=300, deadline=None)
+@example([], [])
+@example([1] * 70, [])
+@example([], [1] * 70)
+@example([1] * 130, [1] * 65)
+@example(list(range(100)), list(range(99, -1, -1)))
+def test_bit_parallel_lcs_matches_oracle(a, b):
+    expected = lcs_oracle(a, b)
+    assert kernels.lcs_length_tokens(a, b) == expected
+    assert kernels.lcs_length_tokens(b, a) == expected
+    assert kernels.lcs_length_tokens(np.array(a), np.array(b)) == expected
 
 
 def _lev_reference(a: str, b: str) -> int:

@@ -280,6 +280,26 @@ def reference_pair_readout(cache):
     return np.concatenate([cache["f"], seg_pool])
 
 
+def mask_pair_readout(cache):
+    """pair_readout pooling segment 1 through a boolean mask."""
+    H = cache["H"]
+    mask = cache["segs"] == 1
+    n = np.count_nonzero(mask)
+    seg_pool = H[mask].sum(axis=0) / n if n else np.zeros(H.shape[1])
+    return np.concatenate([cache["f"], seg_pool])
+
+
+def mask_pair_readout_backward(cache, du):
+    """pair_readout_backward scattering through a boolean mask."""
+    d = cache["H"].shape[1]
+    df = du[:d].copy()
+    dH = np.zeros_like(cache["H"])
+    mask = cache["segs"] == 1
+    if mask.any():
+        dH[mask] = du[d:] / mask.sum()
+    return dH, df
+
+
 def reference_forward(encoder, ids, segs):
     p = encoder.params
     E = p["emb"][ids] + p["seg"][segs]
@@ -371,6 +391,28 @@ class TestCompiledInputs:
         for key in ref:
             assert np.array_equal(cache[key], ref[key]), key
         assert np.array_equal(pair_readout(cache), reference_pair_readout(ref))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(left=TOKENS, right=TOKENS, max_len=st.integers(1, 14),
+           pooling=st.sampled_from(["mean", "first"]), seed=st.integers(0, 1000),
+           with_segs=st.booleans())
+    @example(left=["a"] * 6, right=["b"] * 3, max_len=4, pooling="mean", seed=0,
+             with_segs=True)  # the cut keeps segment 1 and the end of segment 0
+    @example(left=["a"] * 3, right=["b"] * 6, max_len=4, pooling="mean", seed=0,
+             with_segs=True)  # the cut keeps segment 1 only
+    @example(left=["a"] * 3, right=[], max_len=8, pooling="mean", seed=0,
+             with_segs=True)  # no segment 1
+    def test_readout_equals_mask_definition(self, left, right, max_len, pooling,
+                                            seed, with_segs):
+        enc = ToyEncoder(self.VOCAB, d=5, max_len=max_len, pooling=pooling, seed=seed)
+        ids, segs = enc.pair_ids(enc.vocab_ids(left), enc.vocab_ids(right))
+        cache = enc.forward(ids, segs) if with_segs else enc.forward(ids)
+        assert np.array_equal(pair_readout(cache), mask_pair_readout(cache))
+        du = np.random.default_rng(seed).normal(size=2 * enc.d)
+        (dH, df), (ref_dH, ref_df) = (pair_readout_backward(cache, du),
+                                      mask_pair_readout_backward(cache, du))
+        assert np.array_equal(dH, ref_dH) and np.array_equal(df, ref_df)
 
 
 class TestCompiledPairRows:

@@ -1,12 +1,14 @@
 import json
 import os
 import re
+import shutil
 
 import pytest
 
-from kgdial import pipeline
+from kgdial import corpus, generate, pipeline, rank
 from kgdial.consensus import ConsensusError, ConsensusWeights
-from kgdial.corpus import linearize_history, save_corpus, save_knowledge_base
+from kgdial.corpus import (linearize_history, load_knowledge_base, save_corpus,
+                           save_knowledge_base)
 from kgdial.pipeline import (
     CONFIG_DEFAULTS, ConfigError, DecodeComponents, DependencyError,
     PipelineConfig, end_to_end_decode, evaluate_predictions, load_config,
@@ -15,7 +17,7 @@ from kgdial.pipeline import (
     write_manifest,
 )
 from kgdial.generate import GenerateError, ToyGenerator
-from kgdial.models import ModelError, ToyPairScorer
+from kgdial.models import ModelError, ToyPairScorer, load_checkpoint
 from kgdial.pipeline import (_load_rank_model, _save_generator, _save_rank_model,
                              load_generator)
 from kgdial.rank import (ListwiseConfig, ListwiseModel, PointwiseConfig,
@@ -116,7 +118,7 @@ def oracle_components(dialogues, kb):
         refs = truth[dialogue.id].knowledge_refs
         return [entities_by_key[(dom, eid)] for dom, eid, _ in refs]
 
-    def ranker(dialogue, candidates, tracked):
+    def ranker(dialogue, candidates, tracked, features):
         refs = set(truth[dialogue.id].knowledge_refs)
         scored = tuple(
             (snip, 1.0 if snip.key in refs else 0.0) for snip in candidates)
@@ -215,12 +217,12 @@ def test_decode_ranks_each_turn_once_and_reranks_that_list(mini):
     oracle_ranker = components.ranker
     first_lists, reranked_lists = {}, {}
 
-    def counting_ranker(dialogue, candidates, tracked):
+    def counting_ranker(dialogue, candidates, tracked, features):
         assert dialogue.id not in first_lists
-        first_lists[dialogue.id] = oracle_ranker(dialogue, candidates, tracked)
+        first_lists[dialogue.id] = oracle_ranker(dialogue, candidates, tracked, features)
         return first_lists[dialogue.id]
 
-    def reversing_reranker(dialogue, first, tracked):
+    def reversing_reranker(dialogue, first, tracked, features):
         assert first is first_lists[dialogue.id]
         n = len(first.items)
         reordered = [snip for snip, _ in reversed(first.items)]
@@ -332,6 +334,70 @@ def test_decode_uses_the_variant_the_rankers_were_trained_with(trained):
             predictions[variant] = json.load(fh)
     assert any(record["target"] for record in predictions["WD2"])
     assert predictions["WD"] == predictions["WD2"]
+
+
+def test_decode_builds_dialogue_features_once_per_targeted_turn(trained,
+                                                                monkeypatch):
+    config, _ = trained
+    calls = []
+    real = rank.dialogue_features
+
+    def counting(dialogue, tracked):
+        calls.append(dialogue.id)
+        return real(dialogue, tracked)
+
+    monkeypatch.setattr(rank, "dialogue_features", counting)
+    monkeypatch.setattr(pipeline, "dialogue_features", counting)
+    path = stage_decode(config)[0]
+    with open(path, encoding="utf-8") as fh:
+        targeted = sum(record["target"] for record in json.load(fh))
+    assert targeted > 0
+    assert len(calls) == len(set(calls)) == targeted
+
+
+def _copy_outputs(config, tmp_path, **values):
+    """The config with its trained outputs copied to a fresh directory."""
+    out = tmp_path / "out"
+    shutil.copytree(config["paths.output"], out)
+    return PipelineConfig(dict(config.values, **values, **{"paths.output": str(out)}))
+
+
+def test_rankers_pool_as_configured(trained, tmp_path):
+    config = _copy_outputs(trained[0], tmp_path, **{"model.pooling": "first"})
+    stage_train_select(config)
+    kb = load_knowledge_base(config["paths.knowledge"])
+    for name, kind in (("pointwise", "PointwiseModel"), ("listwise", "ListwiseModel")):
+        path = config.output_path(f"{name}.npz")
+        assert load_checkpoint(path)[1]["encoder"]["pooling"] == "first", name
+        assert _load_rank_model(path, kind, kb).encoder.pooling == "first", name
+    with open(stage_decode(config)[0], encoding="utf-8") as fh:
+        validate_labels_schema(json.load(fh))
+
+
+def test_generation_contexts_follow_count_tags(trained, tmp_path, monkeypatch):
+    # the trained pipeline does not count tags; 30 tokens truncate histories
+    config = _copy_outputs(trained[0], tmp_path, **{"gen.max_history_tokens": 30})
+    assert config["corpus.count_tags"] is False
+    real = corpus.build_generation_context
+    built = []
+
+    def recording(dialogue, topk, max_tokens=0, count_tags=True):
+        context = real(dialogue, topk, max_tokens, count_tags)
+        built.append((dialogue, list(topk), max_tokens, context))
+        return context
+
+    monkeypatch.setattr(generate, "build_generation_context", recording)
+    monkeypatch.setattr(corpus, "build_generation_context", recording)
+    stage_train_generate(config)
+    n_train = len(built)
+    stage_decode(config)
+    assert 0 < n_train < len(built)
+    truncated = 0
+    for dialogue, topk, max_tokens, context in built:
+        assert max_tokens == 30
+        assert context == real(dialogue, topk, 30, count_tags=False)
+        truncated += context != real(dialogue, topk, 30, count_tags=True)
+    assert truncated > 0
 
 
 class TestCheckpointValidation:
