@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -140,6 +140,15 @@ def _occurrences(grams: list) -> frozenset:
     return frozenset(_occurrence_keys(grams))
 
 
+def _char_ngrams(text: str) -> list[list[str]]:
+    """The character n-grams of ``text`` in order, for n = 1.._MAX_N; the
+    grams of order n + 1 extend those of order n by one character."""
+    grams = [list(text)]
+    for n in range(1, _MAX_N):
+        grams.append(list(map(operator.add, grams[-1], text[n:])))
+    return grams
+
+
 def _text_stats(text: str) -> _TextStats:
     tokens = tokenize(text)
     stems = [stem(t) for t in tokens]
@@ -154,8 +163,7 @@ def _text_stats(text: str) -> _TextStats:
         words=[frozenset(keys)] + [
             _occurrences([tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)])
             for n in range(2, _MAX_N + 1)],
-        chars=[_occurrences([joined[i:i + n] for i in range(len(joined) - n + 1)])
-               for n in range(1, _MAX_N + 1)],
+        chars=[_occurrences(grams) for grams in _char_ngrams(joined)],
         n_chars=len(joined),
         keys=keys,
         positions=dict(zip(keys, range(len(keys)))),
@@ -210,43 +218,48 @@ def _char_f(a: _TextStats, b: _TextStats) -> float:
     return sum(scores) / len(scores) if scores else 0.0
 
 
-def _meteor(hyp: _TextStats, ref: _TextStats) -> float:
-    """metrics.meteor_lite(hyp, ref): each stage (exact, then stem) aligns
-    the free hypothesis tokens left to right, each to the leftmost free
-    reference token with the same key. All reference tokens are free in
-    the exact stage, so there the k-th repeat of a token in ``hyp`` takes
-    its k-th repeat in ``ref``: the reference token with the same
-    occurrence key. In the stem stage each stem's free reference positions
-    are taken in order."""
-    if not hyp.tokens or not ref.tokens:
-        return 0.0
+def _meteor_pair(a: _TextStats, b: _TextStats) -> tuple[float, float]:
+    """(metrics.meteor_lite(a, b), metrics.meteor_lite(b, a)). Each stage
+    (exact, then stem) aligns the free hypothesis tokens left to right, each
+    to the leftmost free reference token with the same key. All tokens are
+    free in the exact stage, so there the k-th repeat of a token on one
+    side takes its k-th repeat on the other: the token with the same
+    occurrence key. In the stem stage the i-th free token of a stem on one
+    side takes the i-th free token of that stem on the other. Both stages
+    pair the same tokens whichever side is the hypothesis, and so does a
+    chunk (a maximal run where both sides advance together); only
+    precision and recall swap."""
+    if not a.tokens or not b.tokens:
+        return 0.0, 0.0
     # -2 marks an unaligned token, so j == prev + 1 holds only where two
     # aligned tokens advance together
-    aligned = [ref.positions.get(key, -2) for key in hyp.keys]
+    aligned = [b.positions.get(key, -2) for key in a.keys]
     used = set(aligned)
-    # each reference position has one stem, so the stems' queues are disjoint
+    # each position of b has one stem, so the stems' queues are disjoint
     free: dict[str, list[int]] = {}
     for i, j in enumerate(aligned):
         if j >= 0:
             continue
-        stem_key = hyp.stems[i]
+        stem_key = a.stems[i]
         queue = free.get(stem_key)
         if queue is None:
             queue = free[stem_key] = [
-                k for k in reversed(ref.stem_positions.get(stem_key, ()))
+                k for k in reversed(b.stem_positions.get(stem_key, ()))
                 if k not in used]
         if queue:
             aligned[i] = queue.pop()
     m = len(aligned) - aligned.count(-2)
     if m == 0:
-        return 0.0
-    p = m / len(hyp.tokens)
-    r = m / len(ref.tokens)
-    f_mean = 10 * p * r / (r + 9 * p)
-    # a chunk is a maximal run where both sides advance together
+        return 0.0, 0.0
     chunks = m - sum([j == prev + 1 for prev, j in zip(aligned, aligned[1:])])
     penalty = 0.5 * (chunks / m) ** 3
-    return f_mean * (1.0 - penalty)
+    scores = []
+    for hyp_len, ref_len in ((len(a.tokens), len(b.tokens)),
+                             (len(b.tokens), len(a.tokens))):
+        p = m / hyp_len
+        r = m / ref_len
+        scores.append(10 * p * r / (r + 9 * p) * (1.0 - penalty))
+    return scores[0], scores[1]
 
 
 def _features(pool: CandidatePool, stats: Sequence[_TextStats]) -> np.ndarray:
@@ -268,19 +281,20 @@ def _features(pool: CandidatePool, stats: Sequence[_TextStats]) -> np.ndarray:
                       _f1(clipped[1], len_a - 1, len_b - 1),
                       _f1(lcs_length_tokens(a.tokens, b.tokens), len_a, len_b)]
             char_f = _char_f(a, b)
+            meteor_ab, meteor_ba = _meteor_pair(a, b)
             sims[i][j] = (_bleu_orders(len_a, len_b, clipped) + shared
-                          + [_meteor(a, b), char_f])
+                          + [meteor_ab, char_f])
             sims[j][i] = (_bleu_orders(len_b, len_a, clipped) + shared
-                          + [_meteor(b, a), char_f])
-    feats = np.zeros((n, len(FEATURE_NAMES)))
+                          + [meteor_ba, char_f])
+    feats = []
     for i, candidate in enumerate(pool.candidates):
-        if n > 1:
-            # Python sum in pool order, as the metric definitions are
-            # averaged, so that the bits match
-            rows = [sims[i][j] for j in range(n) if j != i]
-            feats[i, :-1] = [sum(column) / (n - 1) for column in zip(*rows)]
-        feats[i, -1] = 1.0 / candidate.rank
-    return feats
+        # Python sum in pool order, as the metric definitions are averaged,
+        # so that the bits match
+        others = [sims[i][j] for j in range(n) if j != i]
+        means = ([sum(column) / (n - 1) for column in zip(*others)] if others
+                 else [0.0] * (len(FEATURE_NAMES) - 1))
+        feats.append(means + [1.0 / candidate.rank])
+    return np.array(feats)
 
 
 def pool_features(pool: CandidatePool) -> np.ndarray:
