@@ -13,8 +13,9 @@ set intersection. Clipped n-gram counts, LCS lengths (the bit-parallel
 ``kernels.lcs_length_tokens``) and character overlaps are symmetric, so
 each unordered pair is compared once; the ROUGE and character-F scores
 are symmetric F1s and are reused for both orders, BLEU-1..4 share one
-pass over the orders, and only METEOR-lite (asymmetric alignment) runs
-per ordered pair. Nothing is kept between calls. Feature
+pass over the orders, and METEOR-lite's alignment pairs the same tokens
+whichever side is the hypothesis, so one alignment gives both orders'
+scores. Nothing is kept between calls. Feature
 weights are tuned toward corpus BLEU-4 by coordinate ascent with exact
 line search: along one coordinate every pool's selection is a
 piecewise-constant function of the weight, so the objective only
