@@ -392,7 +392,6 @@ class TestCompiledInputs:
             assert np.array_equal(cache[key], ref[key]), key
         assert np.array_equal(pair_readout(cache), reference_pair_readout(ref))
 
-
     @settings(max_examples=200, deadline=None)
     @given(left=TOKENS, right=TOKENS, max_len=st.integers(1, 14),
            pooling=st.sampled_from(["mean", "first"]), seed=st.integers(0, 1000),
