@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the edit-distance and LCS kernels.
 
-Times the numpy Levenshtein kernel and the bit-parallel LCS kernel
-(`kernels.lcs_length_tokens`, given Python lists as consensus decoding
-gives it token lists) on random integer sequences of growing length, the
-batched edit distance (`kernels.levenshtein_many`)
-against a per-pair `levenshtein_numpy` loop on (entity name, same-length
-window) pairs, and `fuzzy_match_entities` over synth dialogues. Run after
+Times the edit distance of one string pair (`kernels.levenshtein`) and the
+bit-parallel LCS kernel (`kernels.lcs_length_tokens`, given Python lists
+as consensus decoding gives it token lists) on random sequences of growing
+length, the batched edit distance (`kernels.levenshtein_many`) against a
+per-pair `levenshtein` loop on (entity name, same-length window) pairs,
+and `fuzzy_match_entities` over synth dialogues. Run after
 `pip install -e .`:
 
     python3 benchmarks/bench_kernels.py
@@ -15,7 +15,8 @@ Before timing, the kernels are checked against a plain-Python DP of this
 script's own (on the sequences of at most CHECK_MAX elements, where it
 runs in seconds), and fuzzy matching against its scalar definition
 (`fuzzy_similarity`); the whole script takes about half a minute on one
-x86-64 core.
+x86-64 core. ``tests/test_bench_kernels.py`` runs the same checks at small
+sizes.
 """
 
 import time
@@ -61,12 +62,16 @@ def lcs_dp(a, b):
     return prev[-1]
 
 
-def bench_pairwise(rng):
+def _letters(codes):
+    return "".join(chr(ord("a") + c) for c in codes)
+
+
+def bench_pairwise(rng, sizes=SIZES):
     print("\npairwise kernels (best of 5, seconds)")
     for name, fn, to_input, reference in (
-            ("levenshtein", kernels.levenshtein_numpy, np.asarray, lev_dp),
+            ("levenshtein", kernels.levenshtein, _letters, lev_dp),
             ("lcs_length", kernels.lcs_length_tokens, list, lcs_dp)):
-        for n in SIZES:
+        for n in sizes:
             a = to_input(rng.integers(0, 30, size=n).tolist())
             b = to_input(rng.integers(0, 30, size=n).tolist())
             if n <= CHECK_MAX:
@@ -88,18 +93,17 @@ def fuzzy_shaped_pairs(rng, n_names=30, n_utterances=50, words_per_utt=30):
             for i in range(len(utt) - 2)]
 
 
-def bench_batched_levenshtein(rng):
-    """One levenshtein_many call against a per-pair levenshtein_numpy loop,
-    both checked against the reference DP first."""
-    pairs = fuzzy_shaped_pairs(rng, n_utterances=8)
+def bench_batched_levenshtein(rng, n_names=30, n_utterances=8):
+    """One levenshtein_many call against a per-pair levenshtein loop, both
+    checked against the reference DP first."""
+    pairs = fuzzy_shaped_pairs(rng, n_names=n_names, n_utterances=n_utterances)
     a = [x for x, _ in pairs]
     b = [y for _, y in pairs]
-    codes = [(kernels.encode_chars(x), kernels.encode_chars(y)) for x, y in pairs]
     expected = [lev_dp(x, y) for x, y in pairs]
     assert kernels.levenshtein_many(a, b).tolist() == expected
 
     def per_pair():
-        return [kernels.levenshtein_numpy(x, y) for x, y in codes]
+        return [kernels.levenshtein(x, y) for x, y in pairs]
 
     assert per_pair() == expected
     t_many = timeit(kernels.levenshtein_many, a, b, repeat=3)

@@ -366,14 +366,16 @@ def linearize_history(dialogue: Dialogue, max_tokens: int = 0,
 def truncate_left(text: str, max_tokens: int, count_tags: bool = True) -> str:
     if max_tokens <= 0 or count_tokens(text, count_tags) <= max_tokens:
         return text
+    # drop leading space-separated units until the remainder fits; no
+    # token spans a space, so the remainder's count is the sum of its
+    # units' counts
     units = text.split(" ")
-    # drop leading units until the canonical count of the remainder fits
-    lo = 0
-    while lo < len(units):
-        candidate = " ".join(units[lo:])
-        if count_tokens(candidate, count_tags) <= max_tokens:
-            return candidate
-        lo += 1
+    counts = [count_tokens(u, count_tags) for u in units]
+    remaining = sum(counts)
+    for lo, count in enumerate(counts):
+        if remaining <= max_tokens:
+            return " ".join(units[lo:])
+        remaining -= count
     return ""
 
 

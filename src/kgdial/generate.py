@@ -10,9 +10,10 @@ and a small trainable conditional generator with n-best beam decoding.
 The reference generator is an autoregressive word model conditioned on a
 bag-of-words context vector, the previous token and the position. It can
 overfit a small training set exactly, which is all the desk-scale
-harness requires; real pretrained LMs plug in behind the Generator
-contract. Its n-best beam search steps all live beams of a position in
-one batched call and stops as soon as the n-best can no longer change
+harness requires; a real pretrained LM would plug in by offering the same
+``generate_nbest``. Its n-best beam search steps all live beams of a
+position in one batched call, keeps the next beams with one score cut
+per position, and stops as soon as the n-best can no longer change
 (finished beams scoring strictly above every live beam hold n distinct
 texts), with the same result as running every position.
 """
@@ -269,10 +270,15 @@ class ToyGenerator:
 
         Each position keeps the ``width`` best of the finished beams and of
         the ``width`` best tokens (ties to the lower id) each live beam
-        offers, ordered by (-log-probability, tokens). The search stops
-        early once the finished beams that score strictly above the best
-        live beam hold ``n`` distinct texts: log-probabilities only fall,
-        so no descendant of a live beam can displace or outrank them.
+        offers, ordered by (-log-probability, tokens). One cut per position
+        finds them: the ``width``-th best of the finished beams' scores and
+        of every (live beam, token) score. An entry above the cut is among
+        its beam's ``width`` best tokens, since adding the beam's
+        log-probability is monotone; an entry at the cut is kept only if
+        fewer than ``width`` tokens of its beam come before it. The search
+        stops early once the finished beams that score strictly above the
+        best live beam hold ``n`` distinct texts: log-probabilities only
+        fall, so no descendant of a live beam can displace or outrank them.
         """
         if n < 1:
             raise GenerateError("n must be >= 1")
@@ -286,18 +292,20 @@ class ToyGenerator:
             live = [b for b in beams if not b[2]]
             prev_ids = np.asarray([b[1][-1] if b[1] else bos for b in live])
             logp = self._step_forward(prev_ids, pos, c)["logp"]
-            rows, toks = np.nonzero(_top_tokens(logp, width))
-            scores = np.asarray([b[0] for b in live])[rows] + logp[rows, toks]
-            # only entries at or above the width-th best score can be kept
-            pool = np.concatenate([[b[0] for b in done], scores])
+            scores = np.asarray([b[0] for b in live])[:, None] + logp
+            pool = np.concatenate([[b[0] for b in done], scores.ravel()])
             cut = -math.inf
             if pool.size > width:
                 cut = np.partition(pool, pool.size - width)[pool.size - width]
             nxt = [b for b in done if b[0] >= cut]
-            for i in np.flatnonzero(scores >= cut):
-                tok = int(toks[i])
-                nxt.append((float(scores[i]), live[rows[i]][1] + [tok],
-                            tok == eos_id))
+            rows, toks = np.nonzero(scores >= cut)
+            for r, tok in zip(rows.tolist(), toks.tolist()):
+                score, row = scores[r, tok], logp[r]
+                if score == cut and (np.count_nonzero(row > row[tok])
+                                     + np.count_nonzero(row[:tok] == row[tok])
+                                     >= width):
+                    continue
+                nxt.append((float(score), live[r][1] + [tok], tok == eos_id))
             nxt.sort(key=lambda b: (-b[0], b[1]))
             beams = nxt[:width]
             live_scores = [lp for lp, _, finished in beams if not finished]
@@ -327,21 +335,6 @@ def _sum_in_order(x: np.ndarray) -> np.ndarray:
     """Sum over the first axis adding the rows one after the other, as a
     loop would; numpy's ``sum`` may add them pairwise instead."""
     return np.add.accumulate(x, axis=0)[-1]
-
-
-def _top_tokens(logp: np.ndarray, width: int) -> np.ndarray:
-    """Mask of each row's ``width`` largest entries, ties to the lower
-    column; the whole row when it has no more than ``width`` entries."""
-    V = logp.shape[1]
-    if width >= V:
-        return np.ones(logp.shape, dtype=bool)
-    kth = np.partition(logp, V - width, axis=1)[:, V - width, None]
-    top = logp >= kth
-    for row in np.flatnonzero(top.sum(axis=1) > width):
-        # more entries tie at the cut than fit: the higher columns drop out
-        ties = np.flatnonzero(logp[row] == kth[row])
-        top[row, ties[width - (top[row].sum() - ties.size):]] = False
-    return top
 
 
 def train_generator(examples: Sequence[GenExample],

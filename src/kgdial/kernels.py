@@ -2,14 +2,15 @@
 
 Both sit on a critical path: the edit distance on fuzzy entity matching,
 the LCS length on ROUGE-L, which consensus decoding evaluates over all
-candidate pairs in a pool. The edit distance is an O(n*m) dynamic
-program run row by row in numpy, the in-row recurrence as a prefix scan.
-Fuzzy matching computes the edit distance of every (name, same-length
-window) pair of a dialogue that a character-count lower bound
-(``char_counts``) cannot rule out, all in one ``levenshtein_many`` call:
-a single row-recurrence DP vectorised over the pairs. The LCS length is
-bit-parallel: one row of its table is one Python int, updated with a
-handful of integer operations per item of the first sequence.
+candidate pairs in a pool. The edit distance has one implementation,
+``levenshtein_many``: one O(n*m) row DP in numpy, batched over string
+pairs, the in-row recurrence as a prefix scan; ``levenshtein`` is that DP
+on a single pair. Fuzzy matching computes the edit distance of every
+(name, same-length window) pair of a dialogue that a character-count
+lower bound (``char_counts``) cannot rule out, all in one
+``levenshtein_many`` call. The LCS length is bit-parallel: one row of its
+table is one Python int, updated with a handful of integer operations per
+item of the first sequence.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -24,71 +25,15 @@ import numpy as np
 HAVE_NUMBA = False
 
 
-def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """Row-vectorized edit distance.
-
-    The in-row insertion recurrence cur[j] = min(t[j], cur[j-1]+1) is a
-    prefix scan: cur = min.accumulate(t - arange) + arange.
-    """
-    n, m = a.shape[0], b.shape[0]
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    idx = np.arange(m + 1, dtype=np.int64)
-    prev = idx.copy()
-    row = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        sub = prev[:-1] + (a[i - 1] != b)
-        dele = prev[1:] + 1
-        row[0] = i
-        np.minimum(sub, dele, out=row[1:])
-        row = np.minimum.accumulate(row - idx) + idx
-        prev, row = row, prev
-    return int(prev[m])
-
-
-def _pad_codes(strings: Sequence[str], fill: int) -> np.ndarray:
+def _pad_codes(strings: Sequence[str],
+               fill: int) -> tuple[np.ndarray, np.ndarray]:
     """Code points of each string, one row per string, right-padded with
-    ``fill``."""
+    ``fill``, and the string lengths."""
     lens = np.array([len(s) for s in strings], dtype=np.int64)
     width = int(lens.max(initial=0))
     out = np.full((len(strings), width), fill, dtype=np.int64)
     out[np.arange(width) < lens[:, None]] = encode_chars("".join(strings))
-    return out
-
-
-def levenshtein_many_numpy(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
-    """Edit distance of every pair (a[k], b[k]): the row recurrence of
-    ``levenshtein_numpy`` run over all pairs at once.
-
-    The strings are right-padded with two sentinels that match no code
-    point and each pair's distance is read at row len(a[k]), column
-    len(b[k]); the DP's cell (i, j) depends on a[:i] and b[:j] only, so
-    the padding never reaches it. Pairs are processed longest a[k] first,
-    so each row runs over the pairs still unfinished, a prefix.
-    """
-    la = np.array([len(s) for s in a], dtype=np.int64)
-    lb = np.array([len(s) for s in b], dtype=np.int64)
-    order = np.argsort(-la, kind="stable")
-    la, lb = la[order], lb[order]
-    A = _pad_codes([a[k] for k in order], -1)
-    B = _pad_codes([b[k] for k in order], -2)
-    out = np.empty(len(la), dtype=np.int64)
-    out[order] = np.where(la == 0, lb, 0)
-    idx = np.arange(B.shape[1] + 1, dtype=np.int64)
-    prev = np.broadcast_to(idx, (len(la), idx.shape[0]))
-    for i in range(1, A.shape[1] + 1):
-        active = int(np.count_nonzero(la >= i))
-        row = np.empty((active, idx.shape[0]), dtype=np.int64)
-        row[:, 0] = i
-        np.minimum(prev[:active, :-1] + (A[:active, i - 1:i] != B[:active]),
-                   prev[:active, 1:] + 1, out=row[:, 1:])
-        row = np.minimum.accumulate(row - idx, axis=1) + idx
-        done = np.flatnonzero(la[:active] == i)
-        out[order[done]] = row[done, lb[done]]
-        prev = row
-    return out
+    return out, lens
 
 
 def encode_chars(s: str) -> np.ndarray:
@@ -99,14 +44,41 @@ def encode_chars(s: str) -> np.ndarray:
 
 
 def levenshtein(a: str, b: str) -> int:
-    return levenshtein_numpy(encode_chars(a), encode_chars(b))
+    return int(levenshtein_many([a], [b])[0])
 
 
 def levenshtein_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
-    """Edit distances of the pairs (a[k], b[k]) as an int64 array."""
+    """Edit distances of the pairs (a[k], b[k]) as an int64 array.
+
+    One row DP runs over all pairs at once, every pair through every row.
+    The strings are right-padded with two sentinels that match no code
+    point; the DP's cell (i, j) depends on a[:i] and b[:j] only, so the
+    padding never reaches cell (len(a[k]), len(b[k])). Each row keeps its
+    column len(b[k]) per pair, and pair k reads its distance at row
+    len(a[k]). In a row, the insertion recurrence
+    cur[j] = min(t[j], cur[j-1] + 1) is a prefix scan:
+    cur = min.accumulate(t - arange) + arange.
+    """
     if len(a) != len(b):
         raise ValueError(f"levenshtein_many: {len(a)} strings against {len(b)}")
-    return levenshtein_many_numpy(a, b)
+    A, la = _pad_codes(a, -1)
+    B, lb = _pad_codes(b, -2)
+    pairs = np.arange(len(a))
+    idx = np.arange(B.shape[1] + 1, dtype=np.int64)
+    prev = np.tile(idx, (len(a), 1))
+    row = np.empty_like(prev)
+    at_lb = np.empty((A.shape[1] + 1, len(a)), dtype=np.int64)
+    at_lb[0] = lb
+    for i in range(1, A.shape[1] + 1):
+        row[:, 0] = i
+        np.minimum(prev[:, :-1] + (A[:, i - 1:i] != B), prev[:, 1:] + 1,
+                   out=row[:, 1:])
+        row -= idx
+        np.minimum.accumulate(row, axis=1, out=row)
+        row += idx
+        at_lb[i] = row[pairs, lb]
+        prev, row = row, prev
+    return at_lb[la, pairs]
 
 
 def char_counts(strings: Sequence[str], alphabet: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Encoder/scorer/generator contracts and the trainable reference encoder.
+"""The sentence-pair scorer contract and the trainable reference encoder.
 
 The reference encoder is a deliberately small model: one embedding table,
 one self-attention layer with a residual connection, and a pooled summary
 vector. It exists to exercise every training objective in this package at
 desk scale with exact analytic gradients (verified against central finite
-differences), not to approach pretrained-LM quality. Heavier backbones
-can be plugged in behind the same contracts.
+differences), not to approach pretrained-LM quality. A heavier scorer can
+be plugged in behind the ``SentencePairScorer`` protocol, which learned
+entity tracking reads.
 
 All math is float64 and seeded; training is single-threaded and
 bit-reproducible. Inference never mutates parameters.
@@ -31,24 +32,12 @@ class ModelError(Exception):
     pass
 
 
-class TextEncoder(Protocol):
-    d: int
-
-    def encode(self, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Return (H: T x d hidden states, f: pooled vector of length d)."""
-
-
 class SentencePairScorer(Protocol):
     def score(self, sentence1: str, sentence2: str) -> float:
         """Probability in [0, 1] that the pair is a true match."""
 
     def scores(self, sentence1: str, sentences2: Sequence[str]) -> list[float]:
         """``score(sentence1, s)`` for every s in sentences2."""
-
-
-class Generator(Protocol):
-    def generate_nbest(self, context: str, n: int) -> list[tuple[str, float]]:
-        """Up to n (text, logprob) candidates, best first."""
 
 
 def build_vocab(token_streams: Iterable[Sequence[str]]) -> dict[str, int]:

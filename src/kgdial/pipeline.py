@@ -122,10 +122,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(self.values)
         self.values = merged
-        variants = [v.value for v in Variant]
-        if str(merged["rank.variant"]) not in variants:
-            raise ConfigError(f"rank.variant: expected one of {variants}, "
-                              f"got {merged['rank.variant']!r}")
+        for key, kind in (("rank.variant", Variant), ("track.method", TrackMethod)):
+            allowed = [v.value for v in kind]
+            if str(merged[key]) not in allowed:
+                raise ConfigError(f"{key}: expected one of {allowed}, "
+                                  f"got {merged[key]!r}")
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -151,10 +152,13 @@ def _coerce(key: str, raw: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+    for kind in (int, float):
+        if isinstance(default, kind):
+            try:
+                return kind(raw)
+            except ValueError:
+                raise ConfigError(f"{key}: expected {kind.__name__}, "
+                                  f"got {raw!r}") from None
     return raw
 
 

@@ -1,0 +1,31 @@
+"""The kernel benchmark script's own checks, at small sizes, so that a
+renamed or broken kernel fails the test suite and not only the script."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pairwise_checks(bench):
+    bench.bench_pairwise(np.random.default_rng(0), sizes=(0, 1, 17, 64))
+
+
+def test_batched_levenshtein_checks(bench):
+    bench.bench_batched_levenshtein(np.random.default_rng(0), n_names=4,
+                                    n_utterances=2)
+
+
+def test_fuzzy_workload_checks(bench):
+    bench.bench_fuzzy_workload(n_dialogues=3)

@@ -77,6 +77,24 @@ def test_unknown_rank_variant_is_one_line_config_error(workdir, command, capsys)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,override,message", [
+    ("augment", "model.d=abc", "config error: model.d: expected int, got 'abc'"),
+    ("augment", "rank.learning_rate=fast",
+     "config error: rank.learning_rate: expected float, got 'fast'"),
+    ("train-select", "track.method=XX",
+     "config error: track.method: expected one of ['exact', 'fuzzy', "
+     "'learned'], got 'XX'"),
+])
+def test_bad_config_value_is_one_line_config_error(workdir, command, override,
+                                                   message, capsys):
+    _, _, cfg = workdir
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg),
+                 "--stage-overrides", override]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == message + "\n"
+
+
 def test_full_pipeline_runs(workdir, capsys):
     root, data, cfg = workdir
     for command in ("augment", "train-detect", "train-select", "train-generate",

@@ -160,6 +160,62 @@ class TestLinearize:
             assert corpus.count_tokens(out) <= budget
 
 
+def truncate_left_by_suffix(text, max_tokens, count_tags=True):
+    """Left truncation written out plainly: drop one leading
+    space-separated unit at a time, re-counting the whole remainder."""
+    if max_tokens <= 0 or corpus.count_tokens(text, count_tags) <= max_tokens:
+        return text
+    units = text.split(" ")
+    for lo in range(len(units)):
+        candidate = " ".join(units[lo:])
+        if corpus.count_tokens(candidate, count_tags) <= max_tokens:
+            return candidate
+    return ""
+
+
+# tags (reserved and not), words, punctuation, characters whose lowercase
+# changes length or depends on context, and tabs and newlines inside units
+UNIT_PIECE = st.sampled_from([
+    "⟨user⟩", "⟨sys⟩", "⟨kng⟩", "⟨x1⟩", "⟨", "⟩", "hi", "Cook", "a_b", "42",
+    "?", "!!", ",", "İ", "ΟΔΟΣ", "\t", "\n", "x\ty", "é",
+])
+TRUNCATION_TEXT = st.lists(
+    st.lists(UNIT_PIECE, max_size=4).map("".join), max_size=12).map(" ".join)
+
+
+@st.composite
+def truncation_cases(draw):
+    text = draw(TRUNCATION_TEXT)
+    count_tags = draw(st.booleans())
+    units = text.split(" ")
+    suffix = " ".join(units[draw(st.integers(0, len(units) - 1)):])
+    total = corpus.count_tokens(text, count_tags)
+    budget = draw(st.one_of(
+        st.sampled_from([0, 1, total, total + 1, max(total - 1, 0)]),
+        st.just(corpus.count_tokens(suffix, count_tags)),
+        st.integers(0, total + 2)))
+    return text, budget, count_tags
+
+
+class TestTruncateLeft:
+    @settings(max_examples=400, deadline=None)
+    @given(truncation_cases())
+    def test_equals_suffix_by_suffix_loop(self, case):
+        text, budget, count_tags = case
+        assert (corpus.truncate_left(text, budget, count_tags=count_tags)
+                == truncate_left_by_suffix(text, budget, count_tags))
+
+    @pytest.mark.parametrize("text,budget,expected", [
+        ("  a b  ", 1, "b  "),
+        ("a b c", 2, "b c"),
+        ("⟨user⟩ a ⟨sys⟩ b", 2, "⟨sys⟩ b"),
+        ("aaa bbb", 0, "aaa bbb"),
+        ("a,b", 2, ""),
+    ])
+    def test_known(self, text, budget, expected):
+        assert corpus.truncate_left(text, budget) == expected
+
+
 class TestGenerationContext:
     def test_single_snippet_adjacent_to_user(self):
         d = dlg("hi", "hello", "can I cook there?")
