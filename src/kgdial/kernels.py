@@ -64,7 +64,8 @@ def levenshtein_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
     A, la = _pad_codes(a, -1)
     B, lb = _pad_codes(b, -2)
     pairs = np.arange(len(a))
-    idx = np.arange(B.shape[1] + 1, dtype=np.int64)
+    # int32 rows move half the bytes of int64; a cell is at most max(i, j)
+    idx = np.arange(B.shape[1] + 1, dtype=np.int32)
     prev = np.tile(idx, (len(a), 1))
     row = np.empty_like(prev)
     at_lb = np.empty((A.shape[1] + 1, len(a)), dtype=np.int64)
