@@ -152,13 +152,13 @@ def _coerce(key: str, raw: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    for kind in (int, float):
-        if isinstance(default, kind):
-            try:
-                return kind(raw)
-            except ValueError:
-                raise ConfigError(f"{key}: expected {kind.__name__}, "
-                                  f"got {raw!r}") from None
+    kind = type(default)
+    if kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {kind.__name__}, "
+                              f"got {raw!r}") from None
     return raw
 
 
