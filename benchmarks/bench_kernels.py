@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the edit-distance and LCS kernels.
+"""Benchmark the edit-distance and LCS kernels and checkpoint I/O.
 
 Times the edit distance of one string pair (`kernels.levenshtein`) and the
 bit-parallel LCS kernel (`kernels.lcs_length_tokens`, given Python lists
 as consensus decoding gives it token lists) on random sequences of growing
 length, the batched edit distance (`kernels.levenshtein_many`) against a
 per-pair `levenshtein` loop on (entity name, same-length window) pairs,
-and `fuzzy_match_entities` over synth dialogues. Run after
+`fuzzy_match_entities` over synth dialogues, and the save and load of a
+rank checkpoint the size the README quick start trains. Run after
 `pip install -e .`:
 
     python3 benchmarks/bench_kernels.py
@@ -14,11 +15,14 @@ and `fuzzy_match_entities` over synth dialogues. Run after
 Before timing, the kernels are checked against a plain-Python DP of this
 script's own (on the sequences of at most CHECK_MAX elements, where it
 runs in seconds), and fuzzy matching against its scalar definition
-(`fuzzy_similarity`); the whole script takes about half a minute on one
+(`fuzzy_similarity`), and a loaded checkpoint against the tensors saved;
+the whole script takes about half a minute on one
 x86-64 core. ``tests/test_bench_kernels.py`` runs the same checks at small
 sizes.
 """
 
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -141,11 +145,45 @@ def bench_fuzzy_workload(threshold=0.5, n_dialogues=150):
           f"(best of 3; {elapsed / len(dialogues) * 1e3:.2f} ms per dialogue)")
 
 
+def bench_checkpoint_io(n_vocab=288, d=24, repeat=20):
+    """`save_checkpoint` and `load_checkpoint` of a point-wise ranker
+    without the multi-task head, at the quick start's vocabulary size and
+    encoder width by default; the load is checked against the tensors
+    saved first."""
+    from kgdial.models import load_checkpoint, save_checkpoint
+    from kgdial.rank import PointwiseConfig, PointwiseModel
+
+    vocab = {f"w{i}": i for i in range(n_vocab)}
+    model = PointwiseModel(vocab, ["hotel", "restaurant", "taxi"],
+                           PointwiseConfig(d=d))
+    tensors = model.all_params()
+    meta = {"kind": "PointwiseModel", "vocab": vocab,
+            "encoder": model.encoder.config(), "variant": model.config.variant.value}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pointwise.npz")
+        save_checkpoint(path, tensors, meta)
+        loaded, loaded_meta = load_checkpoint(path, "PointwiseModel")
+        assert loaded_meta == dict(meta, version=loaded_meta["version"])
+        assert sorted(loaded) == sorted(tensors)
+        for name, value in tensors.items():
+            assert loaded[name].dtype == value.dtype, name
+            assert loaded[name].shape == value.shape, name
+            assert loaded[name].tobytes() == value.tobytes(), name
+        t_save = timeit(save_checkpoint, path, tensors, meta, repeat=repeat)
+        t_load = timeit(load_checkpoint, path, repeat=repeat)
+        size = os.path.getsize(path)
+    print(f"\nrank checkpoint, {len(tensors)} tensors, vocabulary {n_vocab}, "
+          f"d={d}, {size / 1024:.1f} KiB (best of {repeat})")
+    print(f"  save  {t_save * 1e3:.3f} ms")
+    print(f"  load  {t_load * 1e3:.3f} ms")
+
+
 def main():
     rng = np.random.default_rng(0)
     bench_pairwise(rng)
     bench_batched_levenshtein(rng)
     bench_fuzzy_workload()
+    bench_checkpoint_io()
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ RESERVED_TAGS = (
 
 _TAG_RE = re.compile("⟨\\w+⟩")
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
-_WS_RE = re.compile(r"\s+")
 
 
 class Speaker(Enum):
@@ -59,6 +58,8 @@ class CorpusError(Exception):
 
 def escape_tags(text: str) -> str:
     """Replace reserved tag tokens by their round-bracket twins."""
+    if "⟨" not in text:  # every reserved tag starts with it
+        return text
     for tag in RESERVED_TAGS:
         if tag in text:
             text = text.replace(tag, "(" + tag[1:-1] + ")")
@@ -66,7 +67,17 @@ def escape_tags(text: str) -> str:
 
 
 def normalize_ws(text: str) -> str:
-    return _WS_RE.sub(" ", text).strip()
+    """Runs of whitespace (``str.isspace`` characters, as regex ``\\s``
+    matches them) become one space; leading and trailing ones go."""
+    return " ".join(text.split())
+
+
+def _clean_text(text: str) -> str:
+    """Text as the corpus holds it: whitespace-normalized, reserved tags
+    escaped. A value that is not a string is a TypeError."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a string, got {type(text).__name__}")
+    return escape_tags(normalize_ws(text))
 
 
 def tokenize(text: str) -> list[str]:
@@ -95,7 +106,7 @@ class Turn:
     text: str
 
     def __post_init__(self):
-        if not normalize_ws(self.text):
+        if not self.text or self.text.isspace():
             raise CorpusError("turn text empty after whitespace normalization")
 
     @property
@@ -259,7 +270,7 @@ def load_corpus(logs_path: str, labels_path: Optional[str] = None) -> list[Dialo
         try:
             turns = tuple(
                 Turn(speaker=Speaker(t["speaker"]),
-                     text=escape_tags(normalize_ws(t["text"])))
+                     text=_clean_text(t["text"]))
                 for t in raw_turns)
         except (KeyError, ValueError, TypeError) as exc:
             raise CorpusError(f"malformed log record at index {i}: {exc}") from exc
@@ -280,7 +291,7 @@ def _parse_label(raw: dict) -> TurnLabel:
         for k in raw.get("knowledge", []) or [])
     response = raw.get("response")
     if response is not None:
-        response = escape_tags(normalize_ws(response))
+        response = _clean_text(response)
     return TurnLabel(is_knowledge_seeking=target,
                      knowledge_refs=refs if target else (),
                      response=response)
@@ -331,9 +342,9 @@ def load_knowledge_base(path: str) -> KnowledgeBase:
                 snippets.append(KnowledgeSnippet(
                     domain=str(domain),
                     entity_id=str(entity_id),
-                    entity_name=escape_tags(normalize_ws(str(name))),
-                    question=escape_tags(normalize_ws(doc["title"])),
-                    answer=escape_tags(normalize_ws(doc["body"])),
+                    entity_name=_clean_text(str(name)),
+                    question=_clean_text(doc["title"]),
+                    answer=_clean_text(doc["body"]),
                     doc_id=str(doc_id)))
     return KnowledgeBase(snippets)
 

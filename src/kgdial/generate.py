@@ -168,7 +168,11 @@ class ToyGenerator:
     position, mean context embedding), softmax over the vocabulary."""
 
     def __init__(self, vocab: dict[str, int], d: int = 32,
-                 max_target_tokens: int = 96, seed: int = 0):
+                 max_target_tokens: int = 96, seed: int = 0,
+                 params: Optional[dict[str, np.ndarray]] = None):
+        """Seeded initial weights, or ``params`` (laid out as
+        `param_shapes` says for the vocabulary with EOS) as they are, with
+        nothing drawn."""
         self.vocab = dict(vocab)
         if EOS not in self.vocab:
             self.vocab[EOS] = len(self.vocab)
@@ -176,17 +180,26 @@ class ToyGenerator:
         self.d = d
         self.max_target_tokens = max_target_tokens
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        V = len(self.vocab)
-        self.params = {
-            "emb": rng.normal(0.0, 0.5, size=(V, d)),
-            "pos": rng.normal(0.0, 0.1, size=(max_target_tokens + 1, d)),
-            "wp": rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)),
-            "wc": rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)),
-            "bh": np.zeros(d),
-            "out": rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, V)),
-            "bo": np.zeros(V),
-        }
+        if params is None:
+            rng = np.random.default_rng(seed)
+            V = len(self.vocab)
+            params = {
+                "emb": rng.normal(0.0, 0.5, size=(V, d)),
+                "pos": rng.normal(0.0, 0.1, size=(max_target_tokens + 1, d)),
+                "wp": rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)),
+                "wc": rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)),
+                "bh": np.zeros(d),
+                "out": rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, V)),
+                "bo": np.zeros(V),
+            }
+        self.params = params
+
+    @staticmethod
+    def param_shapes(vocab: dict[str, int], d: int,
+                     max_target_tokens: int) -> dict[str, tuple[int, ...]]:
+        V = len(vocab) + (EOS not in vocab)
+        return {"emb": (V, d), "pos": (max_target_tokens + 1, d), "wp": (d, d),
+                "wc": (d, d), "bh": (d,), "out": (d, V), "bo": (V,)}
 
     def all_params(self) -> dict[str, np.ndarray]:
         return self.params

@@ -10,6 +10,11 @@ entity tracking reads.
 
 All math is float64 and seeded; training is single-threaded and
 bit-reproducible. Inference never mutates parameters.
+
+A checkpoint is an ``.npz`` archive of two members: a JSON metadata block
+(the model's config, ``version`` and the tensor layout) and one byte blob
+that holds every tensor. A loader checks the tensors' names, shapes and
+dtype, then builds its model around them; it draws no initial weights.
 """
 
 from __future__ import annotations
@@ -25,7 +30,11 @@ from .corpus import tokenize
 
 UNK = "⟨unk⟩"
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_LAYOUT = "layout"
+# every tensor of a checkpoint blob starts at a multiple of this many bytes,
+# the largest alignment any numpy dtype needs
+_ALIGN = 16
 
 
 class ModelError(Exception):
@@ -80,7 +89,10 @@ class ToyEncoder:
     """Embedding + one residual self-attention layer + pooling."""
 
     def __init__(self, vocab: dict[str, int], d: int = 24, pooling: str = "mean",
-                 max_len: int = 128, seed: int = 0):
+                 max_len: int = 128, seed: int = 0,
+                 params: Optional[dict[str, np.ndarray]] = None):
+        """Seeded initial weights, or ``params`` (laid out as
+        `param_shapes` says) as they are, with nothing drawn."""
         if pooling not in ("mean", "first"):
             raise ModelError(f"unknown pooling: {pooling}")
         self.vocab = dict(vocab)
@@ -88,21 +100,28 @@ class ToyEncoder:
         self.pooling = pooling
         self.max_len = max_len
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        scale = 1.0 / math.sqrt(d)
-        # identity-plus-noise projections so token-identity attention
-        # (same word attends to its other occurrences) works from step 0;
-        # segment embeddings make cross-segment matches visible in the
-        # mean pool (attending to your twin in the other segment pulls in
-        # the other segment's offset)
-        eye = np.eye(d)
-        self.params = {
-            "emb": rng.normal(0.0, 0.5, size=(len(self.vocab), d)),
-            "seg": rng.normal(0.0, 0.5, size=(2, d)),
-            "wq": eye + rng.normal(0.0, scale * 0.1, size=(d, d)),
-            "wk": eye + rng.normal(0.0, scale * 0.1, size=(d, d)),
-            "wv": eye + rng.normal(0.0, scale * 0.1, size=(d, d)),
-        }
+        if params is None:
+            rng = np.random.default_rng(seed)
+            scale = 1.0 / math.sqrt(d)
+            # identity-plus-noise projections so token-identity attention
+            # (same word attends to its other occurrences) works from step 0;
+            # segment embeddings make cross-segment matches visible in the
+            # mean pool (attending to your twin in the other segment pulls in
+            # the other segment's offset)
+            eye = np.eye(d)
+            params = {
+                "emb": rng.normal(0.0, 0.5, size=(len(self.vocab), d)),
+                "seg": rng.normal(0.0, 0.5, size=(2, d)),
+                "wq": eye + rng.normal(0.0, scale * 0.1, size=(d, d)),
+                "wk": eye + rng.normal(0.0, scale * 0.1, size=(d, d)),
+                "wv": eye + rng.normal(0.0, scale * 0.1, size=(d, d)),
+            }
+        self.params = params
+
+    @staticmethod
+    def param_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
+        return {"emb": (n_vocab, d), "seg": (2, d), "wq": (d, d), "wk": (d, d),
+                "wv": (d, d)}
 
     def config(self) -> dict:
         return {"d": self.d, "pooling": self.pooling, "max_len": self.max_len,
@@ -263,18 +282,40 @@ class PairRow:
     label: int
 
 
+def pair_head(seed: int, d: int) -> dict[str, np.ndarray]:
+    """Seeded initial weights of a logit head over `pair_readout`."""
+    rng = np.random.default_rng(seed + 1)
+    return {"w": rng.normal(0.0, 0.1, size=2 * d), "b": np.zeros(1)}
+
+
+def pair_scorer_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
+    """Tensor shapes of an encoder (``enc.*``) and a `pair_head`
+    (``head.*``), named as ``all_params`` names them."""
+    shapes = prefixed("enc.", ToyEncoder.param_shapes(n_vocab, d))
+    shapes.update({"head.w": (2 * d,), "head.b": (1,)})
+    return shapes
+
+
+def prefixed(prefix: str, named: dict) -> dict:
+    return {prefix + k: v for k, v in named.items()}
+
+
+def unprefixed(prefix: str, named: dict) -> dict:
+    """The entries of ``named`` whose key starts with ``prefix``, without it."""
+    return {k[len(prefix):]: v for k, v in named.items() if k.startswith(prefix)}
+
+
 class ToyPairScorer:
     """Cross-encoder over the concatenated sentence pair with a sigmoid head."""
 
-    def __init__(self, encoder: ToyEncoder):
+    def __init__(self, encoder: ToyEncoder,
+                 head: Optional[dict[str, np.ndarray]] = None):
         self.encoder = encoder
-        rng = np.random.default_rng(encoder.seed + 1)
-        self.params = {"w": rng.normal(0.0, 0.1, size=2 * encoder.d),
-                       "b": np.zeros(1)}
+        self.params = pair_head(encoder.seed, encoder.d) if head is None else head
 
     def all_params(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.params.items()}
-        out.update({f"head.{k}": v for k, v in self.params.items()})
+        out = prefixed("enc.", self.encoder.params)
+        out.update(prefixed("head.", self.params))
         return out
 
     def _pair_ids(self, sentence1: str, sentence2: str) -> tuple[np.ndarray, np.ndarray]:
@@ -402,45 +443,122 @@ def finite_difference_check(model, example, epsilon: float = 1e-5,
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> None:
-    """Single-file archive of named tensors plus a JSON config block."""
+    """Single-file archive of two members: ``__meta__``, the JSON config
+    block plus ``version`` and ``layout``, and ``__data__``, one byte blob
+    holding every tensor in sorted-name order, each starting at a multiple
+    of `_ALIGN` bytes. ``layout`` lists ``[name, dtype.str, shape]`` per
+    tensor, in blob order."""
+    if _LAYOUT in config:
+        raise ModelError(f"checkpoint {path}: config key {_LAYOUT!r} is reserved")
     meta = dict(config)
     meta["version"] = CHECKPOINT_VERSION
-    blob = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
-                         dtype=np.uint8)
-    np.savez(path, __meta__=blob, **tensors)
+    meta[_LAYOUT] = []
+    arrays = []
+    for name in sorted(tensors):
+        value = np.asarray(tensors[name], order="C")
+        if value.dtype.hasobject:
+            raise ModelError(f"checkpoint {path}: tensor {name!r} holds Python objects")
+        meta[_LAYOUT].append([name, value.dtype.str, list(value.shape)])
+        arrays.append(value)
+    starts, end = _blob_offsets((a.dtype, a.size) for a in arrays)
+    blob = np.zeros(end, dtype=np.uint8)
+    for start, value in zip(starts, arrays):
+        blob[start:start + value.nbytes] = value.reshape(-1).view(np.uint8)
+    header = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
+                           dtype=np.uint8)
+    np.savez(path, __meta__=header, __data__=blob)
+
+
+def _blob_offsets(entries: Iterable[tuple[np.dtype, int]]) -> tuple[list[int], int]:
+    """Start of each (dtype, element count) tensor in a checkpoint blob, and
+    the blob's length."""
+    starts, end = [], 0
+    for dtype, size in entries:
+        end += -end % _ALIGN
+        starts.append(end)
+        end += dtype.itemsize * size
+    return starts, end
 
 
 def load_checkpoint(path: str, kind: Optional[str] = None
                     ) -> tuple[dict[str, np.ndarray], dict]:
     """Named tensors and config block of a checkpoint; when ``kind`` is
-    given, the config's ``kind`` must equal it."""
+    given, the config's ``kind`` must equal it. The tensors are writable
+    views into the one blob read from the archive; the config block is
+    returned without its ``layout`` key."""
     with np.load(path) as archive:
         if "__meta__" not in archive:
             raise ModelError(f"checkpoint {path} missing metadata block")
-        meta = json.loads(bytes(archive["__meta__"].tobytes()).decode("utf-8"))
+        try:
+            meta = json.loads(archive["__meta__"].tobytes().decode("utf-8"))
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ModelError(f"checkpoint {path}: metadata block is not a JSON object")
         if "version" not in meta:
             raise ModelError(f"checkpoint {path} missing version field")
-        tensors = {k: archive[k] for k in archive.files if k != "__meta__"}
+        if meta["version"] != CHECKPOINT_VERSION:
+            raise ModelError(f"checkpoint {path} has version {meta['version']!r}, "
+                             f"this version reads {CHECKPOINT_VERSION}: retrain it")
+        if "__data__" not in archive:
+            raise ModelError(f"checkpoint {path} missing data block")
+        blob = archive["__data__"]
+    tensors = _unpack_blob(path, blob, meta.pop(_LAYOUT, None))
     if kind is not None and meta.get("kind") != kind:
         raise ModelError(f"checkpoint {path}: key 'kind' is {meta.get('kind')!r}, "
                          f"expected {kind!r}")
     return tensors, meta
 
 
-def restore_params(path: str, params: dict[str, np.ndarray],
-                   tensors: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint tensors into a model's parameter arrays in place.
-    Both must hold the same keys, each with the same shape."""
-    for key in sorted(params.keys() - tensors.keys()):
+def _unpack_blob(path: str, blob: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """The tensors a checkpoint's layout places in its blob."""
+    if not isinstance(layout, list):
+        raise ModelError(f"checkpoint {path} missing tensor layout")
+    if blob.dtype != np.uint8 or blob.ndim != 1:
+        raise ModelError(f"checkpoint {path}: data block is not a byte vector")
+    entries = []
+    for entry in layout:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and isinstance(entry[1], str)
+                and isinstance(entry[2], list)
+                and all(type(n) is int and n >= 0 for n in entry[2])):
+            raise ModelError(f"checkpoint {path}: malformed layout entry {entry!r}")
+        name, code, shape = entry
+        try:
+            dtype = np.dtype(code)
+        except TypeError:
+            dtype = None
+        if dtype is None or dtype.hasobject or dtype.itemsize == 0:
+            raise ModelError(f"checkpoint {path}: tensor {name!r} has unknown "
+                             f"dtype {code!r}")
+        entries.append((name, dtype, tuple(shape)))
+    if len({name for name, _, _ in entries}) < len(entries):
+        raise ModelError(f"checkpoint {path}: layout names a tensor twice")
+    starts, end = _blob_offsets((dtype, math.prod(shape))
+                                for _, dtype, shape in entries)
+    if end != blob.size:
+        raise ModelError(f"checkpoint {path}: layout needs {end} bytes, "
+                         f"data block holds {blob.size}")
+    return {name: blob[start:start + dtype.itemsize * math.prod(shape)]
+            .view(dtype).reshape(shape)
+            for (name, dtype, shape), start in zip(entries, starts)}
+
+
+def check_tensors(path: str, shapes: dict[str, tuple[int, ...]],
+                  tensors: dict[str, np.ndarray]) -> None:
+    """A model's checkpoint tensors must hold exactly the keys of
+    ``shapes``, each a float64 array of that shape."""
+    for key in sorted(shapes.keys() - tensors.keys()):
         raise ModelError(f"checkpoint {path}: missing tensor {key!r}")
-    for key in sorted(tensors.keys() - params.keys()):
+    for key in sorted(tensors.keys() - shapes.keys()):
         raise ModelError(f"checkpoint {path}: unexpected tensor {key!r}")
     for key, value in sorted(tensors.items()):
-        if value.shape != params[key].shape:
+        if value.shape != shapes[key]:
             raise ModelError(f"checkpoint {path}: tensor {key!r} has shape "
-                             f"{value.shape}, expected {params[key].shape}")
-    for key, value in tensors.items():
-        params[key][...] = value
+                             f"{value.shape}, expected {shapes[key]}")
+        if value.dtype != np.float64:
+            raise ModelError(f"checkpoint {path}: tensor {key!r} has dtype "
+                             f"{value.dtype}, expected float64")
 
 
 def scorer_to_checkpoint(scorer: ToyPairScorer, path: str) -> None:
@@ -455,8 +573,8 @@ def scorer_to_checkpoint(scorer: ToyPairScorer, path: str) -> None:
 def scorer_from_checkpoint(path: str) -> ToyPairScorer:
     tensors, meta = load_checkpoint(path, "pair_scorer")
     enc_cfg = meta["encoder"]
+    check_tensors(path, pair_scorer_shapes(len(meta["vocab"]), enc_cfg["d"]), tensors)
     encoder = ToyEncoder(meta["vocab"], d=enc_cfg["d"], pooling=enc_cfg["pooling"],
-                         max_len=enc_cfg["max_len"], seed=enc_cfg["seed"])
-    scorer = ToyPairScorer(encoder)
-    restore_params(path, scorer.all_params(), tensors)
-    return scorer
+                         max_len=enc_cfg["max_len"], seed=enc_cfg["seed"],
+                         params=unprefixed("enc.", tensors))
+    return ToyPairScorer(encoder, unprefixed("head.", tensors))

@@ -35,7 +35,7 @@ from .generate import (GenTrainConfig, ToyGenerator, build_gen_examples,
                        decode_nbest, mine_frequent_interrogatives,
                        preprocess_responses, train_generator)
 from .metrics import MetricReport, generation_report
-from .models import (ModelError, TrainConfig, load_checkpoint, restore_params,
+from .models import (ModelError, TrainConfig, check_tensors, load_checkpoint,
                      save_checkpoint, scorer_from_checkpoint,
                      scorer_to_checkpoint, train_pair_classifier)
 from .rank import (DialogueFeatures, ListwiseConfig, PointwiseConfig,
@@ -82,6 +82,7 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "track.delta_e": 0.5,
     "track.epochs": 10,
     "track.learning_rate": 1e-5,
+    "track.batch_size": 16,
     "track.negatives": 3,
     "rank.use_mtl": True,
     "rank.variant": "WD2",
@@ -127,6 +128,9 @@ class PipelineConfig:
             if str(merged[key]) not in allowed:
                 raise ConfigError(f"{key}: expected one of {allowed}, "
                                   f"got {merged[key]!r}")
+        for key in merged:
+            if key.endswith(".batch_size") and int(merged[key]) < 1:
+                raise ConfigError(f"{key}: expected an int >= 1, got {merged[key]!r}")
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -222,7 +226,7 @@ def _model_train_config(config: PipelineConfig, section: str) -> TrainConfig:
     return TrainConfig(
         epochs=int(config[f"{section}.epochs"]),
         learning_rate=float(config[f"{section}.learning_rate"]),
-        batch_size=int(config.get(f"{section}.batch_size", 16) or 16),
+        batch_size=int(config[f"{section}.batch_size"]),
         seed=config.seed,
         d=int(config["model.d"]),
         pooling=str(config["model.pooling"]),
@@ -413,11 +417,11 @@ def _save_generator(generator: ToyGenerator, path: str) -> None:
 
 def load_generator(path: str) -> ToyGenerator:
     tensors, meta = load_checkpoint(path, "ToyGenerator")
-    gen = ToyGenerator(meta["vocab"], d=meta["d"],
-                       max_target_tokens=meta["max_target_tokens"],
-                       seed=meta["seed"])
-    restore_params(path, gen.params, tensors)
-    return gen
+    check_tensors(path, ToyGenerator.param_shapes(
+        meta["vocab"], meta["d"], meta["max_target_tokens"]), tensors)
+    return ToyGenerator(meta["vocab"], d=meta["d"],
+                        max_target_tokens=meta["max_target_tokens"],
+                        seed=meta["seed"], params=tensors)
 
 
 def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
@@ -644,17 +648,20 @@ def _load_rank_model(path: str, kind: str, kb: KnowledgeBase):
     enc = meta["encoder"]
     variant = Variant(meta["variant"])
     if kind == "PointwiseModel":
-        model = PointwiseModel(meta["vocab"], meta["domains"], PointwiseConfig(
+        config = PointwiseConfig(
             use_mtl=meta["use_mtl"], variant=variant,
             seed=enc["seed"], d=enc["d"], max_len=enc["max_len"],
-            pooling=enc["pooling"]))
+            pooling=enc["pooling"])
+        check_tensors(path, PointwiseModel.param_shapes(
+            len(meta["vocab"]), meta["domains"], config), tensors)
+        model = PointwiseModel(meta["vocab"], meta["domains"], config, tensors)
         model.bind_kb(kb)
-    else:
-        model = ListwiseModel(meta["vocab"], ListwiseConfig(
-            variant=variant, seed=enc["seed"], d=enc["d"],
-            max_len=enc["max_len"], pooling=enc["pooling"]))
-    restore_params(path, model.all_params(), tensors)
-    return model
+        return model
+    config = ListwiseConfig(variant=variant, seed=enc["seed"], d=enc["d"],
+                            max_len=enc["max_len"], pooling=enc["pooling"])
+    check_tensors(path, ListwiseModel.param_shapes(len(meta["vocab"]), config),
+                  tensors)
+    return ListwiseModel(meta["vocab"], config, tensors)
 
 
 def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],

@@ -49,9 +49,10 @@ from .corpus import (Dialogue, Entity, KnowledgeBase, KnowledgeSnippet,
                      split_kfold, tokenize)
 from .entity_track import exact_match_entities
 from .metrics import mrr_at_k, recall_at_k
-from .models import (ToyEncoder, TrainConfig, bce_loss, build_vocab,
-                     pair_readout, pair_readout_backward, sigmoid, softmax,
-                     softmax_backward, train_model)
+from .models import (ToyEncoder, TrainConfig, bce_loss, build_vocab, pair_head,
+                     pair_readout, pair_readout_backward, pair_scorer_shapes,
+                     prefixed, sigmoid, softmax, softmax_backward, train_model,
+                     unprefixed)
 
 N_SPARSE = 4  # is_domain_level, is_last_entity, unigram, bigram
 
@@ -293,6 +294,12 @@ def sample_entity_candidates(kb: KnowledgeBase, dialogue: Dialogue,
     return result, true_index
 
 
+# (MTLParams field, the name ``all_params`` and checkpoints give it)
+_MTL_TENSORS = (("wq", "mtl.wq"), ("wk", "mtl.wk"), ("wv", "mtl.wv"),
+                ("entity_vector", "mtl.v"), ("domain_weights", "mtl.dom"),
+                ("domain_bias", "mtl.bdom"))
+
+
 @dataclass
 class MTLParams:
     """Projection matrices and output heads of the multi-task block."""
@@ -318,6 +325,20 @@ class MTLParams:
                    entity_vector=init("mtl.v", (d,), s),
                    domain_weights=init("mtl.dom", (d, n_domains), s),
                    domain_bias=np.zeros(n_domains), **lambdas)
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray], **lambdas) -> "MTLParams":
+        """The block whose tensors ``tensors`` holds, under the names that
+        `MTLParams.tensors` gives them."""
+        return cls(**{key: tensors[name] for key, name in _MTL_TENSORS}, **lambdas)
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, key) for key, name in _MTL_TENSORS}
+
+    @staticmethod
+    def shapes(d: int, n_domains: int) -> dict[str, tuple[int, ...]]:
+        return {"mtl.wq": (d, d), "mtl.wk": (d, d), "mtl.wv": (d, d),
+                "mtl.v": (d,), "mtl.dom": (d, n_domains), "mtl.bdom": (n_domains,)}
 
 
 def _check_spans(spans: Sequence[tuple[int, int]], length: int) -> None:
@@ -463,44 +484,70 @@ class PointwiseRow:
     entity_input: Optional[tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]
 
 
+def _wide_deep_params(vocab: dict[str, int], config,
+                      params: Optional[dict[str, np.ndarray]]
+                      ) -> tuple[ToyEncoder, dict, dict]:
+    """The encoder, pair head and wide weights of a ranker: seeded, or the
+    ones in ``params``, named as ``all_params`` names them."""
+    encoder = ToyEncoder(vocab, d=config.d, pooling=config.pooling,
+                         max_len=config.max_len, seed=config.seed,
+                         params=None if params is None else unprefixed("enc.", params))
+    if params is None:
+        return encoder, pair_head(config.seed, config.d), {"u": np.zeros(N_SPARSE)}
+    return encoder, unprefixed("head.", params), unprefixed("wide.", params)
+
+
+def _wide_deep_tensors(model) -> dict[str, np.ndarray]:
+    out = prefixed("enc.", model.encoder.params)
+    out.update(prefixed("head.", model.head))
+    out.update(prefixed("wide.", model.wide))
+    return out
+
+
+def _wide_deep_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
+    return {**pair_scorer_shapes(n_vocab, d), "wide.u": (N_SPARSE,)}
+
+
 class PointwiseModel:
     """Wide & Deep point-wise scorer with an optional multi-task head."""
 
     def __init__(self, vocab: dict[str, int], domains: Sequence[str],
-                 config: PointwiseConfig):
+                 config: PointwiseConfig,
+                 params: Optional[dict[str, np.ndarray]] = None):
+        """Seeded initial weights, or ``params`` (named and shaped as
+        `param_shapes` says) as they are, with nothing drawn."""
         self.config = config
         self.domains = list(domains)
         self.domain_ids = {d: i for i, d in enumerate(self.domains)}
-        self.encoder = ToyEncoder(vocab, d=config.d, pooling=config.pooling,
-                                  max_len=config.max_len, seed=config.seed)
-        rng = np.random.default_rng(config.seed + 1)
-        self.head = {"w": rng.normal(0.0, 0.1, size=2 * config.d), "b": np.zeros(1)}
-        self.wide = {"u": np.zeros(N_SPARSE)}
+        self.encoder, self.head, self.wide = _wide_deep_params(vocab, config, params)
         self.mtl: Optional[MTLParams] = None
         if config.use_mtl:
-            self.mtl = MTLParams.create(
-                config.d, max(1, len(self.domains)), seed=config.seed,
-                lambda_rank=config.lambda_rank,
-                lambda_domain=config.lambda_domain,
-                lambda_entity=config.lambda_entity)
+            lambdas = dict(lambda_rank=config.lambda_rank,
+                           lambda_domain=config.lambda_domain,
+                           lambda_entity=config.lambda_entity)
+            self.mtl = (MTLParams.create(config.d, max(1, len(self.domains)),
+                                         seed=config.seed, **lambdas)
+                        if params is None else MTLParams.from_tensors(params, **lambdas))
         self._ena_rng = np.random.default_rng(config.seed + 2)
         self._kb: Optional[KnowledgeBase] = None
         self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
         self._name_grams = NameGrams()
 
+    @staticmethod
+    def param_shapes(n_vocab: int, domains: Sequence[str],
+                     config: PointwiseConfig) -> dict[str, tuple[int, ...]]:
+        shapes = _wide_deep_shapes(n_vocab, config.d)
+        if config.use_mtl:
+            shapes.update(MTLParams.shapes(config.d, max(1, len(domains))))
+        return shapes
+
     def bind_kb(self, kb: KnowledgeBase) -> None:
         self._kb = kb
 
     def all_params(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.params.items()}
-        out["head.w"] = self.head["w"]
-        out["head.b"] = self.head["b"]
-        out["wide.u"] = self.wide["u"]
+        out = _wide_deep_tensors(self)
         if self.mtl is not None:
-            out.update({"mtl.wq": self.mtl.wq, "mtl.wk": self.mtl.wk,
-                        "mtl.wv": self.mtl.wv, "mtl.v": self.mtl.entity_vector,
-                        "mtl.dom": self.mtl.domain_weights,
-                        "mtl.bdom": self.mtl.domain_bias})
+            out.update(self.mtl.tensors())
         return out
 
     def _input2(self, entity_names: Sequence[str]) -> tuple[list[str], list[tuple[int, int]]]:
@@ -784,22 +831,21 @@ class ListwiseRow:
 class ListwiseModel:
     """Jointly normalized scorer over a short candidate list."""
 
-    def __init__(self, vocab: dict[str, int], config: ListwiseConfig):
+    def __init__(self, vocab: dict[str, int], config: ListwiseConfig,
+                 params: Optional[dict[str, np.ndarray]] = None):
+        """Seeded initial weights, or ``params`` (named and shaped as
+        `param_shapes` says) as they are, with nothing drawn."""
         self.config = config
-        self.encoder = ToyEncoder(vocab, d=config.d, pooling=config.pooling,
-                                  max_len=config.max_len, seed=config.seed)
-        rng = np.random.default_rng(config.seed + 1)
-        self.head = {"w": rng.normal(0.0, 0.1, size=2 * config.d), "b": np.zeros(1)}
-        self.wide = {"u": np.zeros(N_SPARSE)}
+        self.encoder, self.head, self.wide = _wide_deep_params(vocab, config, params)
         self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
         self._name_grams = NameGrams()
 
+    @staticmethod
+    def param_shapes(n_vocab: int, config: ListwiseConfig) -> dict[str, tuple[int, ...]]:
+        return _wide_deep_shapes(n_vocab, config.d)
+
     def all_params(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.encoder.params.items()}
-        out["head.w"] = self.head["w"]
-        out["head.b"] = self.head["b"]
-        out["wide.u"] = self.wide["u"]
-        return out
+        return _wide_deep_tensors(self)
 
     def _vectors(self, features: Sequence[SparseFeatures], alpha: float) -> np.ndarray:
         """The sparse-feature rows at ``alpha``, masked by ``alpha_mask``."""
@@ -902,12 +948,8 @@ def train_listwise(instances: Sequence[ListwiseInstance], kb: KnowledgeBase,
     if init_from is not None:
         if init_from.encoder.d != config.d:
             raise RankError("warm start requires matching encoder dimension")
-        model = ListwiseModel(init_from.encoder.vocab, config)
-        for key, value in init_from.encoder.params.items():
-            model.encoder.params[key][...] = value
-        model.head["w"][...] = init_from.head["w"]
-        model.head["b"][...] = init_from.head["b"]
-        model.wide["u"][...] = init_from.wide["u"]
+        model = ListwiseModel(init_from.encoder.vocab, config, params={
+            k: v.copy() for k, v in _wide_deep_tensors(init_from).items()})
     else:
         dialogues = [inst.dialogue for inst in instances]
         model = ListwiseModel(_ranking_vocab(dialogues, kb), config)

@@ -29,3 +29,7 @@ def test_batched_levenshtein_checks(bench):
 
 def test_fuzzy_workload_checks(bench):
     bench.bench_fuzzy_workload(n_dialogues=3)
+
+
+def test_checkpoint_io_checks(bench):
+    bench.bench_checkpoint_io(n_vocab=12, d=4, repeat=1)

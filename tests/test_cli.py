@@ -8,6 +8,7 @@ from kgdial.cli import main
 from kgdial.consensus import ConsensusWeights, save_weights
 from kgdial.models import load_checkpoint, save_checkpoint
 from kgdial.pipeline import CONFIG_DEFAULTS, EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK
+from test_models import ARCHIVE_DEFECTS, write_archive
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,21 @@ def test_bad_config_value_is_one_line_config_error(workdir, command, override,
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("command,section", [
+    ("train-detect", "detect"), ("train-select", "track"),
+    ("train-select", "rank"), ("train-generate", "gen")])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_batch_size_below_one_is_one_line_config_error(workdir, command, section,
+                                                       value, capsys):
+    _, _, cfg = workdir
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--stage-overrides",
+                 f"{section}.batch_size={value}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: {section}.batch_size: expected an int >= 1, "
+                   f"got {value}\n")
+
+
 def test_full_pipeline_runs(workdir, capsys):
     root, data, cfg = workdir
     for command in ("augment", "train-detect", "train-select", "train-generate",
@@ -165,6 +181,22 @@ def test_corrupt_checkpoint_is_one_line_domain_error(workdir, tmp_path, capsys):
                  "--stage-overrides", f"paths.output={out}"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint ") and "'emb'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("meta,members,pattern", ARCHIVE_DEFECTS)
+def test_malformed_checkpoint_archive_is_one_line_domain_error(
+        workdir, tmp_path, capsys, meta, members, pattern):
+    root, _, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    write_archive(str(out / "generator.npz"), meta, members)
+    capsys.readouterr()
+    assert main(["decode", "--config", str(cfg),
+                 "--stage-overrides", f"paths.output={out}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {out / 'generator.npz'}")
+    assert pattern in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

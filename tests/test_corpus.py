@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +7,10 @@ from hypothesis import strategies as st
 
 from kgdial import corpus
 from kgdial.corpus import (
-    Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
-    build_generation_context, linearize_history, linearize_knowledge,
-    load_corpus, load_knowledge_base, parse_history, split_kfold, tokenize,
+    RESERVED_TAGS, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
+    build_generation_context, escape_tags, linearize_history,
+    linearize_knowledge, load_corpus, load_knowledge_base, normalize_ws,
+    parse_history, split_kfold, tokenize,
 )
 
 
@@ -69,6 +71,47 @@ class TestLoadCorpus:
         corpus.save_corpus(out, str(logs2))
         again = load_corpus(str(logs2))
         assert again[0].turns[0].text == text
+
+    def test_text_that_is_not_a_string_names_index(self, tmp_path):
+        logs = tmp_path / "logs.json"
+        write_json(logs, [[{"speaker": "U", "text": "ok"}], [{"speaker": "U", "text": 7}]])
+        with pytest.raises(corpus.CorpusError, match="index 1"):
+            load_corpus(str(logs))
+
+
+# ASCII whitespace, then the file/group/record/unit separators, NEL, NBSP,
+# line separator and ideographic space, which str.split and regex \s also
+# split on
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+TEXT_PIECES = st.one_of(
+    st.sampled_from(list(WHITESPACE)),
+    st.sampled_from(RESERVED_TAGS + ("⟨", "⟩", "⟨kng_6⟩", "⟨user", "⟨⟨sys⟩⟩")),
+    st.text(max_size=3))
+
+
+def escape_tags_by_loop(text):
+    """The reserved-tag escape as a plain loop over every tag."""
+    for tag in RESERVED_TAGS:
+        text = text.replace(tag, "(" + tag[1:-1] + ")")
+    return text
+
+
+class TestTextNormalisation:
+    @settings(max_examples=300)
+    @given(st.lists(TEXT_PIECES, max_size=12).map("".join))
+    def test_normalize_ws_equals_regex_definition(self, text):
+        assert normalize_ws(text) == re.sub(r"\s+", " ", text).strip()
+
+    @settings(max_examples=300)
+    @given(st.lists(TEXT_PIECES, max_size=12).map("".join))
+    def test_escape_tags_equals_loop_definition(self, text):
+        assert escape_tags(text) == escape_tags_by_loop(text)
+
+    @given(st.text(alphabet=WHITESPACE, max_size=8))
+    def test_turn_rejects_whitespace_only_text(self, text):
+        with pytest.raises(corpus.CorpusError, match="empty"):
+            Turn(speaker=Speaker.USER, text=text)
+        assert Turn(speaker=Speaker.USER, text=text + "a" + text).text
 
 
 class TestKnowledgeBase:

@@ -1,4 +1,7 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +11,11 @@ from hypothesis import strategies as st
 from kgdial import models
 from kgdial.corpus import tokenize
 from kgdial.models import (
-    ModelError, PairRow, ToyEncoder, ToyPairScorer, TrainConfig, bce_loss,
-    build_vocab, finite_difference_check, load_checkpoint, pair_readout,
-    pair_readout_backward, save_checkpoint, scorer_from_checkpoint,
-    scorer_to_checkpoint, softmax, train_pair_classifier,
+    CHECKPOINT_VERSION, ModelError, PairRow, ToyEncoder, ToyPairScorer,
+    TrainConfig, bce_loss, build_vocab, finite_difference_check,
+    load_checkpoint, pair_readout, pair_readout_backward, save_checkpoint,
+    scorer_from_checkpoint, scorer_to_checkpoint, softmax,
+    train_pair_classifier,
 )
 
 # trivially separable: "alpha ..." pairs are positive, "omega ..." negative
@@ -129,6 +133,63 @@ class TestTraining:
             train_pair_classifier(POS, TrainConfig(epochs=1))
 
 
+@st.composite
+def tensor_sets(draw):
+    """float64 and int64 tensors of 0 to 3 dimensions, empty ones included,
+    inserted in an order of their own, not sorted by name."""
+    names = draw(st.lists(st.text("ab.c", min_size=1, max_size=3), unique=True,
+                          max_size=5))
+    out = {}
+    for name in names:
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        n = math.prod(shape)
+        if draw(st.booleans()):
+            values = draw(st.lists(st.floats(width=64), min_size=n, max_size=n))
+            out[name] = np.array(values, dtype=np.float64).reshape(shape)
+        else:
+            values = draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                   min_size=n, max_size=n))
+            out[name] = np.array(values, dtype=np.int64).reshape(shape)
+    return out
+
+
+def write_archive(path, meta, members):
+    """An archive of a ``__meta__`` block (``meta`` as JSON, or raw bytes)
+    and ``members``, written member by member as `save_checkpoint` never
+    writes one."""
+    raw = meta if isinstance(meta, bytes) else json.dumps(meta).encode("utf-8")
+    header = np.frombuffer(raw, dtype=np.uint8)
+    np.savez(path, __meta__=header, **members)
+    return path
+
+
+# (meta, other members, pattern) of archives a load must reject
+ARCHIVE_DEFECTS = [
+    pytest.param({"kind": "ToyGenerator", "version": 1}, {"emb": np.zeros((2, 2))},
+                 "has version 1", id="version-1"),
+    pytest.param({"kind": "ToyGenerator", "version": CHECKPOINT_VERSION,
+                  "layout": [["emb", "<f8", [2, 2]]]}, {},
+                 "missing data block", id="no-data"),
+    pytest.param({"kind": "ToyGenerator", "version": CHECKPOINT_VERSION,
+                  "layout": [["emb", "<q9", [2, 2]]]},
+                 {"__data__": np.zeros(32, dtype=np.uint8)},
+                 "unknown dtype '<q9'", id="unknown-dtype"),
+    pytest.param({"kind": "ToyGenerator", "version": CHECKPOINT_VERSION,
+                  "layout": [["emb", "<f8", [2, 2]]]},
+                 {"__data__": np.zeros(24, dtype=np.uint8)},
+                 "layout needs 32 bytes, data block holds 24", id="short-data"),
+    pytest.param({"kind": "ToyGenerator", "version": CHECKPOINT_VERSION,
+                  "layout": [["emb", "<f8"]]},
+                 {"__data__": np.zeros(32, dtype=np.uint8)},
+                 "malformed layout entry", id="malformed-layout"),
+    pytest.param({"kind": "ToyGenerator", "version": CHECKPOINT_VERSION,
+                  "layout": [["emb", "<f8", [2]], ["emb", "<f8", [2]]]},
+                 {"__data__": np.zeros(32, dtype=np.uint8)},
+                 "names a tensor twice", id="duplicate-name"),
+    pytest.param(b"\xff{", {}, "metadata block is not a JSON object", id="not-json"),
+]
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         examples = separable_set()
@@ -138,6 +199,15 @@ class TestCheckpoint:
         restored = scorer_from_checkpoint(path)
         for s1, s2, _ in examples[:4]:
             assert restored.score(s1, s2) == pytest.approx(scorer.score(s1, s2))
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        scorer = train_pair_classifier(separable_set(), TrainConfig(epochs=1))
+        path = str(tmp_path / "scorer.npz")
+        scorer_to_checkpoint(scorer, path)
+        forbid_draws(monkeypatch)
+        restored = scorer_from_checkpoint(path)
+        for key, value in scorer.all_params().items():
+            assert restored.all_params()[key].tobytes() == value.tobytes(), key
 
     def test_version_field_required(self, tmp_path):
         path = str(tmp_path / "bad.npz")
@@ -149,9 +219,55 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, {"w": np.ones(2)}, {"kind": "test"})
         tensors, meta = load_checkpoint(path)
-        assert meta["version"] == 1
+        assert meta["version"] == CHECKPOINT_VERSION
         assert meta["kind"] == "test"
         assert np.array_equal(tensors["w"], np.ones(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tensor_sets(), st.dictionaries(
+        st.text(max_size=4).filter(lambda k: k not in ("version", "layout")),
+        st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+        max_size=3))
+    @example({"b": np.zeros((2, 0)), "a": np.array(3.5), "a.c": np.arange(3)},
+             {"kind": "x"})
+    def test_round_trip_property(self, tensors, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "ck.npz")
+            save_checkpoint(path, tensors, config)
+            loaded, meta = load_checkpoint(path)
+        assert meta == dict(config, version=CHECKPOINT_VERSION)
+        assert list(loaded) == sorted(tensors)
+        for name, value in tensors.items():
+            got = loaded[name]
+            assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+            assert got.tobytes() == value.tobytes(), name
+            assert got.flags.writeable and got.flags.aligned, name
+
+    @pytest.mark.parametrize("meta,members,pattern", ARCHIVE_DEFECTS)
+    def test_malformed_archive_is_one_line_error(self, tmp_path, meta, members,
+                                                 pattern):
+        path = write_archive(str(tmp_path / "bad.npz"), meta, members)
+        with pytest.raises(ModelError, match=pattern) as info:
+            load_checkpoint(path)
+        assert path in str(info.value) and "\n" not in str(info.value)
+
+    def test_reserved_layout_key_is_rejected(self, tmp_path):
+        with pytest.raises(ModelError, match="'layout' is reserved"):
+            save_checkpoint(str(tmp_path / "ck.npz"), {}, {"layout": []})
+
+
+class _NoDraws:
+    """Stands in for a random generator that must never be drawn from."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a checkpoint load called rng.{name}")
+
+
+def forbid_draws(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _NoDraws)
 
 
 def rewrite_checkpoint(src, dst, edit):
@@ -186,12 +302,18 @@ def _shrink(t, m):
     t[key] = t[key][:1]
 
 
+def _retype(t, m):
+    key = vector_key(t)
+    t[key] = t[key].astype(np.int64)
+
+
 # (edit, pattern naming the key) for each defect a load must reject
 CHECKPOINT_DEFECTS = [
     (_set_kind, "key 'kind' is 'bogus'"),
     (_drop, "missing tensor"),
     (_add, "unexpected tensor 'enc.extra'"),
     (_shrink, r"has shape \(1,\)"),
+    (_retype, "has dtype int64, expected float64"),
 ]
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from kgdial import corpus, generate, pipeline, rank
@@ -18,12 +19,12 @@ from kgdial.pipeline import (
 )
 from kgdial.generate import GenerateError, ToyGenerator
 from kgdial.models import ModelError, ToyPairScorer, load_checkpoint
-from kgdial.pipeline import (_load_rank_model, _save_generator, _save_rank_model,
-                             load_generator)
+from kgdial.pipeline import (_load_rank_model, _model_train_config, _save_generator,
+                             _save_rank_model, load_generator)
 from kgdial.rank import (ListwiseConfig, ListwiseModel, PointwiseConfig,
                          PointwiseModel, RankedKnowledgeList, ensemble_rank)
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus, save_lexicon
-from test_models import CHECKPOINT_DEFECTS, rewrite_checkpoint
+from test_models import CHECKPOINT_DEFECTS, forbid_draws, rewrite_checkpoint
 
 
 class TestConfig:
@@ -57,6 +58,19 @@ class TestConfig:
     def test_bad_boolean_rejected(self):
         with pytest.raises(ConfigError):
             load_config("", overrides=["rank.use_mtl=maybe"])
+
+    @pytest.mark.parametrize("section", ["detect", "track"])
+    def test_pair_classifier_batch_size_is_read_as_set(self, section):
+        config = PipelineConfig({f"{section}.batch_size": 5})
+        assert _model_train_config(config, section).batch_size == 5
+
+    @pytest.mark.parametrize("key", sorted(k for k in CONFIG_DEFAULTS
+                                           if k.endswith(".batch_size")))
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_batch_size_below_one_rejected(self, key, value):
+        assert key.split(".")[0] in ("detect", "track", "rank", "gen")
+        with pytest.raises(ConfigError, match=f"{key}: expected an int >= 1"):
+            PipelineConfig({key: value})
 
 
 class TestManifest:
@@ -446,6 +460,19 @@ class TestCheckpointValidation:
         with pytest.raises(ModelError, match=f"missing field '{field}'") as info:
             load(bad)
         assert bad in str(info.value)
+
+    def test_decode_loads_draw_no_weights(self, mini, tmp_path, monkeypatch):
+        """Each loader builds its model around the checkpoint's tensors."""
+        for name, save, load in self.loaders(mini[1]):
+            path = str(tmp_path / f"{name}.npz")
+            save(path)
+            saved, _ = load_checkpoint(path)
+            with monkeypatch.context() as patch:
+                forbid_draws(patch)
+                params = load(path).all_params()
+            assert sorted(params) == sorted(saved), name
+            for key, value in saved.items():
+                assert params[key].tobytes() == value.tobytes(), (name, key)
 
     def test_rank_checkpoint_of_the_other_kind_is_rejected(self, mini, tmp_path):
         _, save, _ = self.loaders(mini[1])[1]
