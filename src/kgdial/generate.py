@@ -181,16 +181,16 @@ class ToyGenerator:
         self.max_target_tokens = max_target_tokens
         self.seed = seed
         if params is None:
+            shapes = self.param_shapes(self.vocab, d, max_target_tokens)
             rng = np.random.default_rng(seed)
-            V = len(self.vocab)
             params = {
-                "emb": rng.normal(0.0, 0.5, size=(V, d)),
-                "pos": rng.normal(0.0, 0.1, size=(max_target_tokens + 1, d)),
-                "wp": rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)),
-                "wc": rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)),
-                "bh": np.zeros(d),
-                "out": rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, V)),
-                "bo": np.zeros(V),
+                "emb": rng.normal(0.0, 0.5, size=shapes["emb"]),
+                "pos": rng.normal(0.0, 0.1, size=shapes["pos"]),
+                "wp": rng.normal(0.0, 1.0 / math.sqrt(d), size=shapes["wp"]),
+                "wc": rng.normal(0.0, 1.0 / math.sqrt(d), size=shapes["wc"]),
+                "bh": np.zeros(shapes["bh"]),
+                "out": rng.normal(0.0, 1.0 / math.sqrt(d), size=shapes["out"]),
+                "bo": np.zeros(shapes["bo"]),
             }
         self.params = params
 

@@ -12,9 +12,9 @@ All math is float64 and seeded; training is single-threaded and
 bit-reproducible. Inference never mutates parameters.
 
 A checkpoint is an ``.npz`` archive of two members: a JSON metadata block
-(the model's config, ``version`` and the tensor layout) and one byte blob
-that holds every tensor. A loader checks the tensors' names, shapes and
-dtype, then builds its model around them; it draws no initial weights.
+(the model's config, ``version`` and the tensor layout) and one float64
+vector that holds every tensor. A loader checks the tensors' names and
+shapes, then builds its model around them; it draws no initial weights.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ UNK = "⟨unk⟩"
 
 CHECKPOINT_VERSION = 2
 _LAYOUT = "layout"
-# every tensor of a checkpoint blob starts at a multiple of this many bytes,
-# the largest alignment any numpy dtype needs
-_ALIGN = 16
 
 
 class ModelError(Exception):
@@ -101,6 +98,7 @@ class ToyEncoder:
         self.max_len = max_len
         self.seed = seed
         if params is None:
+            shapes = self.param_shapes(len(self.vocab), d)
             rng = np.random.default_rng(seed)
             scale = 1.0 / math.sqrt(d)
             # identity-plus-noise projections so token-identity attention
@@ -110,11 +108,11 @@ class ToyEncoder:
             # the other segment's offset)
             eye = np.eye(d)
             params = {
-                "emb": rng.normal(0.0, 0.5, size=(len(self.vocab), d)),
-                "seg": rng.normal(0.0, 0.5, size=(2, d)),
-                "wq": eye + rng.normal(0.0, scale * 0.1, size=(d, d)),
-                "wk": eye + rng.normal(0.0, scale * 0.1, size=(d, d)),
-                "wv": eye + rng.normal(0.0, scale * 0.1, size=(d, d)),
+                "emb": rng.normal(0.0, 0.5, size=shapes["emb"]),
+                "seg": rng.normal(0.0, 0.5, size=shapes["seg"]),
+                "wq": eye + rng.normal(0.0, scale * 0.1, size=shapes["wq"]),
+                "wk": eye + rng.normal(0.0, scale * 0.1, size=shapes["wk"]),
+                "wv": eye + rng.normal(0.0, scale * 0.1, size=shapes["wv"]),
             }
         self.params = params
 
@@ -282,17 +280,22 @@ class PairRow:
     label: int
 
 
+def pair_head_shapes(d: int) -> dict[str, tuple[int, ...]]:
+    return {"w": (2 * d,), "b": (1,)}
+
+
 def pair_head(seed: int, d: int) -> dict[str, np.ndarray]:
     """Seeded initial weights of a logit head over `pair_readout`."""
+    shapes = pair_head_shapes(d)
     rng = np.random.default_rng(seed + 1)
-    return {"w": rng.normal(0.0, 0.1, size=2 * d), "b": np.zeros(1)}
+    return {"w": rng.normal(0.0, 0.1, size=shapes["w"]), "b": np.zeros(shapes["b"])}
 
 
 def pair_scorer_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
     """Tensor shapes of an encoder (``enc.*``) and a `pair_head`
     (``head.*``), named as ``all_params`` names them."""
     shapes = prefixed("enc.", ToyEncoder.param_shapes(n_vocab, d))
-    shapes.update({"head.w": (2 * d,), "head.b": (1,)})
+    shapes.update(prefixed("head.", pair_head_shapes(d)))
     return shapes
 
 
@@ -444,47 +447,30 @@ def finite_difference_check(model, example, epsilon: float = 1e-5,
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> None:
     """Single-file archive of two members: ``__meta__``, the JSON config
-    block plus ``version`` and ``layout``, and ``__data__``, one byte blob
-    holding every tensor in sorted-name order, each starting at a multiple
-    of `_ALIGN` bytes. ``layout`` lists ``[name, dtype.str, shape]`` per
-    tensor, in blob order."""
+    block plus ``version`` and ``layout``, and ``__data__``, one float64
+    vector holding every tensor, raveled, in sorted-name order. ``layout``
+    lists ``[name, shape]`` per tensor, in that order."""
     if _LAYOUT in config:
         raise ModelError(f"checkpoint {path}: config key {_LAYOUT!r} is reserved")
+    names = sorted(tensors)
+    for name in names:
+        if tensors[name].dtype != np.float64:
+            raise ModelError(f"checkpoint {path}: tensor {name!r} has dtype "
+                             f"{tensors[name].dtype}, expected float64")
     meta = dict(config)
     meta["version"] = CHECKPOINT_VERSION
-    meta[_LAYOUT] = []
-    arrays = []
-    for name in sorted(tensors):
-        value = np.asarray(tensors[name], order="C")
-        if value.dtype.hasobject:
-            raise ModelError(f"checkpoint {path}: tensor {name!r} holds Python objects")
-        meta[_LAYOUT].append([name, value.dtype.str, list(value.shape)])
-        arrays.append(value)
-    starts, end = _blob_offsets((a.dtype, a.size) for a in arrays)
-    blob = np.zeros(end, dtype=np.uint8)
-    for start, value in zip(starts, arrays):
-        blob[start:start + value.nbytes] = value.reshape(-1).view(np.uint8)
+    meta[_LAYOUT] = [[name, list(tensors[name].shape)] for name in names]
+    data = np.concatenate([np.zeros(0)] + [tensors[name].ravel() for name in names])
     header = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
                            dtype=np.uint8)
-    np.savez(path, __meta__=header, __data__=blob)
-
-
-def _blob_offsets(entries: Iterable[tuple[np.dtype, int]]) -> tuple[list[int], int]:
-    """Start of each (dtype, element count) tensor in a checkpoint blob, and
-    the blob's length."""
-    starts, end = [], 0
-    for dtype, size in entries:
-        end += -end % _ALIGN
-        starts.append(end)
-        end += dtype.itemsize * size
-    return starts, end
+    np.savez(path, __meta__=header, __data__=data)
 
 
 def load_checkpoint(path: str, kind: Optional[str] = None
                     ) -> tuple[dict[str, np.ndarray], dict]:
     """Named tensors and config block of a checkpoint; when ``kind`` is
     given, the config's ``kind`` must equal it. The tensors are writable
-    views into the one blob read from the archive; the config block is
+    views into the one vector read from the archive; the config block is
     returned without its ``layout`` key."""
     with np.load(path) as archive:
         if "__meta__" not in archive:
@@ -502,52 +488,42 @@ def load_checkpoint(path: str, kind: Optional[str] = None
                              f"this version reads {CHECKPOINT_VERSION}: retrain it")
         if "__data__" not in archive:
             raise ModelError(f"checkpoint {path} missing data block")
-        blob = archive["__data__"]
-    tensors = _unpack_blob(path, blob, meta.pop(_LAYOUT, None))
+        data = archive["__data__"]
+    tensors = _unpack(path, data, meta.pop(_LAYOUT, None))
     if kind is not None and meta.get("kind") != kind:
         raise ModelError(f"checkpoint {path}: key 'kind' is {meta.get('kind')!r}, "
                          f"expected {kind!r}")
     return tensors, meta
 
 
-def _unpack_blob(path: str, blob: np.ndarray, layout) -> dict[str, np.ndarray]:
-    """The tensors a checkpoint's layout places in its blob."""
+def _unpack(path: str, data: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """The tensors a checkpoint's layout places in its data vector."""
     if not isinstance(layout, list):
         raise ModelError(f"checkpoint {path} missing tensor layout")
-    if blob.dtype != np.uint8 or blob.ndim != 1:
-        raise ModelError(f"checkpoint {path}: data block is not a byte vector")
-    entries = []
+    if data.dtype != np.float64 or data.ndim != 1:
+        raise ModelError(f"checkpoint {path}: data block is not a float64 vector")
     for entry in layout:
-        if not (isinstance(entry, list) and len(entry) == 3
-                and isinstance(entry[0], str) and isinstance(entry[1], str)
-                and isinstance(entry[2], list)
-                and all(type(n) is int and n >= 0 for n in entry[2])):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], list)
+                and all(type(n) is int and n >= 0 for n in entry[1])):
             raise ModelError(f"checkpoint {path}: malformed layout entry {entry!r}")
-        name, code, shape = entry
-        try:
-            dtype = np.dtype(code)
-        except TypeError:
-            dtype = None
-        if dtype is None or dtype.hasobject or dtype.itemsize == 0:
-            raise ModelError(f"checkpoint {path}: tensor {name!r} has unknown "
-                             f"dtype {code!r}")
-        entries.append((name, dtype, tuple(shape)))
-    if len({name for name, _, _ in entries}) < len(entries):
+    if len({name for name, _ in layout}) < len(layout):
         raise ModelError(f"checkpoint {path}: layout names a tensor twice")
-    starts, end = _blob_offsets((dtype, math.prod(shape))
-                                for _, dtype, shape in entries)
-    if end != blob.size:
-        raise ModelError(f"checkpoint {path}: layout needs {end} bytes, "
-                         f"data block holds {blob.size}")
-    return {name: blob[start:start + dtype.itemsize * math.prod(shape)]
-            .view(dtype).reshape(shape)
-            for (name, dtype, shape), start in zip(entries, starts)}
+    sizes = [math.prod(shape) for _, shape in layout]
+    if sum(sizes) != data.size:
+        raise ModelError(f"checkpoint {path}: layout needs {sum(sizes)} values, "
+                         f"data block holds {data.size}")
+    tensors, start = {}, 0
+    for (name, shape), size in zip(layout, sizes):
+        tensors[name] = data[start:start + size].reshape(shape)
+        start += size
+    return tensors
 
 
 def check_tensors(path: str, shapes: dict[str, tuple[int, ...]],
                   tensors: dict[str, np.ndarray]) -> None:
     """A model's checkpoint tensors must hold exactly the keys of
-    ``shapes``, each a float64 array of that shape."""
+    ``shapes``, each an array of that shape."""
     for key in sorted(shapes.keys() - tensors.keys()):
         raise ModelError(f"checkpoint {path}: missing tensor {key!r}")
     for key in sorted(tensors.keys() - shapes.keys()):
@@ -556,9 +532,6 @@ def check_tensors(path: str, shapes: dict[str, tuple[int, ...]],
         if value.shape != shapes[key]:
             raise ModelError(f"checkpoint {path}: tensor {key!r} has shape "
                              f"{value.shape}, expected {shapes[key]}")
-        if value.dtype != np.float64:
-            raise ModelError(f"checkpoint {path}: tensor {key!r} has dtype "
-                             f"{value.dtype}, expected float64")
 
 
 def scorer_to_checkpoint(scorer: ToyPairScorer, path: str) -> None:

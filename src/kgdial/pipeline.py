@@ -82,7 +82,6 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "track.delta_e": 0.5,
     "track.epochs": 10,
     "track.learning_rate": 1e-5,
-    "track.batch_size": 16,
     "track.negatives": 3,
     "rank.use_mtl": True,
     "rank.variant": "WD2",
@@ -222,11 +221,12 @@ def require(path: str, stage_hint: str) -> str:
     return path
 
 
-def _model_train_config(config: PipelineConfig, section: str) -> TrainConfig:
+def _model_train_config(config: PipelineConfig, section: str,
+                        batch_size: int) -> TrainConfig:
     return TrainConfig(
         epochs=int(config[f"{section}.epochs"]),
         learning_rate=float(config[f"{section}.learning_rate"]),
-        batch_size=int(config[f"{section}.batch_size"]),
+        batch_size=batch_size,
         seed=config.seed,
         d=int(config["model.d"]),
         pooling=str(config["model.pooling"]),
@@ -284,8 +284,10 @@ def stage_train_detect(config: PipelineConfig) -> list[str]:
     corpus, _, inputs = _load_training_corpus(config)
     examples = build_detection_examples(corpus, int(config["detect.max_tokens"]),
                                         bool(config["corpus.count_tags"]))
+    train_config = _model_train_config(config, "detect",
+                                       int(config["detect.batch_size"]))
     scorer = train_pair_classifier([(text, "", int(label)) for text, label in examples],
-                                   _model_train_config(config, "detect"))
+                                   train_config)
     path = config.output_path("detector.npz")
     scorer_to_checkpoint(scorer, path)
     manifest = write_manifest(config, "train-detect", inputs, [path])
@@ -305,7 +307,9 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
             ks, kb, rng, negatives_per_dialogue=int(config["track.negatives"]))
         positives = [e for e in examples if e[2] == 1]
         balanced = examples + positives * max(0, int(config["track.negatives"]) - 1)
-        tracker = train_pair_classifier(balanced, _model_train_config(config, "track"))
+        # the learned tracker has no batch-size key of its own
+        tracker = train_pair_classifier(balanced, _model_train_config(
+            config, "track", TrainConfig.batch_size))
         tracker_path = config.output_path("tracker.npz")
         scorer_to_checkpoint(tracker, tracker_path)
         outputs.append(tracker_path)

@@ -294,10 +294,10 @@ def sample_entity_candidates(kb: KnowledgeBase, dialogue: Dialogue,
     return result, true_index
 
 
-# (MTLParams field, the name ``all_params`` and checkpoints give it)
-_MTL_TENSORS = (("wq", "mtl.wq"), ("wk", "mtl.wk"), ("wv", "mtl.wv"),
-                ("entity_vector", "mtl.v"), ("domain_weights", "mtl.dom"),
-                ("domain_bias", "mtl.bdom"))
+# MTLParams field -> the name ``all_params`` and checkpoints give it
+_MTL_TENSORS = {"wq": "mtl.wq", "wk": "mtl.wk", "wv": "mtl.wv",
+                "entity_vector": "mtl.v", "domain_weights": "mtl.dom",
+                "domain_bias": "mtl.bdom"}
 
 
 @dataclass
@@ -313,32 +313,39 @@ class MTLParams:
     lambda_domain: float = 1.0
     lambda_entity: float = 1.0
 
+    @staticmethod
+    def _field_shapes(d: int, n_domains: int) -> dict[str, tuple[int, ...]]:
+        return {"wq": (d, d), "wk": (d, d), "wv": (d, d), "entity_vector": (d,),
+                "domain_weights": (d, n_domains), "domain_bias": (n_domains,)}
+
     @classmethod
     def create(cls, d: int, n_domains: int, seed: int = 0, **lambdas) -> "MTLParams":
-        def init(name, shape, scale):
+        """Seeded initial weights: each tensor from a generator of its own,
+        seeded by its name, and a zero domain bias."""
+        fields = {}
+        for key, shape in cls._field_shapes(d, n_domains).items():
+            if key == "domain_bias":
+                fields[key] = np.zeros(shape)
+                continue
+            name = _MTL_TENSORS[key]
             rng = np.random.default_rng(zlib.crc32(name.encode()) + seed)
-            return rng.normal(0.0, scale, size=shape)
-
-        s = 1.0 / math.sqrt(d)
-        return cls(wq=init("mtl.wq", (d, d), s), wk=init("mtl.wk", (d, d), s),
-                   wv=init("mtl.wv", (d, d), s),
-                   entity_vector=init("mtl.v", (d,), s),
-                   domain_weights=init("mtl.dom", (d, n_domains), s),
-                   domain_bias=np.zeros(n_domains), **lambdas)
+            fields[key] = rng.normal(0.0, 1.0 / math.sqrt(d), size=shape)
+        return cls(**fields, **lambdas)
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], **lambdas) -> "MTLParams":
         """The block whose tensors ``tensors`` holds, under the names that
         `MTLParams.tensors` gives them."""
-        return cls(**{key: tensors[name] for key, name in _MTL_TENSORS}, **lambdas)
+        return cls(**{key: tensors[name] for key, name in _MTL_TENSORS.items()},
+                   **lambdas)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, key) for key, name in _MTL_TENSORS}
+        return {name: getattr(self, key) for key, name in _MTL_TENSORS.items()}
 
-    @staticmethod
-    def shapes(d: int, n_domains: int) -> dict[str, tuple[int, ...]]:
-        return {"mtl.wq": (d, d), "mtl.wk": (d, d), "mtl.wv": (d, d),
-                "mtl.v": (d,), "mtl.dom": (d, n_domains), "mtl.bdom": (n_domains,)}
+    @classmethod
+    def shapes(cls, d: int, n_domains: int) -> dict[str, tuple[int, ...]]:
+        return {_MTL_TENSORS[key]: shape
+                for key, shape in cls._field_shapes(d, n_domains).items()}
 
 
 def _check_spans(spans: Sequence[tuple[int, int]], length: int) -> None:
@@ -484,6 +491,10 @@ class PointwiseRow:
     entity_input: Optional[tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]
 
 
+# the wide part's weights over the sparse features, zero at the start
+_WIDE_SHAPES = {"u": (N_SPARSE,)}
+
+
 def _wide_deep_params(vocab: dict[str, int], config,
                       params: Optional[dict[str, np.ndarray]]
                       ) -> tuple[ToyEncoder, dict, dict]:
@@ -493,7 +504,8 @@ def _wide_deep_params(vocab: dict[str, int], config,
                          max_len=config.max_len, seed=config.seed,
                          params=None if params is None else unprefixed("enc.", params))
     if params is None:
-        return encoder, pair_head(config.seed, config.d), {"u": np.zeros(N_SPARSE)}
+        wide = {k: np.zeros(shape) for k, shape in _WIDE_SHAPES.items()}
+        return encoder, pair_head(config.seed, config.d), wide
     return encoder, unprefixed("head.", params), unprefixed("wide.", params)
 
 
@@ -505,7 +517,7 @@ def _wide_deep_tensors(model) -> dict[str, np.ndarray]:
 
 
 def _wide_deep_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
-    return {**pair_scorer_shapes(n_vocab, d), "wide.u": (N_SPARSE,)}
+    return {**pair_scorer_shapes(n_vocab, d), **prefixed("wide.", _WIDE_SHAPES)}
 
 
 class PointwiseModel:

@@ -97,8 +97,8 @@ def test_bad_config_value_is_one_line_config_error(workdir, command, override,
 
 
 @pytest.mark.parametrize("command,section", [
-    ("train-detect", "detect"), ("train-select", "track"),
-    ("train-select", "rank"), ("train-generate", "gen")])
+    ("train-detect", "detect"), ("train-select", "rank"),
+    ("train-generate", "gen")])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_batch_size_below_one_is_one_line_config_error(workdir, command, section,
                                                        value, capsys):

@@ -19,8 +19,8 @@ from kgdial.pipeline import (
 )
 from kgdial.generate import GenerateError, ToyGenerator
 from kgdial.models import ModelError, ToyPairScorer, load_checkpoint
-from kgdial.pipeline import (_load_rank_model, _model_train_config, _save_generator,
-                             _save_rank_model, load_generator)
+from kgdial.pipeline import (_load_rank_model, _save_generator, _save_rank_model,
+                             load_generator)
 from kgdial.rank import (ListwiseConfig, ListwiseModel, PointwiseConfig,
                          PointwiseModel, RankedKnowledgeList, ensemble_rank)
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus, save_lexicon
@@ -59,16 +59,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("", overrides=["rank.use_mtl=maybe"])
 
-    @pytest.mark.parametrize("section", ["detect", "track"])
-    def test_pair_classifier_batch_size_is_read_as_set(self, section):
-        config = PipelineConfig({f"{section}.batch_size": 5})
-        assert _model_train_config(config, section).batch_size == 5
-
     @pytest.mark.parametrize("key", sorted(k for k in CONFIG_DEFAULTS
                                            if k.endswith(".batch_size")))
     @pytest.mark.parametrize("value", [0, -3])
     def test_batch_size_below_one_rejected(self, key, value):
-        assert key.split(".")[0] in ("detect", "track", "rank", "gen")
+        assert key.split(".")[0] in ("detect", "rank", "gen")
         with pytest.raises(ConfigError, match=f"{key}: expected an int >= 1"):
             PipelineConfig({key: value})
 
@@ -336,6 +331,25 @@ def test_decode_scores_the_detector_input_train_detect_trained_on(trained,
     assert scored == trained_on
     # counting tags, the default, would cut the histories shorter
     assert scored != [linearize_history(d, 8) for d in dialogues]
+
+
+@pytest.mark.parametrize("batch_size", [1, 5])
+def test_train_detect_trains_with_its_batch_size(trained, tmp_path, monkeypatch,
+                                                 batch_size):
+    config = _copy_outputs(trained[0], tmp_path, **{"detect.batch_size": batch_size})
+    used = []
+
+    class Recorded(Exception):
+        pass
+
+    def recording_train(examples, train_config):
+        used.append(train_config.batch_size)
+        raise Recorded
+
+    monkeypatch.setattr(pipeline, "train_pair_classifier", recording_train)
+    with pytest.raises(Recorded):
+        stage_train_detect(config)
+    assert used == [batch_size]
 
 
 def test_decode_uses_the_variant_the_rankers_were_trained_with(trained):
