@@ -310,19 +310,27 @@ def _tie_key(candidate: Candidate):
     return (-candidate.logprob, candidate.system_id, candidate.rank)
 
 
+def _best_index(scores: np.ndarray, candidates: Sequence[Candidate]) -> int:
+    """Index of the highest-scoring candidate, ties broken by `_tie_key`."""
+    return min(range(len(candidates)),
+               key=lambda i: (-scores[i],) + _tie_key(candidates[i]))
+
+
+def _probes(points: Sequence[float]) -> list[float]:
+    """One x inside each interval the sorted ``points`` cut the line into:
+    1 before the first, the midpoints, 1 past the last (0 when empty)."""
+    if not points:
+        return [0.0]
+    return ([points[0] - 1.0] + [(a + b) / 2.0 for a, b in zip(points, points[1:])]
+            + [points[-1] + 1.0])
+
+
 def consensus_select(pool: CandidatePool, weights: ConsensusWeights,
                      features: Optional[np.ndarray] = None) -> Candidate:
     if not pool.candidates:
         raise ConsensusError(f"empty candidate pool for turn {pool.turn_id}")
     feats = pool_features(pool) if features is None else features
-    scores = feats @ weights.values
-    best = None
-    best_key = None
-    for c, s in zip(pool.candidates, scores):
-        key = (-s,) + _tie_key(c)
-        if best_key is None or key < best_key:
-            best, best_key = c, key
-    return best
+    return pool.candidates[_best_index(feats @ weights.values, pool.candidates)]
 
 
 @dataclass
@@ -348,26 +356,10 @@ def _selection_segments(base: np.ndarray, slope: np.ndarray,
             if dm != 0.0:
                 xs.add((base[j] - base[i]) / dm)
     points = sorted(xs)
-    probes = [points[0] - 1.0 if points else 0.0]
-    for a, b in zip(points, points[1:]):
-        probes.append((a + b) / 2.0)
-    if points:
-        probes.append(points[-1] + 1.0)
-
-    def argmax_at(x: float) -> int:
-        scores = base + x * slope
-        best_idx = 0
-        best_key = None
-        for idx in range(n):
-            key = (-scores[idx],) + _tie_key(pool.candidates[idx])
-            if best_key is None or key < best_key:
-                best_idx, best_key = idx, key
-        return best_idx
-
     segments = []
     starts = [-math.inf] + points
-    for start, probe in zip(starts, probes):
-        idx = argmax_at(probe)
+    for start, probe in zip(starts, _probes(points)):
+        idx = _best_index(base + probe * slope, pool.candidates)
         if not segments or segments[-1][1] != idx:
             segments.append((start, idx))
     return segments
@@ -440,16 +432,8 @@ def tune_weights(dev_pools: Sequence[CandidatePool],
     objective = _selection_bleu(stats, [references[p.turn_id] for p in dev_pools])
 
     def select_all(weights: np.ndarray) -> list[int]:
-        out = []
-        for pi, pool in enumerate(dev_pools):
-            scores = feats[pi] @ weights
-            best_idx, best_key = 0, None
-            for idx in range(len(pool.candidates)):
-                key = (-scores[idx],) + _tie_key(pool.candidates[idx])
-                if best_key is None or key < best_key:
-                    best_idx, best_key = idx, key
-            out.append(best_idx)
-        return out
+        return [_best_index(f @ weights, pool.candidates)
+                for f, pool in zip(feats, dev_pools)]
 
     def line_search(weights: np.ndarray, direction: np.ndarray,
                     current: float) -> tuple[float, Optional[float]]:
@@ -461,11 +445,6 @@ def tune_weights(dev_pools: Sequence[CandidatePool],
             all_segments.append(_selection_segments(base, slope, pool))
         breakpoints = sorted({seg[0] for segs in all_segments for seg in segs
                               if seg[0] != -math.inf})
-        probes = [breakpoints[0] - 1.0 if breakpoints else 0.0]
-        for a, b in zip(breakpoints, breakpoints[1:]):
-            probes.append((a + b) / 2.0)
-        if breakpoints:
-            probes.append(breakpoints[-1] + 1.0)
 
         def selection_at(x: float) -> list[int]:
             out = []
@@ -480,7 +459,7 @@ def tune_weights(dev_pools: Sequence[CandidatePool],
             return out
 
         best_obj, best_step = current, None
-        for x in probes:
+        for x in _probes(breakpoints):
             obj = objective(selection_at(x))
             if obj > best_obj + 1e-12:
                 best_obj, best_step = obj, x

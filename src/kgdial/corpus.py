@@ -328,25 +328,49 @@ def load_knowledge_base(path: str) -> KnowledgeBase:
     """Load nested domain -> entity -> docs JSON into a KnowledgeBase.
 
     Doc titles become questions, bodies become answers. Entries under the
-    DOMAIN_LEVEL id become a pseudo-entity named after the domain.
+    DOMAIN_LEVEL id become a pseudo-entity named after the domain. A domain,
+    entity or doc that is not an object, and a name, title or body that is
+    not a string, is a CorpusError naming where it sits.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     snippets = []
-    for domain, entities in data.items():
-        for entity_id, entry in entities.items():
-            name = entry.get("name") or domain
-            if str(entity_id) == DOMAIN_LEVEL:
+    for domain, entities in _kb_items(data, "knowledge file"):
+        for entity_id, entry in _kb_items(entities, f"knowledge domain {domain}"):
+            where = f"knowledge entity {domain}/{entity_id}"
+            _kb_items(entry, where)
+            name = entry.get("name")
+            if name is not None and not isinstance(name, str):
+                raise CorpusError(f"{where}: name must be a string, "
+                                  f"got {type(name).__name__}")
+            if entity_id == DOMAIN_LEVEL or not name:
                 name = domain
-            for doc_id, doc in entry.get("docs", {}).items():
+            for doc_id, doc in _kb_items(entry.get("docs", {}), f"{where} docs"):
+                where_doc = f"knowledge doc {domain}/{entity_id}/{doc_id}"
+                _kb_items(doc, where_doc)
                 snippets.append(KnowledgeSnippet(
-                    domain=str(domain),
-                    entity_id=str(entity_id),
-                    entity_name=_clean_text(str(name)),
-                    question=_clean_text(doc["title"]),
-                    answer=_clean_text(doc["body"]),
-                    doc_id=str(doc_id)))
+                    domain=domain, entity_id=entity_id, entity_name=_clean_text(name),
+                    question=_kb_text(doc, "title", where_doc),
+                    answer=_kb_text(doc, "body", where_doc),
+                    doc_id=doc_id))
     return KnowledgeBase(snippets)
+
+
+def _kb_items(value, where: str):
+    """The (key, value) pairs of a knowledge-file object."""
+    if not isinstance(value, dict):
+        raise CorpusError(f"{where}: expected an object, got {type(value).__name__}")
+    return value.items()
+
+
+def _kb_text(obj: dict, key: str, where: str) -> str:
+    """``obj[key]`` as the corpus holds text."""
+    if key not in obj:
+        raise CorpusError(f"{where}: missing {key!r}")
+    if not isinstance(obj[key], str):
+        raise CorpusError(f"{where}: {key} must be a string, "
+                          f"got {type(obj[key]).__name__}")
+    return _clean_text(obj[key])
 
 
 def save_knowledge_base(kb: KnowledgeBase, path: str) -> None:

@@ -444,7 +444,7 @@ def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
         for d in fold:
             tracked = tracker_fn(d, kb)
             ranked = pointwise_rank(model, d, collect_candidates(tracked, kb),
-                                    kb=kb, tracked=tracked)
+                                    dialogue_features(d, tracked), kb=kb)
             outputs[d.id] = [s for s, _ in ranked.items]
     return outputs
 
@@ -490,20 +490,21 @@ def load_tracker(config: PipelineConfig) -> Callable:
 class DecodeComponents:
     """Pluggable pieces of the decode path; tests may inject oracles.
 
+    The tracker's entities reach ranking one way: as the turn's
+    `DialogueFeatures`, built once from the dialogue and those entities.
     `ranker` ranks a turn's candidates once (called with the dialogue, the
-    candidates, the tracked entities and their `DialogueFeatures`). When
-    `reranker` is set, it reorders that very list (called with the
-    dialogue, the ranker's list, the tracked entities and the same
-    `DialogueFeatures`) and the two lists are ensembled; otherwise the
-    ranker's list is ensembled alone."""
+    candidates and the `DialogueFeatures`). When `reranker` is set, it
+    reorders that very list (called with the dialogue, the ranker's list
+    and the same `DialogueFeatures`) and the two lists are ensembled;
+    otherwise the ranker's list is ensembled alone."""
     detector: Callable[[Dialogue], float]
     tracker: Callable[[Dialogue, KnowledgeBase], list]
-    ranker: Callable[[Dialogue, list, list, DialogueFeatures], RankedKnowledgeList]
+    ranker: Callable[[Dialogue, list, DialogueFeatures], RankedKnowledgeList]
     generator: object
     consensus_weights: ConsensusWeights
     nbest: int = 5
-    reranker: Optional[Callable[[Dialogue, RankedKnowledgeList, list,
-                                 DialogueFeatures], RankedKnowledgeList]] = None
+    reranker: Optional[Callable[[Dialogue, RankedKnowledgeList, DialogueFeatures],
+                                RankedKnowledgeList]] = None
 
 
 def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
@@ -528,11 +529,10 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
             tracked = components.tracker(dialogue, kb)
             candidates = collect_candidates(tracked, kb)
             features = dialogue_features(dialogue, tracked)
-            first = components.ranker(dialogue, candidates, tracked, features)
+            first = components.ranker(dialogue, candidates, features)
             ranked_lists = [first]
             if components.reranker is not None:
-                ranked_lists.append(
-                    components.reranker(dialogue, first, tracked, features))
+                ranked_lists.append(components.reranker(dialogue, first, features))
             merged = ensemble_rank(ranked_lists)
             top5 = [s for s, _ in merged.items]
             context = build_generation_context(dialogue, top5,
@@ -592,8 +592,8 @@ def stage_decode(config: PipelineConfig) -> list[str]:
                                        ("generator", "train-generate"))}
     detector = scorer_from_checkpoint(checkpoints["detector"])
     tracker = load_tracker(config)
-    pointwise = _load_rank_model(checkpoints["pointwise"], "PointwiseModel", kb)
-    listwise = _load_rank_model(checkpoints["listwise"], "ListwiseModel", kb)
+    pointwise = _load_rank_model(checkpoints["pointwise"], "PointwiseModel")
+    listwise = _load_rank_model(checkpoints["listwise"], "ListwiseModel")
     generator = load_generator(checkpoints["generator"])
     inputs = [config["paths.logs"], config["paths.labels"], config["paths.knowledge"],
               *checkpoints.values(), *_tracker_inputs(config)]
@@ -611,13 +611,11 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         return detector.score(
             linearize_history(dialogue, detect_tokens, count_tags), "")
 
-    def ranker(dialogue, candidates, tracked, features):
-        return pointwise_rank(pointwise, dialogue, candidates, kb=kb,
-                              tracked=tracked, context=features)
+    def ranker(dialogue, candidates, features):
+        return pointwise_rank(pointwise, dialogue, candidates, features, kb=kb)
 
-    def reranker(dialogue, first, tracked, features):
-        return listwise_rerank(listwise, dialogue, first, tracked, alpha=alpha,
-                               context=features)
+    def reranker(dialogue, first, features):
+        return listwise_rerank(listwise, dialogue, first, features, alpha)
 
     components = DecodeComponents(
         detector=detector_fn,
@@ -639,7 +637,7 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     return [path, manifest]
 
 
-def _load_rank_model(path: str, kind: str, kb: KnowledgeBase):
+def _load_rank_model(path: str, kind: str):
     """A rank model as train-select saved it: its variant, multi-task head
     and domain list come from the checkpoint, not from the decode config."""
     from .rank import ListwiseModel, PointwiseModel
@@ -658,9 +656,7 @@ def _load_rank_model(path: str, kind: str, kb: KnowledgeBase):
             pooling=enc["pooling"])
         check_tensors(path, PointwiseModel.param_shapes(
             len(meta["vocab"]), meta["domains"], config), tensors)
-        model = PointwiseModel(meta["vocab"], meta["domains"], config, tensors)
-        model.bind_kb(kb)
-        return model
+        return PointwiseModel(meta["vocab"], meta["domains"], config, tensors)
     config = ListwiseConfig(variant=variant, seed=enc["seed"], d=enc["d"],
                             max_len=enc["max_len"], pooling=enc["pooling"])
     check_tensors(path, ListwiseModel.param_shapes(len(meta["vocab"]), config),

@@ -3,23 +3,23 @@ a multi-task head (domain classification + attention-pooled entity
 selection), negative sampling, list-wise 5-way reranking, k-fold
 bootstrapping of list-wise data, and the sum-of-probabilities ensemble.
 
-Ranking one turn scores a list of candidates against one dialogue, so
-whatever depends on the dialogue alone (its tracked entities, history ids
-and the dialogue part of the sparse features) is computed once per ranking
-call; each candidate then costs one encoder pass over the history-snippet
-pair, built from id arrays. The candidates' sparse features are one n x 4
-array, and the head and wide terms of all candidates are added at once, as
+A turn reaches the rankers one way: as the `DialogueFeatures` that
+``dialogue_features(dialogue, tracked)`` builds once, so the models track
+no entities and need no knowledge base at inference. Between ranking layers
+a candidate list's sparse features are one n x 4 indicator array
+(``DialogueFeatures.indicators``), scaled by alpha at inference. Each
+candidate costs one encoder pass over the history-snippet pair, built from
+id arrays; the head and wide terms of all candidates are added at once, as
 stacked (1, k) @ (k, 1) products that equal the per-candidate 1-D dots bit
 for bit. A model maps each snippet to ids, and each entity name to its
 token and bigram sets (``NameGrams``), on first use and keeps them, since
-its vocabulary is fixed. Inference and training build the features through
-the same ``DialogueFeatures.indicators``.
+its vocabulary is fixed.
 
 Training compiles each row once per training run, not once per epoch:
-the encoder pair, the sparse-feature vector and (with MTL) the entity-name
-input of a point-wise row, the pairs and feature vectors of a list-wise
-one. A row that online entity-name augmentation rewrites on a call is
-built afresh for that call.
+the encoder pair, the sparse-feature row and (with MTL) the entity-name
+input of a point-wise row, the pairs of a list-wise one. A row that online
+entity-name augmentation rewrites on a call is built afresh for that call,
+its entities exact-matched against the knowledge base training bound.
 
 The multi-task head computes, for a pooled query vector f and per-token
 states H of the concatenated entity names,
@@ -86,19 +86,15 @@ class SparseFeatures:
         return (self.is_domain_level, self.is_last_entity,
                 self.unigram_in_dialogue, self.bigram_in_dialogue)
 
-    def vector(self, mask: Optional[Sequence[int]] = None) -> np.ndarray:
-        return np.array(self.indicators, dtype=np.float64) * feature_scale(self.alpha, mask)
+    def vector(self) -> np.ndarray:
+        return np.array(self.indicators, dtype=np.float64) * feature_scale(self.alpha)
 
 
-def feature_scale(alpha: float, mask: Optional[Sequence[int]] = None) -> np.ndarray:
-    """The factor of each sparse-feature column: ``alpha``, or 1.0 in the
-    columns where ``mask`` is 0."""
+def feature_scale(alpha: float) -> np.ndarray:
+    """The factor of each sparse-feature column: ``alpha``."""
     if alpha <= 0:
         raise RankError("alpha must be positive")
-    scale = np.full(N_SPARSE, alpha)
-    if mask is not None:
-        scale = np.where(np.asarray(mask, dtype=bool), scale, 1.0)
-    return scale
+    return np.full(N_SPARSE, alpha)
 
 
 class NameGrams(dict):
@@ -131,7 +127,8 @@ def _rightmost_occurrence(utterances: list[list[str]], name_tokens: list[str]) -
 @dataclass(frozen=True)
 class DialogueFeatures:
     """The part of the sparse features that depends on the dialogue and
-    its tracked entities only, shared by every candidate snippet."""
+    its tracked entities only, shared by every candidate snippet: the one
+    dialogue input of the rankers."""
     last_entity_key: Optional[tuple[str, str]]
     tokens: frozenset[str]
     bigrams: frozenset[tuple[str, str]]
@@ -156,18 +153,6 @@ class DialogueFeatures:
             rows.append((snippet.is_domain_level,
                          self.last_entity_key == snippet.entity_key, unigram, bigram))
         return np.array(rows, dtype=np.float64).reshape(len(rows), N_SPARSE)
-
-    def sparse_features(self, snippets: Sequence[KnowledgeSnippet],
-                        variant: Variant = Variant.WD2, alpha: float = 1.0,
-                        names: Optional[NameGrams] = None) -> list[SparseFeatures]:
-        """The `indicators` of the snippets, one `SparseFeatures` each."""
-        rows = self.indicators(snippets, variant, names).astype(np.int64).tolist()
-        return [SparseFeatures(*row, alpha=alpha) for row in rows]
-
-    def snippet_features(self, snippet: KnowledgeSnippet,
-                         variant: Variant = Variant.WD2,
-                         alpha: float = 1.0) -> SparseFeatures:
-        return self.sparse_features([snippet], variant, alpha)[0]
 
 
 def dialogue_features(dialogue: Dialogue,
@@ -206,8 +191,8 @@ def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
     scores several snippets against one dialogue builds the first part once
     and the second as one array for all of them.
     """
-    return dialogue_features(dialogue, tracked_entities).snippet_features(
-        snippet, variant, alpha)
+    row = dialogue_features(dialogue, tracked_entities).indicators([snippet], variant)[0]
+    return SparseFeatures(*row.astype(np.int64).tolist(), alpha=alpha)
 
 
 DEFAULT_POOLS = ("kb", "mentioned", "other_entity")
@@ -540,7 +525,8 @@ class PointwiseModel:
             self.mtl = (MTLParams.create(config.d, max(1, len(self.domains)),
                                          seed=config.seed, **lambdas)
                         if params is None else MTLParams.from_tensors(params, **lambdas))
-        self._ena_rng = np.random.default_rng(config.seed + 2)
+        self._ena_rng = (None if config.ena is None
+                         else np.random.default_rng(config.seed + 2))
         self._kb: Optional[KnowledgeBase] = None
         self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
         self._name_grams = NameGrams()
@@ -554,6 +540,7 @@ class PointwiseModel:
         return shapes
 
     def bind_kb(self, kb: KnowledgeBase) -> None:
+        """For training: ENA-rewritten rows are exact-matched against ``kb``."""
         self._kb = kb
 
     def all_params(self) -> dict[str, np.ndarray]:
@@ -572,61 +559,29 @@ class PointwiseModel:
             tokens.extend(name_toks)
         return tokens, spans
 
-    def _tracked(self, dialogue: Dialogue) -> list[Entity]:
-        if self._kb is None:
-            return []
-        return exact_match_entities(dialogue, self._kb)
-
-    def features(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
-                 tracked: Optional[Sequence[Entity]] = None,
-                 alpha: float = 1.0) -> SparseFeatures:
-        if tracked is None:
-            tracked = self._tracked(dialogue)
-        return extract_sparse_features(dialogue, candidate, tracked,
-                                       self.config.variant, alpha)
-
-    def _vectors(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
-                 tracked: Optional[Sequence[Entity]], alpha: float,
-                 context: Optional[DialogueFeatures] = None) -> np.ndarray:
-        """The sparse-feature rows of the candidates at ``alpha``, with the
-        entity-name n-grams read from the model's table. ``context`` is
-        `dialogue_features(dialogue, tracked)` when the caller has it."""
-        if context is None:
-            if tracked is None:
-                tracked = self._tracked(dialogue)
-            context = dialogue_features(dialogue, tracked)
+    def logits(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
+               context: DialogueFeatures, alpha: float = 1.0) -> list[float]:
+        """Logit of every candidate against one dialogue, whose sparse
+        features' dialogue part is ``context``. The history tokens are
+        mapped once for the list; each candidate gets its own encoder pass,
+        since the encoder attends across the pair."""
         indicators = context.indicators(candidates, self.config.variant,
                                         self._name_grams)
-        return indicators * feature_scale(alpha)
-
-    def logits(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
-               alpha: float = 1.0,
-               tracked: Optional[Sequence[Entity]] = None,
-               context: Optional[DialogueFeatures] = None) -> list[float]:
-        """Logit of every candidate against one dialogue. The tracked
-        entities, the history tokens and the dialogue part of the sparse
-        features (``context``, built here when not given) are computed once
-        for the list; each candidate gets its own encoder pass, since the
-        encoder attends across the pair."""
-        vectors = self._vectors(dialogue, candidates, tracked, alpha, context)
         pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
-        return _wide_deep_logits(self, pairs, vectors).tolist()
-
-    def logit(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
-              alpha: float = 1.0,
-              tracked: Optional[Sequence[Entity]] = None) -> float:
-        return self.logits(dialogue, [candidate], alpha, tracked)[0]
-
-    def score(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
-              alpha: float = 1.0,
-              tracked: Optional[Sequence[Entity]] = None) -> float:
-        return sigmoid(self.logit(dialogue, candidate, alpha, tracked))
+        return _wide_deep_logits(self, pairs, indicators * feature_scale(alpha)).tolist()
 
     def _dialogue_inputs(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
                          tracked: Optional[Sequence[Entity]]
                          ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The encoder pair and sparse-feature row of a training row; its
+        entities are exact-matched against the bound knowledge base when
+        ``tracked`` is ``None``."""
+        if tracked is None:
+            tracked = exact_match_entities(dialogue, self._kb)
         pair, = _pair_inputs(self.encoder, self._snippet_ids, dialogue, [candidate])
-        return pair, self._vectors(dialogue, [candidate], tracked, 1.0)[0]
+        row, = dialogue_features(dialogue, tracked).indicators(
+            [candidate], self.config.variant, self._name_grams)
+        return pair, row
 
     def compile(self, instance: PointwiseInstance) -> PointwiseRow:
         entity_input = None
@@ -793,19 +748,18 @@ def _sorted_items(scored: list[tuple[KnowledgeSnippet, float]],
 
 def pointwise_rank(model: PointwiseModel, dialogue: Dialogue,
                    candidates: Sequence[KnowledgeSnippet],
+                   context: DialogueFeatures,
                    alpha: float = 1.0, kb: Optional[KnowledgeBase] = None,
-                   tracked: Optional[Sequence[Entity]] = None,
-                   top_n: int = 5,
-                   context: Optional[DialogueFeatures] = None) -> RankedKnowledgeList:
-    """Score candidates independently and keep the top ones. An empty
-    candidate list falls back to the full knowledge base. ``context`` is
-    `dialogue_features(dialogue, tracked)` when the caller has it."""
+                   top_n: int = 5) -> RankedKnowledgeList:
+    """Score candidates independently and keep the top ones. ``context`` is
+    `dialogue_features(dialogue, tracked)`. An empty candidate list falls
+    back to the full knowledge base."""
     pool = list(candidates)
     if not pool:
         if kb is None:
             raise RankError("empty candidates and no knowledge base to fall back to")
         pool = list(kb.snippets)
-    logits = model.logits(dialogue, pool, alpha, tracked, context)
+    logits = model.logits(dialogue, pool, context, alpha)
     scored = [(snip, sigmoid(z)) for snip, z in zip(pool, logits)]
     return RankedKnowledgeList(dialogue.id, _sorted_items(scored, top_n))
 
@@ -815,7 +769,7 @@ class ListwiseInstance:
     dialogue: Dialogue
     candidates: list[KnowledgeSnippet]
     true_index: int
-    features: list[SparseFeatures]
+    features: np.ndarray  # `DialogueFeatures.indicators` of the candidates
 
 
 @dataclass
@@ -828,16 +782,14 @@ class ListwiseConfig:
     d: int = 24
     max_len: int = 128
     pooling: str = "mean"
-    alpha_mask: tuple[int, int, int, int] = (1, 1, 1, 1)
 
 
 @dataclass(frozen=True)
 class ListwiseRow:
     """A list-wise training instance compiled to model inputs: one encoder
-    pair and one sparse-feature row (indicator value 1) per candidate."""
+    pair per candidate."""
     instance: ListwiseInstance
     pairs: list[tuple[np.ndarray, np.ndarray]]
-    vectors: np.ndarray
 
 
 class ListwiseModel:
@@ -859,43 +811,36 @@ class ListwiseModel:
     def all_params(self) -> dict[str, np.ndarray]:
         return _wide_deep_tensors(self)
 
-    def _vectors(self, features: Sequence[SparseFeatures], alpha: float) -> np.ndarray:
-        """The sparse-feature rows at ``alpha``, masked by ``alpha_mask``."""
-        indicators = np.array([f.indicators for f in features], dtype=np.float64)
-        return (indicators.reshape(len(features), N_SPARSE)
-                * feature_scale(alpha, self.config.alpha_mask))
-
     def distribution(self, dialogue: Dialogue,
                      candidates: Sequence[KnowledgeSnippet],
-                     features: Sequence[SparseFeatures],
-                     alpha: float) -> np.ndarray:
-        """Distribution over the (at most 5) candidates."""
+                     features: np.ndarray, alpha: float) -> np.ndarray:
+        """Distribution over the (at most 5) candidates, whose sparse
+        indicators are the rows of ``features``."""
         if not candidates:
             raise RankError("listwise scoring needs at least one candidate")
         if len(candidates) > 5:
             raise RankError("listwise scoring accepts at most 5 candidates")
         pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
-        return softmax(_wide_deep_logits(self, pairs, self._vectors(features, alpha)))
+        return softmax(_wide_deep_logits(self, pairs, features * feature_scale(alpha)))
 
     def compile(self, instance: ListwiseInstance) -> ListwiseRow:
-        # training uses indicator value 1; alpha applies at inference only
-        pairs = _pair_inputs(self.encoder, self._snippet_ids, instance.dialogue,
-                             instance.candidates)
-        return ListwiseRow(instance, pairs, self._vectors(instance.features, 1.0))
+        return ListwiseRow(instance, _pair_inputs(
+            self.encoder, self._snippet_ids, instance.dialogue, instance.candidates))
 
     def loss_and_grads(self, instance: ListwiseInstance | ListwiseRow
                        ) -> tuple[float, dict]:
         row = instance if isinstance(instance, ListwiseRow) else self.compile(instance)
         params = self.all_params()
         grads = {k: np.zeros(v.shape) for k, v in params.items()}
+        vectors = row.instance.features  # indicator value 1: alpha is for inference
         caches: list = []
-        p = softmax(_wide_deep_logits(self, row.pairs, row.vectors, caches))
+        p = softmax(_wide_deep_logits(self, row.pairs, vectors, caches))
         true_index = row.instance.true_index
         loss = -math.log(max(p[true_index], 1e-300))
         dlogits = p.copy()
         dlogits[true_index] -= 1.0
         enc_grads = {name: grads[f"enc.{name}"] for name in self.encoder.params}
-        for j, ((cache, u), vec) in enumerate(zip(caches, row.vectors)):
+        for j, ((cache, u), vec) in enumerate(zip(caches, vectors)):
             dz = dlogits[j]
             grads["head.w"] += dz * u
             grads["head.b"] += np.array([dz])
@@ -931,19 +876,17 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
         for d in fold:
             decoded_ids.add(d.id)
             candidates = tracker(d, kb) if tracker is not None else list(kb.snippets)
-            tracked = exact_match_entities(d, kb)
-            context = dialogue_features(d, tracked)
-            ranked = pointwise_rank(model, d, candidates, kb=kb, tracked=tracked,
-                                    context=context)
+            context = dialogue_features(d, exact_match_entities(d, kb))
+            ranked = pointwise_rank(model, d, candidates, context, kb=kb)
             refs = set(d.label.knowledge_refs)
             true_idx = next((j for j, key in enumerate(ranked.keys) if key in refs), None)
             if true_idx is None:
                 dropped += 1
                 continue
             cands = [s for s, _ in ranked.items]
-            feats = context.sparse_features(cands, config.variant, names=names)
             instances.append(ListwiseInstance(
-                dialogue=d, candidates=cands, true_index=true_idx, features=feats))
+                dialogue=d, candidates=cands, true_index=true_idx,
+                features=context.indicators(cands, config.variant, names)))
     stats = {"folds": k, "decoded": len(decoded_ids), "emitted": len(instances),
              "dropped": dropped}
     return instances, stats
@@ -972,19 +915,14 @@ def train_listwise(instances: Sequence[ListwiseInstance], kb: KnowledgeBase,
 
 
 def listwise_rerank(model: ListwiseModel, dialogue: Dialogue,
-                    ranked: RankedKnowledgeList,
-                    tracked: Sequence[Entity],
-                    alpha: float,
-                    context: Optional[DialogueFeatures] = None) -> RankedKnowledgeList:
+                    ranked: RankedKnowledgeList, context: DialogueFeatures,
+                    alpha: float) -> RankedKnowledgeList:
     """Reorder a point-wise list by the list-wise distribution. ``context``
-    is `dialogue_features(dialogue, tracked)` when the caller has it."""
+    is `dialogue_features(dialogue, tracked)`."""
     if not ranked.items:
         return ranked
     cands = [s for s, _ in ranked.items]
-    if context is None:
-        context = dialogue_features(dialogue, tracked)
-    feats = context.sparse_features(cands, model.config.variant,
-                                    names=model._name_grams)
+    feats = context.indicators(cands, model.config.variant, model._name_grams)
     dist = model.distribution(dialogue, cands, feats, alpha)
     return RankedKnowledgeList(ranked.turn_id,
                                _sorted_items(list(zip(cands, dist))))

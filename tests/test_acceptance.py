@@ -32,9 +32,10 @@ from kgdial.pipeline import (DecodeComponents, end_to_end_decode,
 from kgdial.rank import (ListwiseConfig, MTLParams, PointwiseConfig,
                          RankedKnowledgeList, Variant,
                          build_listwise_training_data,
-                         build_pointwise_instances, ensemble_rank,
-                         listwise_rerank, mtl_forward, pointwise_rank,
-                         ranking_metrics, train_listwise, train_pointwise)
+                         build_pointwise_instances, dialogue_features,
+                         ensemble_rank, listwise_rerank, mtl_forward,
+                         pointwise_rank, ranking_metrics, train_listwise,
+                         train_pointwise)
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 
 from test_metrics import (oracle_bleu, oracle_meteor, oracle_mrr,
@@ -325,7 +326,7 @@ def test_criterion_7_ranking_order():
                     tracked = fuzzy_match_entities(d, kb, 0.5)
                     ranked.append(pointwise_rank(
                         model, d, collect_candidates(tracked, kb),
-                        kb=kb, tracked=tracked))
+                        dialogue_features(d, tracked), kb=kb))
                 return ranked
 
             plain_ranked, mtl_ranked = decode(plain), decode(mtl)
@@ -342,7 +343,8 @@ def test_criterion_7_ranking_order():
             base_ranked = mtl_ranked if r_mtl >= r_plain else plain_ranked
             lw_ranked = [
                 listwise_rerank(lw, d, ranked,
-                                fuzzy_match_entities(d, kb, 0.5), alpha=100.0)
+                                dialogue_features(d, fuzzy_match_entities(d, kb, 0.5)),
+                                alpha=100.0)
                 for d, ranked in zip(test, base_ranked)]
             r_lw = ranking_metrics(lw_ranked, refs)["r@1"]
             rows.append((r_plain, r_mtl, r_lw))
@@ -411,7 +413,7 @@ def test_criterion_9_end_to_end():
             return [entities_by_key[(dom, eid)]
                     for dom, eid, _ in truth[dialogue.id].knowledge_refs]
 
-        def ranker(dialogue, candidates, tracked, features):
+        def ranker(dialogue, candidates, features):
             refs = set(truth[dialogue.id].knowledge_refs)
             scored = sorted(((s, 1.0 if s.key in refs else 0.0)
                              for s in candidates), key=lambda t: -t[1])
@@ -467,7 +469,7 @@ def test_criterion_9_end_to_end():
         for d in ks:
             tracked = fuzzy_match_entities(d, kb, 0.5)
             ranked = pointwise_rank(pw, d, collect_candidates(tracked, kb),
-                                    kb=kb, tracked=tracked)
+                                    dialogue_features(d, tracked), kb=kb)
             selection_outputs[d.id] = [s for s, _ in ranked.items]
         gen_cfg = GenTrainConfig(epochs=10, batch_size=32, learning_rate=0.01,
                                  max_history_tokens=96, max_target_tokens=24,
@@ -482,9 +484,8 @@ def test_criterion_9_end_to_end():
         def trained_tracker(dialogue, kb_):
             return fuzzy_match_entities(dialogue, kb_, 0.5)
 
-        def trained_ranker(dialogue, candidates, tracked, features):
-            return pointwise_rank(pw, dialogue, candidates, kb=kb, tracked=tracked,
-                                  context=features)
+        def trained_ranker(dialogue, candidates, features):
+            return pointwise_rank(pw, dialogue, candidates, features, kb=kb)
 
         trained = DecodeComponents(
             detector=trained_detector, tracker=trained_tracker,

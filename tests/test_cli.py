@@ -200,6 +200,43 @@ def test_malformed_checkpoint_archive_is_one_line_domain_error(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _set_title(kb):
+    kb["attraction"]["1"]["docs"]["0"]["title"] = 5
+
+
+def _drop_body(kb):
+    del kb["attraction"]["1"]["docs"]["0"]["body"]
+
+
+def _list_entry(kb):
+    kb["attraction"]["1"] = ["ivory museum"]
+
+
+def _set_name(kb):
+    kb["attraction"]["1"]["name"] = 5
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_title, "knowledge doc attraction/1/0: title must be a string, got int"),
+    (_drop_body, "knowledge doc attraction/1/0: missing 'body'"),
+    (_list_entry, "knowledge entity attraction/1: expected an object, got list"),
+    (_set_name, "knowledge entity attraction/1: name must be a string, got int"),
+], ids=["title", "body", "entry", "name"])
+def test_malformed_knowledge_base_is_one_line_domain_error(workdir, tmp_path, capsys,
+                                                           edit, message):
+    _, data, cfg = workdir
+    kb = json.loads((data / "knowledge.json").read_text())
+    edit(kb)
+    bad = tmp_path / "knowledge.json"
+    bad.write_text(json.dumps(kb))
+    capsys.readouterr()
+    assert main(["train-detect", "--config", str(cfg), "--stage-overrides",
+                 f"paths.knowledge={bad}", f"paths.output={tmp_path / 'out'}"]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 def test_decode_time_domain_error_is_one_line(workdir, tmp_path, capsys):
     # n = 0 passes config loading and fails in generation, inside decode
     root, _, cfg = workdir

@@ -254,18 +254,12 @@ class TestCheckpoint:
         assert not (tmp_path / "ck.npz").exists()
 
 
-class _NoDraws:
-    """Stands in for a random generator that must never be drawn from."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __getattr__(self, name):
-        raise AssertionError(f"a checkpoint load called rng.{name}")
+def _no_rng(*args, **kwargs):
+    raise AssertionError("a checkpoint load built a random generator")
 
 
 def forbid_draws(monkeypatch):
-    monkeypatch.setattr(np.random, "default_rng", _NoDraws)
+    monkeypatch.setattr(np.random, "default_rng", _no_rng)
 
 
 def rewrite_checkpoint(src, dst, edit):

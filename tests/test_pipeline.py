@@ -8,8 +8,7 @@ import pytest
 
 from kgdial import corpus, generate, pipeline, rank
 from kgdial.consensus import ConsensusError, ConsensusWeights
-from kgdial.corpus import (linearize_history, load_knowledge_base, save_corpus,
-                           save_knowledge_base)
+from kgdial.corpus import linearize_history, save_corpus, save_knowledge_base
 from kgdial.pipeline import (
     CONFIG_DEFAULTS, ConfigError, DecodeComponents, DependencyError,
     PipelineConfig, end_to_end_decode, evaluate_predictions, load_config,
@@ -127,7 +126,7 @@ def oracle_components(dialogues, kb):
         refs = truth[dialogue.id].knowledge_refs
         return [entities_by_key[(dom, eid)] for dom, eid, _ in refs]
 
-    def ranker(dialogue, candidates, tracked, features):
+    def ranker(dialogue, candidates, features):
         refs = set(truth[dialogue.id].knowledge_refs)
         scored = tuple(
             (snip, 1.0 if snip.key in refs else 0.0) for snip in candidates)
@@ -226,12 +225,12 @@ def test_decode_ranks_each_turn_once_and_reranks_that_list(mini):
     oracle_ranker = components.ranker
     first_lists, reranked_lists = {}, {}
 
-    def counting_ranker(dialogue, candidates, tracked, features):
+    def counting_ranker(dialogue, candidates, features):
         assert dialogue.id not in first_lists
-        first_lists[dialogue.id] = oracle_ranker(dialogue, candidates, tracked, features)
+        first_lists[dialogue.id] = oracle_ranker(dialogue, candidates, features)
         return first_lists[dialogue.id]
 
-    def reversing_reranker(dialogue, first, tracked, features):
+    def reversing_reranker(dialogue, first, features):
         assert first is first_lists[dialogue.id]
         n = len(first.items)
         reordered = [snip for snip, _ in reversed(first.items)]
@@ -393,11 +392,10 @@ def _copy_outputs(config, tmp_path, **values):
 def test_rankers_pool_as_configured(trained, tmp_path):
     config = _copy_outputs(trained[0], tmp_path, **{"model.pooling": "first"})
     stage_train_select(config)
-    kb = load_knowledge_base(config["paths.knowledge"])
     for name, kind in (("pointwise", "PointwiseModel"), ("listwise", "ListwiseModel")):
         path = config.output_path(f"{name}.npz")
         assert load_checkpoint(path)[1]["encoder"]["pooling"] == "first", name
-        assert _load_rank_model(path, kind, kb).encoder.pooling == "first", name
+        assert _load_rank_model(path, kind).encoder.pooling == "first", name
     with open(stage_decode(config)[0], encoding="utf-8") as fh:
         validate_labels_schema(json.load(fh))
 
@@ -435,7 +433,7 @@ class TestCheckpointValidation:
         """(name, save a good checkpoint to a path, load a path) for every
         model that decode loads from train-* output."""
         def rank_loader(kind):
-            return lambda path: _load_rank_model(path, kind, kb)
+            return lambda path: _load_rank_model(path, kind)
 
         domains = sorted({s.domain for s in kb.snippets})
         pointwise = PointwiseModel(self.VOCAB, domains,
@@ -493,7 +491,7 @@ class TestCheckpointValidation:
         path = str(tmp_path / "listwise.npz")
         save(path)
         with pytest.raises(ModelError, match="expected 'PointwiseModel'"):
-            _load_rank_model(path, "PointwiseModel", mini[1])
+            _load_rank_model(path, "PointwiseModel")
 
 
 class TestTrackerFactory:

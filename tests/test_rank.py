@@ -183,15 +183,13 @@ class TestSparseFeatures:
         assert feats.unigram_in_dialogue == 0
         assert feats.bigram_in_dialogue == 0
 
-    def test_alpha_scaling_and_mask(self):
+    def test_alpha_scaling(self):
         feats = extract_sparse_features(
             ks_dialogue("x", "Hamilton Lodge", make_kb()),
             make_kb().snippets_for("hotel", "1")[0],
             list(make_kb().entities), Variant.WD2, alpha=100.0)
         vec = feats.vector()
         assert set(np.unique(vec)) <= {0.0, 100.0}
-        masked = feats.vector(mask=(0, 0, 1, 1))
-        assert masked[0] in (0.0, 1.0) and masked[1] in (0.0, 1.0)
 
 
 class TestNegativeSampling:
@@ -289,6 +287,10 @@ def exact_tracker(d, kb):
     return collect_candidates(exact_match_entities(d, kb), kb)
 
 
+def exact_context(d, kb):
+    return rank.dialogue_features(d, exact_match_entities(d, kb))
+
+
 def small_config(**kw):
     base = dict(epochs=1, learning_rate=1e-3, batch_size=8, seed=0, d=10,
                 max_len=96)
@@ -335,6 +337,15 @@ class TestPointwiseTraining:
         def wide_grad(instance):
             return model.loss_and_grads(instance)[1]["wide.u"]
 
+        def with_ena(probability):
+            """The model's weights under an ENA config."""
+            twin = rank.PointwiseModel(
+                model.encoder.vocab, model.domains,
+                replace(cfg, ena=AugmentConfig(ena_probability=probability)),
+                model.all_params())
+            twin.bind_kb(kb)
+            return twin
+
         # the stored list is what the sparse features see
         assert not np.array_equal(wide_grad(replace(inst, tracked=[])),
                                   wide_grad(inst))
@@ -347,11 +358,11 @@ class TestPointwiseTraining:
 
         monkeypatch.setattr(rank, "exact_match_entities", counted)
         wide_grad(inst)
-        model.config = replace(cfg, ena=AugmentConfig(ena_probability=0.0))
+        model = with_ena(0.0)
         wide_grad(inst)
         assert calls == []
         # ENA that fires rewrites the dialogue, which is then tracked afresh
-        model.config = replace(cfg, ena=AugmentConfig(ena_probability=1.0))
+        model = with_ena(1.0)
         wide_grad(inst)
         assert len(calls) == 1 and calls[0] is not inst.dialogue
 
@@ -419,24 +430,26 @@ class TestPointwiseRank:
         kb, m = model
         d = ks_dialogue("x", "Hamilton Lodge", kb)
         only = kb.snippets_for("hotel", "1")[0]
-        ranked = pointwise_rank(m, d, [only])
+        context = exact_context(d, kb)
+        ranked = pointwise_rank(m, d, [only], context)
         assert len(ranked.items) == 1
         assert ranked.items[0][0].key == only.key
-        assert ranked.items[0][1] == pytest.approx(m.score(d, only))
+        assert ranked.items[0][1] == pytest.approx(
+            sigmoid(m.logits(d, [only], context)[0]))
 
     def test_alpha_invariant_when_features_zero(self, model):
         kb, m = model
         d = ks_dialogue("x", "City Cab", kb, text="no entity words here at all",
                         final="what should i do?")
         cands = list(kb.snippets_for("restaurant", "1"))
-        r1 = pointwise_rank(m, d, cands, alpha=1.0)
-        r100 = pointwise_rank(m, d, cands, alpha=100.0)
+        r1 = pointwise_rank(m, d, cands, exact_context(d, kb), alpha=1.0)
+        r100 = pointwise_rank(m, d, cands, exact_context(d, kb), alpha=100.0)
         assert r1.keys == r100.keys
 
     def test_sorted_non_increasing(self, model):
         kb, m = model
         d = ks_dialogue("x", "SW Hotel", kb)
-        ranked = pointwise_rank(m, d, list(kb.snippets))
+        ranked = pointwise_rank(m, d, list(kb.snippets), exact_context(d, kb))
         probs = [p for _, p in ranked.items]
         assert probs == sorted(probs, reverse=True)
         assert len(ranked.items) == 5
@@ -444,10 +457,10 @@ class TestPointwiseRank:
     def test_empty_candidates_fall_back_to_kb(self, model):
         kb, m = model
         d = ks_dialogue("x", "SW Hotel", kb)
-        ranked = pointwise_rank(m, d, [], kb=kb)
+        ranked = pointwise_rank(m, d, [], exact_context(d, kb), kb=kb)
         assert len(ranked.items) == 5
         with pytest.raises(RankError):
-            pointwise_rank(m, d, [])
+            pointwise_rank(m, d, [], exact_context(d, kb))
 
 
 @pytest.fixture(scope="module")
@@ -458,13 +471,11 @@ def variant_models():
                 for variant in Variant}
 
 
-def reference_logit(m, kb, d, snippet, alpha, tracked):
+def reference_logit(m, d, snippet, alpha, tracked):
     """One candidate scored on its own, as the point-wise model defines it."""
     history = tokenize(linearize_history(d))
     tokens = history + tokenize(linearize_knowledge(snippet))
     cache = m.encoder.forward(*reference_token_ids(m.encoder, tokens, len(history)))
-    if tracked is None:
-        tracked = exact_match_entities(d, kb)
     feats = extract_sparse_features(d, snippet, tracked, m.config.variant, alpha)
     return float(m.head["w"] @ reference_pair_readout(cache) + m.head["b"][0]
                  + m.wide["u"] @ feats.vector())
@@ -489,24 +500,16 @@ class TestBatchedPointwise:
         m = models[variant]
         assert np.any(m.wide["u"] != 0.0)
         for d in self.dialogues(kb):
-            tracked = list(kb.entities) if given else None
+            tracked = list(kb.entities) if given else exact_match_entities(d, kb)
+            context = rank.dialogue_features(d, tracked)
             cands = list(kb.snippets)
-            expected = [reference_logit(m, kb, d, s, alpha, tracked) for s in cands]
-            assert m.logits(d, cands, alpha, tracked) == expected
-            assert [m.logit(d, s, alpha, tracked) for s in cands] == expected
-            ranked = pointwise_rank(m, d, cands, alpha=alpha, tracked=tracked,
+            expected = [reference_logit(m, d, s, alpha, tracked) for s in cands]
+            assert m.logits(d, cands, context, alpha) == expected
+            assert [m.logits(d, [s], context, alpha)[0] for s in cands] == expected
+            ranked = pointwise_rank(m, d, cands, context, alpha=alpha,
                                     top_n=len(cands))
             assert dict((s.key, p) for s, p in ranked.items) == {
                 s.key: sigmoid(z) for s, z in zip(cands, expected)}
-
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_untracked_rank_equals_exact_tracked(self, variant_models, variant):
-        kb, models = variant_models
-        for d in self.dialogues(kb):
-            cands = list(kb.snippets)
-            assert pointwise_rank(models[variant], d, cands, alpha=100.0) == \
-                pointwise_rank(models[variant], d, cands, alpha=100.0,
-                               tracked=exact_match_entities(d, kb))
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_rerank_features_equal_per_snippet_features(self, monkeypatch, variant):
@@ -520,7 +523,7 @@ class TestBatchedPointwise:
         real = ListwiseModel.distribution
 
         def recording(model_, dialogue, top5, features, alpha=None):
-            seen.append(list(features))
+            seen.append(features)
             return real(model_, dialogue, top5, features, alpha)
 
         monkeypatch.setattr(ListwiseModel, "distribution", recording)
@@ -528,9 +531,11 @@ class TestBatchedPointwise:
             tracked = exact_match_entities(d, kb)
             cands = collect_candidates(list(kb.entities), kb)[:5]
             ranked = RankedKnowledgeList(d.id, tuple((s, 0.5) for s in cands))
-            listwise_rerank(model, d, ranked, tracked, alpha=100.0)
-            assert seen.pop() == [
-                extract_sparse_features(d, s, tracked, variant) for s in cands]
+            listwise_rerank(model, d, ranked, rank.dialogue_features(d, tracked),
+                            alpha=100.0)
+            assert np.array_equal(seen.pop(), [
+                extract_sparse_features(d, s, tracked, variant).indicators
+                for s in cands])
 
 
 # -- the per-candidate inference loops before the features became one array,
@@ -538,8 +543,8 @@ class TestBatchedPointwise:
 
 
 def reference_indicators(context, snippet, variant):
-    """DialogueFeatures.snippet_features before the n-gram table: the entity
-    name tokenized and scanned on every call."""
+    """DialogueFeatures.indicators of one snippet before the n-gram table:
+    the entity name tokenized and scanned on every call."""
     unigram = bigram = 0
     if variant is Variant.WD2:
         name_tokens = tokenize(snippet.entity_name)
@@ -556,7 +561,8 @@ def reference_logits(m, d, candidates, alpha, tracked):
     out = []
     for candidate, pair in zip(candidates, _pair_inputs(m.encoder, {}, d, candidates)):
         cache = m.encoder.forward(*pair)
-        feats = context.snippet_features(candidate, m.config.variant, alpha).vector()
+        feats = np.array(reference_indicators(context, candidate, m.config.variant),
+                         dtype=np.float64) * rank.feature_scale(alpha)
         out.append(float(m.head["w"] @ pair_readout(cache) + m.head["b"][0]
                          + m.wide["u"] @ feats))
     return out
@@ -566,9 +572,9 @@ def reference_distribution(model, d, candidates, features, alpha):
     """ListwiseModel.distribution as one loop over the candidates."""
     logits = np.empty(len(candidates))
     pairs = _pair_inputs(model.encoder, {}, d, candidates)
-    for j, (pair, feat) in enumerate(zip(pairs, features)):
+    for j, (pair, row) in enumerate(zip(pairs, features)):
         u = pair_readout(model.encoder.forward(*pair))
-        vec = replace(feat, alpha=alpha).vector(mask=model.config.alpha_mask)
+        vec = SparseFeatures(*row.astype(int), alpha=alpha).vector()
         logits[j] = model.head["w"] @ u + model.head["b"][0] + model.wide["u"] @ vec
     return softmax(logits)
 
@@ -589,26 +595,22 @@ class TestFeatureArrays:
         dialogues, kb = synth_case
         vocab = rank._ranking_vocab(dialogues, kb)
         pointwise = rank.PointwiseModel(vocab, ["hotel"], small_config(variant=variant))
-        pointwise.bind_kb(kb)
-        listwise = ListwiseModel(vocab, ListwiseConfig(variant=variant,
-                                                       alpha_mask=(1, 0, 1, 0)))
+        listwise = ListwiseModel(vocab, ListwiseConfig(variant=variant))
         snippets = list(kb.snippets)
         fired = np.zeros(4)
         for d in dialogues:
             tracked = exact_match_entities(d, kb)
             context = rank.dialogue_features(d, tracked)
-            feats = [context.snippet_features(s, variant, alpha) for s in snippets]
+            feats = [extract_sparse_features(d, s, tracked, variant, alpha)
+                     for s in snippets]
             assert [f.indicators for f in feats] == [
                 reference_indicators(context, s, variant) for s in snippets]
             for _ in range(2):  # the second pass reads the filled tables
-                rows = pointwise._vectors(d, snippets, None, alpha)
-                assert rows.shape == (len(snippets), rank.N_SPARSE)
-                assert all(np.array_equal(row, f.vector()) for row, f in zip(rows, feats))
-                rows = listwise._vectors(feats, alpha)
-                assert all(np.array_equal(row, f.vector(mask=(1, 0, 1, 0)))
-                           for row, f in zip(rows, feats))
-                named = context.indicators(snippets, variant, listwise._name_grams)
-                assert np.array_equal(named, [f.indicators for f in feats])
+                for model in (pointwise, listwise):
+                    rows = context.indicators(snippets, variant, model._name_grams)
+                    assert rows.shape == (len(snippets), rank.N_SPARSE)
+                    assert all(np.array_equal(row * rank.feature_scale(alpha), f.vector())
+                               for row, f in zip(rows, feats))
             fired += np.array([f.indicators for f in feats]).sum(axis=0)
         assert np.all(fired[:2 if variant is Variant.WD else 4] > 0)
 
@@ -617,10 +619,11 @@ class TestFeatureArrays:
         model = rank.PointwiseModel(rank._ranking_vocab(dialogues, kb), ["hotel"],
                                     small_config())
         listwise = ListwiseModel(model.encoder.vocab, ListwiseConfig())
-        feats = [SparseFeatures(0, 1, 0, 0)]
+        feats = np.array([SparseFeatures(0, 1, 0, 0).indicators], dtype=np.float64)
+        context = rank.dialogue_features(dialogues[0], [])
         for alpha in (0.0, -1.0):
             with pytest.raises(RankError):
-                model.logits(dialogues[0], list(kb.snippets[:2]), alpha, [])
+                model.logits(dialogues[0], list(kb.snippets[:2]), context, alpha)
             with pytest.raises(RankError):
                 listwise.distribution(dialogues[0], list(kb.snippets[:1]), feats, alpha)
             with pytest.raises(RankError):
@@ -633,15 +636,18 @@ class TestFeatureArrays:
         m = models[variant]
         for d in TestBatchedPointwise().dialogues(kb):
             tracked = exact_match_entities(d, kb)
+            context = rank.dialogue_features(d, tracked)
             cands = list(kb.snippets)
             expected = reference_logits(m, d, cands, alpha, tracked)
-            assert np.array_equal(m.logits(d, cands, alpha), expected)
-            assert m.logits(d, [], alpha) == []
+            assert np.array_equal(m.logits(d, cands, context, alpha), expected)
+            assert m.logits(d, [], context, alpha) == []
             # an empty list falls back to the whole knowledge base
-            ranked = pointwise_rank(m, d, [], alpha=alpha, kb=kb, top_n=len(cands))
+            ranked = pointwise_rank(m, d, [], context, alpha=alpha, kb=kb,
+                                    top_n=len(cands))
             assert np.array_equal([p for _, p in ranked.items], sorted(
                 (sigmoid(z) for z in expected), reverse=True))
-            assert ranked == pointwise_rank(m, d, cands, alpha=alpha, top_n=len(cands))
+            assert ranked == pointwise_rank(m, d, cands, context, alpha=alpha,
+                                            top_n=len(cands))
 
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
     def test_distribution_equals_per_candidate_loop(self, variant_models, alpha):
@@ -649,14 +655,14 @@ class TestFeatureArrays:
         instances, _ = build_listwise_training_data(
             make_corpus(kb, 4), kb, small_config(epochs=1), k=2, seed=0,
             tracker=exact_tracker)
-        model = train_listwise(instances, kb, ListwiseConfig(
-            epochs=1, d=10, alpha_mask=(1, 0, 1, 1)), init_from=models[Variant.WD2])
+        model = train_listwise(instances, kb, ListwiseConfig(epochs=1, d=10),
+                               init_from=models[Variant.WD2])
         assert np.any(model.wide["u"] != 0.0)
         for d in TestBatchedPointwise().dialogues(kb):
             context = rank.dialogue_features(d, list(kb.entities))
             for start in range(0, len(kb.snippets), 5):
                 cands = list(kb.snippets[start:start + 5])
-                feats = [context.snippet_features(s) for s in cands]
+                feats = context.indicators(cands)
                 assert np.array_equal(model.distribution(d, cands, feats, alpha),
                                       reference_distribution(model, d, cands, feats,
                                                              alpha))
@@ -671,7 +677,7 @@ class TestListwise:
         model = train_listwise(instances, kb, ListwiseConfig(epochs=1, d=10))
         d = corpus[0]
         same = [kb.snippets_for("hotel", "1")[0]] * 5
-        feats = [extract_sparse_features(d, s, []) for s in same]
+        feats = rank.dialogue_features(d, []).indicators(same)
         dist = model.distribution(d, same, feats, alpha=1.0)
         assert dist == pytest.approx([0.2] * 5)
 
@@ -687,7 +693,7 @@ class TestListwise:
             picks = rng.choice(len(kb.snippets), size=take, replace=False)
             cands = [kb.snippets[int(i)] for i in picks]
             d = corpus[int(rng.integers(len(corpus)))]
-            feats = [extract_sparse_features(d, s, []) for s in cands]
+            feats = rank.dialogue_features(d, []).indicators(cands)
             dist = model.distribution(d, cands, feats, alpha=100.0)
             assert abs(dist.sum() - 1.0) < 1e-6
             assert len(dist) == take  # no padding logits
@@ -711,7 +717,8 @@ class TestListwise:
         ranked = RankedKnowledgeList(
             inst.dialogue.id,
             tuple((s, 0.5) for s in inst.candidates))
-        out = listwise_rerank(model, inst.dialogue, ranked, [], alpha=1.0)
+        out = listwise_rerank(model, inst.dialogue, ranked,
+                              rank.dialogue_features(inst.dialogue, []), alpha=1.0)
         assert sorted(out.keys) == sorted(ranked.keys)
         probs = [p for _, p in out.items]
         assert probs == sorted(probs, reverse=True)
@@ -728,9 +735,9 @@ class TestListwiseData:
             hits = [j for j, c in enumerate(inst.candidates) if c.key in refs]
             assert inst.true_index in hits
             tracked = exact_match_entities(inst.dialogue, kb)
-            assert inst.features == [
-                extract_sparse_features(inst.dialogue, c, tracked)
-                for c in inst.candidates]
+            assert np.array_equal(inst.features, [
+                extract_sparse_features(inst.dialogue, c, tracked).indicators
+                for c in inst.candidates])
         assert stats["decoded"] == len(corpus)
         assert stats["emitted"] + stats["dropped"] == len(corpus)
 
@@ -802,7 +809,7 @@ class TestRankingMetrics:
 # -- the per-call training paths before rows were compiled, kept as oracles ----
 
 
-def reference_pointwise_loss(model, instance):
+def reference_pointwise_loss(model, instance, kb):
     """PointwiseModel.loss_and_grads re-tokenizing and re-featurizing its
     instance on every call."""
     cfg = model.config
@@ -819,7 +826,10 @@ def reference_pointwise_loss(model, instance):
     f1 = cache1["f"]
     u1 = reference_pair_readout(cache1)
     tracked = instance.tracked if dialogue is instance.dialogue else None
-    feats = model.features(dialogue, instance.candidate, tracked, alpha=1.0).vector()
+    if tracked is None:
+        tracked = exact_match_entities(dialogue, kb)
+    feats = extract_sparse_features(dialogue, instance.candidate, tracked,
+                                    cfg.variant).vector()
     z = float(model.head["w"] @ u1 + model.head["b"][0] + model.wide["u"] @ feats)
     rank_loss, dz = bce_loss(z, float(instance.label))
     lam_rank = model.mtl.lambda_rank if model.mtl is not None else cfg.lambda_rank
@@ -860,11 +870,11 @@ def reference_listwise_loss(model, instance):
     grads = {k: np.zeros_like(v) for k, v in model.all_params().items()}
     history = tokenize(linearize_history(instance.dialogue))
     caches, logits = [], np.empty(len(instance.candidates))
-    for j, (snip, feat) in enumerate(zip(instance.candidates, instance.features)):
+    for j, (snip, row) in enumerate(zip(instance.candidates, instance.features)):
         tokens = history + tokenize(linearize_knowledge(snip))
         cache = model.encoder.forward(
             *reference_token_ids(model.encoder, tokens, len(history)))
-        vec = replace(feat, alpha=1.0).vector(mask=model.config.alpha_mask)
+        vec = SparseFeatures(*row.astype(int)).vector()
         logits[j] = (model.head["w"] @ reference_pair_readout(cache)
                      + model.head["b"][0] + model.wide["u"] @ vec)
         caches.append((cache, vec))
@@ -888,7 +898,8 @@ def twin_pointwise(model, kb):
     twin = rank.PointwiseModel(model.encoder.vocab, model.domains, model.config)
     for key, value in model.all_params().items():
         twin.all_params()[key][...] = value
-    twin._ena_rng.bit_generator.state = model._ena_rng.bit_generator.state
+    if model.config.ena is not None:
+        twin._ena_rng.bit_generator.state = model._ena_rng.bit_generator.state
     twin.bind_kb(kb)
     return twin
 
@@ -927,14 +938,14 @@ class TestCompiledRows:
         for inst in instances:
             row = model.compile(inst)
             assert_same_loss(model.loss_and_grads(row),
-                             reference_pointwise_loss(twin, inst))
+                             reference_pointwise_loss(twin, inst, kb))
         if ena is not None:
             assert len(rewritten) == len(instances)
             assert 0 < sum(rewritten) < len(instances)
         # an uncompiled instance takes the same path
         for inst in instances[:3]:
             assert_same_loss(model.loss_and_grads(inst),
-                             reference_pointwise_loss(twin, inst))
+                             reference_pointwise_loss(twin, inst, kb))
 
     def test_listwise_rows_equal_per_call_path(self):
         kb = make_kb()
@@ -943,7 +954,7 @@ class TestCompiledRows:
             corpus, kb, small_config(epochs=1, max_len=48), k=2, seed=0,
             tracker=exact_tracker)
         model = train_listwise(instances, kb, ListwiseConfig(
-            epochs=2, d=10, max_len=48, learning_rate=0.01, alpha_mask=(1, 0, 1, 0)))
+            epochs=2, d=10, max_len=48, learning_rate=0.01))
         for inst in instances:
             expected = reference_listwise_loss(model, inst)
             assert_same_loss(model.loss_and_grads(model.compile(inst)), expected)
