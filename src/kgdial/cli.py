@@ -3,10 +3,10 @@
 Subcommands cover the whole flow: synth (materialize the bundled
 mini-corpus), augment, train-detect, train-select, train-generate,
 decode, ensemble, tune-consensus, evaluate. Exit codes: 0 ok; 2 config
-error, or a domain error (CorpusError, ModelError, RankError,
-GenerateError, ConsensusError: malformed corpus, knowledge base,
-checkpoint or stage input), reported as one ``error: ...`` line on
-stderr; 3 missing-dependency error.
+error, or a domain error (CorpusError, AugmentError, DetectError,
+ModelError, RankError, GenerateError, ConsensusError: malformed corpus,
+knowledge base, lexicon, checkpoint or stage input), reported as one
+``error: ...`` line on stderr; 3 missing-dependency error.
 """
 
 from __future__ import annotations
@@ -15,16 +15,18 @@ import argparse
 import sys
 
 from . import pipeline
+from .augment import AugmentError
 from .consensus import ConsensusError
 from .corpus import CorpusError
+from .detect import DetectError
 from .generate import GenerateError
 from .models import ModelError
 from .pipeline import (ConfigError, DependencyError, EXIT_CONFIG,
                        EXIT_DEPENDENCY, EXIT_OK, load_config)
 from .rank import RankError
 
-DOMAIN_ERRORS = (CorpusError, ModelError, RankError, GenerateError,
-                 ConsensusError)
+DOMAIN_ERRORS = (CorpusError, AugmentError, DetectError, ModelError, RankError,
+                 GenerateError, ConsensusError)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -61,22 +63,6 @@ def cmd_synth(args) -> int:
 def _run_stage(args, runner) -> int:
     config = _config(args)
     outputs = runner(config)
-    for path in outputs:
-        print(path)
-    return EXIT_OK
-
-
-def cmd_ensemble(args) -> int:
-    config = _config(args)
-    outputs = pipeline.stage_ensemble(config, args.predictions, args.base)
-    for path in outputs:
-        print(path)
-    return EXIT_OK
-
-
-def cmd_tune_consensus(args) -> int:
-    config = _config(args)
-    outputs = pipeline.stage_tune_consensus(config, args.pools, args.references)
     for path in outputs:
         print(path)
     return EXIT_OK
@@ -119,14 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--predictions", nargs="+", required=True)
     p.add_argument("--base", required=True, help="base system file name")
-    p.set_defaults(func=cmd_ensemble)
+    p.set_defaults(func=lambda a: _run_stage(
+        a, lambda c: pipeline.stage_ensemble(c, a.predictions, a.base)))
 
     p = sub.add_parser("tune-consensus")
     _add_common(p)
     p.add_argument("--pools", required=True, help="line-delimited pool records")
     p.add_argument("--references", required=True,
                    help="JSON mapping turn_id to reference text")
-    p.set_defaults(func=cmd_tune_consensus)
+    p.set_defaults(func=lambda a: _run_stage(
+        a, lambda c: pipeline.stage_tune_consensus(c, a.pools, a.references)))
 
     p = sub.add_parser("evaluate")
     _add_common(p)

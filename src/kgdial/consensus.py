@@ -34,7 +34,7 @@ import numpy as np
 
 from .corpus import tokenize
 from .kernels import lcs_length_tokens
-from .metrics import corpus_bleu, stem
+from .metrics import stem
 
 FEATURE_NAMES = (
     "sim-bleu1", "sim-bleu2", "sim-bleu3", "sim-bleu4",
@@ -325,12 +325,11 @@ def _probes(points: Sequence[float]) -> list[float]:
             + [points[-1] + 1.0])
 
 
-def consensus_select(pool: CandidatePool, weights: ConsensusWeights,
-                     features: Optional[np.ndarray] = None) -> Candidate:
+def consensus_select(pool: CandidatePool, weights: ConsensusWeights) -> Candidate:
     if not pool.candidates:
         raise ConsensusError(f"empty candidate pool for turn {pool.turn_id}")
-    feats = pool_features(pool) if features is None else features
-    return pool.candidates[_best_index(feats @ weights.values, pool.candidates)]
+    return pool.candidates[_best_index(pool_features(pool) @ weights.values,
+                                       pool.candidates)]
 
 
 @dataclass
@@ -495,17 +494,6 @@ def tune_weights(dev_pools: Sequence[CandidatePool],
     return ConsensusWeights(best_weights)
 
 
-def evaluate_selection(pools: Sequence[CandidatePool],
-                       references: dict[str, str],
-                       weights: ConsensusWeights) -> float:
-    """Corpus BLEU-4 of the consensus selections against references."""
-    pairs = []
-    for pool in pools:
-        chosen = consensus_select(pool, weights)
-        pairs.append((chosen.text, [references[pool.turn_id]]))
-    return corpus_bleu(pairs, n=4)
-
-
 def save_weights(weights: ConsensusWeights, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(weights.to_json(), fh, indent=1)
@@ -534,12 +522,3 @@ def load_pools(path: str) -> list[CandidatePool]:
     return [CandidatePool(turn_id=t, candidates=tuple(cands))
             for t, cands in grouped.items()]
 
-
-def save_pools(pools: Sequence[CandidatePool], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pool in pools:
-            for c in pool.candidates:
-                fh.write(json.dumps({
-                    "turn_id": pool.turn_id, "system_id": c.system_id,
-                    "rank": c.rank, "logprob": c.logprob, "text": c.text,
-                }, ensure_ascii=False) + "\n")

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Dialogue, linearize_history
-from .metrics import precision_recall_f1
 
 logger = logging.getLogger(__name__)
 
@@ -86,21 +85,3 @@ def error_fixing_ensemble(predictions: dict[str, Sequence[DetectionPrediction]],
         out.append(DetectionPrediction(did, mean_prob, label))
     return out
 
-
-def detection_metrics(predictions: Sequence[DetectionPrediction],
-                      references: dict[str, bool]) -> dict[str, float]:
-    """Precision/recall/F1 with knowledge-seeking as the positive class."""
-    pred_ids = {p.dialogue_id for p in predictions}
-    if pred_ids != set(references):
-        raise DetectError("prediction/reference id mismatch")
-    tp = fp = fn = 0
-    for p in predictions:
-        truth = references[p.dialogue_id]
-        if p.label and truth:
-            tp += 1
-        elif p.label and not truth:
-            fp += 1
-        elif not p.label and truth:
-            fn += 1
-    precision, recall, f1 = precision_recall_f1(tp, fp, fn)
-    return {"precision": precision, "recall": recall, "f1": f1}

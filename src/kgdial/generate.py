@@ -340,9 +340,6 @@ class ToyGenerator:
         eos_id = self.vocab[EOS]
         return " ".join(self.inv_vocab[t] for t in tokens if t != eos_id)
 
-    def greedy(self, context: str) -> str:
-        return self.generate_nbest(context, 1, beam_width=1)[0][0]
-
 
 def _sum_in_order(x: np.ndarray) -> np.ndarray:
     """Sum over the first axis adding the rows one after the other, as a

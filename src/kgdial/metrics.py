@@ -38,14 +38,13 @@ def _closest_ref_len(hyp_len: int, ref_lens: Sequence[int]) -> int:
     return min(ref_lens, key=lambda r: (abs(r - hyp_len), r))
 
 
-def bleu_n(hypothesis: str, references: Sequence[str], n: int = 4,
-           smooth: bool = False) -> float:
+def bleu_n(hypothesis: str, references: Sequence[str], n: int = 4) -> float:
     """Sentence BLEU with clipped precision, geometric mean over orders
     1..n and brevity penalty.
 
     Uses the effective-order convention: orders the hypothesis is too
-    short to realize are skipped rather than zeroing the score. Without
-    smoothing, any realizable order with zero matches yields 0.
+    short to realize are skipped rather than zeroing the score. Any
+    realizable order with zero matches yields 0 (no smoothing).
     """
     if not 1 <= n <= 4:
         raise ValueError("BLEU order must be in 1..4")
@@ -59,10 +58,8 @@ def bleu_n(hypothesis: str, references: Sequence[str], n: int = 4,
     orders_used = 0
     for order in range(1, n + 1):
         clipped, total = _clipped_counts(hyp, refs, order)
-        if total == 0 and not smooth:
+        if total == 0:
             continue
-        if smooth:
-            clipped, total = clipped + 1, total + 1
         if clipped == 0:
             return 0.0
         log_sum += math.log(clipped / total)
@@ -74,8 +71,7 @@ def bleu_n(hypothesis: str, references: Sequence[str], n: int = 4,
     return bp * math.exp(log_sum / orders_used)
 
 
-def corpus_bleu(pairs: Sequence[tuple[str, Sequence[str]]], n: int = 4,
-                smooth: bool = False) -> float:
+def corpus_bleu(pairs: Sequence[tuple[str, Sequence[str]]], n: int = 4) -> float:
     """Corpus BLEU: micro-aggregated clipped counts, one brevity penalty."""
     if not pairs:
         raise ValueError("corpus BLEU requires at least one pair")
@@ -100,10 +96,8 @@ def corpus_bleu(pairs: Sequence[tuple[str, Sequence[str]]], n: int = 4,
     orders_used = 0
     for order in range(n):
         c, t = clipped[order], totals[order]
-        if t == 0 and not smooth:
+        if t == 0:
             continue
-        if smooth:
-            c, t = c + 1, t + 1
         if c == 0:
             return 0.0
         log_sum += math.log(c / t)
@@ -209,14 +203,14 @@ def meteor_lite(hypothesis: str, reference: str) -> float:
     return f_mean * (1.0 - penalty)
 
 
-def char_f(hypothesis: str, reference: str, max_n: int = 4) -> float:
-    """Character n-gram F1 averaged over n = 1..max_n (whitespace folded)."""
+def char_f(hypothesis: str, reference: str) -> float:
+    """Character n-gram F1 averaged over n = 1..4 (whitespace folded)."""
     hyp = " ".join(tokenize(hypothesis))
     ref = " ".join(tokenize(reference))
     if not hyp or not ref:
         return 0.0
     scores = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         hgrams = Counter(hyp[i:i + n] for i in range(len(hyp) - n + 1))
         rgrams = Counter(ref[i:i + n] for i in range(len(ref) - n + 1))
         if not hgrams or not rgrams:

@@ -172,11 +172,6 @@ class ToyEncoder:
         return {"ids": ids, "segs": segs, "E": E, "Q": Q, "K": K, "Vm": Vm,
                 "A": A, "H": H, "f": f}
 
-    def encode(self, tokens: Sequence[str],
-               boundary: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-        cache = self.forward(*self.token_ids(tokens, boundary))
-        return cache["H"], cache["f"]
-
     def backward(self, cache: dict, dH: np.ndarray | None, df: np.ndarray | None,
                  grads: dict) -> None:
         """Accumulate parameter gradients for one encoded sequence."""
@@ -210,13 +205,12 @@ class ToyEncoder:
 class AdamW:
     """Adaptive gradient descent with decoupled weight decay."""
 
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-5,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}

@@ -34,7 +34,8 @@ from .entity_track import (TrackMethod, build_tracking_examples,
 from .generate import (GenTrainConfig, ToyGenerator, build_gen_examples,
                        decode_nbest, mine_frequent_interrogatives,
                        preprocess_responses, train_generator)
-from .metrics import MetricReport, generation_report
+from .metrics import (MetricReport, generation_report, mrr_at_k,
+                      precision_recall_f1, recall_at_k)
 from .models import (ModelError, TrainConfig, check_tensors, load_checkpoint,
                      save_checkpoint, scorer_from_checkpoint,
                      scorer_to_checkpoint, train_pair_classifier)
@@ -130,12 +131,11 @@ class PipelineConfig:
         for key in merged:
             if key.endswith(".batch_size") and int(merged[key]) < 1:
                 raise ConfigError(f"{key}: expected an int >= 1, got {merged[key]!r}")
+            if key.endswith(".kfolds") and int(merged[key]) < 2:
+                raise ConfigError(f"{key}: expected an int >= 2, got {merged[key]!r}")
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
 
     @property
     def seed(self) -> int:
@@ -737,8 +737,6 @@ def evaluate_predictions(predictions: Sequence[dict],
             fp += 1
         elif not pred["target"] and ref["target"]:
             fn += 1
-    from .metrics import precision_recall_f1
-
     p, r, f1 = precision_recall_f1(tp, fp, fn)
     report.add("detection-precision", p)
     report.add("detection-recall", r)
@@ -758,8 +756,6 @@ def evaluate_predictions(predictions: Sequence[dict],
         if ref.get("response"):
             gen_pairs.append((pred.get("response", "") if pred["target"] else "",
                               ref["response"]))
-    from .metrics import mrr_at_k, recall_at_k
-
     report.add("selection-mrr@5", mrr_at_k(ranked_keys, ref_keys, 5))
     report.add("selection-r@1", recall_at_k(ranked_keys, ref_keys, 1))
     report.add("selection-r@5", recall_at_k(ranked_keys, ref_keys, 5))

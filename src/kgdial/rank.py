@@ -48,7 +48,6 @@ from .corpus import (Dialogue, Entity, KnowledgeBase, KnowledgeSnippet,
                      TAG_ENT, linearize_history, linearize_knowledge,
                      split_kfold, tokenize)
 from .entity_track import exact_match_entities
-from .metrics import mrr_at_k, recall_at_k
 from .models import (ToyEncoder, TrainConfig, bce_loss, build_vocab, pair_head,
                      pair_readout, pair_readout_backward, pair_scorer_shapes,
                      prefixed, sigmoid, softmax, softmax_backward, train_model,
@@ -947,10 +946,3 @@ def ensemble_rank(system_lists: Sequence[RankedKnowledgeList],
     scored = [(snippets[k], v * scale) for k, v in totals.items()]
     return RankedKnowledgeList(turn_id, _sorted_items(scored, top_n))
 
-
-def ranking_metrics(predicted: Sequence[RankedKnowledgeList],
-                    references: Sequence[set[tuple[str, str, str]]]) -> dict[str, float]:
-    keys = [lst.keys for lst in predicted]
-    return {"mrr@5": mrr_at_k(keys, references, 5),
-            "r@1": recall_at_k(keys, references, 1),
-            "r@5": recall_at_k(keys, references, 5)}

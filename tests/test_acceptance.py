@@ -17,15 +17,15 @@ from kgdial.augment import (AugmentConfig, FakeSpeechAdapter,
                             augment_entity_name, build_phonetic_index,
                             inject_errors, tst_transform)
 from kgdial.consensus import (Candidate, CandidatePool, ConsensusWeights,
-                              TuneConfig, evaluate_selection, tune_weights)
+                              TuneConfig, consensus_select, tune_weights)
 from kgdial.corpus import (Dialogue, KnowledgeSnippet, Speaker, Turn,
                            linearize_history)
 from kgdial.detect import ErrorFixConfig, error_fixing_ensemble, predict
 from kgdial.entity_track import (build_tracking_examples, collect_candidates,
                                  entity_recall, exact_match_entities,
                                  fuzzy_match_entities, track_entities)
-from kgdial.metrics import (bleu_n, meteor_lite, mrr_at_k, precision_recall_f1,
-                            recall_at_k, rouge_l, rouge_n)
+from kgdial.metrics import (bleu_n, corpus_bleu, meteor_lite, mrr_at_k,
+                            precision_recall_f1, recall_at_k, rouge_l, rouge_n)
 from kgdial.models import TrainConfig, finite_difference_check, train_pair_classifier
 from kgdial.pipeline import (DecodeComponents, end_to_end_decode,
                              evaluate_predictions, validate_labels_schema)
@@ -34,8 +34,7 @@ from kgdial.rank import (ListwiseConfig, MTLParams, PointwiseConfig,
                          build_listwise_training_data,
                          build_pointwise_instances, dialogue_features,
                          ensemble_rank, listwise_rerank, mtl_forward,
-                         pointwise_rank, ranking_metrics, train_listwise,
-                         train_pointwise)
+                         pointwise_rank, train_listwise, train_pointwise)
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 
 from test_metrics import (oracle_bleu, oracle_meteor, oracle_mrr,
@@ -247,12 +246,16 @@ def test_criterion_5_ensemble_invariants():
                 Candidate(ref, "good", 1, -2.0),
                 Candidate(f"noise words {i} entirely", "bad", 1, -1.0),
                 Candidate(f"the hotel {i} allows pets", "mid", 1, -1.5))))
+        def bleu(weights):
+            return corpus_bleu([(consensus_select(p, weights).text,
+                                 [references[p.turn_id]]) for p in pools])
+
         init = ConsensusWeights(np.full(10, 0.1))
-        before = evaluate_selection(pools, references, init)
+        before = bleu(init)
         for seed in range(20):
             tuned = tune_weights(pools, references, init,
                                  TuneConfig(restarts=2, seed=seed))
-            after = evaluate_selection(pools, references, tuned)
+            after = bleu(tuned)
             assert after >= before - 1e-12, (seed, before, after)
 
 
@@ -329,9 +332,12 @@ def test_criterion_7_ranking_order():
                         dialogue_features(d, tracked), kb=kb))
                 return ranked
 
+            def r_at_1(ranked):
+                return recall_at_k([lst.keys for lst in ranked], refs, 1)
+
             plain_ranked, mtl_ranked = decode(plain), decode(mtl)
-            r_plain = ranking_metrics(plain_ranked, refs)["r@1"]
-            r_mtl = ranking_metrics(mtl_ranked, refs)["r@1"]
+            r_plain = r_at_1(plain_ranked)
+            r_mtl = r_at_1(mtl_ranked)
 
             wd2 = PointwiseConfig(use_mtl=False, variant=Variant.WD2, **base)
             instances, _ = build_listwise_training_data(
@@ -346,7 +352,7 @@ def test_criterion_7_ranking_order():
                                 dialogue_features(d, fuzzy_match_entities(d, kb, 0.5)),
                                 alpha=100.0)
                 for d, ranked in zip(test, base_ranked)]
-            r_lw = ranking_metrics(lw_ranked, refs)["r@1"]
+            r_lw = r_at_1(lw_ranked)
             rows.append((r_plain, r_mtl, r_lw))
         med = np.median(np.array(rows), axis=0)
         print(f"  ranking medians: plain {med[0]:.3f} mtl {med[1]:.3f} "

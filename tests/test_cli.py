@@ -111,6 +111,37 @@ def test_batch_size_below_one_is_one_line_config_error(workdir, command, section
                    f"got {value}\n")
 
 
+@pytest.mark.parametrize("command,args,override,message", [
+    ("train-select", [], "rank.kfolds=1",
+     "config error: rank.kfolds: expected an int >= 2, got 1"),
+    ("train-generate", [], "gen.kfolds=1",
+     "config error: gen.kfolds: expected an int >= 2, got 1"),
+    ("train-select", [], "augment.ena_probability=1.5",
+     "error: probability out of range: 1.5"),
+    ("ensemble", ["--predictions", "{predictions}", "--base", "nope.json"], "",
+     "error: base system 'nope.json' not in predictions"),
+    ("augment", [], "paths.lexicon={lexicon}",
+     "error: lexicon line 1: expected word<TAB>phonemes"),
+], ids=["rank-kfolds", "gen-kfolds", "ena-probability", "ensemble-base",
+        "lexicon-tab"])
+def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
+                                           args, override, message):
+    _, _, cfg = workdir
+    paths = {"predictions": tmp_path / "predictions.json",
+             "lexicon": tmp_path / "lexicon.tsv"}
+    paths["predictions"].write_text(json.dumps([{"target": True},
+                                                {"target": False}]))
+    paths["lexicon"].write_text("hotel HH OW T EH L\n")
+    overrides = [f"paths.output={tmp_path / 'out'}"]
+    if override:
+        overrides.append(override.format(**paths))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg),
+                 *(a.format(**paths) for a in args),
+                 "--stage-overrides", *overrides]) == EXIT_CONFIG
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_full_pipeline_runs(workdir, capsys):
     root, data, cfg = workdir
     for command in ("augment", "train-detect", "train-select", "train-generate",

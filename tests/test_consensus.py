@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from kgdial import consensus
 from kgdial.consensus import (
     Candidate, CandidatePool, ConsensusError, ConsensusWeights, TuneConfig,
-    consensus_select, evaluate_selection, load_pools, pool_features,
-    save_pools, save_weights, load_weights, tune_weights,
+    consensus_select, load_pools, pool_features,
+    save_weights, load_weights, tune_weights,
 )
 from kgdial.metrics import (bleu_n, char_f, corpus_bleu, meteor_lite, rouge_l,
                             rouge_n)
@@ -225,34 +225,42 @@ def make_dev(n_pools=6):
 
 
 class TestTuneWeights:
+    """Tuning is judged by the corpus BLEU-4 of the ``consensus_select``
+    picks against the references, the score it climbs."""
+
+    @staticmethod
+    def bleu(pools, refs, weights):
+        return corpus_bleu([(consensus_select(p, weights).text, [refs[p.turn_id]])
+                            for p in pools])
+
     def test_moves_mass_to_better_system(self):
         pools, refs = make_dev()
         # start from weights that pick the noisy system (its logprob wins ties)
         init = ConsensusWeights(np.zeros(10))
         tuned = tune_weights(pools, refs, init, TuneConfig(restarts=2, seed=0))
-        final = evaluate_selection(pools, refs, tuned)
-        oracle = evaluate_selection(
+        final = self.bleu(pools, refs, tuned)
+        oracle = self.bleu(
             pools, refs, ConsensusWeights(np.eye(10)[0]))  # similarity picks good
         for p in pools:
             assert consensus_select(p, tuned).system_id in ("sys-good", "sys-mid")
-        assert final >= evaluate_selection(pools, refs, init)
+        assert final >= self.bleu(pools, refs, init)
         assert final == pytest.approx(max(final, oracle))
 
     def test_already_optimal_init_keeps_bleu(self):
         pools, refs = make_dev()
         init = ConsensusWeights(np.ones(10))
-        before = evaluate_selection(pools, refs, init)
+        before = self.bleu(pools, refs, init)
         tuned = tune_weights(pools, refs, init, TuneConfig(restarts=1, seed=1))
-        assert evaluate_selection(pools, refs, tuned) >= before - 1e-12
+        assert self.bleu(pools, refs, tuned) >= before - 1e-12
 
     def test_monotone_over_seeds(self):
         pools, refs = make_dev(4)
         init = ConsensusWeights(np.full(10, 0.1))
-        before = evaluate_selection(pools, refs, init)
+        before = self.bleu(pools, refs, init)
         for seed in range(5):
             tuned = tune_weights(pools, refs, init,
                                  TuneConfig(restarts=2, seed=seed))
-            assert evaluate_selection(pools, refs, tuned) >= before - 1e-12
+            assert self.bleu(pools, refs, tuned) >= before - 1e-12
 
     def test_no_references_error(self):
         pools, _ = make_dev(2)
@@ -263,9 +271,12 @@ class TestTuneWeights:
 class TestIO:
     def test_pool_round_trip(self, tmp_path):
         pools, _ = make_dev(3)
-        path = str(tmp_path / "pools.jsonl")
-        save_pools(pools, path)
-        again = load_pools(path)
+        path = tmp_path / "pools.jsonl"
+        path.write_text("".join(
+            json.dumps({"turn_id": p.turn_id, "system_id": c.system_id,
+                        "rank": c.rank, "logprob": c.logprob, "text": c.text}) + "\n"
+            for p in pools for c in p.candidates))
+        again = load_pools(str(path))
         assert [p.turn_id for p in again] == [p.turn_id for p in pools]
         assert again[0].candidates == pools[0].candidates
 

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from kgdial.corpus import Dialogue, Speaker, Turn, TurnLabel
 from kgdial.detect import (
     DetectError, ErrorFixConfig, build_detection_examples,
-    detection_metrics, error_fixing_ensemble, predict,
+    error_fixing_ensemble, predict,
 )
+from kgdial.pipeline import evaluate_predictions
 
 
 def labeled(id, seeking):
@@ -106,24 +107,28 @@ class TestErrorFixingEnsemble:
 
 
 class TestDetectionMetrics:
+    """Detection P/R/F1 as ``evaluate_predictions`` scores label records,
+    knowledge-seeking (``target``) as the positive class."""
+
+    @staticmethod
+    def scores(predicted, truth):
+        report = evaluate_predictions([{"target": t} for t in predicted],
+                                      [{"target": t} for t in truth])
+        return {m: report.scores[f"detection-{m}"]
+                for m in ("precision", "recall", "f1")}
+
     def test_perfect(self):
-        preds = [predict("a", 0.9), predict("b", 0.1)]
-        refs = {"a": True, "b": False}
-        assert detection_metrics(preds, refs) == {
+        assert self.scores([True, False], [True, False]) == {
             "precision": 1.0, "recall": 1.0, "f1": 1.0}
 
     def test_hand_counts(self):
         # TP=2, FP=1, FN=2
-        preds = [predict("t1", 0.9), predict("t2", 0.8), predict("f1", 0.7),
-                 predict("m1", 0.2), predict("m2", 0.1), predict("n1", 0.3)]
-        refs = {"t1": True, "t2": True, "f1": False,
-                "m1": True, "m2": True, "n1": False}
-        got = detection_metrics(preds, refs)
+        got = self.scores([True, True, True, False, False, False],
+                          [True, True, False, True, True, False])
         assert got["precision"] == pytest.approx(2 / 3)
         assert got["recall"] == pytest.approx(0.5)
         assert got["f1"] == pytest.approx(4 / 7)
 
     def test_no_positive_predictions(self):
-        preds = [predict("a", 0.1)]
-        got = detection_metrics(preds, {"a": True})
+        got = self.scores([False], [True])
         assert got == {"precision": 0.0, "recall": 0.0, "f1": 0.0}

@@ -158,7 +158,7 @@ class TestGenerator:
         model, history = train_generator(examples, cfg)
         hits = 0
         for e in examples:
-            decoded = model.greedy(e.context.text)
+            decoded = model.generate_nbest(e.context.text, 1, beam_width=1)[0][0]
             expected = " ".join(e.target.split()[1:]).lower()
             if decoded == expected:
                 hits += 1
@@ -444,7 +444,8 @@ class TestDecodeNBest:
         model, examples = trained
         for e in examples:
             ctx = e.context.text
-            assert decode_nbest(model, ctx, 1)[0][0] == model.greedy(ctx)
+            greedy = model.generate_nbest(ctx, 1, beam_width=1)[0][0]
+            assert decode_nbest(model, ctx, 1)[0][0] == greedy
 
     def test_sorted_dedup_finite(self, trained):
         model, examples = trained

@@ -19,7 +19,7 @@ def oracle_ngram_list(tokens, n):
     return [" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def oracle_bleu(hyp_text, ref_texts, n, smooth=False):
+def oracle_bleu(hyp_text, ref_texts, n):
     hyp = tokenize(hyp_text)
     refs = [tokenize(r) for r in ref_texts]
     if not hyp:
@@ -32,10 +32,8 @@ def oracle_bleu(hyp_text, ref_texts, n, smooth=False):
             best = max((oracle_ngram_list(r, order).count(gram) for r in refs), default=0)
             clipped += min(hgrams.count(gram), best)
         total = len(hgrams)
-        if total == 0 and not smooth:
+        if total == 0:
             continue  # effective-order convention
-        if smooth:
-            clipped, total = clipped + 1, total + 1
         if clipped == 0:
             return 0.0
         logs.append(math.log(clipped / total))

@@ -35,15 +35,16 @@ class TestEncoderShapes:
     def test_shapes(self):
         vocab = build_vocab([["a", "b", "c"]])
         enc = ToyEncoder(vocab, d=8, seed=1)
-        H, f = enc.encode(["a", "b", "c", "b"])
+        cache = enc.forward(*enc.token_ids(["a", "b", "c", "b"]))
+        H, f = cache["H"], cache["f"]
         assert H.shape == (4, 8)
         assert f.shape == (8,)
 
     def test_deterministic_encoding(self):
         vocab = build_vocab([["a", "b"]])
         enc = ToyEncoder(vocab, d=8, seed=3)
-        _, f1 = enc.encode(["a", "b", "a"])
-        _, f2 = enc.encode(["a", "b", "a"])
+        f1 = enc.forward(*enc.token_ids(["a", "b", "a"]))["f"]
+        f2 = enc.forward(*enc.token_ids(["a", "b", "a"]))["f"]
         assert np.array_equal(f1, f2)
 
     def test_left_truncation(self):
@@ -56,8 +57,8 @@ class TestEncoderShapes:
     def test_first_token_pooling(self):
         vocab = build_vocab([["a", "b"]])
         enc = ToyEncoder(vocab, d=4, pooling="first", seed=0)
-        H, f = enc.encode(["a", "b"])
-        assert np.array_equal(f, H[0])
+        cache = enc.forward(*enc.token_ids(["a", "b"]))
+        assert np.array_equal(cache["f"], cache["H"][0])
 
     def test_unknown_pooling_rejected(self):
         with pytest.raises(ModelError):

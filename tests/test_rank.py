@@ -21,9 +21,10 @@ from kgdial.rank import (
     build_listwise_training_data,
     build_pointwise_instances, ensemble_rank, extract_sparse_features,
     listwise_rerank, mtl_forward, pointwise_rank,
-    ranking_metrics, sample_entity_candidates, sample_negatives,
+    sample_entity_candidates, sample_negatives,
     train_listwise, train_pointwise,
 )
+from kgdial.pipeline import evaluate_predictions
 from kgdial.rank import _mtl_forward_cache, _mtl_backward, _pair_inputs
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 from test_models import (assert_same_loss, reference_pair_readout, reference_softmax,
@@ -787,20 +788,31 @@ class TestEnsemble:
 
 
 class TestRankingMetrics:
+    """Selection MRR@5/R@1/R@5 as ``evaluate_predictions`` scores the label
+    records of one knowledge-seeking turn."""
+
+    @staticmethod
+    def scores(ranked, truth):
+        def knowledge(snippets):
+            return [{"domain": s.domain, "entity_id": s.entity_id,
+                     "doc_id": s.doc_id} for s in snippets]
+
+        report = evaluate_predictions(
+            [{"target": True, "knowledge": knowledge(ranked)}],
+            [{"target": True, "knowledge": knowledge([truth])}])
+        return {m: report.scores[f"selection-{m}"] for m in ("mrr@5", "r@1", "r@5")}
+
     def test_truth_at_rank_one(self):
         kb = make_kb()
         gt = kb.snippets_for("hotel", "1")[0]
-        lst = RankedKnowledgeList("t", ((gt, 0.9),))
-        got = ranking_metrics([lst], [{gt.key}])
+        got = self.scores([gt], gt)
         assert got == {"mrr@5": 1.0, "r@1": 1.0, "r@5": 1.0}
 
     def test_truth_at_rank_three(self):
         kb = make_kb()
         gt = kb.snippets_for("hotel", "1")[0]
         others = [kb.snippets_for("hotel", "2")[0], kb.snippets_for("restaurant", "1")[0]]
-        lst = RankedKnowledgeList(
-            "t", ((others[0], 0.9), (others[1], 0.8), (gt, 0.7)))
-        got = ranking_metrics([lst], [{gt.key}])
+        got = self.scores([others[0], others[1], gt], gt)
         assert got["mrr@5"] == pytest.approx(1 / 3)
         assert got["r@1"] == 0.0
         assert got["r@5"] == 1.0
