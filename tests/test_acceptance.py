@@ -246,6 +246,7 @@ def test_criterion_5_ensemble_invariants():
                 Candidate(ref, "good", 1, -2.0),
                 Candidate(f"noise words {i} entirely", "bad", 1, -1.0),
                 Candidate(f"the hotel {i} allows pets", "mid", 1, -1.5))))
+
         def bleu(weights):
             return corpus_bleu([(consensus_select(p, weights).text,
                                  [references[p.turn_id]]) for p in pools])
