@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,29 +87,25 @@ class PhoneticIndex:
     Read-only after construction; safe to share across workers.
     """
 
-    def __init__(self, vocabulary: Sequence[str], embeddings: np.ndarray,
-                 n_bits: int = 10, n_tables: int = 16, probe_radius: int = 2,
-                 hash_seed: int = 1234):
+    n_bits = 10
+    n_tables = 16
+    probe_radius = 2
+    hash_seed = 1234
+
+    def __init__(self, vocabulary: Sequence[str], embeddings: np.ndarray):
         if len(vocabulary) != embeddings.shape[0]:
             raise AugmentError("one embedding per vocabulary word required")
         self.vocabulary = list(vocabulary)
         self.embeddings = embeddings
         self.word_to_id = {w: i for i, w in enumerate(self.vocabulary)}
-        self.n_bits = n_bits
-        self.n_tables = n_tables
-        self.probe_radius = probe_radius
-        rng = np.random.default_rng(hash_seed)
-        self._planes = rng.standard_normal((n_tables, n_bits, EMBED_DIM))
+        rng = np.random.default_rng(self.hash_seed)
+        self._planes = rng.standard_normal((self.n_tables, self.n_bits, EMBED_DIM))
         # XOR masks that reach every signature within probe_radius bits
-        masks = [0]
-        if probe_radius >= 1:
-            masks += [1 << b for b in range(n_bits)]
-        if probe_radius >= 2:
-            masks += [(1 << b1) | (1 << b2)
-                      for b1 in range(n_bits) for b2 in range(b1 + 1, n_bits)]
+        masks = [sum(1 << b for b in flipped) for r in range(self.probe_radius + 1)
+                 for flipped in combinations(range(self.n_bits), r)]
         self._probe_masks = np.asarray(masks, dtype=np.int64)
         self._tables: list[dict[int, list[int]]] = []
-        for t in range(n_tables):
+        for t in range(self.n_tables):
             sigs = self._signatures(embeddings, t)
             table: dict[int, list[int]] = {}
             for idx, sig in enumerate(sigs):
@@ -174,14 +171,14 @@ class PhoneticIndex:
         return out
 
 
-def build_phonetic_index(lexicon: dict[str, Sequence[str]], **index_kwargs) -> PhoneticIndex:
+def build_phonetic_index(lexicon: dict[str, Sequence[str]]) -> PhoneticIndex:
     """Index every lexicon word by its phoneme-bigram embedding."""
     if not lexicon:
         raise AugmentError("lexicon must be non-empty")
     normalized = {w.lower(): phones for w, phones in lexicon.items()}
     words = sorted(normalized)
     embeddings = np.stack([embed_phonemes(normalized[w]) for w in words])
-    return PhoneticIndex(words, embeddings, **index_kwargs)
+    return PhoneticIndex(words, embeddings)
 
 
 def load_lexicon(path: str) -> dict[str, list[str]]:

@@ -43,6 +43,7 @@ FEATURE_NAMES = (
 )
 
 _MAX_N = 4  # word and character n-gram orders 1.._MAX_N
+_MAX_ROUNDS = 20  # coordinate-ascent rounds per tuning restart
 
 
 class ConsensusError(Exception):
@@ -335,8 +336,6 @@ def consensus_select(pool: CandidatePool, weights: ConsensusWeights) -> Candidat
 @dataclass
 class TuneConfig:
     restarts: int = 3
-    directions_per_round: int = len(FEATURE_NAMES)
-    max_rounds: int = 20
     seed: int = 0
 
 
@@ -475,10 +474,9 @@ def tune_weights(dev_pools: Sequence[CandidatePool],
         else:
             weights = init.values + rng.normal(0.0, 0.5, size=n_feat)
         current = objective(select_all(weights))
-        for _ in range(config.max_rounds):
+        for _ in range(_MAX_ROUNDS):
             improved = False
-            order = rng.permutation(n_feat)[: config.directions_per_round]
-            for coord in order:
+            for coord in rng.permutation(n_feat):
                 direction = np.zeros(n_feat)
                 direction[int(coord)] = 1.0
                 obj, step = line_search(weights, direction, current)

@@ -22,6 +22,7 @@ import numpy as np
 from .kernels import char_counts
 
 DOMAIN_LEVEL = "*"
+TOP_K = 5  # length of the ranked knowledge list that selection hands to generation
 
 TAG_USER = "⟨user⟩"
 TAG_SYS = "⟨sys⟩"
@@ -32,14 +33,14 @@ TAG_RESP = "⟨resp⟩"
 
 
 def tag_kng_k(k: int) -> str:
-    if not 1 <= k <= 5:
+    if not 1 <= k <= TOP_K:
         raise ValueError(f"ranked knowledge tag index out of range: {k}")
     return f"⟨kng_{k}⟩"
 
 
 RESERVED_TAGS = (
     TAG_USER, TAG_SYS, TAG_KNG,
-    tag_kng_k(1), tag_kng_k(2), tag_kng_k(3), tag_kng_k(4), tag_kng_k(5),
+    *(tag_kng_k(k) for k in range(1, TOP_K + 1)),
     TAG_ENT, TAG_ANS, TAG_RESP,
 )
 
@@ -457,8 +458,8 @@ def build_generation_context(dialogue: Dialogue,
     """
     if not dialogue.turns:
         raise CorpusError(f"dialogue {dialogue.id} has no turns")
-    if len(topk) > 5:
-        raise CorpusError("generation context accepts at most 5 knowledge snippets")
+    if len(topk) > TOP_K:
+        raise CorpusError(f"generation context accepts at most {TOP_K} knowledge snippets")
     last = dialogue.turns[-1]
     if last.speaker is not Speaker.USER:
         raise CorpusError(f"dialogue {dialogue.id}: final turn must be USER")

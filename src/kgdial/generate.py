@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import (Dialogue, GenerationContext, KnowledgeSnippet, TAG_RESP,
-                     build_generation_context, normalize_ws, tokenize)
+                     TOP_K, build_generation_context, normalize_ws, tokenize)
 from .models import TrainConfig, build_vocab, train_model
 
 EOS = "⟨eos⟩"
@@ -136,7 +136,7 @@ def build_gen_examples(dialogues: Sequence[Dialogue],
             continue
         if d.id not in selection_outputs:
             raise GenerateError(f"no selection output for turn {d.id}")
-        topk = list(selection_outputs[d.id])[:5]
+        topk = list(selection_outputs[d.id])[:TOP_K]
         refs = set(d.label.knowledge_refs)
         gold_replaced = False
         if topk and rng.uniform() < config.p_s:
@@ -277,25 +277,25 @@ class ToyGenerator:
             np.add.at(grads["emb"], ctx_ids, dc / ctx_ids.size)
         return loss, grads
 
-    def generate_nbest(self, context: str, n: int,
-                       beam_width: Optional[int] = None) -> list[tuple[str, float]]:
+    def generate_nbest(self, context: str, n: int) -> list[tuple[str, float]]:
         """Beam-search n-best: deduplicated texts sorted by log-probability.
 
-        Each position keeps the ``width`` best of the finished beams and of
-        the ``width`` best tokens (ties to the lower id) each live beam
-        offers, ordered by (-log-probability, tokens). One cut per position
-        finds them: the ``width``-th best of the finished beams' scores and
-        of every (live beam, token) score. An entry above the cut is among
-        its beam's ``width`` best tokens, since adding the beam's
-        log-probability is monotone; an entry at the cut is kept only if
-        fewer than ``width`` tokens of its beam come before it. The search
-        stops early once the finished beams that score strictly above the
-        best live beam hold ``n`` distinct texts: log-probabilities only
-        fall, so no descendant of a live beam can displace or outrank them.
+        The beam is ``width`` = 2n wide. Each position keeps the ``width``
+        best of the finished beams and of the ``width`` best tokens (ties to
+        the lower id) each live beam offers, ordered by (-log-probability,
+        tokens). One cut per position finds them: the ``width``-th best of
+        the finished beams' scores and of every (live beam, token) score.
+        An entry above the cut is among its beam's ``width`` best tokens,
+        since adding the beam's log-probability is monotone; an entry at the
+        cut is kept only if fewer than ``width`` tokens of its beam come
+        before it. The search stops early once the finished beams that score
+        strictly above the best live beam hold ``n`` distinct texts:
+        log-probabilities only fall, so no descendant of a live beam can
+        displace or outrank them.
         """
         if n < 1:
             raise GenerateError("n must be >= 1")
-        width = max(n, beam_width or 2 * n)
+        width = 2 * n
         c = self.context_vector(self._ids(tokenize(context)))
         bos = self.vocab.get(TAG_RESP, 0)
         eos_id = self.vocab[EOS]

@@ -360,15 +360,13 @@ class ToyPairScorer:
 
 
 def train_pair_classifier(examples: Sequence[tuple[str, str, int]],
-                          config: TrainConfig | None = None,
-                          vocab: dict[str, int] | None = None) -> ToyPairScorer:
+                          config: TrainConfig | None = None) -> ToyPairScorer:
     """Fit the reference pair scorer with AdamW on binary cross entropy."""
     config = config or TrainConfig()
     labels = {int(label) for _, _, label in examples}
     if labels != {0, 1}:
         raise ModelError("training data must contain both classes")
-    if vocab is None:
-        vocab = build_vocab([tokenize(s1) + tokenize(s2) for s1, s2, _ in examples])
+    vocab = build_vocab([tokenize(s1) + tokenize(s2) for s1, s2, _ in examples])
     encoder = ToyEncoder(vocab, d=config.d, pooling=config.pooling,
                          max_len=config.max_len, seed=config.seed)
     scorer = ToyPairScorer(encoder)

@@ -24,7 +24,7 @@ from .augment import (AugmentConfig, FakeSpeechAdapter, augment_corpus,
 from .consensus import (Candidate, CandidatePool, ConsensusWeights,
                         consensus_select, load_weights, save_weights,
                         tune_weights)
-from .corpus import (Dialogue, KnowledgeBase, linearize_history,
+from .corpus import (CorpusError, Dialogue, KnowledgeBase, linearize_history,
                      load_corpus, load_knowledge_base, save_corpus,
                      strip_labels)
 from .detect import build_detection_examples, predict
@@ -560,25 +560,51 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
     return results
 
 
-def validate_labels_schema(records: Sequence[dict]) -> None:
-    """Prediction-writer schema check for every turn."""
+def _check_turn_records(records) -> None:
+    """Every turn record is an object with a boolean ``target``; its
+    ``knowledge``, if any, is a list of {domain, entity_id, doc_id}
+    objects and its ``response``, if any, a string. A ValueError names the
+    first record that is not."""
+    if not isinstance(records, list):
+        raise ValueError(f"expected a list of turn records, got {type(records).__name__}")
     for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or "target" not in rec:
-            raise ValueError(f"record {i}: missing target field")
-        if not isinstance(rec["target"], bool):
-            raise ValueError(f"record {i}: target must be boolean")
-        if rec["target"]:
-            knowledge = rec.get("knowledge")
-            if not isinstance(knowledge, list) or not knowledge:
-                raise ValueError(f"record {i}: positive turn needs knowledge")
-            for k in knowledge:
-                if not {"domain", "entity_id", "doc_id"} <= set(k):
-                    raise ValueError(f"record {i}: malformed knowledge ref")
-            if "response" in rec and not isinstance(rec["response"], str):
-                raise ValueError(f"record {i}: response must be a string")
-        else:
-            if rec.get("knowledge"):
-                raise ValueError(f"record {i}: negative turn carries knowledge")
+        if not (isinstance(rec, dict) and isinstance(rec.get("target"), bool)):
+            raise ValueError(f"record {i}: expected an object with a boolean 'target'")
+        knowledge = rec.get("knowledge", [])
+        if not (isinstance(knowledge, list) and all(
+                isinstance(k, dict) and {"domain", "entity_id", "doc_id"} <= k.keys()
+                for k in knowledge)):
+            raise ValueError(f"record {i}: malformed knowledge ref")
+        if not isinstance(rec.get("response", ""), str):
+            raise ValueError(f"record {i}: response must be a string")
+
+
+def validate_labels_schema(records: Sequence[dict]) -> None:
+    """Prediction-writer schema check for every turn: a turn record with
+    knowledge on every positive turn and on no negative one."""
+    _check_turn_records(records)
+    for i, rec in enumerate(records):
+        if rec["target"] and not rec.get("knowledge"):
+            raise ValueError(f"record {i}: positive turn needs knowledge")
+        if not rec["target"] and rec.get("knowledge"):
+            raise ValueError(f"record {i}: negative turn carries knowledge")
+
+
+def _read_stage_json(path: str, records: bool) -> list | dict:
+    """A JSON stage input that `evaluate`, `ensemble` or `tune-consensus`
+    reads: with `records`, a list of turn records; otherwise an object
+    mapping turn ids to reference texts. Anything else is a one-line
+    CorpusError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if records:
+            _check_turn_records(data)
+        elif not (isinstance(data, dict) and all(isinstance(v, str) for v in data.values())):
+            raise ValueError("expected an object mapping turn ids to reference texts")
+    except ValueError as exc:  # json.JSONDecodeError is one
+        raise CorpusError(f"{path}: {exc}") from exc
+    return data
 
 
 def stage_decode(config: PipelineConfig) -> list[str]:
@@ -671,8 +697,7 @@ def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
 
     tables = {}
     for path in prediction_paths:
-        with open(path, encoding="utf-8") as fh:
-            records = json.load(fh)
+        records = _read_stage_json(require(path, "decode"), records=True)
         preds = [predict(f"d{i:05d}", float(r.get("detection_probability",
                                                   1.0 if r["target"] else 0.0)))
                  for i, r in enumerate(records)]
@@ -692,8 +717,7 @@ def stage_tune_consensus(config: PipelineConfig, pools_path: str,
     from .consensus import TuneConfig, load_pools
 
     pools = load_pools(require(pools_path, "decode"))
-    with open(require(refs_path, "synth"), encoding="utf-8") as fh:
-        references = json.load(fh)
+    references = _read_stage_json(require(refs_path, "synth"), records=False)
     weights = tune_weights(pools, references,
                            config=TuneConfig(seed=config.seed))
     path = config.output_path("consensus.weights.json")
@@ -705,10 +729,8 @@ def stage_tune_consensus(config: PipelineConfig, pools_path: str,
 
 def stage_evaluate(config: PipelineConfig, predictions_path: str,
                    references_path: str) -> list[str]:
-    with open(require(predictions_path, "decode"), encoding="utf-8") as fh:
-        predictions = json.load(fh)
-    with open(require(references_path, "synth"), encoding="utf-8") as fh:
-        references = json.load(fh)
+    predictions = _read_stage_json(require(predictions_path, "decode"), records=True)
+    references = _read_stage_json(require(references_path, "synth"), records=True)
     if len(predictions) != len(references):
         raise ConfigError("prediction/reference length mismatch")
     report = evaluate_predictions(predictions, references)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .augment import AugmentConfig, augment_entity_name
 from .corpus import (Dialogue, Entity, KnowledgeBase, KnowledgeSnippet,
-                     TAG_ENT, linearize_history, linearize_knowledge,
+                     TAG_ENT, TOP_K, linearize_history, linearize_knowledge,
                      split_kfold, tokenize)
 from .entity_track import exact_match_entities
 from .models import (ToyEncoder, TrainConfig, bce_loss, build_vocab, pair_head,
@@ -194,22 +194,15 @@ def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
     return SparseFeatures(*row.astype(np.int64).tolist(), alpha=alpha)
 
 
-DEFAULT_POOLS = ("kb", "mentioned", "other_entity")
-
-
 def sample_negatives(gt_snippet: KnowledgeSnippet, kb: KnowledgeBase,
                      dialogue: Dialogue, rng: np.random.Generator,
                      count: int = 4,
-                     strategy: Sequence[str] = DEFAULT_POOLS,
                      mentioned: Optional[Sequence[Entity]] = None) -> list[KnowledgeSnippet]:
     """Draw negatives without replacement, split equally across pools:
     the whole knowledge base, knowledge of entities mentioned in the
     utterances (``mentioned``, exact matching when ``None``), and knowledge
     of mentioned non-ground-truth entities. Empty or exhausted pools
     redistribute to the remaining ones."""
-    unknown = set(strategy) - set(DEFAULT_POOLS)
-    if unknown:
-        raise RankError(f"unknown negative pools: {sorted(unknown)}")
     if mentioned is None:
         mentioned = exact_match_entities(dialogue, kb)
     mentioned_keys = {e.key for e in mentioned}
@@ -221,11 +214,10 @@ def sample_negatives(gt_snippet: KnowledgeSnippet, kb: KnowledgeBase,
                          if s.entity_key in mentioned_keys
                          and s.entity_key != gt_snippet.entity_key],
     }
-    available = {s.key for name in strategy for s in pools[name]}
-    if len(available) < count:
+    if len(pools["kb"]) < count:  # the other pools are parts of this one
         raise RankError(
-            f"need {count} distinct negatives, only {len(available)} available")
-    active = [name for name in strategy if pools[name]]
+            f"need {count} distinct negatives, only {len(pools['kb'])} available")
+    active = [name for name, pool in pools.items() if pool]
     quotas = {name: count // len(active) for name in active}
     for name in active[:count % len(active)]:
         quotas[name] += 1
@@ -739,18 +731,18 @@ class RankedKnowledgeList:
         return [s.key for s, _ in self.items]
 
 
-def _sorted_items(scored: list[tuple[KnowledgeSnippet, float]],
-                  top_n: int = 5) -> tuple[tuple[KnowledgeSnippet, float], ...]:
+def _sorted_items(scored: list[tuple[KnowledgeSnippet, float]]
+                  ) -> tuple[tuple[KnowledgeSnippet, float], ...]:
     ordered = sorted(scored, key=lambda t: (-t[1],) + t[0].key)
-    return tuple(ordered[:top_n])
+    return tuple(ordered[:TOP_K])
 
 
 def pointwise_rank(model: PointwiseModel, dialogue: Dialogue,
                    candidates: Sequence[KnowledgeSnippet],
                    context: DialogueFeatures,
-                   alpha: float = 1.0, kb: Optional[KnowledgeBase] = None,
-                   top_n: int = 5) -> RankedKnowledgeList:
-    """Score candidates independently and keep the top ones. ``context`` is
+                   alpha: float = 1.0, kb: Optional[KnowledgeBase] = None
+                   ) -> RankedKnowledgeList:
+    """Score candidates independently and keep the `TOP_K` best. ``context`` is
     `dialogue_features(dialogue, tracked)`. An empty candidate list falls
     back to the full knowledge base."""
     pool = list(candidates)
@@ -760,7 +752,7 @@ def pointwise_rank(model: PointwiseModel, dialogue: Dialogue,
         pool = list(kb.snippets)
     logits = model.logits(dialogue, pool, context, alpha)
     scored = [(snip, sigmoid(z)) for snip, z in zip(pool, logits)]
-    return RankedKnowledgeList(dialogue.id, _sorted_items(scored, top_n))
+    return RankedKnowledgeList(dialogue.id, _sorted_items(scored))
 
 
 @dataclass
@@ -813,12 +805,12 @@ class ListwiseModel:
     def distribution(self, dialogue: Dialogue,
                      candidates: Sequence[KnowledgeSnippet],
                      features: np.ndarray, alpha: float) -> np.ndarray:
-        """Distribution over the (at most 5) candidates, whose sparse
+        """Distribution over the (at most `TOP_K`) candidates, whose sparse
         indicators are the rows of ``features``."""
         if not candidates:
             raise RankError("listwise scoring needs at least one candidate")
-        if len(candidates) > 5:
-            raise RankError("listwise scoring accepts at most 5 candidates")
+        if len(candidates) > TOP_K:
+            raise RankError(f"listwise scoring accepts at most {TOP_K} candidates")
         pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
         return softmax(_wide_deep_logits(self, pairs, features * feature_scale(alpha)))
 
@@ -927,8 +919,7 @@ def listwise_rerank(model: ListwiseModel, dialogue: Dialogue,
                                _sorted_items(list(zip(cands, dist))))
 
 
-def ensemble_rank(system_lists: Sequence[RankedKnowledgeList],
-                  top_n: int = 5) -> RankedKnowledgeList:
+def ensemble_rank(system_lists: Sequence[RankedKnowledgeList]) -> RankedKnowledgeList:
     """Sum each snippet's probability across systems and re-sort."""
     if not system_lists:
         raise RankError("ensemble needs at least one system")
@@ -944,5 +935,5 @@ def ensemble_rank(system_lists: Sequence[RankedKnowledgeList],
     max_total = max(totals.values(), default=1.0)
     scale = 1.0 / max(1.0, max_total)  # keep summed scores valid probabilities
     scored = [(snippets[k], v * scale) for k, v in totals.items()]
-    return RankedKnowledgeList(turn_id, _sorted_items(scored, top_n))
+    return RankedKnowledgeList(turn_id, _sorted_items(scored))
 

@@ -235,15 +235,13 @@ def _corrupt_phonetic(mention: str, entity_name: str, index: PhoneticIndex,
     return " ".join(words)
 
 
-def build_mini_corpus(config: Optional[MiniCorpusConfig] = None,
-                      kb: Optional[KnowledgeBase] = None,
-                      index: Optional[PhoneticIndex] = None
+def build_mini_corpus(config: Optional[MiniCorpusConfig] = None
                       ) -> tuple[list[Dialogue], KnowledgeBase, dict[str, list[str]]]:
     """Deterministic noisy mini-corpus; returns (dialogues, kb, lexicon)."""
     config = config or MiniCorpusConfig()
     lexicon = build_lexicon()
-    kb = kb or build_mini_kb()
-    index = index or build_phonetic_index(lexicon)
+    kb = build_mini_kb()
+    index = build_phonetic_index(lexicon)
     rng = np.random.default_rng(config.seed)
     named = [e for e in kb.entities if not e.is_domain_level]
     cycles = {}

@@ -61,27 +61,24 @@ class TestPhoneticIndex:
         index = build_phonetic_index({"only": ["OW", "N", "L", "IY"]})
         assert phonetic_neighbors(index, "only", 1) == []
 
-    @pytest.mark.parametrize("radius", [0, 1, 2])
-    def test_candidates_equal_probe_loop(self, radius):
-        # the radius-1 and radius-2 probes built per query, as before
+    def test_candidates_equal_probe_loop(self, toy_index):
+        # the probes within two flipped bits built per query, as before
         def reference(index, vec):
             found = set()
             for t in range(index.n_tables):
                 sig = int(index._signatures(vec[None, :], t)[0])
                 probes = [sig]
-                if index.probe_radius >= 1:
-                    probes.extend(sig ^ (1 << b) for b in range(index.n_bits))
-                if index.probe_radius >= 2:
-                    for b1 in range(index.n_bits):
-                        for b2 in range(b1 + 1, index.n_bits):
-                            probes.append(sig ^ (1 << b1) ^ (1 << b2))
+                probes.extend(sig ^ (1 << b) for b in range(index.n_bits))
+                for b1 in range(index.n_bits):
+                    for b2 in range(b1 + 1, index.n_bits):
+                        probes.append(sig ^ (1 << b1) ^ (1 << b2))
                 for p in probes:
                     found.update(index._tables[t].get(p, ()))
             return found
 
-        index = build_phonetic_index(TOY_LEXICON, n_bits=6, n_tables=3,
-                                     probe_radius=radius)
-        rng = np.random.default_rng(radius)
+        index = toy_index
+        assert index.probe_radius == 2
+        rng = np.random.default_rng(2)
         vecs = [index.embed(w) for w in list(TOY_LEXICON) + ["zzyzx", "bookings"]]
         vecs += list(rng.normal(size=(20, index.embeddings.shape[1])))
         for vec in vecs:

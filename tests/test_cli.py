@@ -61,6 +61,12 @@ def test_decode_before_train_is_dependency_error(workdir):
     assert main(["decode", "--config", str(cfg)]) == EXIT_DEPENDENCY
 
 
+def test_ensemble_of_a_missing_file_is_dependency_error(workdir, tmp_path):
+    _, _, cfg = workdir
+    assert main(["ensemble", "--config", str(cfg), "--predictions",
+                 str(tmp_path / "none.json"), "--base", "none.json"]) == EXIT_DEPENDENCY
+
+
 def test_unknown_config_key_is_config_error(workdir):
     _, _, cfg = workdir
     assert main(["augment", "--config", str(cfg),
@@ -122,16 +128,45 @@ def test_batch_size_below_one_is_one_line_config_error(workdir, command, section
      "error: base system 'nope.json' not in predictions"),
     ("augment", [], "paths.lexicon={lexicon}",
      "error: lexicon line 1: expected word<TAB>phonemes"),
+    ("evaluate", ["--predictions", "{text}", "--references", "{predictions}"], "",
+     "error: {text}: Expecting value: line 1 column 1 (char 0)"),
+    ("ensemble", ["--predictions", "{text}", "--base", "text.json"], "",
+     "error: {text}: Expecting value: line 1 column 1 (char 0)"),
+    ("evaluate", ["--predictions", "{untargeted}", "--references", "{predictions}"],
+     "", "error: {untargeted}: record 0: expected an object with a boolean 'target'"),
+    ("ensemble", ["--predictions", "{untargeted}", "--base", "untargeted.json"], "",
+     "error: {untargeted}: record 0: expected an object with a boolean 'target'"),
+    ("tune-consensus", ["--pools", "{pools}", "--references", "{listed}"], "",
+     "error: {listed}: expected an object mapping turn ids to reference texts"),
+    ("evaluate", ["--predictions", "{predictions}", "--references", "{unkeyed}"], "",
+     "error: {unkeyed}: record 0: malformed knowledge ref"),
+    ("evaluate", ["--predictions", "{predictions}", "--references", "{numeric}"], "",
+     "error: {numeric}: record 0: response must be a string"),
 ], ids=["rank-kfolds", "gen-kfolds", "ena-probability", "ensemble-base",
-        "lexicon-tab"])
+        "lexicon-tab", "evaluate-not-json", "ensemble-not-json",
+        "evaluate-no-target", "ensemble-no-target", "tune-consensus-list-references",
+        "evaluate-bad-knowledge", "evaluate-response-not-text"])
 def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
                                            args, override, message):
     _, _, cfg = workdir
-    paths = {"predictions": tmp_path / "predictions.json",
-             "lexicon": tmp_path / "lexicon.tsv"}
+    paths = {name: tmp_path / file for name, file in [
+        ("predictions", "predictions.json"), ("lexicon", "lexicon.tsv"),
+        ("text", "text.json"), ("untargeted", "untargeted.json"),
+        ("pools", "pools.jsonl"), ("listed", "listed.json"),
+        ("unkeyed", "unkeyed.json"), ("numeric", "numeric.json")]}
     paths["predictions"].write_text(json.dumps([{"target": True},
                                                 {"target": False}]))
     paths["lexicon"].write_text("hotel HH OW T EH L\n")
+    paths["text"].write_text("not json\n")
+    paths["untargeted"].write_text(json.dumps([{"x": 1}, {"x": 1}]))
+    paths["pools"].write_text(json.dumps({"turn_id": "t0", "system_id": "a",
+                                          "rank": 1, "logprob": -1.0,
+                                          "text": "yes"}) + "\n")
+    paths["listed"].write_text(json.dumps(["t0"]))
+    paths["unkeyed"].write_text(json.dumps([
+        {"target": True, "knowledge": [{"domain": "hotel"}]}, {"target": False}]))
+    paths["numeric"].write_text(json.dumps([
+        {"target": True, "knowledge": [], "response": 5}, {"target": False}]))
     overrides = [f"paths.output={tmp_path / 'out'}"]
     if override:
         overrides.append(override.format(**paths))
@@ -139,7 +174,7 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
     assert main([command, "--config", str(cfg),
                  *(a.format(**paths) for a in args),
                  "--stage-overrides", *overrides]) == EXIT_CONFIG
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == message.format(**paths) + "\n"
 
 
 def test_full_pipeline_runs(workdir, capsys):

@@ -158,7 +158,7 @@ class TestGenerator:
         model, history = train_generator(examples, cfg)
         hits = 0
         for e in examples:
-            decoded = model.generate_nbest(e.context.text, 1, beam_width=1)[0][0]
+            decoded = model.generate_nbest(e.context.text, 1)[0][0]
             expected = " ".join(e.target.split()[1:]).lower()
             if decoded == expected:
                 hits += 1
@@ -311,12 +311,12 @@ def reference_loss_and_grads(model, example):
     return loss, grads
 
 
-def reference_nbest(model, context, n, beam_width=None):
-    """The n-best beam search written out plainly: every live beam is
-    stepped on its own at every position, each step's tokens are sorted in
-    full (ties to the lower id), and the search runs until every kept beam
-    has emitted EOS or the positions run out."""
-    width = max(n, beam_width or 2 * n)
+def reference_nbest(model, context, n):
+    """The n-best beam search written out plainly: every live beam of the
+    2n-wide beam is stepped on its own at every position, each step's
+    tokens are sorted in full (ties to the lower id), and the search runs
+    until every kept beam has emitted EOS or the positions run out."""
+    width = 2 * n
     _, c = reference_context(model, context)
     bos = model.vocab.get(TAG_RESP, 0)
     eos_id = model.vocab[EOS]
@@ -347,7 +347,7 @@ def reference_nbest(model, context, n, beam_width=None):
 
 @st.composite
 def beam_cases(draw):
-    """A small random generator, a context and (n, beam_width)."""
+    """A small random generator, a context and n."""
     V = draw(st.integers(3, 30))  # vocabulary size, EOS included
     words = [f"w{i}" for i in range(V - 1)]
     if V > 3 and draw(st.booleans()):
@@ -378,9 +378,7 @@ def beam_cases(draw):
         st.just(""),
         st.just("unknown words only"),
         st.lists(st.sampled_from(words), min_size=1, max_size=6).map(" ".join)))
-    n = draw(st.integers(1, 6))
-    beam_width = draw(st.sampled_from([None, 1, n]))
-    return model, context, n, beam_width
+    return model, context, draw(st.integers(1, 6))
 
 
 def flat_generator(V, max_target_tokens, step=0.0):
@@ -398,7 +396,20 @@ def one_text_two_sequences():
     model = ToyGenerator({"": 0, "w1": 1}, d=8, max_target_tokens=6, seed=0)
     model.params["out"][...] = 0.0
     model.params["bo"][...] = [2.0, -6.0, 3.0]
-    return model, "", 2, None
+    return model, "", 2
+
+
+def greedy_decode(model, context):
+    """The most probable token at every position (ties to the lower id),
+    one `_step_forward` at a time, until EOS or the positions run out."""
+    c = model.context_vector(model._ids(tokenize(context)))
+    prev, eos_id, tokens = model.vocab.get(TAG_RESP, 0), model.vocab[EOS], []
+    for pos in range(model.max_target_tokens):
+        prev = int(np.argmax(model._step_forward(np.asarray([prev]), pos, c)["logp"][0]))
+        tokens.append(prev)
+        if prev == eos_id:
+            break
+    return " ".join(model.inv_vocab[t] for t in tokens if t != eos_id)
 
 
 class TestDecodeNBest:
@@ -406,17 +417,17 @@ class TestDecodeNBest:
     @settings(max_examples=250, deadline=None)
     @given(beam_cases())
     # finished beams tie the live ones
-    @example((flat_generator(3, 4), "", 5, None))
+    @example((flat_generator(3, 4), "", 5))
     # more tied tokens than the width: the lower ids go on
-    @example((flat_generator(5, 3), "", 2, None))
+    @example((flat_generator(5, 3), "", 2))
     # two different log-probabilities added to one beam's score round to
     # one sum
-    @example((flat_generator(3, 2, 1e-16), "", 1, 1))
+    @example((flat_generator(3, 2, 1e-16), "", 1))
     @example(one_text_two_sequences())
     def test_equals_reference_beam(self, case):
-        model, context, n, beam_width = case
-        assert (model.generate_nbest(context, n, beam_width)
-                == reference_nbest(model, context, n, beam_width))
+        model, context, n = case
+        assert (model.generate_nbest(context, n)
+                == reference_nbest(model, context, n))
 
     def test_trained_equals_reference_beam(self, trained):
         model, examples = trained
@@ -444,8 +455,7 @@ class TestDecodeNBest:
         model, examples = trained
         for e in examples:
             ctx = e.context.text
-            greedy = model.generate_nbest(ctx, 1, beam_width=1)[0][0]
-            assert decode_nbest(model, ctx, 1)[0][0] == greedy
+            assert decode_nbest(model, ctx, 1)[0][0] == greedy_decode(model, ctx)
 
     def test_sorted_dedup_finite(self, trained):
         model, examples = trained

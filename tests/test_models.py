@@ -541,10 +541,10 @@ class TestCompiledPairRows:
     @pytest.mark.parametrize("epochs", [1, 4])
     def test_training_tokenizes_each_row_once(self, monkeypatch, epochs):
         examples = separable_set()
-        vocab = build_vocab([tokenize(a) + tokenize(b) for a, b, _ in examples])
         calls = []
         real = models.tokenize
         monkeypatch.setattr(models, "tokenize",
                             lambda text: calls.append(text) or real(text))
-        train_pair_classifier(examples, TrainConfig(epochs=epochs, seed=1), vocab=vocab)
-        assert len(calls) == 2 * len(examples)
+        train_pair_classifier(examples, TrainConfig(epochs=epochs, seed=1))
+        # both texts of each row, once for the vocabulary, once compiled
+        assert len(calls) == 4 * len(examples)

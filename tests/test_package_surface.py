@@ -5,17 +5,21 @@ code that only tests reach fails here, by name, in well under a second.
 
 A name counts where code uses it (a name, an attribute, an import) or where
 a string that is not a docstring spells it, as perfbench's tracer does with
-``"ToyEncoder.forward"``. Dunder methods are called by Python itself."""
+``"ToyEncoder.forward"``. Dunder methods are called by Python itself.
+
+Likewise every defaulted parameter of a package function or method is set
+by some call in the program or in the benchmark's scripts (perfbench/*.py),
+or is listed in UNSET_DEFAULTS with its reason: a value only tests set is a
+constant, not an option."""
 
 import ast
 import re
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "kgdial").glob("*.py"))
 READERS = PACKAGE + sorted((ROOT / "perfbench").rglob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 # package code kept because tests check the program against it
 ORACLES = {
@@ -86,3 +90,128 @@ def test_every_package_name_is_used_by_the_program():
 
 def test_every_oracle_is_still_defined():
     assert set(ORACLES) <= {name for _, name in _definitions()}
+
+
+# defaulted parameters that no call in the program sets, each with the
+# reason it stays a parameter
+UNSET_DEFAULTS = {
+    "main(argv)": "the console script calls main() and lets argparse read "
+                  "sys.argv; tests pass the argument list",
+    "bleu_n(n)": "oracle: consensus's sim-bleu features are BLEU-4 only; "
+                 "criterion 1 checks the other orders against a brute force",
+    "finite_difference_check(epsilon)": "oracle: criterion 3's step size",
+    "finite_difference_check(max_entries_per_param)": "oracle: criterion 3's "
+                                                      "sample size",
+    "finite_difference_check(seed)": "oracle: criterion 3's sample draw",
+    "extract_sparse_features(variant)": "the tracer-wrapped reference the "
+                                        "array features are checked against",
+    "extract_sparse_features(alpha)": "the tracer-wrapped reference the "
+                                      "array features are checked against",
+    "ToyEncoder.token_ids(boundary)": "the reference definition of the pair "
+                                      "inputs rank._pair_inputs builds",
+    "pointwise_rank(alpha)": "point-wise decode scales the wide terms by 1; "
+                             "whether rank.alpha should reach it is open",
+    "tune_weights(init_weights)": "acceptance criterion 5 tunes from given "
+                                  "weights",
+}
+
+
+def _scan(path):
+    """The functions and the calls of one file. A function is (qualified
+    name, node, offset), where offset is 1 if a call binds the first
+    parameter itself (self or cls). A call is (callee name, node, the
+    function the call sits in as (qualified name, node), or None)."""
+    functions, calls = [], []
+
+    def visit(node, prefix, in_class, caller):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                qualified = f"{prefix}{child.name}"
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                functions.append((qualified, child, int(in_class and not static)))
+                visit(child, f"{qualified}.", False, (qualified, child))
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True, caller)
+            else:
+                if isinstance(child, ast.Call):
+                    name = (getattr(child.func, "id", None)
+                            or getattr(child.func, "attr", None))
+                    if name:
+                        calls.append((name, child, caller))
+                visit(child, prefix, in_class, caller)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "", False, None)
+    return functions, calls
+
+
+def _defaulted(node):
+    """(name, position) of each defaulted parameter, keyword-only ones at
+    position None, then ("**name", None) if the function takes ``**name``."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    for position, arg in enumerate(positional[first:], first):
+        yield arg.arg, position
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+    if node.args.kwarg:
+        yield f"**{node.args.kwarg.arg}", None
+
+
+def _unset_defaults() -> list[str]:
+    """``function(parameter)`` of every defaulted parameter of the package
+    that no call in the program or the benchmark sets. A call sets a
+    parameter by keyword, by position, through ``*args``, or through a
+    ``**mapping``; a class call is a call of its ``__init__``. A mapping that
+    forwards the calling function's own ``**`` parameter sets something
+    only if that parameter is set itself."""
+    functions, calls = [], []
+    for path in CALLERS:
+        found, made = _scan(path)
+        functions += found if path in PACKAGE else []
+        calls += made
+    by_callee: dict = {}
+    for qualified, node, offset in functions:
+        owner, _, name = qualified.rpartition(".")
+        by_callee.setdefault(owner if name == "__init__" else name,
+                             []).append((qualified, node, offset))
+    passed: set = set()
+    while True:
+        before = len(passed)
+        for name, call, caller in calls:
+            keywords = {k.arg for k in call.keywords}
+            star = any(isinstance(a, ast.Starred) for a in call.args)
+            mapping = False
+            for k in call.keywords:
+                if k.arg is None:
+                    own = (caller is not None and caller[1].args.kwarg
+                           and isinstance(k.value, ast.Name)
+                           and k.value.id == caller[1].args.kwarg.arg)
+                    mapping |= not own or (caller[0], f"**{k.value.id}") in passed
+            for qualified, node, offset in by_callee.get(name, ()):
+                named = {a.arg for a in node.args.posonlyargs + node.args.args
+                         + node.args.kwonlyargs}
+                for param, position in _defaulted(node):
+                    if param.startswith("**"):
+                        hit = bool(keywords - named - {None})
+                    else:
+                        hit = param in keywords or (position is not None and (
+                            star or position - offset < len(call.args)))
+                    if hit or mapping:
+                        passed.add((qualified, param))
+        if len(passed) == before:
+            break
+    return [f"{qualified}({param})" for qualified, node, _ in functions
+            for param, _ in _defaulted(node) if (qualified, param) not in passed]
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    unset = [name for name in _unset_defaults() if name not in UNSET_DEFAULTS]
+    assert not unset, (
+        f"no call in src/kgdial or perfbench/*.py sets {unset}; make each a "
+        "constant, or list it in UNSET_DEFAULTS with the reason it stays")
+
+
+def test_every_unset_default_is_still_unset():
+    assert set(UNSET_DEFAULTS) <= set(_unset_defaults())

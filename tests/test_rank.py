@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from kgdial import rank
 from kgdial.corpus import (
-    DOMAIN_LEVEL, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
-    TurnLabel, linearize_history, linearize_knowledge, tokenize,
+    DOMAIN_LEVEL, TOP_K, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker,
+    Turn, TurnLabel, linearize_history, linearize_knowledge, tokenize,
 )
 from kgdial.entity_track import collect_candidates, exact_match_entities
 from kgdial.augment import AugmentConfig, augment_entity_name
@@ -194,18 +194,19 @@ class TestSparseFeatures:
 
 
 class TestNegativeSampling:
-    def test_pool_c_only_other_mentioned_entities(self):
+    def test_pool_c_draws_an_other_mentioned_entity(self):
         kb = make_kb()
         d = ks_dialogue("x", "Hamilton Lodge", kb,
                         text="is Hamilton Lodge better than SW Hotel?")
         gt = kb.snippets_for("hotel", "1")[0]
-        # mentioned non-gt entities: SW Hotel and the nested "hotel" pseudo-entity
+        # mentioned non-gt entities: SW Hotel and the nested "hotel"
+        # pseudo-entity; their three snippets outlast the draws of the kb
+        # and mentioned pools, so pool c always adds one of them
         allowed = {("hotel", "2"), ("hotel", DOMAIN_LEVEL)}
         rng = np.random.default_rng(0)
         for _ in range(20):
-            negs = sample_negatives(gt, kb, d, rng, count=3,
-                                    strategy=("other_entity",))
-            assert {n.entity_key for n in negs} <= allowed
+            negs = sample_negatives(gt, kb, d, rng, count=3)
+            assert {n.entity_key for n in negs} & allowed
 
     def test_never_returns_ground_truth(self):
         kb = make_kb()
@@ -507,10 +508,10 @@ class TestBatchedPointwise:
             expected = [reference_logit(m, d, s, alpha, tracked) for s in cands]
             assert m.logits(d, cands, context, alpha) == expected
             assert [m.logits(d, [s], context, alpha)[0] for s in cands] == expected
-            ranked = pointwise_rank(m, d, cands, context, alpha=alpha,
-                                    top_n=len(cands))
-            assert dict((s.key, p) for s, p in ranked.items) == {
-                s.key: sigmoid(z) for s, z in zip(cands, expected)}
+            ranked = pointwise_rank(m, d, cands, context, alpha=alpha)
+            assert [(s.key, p) for s, p in ranked.items] == sorted(
+                ((s.key, sigmoid(z)) for s, z in zip(cands, expected)),
+                key=lambda t: (-t[1], t[0]))[:TOP_K]
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_rerank_features_equal_per_snippet_features(self, monkeypatch, variant):
@@ -643,12 +644,10 @@ class TestFeatureArrays:
             assert np.array_equal(m.logits(d, cands, context, alpha), expected)
             assert m.logits(d, [], context, alpha) == []
             # an empty list falls back to the whole knowledge base
-            ranked = pointwise_rank(m, d, [], context, alpha=alpha, kb=kb,
-                                    top_n=len(cands))
+            ranked = pointwise_rank(m, d, [], context, alpha=alpha, kb=kb)
             assert np.array_equal([p for _, p in ranked.items], sorted(
-                (sigmoid(z) for z in expected), reverse=True))
-            assert ranked == pointwise_rank(m, d, cands, context, alpha=alpha,
-                                            top_n=len(cands))
+                (sigmoid(z) for z in expected), reverse=True)[:TOP_K])
+            assert ranked == pointwise_rank(m, d, cands, context, alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
     def test_distribution_equals_per_candidate_loop(self, variant_models, alpha):
