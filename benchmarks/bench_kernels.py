@@ -6,17 +6,19 @@ bit-parallel LCS kernel (`kernels.lcs_length_tokens`, given Python lists
 as consensus decoding gives it token lists) on random sequences of growing
 length, the batched edit distance (`kernels.levenshtein_many`) against a
 per-pair `levenshtein` loop on (entity name, same-length window) pairs,
-`fuzzy_match_entities` over synth dialogues, and the save and load of a
-rank checkpoint the size the README quick start trains. Run after
-`pip install -e .`:
+`fuzzy_match_entities` over synth dialogues, the save and load of a
+rank checkpoint the size the README quick start trains, and
+`ToyEncoder.pair_readouts` against one encoder pass per history-snippet
+pair at the two decode workloads' shapes. Run after `pip install -e .`:
 
     python3 benchmarks/bench_kernels.py
 
 Before timing, the kernels are checked against a plain-Python DP of this
 script's own (on the sequences of at most CHECK_MAX elements, where it
 runs in seconds), and fuzzy matching against its scalar definition
-(`fuzzy_similarity`), and a loaded checkpoint against the tensors saved;
-the whole script takes about half a minute on one
+(`fuzzy_similarity`), a loaded checkpoint against the tensors saved, and
+the shared-history readouts against the per-pair passes; the whole script
+takes about half a minute on one
 x86-64 core. ``tests/test_bench_kernels.py`` runs the same checks at small
 sizes.
 """
@@ -178,12 +180,58 @@ def bench_checkpoint_io(n_vocab=288, d=24, repeat=20):
     print(f"  load  {t_load * 1e3:.3f} ms")
 
 
+# (name, history tokens, candidates): the pipeline benchmark's decode-short
+# turns, and its decode-long turns, whose history is cut to max_len
+READOUT_SHAPES = (("decode-short", 27, 20), ("decode-long", 110, 50))
+
+
+def bench_pair_readouts(shapes=READOUT_SHAPES, d=24, max_len=128, repeat=20):
+    """`ToyEncoder.pair_readouts` of one history against a candidate list
+    against one `forward` + `pair_readout` per pair, at the decode shapes:
+    random history ids and snippets drawn from the synth knowledge base
+    (18-24 tokens). Checked first: equal up to rounding, and each row the
+    same bit for bit when its snippet is scored alone."""
+    from kgdial.corpus import linearize_knowledge, tokenize
+    from kgdial.models import ToyEncoder, pair_readout
+    from kgdial.synth import MiniCorpusConfig, build_mini_corpus
+
+    rng = np.random.default_rng(0)
+    _, kb, _ = build_mini_corpus(MiniCorpusConfig(n_dialogues=4, seed=6))
+    snippets = [tokenize(linearize_knowledge(s)) for s in kb.snippets]
+    vocab = {tok: i for i, tok in enumerate(sorted({t for s in snippets for t in s}))}
+    encoder = ToyEncoder(vocab, d=d, max_len=max_len, seed=0)
+    print(f"\nshared-history readouts, d={d}, max_len={max_len} "
+          f"(best of {repeat}, milliseconds)")
+    for name, n_history, n_candidates in shapes:
+        history = rng.integers(0, len(vocab), size=n_history)
+        rights = [encoder.vocab_ids(snippets[int(i)])
+                  for i in rng.choice(len(snippets), size=n_candidates, replace=False)]
+
+        def per_pair():
+            return np.array([pair_readout(encoder.forward(*encoder.pair_ids(history, r)))
+                             for r in rights])
+
+        shared = encoder.pair_readouts(history, rights)
+        expected = per_pair()
+        assert np.abs(shared - expected).max() <= 1e-12 * np.abs(expected).max()
+        for row, right in zip(shared, rights):
+            assert encoder.pair_readouts(history, [right])[0].tobytes() == row.tobytes()
+        t_shared = timeit(encoder.pair_readouts, history, rights, repeat=repeat)
+        t_loop = timeit(per_pair, repeat=repeat)
+        lengths = sorted({len(r) for r in rights})
+        print(f"  {name}: history {n_history}, {n_candidates} candidates, "
+              f"snippet lengths {lengths}")
+        print(f"    pair_readouts        {t_shared * 1e3:.3f}")
+        print(f"    per-pair passes      {t_loop * 1e3:.3f}  ({t_loop / t_shared:.2f}x)")
+
+
 def main():
     rng = np.random.default_rng(0)
     bench_pairwise(rng)
     bench_batched_levenshtein(rng)
     bench_fuzzy_workload()
     bench_checkpoint_io()
+    bench_pair_readouts()
 
 
 if __name__ == "__main__":

@@ -96,10 +96,19 @@ class ConsensusWeights:
         return {"features": list(FEATURE_NAMES), "weights": self.values.tolist()}
 
     @classmethod
-    def from_json(cls, data: dict) -> "ConsensusWeights":
-        if list(data.get("features", [])) != list(FEATURE_NAMES):
+    def from_json(cls, data) -> "ConsensusWeights":
+        """The weights of a `to_json` object; anything else is a
+        ConsensusError."""
+        if not isinstance(data, dict):
+            raise ConsensusError("weights must be a JSON object")
+        if data.get("features") != list(FEATURE_NAMES):
             raise ConsensusError("feature-name header mismatch")
-        return cls(np.asarray(data["weights"], dtype=np.float64))
+        weights = data.get("weights")
+        if not (isinstance(weights, list) and all(
+                isinstance(w, (int, float)) and not isinstance(w, bool)
+                for w in weights)):
+            raise ConsensusError("'weights' must be a list of numbers")
+        return cls(np.asarray(weights, dtype=np.float64))
 
     @classmethod
     def uniform(cls) -> "ConsensusWeights":
@@ -498,8 +507,13 @@ def save_weights(weights: ConsensusWeights, path: str) -> None:
 
 
 def load_weights(path: str) -> ConsensusWeights:
-    with open(path, encoding="utf-8") as fh:
-        return ConsensusWeights.from_json(json.load(fh))
+    """The weights `save_weights` wrote to ``path``; a file that does not
+    hold them is a one-line ConsensusError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return ConsensusWeights.from_json(json.load(fh))
+    except (ValueError, ConsensusError) as exc:  # json.JSONDecodeError is one
+        raise ConsensusError(f"{path}: {exc}") from exc
 
 
 def load_pools(path: str) -> list[CandidatePool]:

@@ -11,7 +11,8 @@ array, then computes the edit distances of the pairs the bound leaves open,
 those of every length together, in one batched DP per call
 (``kernels.levenshtein_many``). Learned tracking scores the history against
 every entity in one ``scores`` call of the pair scorer, which maps the
-history to ids once.
+history to ids once and, for the reference scorer, encodes it once per
+truncation window (``ToyEncoder.pair_readouts``).
 """
 
 from __future__ import annotations

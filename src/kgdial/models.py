@@ -9,7 +9,14 @@ be plugged in behind the ``SentencePairScorer`` protocol, which learned
 entity tracking reads.
 
 All math is float64 and seeded; training is single-threaded and
-bit-reproducible. Inference never mutates parameters.
+bit-reproducible. Inference never mutates parameters. ``forward`` is the
+one training and reference pass, returning the caches ``backward`` reads.
+At inference, ``pair_readouts`` scores one history against a list of right
+sides (a ranker's candidate snippets, a tracker's entity names): the
+history's attention block is computed once per truncation window and each
+candidate adds only its own blocks, equal to one ``forward`` per pair up to
+rounding (Hydragen's shared-prefix attention, with the online-softmax
+max-shift rescaling of Milakov & Gimelshein to recombine the blocks).
 
 A checkpoint is an ``.npz`` archive of two members: a JSON metadata block
 (the model's config, ``version`` and the tensor layout) and one float64
@@ -32,6 +39,14 @@ UNK = "⟨unk⟩"
 
 CHECKPOINT_VERSION = 2
 _LAYOUT = "layout"
+
+# most elements a stacked temporary of `ToyEncoder.pair_readouts` holds
+# (256 KB of float64), unless one candidate's own needs more
+_STACK_BLOCK = 1 << 15
+# fewest history rows a window of `ToyEncoder.pair_readouts` shares: below
+# about this many, sharing costs a five-candidate list (the list-wise
+# reranker's) more than its per-pair passes
+_SHARED_MIN_LEFT = 40
 
 
 class ModelError(Exception):
@@ -171,6 +186,97 @@ class ToyEncoder:
             f = H[0]
         return {"ids": ids, "segs": segs, "E": E, "Q": Q, "K": K, "Vm": Vm,
                 "A": A, "H": H, "f": f}
+
+    def pair_readouts(self, left: np.ndarray,
+                      rights: Sequence[np.ndarray]) -> np.ndarray:
+        """``pair_readout(forward(*pair_ids(left, right)))`` of every right
+        side, one row each, equal to it up to rounding; inference only.
+
+        Right sides of one length cut the history at the same position, so
+        they share a window: its left rows' embeddings, Q/K/V rows and
+        left x left score block are computed once. Each right side adds its
+        own blocks, and the left rows' softmax normalisers are recombined
+        with the shared block's by max-shift rescaling, so no candidate
+        builds its attention matrix. A window shorter than
+        ``_SHARED_MIN_LEFT`` rows, or with no left or no right row, takes
+        the plain ``forward``. Every product is stacked per candidate, so a
+        candidate's row is the same, bit for bit, in any list at any
+        position."""
+        out = np.empty((len(rights), 2 * self.d))
+        windows: dict[int, dict[int, list[int]]] = {}
+        for j, right in enumerate(rights):
+            n_left = min(len(left), self.max_len - len(right))
+            if len(right) == 0 or n_left < _SHARED_MIN_LEFT:
+                out[j] = pair_readout(self.forward(*self.pair_ids(left, right)))
+            else:
+                windows.setdefault(n_left, {}).setdefault(len(right), []).append(j)
+        p = self.params
+        # one projection to [Q / sqrt(d), K, V]
+        w_qkv = np.hstack((p["wq"] / math.sqrt(self.d), p["wk"], p["wv"]))
+        for n_left, groups in windows.items():
+            shared = self._left_block(left[len(left) - n_left:], w_qkv)
+            for m, members in groups.items():
+                step = max(1, _STACK_BLOCK // (m * max(n_left + m, 3 * self.d)))
+                for lo in range(0, len(members), step):
+                    block = members[lo:lo + step]
+                    out[block] = self._shared_readouts(
+                        shared, w_qkv, np.stack([rights[j] for j in block]))
+        return out
+
+    def _left_block(self, left: np.ndarray, w_qkv: np.ndarray) -> tuple:
+        """What every right side of one window shares: the left rows'
+        embedding sum and first row, their Q, K and V rows, and per left
+        row the max of its left x left scores, the sum of their
+        exponentials shifted by it, and those exponentials' product with
+        the values."""
+        d = self.d
+        E = self.params["emb"][left] + self.params["seg"][0]
+        QKV = E @ w_qkv
+        Q, K, Vm = QKV[:, :d], QKV[:, d:2 * d], QKV[:, 2 * d:]
+        S = Q @ K.T
+        top = S.max(axis=1)
+        S -= top[:, None]
+        np.exp(S, out=S)
+        return E.sum(axis=0), E[0], Q, K, Vm, top, S.sum(axis=1), S @ Vm
+
+    def _shared_readouts(self, shared: tuple, w_qkv: np.ndarray,
+                         rights: np.ndarray) -> np.ndarray:
+        """`pair_readout` rows of a (k, m) stack of right sides in one
+        window. A left row's scores against a right side raise its row max
+        from ``top`` to ``row_max``: its shared exponentials shrink by
+        exp(top - row_max) and join the right side's in its normaliser.
+        The left x right scores are held transposed, (k, m, n_left), so
+        their per-row reductions run across contiguous rows."""
+        d = self.d
+        e_left, e_first, Q_l, K_l, V_l, top, z_l, PV_l = shared
+        n_left, m = len(Q_l), rights.shape[1]
+        E = self.params["emb"][rights] + self.params["seg"][1]
+        QKV = E @ w_qkv
+        Q, K, Vm = QKV[:, :, :d], QKV[:, :, d:2 * d], QKV[:, :, 2 * d:]
+        # right rows: plain softmax rows over the left and the right columns
+        S = np.empty((len(rights), m, n_left + m))
+        np.matmul(Q, K_l.T, out=S[:, :, :n_left])
+        np.matmul(Q, K.transpose(0, 2, 1), out=S[:, :, n_left:])
+        S -= S.max(axis=2, keepdims=True)
+        np.exp(S, out=S)
+        cols = (1.0 / S.sum(axis=2))[:, None, :] @ S
+        av_r = (cols[:, :, :n_left] @ V_l + cols[:, :, n_left:] @ Vm)[:, 0]
+        # left rows: the shared block rescaled, plus a right block
+        T = K @ Q_l.T
+        row_max = np.maximum(T.max(axis=1), top)
+        T -= row_max[:, None, :]
+        np.exp(T, out=T)
+        shrink = np.exp(top - row_max)
+        inv_z = 1.0 / (shrink * z_l + T.sum(axis=1))
+        e_right = E.sum(axis=1)
+        if self.pooling == "mean":
+            av_l = ((shrink * inv_z)[:, None, :] @ PV_l
+                    + (T @ inv_z[:, :, None]).transpose(0, 2, 1) @ Vm)[:, 0]
+            f = (e_left + e_right + av_l + av_r) / (n_left + m)
+        else:
+            f = (e_first + (shrink[:, :1] * inv_z[:, :1]) * PV_l[0]
+                 + ((T[:, :, :1] * inv_z[:, None, :1]).transpose(0, 2, 1) @ Vm)[:, 0])
+        return np.concatenate((f, (e_right + av_r) / m), axis=1)
 
     def backward(self, cache: dict, dH: np.ndarray | None, df: np.ndarray | None,
                  grads: dict) -> None:
@@ -320,23 +426,18 @@ class ToyPairScorer:
         return enc.pair_ids(enc.vocab_ids(tokenize(sentence1)),
                             enc.vocab_ids(tokenize(sentence2)))
 
-    def _logit(self, pair: tuple[np.ndarray, np.ndarray]) -> float:
-        cache = self.encoder.forward(*pair)
-        return float(self.params["w"] @ pair_readout(cache) + self.params["b"][0])
-
-    def logit(self, sentence1: str, sentence2: str) -> float:
-        return self._logit(self._pair_ids(sentence1, sentence2))
-
     def score(self, sentence1: str, sentence2: str) -> float:
-        return sigmoid(self.logit(sentence1, sentence2))
+        return self.scores(sentence1, [sentence2])[0]
 
     def scores(self, sentence1: str, sentences2: Sequence[str]) -> list[float]:
         """``score(sentence1, s)`` for every s in sentences2, with sentence1
-        mapped to ids once."""
+        mapped to ids once and encoded through `ToyEncoder.pair_readouts`
+        (an empty s takes the plain ``forward``)."""
         enc = self.encoder
-        left = enc.vocab_ids(tokenize(sentence1))
-        return [sigmoid(self._logit(enc.pair_ids(left, enc.vocab_ids(tokenize(s)))))
-                for s in sentences2]
+        readouts = enc.pair_readouts(enc.vocab_ids(tokenize(sentence1)),
+                                     [enc.vocab_ids(tokenize(s)) for s in sentences2])
+        return [sigmoid(float(self.params["w"] @ u + self.params["b"][0]))
+                for u in readouts]
 
     def compile(self, example: tuple[str, str, int]) -> PairRow:
         s1, s2, label = example

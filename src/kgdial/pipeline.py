@@ -563,8 +563,9 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
 def _check_turn_records(records) -> None:
     """Every turn record is an object with a boolean ``target``; its
     ``knowledge``, if any, is a list of {domain, entity_id, doc_id}
-    objects and its ``response``, if any, a string. A ValueError names the
-    first record that is not."""
+    objects, its ``response``, if any, a string and its
+    ``detection_probability``, if any, a number in [0, 1]. A ValueError
+    names the first record that is not."""
     if not isinstance(records, list):
         raise ValueError(f"expected a list of turn records, got {type(records).__name__}")
     for i, rec in enumerate(records):
@@ -577,6 +578,11 @@ def _check_turn_records(records) -> None:
             raise ValueError(f"record {i}: malformed knowledge ref")
         if not isinstance(rec.get("response", ""), str):
             raise ValueError(f"record {i}: response must be a string")
+        prob = rec.get("detection_probability", 0.0)
+        if isinstance(prob, bool) or not (isinstance(prob, (int, float))
+                                          and 0.0 <= prob <= 1.0):
+            raise ValueError(f"record {i}: detection_probability must be a "
+                             f"number in [0, 1]")
 
 
 def validate_labels_schema(records: Sequence[dict]) -> None:

@@ -7,11 +7,16 @@ A turn reaches the rankers one way: as the `DialogueFeatures` that
 ``dialogue_features(dialogue, tracked)`` builds once, so the models track
 no entities and need no knowledge base at inference. Between ranking layers
 a candidate list's sparse features are one n x 4 indicator array
-(``DialogueFeatures.indicators``), scaled by alpha at inference. Each
-candidate costs one encoder pass over the history-snippet pair, built from
-id arrays; the head and wide terms of all candidates are added at once, as
-stacked (1, k) @ (k, 1) products that equal the per-candidate 1-D dots bit
-for bit. A model maps each snippet to ids, and each entity name to its
+(``DialogueFeatures.indicators``), scaled by alpha at inference. At
+inference a candidate list is encoded in one `ToyEncoder.pair_readouts`
+call: the history's part of the attention is computed once per truncation
+window and each candidate adds only its own snippet's blocks, which equals
+one encoder pass per history-snippet pair up to rounding and gives each
+candidate the same result in any list. Training encodes each pair with its
+own pass, keeping the caches backward needs. The head and wide terms of
+all candidates are added at once, as stacked (1, k) @ (k, 1) products that
+equal the per-candidate 1-D dots bit for bit. A model maps each snippet to
+ids, and each entity name to its
 token and bigram sets (``NameGrams``), on first use and keeps them, since
 its vocabulary is fixed.
 
@@ -383,22 +388,32 @@ def _mtl_backward(cache, params: MTLParams, dlogits: np.ndarray,
     return df, dH
 
 
-def _pair_inputs(encoder: ToyEncoder, snippet_ids: dict[KnowledgeSnippet, np.ndarray],
-                 dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet]
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(ids, segs) of the dialogue history followed by each candidate,
-    equal to ``encoder.token_ids(history + snippet, len(history))``. The
-    history is mapped to ids once; a snippet is mapped on its first use and
-    kept in ``snippet_ids``, the model's table (its vocabulary is fixed)."""
+def _snippet_inputs(encoder: ToyEncoder,
+                    snippet_ids: dict[KnowledgeSnippet, np.ndarray],
+                    dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet]
+                    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ids of the dialogue history and of each candidate. The history
+    is mapped to ids once; a snippet is mapped on its first use and kept in
+    ``snippet_ids``, the model's table (its vocabulary is fixed)."""
     history = encoder.vocab_ids(tokenize(linearize_history(dialogue)))
-    pairs = []
+    rights = []
     for snippet in candidates:
         ids = snippet_ids.get(snippet)
         if ids is None:
             ids = snippet_ids[snippet] = encoder.vocab_ids(
                 tokenize(linearize_knowledge(snippet)))
-        pairs.append(encoder.pair_ids(history, ids))
-    return pairs
+        rights.append(ids)
+    return history, rights
+
+
+def _pair_inputs(encoder: ToyEncoder, snippet_ids: dict[KnowledgeSnippet, np.ndarray],
+                 dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet]
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(ids, segs) of the dialogue history followed by each candidate,
+    equal to ``encoder.token_ids(history + snippet, len(history))``: the
+    training rows' encoder inputs."""
+    history, rights = _snippet_inputs(encoder, snippet_ids, dialogue, candidates)
+    return [encoder.pair_ids(history, ids) for ids in rights]
 
 
 def _stacked_dot(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -408,19 +423,21 @@ def _stacked_dot(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ w[:, None])[:, 0, 0]
 
 
-def _wide_deep_logits(model, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                      vectors: np.ndarray, caches: Optional[list] = None) -> np.ndarray:
+def _wide_deep_logits(model, readouts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``head.w . readout + head.b + wide.u . vector`` of every (encoder
-    pair, sparse-feature row), with one encoder pass per pair; ``caches``
-    collects each pair's (encoder cache, readout)."""
-    readouts = np.empty((len(pairs), model.head["w"].shape[0]))
-    for j, pair in enumerate(pairs):
-        cache = model.encoder.forward(*pair)
-        readouts[j] = pair_readout(cache)
-        if caches is not None:
-            caches.append((cache, readouts[j]))
+    readout, sparse-feature row)."""
     return (_stacked_dot(readouts, model.head["w"]) + model.head["b"][0]
             + _stacked_dot(vectors, model.wide["u"]))
+
+
+def _candidate_logits(model, dialogue: Dialogue,
+                      candidates: Sequence[KnowledgeSnippet],
+                      vectors: np.ndarray) -> np.ndarray:
+    """`_wide_deep_logits` of every candidate against one dialogue, the
+    history encoded once per window (`ToyEncoder.pair_readouts`)."""
+    readouts = model.encoder.pair_readouts(*_snippet_inputs(
+        model.encoder, model._snippet_ids, dialogue, candidates))
+    return _wide_deep_logits(model, readouts, vectors)
 
 
 @dataclass
@@ -553,13 +570,11 @@ class PointwiseModel:
     def logits(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
                context: DialogueFeatures, alpha: float = 1.0) -> list[float]:
         """Logit of every candidate against one dialogue, whose sparse
-        features' dialogue part is ``context``. The history tokens are
-        mapped once for the list; each candidate gets its own encoder pass,
-        since the encoder attends across the pair."""
+        features' dialogue part is ``context``."""
         indicators = context.indicators(candidates, self.config.variant,
                                         self._name_grams)
-        pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
-        return _wide_deep_logits(self, pairs, indicators * feature_scale(alpha)).tolist()
+        return _candidate_logits(self, dialogue, candidates,
+                                 indicators * feature_scale(alpha)).tolist()
 
     def _dialogue_inputs(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
                          tracked: Optional[Sequence[Entity]]
@@ -811,8 +826,8 @@ class ListwiseModel:
             raise RankError("listwise scoring needs at least one candidate")
         if len(candidates) > TOP_K:
             raise RankError(f"listwise scoring accepts at most {TOP_K} candidates")
-        pairs = _pair_inputs(self.encoder, self._snippet_ids, dialogue, candidates)
-        return softmax(_wide_deep_logits(self, pairs, features * feature_scale(alpha)))
+        return softmax(_candidate_logits(self, dialogue, candidates,
+                                         features * feature_scale(alpha)))
 
     def compile(self, instance: ListwiseInstance) -> ListwiseRow:
         return ListwiseRow(instance, _pair_inputs(
@@ -824,14 +839,15 @@ class ListwiseModel:
         params = self.all_params()
         grads = {k: np.zeros(v.shape) for k, v in params.items()}
         vectors = row.instance.features  # indicator value 1: alpha is for inference
-        caches: list = []
-        p = softmax(_wide_deep_logits(self, row.pairs, vectors, caches))
+        caches = [self.encoder.forward(*pair) for pair in row.pairs]
+        readouts = np.array([pair_readout(cache) for cache in caches])
+        p = softmax(_wide_deep_logits(self, readouts, vectors))
         true_index = row.instance.true_index
         loss = -math.log(max(p[true_index], 1e-300))
         dlogits = p.copy()
         dlogits[true_index] -= 1.0
         enc_grads = {name: grads[f"enc.{name}"] for name in self.encoder.params}
-        for j, ((cache, u), vec) in enumerate(zip(caches, vectors)):
+        for j, (cache, u, vec) in enumerate(zip(caches, readouts, vectors)):
             dz = dlogits[j]
             grads["head.w"] += dz * u
             grads["head.b"] += np.array([dz])

@@ -33,3 +33,8 @@ def test_fuzzy_workload_checks(bench):
 
 def test_checkpoint_io_checks(bench):
     bench.bench_checkpoint_io(n_vocab=12, d=4, repeat=1)
+
+
+def test_pair_readouts_checks(bench):
+    bench.bench_pair_readouts(shapes=(("short", 5, 3), ("cut", 40, 4)), d=4,
+                              max_len=48, repeat=1)

@@ -142,10 +142,15 @@ def test_batch_size_below_one_is_one_line_config_error(workdir, command, section
      "error: {unkeyed}: record 0: malformed knowledge ref"),
     ("evaluate", ["--predictions", "{predictions}", "--references", "{numeric}"], "",
      "error: {numeric}: record 0: response must be a string"),
+    ("ensemble", ["--predictions", "{worded}", "--base", "worded.json"], "",
+     "error: {worded}: record 0: detection_probability must be a number in [0, 1]"),
+    ("ensemble", ["--predictions", "{above}", "--base", "above.json"], "",
+     "error: {above}: record 1: detection_probability must be a number in [0, 1]"),
 ], ids=["rank-kfolds", "gen-kfolds", "ena-probability", "ensemble-base",
         "lexicon-tab", "evaluate-not-json", "ensemble-not-json",
         "evaluate-no-target", "ensemble-no-target", "tune-consensus-list-references",
-        "evaluate-bad-knowledge", "evaluate-response-not-text"])
+        "evaluate-bad-knowledge", "evaluate-response-not-text",
+        "ensemble-probability-not-number", "ensemble-probability-above-one"])
 def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
                                            args, override, message):
     _, _, cfg = workdir
@@ -153,7 +158,8 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
         ("predictions", "predictions.json"), ("lexicon", "lexicon.tsv"),
         ("text", "text.json"), ("untargeted", "untargeted.json"),
         ("pools", "pools.jsonl"), ("listed", "listed.json"),
-        ("unkeyed", "unkeyed.json"), ("numeric", "numeric.json")]}
+        ("unkeyed", "unkeyed.json"), ("numeric", "numeric.json"),
+        ("worded", "worded.json"), ("above", "above.json")]}
     paths["predictions"].write_text(json.dumps([{"target": True},
                                                 {"target": False}]))
     paths["lexicon"].write_text("hotel HH OW T EH L\n")
@@ -167,6 +173,11 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
         {"target": True, "knowledge": [{"domain": "hotel"}]}, {"target": False}]))
     paths["numeric"].write_text(json.dumps([
         {"target": True, "knowledge": [], "response": 5}, {"target": False}]))
+    paths["worded"].write_text(json.dumps([
+        {"target": True, "detection_probability": "high"}]))
+    paths["above"].write_text(json.dumps([
+        {"target": True, "detection_probability": 1}, {"target": True,
+                                                       "detection_probability": 1.5}]))
     overrides = [f"paths.output={tmp_path / 'out'}"]
     if override:
         overrides.append(override.format(**paths))
@@ -315,6 +326,29 @@ def test_decode_time_domain_error_is_one_line(workdir, tmp_path, capsys):
     assert err.startswith("error: decode failed at turn ")
     assert err.rstrip().endswith("n must be >= 1")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("not json\n", "Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", "weights must be a JSON object"),
+    ('{"weights": [1]}', "feature-name header mismatch"),
+    (json.dumps({**ConsensusWeights.uniform().to_json(), "weights": "x"}),
+     "'weights' must be a list of numbers"),
+    (json.dumps({**ConsensusWeights.uniform().to_json(), "weights": [1.0]}),
+     "expected 10 weights"),
+], ids=["not-json", "not-an-object", "no-header", "weights-not-numbers",
+        "too-few-weights"])
+def test_bad_consensus_weights_is_one_line_error(workdir, tmp_path, capsys, text,
+                                                 message):
+    root, _, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    weights = out / "consensus.weights.json"
+    weights.write_text(text)
+    capsys.readouterr()
+    assert main(["decode", "--config", str(cfg), "--stage-overrides",
+                 f"paths.output={out}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {weights}: {message}\n"
 
 
 def test_ensemble_subcommand(workdir):

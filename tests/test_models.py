@@ -548,3 +548,138 @@ class TestCompiledPairRows:
         train_pair_classifier(examples, TrainConfig(epochs=epochs, seed=1))
         # both texts of each row, once for the vocabulary, once compiled
         assert len(calls) == 4 * len(examples)
+
+
+def per_pair_readouts(encoder, left, rights):
+    """`ToyEncoder.pair_readouts` as one plain pass per pair."""
+    return np.array([pair_readout(encoder.forward(*encoder.pair_ids(left, r)))
+                     for r in rights]).reshape(len(rights), 2 * encoder.d)
+
+
+def random_case(rng, max_len, n_left, lengths):
+    """A random vocabulary's encoder with a history of ``n_left`` ids and
+    one right side per length in ``lengths``."""
+    n_vocab = int(rng.integers(2, 30))
+    encoder = ToyEncoder({f"w{i}": i for i in range(n_vocab)},
+                         d=int(rng.integers(2, 9)), max_len=max_len,
+                         seed=int(rng.integers(1000)))
+    left = rng.integers(0, n_vocab, size=n_left)
+    return encoder, left, [rng.integers(0, n_vocab, size=m) for m in lengths]
+
+
+# (max_len, history length, right-side lengths)
+READOUT_CASES = {
+    "no truncation": (64, 12, [3, 5, 3, 7]),
+    "truncation inside the history": (24, 30, [4, 6, 4, 9, 6]),
+    "right side of max_len or more": (16, 10, [16, 20, 3]),
+    "empty history": (16, 0, [3, 5]),
+    "empty right side": (16, 8, [0, 4, 0]),
+    "one candidate": (32, 20, [6]),
+    "duplicate candidates": (32, 20, [5, 5]),
+    "mixed lengths": (32, 25, [1, 2, 3, 5, 8, 13, 2, 1]),
+}
+
+
+class TestPairReadouts:
+    """`ToyEncoder.pair_readouts` equals one forward pass per pair up to
+    rounding, and gives a candidate the same row in any list."""
+
+    @pytest.fixture(params=[1, models._SHARED_MIN_LEFT], ids=["shared", "default"])
+    def min_left(self, request, monkeypatch):
+        monkeypatch.setattr(models, "_SHARED_MIN_LEFT", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("pooling", ["mean", "first"])
+    @pytest.mark.parametrize("case", sorted(READOUT_CASES))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_per_pair_passes(self, min_left, case, pooling, seed):
+        max_len, n_left, lengths = READOUT_CASES[case]
+        rng = np.random.default_rng(seed)
+        encoder, left, rights = random_case(rng, max_len, n_left, lengths)
+        encoder.pooling = pooling
+        if case == "duplicate candidates":
+            rights[1] = rights[0].copy()
+        expected = per_pair_readouts(encoder, left, rights)
+        got = encoder.pair_readouts(left, rights)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        if case == "duplicate candidates":
+            assert got[0].tobytes() == got[1].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), max_len=st.integers(2, 40),
+           n_left=st.integers(0, 50), lengths=st.lists(st.integers(0, 45), max_size=8),
+           pooling=st.sampled_from(["mean", "first"]))
+    def test_random_lists_equal_per_pair_passes(self, seed, max_len, n_left,
+                                                lengths, pooling):
+        encoder, left, rights = random_case(np.random.default_rng(seed), max_len,
+                                            n_left, lengths)
+        encoder.pooling = pooling
+        expected = per_pair_readouts(encoder, left, rights)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "_SHARED_MIN_LEFT", 1)
+            got = encoder.pair_readouts(left, rights)
+        assert got.shape == expected.shape
+        if rights:
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("block", [models._STACK_BLOCK, 64])
+    @pytest.mark.parametrize("pooling", ["mean", "first"])
+    def test_row_independent_of_list_and_position(self, monkeypatch, block, pooling):
+        monkeypatch.setattr(models, "_SHARED_MIN_LEFT", 1)
+        monkeypatch.setattr(models, "_STACK_BLOCK", block)
+        rng = np.random.default_rng(7)
+        for max_len, n_left in ((64, 20), (24, 30)):
+            encoder, left, rights = random_case(
+                rng, max_len, n_left, rng.integers(1, 9, size=24).tolist())
+            encoder.pooling = pooling
+            rows = encoder.pair_readouts(left, rights)
+            for j, right in enumerate(rights):
+                alone = encoder.pair_readouts(left, [right])[0]
+                assert alone.tobytes() == rows[j].tobytes()
+            for _ in range(3):
+                order = rng.permutation(len(rights))[:int(rng.integers(1, len(rights)))]
+                got = encoder.pair_readouts(left, [rights[i] for i in order])
+                assert got.tobytes() == rows[order].tobytes()
+
+    def test_stacks_stay_within_the_block(self, monkeypatch):
+        monkeypatch.setattr(models, "_SHARED_MIN_LEFT", 1)
+        monkeypatch.setattr(models, "_STACK_BLOCK", 200)
+        seen = []
+        real = ToyEncoder._shared_readouts
+
+        def recording(self, shared, w_qkv, rights):
+            seen.append((len(shared[2]), *rights.shape))
+            return real(self, shared, w_qkv, rights)
+
+        monkeypatch.setattr(ToyEncoder, "_shared_readouts", recording)
+        encoder, left, rights = random_case(np.random.default_rng(3), 24, 30,
+                                            [4] * 9 + [6] * 5)
+        encoder.pair_readouts(left, rights)
+        assert sum(k for _, k, _ in seen) == len(rights) and len(seen) > 2
+        assert all(k == 1 or k * m * max(n + m, 3 * encoder.d) <= 200
+                   for n, k, m in seen)
+
+    def test_plain_forward_only_without_a_shared_window(self, monkeypatch, min_left):
+        encoder, left, rights = random_case(np.random.default_rng(5), 16, 45,
+                                            [0, 3, 16, 20, 5])
+        calls = []
+        real = ToyEncoder.forward
+        monkeypatch.setattr(ToyEncoder, "forward",
+                            lambda self, *a: calls.append(len(a[0])) or real(self, *a))
+        encoder.pair_readouts(left, rights)
+        # the empty right side and the two that fill max_len have no window
+        plain = 3 if min_left == 1 else len(rights)
+        assert len(calls) == plain
+
+    def test_scorer_scores_equal_score(self, min_left):
+        examples = separable_set()
+        scorer = train_pair_classifier(examples, TrainConfig(epochs=1, seed=2))
+        texts = ["alpha marker", "omega marker", "", "the hotel alpha"]
+        got = scorer.scores("the hotel has a pool", texts)
+        assert got == [scorer.score("the hotel has a pool", t) for t in texts]
+        enc = scorer.encoder
+        left = enc.vocab_ids(tokenize("the hotel has a pool"))
+        assert got[2] == models.sigmoid(float(
+            scorer.params["w"] @ pair_readout(enc.forward(*enc.pair_ids(left, left[:0])))
+            + scorer.params["b"][0]))

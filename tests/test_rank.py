@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdial import rank
+from kgdial import models, rank
 from kgdial.corpus import (
     DOMAIN_LEVEL, TOP_K, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker,
     Turn, TurnLabel, linearize_history, linearize_knowledge, tokenize,
@@ -483,9 +483,16 @@ def reference_logit(m, d, snippet, alpha, tracked):
                  + m.wide["u"] @ feats.vector())
 
 
+@pytest.fixture
+def shared_windows(monkeypatch):
+    """Every window with a history row shares its history block, as the
+    long histories of the decode turns do."""
+    monkeypatch.setattr(models, "_SHARED_MIN_LEFT", 1)
+
+
 class TestBatchedPointwise:
-    """Scoring a list once per dialogue gives the per-candidate results
-    bit for bit."""
+    """Scoring a list once per dialogue gives the per-candidate results up
+    to rounding, and the same ranking."""
 
     def dialogues(self, kb):
         compare = Dialogue(id="c", turns=(
@@ -497,7 +504,8 @@ class TestBatchedPointwise:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
     @pytest.mark.parametrize("given", [False, True])
-    def test_logits_equal_reference(self, variant_models, variant, alpha, given):
+    def test_logits_equal_reference(self, variant_models, variant, alpha, given,
+                                    shared_windows):
         kb, models = variant_models
         m = models[variant]
         assert np.any(m.wide["u"] != 0.0)
@@ -506,12 +514,15 @@ class TestBatchedPointwise:
             context = rank.dialogue_features(d, tracked)
             cands = list(kb.snippets)
             expected = [reference_logit(m, d, s, alpha, tracked) for s in cands]
-            assert m.logits(d, cands, context, alpha) == expected
-            assert [m.logits(d, [s], context, alpha)[0] for s in cands] == expected
+            got = m.logits(d, cands, context, alpha)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+            assert [m.logits(d, [s], context, alpha)[0] for s in cands] == got
             ranked = pointwise_rank(m, d, cands, context, alpha=alpha)
-            assert [(s.key, p) for s, p in ranked.items] == sorted(
-                ((s.key, sigmoid(z)) for s, z in zip(cands, expected)),
-                key=lambda t: (-t[1], t[0]))[:TOP_K]
+            want = sorted(((s.key, sigmoid(z)) for s, z in zip(cands, expected)),
+                          key=lambda t: (-t[1], t[0]))[:TOP_K]
+            assert ranked.keys == [key for key, _ in want]
+            np.testing.assert_allclose([p for _, p in ranked.items],
+                                       [p for _, p in want], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_rerank_features_equal_per_snippet_features(self, monkeypatch, variant):
@@ -633,7 +644,8 @@ class TestFeatureArrays:
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
-    def test_logits_equal_per_candidate_loop(self, variant_models, variant, alpha):
+    def test_logits_equal_per_candidate_loop(self, variant_models, variant, alpha,
+                                             shared_windows):
         kb, models = variant_models
         m = models[variant]
         for d in TestBatchedPointwise().dialogues(kb):
@@ -641,16 +653,19 @@ class TestFeatureArrays:
             context = rank.dialogue_features(d, tracked)
             cands = list(kb.snippets)
             expected = reference_logits(m, d, cands, alpha, tracked)
-            assert np.array_equal(m.logits(d, cands, context, alpha), expected)
+            np.testing.assert_allclose(m.logits(d, cands, context, alpha), expected,
+                                       rtol=1e-12, atol=0)
             assert m.logits(d, [], context, alpha) == []
             # an empty list falls back to the whole knowledge base
             ranked = pointwise_rank(m, d, [], context, alpha=alpha, kb=kb)
-            assert np.array_equal([p for _, p in ranked.items], sorted(
-                (sigmoid(z) for z in expected), reverse=True)[:TOP_K])
+            np.testing.assert_allclose([p for _, p in ranked.items], sorted(
+                (sigmoid(z) for z in expected), reverse=True)[:TOP_K],
+                rtol=1e-12, atol=0)
             assert ranked == pointwise_rank(m, d, cands, context, alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
-    def test_distribution_equals_per_candidate_loop(self, variant_models, alpha):
+    def test_distribution_equals_per_candidate_loop(self, variant_models, alpha,
+                                                    shared_windows):
         kb, models = variant_models
         instances, _ = build_listwise_training_data(
             make_corpus(kb, 4), kb, small_config(epochs=1), k=2, seed=0,
@@ -663,9 +678,10 @@ class TestFeatureArrays:
             for start in range(0, len(kb.snippets), 5):
                 cands = list(kb.snippets[start:start + 5])
                 feats = context.indicators(cands)
-                assert np.array_equal(model.distribution(d, cands, feats, alpha),
-                                      reference_distribution(model, d, cands, feats,
-                                                             alpha))
+                np.testing.assert_allclose(
+                    model.distribution(d, cands, feats, alpha),
+                    reference_distribution(model, d, cands, feats, alpha),
+                    rtol=1e-12, atol=0)
 
 
 class TestListwise:
