@@ -9,7 +9,9 @@ per-pair `levenshtein` loop on (entity name, same-length window) pairs,
 `fuzzy_match_entities` over synth dialogues, the save and load of a
 rank checkpoint the size the README quick start trains, and
 `ToyEncoder.pair_readouts` against one encoder pass per history-snippet
-pair at the two decode workloads' shapes. Run after `pip install -e .`:
+pair on the candidate lists decode ranks, replayed from held-out synth
+dialogues shaped like the two decode workloads. Run after
+`pip install -e .`:
 
     python3 benchmarks/bench_kernels.py
 
@@ -180,49 +182,95 @@ def bench_checkpoint_io(n_vocab=288, d=24, repeat=20):
     print(f"  load  {t_load * 1e3:.3f} ms")
 
 
-# (name, history tokens, candidates): the pipeline benchmark's decode-short
-# turns, and its decode-long turns, whose history is cut to max_len
-READOUT_SHAPES = (("decode-short", 27, 20), ("decode-long", 110, 50))
+# (name, consecutive held-out dialogues per history): the pipeline
+# benchmark's decode-short turns, and its decode-long turns, whose history
+# is cut to max_len
+READOUT_WORKLOADS = (("decode-short", 1), ("decode-long", 4))
+# (label, fewest, most candidates) of the list sizes reported apart
+SIZE_CLASSES = (("1", 1, 1), ("5", 5, 5), ("2-9", 2, 9), ("10-30", 10, 30),
+                ("31-99", 31, 99), ("100+", 100, float("inf")))
 
 
-def bench_pair_readouts(shapes=READOUT_SHAPES, d=24, max_len=128, repeat=20):
+def decode_lists(dialogues, kb, window, rng, threshold=0.5):
+    """(history, right-side texts) of the lists decode scores for each
+    knowledge-seeking dialogue (stitched with the ``window - 1`` before
+    it): the detector's one empty right side; the point-wise list, the
+    snippets of the entities `fuzzy_match_entities` tracks at ``threshold``
+    (the README quick start's), or the whole knowledge base when it tracks
+    none; and five of those drawn at random for the list-wise reranker
+    (the trained ranker is near chance on held-out dialogues)."""
+    from kgdial.corpus import Dialogue, linearize_history, linearize_knowledge
+    from kgdial.entity_track import collect_candidates, fuzzy_match_entities
+
+    out = []
+    for last in range(window - 1, len(dialogues)):
+        d = dialogues[last]
+        if not d.label.is_knowledge_seeking:
+            continue
+        d = Dialogue(id=d.id, label=d.label, turns=tuple(
+            t for part in dialogues[last - window + 1:last + 1] for t in part.turns))
+        candidates = collect_candidates(fuzzy_match_entities(d, kb, threshold), kb)
+        texts = [linearize_knowledge(s) for s in candidates or kb.snippets]
+        five = sorted(rng.choice(len(texts), size=min(5, len(texts)), replace=False))
+        history = linearize_history(d)
+        out += [(history, [""]), (history, texts),
+                (history, [texts[i] for i in five])]
+    return out
+
+
+def bench_pair_readouts(n_dialogues=40, d=24, max_len=128, repeat=5):
     """`ToyEncoder.pair_readouts` of one history against a candidate list
-    against one `forward` + `pair_readout` per pair, at the decode shapes:
-    random history ids and snippets drawn from the synth knowledge base
-    (18-24 tokens). Checked first: equal up to rounding, and each row the
-    same bit for bit when its snippet is scored alone."""
+    against one `forward` + `pair_readout` per pair, replaying the lists
+    decode scores (`decode_lists`) on held-out synth dialogues (seed 7 is
+    the pipeline benchmark's held-out set at its seed 1), at the quick
+    start's encoder width and max_len by default. Checked first: equal up
+    to rounding, and each row the same bit for bit when its snippet is
+    scored alone. Times are summed over the lists of a size class."""
     from kgdial.corpus import linearize_knowledge, tokenize
     from kgdial.models import ToyEncoder, pair_readout
     from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 
-    rng = np.random.default_rng(0)
-    _, kb, _ = build_mini_corpus(MiniCorpusConfig(n_dialogues=4, seed=6))
-    snippets = [tokenize(linearize_knowledge(s)) for s in kb.snippets]
-    vocab = {tok: i for i, tok in enumerate(sorted({t for s in snippets for t in s}))}
+    dialogues, kb, _ = build_mini_corpus(
+        MiniCorpusConfig(n_dialogues=n_dialogues, seed=7))
+    texts = [linearize_knowledge(s) for s in kb.snippets]
+    texts += [t.text for dialogue in dialogues for t in dialogue.turns]
+    vocab = {tok: i for i, tok in enumerate(sorted({t for x in texts
+                                                     for t in tokenize(x)}))}
     encoder = ToyEncoder(vocab, d=d, max_len=max_len, seed=0)
-    print(f"\nshared-history readouts, d={d}, max_len={max_len} "
-          f"(best of {repeat}, milliseconds)")
-    for name, n_history, n_candidates in shapes:
-        history = rng.integers(0, len(vocab), size=n_history)
-        rights = [encoder.vocab_ids(snippets[int(i)])
-                  for i in rng.choice(len(snippets), size=n_candidates, replace=False)]
+    rng = np.random.default_rng(0)
+    print(f"\nshared-history readouts on decode's candidate lists, d={d}, "
+          f"max_len={max_len} (best of {repeat} per list, milliseconds summed "
+          f"over the lists of a size)")
+    for name, window in READOUT_WORKLOADS:
+        totals = {label: [0, 0, 0.0, 0.0] for label, _, _ in SIZE_CLASSES}
+        for text, right_texts in decode_lists(dialogues, kb, window, rng):
+            history = encoder.vocab_ids(tokenize(text))
+            rights = [encoder.vocab_ids(tokenize(t)) for t in right_texts]
 
-        def per_pair():
-            return np.array([pair_readout(encoder.forward(*encoder.pair_ids(history, r)))
-                             for r in rights])
+            def per_pair():
+                return np.array([pair_readout(encoder.forward(
+                    *encoder.pair_ids(history, r))) for r in rights])
 
-        shared = encoder.pair_readouts(history, rights)
-        expected = per_pair()
-        assert np.abs(shared - expected).max() <= 1e-12 * np.abs(expected).max()
-        for row, right in zip(shared, rights):
-            assert encoder.pair_readouts(history, [right])[0].tobytes() == row.tobytes()
-        t_shared = timeit(encoder.pair_readouts, history, rights, repeat=repeat)
-        t_loop = timeit(per_pair, repeat=repeat)
-        lengths = sorted({len(r) for r in rights})
-        print(f"  {name}: history {n_history}, {n_candidates} candidates, "
-              f"snippet lengths {lengths}")
-        print(f"    pair_readouts        {t_shared * 1e3:.3f}")
-        print(f"    per-pair passes      {t_loop * 1e3:.3f}  ({t_loop / t_shared:.2f}x)")
+            shared = encoder.pair_readouts(history, rights)
+            expected = per_pair()
+            assert np.abs(shared - expected).max() <= 1e-12 * np.abs(expected).max()
+            for row, right in zip(shared, rights):
+                assert encoder.pair_readouts(history, [right])[0].tobytes() == \
+                    row.tobytes()
+            label = next(label for label, lo, hi in SIZE_CLASSES
+                         if lo <= len(rights) <= hi)
+            total = totals[label]
+            total[0] += 1
+            total[1] += len({len(r) for r in rights})
+            total[2] += timeit(encoder.pair_readouts, history, rights, repeat=repeat)
+            total[3] += timeit(per_pair, repeat=repeat)
+        print(f"  {name} ({window} dialogue{'s' * (window > 1)} per history)")
+        for label, (lists, distinct, t_shared, t_loop) in totals.items():
+            if lists:
+                print(f"    {label:>5} candidates: {lists:3d} lists, "
+                      f"{distinct / lists:.2f} snippet lengths per list, "
+                      f"pair_readouts {t_shared * 1e3:8.3f}, per-pair passes "
+                      f"{t_loop * 1e3:8.3f} ({t_loop / t_shared:.2f}x)")
 
 
 def main():

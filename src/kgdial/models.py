@@ -16,7 +16,9 @@ sides (a ranker's candidate snippets, a tracker's entity names): the
 history's attention block is computed once per truncation window and each
 candidate adds only its own blocks, equal to one ``forward`` per pair up to
 rounding (Hydragen's shared-prefix attention, with the online-softmax
-max-shift rescaling of Milakov & Gimelshein to recombine the blocks).
+max-shift rescaling of Milakov & Gimelshein to recombine the blocks). Only
+a pair with no window takes the plain ``forward``: an empty right side (the
+detector's), an empty history, or a right side that fills ``max_len``.
 
 A checkpoint is an ``.npz`` archive of two members: a JSON metadata block
 (the model's config, ``version`` and the tensor layout) and one float64
@@ -43,10 +45,6 @@ _LAYOUT = "layout"
 # most elements a stacked temporary of `ToyEncoder.pair_readouts` holds
 # (256 KB of float64), unless one candidate's own needs more
 _STACK_BLOCK = 1 << 15
-# fewest history rows a window of `ToyEncoder.pair_readouts` shares: below
-# about this many, sharing costs a five-candidate list (the list-wise
-# reranker's) more than its per-pair passes
-_SHARED_MIN_LEFT = 40
 
 
 class ModelError(Exception):
@@ -197,16 +195,17 @@ class ToyEncoder:
         left x left score block are computed once. Each right side adds its
         own blocks, and the left rows' softmax normalisers are recombined
         with the shared block's by max-shift rescaling, so no candidate
-        builds its attention matrix. A window shorter than
-        ``_SHARED_MIN_LEFT`` rows, or with no left or no right row, takes
-        the plain ``forward``. Every product is stacked per candidate, so a
-        candidate's row is the same, bit for bit, in any list at any
-        position."""
+        builds its attention matrix. Only a pair with no window (an empty
+        right side or history, or a right side of ``max_len`` tokens or
+        more) takes the plain ``forward``; windows of every length are
+        shared, since a list's candidates repeat a few snippet lengths.
+        Every product is stacked per candidate, so a candidate's row is the
+        same, bit for bit, in any list at any position."""
         out = np.empty((len(rights), 2 * self.d))
         windows: dict[int, dict[int, list[int]]] = {}
         for j, right in enumerate(rights):
             n_left = min(len(left), self.max_len - len(right))
-            if len(right) == 0 or n_left < _SHARED_MIN_LEFT:
+            if len(right) == 0 or n_left <= 0:
                 out[j] = pair_readout(self.forward(*self.pair_ids(left, right)))
             else:
                 windows.setdefault(n_left, {}).setdefault(len(right), []).append(j)
@@ -421,11 +420,6 @@ class ToyPairScorer:
         out.update(prefixed("head.", self.params))
         return out
 
-    def _pair_ids(self, sentence1: str, sentence2: str) -> tuple[np.ndarray, np.ndarray]:
-        enc = self.encoder
-        return enc.pair_ids(enc.vocab_ids(tokenize(sentence1)),
-                            enc.vocab_ids(tokenize(sentence2)))
-
     def score(self, sentence1: str, sentence2: str) -> float:
         return self.scores(sentence1, [sentence2])[0]
 
@@ -441,7 +435,9 @@ class ToyPairScorer:
 
     def compile(self, example: tuple[str, str, int]) -> PairRow:
         s1, s2, label = example
-        return PairRow(*self._pair_ids(s1, s2), label)
+        enc = self.encoder
+        return PairRow(*enc.pair_ids(enc.vocab_ids(tokenize(s1)),
+                                     enc.vocab_ids(tokenize(s2))), label)
 
     def loss_and_grads(self, example: tuple[str, str, int] | PairRow
                        ) -> tuple[float, dict]:
@@ -454,9 +450,7 @@ class ToyPairScorer:
         grads["head.w"] = dz * u
         grads["head.b"] = np.array([dz])
         dH, df = pair_readout_backward(cache, dz * self.params["w"])
-        enc_grads = {k.split(".", 1)[1]: v for k, v in grads.items()
-                     if k.startswith("enc.")}
-        self.encoder.backward(cache, dH, df, enc_grads)
+        self.encoder.backward(cache, dH, df, unprefixed("enc.", grads))
         return loss, grads
 
 

@@ -133,6 +133,15 @@ class PipelineConfig:
                 raise ConfigError(f"{key}: expected an int >= 1, got {merged[key]!r}")
             if key.endswith(".kfolds") and int(merged[key]) < 2:
                 raise ConfigError(f"{key}: expected an int >= 2, got {merged[key]!r}")
+        for key in ("track.fuzzy_threshold", "track.delta_e", "detect.delta_d", "gen.p_s",
+                    "augment.ena_probability", "augment.ena_delete_prob",
+                    "augment.replace_rate_low", "augment.replace_rate_high"):
+            if not 0.0 <= float(merged[key]) <= 1.0:
+                raise ConfigError(f"{key}: expected a number in [0, 1], got {merged[key]!r}")
+        low, high = merged["augment.replace_rate_low"], merged["augment.replace_rate_high"]
+        if float(low) > float(high):
+            raise ConfigError(f"augment.replace_rate_low: expected <= replace_rate_high, "
+                              f"got {low!r} > {high!r}")
 
     def __getitem__(self, key: str):
         return self.values[key]

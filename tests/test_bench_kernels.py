@@ -36,5 +36,4 @@ def test_checkpoint_io_checks(bench):
 
 
 def test_pair_readouts_checks(bench):
-    bench.bench_pair_readouts(shapes=(("short", 5, 3), ("cut", 40, 4)), d=4,
-                              max_len=48, repeat=1)
+    bench.bench_pair_readouts(n_dialogues=6, d=4, max_len=48, repeat=1)

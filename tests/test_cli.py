@@ -9,6 +9,7 @@ from kgdial.consensus import ConsensusWeights, save_weights
 from kgdial.models import load_checkpoint, save_checkpoint
 from kgdial.pipeline import CONFIG_DEFAULTS, EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK
 from test_models import ARCHIVE_DEFECTS, write_archive
+from test_pipeline import UNIT_INTERVAL_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -117,13 +118,30 @@ def test_batch_size_below_one_is_one_line_config_error(workdir, command, section
                    f"got {value}\n")
 
 
+@pytest.mark.parametrize("command", ["decode", "train-detect"])
+@pytest.mark.parametrize("overrides,message", [
+    *[([f"{key}={value}"], f"{key}: expected a number in [0, 1], got {value}")
+      for key in UNIT_INTERVAL_KEYS for value in ("1.5", "-0.5")],
+    (["augment.replace_rate_low=0.4", "augment.replace_rate_high=0.2"],
+     "augment.replace_rate_low: expected <= replace_rate_high, got 0.4 > 0.2"),
+])
+def test_out_of_range_probability_is_one_line_config_error(workdir, command,
+                                                           overrides, message,
+                                                           capsys):
+    _, _, cfg = workdir
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--stage-overrides",
+                 *overrides]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("command,args,override,message", [
     ("train-select", [], "rank.kfolds=1",
      "config error: rank.kfolds: expected an int >= 2, got 1"),
     ("train-generate", [], "gen.kfolds=1",
      "config error: gen.kfolds: expected an int >= 2, got 1"),
     ("train-select", [], "augment.ena_probability=1.5",
-     "error: probability out of range: 1.5"),
+     "config error: augment.ena_probability: expected a number in [0, 1], got 1.5"),
     ("ensemble", ["--predictions", "{predictions}", "--base", "nope.json"], "",
      "error: base system 'nope.json' not in predictions"),
     ("augment", [], "paths.lexicon={lexicon}",

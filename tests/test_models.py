@@ -577,6 +577,11 @@ READOUT_CASES = {
     "one candidate": (32, 20, [6]),
     "duplicate candidates": (32, 20, [5, 5]),
     "mixed lengths": (32, 25, [1, 2, 3, 5, 8, 13, 2, 1]),
+    "one history row": (16, 1, [3, 5, 3]),
+    "window of one row by truncation": (16, 20, [15, 4, 15]),
+    "one snippet length": (64, 30, [6, 6, 6, 6]),
+    "short history, decode-sized list": (128, 27, [18, 21, 24, 21, 18, 19, 24, 21,
+                                                   18, 20, 21, 24, 19, 18, 21]),
 }
 
 
@@ -584,15 +589,10 @@ class TestPairReadouts:
     """`ToyEncoder.pair_readouts` equals one forward pass per pair up to
     rounding, and gives a candidate the same row in any list."""
 
-    @pytest.fixture(params=[1, models._SHARED_MIN_LEFT], ids=["shared", "default"])
-    def min_left(self, request, monkeypatch):
-        monkeypatch.setattr(models, "_SHARED_MIN_LEFT", request.param)
-        return request.param
-
     @pytest.mark.parametrize("pooling", ["mean", "first"])
     @pytest.mark.parametrize("case", sorted(READOUT_CASES))
     @pytest.mark.parametrize("seed", range(5))
-    def test_equals_per_pair_passes(self, min_left, case, pooling, seed):
+    def test_equals_per_pair_passes(self, case, pooling, seed):
         max_len, n_left, lengths = READOUT_CASES[case]
         rng = np.random.default_rng(seed)
         encoder, left, rights = random_case(rng, max_len, n_left, lengths)
@@ -616,9 +616,7 @@ class TestPairReadouts:
                                             n_left, lengths)
         encoder.pooling = pooling
         expected = per_pair_readouts(encoder, left, rights)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(models, "_SHARED_MIN_LEFT", 1)
-            got = encoder.pair_readouts(left, rights)
+        got = encoder.pair_readouts(left, rights)
         assert got.shape == expected.shape
         if rights:
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -626,7 +624,6 @@ class TestPairReadouts:
     @pytest.mark.parametrize("block", [models._STACK_BLOCK, 64])
     @pytest.mark.parametrize("pooling", ["mean", "first"])
     def test_row_independent_of_list_and_position(self, monkeypatch, block, pooling):
-        monkeypatch.setattr(models, "_SHARED_MIN_LEFT", 1)
         monkeypatch.setattr(models, "_STACK_BLOCK", block)
         rng = np.random.default_rng(7)
         for max_len, n_left in ((64, 20), (24, 30)):
@@ -643,7 +640,6 @@ class TestPairReadouts:
                 assert got.tobytes() == rows[order].tobytes()
 
     def test_stacks_stay_within_the_block(self, monkeypatch):
-        monkeypatch.setattr(models, "_SHARED_MIN_LEFT", 1)
         monkeypatch.setattr(models, "_STACK_BLOCK", 200)
         seen = []
         real = ToyEncoder._shared_readouts
@@ -660,19 +656,25 @@ class TestPairReadouts:
         assert all(k == 1 or k * m * max(n + m, 3 * encoder.d) <= 200
                    for n, k, m in seen)
 
-    def test_plain_forward_only_without_a_shared_window(self, monkeypatch, min_left):
-        encoder, left, rights = random_case(np.random.default_rng(5), 16, 45,
-                                            [0, 3, 16, 20, 5])
+    # (max_len, history length, right-side lengths, pairs with no window):
+    # an empty right side, one of max_len tokens or more, or an empty history
+    @pytest.mark.parametrize("max_len,n_left,lengths,plain", [
+        (16, 45, [0, 3, 16, 20, 5], 3),
+        (64, 12, [0, 3, 64, 70, 5], 3),
+        (16, 0, [3, 5], 2),
+    ], ids=["truncated history", "short history", "empty history"])
+    def test_plain_forward_only_without_a_shared_window(self, monkeypatch, max_len,
+                                                        n_left, lengths, plain):
+        encoder, left, rights = random_case(np.random.default_rng(5), max_len,
+                                            n_left, lengths)
         calls = []
         real = ToyEncoder.forward
         monkeypatch.setattr(ToyEncoder, "forward",
                             lambda self, *a: calls.append(len(a[0])) or real(self, *a))
         encoder.pair_readouts(left, rights)
-        # the empty right side and the two that fill max_len have no window
-        plain = 3 if min_left == 1 else len(rights)
         assert len(calls) == plain
 
-    def test_scorer_scores_equal_score(self, min_left):
+    def test_scorer_scores_equal_score(self):
         examples = separable_set()
         scorer = train_pair_classifier(examples, TrainConfig(epochs=1, seed=2))
         texts = ["alpha marker", "omega marker", "", "the hotel alpha"]

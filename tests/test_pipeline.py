@@ -25,6 +25,11 @@ from kgdial.rank import (ListwiseConfig, ListwiseModel, PointwiseConfig,
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus, save_lexicon
 from test_models import CHECKPOINT_DEFECTS, forbid_draws, rewrite_checkpoint
 
+# the probability and threshold keys a config must hold in [0, 1]
+UNIT_INTERVAL_KEYS = ["track.fuzzy_threshold", "track.delta_e", "detect.delta_d",
+                      "gen.p_s", "augment.ena_probability", "augment.ena_delete_prob",
+                      "augment.replace_rate_low", "augment.replace_rate_high"]
+
 
 class TestConfig:
     def test_defaults_carry_paper_constants(self):
@@ -65,6 +70,20 @@ class TestConfig:
         assert key.split(".")[0] in ("detect", "rank", "gen")
         with pytest.raises(ConfigError, match=f"{key}: expected an int >= 1"):
             PipelineConfig({key: value})
+
+    @pytest.mark.parametrize("key", UNIT_INTERVAL_KEYS)
+    @pytest.mark.parametrize("value", [1.5, -0.5, 2, float("nan")])
+    def test_probability_out_of_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: expected a number in"):
+            PipelineConfig({key: value})
+        PipelineConfig({key: 0.25 if key.endswith("_high") else 0.0})
+
+    def test_replace_rates_must_be_ordered(self):
+        with pytest.raises(ConfigError, match="replace_rate_low: expected <="):
+            PipelineConfig({"augment.replace_rate_low": 0.4,
+                            "augment.replace_rate_high": 0.2})
+        PipelineConfig({"augment.replace_rate_low": 0.3,
+                        "augment.replace_rate_high": 0.3})
 
 
 class TestManifest:

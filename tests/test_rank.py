@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdial import models, rank
+from kgdial import rank
 from kgdial.corpus import (
     DOMAIN_LEVEL, TOP_K, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker,
     Turn, TurnLabel, linearize_history, linearize_knowledge, tokenize,
@@ -483,13 +483,6 @@ def reference_logit(m, d, snippet, alpha, tracked):
                  + m.wide["u"] @ feats.vector())
 
 
-@pytest.fixture
-def shared_windows(monkeypatch):
-    """Every window with a history row shares its history block, as the
-    long histories of the decode turns do."""
-    monkeypatch.setattr(models, "_SHARED_MIN_LEFT", 1)
-
-
 class TestBatchedPointwise:
     """Scoring a list once per dialogue gives the per-candidate results up
     to rounding, and the same ranking."""
@@ -504,8 +497,7 @@ class TestBatchedPointwise:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
     @pytest.mark.parametrize("given", [False, True])
-    def test_logits_equal_reference(self, variant_models, variant, alpha, given,
-                                    shared_windows):
+    def test_logits_equal_reference(self, variant_models, variant, alpha, given):
         kb, models = variant_models
         m = models[variant]
         assert np.any(m.wide["u"] != 0.0)
@@ -644,8 +636,7 @@ class TestFeatureArrays:
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
-    def test_logits_equal_per_candidate_loop(self, variant_models, variant, alpha,
-                                             shared_windows):
+    def test_logits_equal_per_candidate_loop(self, variant_models, variant, alpha):
         kb, models = variant_models
         m = models[variant]
         for d in TestBatchedPointwise().dialogues(kb):
@@ -664,8 +655,7 @@ class TestFeatureArrays:
             assert ranked == pointwise_rank(m, d, cands, context, alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
-    def test_distribution_equals_per_candidate_loop(self, variant_models, alpha,
-                                                    shared_windows):
+    def test_distribution_equals_per_candidate_loop(self, variant_models, alpha):
         kb, models = variant_models
         instances, _ = build_listwise_training_data(
             make_corpus(kb, 4), kb, small_config(epochs=1), k=2, seed=0,
