@@ -10,7 +10,8 @@ per-pair `levenshtein` loop on (entity name, same-length window) pairs,
 rank checkpoint the size the README quick start trains, and
 `ToyEncoder.pair_readouts` against one encoder pass per history-snippet
 pair on the candidate lists decode ranks, replayed from held-out synth
-dialogues shaped like the two decode workloads. Run after
+dialogues shaped like the two decode workloads, and the rankers' training
+step on whole minibatches against one row at a time. Run after
 `pip install -e .`:
 
     python3 benchmarks/bench_kernels.py
@@ -19,7 +20,8 @@ Before timing, the kernels are checked against a plain-Python DP of this
 script's own (on the sequences of at most CHECK_MAX elements, where it
 runs in seconds), and fuzzy matching against its scalar definition
 (`fuzzy_similarity`), a loaded checkpoint against the tensors saved, and
-the shared-history readouts against the per-pair passes; the whole script
+the shared-history readouts against the per-pair passes, and the
+minibatch gradients against the per-row sums; the whole script
 takes about half a minute on one
 x86-64 core. ``tests/test_bench_kernels.py`` runs the same checks at small
 sizes.
@@ -29,9 +31,14 @@ import os
 import tempfile
 import time
 
-import numpy as np
+# the models are single-threaded; a threaded BLAS would time its thread
+# hand-offs, not the kernels (the pipeline benchmark pins these too)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from kgdial import kernels
+import numpy as np  # noqa: E402
+
+from kgdial import kernels  # noqa: E402
 
 SIZES = (64, 256, 1024, 4096)
 CHECK_MAX = 256
@@ -249,7 +256,7 @@ def bench_pair_readouts(n_dialogues=40, d=24, max_len=128, repeat=5):
 
             def per_pair():
                 return np.array([pair_readout(encoder.forward(
-                    *encoder.pair_ids(history, r))) for r in rights])
+                    *encoder.pair_ids(history, r)))[0] for r in rights])
 
             shared = encoder.pair_readouts(history, rights)
             expected = per_pair()
@@ -273,6 +280,71 @@ def bench_pair_readouts(n_dialogues=40, d=24, max_len=128, repeat=5):
                       f"{t_loop * 1e3:8.3f} ({t_loop / t_shared:.2f}x)")
 
 
+def bench_train_batch(n_dialogues=50, d=24, max_len=128, batch_size=16, repeat=3):
+    """One ``loss_and_grads`` call per minibatch (`train_model`'s path: the
+    rows encoded in padded stacks) against one call per row (a stack of
+    one each), for the point-wise and list-wise rankers at the shapes the
+    pipeline benchmark's `train` workload trains (50 dialogues of synth seed
+    6, its corpus at seed 1; the quick start's encoder width, max_len and
+    batch size). The list-wise rows are each dialogue's positive and four
+    negatives. Checked first: every minibatch's summed loss and gradients
+    equal the per-row sums up to rounding (within 1e-12 of the largest
+    entry). Times are summed over one epoch's minibatches."""
+    from kgdial.rank import (ListwiseConfig, ListwiseInstance, ListwiseModel,
+                             PointwiseConfig, _ranking_vocab,
+                             build_pointwise_instances, dialogue_features,
+                             train_pointwise)
+    from kgdial.synth import MiniCorpusConfig, build_mini_corpus
+
+    dialogues, kb, _ = build_mini_corpus(
+        MiniCorpusConfig(n_dialogues=n_dialogues, seed=6))
+    seeking = [x for x in dialogues if x.label.is_knowledge_seeking]
+    config = PointwiseConfig(epochs=0, d=d, max_len=max_len, seed=5)
+    pointwise = train_pointwise(seeking, kb, config)
+    instances = build_pointwise_instances(seeking, kb, config,
+                                          np.random.default_rng(5))
+    lists = []
+    for start in range(0, len(instances), 5):
+        group = instances[start:start + 5]
+        cands = [inst.candidate for inst in group]
+        context = dialogue_features(group[0].dialogue, group[0].tracked)
+        lists.append(ListwiseInstance(group[0].dialogue, cands, 0,
+                                      context.indicators(cands)))
+    listwise = ListwiseModel(_ranking_vocab(seeking, kb),
+                             ListwiseConfig(d=d, max_len=max_len, seed=5))
+    rng = np.random.default_rng(0)
+    print(f"\ntraining minibatches at the train workload's shapes, d={d}, "
+          f"max_len={max_len}, batch size {batch_size} (best of {repeat}, "
+          f"milliseconds per epoch)")
+    for name, model, examples in (("point-wise", pointwise, instances),
+                                  ("list-wise", listwise, lists)):
+        for value in model.all_params().values():  # trained-looking weights
+            value[...] = rng.normal(0.0, 0.3, size=value.shape)
+        rows = [model.compile(e) for e in examples]
+        order = rng.permutation(len(rows))
+        batches = [[rows[int(i)] for i in order[start:start + batch_size]]
+                   for start in range(0, len(rows), batch_size)]
+
+        def per_row(batch):
+            results = [model.loss_and_grads([row]) for row in batch]
+            grads = {k: sum(g[k] for _, g in results) for k in results[0][1]}
+            return sum(loss for loss, _ in results), grads
+
+        for batch in batches:
+            loss, grads = model.loss_and_grads(batch)
+            ref_loss, ref_grads = per_row(batch)
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            largest = max(np.abs(g).max() for g in ref_grads.values())
+            for key, ref in ref_grads.items():
+                assert np.abs(grads[key] - ref).max() <= 1e-12 * largest, key
+        t_batch = timeit(lambda: [model.loss_and_grads(b) for b in batches],
+                         repeat=repeat)
+        t_rows = timeit(lambda: [per_row(b) for b in batches], repeat=repeat)
+        print(f"  {name:10} {len(rows):4d} rows: one call per minibatch "
+              f"{t_batch * 1e3:8.2f}, one per row {t_rows * 1e3:8.2f} "
+              f"({t_rows / t_batch:.2f}x)")
+
+
 def main():
     rng = np.random.default_rng(0)
     bench_pairwise(rng)
@@ -280,6 +352,7 @@ def main():
     bench_fuzzy_workload()
     bench_checkpoint_io()
     bench_pair_readouts()
+    bench_train_batch()
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -100,17 +99,9 @@ class PhoneticIndex:
         self.word_to_id = {w: i for i, w in enumerate(self.vocabulary)}
         rng = np.random.default_rng(self.hash_seed)
         self._planes = rng.standard_normal((self.n_tables, self.n_bits, EMBED_DIM))
-        # XOR masks that reach every signature within probe_radius bits
-        masks = [sum(1 << b for b in flipped) for r in range(self.probe_radius + 1)
-                 for flipped in combinations(range(self.n_bits), r)]
-        self._probe_masks = np.asarray(masks, dtype=np.int64)
-        self._tables: list[dict[int, list[int]]] = []
-        for t in range(self.n_tables):
-            sigs = self._signatures(embeddings, t)
-            table: dict[int, list[int]] = {}
-            for idx, sig in enumerate(sigs):
-                table.setdefault(int(sig), []).append(idx)
-            self._tables.append(table)
+        # (table, word) -> the word's signature in that table
+        self._sigs = np.stack([self._signatures(embeddings, t)
+                               for t in range(self.n_tables)])
 
     def _signatures(self, vecs: np.ndarray, table: int) -> np.ndarray:
         bits = (vecs @ self._planes[table].T) > 0
@@ -124,13 +115,13 @@ class PhoneticIndex:
         return embed_chars(word)
 
     def _candidates(self, vec: np.ndarray) -> np.ndarray:
-        found: set[int] = set()
-        for t in range(self.n_tables):
-            sig = self._signatures(vec[None, :], t)[0]
-            table = self._tables[t]
-            for p in (sig ^ self._probe_masks).tolist():
-                found.update(table.get(p, ()))
-        return np.fromiter(found, dtype=np.int64) if found else np.empty(0, dtype=np.int64)
+        """Ids, ascending, of the words whose signature in some table is
+        within ``probe_radius`` flipped bits of the query's (multiprobe:
+        every bucket those flips reach is probed)."""
+        query = np.stack([self._signatures(vec[None, :], t)
+                          for t in range(self.n_tables)])
+        near = np.bitwise_count(self._sigs ^ query) <= self.probe_radius
+        return np.flatnonzero(near.any(axis=0))
 
     def neighbors(self, word: str, k: int) -> list[tuple[str, float]]:
         """Up to k nearest distinct words by angular distance, self excluded."""

@@ -242,39 +242,35 @@ class ToyGenerator:
             context_ids=self._ids(tokenize(example.context.text)), target=target,
             prev_ids=np.concatenate([[self.vocab.get(TAG_RESP, 0)], target[:-1]]))
 
-    def loss_and_grads(self, example: GenExample | GenRow) -> tuple[float, dict]:
-        """Mean token-level cross entropy with analytic gradients. With
-        teacher forcing every position's input is known, so all positions
-        go through one step call. Every sum over positions adds them in
-        position order, starting from the zero gradient, exactly as one
-        position at a time would."""
-        row = example if isinstance(example, GenRow) else self.compile(example)
+    def loss_and_grads(self, rows: Sequence[GenRow]) -> tuple[float, dict]:
+        """Summed per-row mean token-level cross entropy of compiled rows,
+        with analytic gradients. With teacher forcing every position's
+        input is known, so all positions of a row go through one step call
+        and each gradient of a row is one product over its positions."""
         p = self.params
         grads = {k: np.zeros(v.shape) for k, v in p.items()}
-        ctx_ids, target, prev_ids = row.context_ids, row.target, row.prev_ids
-        c = self.context_vector(ctx_ids)
-        n = len(target)
-        positions = np.arange(n)
-        step = self._step_forward(prev_ids, positions, c)
-        logp, h = step["logp"], step["h"]
-        loss = 0.0 + float(_sum_in_order(-logp[positions, target] / n))
-        dlogits = np.exp(logp) / n
-        dlogits[positions, target] -= 1.0 / n
-        for pos in positions:  # one d x V product at a time
-            grads["out"] += np.outer(h[pos], dlogits[pos])
-        grads["bo"] += _sum_in_order(dlogits)
-        # stacked (d, V) @ (V, 1) products: the kernel of a single one
-        dh = (p["out"] @ dlogits[:, :, None])[:, :, 0]
-        dpre = dh * (1.0 - h * h)
-        grads["wp"] += _sum_in_order(step["x"][:, :, None] * dpre[:, None, :])
-        grads["wc"] += _sum_in_order(c[None, :, None] * dpre[:, None, :])
-        grads["pos"][:n] += dpre
-        grads["bh"] += _sum_in_order(dpre)
-        np.add.at(grads["emb"], prev_ids, (p["wp"] @ dpre[:, :, None])[:, :, 0])
-        dc = np.zeros(self.d)
-        dc += _sum_in_order((p["wc"] @ dpre[:, :, None])[:, :, 0])
-        if ctx_ids.size:
-            np.add.at(grads["emb"], ctx_ids, dc / ctx_ids.size)
+        loss = 0.0
+        for row in rows:
+            ctx_ids, target, prev_ids = row.context_ids, row.target, row.prev_ids
+            c = self.context_vector(ctx_ids)
+            n = len(target)
+            positions = np.arange(n)
+            step = self._step_forward(prev_ids, positions, c)
+            logp, h = step["logp"], step["h"]
+            loss += float(-logp[positions, target].sum() / n)
+            dlogits = np.exp(logp) / n
+            dlogits[positions, target] -= 1.0 / n
+            grads["out"] += h.T @ dlogits
+            grads["bo"] += dlogits.sum(axis=0)
+            dpre = (dlogits @ p["out"].T) * (1.0 - h * h)
+            dpre_sum = dpre.sum(axis=0)
+            grads["wp"] += step["x"].T @ dpre
+            grads["wc"] += np.outer(c, dpre_sum)
+            grads["pos"][:n] += dpre
+            grads["bh"] += dpre_sum
+            np.add.at(grads["emb"], prev_ids, dpre @ p["wp"].T)
+            if ctx_ids.size:
+                np.add.at(grads["emb"], ctx_ids, (dpre_sum @ p["wc"].T) / ctx_ids.size)
         return loss, grads
 
     def generate_nbest(self, context: str, n: int) -> list[tuple[str, float]]:
@@ -339,12 +335,6 @@ class ToyGenerator:
     def _text(self, tokens: Sequence[int]) -> str:
         eos_id = self.vocab[EOS]
         return " ".join(self.inv_vocab[t] for t in tokens if t != eos_id)
-
-
-def _sum_in_order(x: np.ndarray) -> np.ndarray:
-    """Sum over the first axis adding the rows one after the other, as a
-    loop would; numpy's ``sum`` may add them pairwise instead."""
-    return np.add.accumulate(x, axis=0)[-1]
 
 
 def train_generator(examples: Sequence[GenExample],

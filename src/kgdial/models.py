@@ -9,8 +9,14 @@ be plugged in behind the ``SentencePairScorer`` protocol, which learned
 entity tracking reads.
 
 All math is float64 and seeded; training is single-threaded and
-bit-reproducible. Inference never mutates parameters. ``forward`` is the
-one training and reference pass, returning the caches ``backward`` reads.
+bit-reproducible. Inference never mutates parameters. ``forward`` is one
+padded pass over a stack of sequences (B x L, the shorter ones masked as
+keys and in pooling), returning the caches ``backward`` reads; its adjoint
+sums the gradients over the stack. Training hands each minibatch to a
+model's ``loss_and_grads`` in one call, which encodes the minibatch's rows
+in stacks (`ToyEncoder.stacked_passes`: sorted by length and cut so that no
+temporary exceeds `_STACK_BLOCK` elements) and returns the summed loss and
+gradients, equal to the per-row sums up to rounding.
 At inference, ``pair_readouts`` scores one history against a list of right
 sides (a ranker's candidate snippets, a tracker's entity names): the
 history's attention block is computed once per truncation window and each
@@ -42,8 +48,9 @@ UNK = "⟨unk⟩"
 CHECKPOINT_VERSION = 2
 _LAYOUT = "layout"
 
-# most elements a stacked temporary of `ToyEncoder.pair_readouts` holds
-# (256 KB of float64), unless one candidate's own needs more
+# most elements a stacked temporary of `ToyEncoder.pair_readouts` or of a
+# training stack holds (256 KB of float64), unless one candidate's (one
+# unit's) own needs more
 _STACK_BLOCK = 1 << 15
 
 
@@ -75,11 +82,14 @@ def sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def bce_loss(z: float, y: float) -> tuple[float, float]:
-    """Binary cross entropy on a logit; returns (loss, dloss/dz)."""
-    # log(1 + e^z) - y*z, computed stably
-    loss = max(z, 0.0) + math.log1p(math.exp(-abs(z))) - y * z
-    return loss, sigmoid(z) - y
+def bce_loss(z, y):
+    """Binary cross entropy on logits (a number or an array, elementwise);
+    returns (loss, dloss/dz)."""
+    z = np.asarray(z, dtype=np.float64)
+    # log(1 + e^z) - y*z and the sigmoid, computed stably
+    e = np.exp(-np.abs(z))
+    loss = np.maximum(z, 0.0) + np.log1p(e) - y * z
+    return loss, np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - y
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -166,24 +176,84 @@ class ToyEncoder:
         return self.pair_ids(self.vocab_ids(tokens[:cut]),
                              self.vocab_ids(tokens[cut:]))
 
-    def forward(self, ids: np.ndarray,
-                segs: Optional[np.ndarray] = None) -> dict:
-        p = self.params
+    def forward(self, ids: np.ndarray, segs: Optional[np.ndarray] = None,
+                lengths: Optional[Sequence[int]] = None) -> dict:
+        """One padded pass over a stack of sequences, laid end to end in
+        ``ids`` and ``segs`` (segment 0 throughout when ``None``), of
+        ``lengths`` tokens each, at least one (one sequence when ``None``).
+        Each sequence is one row of the (B, L, ...) caches `backward` reads,
+        padded at its end to the longest one; a padded position is masked
+        out as a key (a -inf score) and from pooling, so a row equals the
+        sequence encoded alone up to rounding. Q, K and V come from one
+        fused product, with 1/sqrt(d) folded into the query projection."""
+        p, d = self.params, self.d
         if segs is None:
             segs = np.zeros_like(ids)
-        E = p["emb"][ids] + p["seg"][segs]
-        Q = E @ p["wq"]
-        K = E @ p["wk"]
-        Vm = E @ p["wv"]
-        S = (Q @ K.T) / math.sqrt(self.d)
-        A = softmax(S, axis=-1)
-        H = E + A @ Vm
-        if self.pooling == "mean":
-            f = H.sum(axis=0) / H.shape[0]
+        if lengths is None:
+            lengths = [len(ids)]
+        B, L = len(lengths), int(max(lengths))
+        x = p["emb"][ids] + p["seg"][segs]
+        if len(ids) == B * L:
+            mask = None
+            E = x.reshape(B, L, d)
+            seg1 = segs.reshape(B, L).astype(np.float64)
         else:
-            f = H[0]
-        return {"ids": ids, "segs": segs, "E": E, "Q": Q, "K": K, "Vm": Vm,
-                "A": A, "H": H, "f": f}
+            lengths = np.asarray(lengths)
+            mask = np.arange(L) < lengths[:, None]
+            E = np.zeros((B, L, d))
+            E[mask] = x
+            seg1 = np.zeros((B, L))
+            seg1[mask] = segs
+        # segment-1 pooling weights: per row, 1/n at its n segment-1 positions
+        seg_w = seg1 / np.maximum(seg1.sum(axis=1), 1.0)[:, None]
+        w_qkv = self._qkv_weights()
+        QKV = (E.reshape(B * L, d) @ w_qkv).reshape(B, L, 3 * d)
+        A = QKV[:, :, :d] @ QKV[:, :, d:2 * d].transpose(0, 2, 1)
+        if mask is not None:
+            A += np.where(mask, 0.0, -np.inf)[:, None, :]
+        A -= A.max(axis=2, keepdims=True)
+        np.exp(A, out=A)
+        A /= A.sum(axis=2, keepdims=True)
+        H = A @ QKV[:, :, 2 * d:]
+        H += E
+        if self.pooling == "mean":
+            pool = np.full((B, L), 1.0 / L) if mask is None else mask / lengths[:, None]
+            f = (pool[:, None, :] @ H)[:, 0]
+        else:
+            pool = None
+            f = H[:, 0]
+        return {"ids": ids, "segs": segs, "mask": mask, "seg_w": seg_w, "pool": pool,
+                "E": E, "w_qkv": w_qkv, "QKV": QKV, "A": A, "H": H, "f": f}
+
+    def _qkv_weights(self) -> np.ndarray:
+        """The fused projection to [Q / sqrt(d), K, V]."""
+        p = self.params
+        return np.hstack((p["wq"] / math.sqrt(self.d), p["wk"], p["wv"]))
+
+    def stacked_passes(self, units: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]):
+        """One `forward` per padded stack of ``units``, each unit a list of
+        (ids, segs) sequences that go into one stack together (a list-wise
+        instance's candidates). Yields (the stack's unit indices, its
+        cache), whose rows are those units' sequences in that order.
+
+        Units go in by the length of their longest sequence (a stable
+        sort), and a stack ends before the unit that would make its
+        (rows x L x max(L, 3d)) temporaries hold more than `_STACK_BLOCK`
+        elements; a unit that needs more on its own is a stack alone."""
+        lengths = [max(len(ids) for ids, _ in unit) for unit in units]
+        stacks: list[list[int]] = []
+        rows = 0
+        for i in sorted(range(len(units)), key=lengths.__getitem__):
+            rows += len(units[i])
+            if not stacks or rows * lengths[i] * max(lengths[i], 3 * self.d) > _STACK_BLOCK:
+                stacks.append([])
+                rows = len(units[i])
+            stacks[-1].append(i)
+        for stack in stacks:
+            seqs = [seq for i in stack for seq in units[i]]
+            yield stack, self.forward(np.concatenate([ids for ids, _ in seqs]),
+                                      np.concatenate([segs for _, segs in seqs]),
+                                      [len(ids) for ids, _ in seqs])
 
     def pair_readouts(self, left: np.ndarray,
                       rights: Sequence[np.ndarray]) -> np.ndarray:
@@ -206,12 +276,12 @@ class ToyEncoder:
         for j, right in enumerate(rights):
             n_left = min(len(left), self.max_len - len(right))
             if len(right) == 0 or n_left <= 0:
-                out[j] = pair_readout(self.forward(*self.pair_ids(left, right)))
+                out[j] = pair_readout(self.forward(*self.pair_ids(left, right)))[0]
             else:
                 windows.setdefault(n_left, {}).setdefault(len(right), []).append(j)
-        p = self.params
-        # one projection to [Q / sqrt(d), K, V]
-        w_qkv = np.hstack((p["wq"] / math.sqrt(self.d), p["wk"], p["wv"]))
+        if not windows:
+            return out
+        w_qkv = self._qkv_weights()
         for n_left, groups in windows.items():
             shared = self._left_block(left[len(left) - n_left:], w_qkv)
             for m, members in groups.items():
@@ -279,29 +349,51 @@ class ToyEncoder:
 
     def backward(self, cache: dict, dH: np.ndarray | None, df: np.ndarray | None,
                  grads: dict) -> None:
-        """Accumulate parameter gradients for one encoded sequence."""
-        p = self.params
-        T = cache["E"].shape[0]
-        dH_total = np.zeros_like(cache["H"]) if dH is None else dH.copy()
+        """Accumulate the parameter gradients of a `forward` pass, summed
+        over its sequences, given the (B, L, d) gradient ``dH`` of its
+        states (zero at padded positions) and the (B, d) gradient ``df``
+        of its pooled vectors. The embedding rows are scattered in one
+        sorted ``reduceat``."""
+        d = self.d
+        E, A, QKV, w_qkv = cache["E"], cache["A"], cache["QKV"], cache["w_qkv"]
+        B, L = A.shape[:2]
+        if dH is None:
+            dH = np.zeros_like(E)
         if df is not None:
             if self.pooling == "mean":
-                dH_total += df / T
+                pooled = cache["pool"][:, :, None] * df[:, None, :]
+                pooled += dH
+                dH = pooled
             else:
-                dH_total[0] += df
-        E, A, Vm = cache["E"], cache["A"], cache["Vm"]
-        dE = dH_total.copy()
-        dA = dH_total @ Vm.T
-        dVm = A.T @ dH_total
-        grads["wv"] += E.T @ dVm
-        dE += dVm @ p["wv"].T
-        dS = softmax_backward(A, dA) / math.sqrt(self.d)
-        dQ = dS @ cache["K"]
-        dK = dS.T @ cache["Q"]
-        grads["wq"] += E.T @ dQ
-        grads["wk"] += E.T @ dK
-        dE += dQ @ p["wq"].T + dK @ p["wk"].T
-        np.add.at(grads["emb"], cache["ids"], dE)
-        np.add.at(grads["seg"], cache["segs"], dE)
+                dH = dH.copy()
+                dH[:, 0] += df
+        dQKV = np.empty_like(QKV)
+        np.matmul(A.transpose(0, 2, 1), dH, out=dQKV[:, :, 2 * d:])
+        # softmax backward: A * (dA - rowsum(dA * A)), where
+        # rowsum(dA * A) = rowsum(dH * (A @ V)) and A @ V = H - E
+        dS = dH @ QKV[:, :, 2 * d:].transpose(0, 2, 1)
+        dS -= (np.einsum("bld,bld->bl", dH, cache["H"])
+               - np.einsum("bld,bld->bl", dH, E))[:, :, None]
+        dS *= A
+        np.matmul(dS, QKV[:, :, d:2 * d], out=dQKV[:, :, :d])
+        np.matmul(dS.transpose(0, 2, 1), QKV[:, :, :d], out=dQKV[:, :, d:2 * d])
+        del dS
+        dQKV = dQKV.reshape(B * L, 3 * d)
+        dw = E.reshape(B * L, d).T @ dQKV
+        grads["wq"] += dw[:, :d] / math.sqrt(d)
+        grads["wk"] += dw[:, d:2 * d]
+        grads["wv"] += dw[:, 2 * d:]
+        dE = dQKV @ w_qkv.T
+        del dQKV
+        dE += dH.reshape(B * L, d)
+        if cache["mask"] is not None:
+            dE = dE[cache["mask"].ravel()]
+        ids, segs = cache["ids"], cache["segs"]
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+        grads["emb"][sorted_ids[starts]] += np.add.reduceat(dE[order], starts, axis=0)
+        grads["seg"] += (np.arange(2)[:, None] == segs) @ dE
 
     def zero_grads(self) -> dict:
         return {k: np.zeros(v.shape) for k, v in self.params.items()}
@@ -345,30 +437,23 @@ class TrainConfig:
 
 
 def pair_readout(cache: dict) -> np.ndarray:
-    """Head input for pair scoring: [global pool, candidate-segment pool].
+    """Head input for pair scoring, one (B, 2d) row per sequence of a
+    `ToyEncoder.forward` pass: [global pool, candidate-segment pool].
 
     Pooling the second segment separately matters: in the global mean the
     displacement a matched token picks up from attending to its twin in
     the other segment is cancelled by the twin's mirror-image displacement.
-    Segment 1 is a suffix of the sequence (`ToyEncoder.pair_ids` puts it
-    last, and a cut keeps the end), so its rows are the last ones; with no
-    segment 1, as for ``forward(ids)``, its pool is zero.
+    With no segment 1, as for ``forward(ids)``, its pool is zero.
     """
-    H = cache["H"]
-    n = np.count_nonzero(cache["segs"])
-    seg_pool = H[-n:].sum(axis=0) / n if n else np.zeros(H.shape[1])
-    return np.concatenate([cache["f"], seg_pool])
+    pooled = (cache["seg_w"][:, None, :] @ cache["H"])[:, 0]
+    return np.concatenate((cache["f"], pooled), axis=1)
 
 
 def pair_readout_backward(cache: dict, du: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split head-input gradient into (dH, df) for the encoder backward."""
-    d = cache["H"].shape[1]
-    df = du[:d].copy()
-    dH = np.zeros_like(cache["H"])
-    n = np.count_nonzero(cache["segs"])
-    if n:
-        dH[-n:] = du[d:] / n
-    return dH, df
+    """Split the (B, 2d) head-input gradient into (dH, df) for the
+    encoder backward."""
+    d = cache["H"].shape[2]
+    return cache["seg_w"][:, :, None] * du[:, None, d:], du[:, :d].copy()
 
 
 @dataclass(frozen=True)
@@ -439,18 +524,25 @@ class ToyPairScorer:
         return PairRow(*enc.pair_ids(enc.vocab_ids(tokenize(s1)),
                                      enc.vocab_ids(tokenize(s2))), label)
 
-    def loss_and_grads(self, example: tuple[str, str, int] | PairRow
-                       ) -> tuple[float, dict]:
-        row = example if isinstance(example, PairRow) else self.compile(example)
-        cache = self.encoder.forward(row.ids, row.segs)
-        u = pair_readout(cache)
-        z = float(self.params["w"] @ u + self.params["b"][0])
-        loss, dz = bce_loss(z, float(row.label))
+    def loss_and_grads(self, rows: Sequence[PairRow]) -> tuple[float, dict]:
+        """Summed binary cross entropy of compiled rows and its gradients,
+        the rows encoded in padded stacks (`ToyEncoder.stacked_passes`)."""
         grads = {f"enc.{k}": v for k, v in self.encoder.zero_grads().items()}
-        grads["head.w"] = dz * u
-        grads["head.b"] = np.array([dz])
-        dH, df = pair_readout_backward(cache, dz * self.params["w"])
-        self.encoder.backward(cache, dH, df, unprefixed("enc.", grads))
+        grads["head.w"] = np.zeros_like(self.params["w"])
+        grads["head.b"] = np.zeros(1)
+        enc_grads = unprefixed("enc.", grads)
+        labels = np.array([row.label for row in rows], dtype=np.float64)
+        loss = 0.0
+        for idx, cache in self.encoder.stacked_passes([[(row.ids, row.segs)]
+                                                       for row in rows]):
+            u = pair_readout(cache)
+            losses, dz = bce_loss(u @ self.params["w"] + self.params["b"][0],
+                                  labels[idx])
+            loss += float(losses.sum())
+            grads["head.w"] += dz @ u
+            grads["head.b"] += dz.sum()
+            dH, df = pair_readout_backward(cache, dz[:, None] * self.params["w"])
+            self.encoder.backward(cache, dH, df, enc_grads)
         return loss, grads
 
 
@@ -472,13 +564,14 @@ def train_pair_classifier(examples: Sequence[tuple[str, str, int]],
 def train_model(model, examples: list, config: TrainConfig) -> list[float]:
     """Generic minibatch loop over a model exposing compile/loss_and_grads/
     all_params. Every example is compiled to model inputs once, before the
-    first epoch; the compiled rows live only for this call.
+    first epoch; the compiled rows live only for this call. Each minibatch
+    goes to ``loss_and_grads`` in one call, which returns its summed loss
+    and gradients.
 
     Returns the mean training loss per epoch.
     """
     rows = [model.compile(e) for e in examples]
-    params = model.all_params()
-    opt = AdamW(params, lr=config.learning_rate,
+    opt = AdamW(model.all_params(), lr=config.learning_rate,
                 weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     history = []
@@ -486,28 +579,26 @@ def train_model(model, examples: list, config: TrainConfig) -> list[float]:
         order = rng.permutation(len(examples))
         total = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            grads = {k: np.zeros(v.shape) for k, v in params.items()}
-            for idx in batch:
-                loss, g = model.loss_and_grads(rows[int(idx)])
-                total += loss
-                for k in grads:
-                    grads[k] += g[k]
-            for k in grads:
-                grads[k] /= len(batch)
+            batch = [rows[int(i)] for i in order[start:start + config.batch_size]]
+            loss, grads = model.loss_and_grads(batch)
+            total += loss
+            for g in grads.values():
+                g /= len(batch)
             if config.learning_rate > 0:
                 opt.step(grads)
         history.append(total / len(rows))
     return history
 
 
-def finite_difference_check(model, example, epsilon: float = 1e-5,
+def finite_difference_check(model, examples: Sequence, epsilon: float = 1e-5,
                             max_entries_per_param: int = 8,
                             seed: int = 0) -> float:
-    """Max relative error between analytic gradients and central differences
-    over a random subset of parameter entries."""
+    """Max relative error between the analytic gradients of a minibatch's
+    summed loss (one ``loss_and_grads`` call on the compiled examples) and
+    central differences, over a random subset of parameter entries."""
     params = model.all_params()
-    _, grads = model.loss_and_grads(example)
+    batch = [model.compile(e) for e in examples]
+    _, grads = model.loss_and_grads(batch)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for key, tensor in params.items():
@@ -518,9 +609,9 @@ def finite_difference_check(model, example, epsilon: float = 1e-5,
             idx = int(idx)
             original = flat[idx]
             flat[idx] = original + epsilon
-            loss_plus, _ = model.loss_and_grads(example)
+            loss_plus, _ = model.loss_and_grads(batch)
             flat[idx] = original - epsilon
-            loss_minus, _ = model.loss_and_grads(example)
+            loss_minus, _ = model.loss_and_grads(batch)
             flat[idx] = original
             numeric = (loss_plus - loss_minus) / (2 * epsilon)
             analytic = grads[key].reshape(-1)[idx]

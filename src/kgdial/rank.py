@@ -12,8 +12,10 @@ inference a candidate list is encoded in one `ToyEncoder.pair_readouts`
 call: the history's part of the attention is computed once per truncation
 window and each candidate adds only its own snippet's blocks, which equals
 one encoder pass per history-snippet pair up to rounding and gives each
-candidate the same result in any list. Training encodes each pair with its
-own pass, keeping the caches backward needs. The head and wide terms of
+candidate the same result in any list. Training takes a whole minibatch
+per ``loss_and_grads`` call and encodes its pairs in padded stacks
+(`ToyEncoder.stacked_passes`; a list-wise row's candidates share a stack),
+keeping each stack's caches until its backward. The head and wide terms of
 all candidates are added at once, as stacked (1, k) @ (k, 1) products that
 equal the per-candidate 1-D dots bit for bit. A model maps each snippet to
 ids, and each entity name to its
@@ -22,9 +24,11 @@ its vocabulary is fixed.
 
 Training compiles each row once per training run, not once per epoch:
 the encoder pair, the sparse-feature row and (with MTL) the entity-name
-input of a point-wise row, the pairs of a list-wise one. A row that online
-entity-name augmentation rewrites on a call is built afresh for that call,
-its entities exact-matched against the knowledge base training bound.
+input of a point-wise row, the pairs of a list-wise one. A dialogue's
+history ids and `dialogue_features` are built once for all its point-wise
+rows. A row that online entity-name augmentation rewrites on a call is
+built afresh for that call, its entities exact-matched against the
+knowledge base training bound.
 
 The multi-task head computes, for a pooled query vector f and per-token
 states H of the concatenated entity names,
@@ -388,14 +392,11 @@ def _mtl_backward(cache, params: MTLParams, dlogits: np.ndarray,
     return df, dH
 
 
-def _snippet_inputs(encoder: ToyEncoder,
-                    snippet_ids: dict[KnowledgeSnippet, np.ndarray],
-                    dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet]
-                    ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The ids of the dialogue history and of each candidate. The history
-    is mapped to ids once; a snippet is mapped on its first use and kept in
-    ``snippet_ids``, the model's table (its vocabulary is fixed)."""
-    history = encoder.vocab_ids(tokenize(linearize_history(dialogue)))
+def _candidate_ids(encoder: ToyEncoder,
+                   snippet_ids: dict[KnowledgeSnippet, np.ndarray],
+                   candidates: Sequence[KnowledgeSnippet]) -> list[np.ndarray]:
+    """The ids of each candidate. A snippet is mapped on its first use and
+    kept in ``snippet_ids``, the model's table (its vocabulary is fixed)."""
     rights = []
     for snippet in candidates:
         ids = snippet_ids.get(snippet)
@@ -403,7 +404,17 @@ def _snippet_inputs(encoder: ToyEncoder,
             ids = snippet_ids[snippet] = encoder.vocab_ids(
                 tokenize(linearize_knowledge(snippet)))
         rights.append(ids)
-    return history, rights
+    return rights
+
+
+def _snippet_inputs(encoder: ToyEncoder,
+                    snippet_ids: dict[KnowledgeSnippet, np.ndarray],
+                    dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet]
+                    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ids of the dialogue history, mapped once, and of each
+    candidate (`_candidate_ids`)."""
+    return (encoder.vocab_ids(tokenize(linearize_history(dialogue))),
+            _candidate_ids(encoder, snippet_ids, candidates))
 
 
 def _pair_inputs(encoder: ToyEncoder, snippet_ids: dict[KnowledgeSnippet, np.ndarray],
@@ -538,6 +549,7 @@ class PointwiseModel:
         self._kb: Optional[KnowledgeBase] = None
         self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
         self._name_grams = NameGrams()
+        self._last_dialogue: Optional[tuple] = None
 
     @staticmethod
     def param_shapes(n_vocab: int, domains: Sequence[str],
@@ -581,13 +593,19 @@ class PointwiseModel:
                          ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         """The encoder pair and sparse-feature row of a training row; its
         entities are exact-matched against the bound knowledge base when
-        ``tracked`` is ``None``."""
-        if tracked is None:
-            tracked = exact_match_entities(dialogue, self._kb)
-        pair, = _pair_inputs(self.encoder, self._snippet_ids, dialogue, [candidate])
-        row, = dialogue_features(dialogue, tracked).indicators(
-            [candidate], self.config.variant, self._name_grams)
-        return pair, row
+        ``tracked`` is ``None``. The history's ids and `dialogue_features`
+        are kept for the last (dialogue, tracked) pair asked about, since a
+        dialogue's positive and negative rows come one after another."""
+        memo = self._last_dialogue
+        if memo is None or memo[0] is not dialogue or memo[1] is not tracked:
+            history = self.encoder.vocab_ids(tokenize(linearize_history(dialogue)))
+            features = dialogue_features(dialogue, exact_match_entities(
+                dialogue, self._kb) if tracked is None else tracked)
+            memo = self._last_dialogue = (dialogue, tracked, history, features)
+        _, _, history, features = memo
+        right, = _candidate_ids(self.encoder, self._snippet_ids, [candidate])
+        row, = features.indicators([candidate], self.config.variant, self._name_grams)
+        return self.encoder.pair_ids(history, right), row
 
     def compile(self, instance: PointwiseInstance) -> PointwiseRow:
         entity_input = None
@@ -601,62 +619,85 @@ class PointwiseModel:
                                             instance.tracked)
         return PointwiseRow(instance, pair, feats, entity_input)
 
-    def loss_and_grads(self, instance: PointwiseInstance | PointwiseRow
-                       ) -> tuple[float, dict]:
+    def loss_and_grads(self, rows: Sequence[PointwiseRow]) -> tuple[float, dict]:
+        """Summed loss of compiled rows and its gradients. Online ENA draws
+        for each row in row order and rebuilds a rewritten row's inputs;
+        then the pairs are encoded in padded stacks
+        (`ToyEncoder.stacked_passes`), and with MTL the rows' entity-name
+        inputs in stacks of their own, whose backward runs last."""
         cfg = self.config
-        row = instance if isinstance(instance, PointwiseRow) else self.compile(instance)
-        instance = row.instance
-        pair, feats = row.pair, row.features
-        if cfg.ena is not None:
-            dialogue = augment_entity_name(
-                instance.dialogue, instance.candidate, bool(instance.label),
-                cfg.ena, self._ena_rng)
-            if dialogue is not instance.dialogue:  # rewritten: built and tracked afresh
-                pair, feats = self._dialogue_inputs(dialogue, instance.candidate, None)
-        params = self.all_params()
-        grads = {k: np.zeros(v.shape) for k, v in params.items()}
-
-        cache1 = self.encoder.forward(*pair)
-        f1 = cache1["f"]
-        u1 = pair_readout(cache1)
-        z = float(self.head["w"] @ u1 + self.head["b"][0] + self.wide["u"] @ feats)
-        rank_loss, dz = bce_loss(z, float(instance.label))
-        lam_rank = self.mtl.lambda_rank if self.mtl is not None else cfg.lambda_rank
-        loss = lam_rank * rank_loss
-        dz *= lam_rank
-        grads["head.w"] += dz * u1
-        grads["head.b"] += np.array([dz])
-        grads["wide.u"] += dz * feats
-        dH1, df1 = pair_readout_backward(cache1, dz * self.head["w"])
-
+        pairs, feats = [], []
+        for row in rows:
+            pair, row_feats = row.pair, row.features
+            if cfg.ena is not None:
+                instance = row.instance
+                dialogue = augment_entity_name(
+                    instance.dialogue, instance.candidate, bool(instance.label),
+                    cfg.ena, self._ena_rng)
+                if dialogue is not instance.dialogue:  # rewritten: built and tracked afresh
+                    pair, row_feats = self._dialogue_inputs(dialogue, instance.candidate,
+                                                            None)
+            pairs.append(pair)
+            feats.append(row_feats)
+        feats = np.array(feats).reshape(len(rows), N_SPARSE)
+        labels = np.array([row.instance.label for row in rows], dtype=np.float64)
+        grads = {k: np.zeros(v.shape) for k, v in self.all_params().items()}
         enc_grads = {name: grads[f"enc.{name}"] for name in self.encoder.params}
-
+        lam_rank = self.mtl.lambda_rank if self.mtl is not None else cfg.lambda_rank
+        entity_stacks = []  # (cache, dH) of each stack of entity-name inputs
+        entity = {}  # row -> (its entity stack's cache and dH, its row there)
         if self.mtl is not None:
-            # domain classification from the pooled pair representation
-            dom_logits = f1 @ self.mtl.domain_weights + self.mtl.domain_bias
-            dom_p = softmax(dom_logits)
-            loss += -self.mtl.lambda_domain * math.log(max(dom_p[instance.domain_id], 1e-300))
-            ddom = self.mtl.lambda_domain * dom_p.copy()
-            ddom[instance.domain_id] -= self.mtl.lambda_domain
-            grads["mtl.dom"] += np.outer(f1, ddom)
-            grads["mtl.bdom"] += ddom
-            df1 = df1 + self.mtl.domain_weights @ ddom
-
-            # entity selection over the sampled candidate names
-            ids2, segs2, spans = row.entity_input
-            cache2 = self.encoder.forward(ids2, segs2)
-            mtl_cache = _mtl_forward_cache(f1, cache2["H"], spans, self.mtl)
-            p_ent = mtl_cache["p"]
-            loss += -self.mtl.lambda_entity * math.log(
-                max(p_ent[instance.true_entity_index], 1e-300))
-            dlogits = self.mtl.lambda_entity * p_ent.copy()
-            dlogits[instance.true_entity_index] -= self.mtl.lambda_entity
-            df_mtl, dH2 = _mtl_backward(mtl_cache, self.mtl, dlogits, grads)
-            df1 = df1 + df_mtl
-            self.encoder.backward(cache2, dH2, None, enc_grads)
-
-        self.encoder.backward(cache1, dH1, df1, enc_grads)
+            for idx, cache in self.encoder.stacked_passes(
+                    [[row.entity_input[:2]] for row in rows]):
+                entity_stacks.append((cache, np.zeros_like(cache["H"])))
+                for r, i in enumerate(idx):
+                    entity[i] = (*entity_stacks[-1], r)
+        loss = 0.0
+        for idx, cache in self.encoder.stacked_passes([[pair] for pair in pairs]):
+            u = pair_readout(cache)
+            z = (u @ self.head["w"] + self.head["b"][0]) + feats[idx] @ self.wide["u"]
+            rank_loss, dz = bce_loss(z, labels[idx])
+            loss += lam_rank * float(rank_loss.sum())
+            dz *= lam_rank
+            grads["head.w"] += dz @ u
+            grads["head.b"] += dz.sum()
+            grads["wide.u"] += dz @ feats[idx]
+            dH, df = pair_readout_backward(cache, dz[:, None] * self.head["w"])
+            if self.mtl is not None:
+                loss += self._mtl_terms([rows[i] for i in idx], [entity[i] for i in idx],
+                                        cache["f"], df, grads)
+            self.encoder.backward(cache, dH, df, enc_grads)
+        for cache, dH2 in entity_stacks:
+            self.encoder.backward(cache, dH2, None, enc_grads)
         return loss, grads
+
+    def _mtl_terms(self, rows: Sequence[PointwiseRow], entity: Sequence[tuple],
+                   f1: np.ndarray, df1: np.ndarray, grads: dict) -> float:
+        """The domain and entity-selection losses of one stack's rows, whose
+        pooled pair vectors are ``f1``: their gradients go into ``grads``,
+        into ``df1`` (in place) and into each row's entity-name dH."""
+        mtl = self.mtl
+        # domain classification from the pooled pair representation
+        domain_ids = np.array([row.instance.domain_id for row in rows])
+        at = np.arange(len(rows)), domain_ids
+        dom_p = softmax(f1 @ mtl.domain_weights + mtl.domain_bias, axis=1)
+        loss = -mtl.lambda_domain * float(np.log(np.maximum(dom_p[at], 1e-300)).sum())
+        ddom = mtl.lambda_domain * dom_p
+        ddom[at] -= mtl.lambda_domain
+        grads["mtl.dom"] += f1.T @ ddom
+        grads["mtl.bdom"] += ddom.sum(axis=0)
+        df1 += ddom @ mtl.domain_weights.T
+        # entity selection over the sampled candidate names
+        for r, (row, (cache2, dH2, r2)) in enumerate(zip(rows, entity)):
+            ids2, _, spans = row.entity_input
+            mtl_cache = _mtl_forward_cache(f1[r], cache2["H"][r2, :len(ids2)], spans, mtl)
+            true_index = row.instance.true_entity_index
+            loss -= mtl.lambda_entity * math.log(max(mtl_cache["p"][true_index], 1e-300))
+            dlogits = mtl.lambda_entity * mtl_cache["p"]
+            dlogits[true_index] -= mtl.lambda_entity
+            df_mtl, dH2[r2, :len(ids2)] = _mtl_backward(mtl_cache, mtl, dlogits, grads)
+            df1[r] += df_mtl
+        return loss
 
 
 def _gt_snippet(dialogue: Dialogue, kb: KnowledgeBase) -> KnowledgeSnippet:
@@ -833,26 +874,33 @@ class ListwiseModel:
         return ListwiseRow(instance, _pair_inputs(
             self.encoder, self._snippet_ids, instance.dialogue, instance.candidates))
 
-    def loss_and_grads(self, instance: ListwiseInstance | ListwiseRow
-                       ) -> tuple[float, dict]:
-        row = instance if isinstance(instance, ListwiseRow) else self.compile(instance)
-        params = self.all_params()
-        grads = {k: np.zeros(v.shape) for k, v in params.items()}
-        vectors = row.instance.features  # indicator value 1: alpha is for inference
-        caches = [self.encoder.forward(*pair) for pair in row.pairs]
-        readouts = np.array([pair_readout(cache) for cache in caches])
-        p = softmax(_wide_deep_logits(self, readouts, vectors))
-        true_index = row.instance.true_index
-        loss = -math.log(max(p[true_index], 1e-300))
-        dlogits = p.copy()
-        dlogits[true_index] -= 1.0
+    def loss_and_grads(self, rows: Sequence[ListwiseRow]) -> tuple[float, dict]:
+        """Summed list-wise cross entropy of compiled rows and its
+        gradients. A row's candidates are encoded in one padded stack
+        (`ToyEncoder.stacked_passes`), which may hold several rows, and
+        normalised together."""
+        grads = {k: np.zeros(v.shape) for k, v in self.all_params().items()}
         enc_grads = {name: grads[f"enc.{name}"] for name in self.encoder.params}
-        for j, (cache, u, vec) in enumerate(zip(caches, readouts, vectors)):
-            dz = dlogits[j]
-            grads["head.w"] += dz * u
-            grads["head.b"] += np.array([dz])
-            grads["wide.u"] += dz * vec
-            dH, df = pair_readout_backward(cache, dz * self.head["w"])
+        loss = 0.0
+        for idx, cache in self.encoder.stacked_passes([row.pairs for row in rows]):
+            # indicator value 1: alpha is for inference
+            vectors = np.concatenate([rows[i].instance.features for i in idx])
+            u = pair_readout(cache)
+            z = (u @ self.head["w"] + self.head["b"][0]) + vectors @ self.wide["u"]
+            dz = np.empty_like(z)
+            start = 0
+            for i in idx:
+                end = start + len(rows[i].pairs)
+                p = softmax(z[start:end])
+                true_index = rows[i].instance.true_index
+                loss -= math.log(max(p[true_index], 1e-300))
+                p[true_index] -= 1.0
+                dz[start:end] = p
+                start = end
+            grads["head.w"] += dz @ u
+            grads["head.b"] += dz.sum()
+            grads["wide.u"] += dz @ vectors
+            dH, df = pair_readout_backward(cache, dz[:, None] * self.head["w"])
             self.encoder.backward(cache, dH, df, enc_grads)
         return loss, grads
 

@@ -143,8 +143,10 @@ def test_criterion_3_gradient_checks():
             model = train_pointwise(ks[:8], kb, config)
             instances = build_pointwise_instances(
                 ks[:8], kb, config, np.random.default_rng(seed))
-            instance = instances[seed % len(instances)]
-            err = finite_difference_check(model, instance, epsilon=1e-5,
+            # a minibatch of rows from several dialogues, so that the one
+            # padded pass `train_model` runs is what is checked
+            batch = [instances[(seed + 7 * i) % len(instances)] for i in range(4)]
+            err = finite_difference_check(model, batch, epsilon=1e-5,
                                           max_entries_per_param=6, seed=seed)
             assert err < 1e-4, f"seed {seed}: max rel gradient error {err}"
         elapsed = time.time() - start

@@ -11,6 +11,7 @@ from kgdial.augment import (
     tst_transform,
 )
 from kgdial.corpus import Dialogue, KnowledgeSnippet, Speaker, Turn
+from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 
 TOY_LEXICON = {
     "can": ["K", "AE", "N"],
@@ -28,6 +29,26 @@ TOY_LEXICON = {
 @pytest.fixture(scope="module")
 def toy_index():
     return build_phonetic_index(TOY_LEXICON)
+
+
+def dict_probing_candidates(index, vec):
+    """`PhoneticIndex._candidates` as one dict of buckets per table, probed
+    with every signature within two flipped bits of the query's, the found
+    ids collected in a set."""
+    found = set()
+    for t in range(index.n_tables):
+        table = {}
+        for idx, sig in enumerate(index._signatures(index.embeddings, t).tolist()):
+            table.setdefault(sig, []).append(idx)
+        sig = int(index._signatures(vec[None, :], t)[0])
+        probes = [sig]
+        probes.extend(sig ^ (1 << b) for b in range(index.n_bits))
+        for b1 in range(index.n_bits):
+            for b2 in range(b1 + 1, index.n_bits):
+                probes.append(sig ^ (1 << b1) ^ (1 << b2))
+        for p in probes:
+            found.update(table.get(p, ()))
+    return np.fromiter(found, dtype=np.int64, count=len(found))
 
 
 def user_dialogue(text, id="d0"):
@@ -61,30 +82,24 @@ class TestPhoneticIndex:
         index = build_phonetic_index({"only": ["OW", "N", "L", "IY"]})
         assert phonetic_neighbors(index, "only", 1) == []
 
-    def test_candidates_equal_probe_loop(self, toy_index):
-        # the probes within two flipped bits built per query, as before
-        def reference(index, vec):
-            found = set()
-            for t in range(index.n_tables):
-                sig = int(index._signatures(vec[None, :], t)[0])
-                probes = [sig]
-                probes.extend(sig ^ (1 << b) for b in range(index.n_bits))
-                for b1 in range(index.n_bits):
-                    for b2 in range(b1 + 1, index.n_bits):
-                        probes.append(sig ^ (1 << b1) ^ (1 << b2))
-                for p in probes:
-                    found.update(index._tables[t].get(p, ()))
-            return found
-
+    @pytest.mark.parametrize("lexicon", ["toy", "synth"])
+    def test_candidates_equal_dict_probing(self, toy_index, lexicon):
         index = toy_index
+        words = list(TOY_LEXICON) + ["zzyzx", "bookings"]
+        if lexicon == "synth":
+            index = build_phonetic_index(build_mini_corpus(MiniCorpusConfig(
+                n_dialogues=4, seed=1))[2])
+            words = index.vocabulary + ["zzyzx", "hamiltons"]
         assert index.probe_radius == 2
         rng = np.random.default_rng(2)
-        vecs = [index.embed(w) for w in list(TOY_LEXICON) + ["zzyzx", "bookings"]]
+        vecs = [index.embed(w) for w in words]
         vecs += list(rng.normal(size=(20, index.embeddings.shape[1])))
         for vec in vecs:
             got = index._candidates(vec)
-            assert len(got) == len(set(got.tolist()))
-            assert set(got.tolist()) == reference(index, vec)
+            expected = dict_probing_candidates(index, vec)
+            assert np.array_equal(got, np.sort(expected))
+            if lexicon == "synth":  # set order: ascending ids on this lexicon
+                assert np.array_equal(got, expected)
 
     def test_neighbors_sorted_by_exact_distance(self, toy_index):
         got = toy_index.neighbors("lodge", 4)

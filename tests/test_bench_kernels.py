@@ -37,3 +37,7 @@ def test_checkpoint_io_checks(bench):
 
 def test_pair_readouts_checks(bench):
     bench.bench_pair_readouts(n_dialogues=6, d=4, max_len=48, repeat=1)
+
+
+def test_train_batch_checks(bench):
+    bench.bench_train_batch(n_dialogues=8, d=4, max_len=48, repeat=1)

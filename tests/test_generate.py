@@ -14,6 +14,7 @@ from kgdial.generate import (
     build_gen_examples, decode_nbest, mine_frequent_interrogatives,
     preprocess_responses, strip_trailing_interrogatives, train_generator,
 )
+from test_models import assert_close_loss, summed_losses
 
 BOOK_Q = "Would you like to book a room?"
 
@@ -200,12 +201,15 @@ class TestGenerator:
     def test_loss_equals_reference_step_by_step(self, trained):
         model, examples = trained
         for e in examples + overfit_examples(4):
-            ref_loss, ref_grads = reference_loss_and_grads(model, e)
-            for given_ in (e, model.compile(e)):
-                loss, grads = model.loss_and_grads(given_)
-                assert loss == ref_loss
-                for key, value in ref_grads.items():
-                    assert np.array_equal(grads[key], value), key
+            assert_close_loss(model.loss_and_grads([model.compile(e)]),
+                              reference_loss_and_grads(model, e))
+
+    def test_batch_loss_is_the_sum_over_its_rows(self, trained):
+        model, examples = trained
+        batch = examples + overfit_examples(4)
+        assert_close_loss(model.loss_and_grads([model.compile(e) for e in batch]),
+                          summed_losses(reference_loss_and_grads(model, e)
+                                        for e in batch))
 
     @settings(max_examples=80, deadline=None)
     @given(V=st.integers(3, 40), d=st.integers(1, 40), max_target=st.integers(1, 96),
@@ -223,11 +227,8 @@ class TestGenerator:
         e = GenExample(turn_id="r", context=GenerationContext(
             text=" ".join(ctx), has_knowledge=False),
             target=" ".join([TAG_RESP] + words))
-        ref_loss, ref_grads = reference_loss_and_grads(model, e)
-        loss, grads = model.loss_and_grads(model.compile(e))
-        assert loss == ref_loss
-        for key, value in ref_grads.items():
-            assert np.array_equal(grads[key], value), key
+        assert_close_loss(model.loss_and_grads([model.compile(e)]),
+                          reference_loss_and_grads(model, e))
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_training_tokenizes_each_example_once(self, monkeypatch, epochs):
@@ -250,7 +251,7 @@ class TestGenerator:
         cfg = GenTrainConfig(epochs=1, learning_rate=0.01, seed=4,
                              max_target_tokens=16)
         model, _ = train_generator(examples, cfg)
-        err = finite_difference_check(model, examples[0], epsilon=1e-5)
+        err = finite_difference_check(model, examples, epsilon=1e-5)
         assert err < 1e-4
 
 

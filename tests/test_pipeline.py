@@ -408,6 +408,31 @@ def _copy_outputs(config, tmp_path, **values):
     return PipelineConfig(dict(config.values, **values, **{"paths.output": str(out)}))
 
 
+def _checkpoint_members(path):
+    """The bytes of every member of a checkpoint archive (its zip entries
+    carry timestamps, so the archive bytes themselves differ run to run)."""
+    with np.load(path) as archive:
+        return {name: archive[name].tobytes() for name in archive.files}
+
+
+def test_seeded_training_runs_give_identical_checkpoints(trained, tmp_path):
+    """Every trainer (the detector, the learned tracker, the point-wise
+    ranker with MTL and ENA, its k-fold retrains, the list-wise ranker and
+    the generator) trains in minibatch passes; two runs of one config
+    write the same checkpoint bytes."""
+    runs = []
+    for run in ("a", "b"):
+        config = PipelineConfig(dict(trained[0].values, **{
+            "paths.output": str(tmp_path / run), "track.method": "learned",
+            "track.epochs": 1, "model.d": 24}))
+        for stage in (stage_train_detect, stage_train_select, stage_train_generate):
+            stage(config)
+        runs.append({name: _checkpoint_members(config.output_path(name))
+                     for name in ("detector.npz", "tracker.npz", "pointwise.npz",
+                                  "listwise.npz", "generator.npz")})
+    assert runs[0] == runs[1]
+
+
 def test_rankers_pool_as_configured(trained, tmp_path):
     config = _copy_outputs(trained[0], tmp_path, **{"model.pooling": "first"})
     stage_train_select(config)

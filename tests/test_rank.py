@@ -13,8 +13,8 @@ from kgdial.corpus import (
 )
 from kgdial.entity_track import collect_candidates, exact_match_entities
 from kgdial.augment import AugmentConfig, augment_entity_name
-from kgdial.models import (bce_loss, finite_difference_check, pair_readout,
-                           pair_readout_backward, sigmoid, softmax)
+from kgdial import models
+from kgdial.models import finite_difference_check, sigmoid, softmax
 from kgdial.rank import (
     ListwiseConfig, ListwiseModel, MTLParams, PointwiseConfig, PointwiseInstance,
     RankedKnowledgeList, RankError, SparseFeatures, Variant,
@@ -27,8 +27,10 @@ from kgdial.rank import (
 from kgdial.pipeline import evaluate_predictions
 from kgdial.rank import _mtl_forward_cache, _mtl_backward, _pair_inputs
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus
-from test_models import (assert_same_loss, reference_pair_readout, reference_softmax,
-                         reference_token_ids)
+from test_models import (assert_close_loss, mask_pair_readout_backward,
+                         reference_backward, reference_bce, reference_forward,
+                         reference_pair_readout, reference_softmax, reference_token_ids,
+                         summed_losses)
 
 
 def snip(domain, entity_id, name, doc_id, q=None, a=None):
@@ -319,8 +321,8 @@ class TestPointwiseTraining:
                 dialogue=inst.dialogue, candidate=inst.candidate,
                 label=inst.label, domain_id=inst.domain_id,
                 entity_names=names, true_entity_index=0)
-            l1, _ = plain.loss_and_grads(inst)
-            l2, _ = mtl.loss_and_grads(mtl_inst)
+            l1, _ = plain.loss_and_grads([plain.compile(inst)])
+            l2, _ = mtl.loss_and_grads([mtl.compile(mtl_inst)])
             assert l1 == pytest.approx(l2, rel=1e-12)
 
     def test_training_rows_carry_tracking_ena_rewrites_retrack(self, monkeypatch):
@@ -337,7 +339,7 @@ class TestPointwiseTraining:
         assert [e.name for e in inst.tracked] == [inst.candidate.entity_name]
 
         def wide_grad(instance):
-            return model.loss_and_grads(instance)[1]["wide.u"]
+            return model.loss_and_grads([model.compile(instance)])[1]["wide.u"]
 
         def with_ena(probability):
             """The model's weights under an ENA config."""
@@ -401,7 +403,7 @@ class TestPointwiseTraining:
         model = train_pointwise(corpus, kb, cfg)
         instances = build_pointwise_instances(corpus, kb, cfg,
                                               np.random.default_rng(0))
-        err = finite_difference_check(model, instances[0], epsilon=1e-5)
+        err = finite_difference_check(model, instances[:6], epsilon=1e-5)
         assert err < 1e-4
 
     def test_deterministic_training(self):
@@ -477,7 +479,8 @@ def reference_logit(m, d, snippet, alpha, tracked):
     """One candidate scored on its own, as the point-wise model defines it."""
     history = tokenize(linearize_history(d))
     tokens = history + tokenize(linearize_knowledge(snippet))
-    cache = m.encoder.forward(*reference_token_ids(m.encoder, tokens, len(history)))
+    cache = reference_forward(m.encoder,
+                              *reference_token_ids(m.encoder, tokens, len(history)))
     feats = extract_sparse_features(d, snippet, tracked, m.config.variant, alpha)
     return float(m.head["w"] @ reference_pair_readout(cache) + m.head["b"][0]
                  + m.wide["u"] @ feats.vector())
@@ -565,10 +568,10 @@ def reference_logits(m, d, candidates, alpha, tracked):
     context = rank.dialogue_features(d, tracked)
     out = []
     for candidate, pair in zip(candidates, _pair_inputs(m.encoder, {}, d, candidates)):
-        cache = m.encoder.forward(*pair)
+        cache = reference_forward(m.encoder, *pair)
         feats = np.array(reference_indicators(context, candidate, m.config.variant),
                          dtype=np.float64) * rank.feature_scale(alpha)
-        out.append(float(m.head["w"] @ pair_readout(cache) + m.head["b"][0]
+        out.append(float(m.head["w"] @ reference_pair_readout(cache) + m.head["b"][0]
                          + m.wide["u"] @ feats))
     return out
 
@@ -578,7 +581,7 @@ def reference_distribution(model, d, candidates, features, alpha):
     logits = np.empty(len(candidates))
     pairs = _pair_inputs(model.encoder, {}, d, candidates)
     for j, (pair, row) in enumerate(zip(pairs, features)):
-        u = pair_readout(model.encoder.forward(*pair))
+        u = reference_pair_readout(reference_forward(model.encoder, *pair))
         vec = SparseFeatures(*row.astype(int), alpha=alpha).vector()
         logits[j] = model.head["w"] @ u + model.head["b"][0] + model.wide["u"] @ vec
     return softmax(logits)
@@ -710,7 +713,7 @@ class TestListwise:
         instances, _ = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
         model = train_listwise(instances, kb, ListwiseConfig(epochs=1, d=10))
-        err = finite_difference_check(model, instances[0], epsilon=1e-5)
+        err = finite_difference_check(model, instances[:3], epsilon=1e-5)
         assert err < 1e-4
 
     def test_rerank_reorders_by_distribution(self):
@@ -838,8 +841,8 @@ def reference_pointwise_loss(model, instance, kb):
     grads = {k: np.zeros_like(v) for k, v in model.all_params().items()}
     history = tokenize(linearize_history(dialogue))
     tokens1 = history + tokenize(linearize_knowledge(instance.candidate))
-    cache1 = model.encoder.forward(
-        *reference_token_ids(model.encoder, tokens1, len(history)))
+    cache1 = reference_forward(
+        model.encoder, *reference_token_ids(model.encoder, tokens1, len(history)))
     f1 = cache1["f"]
     u1 = reference_pair_readout(cache1)
     tracked = instance.tracked if dialogue is instance.dialogue else None
@@ -848,14 +851,14 @@ def reference_pointwise_loss(model, instance, kb):
     feats = extract_sparse_features(dialogue, instance.candidate, tracked,
                                     cfg.variant).vector()
     z = float(model.head["w"] @ u1 + model.head["b"][0] + model.wide["u"] @ feats)
-    rank_loss, dz = bce_loss(z, float(instance.label))
+    rank_loss, dz = reference_bce(z, float(instance.label))
     lam_rank = model.mtl.lambda_rank if model.mtl is not None else cfg.lambda_rank
     loss = lam_rank * rank_loss
     dz *= lam_rank
     grads["head.w"] += dz * u1
     grads["head.b"] += np.array([dz])
     grads["wide.u"] += dz * feats
-    dH1, df1 = pair_readout_backward(cache1, dz * model.head["w"])
+    dH1, df1 = mask_pair_readout_backward(cache1, dz * model.head["w"])
     enc_grads = {name: grads[f"enc.{name}"] for name in model.encoder.params}
     if model.mtl is not None:
         mtl = model.mtl
@@ -867,7 +870,8 @@ def reference_pointwise_loss(model, instance, kb):
         grads["mtl.bdom"] += ddom
         df1 = df1 + mtl.domain_weights @ ddom
         tokens2, spans = model._input2(instance.entity_names)
-        cache2 = model.encoder.forward(*reference_token_ids(model.encoder, tokens2))
+        cache2 = reference_forward(model.encoder,
+                                   *reference_token_ids(model.encoder, tokens2))
         mtl_cache = _mtl_forward_cache(f1, cache2["H"], spans, mtl)
         p_ent = mtl_cache["p"]
         true_entity = instance.true_entity_index
@@ -876,8 +880,8 @@ def reference_pointwise_loss(model, instance, kb):
         dlogits[true_entity] -= mtl.lambda_entity
         df_mtl, dH2 = _mtl_backward(mtl_cache, mtl, dlogits, grads)
         df1 = df1 + df_mtl
-        model.encoder.backward(cache2, dH2, None, enc_grads)
-    model.encoder.backward(cache1, dH1, df1, enc_grads)
+        reference_backward(model.encoder, cache2, dH2, None, enc_grads)
+    reference_backward(model.encoder, cache1, dH1, df1, enc_grads)
     return loss, grads
 
 
@@ -889,8 +893,8 @@ def reference_listwise_loss(model, instance):
     caches, logits = [], np.empty(len(instance.candidates))
     for j, (snip, row) in enumerate(zip(instance.candidates, instance.features)):
         tokens = history + tokenize(linearize_knowledge(snip))
-        cache = model.encoder.forward(
-            *reference_token_ids(model.encoder, tokens, len(history)))
+        cache = reference_forward(
+            model.encoder, *reference_token_ids(model.encoder, tokens, len(history)))
         vec = SparseFeatures(*row.astype(int)).vector()
         logits[j] = (model.head["w"] @ reference_pair_readout(cache)
                      + model.head["b"][0] + model.wide["u"] @ vec)
@@ -905,8 +909,8 @@ def reference_listwise_loss(model, instance):
         grads["head.w"] += dz * reference_pair_readout(cache)
         grads["head.b"] += np.array([dz])
         grads["wide.u"] += dz * vec
-        dH, df = pair_readout_backward(cache, dz * model.head["w"])
-        model.encoder.backward(cache, dH, df, enc_grads)
+        dH, df = mask_pair_readout_backward(cache, dz * model.head["w"])
+        reference_backward(model.encoder, cache, dH, df, enc_grads)
     return loss, grads
 
 
@@ -921,28 +925,124 @@ def twin_pointwise(model, kb):
     return twin
 
 
-class TestCompiledRows:
-    """Rows compiled once give the per-call training path bit for bit."""
+def long_dialogue(kb):
+    text = " ".join(["i want to book Hamilton Lodge near City Cab"] * 12)
+    return ks_dialogue("long", "Hamilton Lodge", kb, text=text)
 
-    def long_dialogue(self, kb):
-        text = " ".join(["i want to book Hamilton Lodge near City Cab"] * 12)
-        return ks_dialogue("long", "Hamilton Lodge", kb, text=text)
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("use_mtl", [False, True])
-    @pytest.mark.parametrize("ena", [None, 0.6])
-    def test_pointwise_rows_equal_per_call_path(self, monkeypatch, variant,
-                                                use_mtl, ena):
-        kb = make_kb()
-        corpus = make_corpus(kb, 6) + [self.long_dialogue(kb)]
-        cfg = small_config(use_mtl=use_mtl, variant=variant, epochs=2,
-                           learning_rate=0.01, max_len=48,
+@pytest.fixture(scope="module")
+def training_pool():
+    """A knowledge base, a corpus with one history longer than any max_len
+    below, and its point-wise instances with and without MTL names."""
+    kb = make_kb()
+    corpus = make_corpus(kb, 6) + [long_dialogue(kb)]
+    instances = {use_mtl: build_pointwise_instances(
+        corpus, kb, small_config(use_mtl=use_mtl), np.random.default_rng(1))
+        for use_mtl in (False, True)}
+    for pool in instances.values():
+        pool.append(replace(pool[0], tracked=None))
+    return kb, corpus, instances
+
+
+def randomized(model, seed):
+    """``model`` with every weight drawn at random (heads and wide part too)."""
+    rng = np.random.default_rng(seed)
+    for value in model.all_params().values():
+        value[...] = rng.normal(0.0, 0.5, size=value.shape)
+    return model
+
+
+def record_stacks(monkeypatch):
+    """The (unit count, cache) of every stack `ToyEncoder.stacked_passes`
+    yields from now on."""
+    seen = []
+    real = models.ToyEncoder.stacked_passes
+
+    def recording(self, units):
+        for idx, cache in real(self, units):
+            seen.append((len(idx), cache))
+            yield idx, cache
+
+    monkeypatch.setattr(models.ToyEncoder, "stacked_passes", recording)
+    return seen
+
+
+def assert_within_block(seen, block, d):
+    for n_units, cache in seen:
+        rows, longest = cache["A"].shape[:2]
+        assert n_units == 1 or rows * longest * max(longest, 3 * d) <= block
+
+
+class TestBatchedTraining:
+    """One ``loss_and_grads`` call on a minibatch of compiled rows equals the
+    per-row training path, kept below as an oracle, summed over the rows up
+    to rounding."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=12),
+           max_len=st.sampled_from([20, 48, 128]), use_mtl=st.booleans(),
+           ena=st.sampled_from([None, 0.6]), pooling=st.sampled_from(["mean", "first"]),
+           block=st.sampled_from([models._STACK_BLOCK, 3000]), seed=st.integers(0, 99))
+    def test_pointwise_batch_equals_per_row_reference(
+            self, training_pool, picks, max_len, use_mtl, ena, pooling, block, seed):
+        kb, corpus, pool = training_pool
+        instances = [pool[use_mtl][i % len(pool[use_mtl])] for i in picks]
+        cfg = small_config(use_mtl=use_mtl, max_len=max_len, pooling=pooling,
                            ena=None if ena is None else AugmentConfig(
                                ena_probability=ena, seed=3))
-        model = train_pointwise(corpus, kb, cfg)
+        model = randomized(rank.PointwiseModel(rank._ranking_vocab(corpus, kb),
+                                               sorted({s.domain for s in kb.snippets}),
+                                               cfg), seed)
+        model.bind_kb(kb)
         twin = twin_pointwise(model, kb)
-        instances = build_pointwise_instances(corpus, kb, cfg, np.random.default_rng(1))
-        instances.append(replace(instances[0], tracked=None))
+        rows = [model.compile(inst) for inst in instances]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "_STACK_BLOCK", block)
+            seen = record_stacks(patch)
+            got = model.loss_and_grads(rows)
+        assert_close_loss(got, summed_losses(reference_pointwise_loss(twin, inst, kb)
+                                             for inst in instances))
+        assert sum(n for n, _ in seen) == len(rows) * (2 if use_mtl else 1)
+        assert_within_block(seen, block, cfg.d)
+        if ena is not None:  # both drew the same rewrites, in row order
+            assert model._ena_rng.random() == twin._ena_rng.random()
+
+    @settings(max_examples=40, deadline=None)
+    @given(lists=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                    st.lists(st.integers(0, 12), min_size=1,
+                                             max_size=TOP_K, unique=True),
+                                    st.integers(0, TOP_K - 1)),
+                          min_size=1, max_size=6),
+           max_len=st.sampled_from([20, 48, 128]), pooling=st.sampled_from(["mean", "first"]),
+           block=st.sampled_from([models._STACK_BLOCK, 3000]), seed=st.integers(0, 99))
+    def test_listwise_batch_equals_per_row_reference(self, training_pool, lists, max_len,
+                                                     pooling, block, seed):
+        kb, corpus, _ = training_pool
+        instances = []
+        for pick, snippets, true_index in lists:
+            d = corpus[pick % len(corpus)]
+            cands = [kb.snippets[i] for i in snippets]
+            instances.append(rank.ListwiseInstance(
+                dialogue=d, candidates=cands, true_index=true_index % len(cands),
+                features=exact_context(d, kb).indicators(cands)))
+        cfg = ListwiseConfig(d=10, max_len=max_len, pooling=pooling)
+        model = randomized(ListwiseModel(rank._ranking_vocab(corpus, kb), cfg), seed)
+        rows = [model.compile(inst) for inst in instances]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "_STACK_BLOCK", block)
+            seen = record_stacks(patch)
+            got = model.loss_and_grads(rows)
+        assert_close_loss(got, summed_losses(reference_listwise_loss(model, inst)
+                                             for inst in instances))
+        assert sum(n for n, _ in seen) == len(rows)
+        assert_within_block(seen, block, cfg.d)
+
+    def test_ena_rewrites_the_rows_the_per_row_loop_rewrites(self, training_pool,
+                                                             monkeypatch):
+        kb, corpus, pool = training_pool
+        cfg = small_config(ena=AugmentConfig(ena_probability=0.6, seed=3))
+        model = train_pointwise(corpus, kb, replace(cfg, epochs=0))
+        twin = twin_pointwise(model, kb)
         rewritten = []
         real = rank.augment_entity_name
 
@@ -952,30 +1052,59 @@ class TestCompiledRows:
             return out
 
         monkeypatch.setattr(rank, "augment_entity_name", recording)
-        for inst in instances:
-            row = model.compile(inst)
-            assert_same_loss(model.loss_and_grads(row),
-                             reference_pointwise_loss(twin, inst, kb))
-        if ena is not None:
-            assert len(rewritten) == len(instances)
-            assert 0 < sum(rewritten) < len(instances)
-        # an uncompiled instance takes the same path
-        for inst in instances[:3]:
-            assert_same_loss(model.loss_and_grads(inst),
-                             reference_pointwise_loss(twin, inst, kb))
+        model.loss_and_grads([model.compile(inst) for inst in pool[False]])
+        batched, rewritten[:] = rewritten[:], []
+        for inst in pool[False]:
+            twin.loss_and_grads([twin.compile(inst)])
+        assert batched == rewritten and 0 < sum(batched) < len(batched)
 
-    def test_listwise_rows_equal_per_call_path(self):
-        kb = make_kb()
-        corpus = make_corpus(kb, 6) + [self.long_dialogue(kb)]
-        instances, _ = build_listwise_training_data(
-            corpus, kb, small_config(epochs=1, max_len=48), k=2, seed=0,
-            tracker=exact_tracker)
-        model = train_listwise(instances, kb, ListwiseConfig(
-            epochs=2, d=10, max_len=48, learning_rate=0.01))
-        for inst in instances:
-            expected = reference_listwise_loss(model, inst)
-            assert_same_loss(model.loss_and_grads(model.compile(inst)), expected)
-            assert_same_loss(model.loss_and_grads(inst), expected)
+    def test_training_is_one_call_per_minibatch(self, training_pool, monkeypatch):
+        kb, corpus, _ = training_pool
+        cfg = small_config(use_mtl=True, batch_size=16, epochs=2)
+        calls = []
+        for cls in (rank.PointwiseModel, ListwiseModel):
+            real = cls.loss_and_grads
+            monkeypatch.setattr(cls, "loss_and_grads", lambda self, rows, real=real: (
+                calls.append((type(self), len(rows))) or real(self, rows)))
+        train_pointwise(corpus, kb, cfg)
+        n = len(build_pointwise_instances(corpus, kb, cfg, np.random.default_rng(0)))
+        sizes = [16] * (n // 16) + [n % 16] * (n % 16 > 0)
+        assert calls == [(rank.PointwiseModel, size) for size in sizes] * 2
+
+
+class TestCompiledRows:
+    """Rows compiled once give the per-call training path."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("use_mtl", [False, True])
+    def test_compiled_rows_equal_per_row_inputs(self, training_pool, monkeypatch,
+                                                variant, use_mtl):
+        """Each dialogue's history and features are built once, and every
+        compiled array equals the one built for its row alone."""
+        kb, corpus, pool = training_pool
+        cfg = small_config(use_mtl=use_mtl, variant=variant, max_len=48)
+        model = train_pointwise(corpus, kb, replace(cfg, epochs=0))
+        built = []
+        real = rank.dialogue_features
+        monkeypatch.setattr(rank, "dialogue_features",
+                            lambda d, tracked: built.append(d.id) or real(d, tracked))
+        rows = [model.compile(inst) for inst in pool[use_mtl]]
+        # one build per dialogue; the last instance repeats the first
+        # dialogue with tracked=None
+        assert built == [d.id for d in corpus] + [pool[use_mtl][0].dialogue.id]
+        for inst, row in zip(pool[use_mtl], rows):
+            history = tokenize(linearize_history(inst.dialogue))
+            ids, segs = reference_token_ids(
+                model.encoder, history + tokenize(linearize_knowledge(inst.candidate)),
+                len(history))
+            assert row.pair[0].tobytes() == ids.tobytes()
+            assert row.pair[1].tobytes() == segs.tobytes()
+            tracked = (inst.tracked if inst.tracked is not None
+                       else exact_match_entities(inst.dialogue, kb))
+            feats = np.array(extract_sparse_features(inst.dialogue, inst.candidate,
+                                                     tracked, variant).indicators,
+                             dtype=np.float64)
+            assert row.features.tobytes() == feats.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(texts=st.lists(st.sampled_from(
@@ -1020,6 +1149,5 @@ class TestCompiledRows:
         rows = [model.compile(inst) for inst in instances]
         assert len(calls) == per_run  # all tokenizing happens while compiling
         calls.clear()
-        for row in rows:
-            model.loss_and_grads(row)
+        model.loss_and_grads(rows)
         assert calls == []
