@@ -12,7 +12,14 @@ knowledge base, lexicon, checkpoint or stage input), reported as one
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# the models are single-threaded: pin the BLAS/OpenMP pools before numpy
+# loads, unless the environment sets them already
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from . import pipeline
 from .augment import AugmentError

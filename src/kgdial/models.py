@@ -8,6 +8,10 @@ differences), not to approach pretrained-LM quality. A heavier scorer can
 be plugged in behind the ``SentencePairScorer`` protocol, which learned
 entity tracking reads.
 
+`ToyPairScorer`, the encoder plus a logit head over `pair_readout`, is the
+one pair-scoring core: the detector and the learned tracker as it is, the
+knowledge rankers extended with their sparse terms (`rank`).
+
 All math is float64 and seeded; training is single-threaded and
 bit-reproducible. Inference never mutates parameters. ``forward`` is one
 padded pass over a stack of sequences (B x L, the shorter ones masked as
@@ -395,9 +399,6 @@ class ToyEncoder:
         grads["emb"][sorted_ids[starts]] += np.add.reduceat(dE[order], starts, axis=0)
         grads["seg"] += (np.arange(2)[:, None] == segs) @ dE
 
-    def zero_grads(self) -> dict:
-        return {k: np.zeros(v.shape) for k, v in self.params.items()}
-
 
 class AdamW:
     """Adaptive gradient descent with decoupled weight decay."""
@@ -464,23 +465,11 @@ class PairRow:
     label: int
 
 
-def pair_head_shapes(d: int) -> dict[str, tuple[int, ...]]:
-    return {"w": (2 * d,), "b": (1,)}
-
-
-def pair_head(seed: int, d: int) -> dict[str, np.ndarray]:
-    """Seeded initial weights of a logit head over `pair_readout`."""
-    shapes = pair_head_shapes(d)
-    rng = np.random.default_rng(seed + 1)
-    return {"w": rng.normal(0.0, 0.1, size=shapes["w"]), "b": np.zeros(shapes["b"])}
-
-
 def pair_scorer_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
-    """Tensor shapes of an encoder (``enc.*``) and a `pair_head`
-    (``head.*``), named as ``all_params`` names them."""
-    shapes = prefixed("enc.", ToyEncoder.param_shapes(n_vocab, d))
-    shapes.update(prefixed("head.", pair_head_shapes(d)))
-    return shapes
+    """Tensor shapes of an encoder (``enc.*``) and a logit head over
+    `pair_readout` (``head.*``), named as ``all_params`` names them."""
+    return {**prefixed("enc.", ToyEncoder.param_shapes(n_vocab, d)),
+            "head.w": (2 * d,), "head.b": (1,)}
 
 
 def prefixed(prefix: str, named: dict) -> dict:
@@ -492,17 +481,33 @@ def unprefixed(prefix: str, named: dict) -> dict:
     return {k[len(prefix):]: v for k, v in named.items() if k.startswith(prefix)}
 
 
+def stacked_dot(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w @ row`` for every row, as a stack of (1, k) @ (k, 1) products:
+    numpy computes each as the 1-D dot, bit for bit, which a plain
+    ``rows @ w`` does not."""
+    return (rows[:, None, :] @ w[:, None])[:, 0, 0]
+
+
 class ToyPairScorer:
-    """Cross-encoder over the concatenated sentence pair with a sigmoid head."""
+    """Cross-encoder over the concatenated sentence pair with a logit head
+    over `pair_readout`: the detector and the learned tracker as it is,
+    the knowledge rankers with sparse terms added (`rank.PointwiseModel`,
+    `rank.ListwiseModel`). The head is written once, here: its logits in
+    `_head_logits`, at inference through `pair_logits` and in training
+    through `_stack_logits`, and its backward in `_head_backward`."""
 
     def __init__(self, encoder: ToyEncoder,
                  head: Optional[dict[str, np.ndarray]] = None):
+        """A seeded initial head, or ``head`` as it is."""
+        if head is None:
+            rng = np.random.default_rng(encoder.seed + 1)
+            head = {"w": rng.normal(0.0, 0.1, size=2 * encoder.d), "b": np.zeros(1)}
         self.encoder = encoder
-        self.params = pair_head(encoder.seed, encoder.d) if head is None else head
+        self.head = head
 
     def all_params(self) -> dict[str, np.ndarray]:
         out = prefixed("enc.", self.encoder.params)
-        out.update(prefixed("head.", self.params))
+        out.update(prefixed("head.", self.head))
         return out
 
     def score(self, sentence1: str, sentence2: str) -> float:
@@ -510,13 +515,18 @@ class ToyPairScorer:
 
     def scores(self, sentence1: str, sentences2: Sequence[str]) -> list[float]:
         """``score(sentence1, s)`` for every s in sentences2, with sentence1
-        mapped to ids once and encoded through `ToyEncoder.pair_readouts`
-        (an empty s takes the plain ``forward``)."""
+        mapped to ids once (`pair_logits`)."""
         enc = self.encoder
-        readouts = enc.pair_readouts(enc.vocab_ids(tokenize(sentence1)),
-                                     [enc.vocab_ids(tokenize(s)) for s in sentences2])
-        return [sigmoid(float(self.params["w"] @ u + self.params["b"][0]))
-                for u in readouts]
+        logits = self.pair_logits(enc.vocab_ids(tokenize(sentence1)),
+                                  [enc.vocab_ids(tokenize(s)) for s in sentences2])
+        return [sigmoid(float(z)) for z in logits]
+
+    def pair_logits(self, left: np.ndarray, rights: Sequence[np.ndarray]) -> np.ndarray:
+        """Head logit of ``left`` paired with each right side (all given as
+        `ToyEncoder.vocab_ids`): the rows of `ToyEncoder.pair_readouts`,
+        then ``head.w . readout`` as `stacked_dot`, then ``head.b``; so a
+        right side's logit is the same, bit for bit, in any list."""
+        return self._head_logits(self.encoder.pair_readouts(left, rights), stacked_dot)
 
     def compile(self, example: tuple[str, str, int]) -> PairRow:
         s1, s2, label = example
@@ -524,25 +534,47 @@ class ToyPairScorer:
         return PairRow(*enc.pair_ids(enc.vocab_ids(tokenize(s1)),
                                      enc.vocab_ids(tokenize(s2))), label)
 
+    def _stack_logits(self, cache: dict) -> tuple[np.ndarray, np.ndarray]:
+        """(readouts, head logits) of the rows of one training stack (a
+        `ToyEncoder.forward` cache), the logits as one matrix-vector
+        product."""
+        u = pair_readout(cache)
+        return u, self._head_logits(u, np.matmul)
+
+    def _head_logits(self, readouts: np.ndarray, dot) -> np.ndarray:
+        """``head.w . readout + head.b`` of every readout row, the dots
+        taken by ``dot(readouts, head.w)``: `stacked_dot` at inference, so
+        that a row's logit does not depend on the other rows, and one
+        matrix-vector product (``np.matmul``) per training stack."""
+        return dot(readouts, self.head["w"]) + self.head["b"][0]
+
+    def _head_backward(self, cache: dict, u: np.ndarray, dz: np.ndarray,
+                       grads: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Add the head's gradients, given the logits' ``dz``, to ``grads``
+        and return the (dH, df) that `ToyEncoder.backward` takes."""
+        grads["head.w"] += dz @ u
+        grads["head.b"] += dz.sum()
+        return pair_readout_backward(cache, dz[:, None] * self.head["w"])
+
+    def _zero_grads(self) -> tuple[dict, dict]:
+        """Zero gradients named as `all_params` names the tensors, and
+        their ``enc.*`` part as `ToyEncoder.backward` names it."""
+        grads = {k: np.zeros(v.shape) for k, v in self.all_params().items()}
+        return grads, unprefixed("enc.", grads)
+
     def loss_and_grads(self, rows: Sequence[PairRow]) -> tuple[float, dict]:
         """Summed binary cross entropy of compiled rows and its gradients,
         the rows encoded in padded stacks (`ToyEncoder.stacked_passes`)."""
-        grads = {f"enc.{k}": v for k, v in self.encoder.zero_grads().items()}
-        grads["head.w"] = np.zeros_like(self.params["w"])
-        grads["head.b"] = np.zeros(1)
-        enc_grads = unprefixed("enc.", grads)
+        grads, enc_grads = self._zero_grads()
         labels = np.array([row.label for row in rows], dtype=np.float64)
         loss = 0.0
         for idx, cache in self.encoder.stacked_passes([[(row.ids, row.segs)]
                                                        for row in rows]):
-            u = pair_readout(cache)
-            losses, dz = bce_loss(u @ self.params["w"] + self.params["b"][0],
-                                  labels[idx])
+            u, z = self._stack_logits(cache)
+            losses, dz = bce_loss(z, labels[idx])
             loss += float(losses.sum())
-            grads["head.w"] += dz @ u
-            grads["head.b"] += dz.sum()
-            dH, df = pair_readout_backward(cache, dz[:, None] * self.params["w"])
-            self.encoder.backward(cache, dH, df, enc_grads)
+            self.encoder.backward(cache, *self._head_backward(cache, u, dz, grads),
+                                  enc_grads)
         return loss, grads
 
 

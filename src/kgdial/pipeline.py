@@ -521,11 +521,12 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                       max_history_tokens: int = 512,
                       count_tags: bool = True) -> list[dict]:
     """Full pipeline over label-stripped dialogues, emitting the labels
-    schema per turn. The dialogue part of the sparse ranking features is
-    built once per targeted turn and handed to the ranker and the
-    reranker. An error raised for a turn propagates with its class kept
-    (so the CLI still maps domain errors) and its message prefixed with the
-    turn id."""
+    schema per turn, each record with the detector's
+    ``detection_probability`` (what `stage_ensemble` reads). The dialogue
+    part of the sparse ranking features is built once per targeted turn
+    and handed to the ranker and the reranker. An error raised for a turn
+    propagates with its class kept (so the CLI still maps domain errors)
+    and its message prefixed with the turn id."""
     from .corpus import build_generation_context
 
     results = []
@@ -533,7 +534,7 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
         try:
             prob = components.detector(dialogue)
             if prob < 0.5:
-                results.append({"target": False})
+                results.append({"target": False, "detection_probability": prob})
                 continue
             tracked = components.tracker(dialogue, kb)
             candidates = collect_candidates(tracked, kb)
@@ -558,6 +559,7 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
             chosen = consensus_select(pool, components.consensus_weights)
             results.append({
                 "target": True,
+                "detection_probability": prob,
                 "knowledge": [
                     {"domain": s.domain, "entity_id": s.entity_id, "doc_id": s.doc_id}
                     for s, _ in merged.items],
@@ -688,35 +690,35 @@ def _load_rank_model(path: str, kind: str):
     for key in fields:
         if key not in meta:
             raise ModelError(f"checkpoint {path}: missing field {key!r}")
-    enc = meta["encoder"]
-    variant = Variant(meta["variant"])
+    enc, n_vocab = meta["encoder"], len(meta["vocab"])
+    settings = dict(variant=Variant(meta["variant"]), seed=enc["seed"], d=enc["d"],
+                    max_len=enc["max_len"], pooling=enc["pooling"])
     if kind == "PointwiseModel":
-        config = PointwiseConfig(
-            use_mtl=meta["use_mtl"], variant=variant,
-            seed=enc["seed"], d=enc["d"], max_len=enc["max_len"],
-            pooling=enc["pooling"])
-        check_tensors(path, PointwiseModel.param_shapes(
-            len(meta["vocab"]), meta["domains"], config), tensors)
+        config = PointwiseConfig(use_mtl=meta["use_mtl"], **settings)
+        check_tensors(path, PointwiseModel.param_shapes(n_vocab, meta["domains"], config),
+                      tensors)
         return PointwiseModel(meta["vocab"], meta["domains"], config, tensors)
-    config = ListwiseConfig(variant=variant, seed=enc["seed"], d=enc["d"],
-                            max_len=enc["max_len"], pooling=enc["pooling"])
-    check_tensors(path, ListwiseModel.param_shapes(len(meta["vocab"]), config),
-                  tensors)
+    config = ListwiseConfig(**settings)
+    check_tensors(path, ListwiseModel.param_shapes(n_vocab, config), tensors)
     return ListwiseModel(meta["vocab"], config, tensors)
 
 
 def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
                    base_system: str) -> list[str]:
-    """Error-fixing ensemble over several detection prediction files."""
+    """Error-fixing ensemble over several detection prediction files, each
+    record's ``detection_probability`` as its system's probability; a
+    record without one is a CorpusError."""
     from .detect import ErrorFixConfig, error_fixing_ensemble
 
     tables = {}
     for path in prediction_paths:
         records = _read_stage_json(require(path, "decode"), records=True)
-        preds = [predict(f"d{i:05d}", float(r.get("detection_probability",
-                                                  1.0 if r["target"] else 0.0)))
-                 for i, r in enumerate(records)]
-        tables[os.path.basename(path)] = preds
+        for i, r in enumerate(records):
+            if "detection_probability" not in r:
+                raise CorpusError(f"{path}: record {i}: missing detection_probability")
+        tables[os.path.basename(path)] = [
+            predict(f"d{i:05d}", float(r["detection_probability"]))
+            for i, r in enumerate(records)]
     fixed = error_fixing_ensemble(tables, ErrorFixConfig(
         base_system_id=base_system, delta_d=float(config["detect.delta_d"])))
     path = config.output_path("ensemble.detection.json")

@@ -2,6 +2,9 @@
 a multi-task head (domain classification + attention-pooled entity
 selection), negative sampling, list-wise 5-way reranking, k-fold
 bootstrapping of list-wise data, and the sum-of-probabilities ensemble.
+Both rankers are `models.ToyPairScorer` plus the wide weights ``wide.u``
+(`_Ranker`); the point-wise one adds the multi-task block, its tensors a
+dict named as checkpoints name them (``mtl.*``).
 
 A turn reaches the rankers one way: as the `DialogueFeatures` that
 ``dialogue_features(dialogue, tracked)`` builds once, so the models track
@@ -15,12 +18,12 @@ one encoder pass per history-snippet pair up to rounding and gives each
 candidate the same result in any list. Training takes a whole minibatch
 per ``loss_and_grads`` call and encodes its pairs in padded stacks
 (`ToyEncoder.stacked_passes`; a list-wise row's candidates share a stack),
-keeping each stack's caches until its backward. The head and wide terms of
-all candidates are added at once, as stacked (1, k) @ (k, 1) products that
-equal the per-candidate 1-D dots bit for bit. A model maps each snippet to
-ids, and each entity name to its
-token and bigram sets (``NameGrams``), on first use and keeps them, since
-its vocabulary is fixed.
+keeping each stack's caches until its backward. At inference the head and
+wide terms of all candidates are added at once, as stacked (1, k) @ (k, 1)
+products that equal the per-candidate 1-D dots bit for bit. A model maps
+each snippet to ids, and each entity name to its token and bigram sets
+(``NameGrams``), on first use and keeps them, since its vocabulary is
+fixed.
 
 Training compiles each row once per training run, not once per epoch:
 the encoder pair, the sparse-feature row and (with MTL) the entity-name
@@ -57,10 +60,9 @@ from .corpus import (Dialogue, Entity, KnowledgeBase, KnowledgeSnippet,
                      TAG_ENT, TOP_K, linearize_history, linearize_knowledge,
                      split_kfold, tokenize)
 from .entity_track import exact_match_entities
-from .models import (ToyEncoder, TrainConfig, bce_loss, build_vocab, pair_head,
-                     pair_readout, pair_readout_backward, pair_scorer_shapes,
-                     prefixed, sigmoid, softmax, softmax_backward, train_model,
-                     unprefixed)
+from .models import (ToyEncoder, ToyPairScorer, TrainConfig, bce_loss, build_vocab,
+                     pair_scorer_shapes, prefixed, sigmoid, softmax, softmax_backward,
+                     stacked_dot, train_model, unprefixed)
 
 N_SPARSE = 4  # is_domain_level, is_last_entity, unigram, bigram
 
@@ -204,16 +206,12 @@ def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
 
 
 def sample_negatives(gt_snippet: KnowledgeSnippet, kb: KnowledgeBase,
-                     dialogue: Dialogue, rng: np.random.Generator,
-                     count: int = 4,
-                     mentioned: Optional[Sequence[Entity]] = None) -> list[KnowledgeSnippet]:
+                     mentioned: Sequence[Entity], rng: np.random.Generator,
+                     count: int = 4) -> list[KnowledgeSnippet]:
     """Draw negatives without replacement, split equally across pools:
-    the whole knowledge base, knowledge of entities mentioned in the
-    utterances (``mentioned``, exact matching when ``None``), and knowledge
-    of mentioned non-ground-truth entities. Empty or exhausted pools
-    redistribute to the remaining ones."""
-    if mentioned is None:
-        mentioned = exact_match_entities(dialogue, kb)
+    the whole knowledge base, knowledge of the entities ``mentioned`` in
+    the utterances, and knowledge of mentioned non-ground-truth entities.
+    Empty or exhausted pools redistribute to the remaining ones."""
     mentioned_keys = {e.key for e in mentioned}
     pools: dict[str, list[KnowledgeSnippet]] = {
         "kb": [s for s in kb.snippets if s.key != gt_snippet.key],
@@ -247,20 +245,16 @@ def sample_negatives(gt_snippet: KnowledgeSnippet, kb: KnowledgeBase,
     return list(chosen.values())[:count]
 
 
-def sample_entity_candidates(kb: KnowledgeBase, dialogue: Dialogue,
+def sample_entity_candidates(kb: KnowledgeBase, mentioned: Sequence[Entity],
                              gt_entity: Entity, rng: np.random.Generator,
-                             n_total: int = 4,
-                             mentioned: Optional[Sequence[Entity]] = None
-                             ) -> tuple[list[str], int]:
+                             n_total: int = 4) -> tuple[list[str], int]:
     """Entity names for the selection head: n_total - 1 negatives drawn
-    from mentioned (``mentioned``, exact matching when ``None``) and
-    same-domain entities (backfilled from the full entity set), with the
-    ground truth at a uniform random position."""
+    from the ``mentioned`` and the same-domain entities (backfilled from
+    the full entity set), with the ground truth at a uniform random
+    position."""
     names = list(dict.fromkeys(e.name for e in kb.entities))
     if len(names) < n_total:
         raise RankError(f"need {n_total} distinct entity names, have {len(names)}")
-    if mentioned is None:
-        mentioned = exact_match_entities(dialogue, kb)
     mentioned_names = {e.name for e in mentioned}
     same_domain = {e.name for e in kb.entities if e.domain == gt_entity.domain}
     preferred = sorted((mentioned_names | same_domain) - {gt_entity.name})
@@ -279,58 +273,24 @@ def sample_entity_candidates(kb: KnowledgeBase, dialogue: Dialogue,
     return result, true_index
 
 
-# MTLParams field -> the name ``all_params`` and checkpoints give it
-_MTL_TENSORS = {"wq": "mtl.wq", "wk": "mtl.wk", "wv": "mtl.wv",
-                "entity_vector": "mtl.v", "domain_weights": "mtl.dom",
-                "domain_bias": "mtl.bdom"}
+def _mtl_shapes(d: int, n_domains: int) -> dict[str, tuple[int, ...]]:
+    """Tensor shapes of the multi-task block, named as checkpoints name
+    them after ``mtl.``: the attention projections, the entity vector and
+    the domain classifier's weights and bias."""
+    return {"wq": (d, d), "wk": (d, d), "wv": (d, d), "v": (d,),
+            "dom": (d, n_domains), "bdom": (n_domains,)}
 
 
-@dataclass
-class MTLParams:
-    """Projection matrices and output heads of the multi-task block."""
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    entity_vector: np.ndarray
-    domain_weights: np.ndarray
-    domain_bias: np.ndarray
-    lambda_rank: float = 1.0
-    lambda_domain: float = 1.0
-    lambda_entity: float = 1.0
-
-    @staticmethod
-    def _field_shapes(d: int, n_domains: int) -> dict[str, tuple[int, ...]]:
-        return {"wq": (d, d), "wk": (d, d), "wv": (d, d), "entity_vector": (d,),
-                "domain_weights": (d, n_domains), "domain_bias": (n_domains,)}
-
-    @classmethod
-    def create(cls, d: int, n_domains: int, seed: int = 0, **lambdas) -> "MTLParams":
-        """Seeded initial weights: each tensor from a generator of its own,
-        seeded by its name, and a zero domain bias."""
-        fields = {}
-        for key, shape in cls._field_shapes(d, n_domains).items():
-            if key == "domain_bias":
-                fields[key] = np.zeros(shape)
-                continue
-            name = _MTL_TENSORS[key]
-            rng = np.random.default_rng(zlib.crc32(name.encode()) + seed)
-            fields[key] = rng.normal(0.0, 1.0 / math.sqrt(d), size=shape)
-        return cls(**fields, **lambdas)
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], **lambdas) -> "MTLParams":
-        """The block whose tensors ``tensors`` holds, under the names that
-        `MTLParams.tensors` gives them."""
-        return cls(**{key: tensors[name] for key, name in _MTL_TENSORS.items()},
-                   **lambdas)
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, key) for key, name in _MTL_TENSORS.items()}
-
-    @classmethod
-    def shapes(cls, d: int, n_domains: int) -> dict[str, tuple[int, ...]]:
-        return {_MTL_TENSORS[key]: shape
-                for key, shape in cls._field_shapes(d, n_domains).items()}
+def _mtl_init(d: int, n_domains: int, seed: int) -> dict[str, np.ndarray]:
+    """Seeded initial weights of the multi-task block: each tensor from a
+    generator of its own, seeded by its checkpoint name, and a zero
+    domain bias."""
+    out = {}
+    for key, shape in _mtl_shapes(d, n_domains).items():
+        rng = np.random.default_rng(zlib.crc32(f"mtl.{key}".encode()) + seed)
+        out[key] = (np.zeros(shape) if key == "bdom"
+                    else rng.normal(0.0, 1.0 / math.sqrt(d), size=shape))
+    return out
 
 
 def _check_spans(spans: Sequence[tuple[int, int]], length: int) -> None:
@@ -345,50 +305,50 @@ def _check_spans(spans: Sequence[tuple[int, int]], length: int) -> None:
 
 def mtl_forward(f: np.ndarray, H: np.ndarray,
                 spans: Sequence[tuple[int, int]],
-                params: MTLParams) -> tuple[np.ndarray, np.ndarray]:
+                params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Attention over entity tokens and the induced entity distribution."""
     _check_spans(spans, H.shape[0])
     cache = _mtl_forward_cache(f, H, spans, params)
     return cache["a"], cache["p"]
 
 
-def _mtl_forward_cache(f, H, spans, params: MTLParams) -> dict:
+def _mtl_forward_cache(f, H, spans, params: dict[str, np.ndarray]) -> dict:
     d = f.shape[0]
-    q = f @ params.wq
-    Km = H @ params.wk
+    q = f @ params["wq"]
+    Km = H @ params["wk"]
     u = (Km @ q) / math.sqrt(d)
     a = softmax(u)
-    M = H @ params.wv
+    M = H @ params["wv"]
     G = a[:, None] * M
     S = np.stack([G[s:e].sum(axis=0) for s, e in spans])
-    logits = S @ params.entity_vector
+    logits = S @ params["v"]
     p = softmax(logits)
     return {"f": f, "H": H, "spans": spans, "q": q, "Km": Km, "u": u, "a": a,
             "M": M, "G": G, "S": S, "logits": logits, "p": p}
 
 
-def _mtl_backward(cache, params: MTLParams, dlogits: np.ndarray,
+def _mtl_backward(cache, params: dict[str, np.ndarray], dlogits: np.ndarray,
                   grads: dict) -> tuple[np.ndarray, np.ndarray]:
     """Backprop through the entity head; returns (df, dH)."""
     f, H, spans = cache["f"], cache["H"], cache["spans"]
     d = f.shape[0]
     a, M = cache["a"], cache["M"]
     grads["mtl.v"] += cache["S"].T @ dlogits
-    dS = np.outer(dlogits, params.entity_vector)
+    dS = np.outer(dlogits, params["v"])
     dG = np.zeros_like(cache["G"])
     for k, (s, e) in enumerate(spans):
         dG[s:e] = dS[k]
     da = np.einsum("td,td->t", dG, M)
     dM = a[:, None] * dG
     grads["mtl.wv"] += H.T @ dM
-    dH = dM @ params.wv.T
+    dH = dM @ params["wv"].T
     du = softmax_backward(a, da) / math.sqrt(d)
     dKm = np.outer(du, cache["q"])
     dq = cache["Km"].T @ du
     grads["mtl.wk"] += H.T @ dKm
-    dH += dKm @ params.wk.T
+    dH += dKm @ params["wk"].T
     grads["mtl.wq"] += np.outer(f, dq)
-    df = params.wq @ dq
+    df = params["wq"] @ dq
     return df, dH
 
 
@@ -425,30 +385,6 @@ def _pair_inputs(encoder: ToyEncoder, snippet_ids: dict[KnowledgeSnippet, np.nda
     training rows' encoder inputs."""
     history, rights = _snippet_inputs(encoder, snippet_ids, dialogue, candidates)
     return [encoder.pair_ids(history, ids) for ids in rights]
-
-
-def _stacked_dot(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w @ row`` for every row, as a stack of (1, k) @ (k, 1) products:
-    numpy computes each as the 1-D dot, bit for bit, which a plain
-    ``rows @ w`` does not."""
-    return (rows[:, None, :] @ w[:, None])[:, 0, 0]
-
-
-def _wide_deep_logits(model, readouts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``head.w . readout + head.b + wide.u . vector`` of every (encoder
-    readout, sparse-feature row)."""
-    return (_stacked_dot(readouts, model.head["w"]) + model.head["b"][0]
-            + _stacked_dot(vectors, model.wide["u"]))
-
-
-def _candidate_logits(model, dialogue: Dialogue,
-                      candidates: Sequence[KnowledgeSnippet],
-                      vectors: np.ndarray) -> np.ndarray:
-    """`_wide_deep_logits` of every candidate against one dialogue, the
-    history encoded once per window (`ToyEncoder.pair_readouts`)."""
-    readouts = model.encoder.pair_readouts(*_snippet_inputs(
-        model.encoder, model._snippet_ids, dialogue, candidates))
-    return _wide_deep_logits(model, readouts, vectors)
 
 
 @dataclass
@@ -495,68 +431,69 @@ class PointwiseRow:
     entity_input: Optional[tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]
 
 
-# the wide part's weights over the sparse features, zero at the start
-_WIDE_SHAPES = {"u": (N_SPARSE,)}
+class _Ranker(ToyPairScorer):
+    """A knowledge ranker: the pair scorer's encoder and head, plus the
+    wide part of Wide & Deep, weights ``wide.u`` over the sparse features
+    (zero at the start)."""
+
+    def __init__(self, vocab: dict[str, int], config,
+                 params: Optional[dict[str, np.ndarray]] = None):
+        """Seeded initial weights, or ``params`` (named and shaped as
+        `param_shapes` says) as they are, with nothing drawn."""
+        self.config = config
+        loaded = params is not None
+        super().__init__(
+            ToyEncoder(vocab, d=config.d, pooling=config.pooling,
+                       max_len=config.max_len, seed=config.seed,
+                       params=unprefixed("enc.", params) if loaded else None),
+            unprefixed("head.", params) if loaded else None)
+        self.wide = unprefixed("wide.", params) if loaded else {"u": np.zeros(N_SPARSE)}
+        self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
+        self._name_grams = NameGrams()
+
+    @staticmethod
+    def param_shapes(n_vocab: int, config) -> dict[str, tuple[int, ...]]:
+        return {**pair_scorer_shapes(n_vocab, config.d), "wide.u": (N_SPARSE,)}
+
+    def all_params(self) -> dict[str, np.ndarray]:
+        out = super().all_params()
+        out.update(prefixed("wide.", self.wide))
+        return out
+
+    def _ranking_logits(self, dialogue: Dialogue,
+                        candidates: Sequence[KnowledgeSnippet],
+                        vectors: np.ndarray) -> np.ndarray:
+        """`pair_logits` of the dialogue history and every candidate
+        (`_snippet_inputs`), plus ``wide.u . vector`` of its sparse-feature
+        row as `stacked_dot`."""
+        return (self.pair_logits(*_snippet_inputs(self.encoder, self._snippet_ids,
+                                                  dialogue, candidates))
+                + stacked_dot(vectors, self.wide["u"]))
 
 
-def _wide_deep_params(vocab: dict[str, int], config,
-                      params: Optional[dict[str, np.ndarray]]
-                      ) -> tuple[ToyEncoder, dict, dict]:
-    """The encoder, pair head and wide weights of a ranker: seeded, or the
-    ones in ``params``, named as ``all_params`` names them."""
-    encoder = ToyEncoder(vocab, d=config.d, pooling=config.pooling,
-                         max_len=config.max_len, seed=config.seed,
-                         params=None if params is None else unprefixed("enc.", params))
-    if params is None:
-        wide = {k: np.zeros(shape) for k, shape in _WIDE_SHAPES.items()}
-        return encoder, pair_head(config.seed, config.d), wide
-    return encoder, unprefixed("head.", params), unprefixed("wide.", params)
-
-
-def _wide_deep_tensors(model) -> dict[str, np.ndarray]:
-    out = prefixed("enc.", model.encoder.params)
-    out.update(prefixed("head.", model.head))
-    out.update(prefixed("wide.", model.wide))
-    return out
-
-
-def _wide_deep_shapes(n_vocab: int, d: int) -> dict[str, tuple[int, ...]]:
-    return {**pair_scorer_shapes(n_vocab, d), **prefixed("wide.", _WIDE_SHAPES)}
-
-
-class PointwiseModel:
+class PointwiseModel(_Ranker):
     """Wide & Deep point-wise scorer with an optional multi-task head."""
 
     def __init__(self, vocab: dict[str, int], domains: Sequence[str],
                  config: PointwiseConfig,
                  params: Optional[dict[str, np.ndarray]] = None):
-        """Seeded initial weights, or ``params`` (named and shaped as
-        `param_shapes` says) as they are, with nothing drawn."""
-        self.config = config
+        super().__init__(vocab, config, params)
         self.domains = list(domains)
-        self.domain_ids = {d: i for i, d in enumerate(self.domains)}
-        self.encoder, self.head, self.wide = _wide_deep_params(vocab, config, params)
-        self.mtl: Optional[MTLParams] = None
+        self.mtl: Optional[dict[str, np.ndarray]] = None
         if config.use_mtl:
-            lambdas = dict(lambda_rank=config.lambda_rank,
-                           lambda_domain=config.lambda_domain,
-                           lambda_entity=config.lambda_entity)
-            self.mtl = (MTLParams.create(config.d, max(1, len(self.domains)),
-                                         seed=config.seed, **lambdas)
-                        if params is None else MTLParams.from_tensors(params, **lambdas))
+            self.mtl = (_mtl_init(config.d, max(1, len(self.domains)), config.seed)
+                        if params is None else unprefixed("mtl.", params))
         self._ena_rng = (None if config.ena is None
                          else np.random.default_rng(config.seed + 2))
         self._kb: Optional[KnowledgeBase] = None
-        self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
-        self._name_grams = NameGrams()
         self._last_dialogue: Optional[tuple] = None
 
     @staticmethod
     def param_shapes(n_vocab: int, domains: Sequence[str],
                      config: PointwiseConfig) -> dict[str, tuple[int, ...]]:
-        shapes = _wide_deep_shapes(n_vocab, config.d)
+        shapes = _Ranker.param_shapes(n_vocab, config)
         if config.use_mtl:
-            shapes.update(MTLParams.shapes(config.d, max(1, len(domains))))
+            shapes.update(prefixed("mtl.", _mtl_shapes(config.d, max(1, len(domains)))))
         return shapes
 
     def bind_kb(self, kb: KnowledgeBase) -> None:
@@ -564,9 +501,9 @@ class PointwiseModel:
         self._kb = kb
 
     def all_params(self) -> dict[str, np.ndarray]:
-        out = _wide_deep_tensors(self)
+        out = super().all_params()
         if self.mtl is not None:
-            out.update(self.mtl.tensors())
+            out.update(prefixed("mtl.", self.mtl))
         return out
 
     def _input2(self, entity_names: Sequence[str]) -> tuple[list[str], list[tuple[int, int]]]:
@@ -585,8 +522,8 @@ class PointwiseModel:
         features' dialogue part is ``context``."""
         indicators = context.indicators(candidates, self.config.variant,
                                         self._name_grams)
-        return _candidate_logits(self, dialogue, candidates,
-                                 indicators * feature_scale(alpha)).tolist()
+        return self._ranking_logits(dialogue, candidates,
+                                    indicators * feature_scale(alpha)).tolist()
 
     def _dialogue_inputs(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
                          tracked: Optional[Sequence[Entity]]
@@ -641,9 +578,7 @@ class PointwiseModel:
             feats.append(row_feats)
         feats = np.array(feats).reshape(len(rows), N_SPARSE)
         labels = np.array([row.instance.label for row in rows], dtype=np.float64)
-        grads = {k: np.zeros(v.shape) for k, v in self.all_params().items()}
-        enc_grads = {name: grads[f"enc.{name}"] for name in self.encoder.params}
-        lam_rank = self.mtl.lambda_rank if self.mtl is not None else cfg.lambda_rank
+        grads, enc_grads = self._zero_grads()
         entity_stacks = []  # (cache, dH) of each stack of entity-name inputs
         entity = {}  # row -> (its entity stack's cache and dH, its row there)
         if self.mtl is not None:
@@ -654,15 +589,12 @@ class PointwiseModel:
                     entity[i] = (*entity_stacks[-1], r)
         loss = 0.0
         for idx, cache in self.encoder.stacked_passes([[pair] for pair in pairs]):
-            u = pair_readout(cache)
-            z = (u @ self.head["w"] + self.head["b"][0]) + feats[idx] @ self.wide["u"]
-            rank_loss, dz = bce_loss(z, labels[idx])
-            loss += lam_rank * float(rank_loss.sum())
-            dz *= lam_rank
-            grads["head.w"] += dz @ u
-            grads["head.b"] += dz.sum()
+            u, z = self._stack_logits(cache)
+            rank_loss, dz = bce_loss(z + feats[idx] @ self.wide["u"], labels[idx])
+            loss += cfg.lambda_rank * float(rank_loss.sum())
+            dz *= cfg.lambda_rank
             grads["wide.u"] += dz @ feats[idx]
-            dH, df = pair_readout_backward(cache, dz[:, None] * self.head["w"])
+            dH, df = self._head_backward(cache, u, dz, grads)
             if self.mtl is not None:
                 loss += self._mtl_terms([rows[i] for i in idx], [entity[i] for i in idx],
                                         cache["f"], df, grads)
@@ -676,25 +608,26 @@ class PointwiseModel:
         """The domain and entity-selection losses of one stack's rows, whose
         pooled pair vectors are ``f1``: their gradients go into ``grads``,
         into ``df1`` (in place) and into each row's entity-name dH."""
-        mtl = self.mtl
+        mtl, lam_domain, lam_entity = (self.mtl, self.config.lambda_domain,
+                                       self.config.lambda_entity)
         # domain classification from the pooled pair representation
         domain_ids = np.array([row.instance.domain_id for row in rows])
         at = np.arange(len(rows)), domain_ids
-        dom_p = softmax(f1 @ mtl.domain_weights + mtl.domain_bias, axis=1)
-        loss = -mtl.lambda_domain * float(np.log(np.maximum(dom_p[at], 1e-300)).sum())
-        ddom = mtl.lambda_domain * dom_p
-        ddom[at] -= mtl.lambda_domain
+        dom_p = softmax(f1 @ mtl["dom"] + mtl["bdom"], axis=1)
+        loss = -lam_domain * float(np.log(np.maximum(dom_p[at], 1e-300)).sum())
+        ddom = lam_domain * dom_p
+        ddom[at] -= lam_domain
         grads["mtl.dom"] += f1.T @ ddom
         grads["mtl.bdom"] += ddom.sum(axis=0)
-        df1 += ddom @ mtl.domain_weights.T
+        df1 += ddom @ mtl["dom"].T
         # entity selection over the sampled candidate names
         for r, (row, (cache2, dH2, r2)) in enumerate(zip(rows, entity)):
             ids2, _, spans = row.entity_input
             mtl_cache = _mtl_forward_cache(f1[r], cache2["H"][r2, :len(ids2)], spans, mtl)
             true_index = row.instance.true_entity_index
-            loss -= mtl.lambda_entity * math.log(max(mtl_cache["p"][true_index], 1e-300))
-            dlogits = mtl.lambda_entity * mtl_cache["p"]
-            dlogits[true_index] -= mtl.lambda_entity
+            loss -= lam_entity * math.log(max(mtl_cache["p"][true_index], 1e-300))
+            dlogits = lam_entity * mtl_cache["p"]
+            dlogits[true_index] -= lam_entity
             df_mtl, dH2[r2, :len(ids2)] = _mtl_backward(mtl_cache, mtl, dlogits, grads)
             df1[r] += df_mtl
         return loss
@@ -729,13 +662,12 @@ def build_pointwise_instances(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
         tracked = exact_match_entities(d, kb)
         rows = [(gt, 1)]
         rows += [(neg, 0) for neg in sample_negatives(
-            gt, kb, d, drng, count=config.negatives, mentioned=tracked)]
+            gt, kb, tracked, drng, count=config.negatives)]
         for candidate, label in rows:
             names, true_idx = ([], 0)
             if config.use_mtl:
                 names, true_idx = sample_entity_candidates(
-                    kb, d, gt_entity, drng, n_total=config.entity_candidates,
-                    mentioned=tracked)
+                    kb, tracked, gt_entity, drng, n_total=config.entity_candidates)
             instances.append(PointwiseInstance(
                 dialogue=d, candidate=candidate, label=label,
                 domain_id=domain_id, entity_names=names,
@@ -839,24 +771,8 @@ class ListwiseRow:
     pairs: list[tuple[np.ndarray, np.ndarray]]
 
 
-class ListwiseModel:
+class ListwiseModel(_Ranker):
     """Jointly normalized scorer over a short candidate list."""
-
-    def __init__(self, vocab: dict[str, int], config: ListwiseConfig,
-                 params: Optional[dict[str, np.ndarray]] = None):
-        """Seeded initial weights, or ``params`` (named and shaped as
-        `param_shapes` says) as they are, with nothing drawn."""
-        self.config = config
-        self.encoder, self.head, self.wide = _wide_deep_params(vocab, config, params)
-        self._snippet_ids: dict[KnowledgeSnippet, np.ndarray] = {}
-        self._name_grams = NameGrams()
-
-    @staticmethod
-    def param_shapes(n_vocab: int, config: ListwiseConfig) -> dict[str, tuple[int, ...]]:
-        return _wide_deep_shapes(n_vocab, config.d)
-
-    def all_params(self) -> dict[str, np.ndarray]:
-        return _wide_deep_tensors(self)
 
     def distribution(self, dialogue: Dialogue,
                      candidates: Sequence[KnowledgeSnippet],
@@ -867,8 +783,8 @@ class ListwiseModel:
             raise RankError("listwise scoring needs at least one candidate")
         if len(candidates) > TOP_K:
             raise RankError(f"listwise scoring accepts at most {TOP_K} candidates")
-        return softmax(_candidate_logits(self, dialogue, candidates,
-                                         features * feature_scale(alpha)))
+        return softmax(self._ranking_logits(dialogue, candidates,
+                                            features * feature_scale(alpha)))
 
     def compile(self, instance: ListwiseInstance) -> ListwiseRow:
         return ListwiseRow(instance, _pair_inputs(
@@ -879,14 +795,13 @@ class ListwiseModel:
         gradients. A row's candidates are encoded in one padded stack
         (`ToyEncoder.stacked_passes`), which may hold several rows, and
         normalised together."""
-        grads = {k: np.zeros(v.shape) for k, v in self.all_params().items()}
-        enc_grads = {name: grads[f"enc.{name}"] for name in self.encoder.params}
+        grads, enc_grads = self._zero_grads()
         loss = 0.0
         for idx, cache in self.encoder.stacked_passes([row.pairs for row in rows]):
             # indicator value 1: alpha is for inference
             vectors = np.concatenate([rows[i].instance.features for i in idx])
-            u = pair_readout(cache)
-            z = (u @ self.head["w"] + self.head["b"][0]) + vectors @ self.wide["u"]
+            u, z = self._stack_logits(cache)
+            z += vectors @ self.wide["u"]
             dz = np.empty_like(z)
             start = 0
             for i in idx:
@@ -897,11 +812,9 @@ class ListwiseModel:
                 p[true_index] -= 1.0
                 dz[start:end] = p
                 start = end
-            grads["head.w"] += dz @ u
-            grads["head.b"] += dz.sum()
             grads["wide.u"] += dz @ vectors
-            dH, df = pair_readout_backward(cache, dz[:, None] * self.head["w"])
-            self.encoder.backward(cache, dH, df, enc_grads)
+            self.encoder.backward(cache, *self._head_backward(cache, u, dz, grads),
+                                  enc_grads)
         return loss, grads
 
 
@@ -959,7 +872,7 @@ def train_listwise(instances: Sequence[ListwiseInstance], kb: KnowledgeBase,
         if init_from.encoder.d != config.d:
             raise RankError("warm start requires matching encoder dimension")
         model = ListwiseModel(init_from.encoder.vocab, config, params={
-            k: v.copy() for k, v in _wide_deep_tensors(init_from).items()})
+            k: v.copy() for k, v in _Ranker.all_params(init_from).items()})
     else:
         dialogues = [inst.dialogue for inst in instances]
         model = ListwiseModel(_ranking_vocab(dialogues, kb), config)

@@ -29,7 +29,7 @@ from kgdial.metrics import (bleu_n, corpus_bleu, meteor_lite, mrr_at_k,
 from kgdial.models import TrainConfig, finite_difference_check, train_pair_classifier
 from kgdial.pipeline import (DecodeComponents, end_to_end_decode,
                              evaluate_predictions, validate_labels_schema)
-from kgdial.rank import (ListwiseConfig, MTLParams, PointwiseConfig,
+from kgdial.rank import (ListwiseConfig, PointwiseConfig,
                          RankedKnowledgeList, Variant,
                          build_listwise_training_data,
                          build_pointwise_instances, dialogue_features,
@@ -93,10 +93,8 @@ def test_criterion_1_metric_oracles():
 def test_criterion_2_attention_head_equations():
     with criterion(2, "attention head matches hand computation (1e-6)"):
         eye = np.eye(2)
-        params = MTLParams(wq=eye.copy(), wk=eye.copy(), wv=eye.copy(),
-                           entity_vector=np.ones(2),
-                           domain_weights=np.zeros((2, 1)),
-                           domain_bias=np.zeros(1))
+        params = {"wq": eye.copy(), "wk": eye.copy(), "wv": eye.copy(),
+                  "v": np.ones(2), "dom": np.zeros((2, 1)), "bdom": np.zeros(1)}
         f = np.array([1.0, 0.0])
         H = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         spans = [(0, 1), (1, 3)]
@@ -111,10 +109,10 @@ def test_criterion_2_attention_head_equations():
         e1, e2 = math.exp(l1), math.exp(l2)
         assert np.max(np.abs(p - np.array([e1, e2]) / (e1 + e2))) < 1e-6
 
-        from kgdial.rank import _mtl_forward_cache
+        from kgdial.rank import _mtl_forward_cache, _mtl_init
 
         rng = np.random.default_rng(0)
-        rparams = MTLParams.create(d=8, n_domains=3, seed=1)
+        rparams = _mtl_init(d=8, n_domains=3, seed=1)
         for _ in range(25):
             T = int(rng.integers(2, 10))
             fv = rng.normal(size=8)

@@ -164,11 +164,14 @@ def test_out_of_range_probability_is_one_line_config_error(workdir, command,
      "error: {worded}: record 0: detection_probability must be a number in [0, 1]"),
     ("ensemble", ["--predictions", "{above}", "--base", "above.json"], "",
      "error: {above}: record 1: detection_probability must be a number in [0, 1]"),
+    ("ensemble", ["--predictions", "{unscored}", "--base", "unscored.json"], "",
+     "error: {unscored}: record 1: missing detection_probability"),
 ], ids=["rank-kfolds", "gen-kfolds", "ena-probability", "ensemble-base",
         "lexicon-tab", "evaluate-not-json", "ensemble-not-json",
         "evaluate-no-target", "ensemble-no-target", "tune-consensus-list-references",
         "evaluate-bad-knowledge", "evaluate-response-not-text",
-        "ensemble-probability-not-number", "ensemble-probability-above-one"])
+        "ensemble-probability-not-number", "ensemble-probability-above-one",
+        "ensemble-probability-missing"])
 def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
                                            args, override, message):
     _, _, cfg = workdir
@@ -177,9 +180,11 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
         ("text", "text.json"), ("untargeted", "untargeted.json"),
         ("pools", "pools.jsonl"), ("listed", "listed.json"),
         ("unkeyed", "unkeyed.json"), ("numeric", "numeric.json"),
-        ("worded", "worded.json"), ("above", "above.json")]}
-    paths["predictions"].write_text(json.dumps([{"target": True},
-                                                {"target": False}]))
+        ("worded", "worded.json"), ("above", "above.json"),
+        ("unscored", "unscored.json")]}
+    paths["predictions"].write_text(json.dumps([
+        {"target": True, "detection_probability": 0.9},
+        {"target": False, "detection_probability": 0.1}]))
     paths["lexicon"].write_text("hotel HH OW T EH L\n")
     paths["text"].write_text("not json\n")
     paths["untargeted"].write_text(json.dumps([{"x": 1}, {"x": 1}]))
@@ -196,6 +201,8 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
     paths["above"].write_text(json.dumps([
         {"target": True, "detection_probability": 1}, {"target": True,
                                                        "detection_probability": 1.5}]))
+    paths["unscored"].write_text(json.dumps([
+        {"target": True, "detection_probability": 0.9}, {"target": False}]))
     overrides = [f"paths.output={tmp_path / 'out'}"]
     if override:
         overrides.append(override.format(**paths))
@@ -379,6 +386,42 @@ def test_ensemble_subcommand(workdir):
     fixed = json.loads((out / "ensemble.detection.json").read_text())
     original = json.loads(preds.read_text())
     assert [p["target"] for p in fixed] == [p["target"] for p in original]
+
+
+def test_ensemble_of_decode_outputs_flips_base_labels_inside_delta_d(workdir,
+                                                                     tmp_path):
+    # the auxiliary system is decode with the detector's head negated, so
+    # it disagrees with the base on every turn; the ensemble then flips
+    # exactly the base labels whose probability lies within delta_d of 0.5
+    root, _, cfg = workdir
+    aux = tmp_path / "aux"
+    shutil.copytree(root / "out", aux)
+    tensors, meta = load_checkpoint(str(aux / "detector.npz"))
+    for key in ("head.w", "head.b"):
+        tensors[key] = -tensors[key]
+    save_checkpoint(str(aux / "detector.npz"), tensors, meta)
+    assert main(["decode", "--config", str(cfg), "--stage-overrides",
+                 f"paths.output={aux}"]) == EXIT_OK
+    systems = {"base.json": root / "out" / "predictions.json",
+               "aux.json": aux / "predictions.json"}
+    records = {}
+    for name, path in systems.items():
+        shutil.copy(path, tmp_path / name)
+        records[name] = json.loads(path.read_text())
+    base, other = records["base.json"], records["aux.json"]
+    assert [r["target"] for r in base] == [r["detection_probability"] >= 0.5
+                                            for r in base]
+    assert all(b["target"] != a["target"] for b, a in zip(base, other))
+    margins = [abs(r["detection_probability"] - 0.5) for r in base]
+    delta_d = (min(margins) + max(margins)) / 2
+    assert main(["ensemble", "--config", str(cfg),
+                 "--predictions", str(tmp_path / "base.json"), str(tmp_path / "aux.json"),
+                 "--base", "base.json", "--stage-overrides",
+                 f"paths.output={tmp_path / 'out'}", f"detect.delta_d={delta_d}"]) == EXIT_OK
+    fixed = json.loads((tmp_path / "out" / "ensemble.detection.json").read_text())
+    flipped = [f["target"] != b["target"] for f, b in zip(fixed, base)]
+    assert flipped == [m < delta_d for m in margins]
+    assert any(flipped) and not all(flipped)
 
 
 def test_tune_consensus_subcommand(workdir, tmp_path):

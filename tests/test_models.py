@@ -109,7 +109,7 @@ class TestScorer:
         # saturate the positive logit so the loss is ~0 there
         examples = [("x", "alpha", 1), ("x", "omega", 0)]
         scorer = train_pair_classifier(examples, TrainConfig(epochs=1, seed=0))
-        scorer.params["b"][0] = 30.0
+        scorer.head["b"][0] = 30.0
         loss, grads = scorer.loss_and_grads([scorer.compile(("x", "alpha", 1))])
         assert loss < 1e-8
         assert max(np.max(np.abs(g)) for g in grads.values()) < 1e-8
@@ -470,12 +470,12 @@ def reference_pair_loss(scorer, example):
     cache = reference_forward(
         scorer.encoder, *reference_token_ids(scorer.encoder, tokens, len(left)))
     u = reference_pair_readout(cache)
-    z = float(scorer.params["w"] @ u + scorer.params["b"][0])
+    z = float(scorer.head["w"] @ u + scorer.head["b"][0])
     loss, dz = reference_bce(z, float(label))
-    grads = {f"enc.{k}": v for k, v in scorer.encoder.zero_grads().items()}
+    grads = {f"enc.{k}": np.zeros(v.shape) for k, v in scorer.encoder.params.items()}
     grads["head.w"] = dz * u
     grads["head.b"] = np.array([dz])
-    dH, df = mask_pair_readout_backward(cache, dz * scorer.params["w"])
+    dH, df = mask_pair_readout_backward(cache, dz * scorer.head["w"])
     enc_grads = {k.split(".", 1)[1]: v for k, v in grads.items() if k.startswith("enc.")}
     reference_backward(scorer.encoder, cache, dH, df, enc_grads)
     return loss, grads
@@ -762,8 +762,8 @@ class TestPairReadouts:
         enc = scorer.encoder
         left = enc.vocab_ids(tokenize("the hotel has a pool"))
         assert got[2] == models.sigmoid(float(
-            scorer.params["w"] @ pair_readout(enc.forward(*enc.pair_ids(left, left[:0])))[0]
-            + scorer.params["b"][0]))
+            scorer.head["w"] @ pair_readout(enc.forward(*enc.pair_ids(left, left[:0])))[0]
+            + scorer.head["b"][0]))
 
 
 WORDS = st.lists(st.sampled_from(["a", "b", "c", "⟨kng⟩", "zz", "unknown"]),

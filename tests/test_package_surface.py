@@ -117,32 +117,40 @@ UNSET_DEFAULTS = {
 
 
 def _scan(path):
-    """The functions and the calls of one file. A function is (qualified
-    name, node, offset), where offset is 1 if a call binds the first
-    parameter itself (self or cls). A call is (callee name, node, the
-    function the call sits in as (qualified name, node), or None)."""
-    functions, calls = [], []
+    """The functions, the calls and the classes of one file. A function is
+    (qualified name, node, offset), where offset is 1 if a call binds the
+    first parameter itself (self or cls). A call is (callee name, node, the
+    function the call sits in as (qualified name, node), or None); the
+    callee of ``super().__init__(...)`` in class C is ``super:C``. A class
+    maps its name to the names of its bases."""
+    functions, calls, classes = [], [], {}
 
-    def visit(node, prefix, in_class, caller):
+    def visit(node, prefix, in_class, caller, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
                 qualified = f"{prefix}{child.name}"
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                              for d in child.decorator_list)
                 functions.append((qualified, child, int(in_class and not static)))
-                visit(child, f"{qualified}.", False, (qualified, child))
+                visit(child, f"{qualified}.", False, (qualified, child), owner)
             elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.", True, caller)
+                classes[child.name] = [getattr(b, "id", None) or getattr(b, "attr", None)
+                                       for b in child.bases]
+                visit(child, f"{prefix}{child.name}.", True, caller, child.name)
             else:
                 if isinstance(child, ast.Call):
                     name = (getattr(child.func, "id", None)
                             or getattr(child.func, "attr", None))
+                    inner = getattr(child.func, "value", None)
+                    if (name == "__init__" and isinstance(inner, ast.Call)
+                            and getattr(inner.func, "id", None) == "super"):
+                        name = f"super:{owner}"
                     if name:
                         calls.append((name, child, caller))
-                visit(child, prefix, in_class, caller)
+                visit(child, prefix, in_class, caller, owner)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "", False, None)
-    return functions, calls
+    visit(ast.parse(path.read_text(encoding="utf-8")), "", False, None, None)
+    return functions, calls, classes
 
 
 def _defaulted(node):
@@ -159,23 +167,43 @@ def _defaulted(node):
         yield f"**{node.args.kwarg.arg}", None
 
 
-def _unset_defaults() -> list[str]:
+def _unset_defaults(callers=CALLERS, package=PACKAGE) -> list[str]:
     """``function(parameter)`` of every defaulted parameter of the package
     that no call in the program or the benchmark sets. A call sets a
     parameter by keyword, by position, through ``*args``, or through a
-    ``**mapping``; a class call is a call of its ``__init__``. A mapping that
+    ``**mapping``; a class call is a call of the ``__init__`` it runs, its
+    own or the first one its bases define, and ``super().__init__`` in a
+    class is a call of the first one its bases define. A mapping that
     forwards the calling function's own ``**`` parameter sets something
     only if that parameter is set itself."""
-    functions, calls = [], []
-    for path in CALLERS:
-        found, made = _scan(path)
-        functions += found if path in PACKAGE else []
+    functions, calls, bases = [], [], {}
+    for path in callers:
+        found, made, classes = _scan(path)
+        functions += found if path in package else []
         calls += made
+        bases.update(classes)
+    inits = {qualified.rpartition(".")[0]: (qualified, node, offset)
+             for qualified, node, offset in functions if qualified.endswith(".__init__")}
+
+    def constructor(cls):
+        """The class whose ``__init__`` a call of ``cls`` runs, or None."""
+        return cls if cls in inits else inherited(cls)
+
+    def inherited(cls):
+        """The class whose ``__init__`` ``super().__init__`` in ``cls``
+        runs, or None."""
+        return next(filter(None, map(constructor, bases.get(cls, ()))), None)
+
     by_callee: dict = {}
     for qualified, node, offset in functions:
         owner, _, name = qualified.rpartition(".")
         by_callee.setdefault(owner if name == "__init__" else name,
                              []).append((qualified, node, offset))
+    for cls in bases:
+        if constructor(cls) not in (None, cls):
+            by_callee.setdefault(cls, []).append(inits[constructor(cls)])
+    calls = [(inherited(name[len("super:"):]) if name.startswith("super:") else name,
+              call, caller) for name, call, caller in calls]
     passed: set = set()
     while True:
         before = len(passed)
@@ -215,3 +243,21 @@ def test_every_defaulted_parameter_is_set_by_the_program():
 
 def test_every_unset_default_is_still_unset():
     assert set(UNSET_DEFAULTS) <= set(_unset_defaults())
+
+
+def test_constructor_calls_reach_inherited_and_super_inits(tmp_path):
+    # Child(1, 2) sets b through the __init__ it inherits, Other's
+    # super().__init__ sets c; nothing sets Other's d
+    module = tmp_path / "shapes.py"
+    module.write_text(
+        "class Base:\n"
+        "    def __init__(self, a, b=None, c=None):\n"
+        "        pass\n"
+        "class Child(Base):\n"
+        "    pass\n"
+        "class Other(Base):\n"
+        "    def __init__(self, a, d=None):\n"
+        "        super().__init__(a, c=d)\n"
+        "def build():\n"
+        "    return Child(1, 2), Other(1)\n")
+    assert _unset_defaults([module], [module]) == ["Other.__init__(d)"]

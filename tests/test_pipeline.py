@@ -205,7 +205,7 @@ class TestEndToEndOracle:
         assert set(calls) == seeking_ids
         for rec, d in zip(records, dialogues):
             if not truth[d.id].is_knowledge_seeking:
-                assert rec == {"target": False}
+                assert rec == {"target": False, "detection_probability": 0.0}
 
     def test_decode_never_reads_labels(self, mini):
         # identical output whether or not the input corpus carries labels

@@ -16,7 +16,7 @@ from kgdial.augment import AugmentConfig, augment_entity_name
 from kgdial import models
 from kgdial.models import finite_difference_check, sigmoid, softmax
 from kgdial.rank import (
-    ListwiseConfig, ListwiseModel, MTLParams, PointwiseConfig, PointwiseInstance,
+    ListwiseConfig, ListwiseModel, PointwiseConfig, PointwiseInstance,
     RankedKnowledgeList, RankError, SparseFeatures, Variant,
     build_listwise_training_data,
     build_pointwise_instances, ensemble_rank, extract_sparse_features,
@@ -25,7 +25,7 @@ from kgdial.rank import (
     train_listwise, train_pointwise,
 )
 from kgdial.pipeline import evaluate_predictions
-from kgdial.rank import _mtl_forward_cache, _mtl_backward, _pair_inputs
+from kgdial.rank import _mtl_backward, _mtl_forward_cache, _mtl_init, _pair_inputs
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 from test_models import (assert_close_loss, mask_pair_readout_backward,
                          reference_backward, reference_bce, reference_forward,
@@ -79,10 +79,8 @@ def make_corpus(kb, n=10):
 class TestMTLForward:
     def fixture_params(self):
         eye = np.eye(2)
-        return MTLParams(wq=eye.copy(), wk=eye.copy(), wv=eye.copy(),
-                         entity_vector=np.ones(2),
-                         domain_weights=np.zeros((2, 1)),
-                         domain_bias=np.zeros(1))
+        return {"wq": eye.copy(), "wk": eye.copy(), "wv": eye.copy(),
+                "v": np.ones(2), "dom": np.zeros((2, 1)), "bdom": np.zeros(1)}
 
     def test_hand_computed_fixture(self):
         # f=[1,0], H rows [1,0],[0,1],[1,1], identity projections, d=2:
@@ -117,7 +115,7 @@ class TestMTLForward:
 
     def test_distributions_normalize(self):
         rng = np.random.default_rng(0)
-        params = MTLParams.create(d=6, n_domains=3, seed=1)
+        params = _mtl_init(d=6, n_domains=3, seed=1)
         for _ in range(20):
             T = int(rng.integers(2, 9))
             f = rng.normal(size=6)
@@ -131,7 +129,7 @@ class TestMTLForward:
         from kgdial.rank import _mtl_forward_cache
 
         rng = np.random.default_rng(3)
-        params = MTLParams.create(d=5, n_domains=2, seed=2)
+        params = _mtl_init(d=5, n_domains=2, seed=2)
         f = rng.normal(size=5)
         H = rng.normal(size=(7, 5))
         spans = [(0, 2), (2, 5), (5, 7)]
@@ -207,7 +205,7 @@ class TestNegativeSampling:
         allowed = {("hotel", "2"), ("hotel", DOMAIN_LEVEL)}
         rng = np.random.default_rng(0)
         for _ in range(20):
-            negs = sample_negatives(gt, kb, d, rng, count=3)
+            negs = sample_negatives(gt, kb, exact_match_entities(d, kb), rng, count=3)
             assert {n.entity_key for n in negs} & allowed
 
     def test_never_returns_ground_truth(self):
@@ -216,14 +214,15 @@ class TestNegativeSampling:
         gt = kb.snippets_for("hotel", "1")[0]
         rng = np.random.default_rng(1)
         for _ in range(50):
-            assert gt.key not in {n.key for n in sample_negatives(gt, kb, d, rng)}
+            assert gt.key not in {n.key for n in sample_negatives(
+                gt, kb, exact_match_entities(d, kb), rng)}
 
     def test_degenerate_redistribution_to_kb_pool(self):
         kb = KnowledgeBase([snip("hotel", "1", "Only Hotel", str(i)) for i in range(6)])
         d = Dialogue(id="x", turns=(Turn(Speaker.USER, "completely unrelated"),))
         gt = kb.snippets[0]
         rng = np.random.default_rng(2)
-        negs = sample_negatives(gt, kb, d, rng, count=4)
+        negs = sample_negatives(gt, kb, exact_match_entities(d, kb), rng, count=4)
         assert len(negs) == 4
         assert all(n.key != gt.key for n in negs)
 
@@ -232,14 +231,15 @@ class TestNegativeSampling:
                             snip("hotel", "1", "Tiny", "1")])
         d = Dialogue(id="x", turns=(Turn(Speaker.USER, "hello"),))
         with pytest.raises(RankError, match="distinct"):
-            sample_negatives(kb.snippets[0], kb, d, np.random.default_rng(0), count=4)
+            sample_negatives(kb.snippets[0], kb, exact_match_entities(d, kb),
+                             np.random.default_rng(0), count=4)
 
     def test_deterministic(self):
         kb = make_kb()
         d = ks_dialogue("x", "Palm Court", kb)
         gt = kb.snippets_for("restaurant", "1")[0]
-        a = sample_negatives(gt, kb, d, np.random.default_rng(7))
-        b = sample_negatives(gt, kb, d, np.random.default_rng(7))
+        a = sample_negatives(gt, kb, exact_match_entities(d, kb), np.random.default_rng(7))
+        b = sample_negatives(gt, kb, exact_match_entities(d, kb), np.random.default_rng(7))
         assert [s.key for s in a] == [s.key for s in b]
 
 
@@ -250,7 +250,7 @@ class TestEntityCandidates:
         gt = next(e for e in kb.entities if e.name == "Hamilton Lodge")
         rng = np.random.default_rng(0)
         for _ in range(30):
-            names, idx = sample_entity_candidates(kb, d, gt, rng)
+            names, idx = sample_entity_candidates(kb, exact_match_entities(d, kb), gt, rng)
             assert len(names) == 4
             assert names.count("Hamilton Lodge") == 1
             assert names[idx] == "Hamilton Lodge"
@@ -263,7 +263,7 @@ class TestEntityCandidates:
         mentioned_or_domain = {"SW Hotel", "Palm Court", "Union Square Inn", "hotel"}
         rng = np.random.default_rng(1)
         for _ in range(20):
-            names, idx = sample_entity_candidates(kb, d, gt, rng)
+            names, idx = sample_entity_candidates(kb, exact_match_entities(d, kb), gt, rng)
             negs = [n for j, n in enumerate(names) if j != idx]
             assert set(negs) <= mentioned_or_domain
 
@@ -274,7 +274,7 @@ class TestEntityCandidates:
         rng = np.random.default_rng(5)
         counts = np.zeros(4)
         for _ in range(1000):
-            _, idx = sample_entity_candidates(kb, d, gt, rng)
+            _, idx = sample_entity_candidates(kb, exact_match_entities(d, kb), gt, rng)
             counts[idx] += 1
         chi2 = float(((counts - 250.0) ** 2 / 250.0).sum())
         assert chi2 < 11.345  # chi-square df=3 at p=0.01
@@ -284,7 +284,8 @@ class TestEntityCandidates:
         d = Dialogue(id="x", turns=(Turn(Speaker.USER, "hi"),))
         gt = kb.entities[0]
         with pytest.raises(RankError):
-            sample_entity_candidates(kb, d, gt, np.random.default_rng(0))
+            sample_entity_candidates(kb, exact_match_entities(d, kb), gt,
+                                     np.random.default_rng(0))
 
 
 def exact_tracker(d, kb):
@@ -381,11 +382,12 @@ class TestPointwiseTraining:
             return real(dialogue, kb_)
 
         def checked(sampler):
-            def wrapper(*args, mentioned, **kwargs):
-                dialogue = next(a for a in args if isinstance(a, Dialogue))
+            def wrapper(*args, **kwargs):  # sampling for the last matched dialogue
+                dialogue = next(d for d in corpus if d.id == matched[-1])
+                mentioned = next(a for a in args if isinstance(a, list))
                 assert mentioned == real(dialogue, kb)
                 sampled.append(dialogue.id)
-                return sampler(*args, mentioned=mentioned, **kwargs)
+                return sampler(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(rank, "exact_match_entities", counted)
@@ -852,9 +854,8 @@ def reference_pointwise_loss(model, instance, kb):
                                     cfg.variant).vector()
     z = float(model.head["w"] @ u1 + model.head["b"][0] + model.wide["u"] @ feats)
     rank_loss, dz = reference_bce(z, float(instance.label))
-    lam_rank = model.mtl.lambda_rank if model.mtl is not None else cfg.lambda_rank
-    loss = lam_rank * rank_loss
-    dz *= lam_rank
+    loss = cfg.lambda_rank * rank_loss
+    dz *= cfg.lambda_rank
     grads["head.w"] += dz * u1
     grads["head.b"] += np.array([dz])
     grads["wide.u"] += dz * feats
@@ -862,22 +863,22 @@ def reference_pointwise_loss(model, instance, kb):
     enc_grads = {name: grads[f"enc.{name}"] for name in model.encoder.params}
     if model.mtl is not None:
         mtl = model.mtl
-        dom_p = reference_softmax(f1 @ mtl.domain_weights + mtl.domain_bias)
-        loss += -mtl.lambda_domain * math.log(max(dom_p[instance.domain_id], 1e-300))
-        ddom = mtl.lambda_domain * dom_p.copy()
-        ddom[instance.domain_id] -= mtl.lambda_domain
+        dom_p = reference_softmax(f1 @ mtl["dom"] + mtl["bdom"])
+        loss += -cfg.lambda_domain * math.log(max(dom_p[instance.domain_id], 1e-300))
+        ddom = cfg.lambda_domain * dom_p.copy()
+        ddom[instance.domain_id] -= cfg.lambda_domain
         grads["mtl.dom"] += np.outer(f1, ddom)
         grads["mtl.bdom"] += ddom
-        df1 = df1 + mtl.domain_weights @ ddom
+        df1 = df1 + mtl["dom"] @ ddom
         tokens2, spans = model._input2(instance.entity_names)
         cache2 = reference_forward(model.encoder,
                                    *reference_token_ids(model.encoder, tokens2))
         mtl_cache = _mtl_forward_cache(f1, cache2["H"], spans, mtl)
         p_ent = mtl_cache["p"]
         true_entity = instance.true_entity_index
-        loss += -mtl.lambda_entity * math.log(max(p_ent[true_entity], 1e-300))
-        dlogits = mtl.lambda_entity * p_ent.copy()
-        dlogits[true_entity] -= mtl.lambda_entity
+        loss += -cfg.lambda_entity * math.log(max(p_ent[true_entity], 1e-300))
+        dlogits = cfg.lambda_entity * p_ent.copy()
+        dlogits[true_entity] -= cfg.lambda_entity
         df_mtl, dH2 = _mtl_backward(mtl_cache, mtl, dlogits, grads)
         df1 = df1 + df_mtl
         reference_backward(model.encoder, cache2, dH2, None, enc_grads)
@@ -1151,3 +1152,93 @@ class TestCompiledRows:
         calls.clear()
         model.loss_and_grads(rows)
         assert calls == []
+
+
+class TestSharedPairScorer:
+    """The detector, the learned tracker and both rankers are one encoder
+    plus logit head, `models.ToyPairScorer`; the rankers add wide terms."""
+
+    def test_pair_logits_equal_ranker_logits_with_zero_wide_weights(self, training_pool):
+        kb, corpus, _ = training_pool
+        vocab = rank._ranking_vocab(corpus, kb)
+        cands = kb.snippets[:TOP_K]
+        for model in (rank.PointwiseModel(vocab, ["hotel"], small_config()),
+                      ListwiseModel(vocab, ListwiseConfig(d=10, max_len=96))):
+            randomized(model, 5).wide["u"][...] = 0.0
+            scorer = models.ToyPairScorer(model.encoder, model.head)
+            rights = [model.encoder.vocab_ids(tokenize(linearize_knowledge(s)))
+                      for s in cands]
+            for d in corpus:
+                want = scorer.pair_logits(
+                    model.encoder.vocab_ids(tokenize(linearize_history(d))), rights)
+                context = exact_context(d, kb)
+                if isinstance(model, ListwiseModel):
+                    got = model.distribution(d, cands, context.indicators(cands), 100.0)
+                    want = softmax(want)
+                else:
+                    got = model.logits(d, cands, context, 100.0)
+                assert np.array_equal(got, want)
+
+    def test_mtl_init_draws_the_fixed_seed_values(self):
+        # fixed-seed draws at d=2, 2 domains, seed 4: each tensor from its
+        # own generator seeded by its checkpoint name, so mtl.* checkpoint
+        # tensors do not depend on how the block is stored
+        want = {
+            "wq": [[-0.6939148287722322, -0.7903109947960903],
+                   [-0.09774229710491754, 0.46459498287396295]],
+            "wk": [[0.484259009414245, -0.25609774458500356],
+                   [-1.2957929067645573, -0.2999955050560411]],
+            "wv": [[0.051232886985575155, -0.48498328265965546],
+                   [0.6040576122253062, -0.8704326562130509]],
+            "v": [0.38412127255101713, -0.07506500702201874],
+            "dom": [[0.9730476294983357, -0.4820489949458113],
+                    [-0.07065753574446125, -0.7559281235656096]],
+            "bdom": [0.0, 0.0]}
+        got = _mtl_init(d=2, n_domains=2, seed=4)
+        assert {k: v.tolist() for k, v in got.items()} == want
+
+    @pytest.mark.parametrize("trainer", ["pair", "pointwise", "pointwise-mtl",
+                                         "listwise"])
+    def test_each_trainer_runs_the_head_backward_once_per_stack(
+            self, training_pool, monkeypatch, trainer):
+        kb, corpus, pool = training_pool
+        vocab = rank._ranking_vocab(corpus, kb)
+        if trainer == "pair":
+            model = models.ToyPairScorer(models.ToyEncoder(vocab, d=10, max_len=96))
+            items = [(linearize_history(d), linearize_knowledge(s), i % 2)
+                     for i, (d, s) in enumerate(zip(corpus, kb.snippets))]
+        elif trainer == "listwise":
+            model = ListwiseModel(vocab, ListwiseConfig(d=10, max_len=96))
+            cands = kb.snippets[:3]
+            items = [rank.ListwiseInstance(d, cands, 0, exact_context(d, kb).indicators(cands))
+                     for d in corpus]
+        else:
+            use_mtl = trainer == "pointwise-mtl"
+            model = rank.PointwiseModel(vocab, sorted({s.domain for s in kb.snippets}),
+                                        small_config(use_mtl=use_mtl))
+            model.bind_kb(kb)
+            items = pool[use_mtl]
+        rows = [model.compile(item) for item in items]
+        stacks, heads = [], []  # per stacked_passes call its caches; head caches
+        real_passes = models.ToyEncoder.stacked_passes
+        real_head = models.ToyPairScorer._head_backward
+
+        def passes(self, units):
+            stacks.append([])
+            for idx, cache in real_passes(self, units):
+                stacks[-1].append(cache)
+                yield idx, cache
+
+        def head(self, cache, *args):
+            heads.append(cache)
+            return real_head(self, cache, *args)
+
+        monkeypatch.setattr(models, "_STACK_BLOCK", 3000)
+        monkeypatch.setattr(models.ToyEncoder, "stacked_passes", passes)
+        monkeypatch.setattr(models.ToyPairScorer, "_head_backward", head)
+        model.loss_and_grads(rows)
+        # the pair stacks are the last stacked_passes call's (entity-name
+        # stacks, with MTL, come first and have no head)
+        assert len(stacks) == (2 if trainer == "pointwise-mtl" else 1)
+        assert len(stacks[-1]) > 1
+        assert [id(c) for c in heads] == [id(c) for c in stacks[-1]]
