@@ -10,9 +10,10 @@ per-pair `levenshtein` loop on (entity name, same-length window) pairs,
 rank checkpoint the size the README quick start trains, and
 `ToyEncoder.pair_readouts` against one encoder pass per history-snippet
 pair on the candidate lists decode ranks, replayed from held-out synth
-dialogues shaped like the two decode workloads, and the rankers' training
-step on whole minibatches against one row at a time. Run after
-`pip install -e .`:
+dialogues shaped like the two decode workloads, the rankers' training
+step on whole minibatches against one row at a time, and the per-epoch
+work beside the encoder (ENA rebuilds, AdamW, the generator loss) against
+the paths training first took. Run after `pip install -e .`:
 
     python3 benchmarks/bench_kernels.py
 
@@ -20,8 +21,9 @@ Before timing, the kernels are checked against a plain-Python DP of this
 script's own (on the sequences of at most CHECK_MAX elements, where it
 runs in seconds), and fuzzy matching against its scalar definition
 (`fuzzy_similarity`), a loaded checkpoint against the tensors saved, and
-the shared-history readouts against the per-pair passes, and the
-minibatch gradients against the per-row sums; the whole script
+the shared-history readouts against the per-pair passes, the
+minibatch gradients against the per-row sums, and each per-epoch path
+against the first one; the whole script
 takes about half a minute on one
 x86-64 core. ``tests/test_bench_kernels.py`` runs the same checks at small
 sizes.
@@ -345,6 +347,183 @@ def bench_train_batch(n_dialogues=50, d=24, max_len=128, batch_size=16, repeat=3
               f"({t_rows / t_batch:.2f}x)")
 
 
+def per_tensor_adamw_step(params, state, grads, batch_size, lr, weight_decay):
+    """Gradient division and AdamW step one tensor at a time, as training
+    first ran them; ``state`` holds the step count and the moments."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for g in grads.values():
+        g /= batch_size
+    state["t"] += 1
+    t = state["t"]
+    for key, p in params.items():
+        g = grads[key]
+        state["m"][key] = b1 * state["m"][key] + (1 - b1) * g
+        state["v"][key] = b2 * state["v"][key] + (1 - b2) * g * g
+        mhat = state["m"][key] / (1 - b1 ** t)
+        vhat = state["v"][key] / (1 - b2 ** t)
+        p -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p)
+
+
+def per_row_generator_loss(model, rows):
+    """`ToyGenerator.loss_and_grads` as first written: one step, one set of
+    products and two ``np.add.at`` scatters per row."""
+    p = model.params
+    grads = {k: np.zeros(v.shape) for k, v in p.items()}
+    loss = 0.0
+    for row in rows:
+        c = model.context_vector(row.context_ids)
+        n = len(row.target)
+        positions = np.arange(n)
+        step = model._step_forward(row.prev_ids, positions, c)
+        logp, h = step["logp"], step["h"]
+        loss += float(-logp[positions, row.target].sum() / n)
+        dlogits = np.exp(logp) / n
+        dlogits[positions, row.target] -= 1.0 / n
+        grads["out"] += h.T @ dlogits
+        grads["bo"] += dlogits.sum(axis=0)
+        dpre = (dlogits @ p["out"].T) * (1.0 - h * h)
+        dpre_sum = dpre.sum(axis=0)
+        grads["wp"] += step["x"].T @ dpre
+        grads["wc"] += np.outer(c, dpre_sum)
+        grads["pos"][:n] += dpre
+        grads["bh"] += dpre_sum
+        np.add.at(grads["emb"], row.prev_ids, dpre @ p["wp"].T)
+        if row.context_ids.size:
+            np.add.at(grads["emb"], row.context_ids,
+                      (dpre_sum @ p["wc"].T) / row.context_ids.size)
+    return loss, grads
+
+
+def bench_epoch_tail(n_dialogues=50, d=24, batch_size=16, gen_batch_size=32,
+                     max_history_tokens=512, steps=20, repeat=3):
+    """The per-epoch training work beside the encoder, the path training
+    first took against the one it takes now, at the shapes of the pipeline
+    benchmark's `train` workload (50 dialogues of synth seed 6, its corpus
+    at seed 1; the quick start's encoder width and batch sizes):
+
+    * ENA rebuild: the inputs of each point-wise row that entity-name
+      augmentation (at probability 1) rewrites, built from the rewritten
+      dialogue's text (tokenize, exact match, `dialogue_features`) against
+      composed from its turns' inputs with only the rewritten turns built
+      afresh (`PointwiseModel._rewritten_inputs`); checked byte for byte;
+    * AdamW: the gradient division and the update one tensor at a time
+      against one fused pass over the point-wise ranker's tensors laid out
+      as one vector; checked bit for bit over ``steps`` steps;
+    * generator loss: one row at a time (`per_row_generator_loss`) against
+      one ``loss_and_grads`` call per minibatch; checked within 1e-12 of
+      the largest gradient entry.
+
+    Times are summed over one epoch's rows or minibatches (AdamW: over
+    ``steps`` steps)."""
+    from kgdial.augment import AugmentConfig, augment_entity_name
+    from kgdial.corpus import TOP_K, linearize_history, tokenize
+    from kgdial.entity_track import exact_match_entities
+    from kgdial.generate import GenTrainConfig, build_gen_examples, train_generator
+    from kgdial.models import AdamW, packed
+    from kgdial.rank import (PointwiseConfig, build_pointwise_instances,
+                             dialogue_features, train_pointwise)
+    from kgdial.synth import MiniCorpusConfig, build_mini_corpus
+
+    dialogues, kb, _ = build_mini_corpus(
+        MiniCorpusConfig(n_dialogues=n_dialogues, seed=6))
+    seeking = [x for x in dialogues if x.label.is_knowledge_seeking]
+    ena = AugmentConfig(ena_probability=1.0)
+    config = PointwiseConfig(epochs=0, d=d, seed=5, ena=ena)
+    model = train_pointwise(seeking, kb, config)
+    rows = [model.compile(inst) for inst in build_pointwise_instances(
+        seeking, kb, config, np.random.default_rng(5))]
+    rng = np.random.default_rng(0)
+    rewrites = []
+    for row in rows:
+        inst = row.instance
+        out = augment_entity_name(inst.dialogue, inst.candidate, bool(inst.label),
+                                  ena, rng)
+        if out is not inst.dialogue:
+            rewrites.append((row, out))
+
+    def from_text():
+        return [model._row_inputs(
+            model.encoder.vocab_ids(tokenize(linearize_history(dialogue))),
+            dialogue_features(dialogue, exact_match_entities(dialogue, kb)),
+            row.instance.candidate) for row, dialogue in rewrites]
+
+    def composed():
+        return [model._rewritten_inputs(row, dialogue) for row, dialogue in rewrites]
+
+    for (pair, feats), (ref_pair, ref_feats) in zip(composed(), from_text()):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, ref_pair))
+        assert feats.tobytes() == ref_feats.tobytes()
+    t_text = timeit(from_text, repeat=repeat)
+    t_composed = timeit(composed, repeat=repeat)
+
+    lr, weight_decay = 0.01, 0.01
+    tensors = {k: rng.normal(0.0, 0.3, size=v.shape)
+               for k, v in model.all_params().items()}
+    grads = [{k: rng.normal(0.0, 1.0, size=v.shape) for k, v in tensors.items()}
+             for _ in range(steps)]
+
+    def per_tensor():
+        params = {k: v.copy() for k, v in tensors.items()}
+        state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in params.items()},
+                 "v": {k: np.zeros_like(v) for k, v in params.items()}}
+        for step in grads:
+            per_tensor_adamw_step(params, state, {k: g.copy() for k, g in step.items()},
+                                  batch_size, lr, weight_decay)
+        return params
+
+    def fused():
+        data, views = packed(tensors)
+        opt = AdamW(data, lr=lr, weight_decay=weight_decay)
+        for step in grads:
+            flat = np.concatenate([step[k].ravel() for k in sorted(step)])
+            flat /= batch_size
+            opt.step(flat)
+        return views
+
+    expected = per_tensor()
+    for key, value in fused().items():
+        assert value.tobytes() == expected[key].tobytes(), key
+    # the copies of the gradients the per-tensor path divides in place
+    t_copies = timeit(lambda: [{k: g.copy() for k, g in s.items()} for s in grads],
+                      repeat=repeat)
+    t_per_tensor = timeit(per_tensor, repeat=repeat) - t_copies
+    t_fused = timeit(fused, repeat=repeat)
+
+    gen_config = GenTrainConfig(epochs=0, d=d, max_history_tokens=max_history_tokens,
+                                seed=5)
+    examples = build_gen_examples(seeking, {
+        x.id: [kb.get(*x.label.knowledge_refs[0])] + list(kb.snippets[:TOP_K - 1])
+        for x in seeking}, gen_config, np.random.default_rng(5))
+    generator, _ = train_generator(examples, gen_config)
+    for value in generator.params.values():  # trained-looking weights
+        value[...] = rng.normal(0.0, 0.3, size=value.shape)
+    gen_rows = [generator.compile(e) for e in examples]
+    batches = [gen_rows[start:start + gen_batch_size]
+               for start in range(0, len(gen_rows), gen_batch_size)]
+    for batch in batches:
+        loss, got = generator.loss_and_grads(batch)
+        ref_loss, ref = per_row_generator_loss(generator, batch)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        largest = max(np.abs(g).max() for g in ref.values())
+        for key, value in ref.items():
+            assert np.abs(got[key] - value).max() <= 1e-12 * largest, key
+    t_rows = timeit(lambda: [per_row_generator_loss(generator, b) for b in batches],
+                    repeat=repeat)
+    t_batch = timeit(lambda: [generator.loss_and_grads(b) for b in batches],
+                     repeat=repeat)
+
+    print(f"\nper-epoch training work beside the encoder, train workload shapes, "
+          f"d={d} (best of {repeat}, milliseconds)")
+    for name, count, old, new in (
+            ("ENA rebuild", f"{len(rewrites)} rewritten rows", t_text, t_composed),
+            ("AdamW", f"{steps} steps, {sum(v.size for v in tensors.values())} values",
+             t_per_tensor, t_fused),
+            ("generator loss", f"{len(gen_rows)} rows, {len(batches)} minibatches",
+             t_rows, t_batch)):
+        print(f"  {name:15} {count:30} first path {old * 1e3:8.2f}, now "
+              f"{new * 1e3:8.2f} ({old / new:.2f}x)")
+
+
 def main():
     rng = np.random.default_rng(0)
     bench_pairwise(rng)
@@ -353,6 +532,7 @@ def main():
     bench_checkpoint_io()
     bench_pair_readouts()
     bench_train_batch()
+    bench_epoch_tail()
 
 
 if __name__ == "__main__":

@@ -117,10 +117,11 @@ class PhoneticIndex:
     def _candidates(self, vec: np.ndarray) -> np.ndarray:
         """Ids, ascending, of the words whose signature in some table is
         within ``probe_radius`` flipped bits of the query's (multiprobe:
-        every bucket those flips reach is probed)."""
-        query = np.stack([self._signatures(vec[None, :], t)
-                          for t in range(self.n_tables)])
-        near = np.bitwise_count(self._sigs ^ query) <= self.probe_radius
+        every bucket those flips reach is probed). The query's signatures in
+        all tables come from one stacked product."""
+        bits = (vec @ self._planes.transpose(0, 2, 1)) > 0
+        query = bits @ (1 << np.arange(self.n_bits))
+        near = np.bitwise_count(self._sigs ^ query[:, None]) <= self.probe_radius
         return np.flatnonzero(near.any(axis=0))
 
     def neighbors(self, word: str, k: int) -> list[tuple[str, float]]:
@@ -222,13 +223,16 @@ def inject_errors(utterance: str, index: PhoneticIndex, config: AugmentConfig,
     return " ".join(words)
 
 
-def _find_token_subseq(haystack: list[str], needle: list[str]) -> Optional[int]:
-    lowered = [w.lower() for w in haystack]
-    target = [w.lower() for w in needle]
-    for start in range(len(lowered) - len(target) + 1):
-        if lowered[start:start + len(target)] == target:
+def _find_token_subseq(words: list[str], target: list[str]) -> Optional[int]:
+    """The first position at which ``target`` occurs in ``words``."""
+    start = -1
+    while True:
+        try:
+            start = words.index(target[0], start + 1)
+        except ValueError:
+            return None
+        if words[start:start + len(target)] == target:
             return start
-    return None
 
 
 def augment_entity_name(dialogue: Dialogue, candidate: KnowledgeSnippet,
@@ -247,9 +251,11 @@ def augment_entity_name(dialogue: Dialogue, candidate: KnowledgeSnippet,
     name_words = candidate.entity_name.split(" ")
     turn_words = [t.text.split(" ") for t in dialogue.turns]
 
+    # case-insensitive; lowering a whole text lowers each of its words alike
+    target = candidate.entity_name.lower().split(" ")
     match = None
-    for ti, words in enumerate(turn_words):
-        start = _find_token_subseq(words, name_words)
+    for ti, turn in enumerate(dialogue.turns):
+        start = _find_token_subseq(turn.text.lower().split(" "), target)
         if start is not None:
             match = (ti, start)
             break
@@ -261,43 +267,48 @@ def augment_entity_name(dialogue: Dialogue, candidate: KnowledgeSnippet,
         # stand-ins keep the name words addressable through the move
         sentinels: list = [("\x00ent", i) for i in range(w)]
         turn_words[ti][start:start + w] = sentinels
+        touched = {ti}
         if w >= 2:
             split = int(rng.integers(1, w))
             moving = sentinels[:split] if rng.integers(2) else sentinels[split:]
             turn_words[ti] = [x for x in turn_words[ti] if x not in moving]
-            _insert_at_random_gap(turn_words, list(moving), rng)
+            touched.add(_insert_at_random_gap(turn_words, list(moving), rng))
         dropped = {i for i in range(w) if rng.uniform() < config.ena_delete_prob}
-        resolved = []
-        for words in turn_words:
-            cur = []
-            for item in words:
-                if isinstance(item, tuple):
-                    if item[1] not in dropped:
-                        cur.append(surface[item[1]])
-                else:
-                    cur.append(item)
-            resolved.append(cur)
-        return _rebuild(dialogue, resolved)
+        return _rebuild(dialogue, {
+            t: [surface[x[1]] if isinstance(x, tuple) else x for x in turn_words[t]
+                if not isinstance(x, tuple) or x[1] not in dropped]
+            for t in touched})
 
     if not is_positive and match is None:
-        _insert_at_random_gap(turn_words, list(name_words), rng)
-        return _rebuild(dialogue, turn_words)
+        ti = _insert_at_random_gap(turn_words, list(name_words), rng)
+        return _rebuild(dialogue, {ti: turn_words[ti]})
 
     return dialogue
 
 
 def _insert_at_random_gap(turn_words: list[list[str]], words: list[str],
-                          rng: np.random.Generator) -> None:
-    gaps = [(ti, g) for ti, tw in enumerate(turn_words) for g in range(len(tw) + 1)]
-    ti, g = gaps[int(rng.integers(len(gaps)))]
-    turn_words[ti][g:g] = words
+                          rng: np.random.Generator) -> int:
+    """Insert ``words`` at a gap drawn uniformly from all turns' gaps (a
+    turn of n words has n + 1, counted turn by turn); returns the turn's
+    index."""
+    gap = int(rng.integers(sum(len(tw) + 1 for tw in turn_words)))
+    for ti, tw in enumerate(turn_words):
+        if gap <= len(tw):
+            tw[gap:gap] = words
+            return ti
+        gap -= len(tw) + 1
 
 
-def _rebuild(dialogue: Dialogue, turn_words: list[list[str]]) -> Dialogue:
-    turns = tuple(
-        replace(turn, text=" ".join(words)) if words else turn
-        for turn, words in zip(dialogue.turns, turn_words))
-    return replace(dialogue, turns=turns)
+def _rebuild(dialogue: Dialogue, rewritten: dict[int, list[str]]) -> Dialogue:
+    """A copy of ``dialogue`` whose turn ``t`` reads ``rewritten[t]``. Every
+    other turn keeps its `Turn` object, and so does a rewritten turn left
+    without words or with its own text again."""
+    turns = list(dialogue.turns)
+    for ti, words in rewritten.items():
+        text = " ".join(words)
+        if words and text != turns[ti].text:
+            turns[ti] = replace(turns[ti], text=text)
+    return replace(dialogue, turns=tuple(turns))
 
 
 SpeechAdapter = Callable[[str], str]

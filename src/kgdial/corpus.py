@@ -183,8 +183,9 @@ class EntityNameIndex:
     built once per knowledge base.
 
     ``positions`` maps each non-empty name token tuple to the positions of
-    its entities in the entity list, ``lengths`` holds those tuples' token
-    lengths in ascending order, and ``targets`` is each entity's name as
+    its entities in the entity list, ``firsts`` holds those tuples' first
+    tokens, ``lengths`` their token lengths in ascending order, and
+    ``targets`` is each entity's name as
     its space-joined tokens. For fuzzy matching, ``groups`` maps a token
     length to the distinct targets of that length (first-seen order) and
     their ``char_counts`` rows over ``alphabet``, the sorted code points of
@@ -202,6 +203,7 @@ class EntityNameIndex:
                 grouped.setdefault(len(name), {})[target] = None
         self.positions: dict[tuple[str, ...], tuple[int, ...]] = {
             k: tuple(v) for k, v in positions.items()}
+        self.firsts: frozenset[str] = frozenset(name[0] for name in positions)
         self.lengths: tuple[int, ...] = tuple(sorted(grouped))
         # sorted code points; np.unique would import numpy.ma (about 0.6 MB)
         self.alphabet = np.array(sorted(set(map(ord, "".join(self.targets)))),

@@ -4,12 +4,12 @@ Three interchangeable methods (exact token match, fuzzy windowed edit
 distance, learned pair scorer over a threshold) feed candidate knowledge
 collection for the ranking stage. The exact and fuzzy methods read the
 knowledge base's ``name_index``, built once with the knowledge base: exact
-matching is one dict lookup per (utterance position, name token length),
-and fuzzy matching bounds the (name, distinct window) pairs of a token
-length by a character-count difference, all pairs of the length as one
-array, then computes the edit distances of the pairs the bound leaves open,
-those of every length together, in one batched DP per call
-(``kernels.levenshtein_many``). Learned tracking scores the history against
+matching is one dict lookup per (utterance position, name token length) at
+the positions that hold some name's first token, and fuzzy matching bounds
+the (name, distinct window) pairs of a token length by a character-count
+difference, all pairs of the length as one array, then computes the edit
+distances of the pairs the bound leaves open, those of every length
+together, in one batched DP per call (``kernels.levenshtein_many``). Learned tracking scores the history against
 every entity in one ``scores`` call of the pair scorer, which maps the
 history to ids once and, for the reference scorer, encodes it once per
 truncation window (``ToyEncoder.pair_readouts``).
@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (DOMAIN_LEVEL, Dialogue, Entity, KnowledgeBase,
-                     KnowledgeSnippet, linearize_entity, linearize_history,
-                     tokenize)
+from .corpus import (DOMAIN_LEVEL, Dialogue, Entity, EntityNameIndex,
+                     KnowledgeBase, KnowledgeSnippet, linearize_entity,
+                     linearize_history, tokenize)
 from .kernels import char_counts, levenshtein, levenshtein_many
 from .models import SentencePairScorer
 
@@ -44,18 +44,31 @@ def _utterance_tokens(dialogue: Dialogue) -> list[list[str]]:
     return [tokenize(t.text) for t in dialogue.turns]
 
 
+def exact_mentions(tokens: Sequence[str],
+                   index: EntityNameIndex) -> dict[int, tuple[int, int]]:
+    """Position in the entity list -> (end, length) of the rightmost
+    occurrence of that entity's name tokens in ``tokens``: the offset just
+    past it and its token count. One dict lookup per (position, name token
+    length), at the positions that hold the first token of some name."""
+    found = {}
+    for start in range(len(tokens)):
+        if tokens[start] not in index.firsts:
+            continue
+        for w in index.lengths:
+            if start + w > len(tokens):
+                break
+            for i in index.positions.get(tuple(tokens[start:start + w]), ()):
+                found[i] = (start + w, w)
+    return found
+
+
 def exact_match_entities(dialogue: Dialogue, kb: KnowledgeBase) -> list[Entity]:
     """Entities whose normalized name is a contiguous token subsequence of
     some utterance, in knowledge-base order. Domain pseudo-entities match
     on the domain name; a name with no tokens never matches."""
-    index = kb.name_index
     hits: set[int] = set()
     for u in _utterance_tokens(dialogue):
-        for start in range(len(u)):
-            for w in index.lengths:
-                if start + w > len(u):
-                    break
-                hits.update(index.positions.get(tuple(u[start:start + w]), ()))
+        hits.update(exact_mentions(u, kb.name_index))
     return [kb.entities[i] for i in sorted(hits)]
 
 

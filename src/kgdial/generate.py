@@ -29,7 +29,7 @@ import numpy as np
 
 from .corpus import (Dialogue, GenerationContext, KnowledgeSnippet, TAG_RESP,
                      TOP_K, build_generation_context, normalize_ws, tokenize)
-from .models import TrainConfig, build_vocab, train_model
+from .models import _STACK_BLOCK, TrainConfig, build_vocab, scatter_add, train_model
 
 EOS = "⟨eos⟩"
 
@@ -201,6 +201,9 @@ class ToyGenerator:
         return {"emb": (V, d), "pos": (max_target_tokens + 1, d), "wp": (d, d),
                 "wc": (d, d), "bh": (d,), "out": (d, V), "bo": (V,)}
 
+    def param_groups(self) -> dict[str, dict[str, np.ndarray]]:
+        return {"": self.params}
+
     def all_params(self) -> dict[str, np.ndarray]:
         return self.params
 
@@ -222,14 +225,15 @@ class ToyGenerator:
 
     def _step_forward(self, prev_ids: np.ndarray, pos, c: np.ndarray) -> dict:
         """One step for a batch of rows: row i continues ``prev_ids[i]`` at
-        position ``pos`` (one int for all rows, or one per row). Each row
+        position ``pos`` (one int for all rows, or one per row) in context
+        ``c`` (one context vector for all rows, or one per row). Each row
         is multiplied as a (1, d) matrix, which numpy does row by row
         exactly as for a single row; one matrix-matrix product for all rows
         would round differently."""
         p = self.params
         x = p["emb"][prev_ids]
         xw = (x[:, None] @ p["wp"])[:, 0]
-        h = np.tanh(xw + c @ p["wc"] + p["pos"][pos] + p["bh"])
+        h = np.tanh(xw + (c[..., None, :] @ p["wc"])[..., 0, :] + p["pos"][pos] + p["bh"])
         logits = (h[:, None] @ p["out"])[:, 0] + p["bo"]
         shifted = logits - logits.max(axis=1, keepdims=True)
         norm = [math.log(s) for s in np.exp(shifted).sum(axis=1)]
@@ -245,33 +249,61 @@ class ToyGenerator:
     def loss_and_grads(self, rows: Sequence[GenRow]) -> tuple[float, dict]:
         """Summed per-row mean token-level cross entropy of compiled rows,
         with analytic gradients. With teacher forcing every position's
-        input is known, so all positions of a row go through one step call
-        and each gradient of a row is one product over its positions."""
-        p = self.params
-        grads = {k: np.zeros(v.shape) for k, v in p.items()}
-        loss = 0.0
-        for row in rows:
-            ctx_ids, target, prev_ids = row.context_ids, row.target, row.prev_ids
-            c = self.context_vector(ctx_ids)
-            n = len(target)
-            positions = np.arange(n)
-            step = self._step_forward(prev_ids, positions, c)
-            logp, h = step["logp"], step["h"]
-            loss += float(-logp[positions, target].sum() / n)
-            dlogits = np.exp(logp) / n
-            dlogits[positions, target] -= 1.0 / n
-            grads["out"] += h.T @ dlogits
-            grads["bo"] += dlogits.sum(axis=0)
-            dpre = (dlogits @ p["out"].T) * (1.0 - h * h)
-            dpre_sum = dpre.sum(axis=0)
-            grads["wp"] += step["x"].T @ dpre
-            grads["wc"] += np.outer(c, dpre_sum)
-            grads["pos"][:n] += dpre
-            grads["bh"] += dpre_sum
-            np.add.at(grads["emb"], prev_ids, dpre @ p["wp"].T)
-            if ctx_ids.size:
-                np.add.at(grads["emb"], ctx_ids, (dpre_sum @ p["wc"].T) / ctx_ids.size)
+        input is known, so consecutive rows go through as one stack of
+        positions, each row's context vector broadcast to its positions:
+        one `_step_forward`, one product per gradient and one scatter per
+        embedding table. A stack ends before the row that would take its
+        (positions x vocabulary) arrays past `_STACK_BLOCK` elements (a
+        longer row is a stack alone). The forward step equals each row's
+        own bit for bit (tanh amplifies rounding where it saturates); the
+        loss and gradients equal the per-row sums up to rounding."""
+        grads = {k: np.zeros(v.shape) for k, v in self.params.items()}
+        most = max(1, _STACK_BLOCK // len(self.vocab))  # positions per stack
+        loss, lo = 0.0, 0
+        while lo < len(rows):
+            hi, n = lo + 1, len(rows[lo].target)
+            while hi < len(rows) and n + len(rows[hi].target) <= most:
+                n += len(rows[hi].target)
+                hi += 1
+            loss += self._stack_loss(rows[lo:hi], grads)
+            lo = hi
         return loss, grads
+
+    def _stack_loss(self, rows: Sequence[GenRow], grads: dict) -> float:
+        """The summed loss of one stack of rows; adds its gradients to
+        ``grads``."""
+        p = self.params
+        lengths = np.array([len(row.target) for row in rows])
+        owner = np.repeat(np.arange(len(rows)), lengths)  # the row of each position
+        starts = np.cumsum(lengths) - lengths
+        positions = np.arange(owner.size) - starts[owner]
+        at = np.arange(owner.size), np.concatenate([row.target for row in rows])
+        prev_ids = np.concatenate([row.prev_ids for row in rows])
+        contexts = np.stack([self.context_vector(row.context_ids) for row in rows])
+        step = self._step_forward(prev_ids, positions, contexts[owner])
+        x, h, dlogits = step["x"], step["h"], step["logp"]
+        per_row = lengths[owner]
+        loss = float(-(dlogits[at] / per_row).sum())
+        np.exp(dlogits, out=dlogits)
+        dlogits /= per_row[:, None]
+        dlogits[at] -= 1.0 / per_row
+        dpre = (dlogits @ p["out"].T) * (1.0 - h * h)
+        dpre_rows = np.add.reduceat(dpre, starts, axis=0)
+        grads["out"] += h.T @ dlogits
+        grads["bo"] += dlogits.sum(axis=0)
+        grads["wp"] += x.T @ dpre
+        grads["wc"] += contexts.T @ dpre_rows
+        grads["bh"] += dpre_rows.sum(axis=0)
+        scatter_add(grads["pos"], positions, dpre)
+        # each context token takes its row's context gradient over their count
+        sizes = np.array([row.context_ids.size for row in rows])
+        has = sizes > 0
+        dcontexts = (dpre_rows @ p["wc"].T)[has] / sizes[has, None]
+        scatter_add(grads["emb"],
+                    np.concatenate([prev_ids] + [row.context_ids for row in rows]),
+                    np.concatenate((dpre @ p["wp"].T,
+                                    np.repeat(dcontexts, sizes[has], axis=0))))
+        return loss
 
     def generate_nbest(self, context: str, n: int) -> list[tuple[str, float]]:
         """Beam-search n-best: deduplicated texts sorted by log-probability.

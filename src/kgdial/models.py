@@ -357,7 +357,7 @@ class ToyEncoder:
         over its sequences, given the (B, L, d) gradient ``dH`` of its
         states (zero at padded positions) and the (B, d) gradient ``df``
         of its pooled vectors. The embedding rows are scattered in one
-        sorted ``reduceat``."""
+        sorted ``reduceat`` (`scatter_add`)."""
         d = self.d
         E, A, QKV, w_qkv = cache["E"], cache["A"], cache["QKV"], cache["w_qkv"]
         B, L = A.shape[:2]
@@ -392,37 +392,60 @@ class ToyEncoder:
         dE += dH.reshape(B * L, d)
         if cache["mask"] is not None:
             dE = dE[cache["mask"].ravel()]
-        ids, segs = cache["ids"], cache["segs"]
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
-        grads["emb"][sorted_ids[starts]] += np.add.reduceat(dE[order], starts, axis=0)
-        grads["seg"] += (np.arange(2)[:, None] == segs) @ dE
+        scatter_add(grads["emb"], cache["ids"], dE)
+        grads["seg"] += (np.arange(2)[:, None] == cache["segs"]) @ dE
+
+
+def scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``table[ids[k]] += rows[k]`` for every k (at least one), the rows of
+    a repeated id summed first: one stable sort and one sorted
+    ``reduceat``."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    table[sorted_ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
 class AdamW:
-    """Adaptive gradient descent with decoupled weight decay."""
+    """Adaptive gradient descent with decoupled weight decay over one flat
+    float64 parameter vector (`pack_params`), updated in place. A step runs
+    the per-tensor expression once over the whole vector, in the same
+    operation order, so it equals one step per tensor bit for bit."""
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-5,
+    def __init__(self, data: np.ndarray, lr: float = 1e-5,
                  weight_decay: float = 0.01):
-        self.params = params
+        self.data = data
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(data)
+        self.v = np.zeros_like(data)
+        self._scratch = np.empty((2, data.size))
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        """One update from ``grad``, laid out as the parameter vector:
+        p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p), each
+        product and sum taken in place, into two scratch vectors."""
         self.t += 1
-        for key, p in self.params.items():
-            g = grads[key]
-            self.m[key] = self.b1 * self.m[key] + (1 - self.b1) * g
-            self.v[key] = self.b2 * self.v[key] + (1 - self.b2) * g * g
-            mhat = self.m[key] / (1 - self.b1 ** self.t)
-            vhat = self.v[key] / (1 - self.b2 ** self.t)
-            p -= self.lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p)
+        m, v, (a, b) = self.m, self.v, self._scratch
+        np.multiply(grad, 1 - self.b1, out=a)
+        m *= self.b1
+        m += a
+        np.multiply(grad, 1 - self.b2, out=a)
+        a *= grad
+        v *= self.b2
+        v += a
+        np.divide(v, 1 - self.b2 ** self.t, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, 1 - self.b1 ** self.t, out=b)
+        b /= a
+        np.multiply(self.data, self.weight_decay, out=a)
+        b += a
+        b *= self.lr
+        self.data -= b
 
 
 @dataclass
@@ -505,10 +528,14 @@ class ToyPairScorer:
         self.encoder = encoder
         self.head = head
 
+    def param_groups(self) -> dict[str, dict[str, np.ndarray]]:
+        """The model's tensor dicts by the prefix `all_params` gives their
+        names."""
+        return {"enc.": self.encoder.params, "head.": self.head}
+
     def all_params(self) -> dict[str, np.ndarray]:
-        out = prefixed("enc.", self.encoder.params)
-        out.update(prefixed("head.", self.head))
-        return out
+        return {prefix + k: v for prefix, group in self.param_groups().items()
+                for k, v in group.items()}
 
     def score(self, sentence1: str, sentence2: str) -> float:
         return self.scores(sentence1, [sentence2])[0]
@@ -593,18 +620,52 @@ def train_pair_classifier(examples: Sequence[tuple[str, str, int]],
     return scorer
 
 
+def packed(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``tensors`` copied into one float64 vector, each raveled, in
+    sorted-name order (the checkpoint layout), and views of that vector
+    named and shaped as ``tensors``."""
+    names = sorted(tensors)
+    data = np.concatenate([np.zeros(0)] + [tensors[name].ravel() for name in names])
+    return data, _views(data, [(name, tensors[name].shape) for name in names])
+
+
+def _views(data: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Views of consecutive stretches of ``data``, one per (name, shape)
+    of ``layout``."""
+    out, start = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        out[name] = data[start:start + size].reshape(shape)
+        start += size
+    return out
+
+
+def pack_params(model) -> np.ndarray:
+    """Move every tensor of ``model`` (its ``param_groups``) into one vector
+    (`packed`); the model then holds views of it, so updating the vector
+    updates the model. Returns the vector."""
+    data, views = packed(model.all_params())
+    for prefix, group in model.param_groups().items():
+        for key in group:
+            group[key] = views[prefix + key]
+    return data
+
+
 def train_model(model, examples: list, config: TrainConfig) -> list[float]:
     """Generic minibatch loop over a model exposing compile/loss_and_grads/
-    all_params. Every example is compiled to model inputs once, before the
-    first epoch; the compiled rows live only for this call. Each minibatch
-    goes to ``loss_and_grads`` in one call, which returns its summed loss
-    and gradients.
+    param_groups. Every example is compiled to model inputs once, before the
+    first epoch; the compiled rows live only for this call. The model's
+    tensors become views of one vector (`pack_params`). Each minibatch goes
+    to ``loss_and_grads`` in one call, which returns its summed loss and
+    gradients; those are laid out as that vector and divided by the batch
+    size in one operation, and AdamW steps the whole vector at once.
 
     Returns the mean training loss per epoch.
     """
     rows = [model.compile(e) for e in examples]
-    opt = AdamW(model.all_params(), lr=config.learning_rate,
+    opt = AdamW(pack_params(model), lr=config.learning_rate,
                 weight_decay=config.weight_decay)
+    grad = np.empty_like(opt.data)
     rng = np.random.default_rng(config.seed)
     history = []
     for _ in range(config.epochs):
@@ -614,10 +675,10 @@ def train_model(model, examples: list, config: TrainConfig) -> list[float]:
             batch = [rows[int(i)] for i in order[start:start + config.batch_size]]
             loss, grads = model.loss_and_grads(batch)
             total += loss
-            for g in grads.values():
-                g /= len(batch)
             if config.learning_rate > 0:
-                opt.step(grads)
+                np.concatenate([grads[k].ravel() for k in sorted(grads)], out=grad)
+                grad /= len(batch)
+                opt.step(grad)
         history.append(total / len(rows))
     return history
 
@@ -670,7 +731,7 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
     meta = dict(config)
     meta["version"] = CHECKPOINT_VERSION
     meta[_LAYOUT] = [[name, list(tensors[name].shape)] for name in names]
-    data = np.concatenate([np.zeros(0)] + [tensors[name].ravel() for name in names])
+    data, _ = packed(tensors)
     header = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
                            dtype=np.uint8)
     np.savez(path, __meta__=header, __data__=data)
@@ -719,15 +780,11 @@ def _unpack(path: str, data: np.ndarray, layout) -> dict[str, np.ndarray]:
             raise ModelError(f"checkpoint {path}: malformed layout entry {entry!r}")
     if len({name for name, _ in layout}) < len(layout):
         raise ModelError(f"checkpoint {path}: layout names a tensor twice")
-    sizes = [math.prod(shape) for _, shape in layout]
-    if sum(sizes) != data.size:
-        raise ModelError(f"checkpoint {path}: layout needs {sum(sizes)} values, "
+    needed = sum(math.prod(shape) for _, shape in layout)
+    if needed != data.size:
+        raise ModelError(f"checkpoint {path}: layout needs {needed} values, "
                          f"data block holds {data.size}")
-    tensors, start = {}, 0
-    for (name, shape), size in zip(layout, sizes):
-        tensors[name] = data[start:start + size].reshape(shape)
-        start += size
-    return tensors
+    return _views(data, [(name, tuple(shape)) for name, shape in layout])
 
 
 def check_tensors(path: str, shapes: dict[str, tuple[int, ...]],

@@ -707,16 +707,22 @@ def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
                    base_system: str) -> list[str]:
     """Error-fixing ensemble over several detection prediction files, each
     record's ``detection_probability`` as its system's probability; a
-    record without one is a CorpusError."""
+    record without one is a CorpusError. A system is named by its file's
+    base name, so two files of one name are a CorpusError too."""
     from .detect import ErrorFixConfig, error_fixing_ensemble
 
-    tables = {}
+    tables, paths = {}, {}
     for path in prediction_paths:
+        name = os.path.basename(path)
+        if name in paths:
+            raise CorpusError(f"system name {name!r} is given twice: {paths[name]} "
+                              f"and {path}; rename one file")
+        paths[name] = path
         records = _read_stage_json(require(path, "decode"), records=True)
         for i, r in enumerate(records):
             if "detection_probability" not in r:
                 raise CorpusError(f"{path}: record {i}: missing detection_probability")
-        tables[os.path.basename(path)] = [
+        tables[name] = [
             predict(f"d{i:05d}", float(r["detection_probability"]))
             for i, r in enumerate(records)]
     fixed = error_fixing_ensemble(tables, ErrorFixConfig(

@@ -29,9 +29,12 @@ Training compiles each row once per training run, not once per epoch:
 the encoder pair, the sparse-feature row and (with MTL) the entity-name
 input of a point-wise row, the pairs of a list-wise one. A dialogue's
 history ids and `dialogue_features` are built once for all its point-wise
-rows. A row that online entity-name augmentation rewrites on a call is
-built afresh for that call, its entities exact-matched against the
-knowledge base training bound.
+rows. With online entity-name augmentation (ENA), each turn's inputs are
+built once too (`TurnInputs`: ids, token and bigram sets, exact entity
+mentions), and a row that ENA rewrites on a call has its inputs composed
+from them: only the one or two turns the rewrite touched are tokenized and
+exact-matched afresh, against the knowledge base training bound, and
+their inputs are not kept.
 
 The multi-task head computes, for a pooled query vector f and per-token
 states H of the concatenated entity names,
@@ -51,15 +54,15 @@ import math
 import zlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .augment import AugmentConfig, augment_entity_name
 from .corpus import (Dialogue, Entity, KnowledgeBase, KnowledgeSnippet,
-                     TAG_ENT, TOP_K, linearize_history, linearize_knowledge,
+                     TAG_ENT, TOP_K, Turn, linearize_history, linearize_knowledge,
                      split_kfold, tokenize)
-from .entity_track import exact_match_entities
+from .entity_track import exact_match_entities, exact_mentions
 from .models import (ToyEncoder, ToyPairScorer, TrainConfig, bce_loss, build_vocab,
                      pair_scorer_shapes, prefixed, sigmoid, softmax, softmax_backward,
                      stacked_dot, train_model, unprefixed)
@@ -177,12 +180,30 @@ def dialogue_features(dialogue: Dialogue,
         pos = _rightmost_occurrence(utterances, name_tokens)
         if pos >= 0:
             positions[entity.key] = (pos, len(name_tokens), entity.name)
-    last_key = max(positions, key=lambda k: positions[k]) if positions else None
     return DialogueFeatures(
-        last_entity_key=last_key,
+        last_entity_key=_last_entity_key(positions),
         tokens=frozenset(tok for utt in utterances for tok in utt),
         bigrams=frozenset((utt[i], utt[i + 1])
                           for utt in utterances for i in range(len(utt) - 1)))
+
+
+def _last_entity_key(positions: dict[tuple[str, str], tuple[int, int, str]]
+                     ) -> Optional[tuple[str, str]]:
+    """The key whose (match end, name length, name) is greatest, the first
+    such one on a tie; ``None`` when nothing matched."""
+    return max(positions, key=positions.__getitem__) if positions else None
+
+
+class TurnInputs(NamedTuple):
+    """What a point-wise training row reads from one turn, built once per
+    `Turn` so that a dialogue's inputs can be composed turn by turn: the
+    ids of its tag and tokens (its part of the history), its token count,
+    its token and bigram sets, and its `exact_mentions`."""
+    ids: np.ndarray
+    length: int
+    tokens: frozenset[str]
+    bigrams: frozenset[tuple[str, str]]
+    mentions: dict[int, tuple[int, int]]
 
 
 def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
@@ -213,13 +234,14 @@ def sample_negatives(gt_snippet: KnowledgeSnippet, kb: KnowledgeBase,
     the utterances, and knowledge of mentioned non-ground-truth entities.
     Empty or exhausted pools redistribute to the remaining ones."""
     mentioned_keys = {e.key for e in mentioned}
+    gt_key, gt_entity = gt_snippet.key, gt_snippet.entity_key
+    others = [s for s in kb.snippets if s.key != gt_key]
+    of_mentioned = [s for s in others if s.entity_key in mentioned_keys]
     pools: dict[str, list[KnowledgeSnippet]] = {
-        "kb": [s for s in kb.snippets if s.key != gt_snippet.key],
-        "mentioned": [s for s in kb.snippets
-                      if s.entity_key in mentioned_keys and s.key != gt_snippet.key],
-        "other_entity": [s for s in kb.snippets
-                         if s.entity_key in mentioned_keys
-                         and s.entity_key != gt_snippet.entity_key],
+        "kb": others,
+        "mentioned": of_mentioned,
+        # another entity's snippet is never the ground truth
+        "other_entity": [s for s in of_mentioned if s.entity_key != gt_entity],
     }
     if len(pools["kb"]) < count:  # the other pools are parts of this one
         raise RankError(
@@ -423,12 +445,16 @@ class PointwiseConfig:
 @dataclass(frozen=True)
 class PointwiseRow:
     """A point-wise training row compiled to model inputs: the encoder pair
-    and the sparse-feature vector built from ``instance.dialogue``, and the
-    entity-name input of the multi-task head (``None`` without MTL)."""
+    and the sparse-feature vector built from ``instance.dialogue``, the
+    entity-name input of the multi-task head (``None`` without MTL), and
+    with online ENA the dialogue's `TurnInputs`, one per turn (``None``
+    without), which a rewrite of the dialogue reuses for its untouched
+    turns."""
     instance: PointwiseInstance
     pair: tuple[np.ndarray, np.ndarray]
     features: np.ndarray
     entity_input: Optional[tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]
+    turns: Optional[tuple[TurnInputs, ...]] = None
 
 
 class _Ranker(ToyPairScorer):
@@ -455,10 +481,8 @@ class _Ranker(ToyPairScorer):
     def param_shapes(n_vocab: int, config) -> dict[str, tuple[int, ...]]:
         return {**pair_scorer_shapes(n_vocab, config.d), "wide.u": (N_SPARSE,)}
 
-    def all_params(self) -> dict[str, np.ndarray]:
-        out = super().all_params()
-        out.update(prefixed("wide.", self.wide))
-        return out
+    def param_groups(self) -> dict[str, dict[str, np.ndarray]]:
+        return {**super().param_groups(), "wide.": self.wide}
 
     def _ranking_logits(self, dialogue: Dialogue,
                         candidates: Sequence[KnowledgeSnippet],
@@ -500,11 +524,11 @@ class PointwiseModel(_Ranker):
         """For training: ENA-rewritten rows are exact-matched against ``kb``."""
         self._kb = kb
 
-    def all_params(self) -> dict[str, np.ndarray]:
-        out = super().all_params()
+    def param_groups(self) -> dict[str, dict[str, np.ndarray]]:
+        groups = super().param_groups()
         if self.mtl is not None:
-            out.update(prefixed("mtl.", self.mtl))
-        return out
+            groups["mtl."] = self.mtl
+        return groups
 
     def _input2(self, entity_names: Sequence[str]) -> tuple[list[str], list[tuple[int, int]]]:
         tokens: list[str] = []
@@ -525,21 +549,76 @@ class PointwiseModel(_Ranker):
         return self._ranking_logits(dialogue, candidates,
                                     indicators * feature_scale(alpha)).tolist()
 
-    def _dialogue_inputs(self, dialogue: Dialogue, candidate: KnowledgeSnippet,
-                         tracked: Optional[Sequence[Entity]]
-                         ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """The encoder pair and sparse-feature row of a training row; its
-        entities are exact-matched against the bound knowledge base when
-        ``tracked`` is ``None``. The history's ids and `dialogue_features`
-        are kept for the last (dialogue, tracked) pair asked about, since a
-        dialogue's positive and negative rows come one after another."""
+    def _dialogue_inputs(self, dialogue: Dialogue, tracked: Optional[Sequence[Entity]]
+                         ) -> tuple[np.ndarray, DialogueFeatures,
+                                    Optional[tuple[TurnInputs, ...]]]:
+        """The history ids and `dialogue_features` of a training row's
+        dialogue, its entities exact-matched against the bound knowledge
+        base when ``tracked`` is ``None``, and with online ENA its turns'
+        `TurnInputs` (the history then their ids joined). Kept for the last
+        (dialogue, tracked) pair asked about, since a dialogue's positive
+        and negative rows come one after another."""
         memo = self._last_dialogue
         if memo is None or memo[0] is not dialogue or memo[1] is not tracked:
-            history = self.encoder.vocab_ids(tokenize(linearize_history(dialogue)))
+            turns = None
+            if self.config.ena is None:
+                history = self.encoder.vocab_ids(tokenize(linearize_history(dialogue)))
+            else:
+                turns = tuple(self._turn_inputs(turn) for turn in dialogue.turns)
+                history = np.concatenate([turn.ids for turn in turns])
             features = dialogue_features(dialogue, exact_match_entities(
                 dialogue, self._kb) if tracked is None else tracked)
-            memo = self._last_dialogue = (dialogue, tracked, history, features)
-        _, _, history, features = memo
+            memo = self._last_dialogue = (dialogue, tracked, history, features, turns)
+        return memo[2:]
+
+    def _turn_inputs(self, turn: Turn) -> TurnInputs:
+        """One tokenizing and one `exact_mentions` pass over the turn."""
+        if self._kb is None:
+            raise RankError("online ENA matches entities: bind a knowledge base first")
+        tokens = tokenize(turn.text)
+        return TurnInputs(self.encoder.vocab_ids([turn.tag] + tokens), len(tokens),
+                          frozenset(tokens), frozenset(zip(tokens, tokens[1:])),
+                          exact_mentions(tokens, self._kb.name_index))
+
+    def _composed_inputs(self, turns: Sequence[TurnInputs]
+                         ) -> tuple[np.ndarray, DialogueFeatures]:
+        """The history ids and exact-matched `dialogue_features` of the
+        dialogue whose turns' inputs are ``turns``, equal to those built
+        from its text: the turns' ids joined, the union of their token and
+        bigram sets, and as tracked entities those any turn mentions, each
+        at its rightmost mention (its last turn's, offset by the tokens of
+        the turns before)."""
+        found = {}
+        offset = 0
+        for turn in turns:
+            for i, (end, length) in turn.mentions.items():
+                found[i] = (offset + end, length)
+            offset += turn.length
+        entities = self._kb.entities
+        positions = {}
+        for i in sorted(found):
+            positions[entities[i].key] = (*found[i], entities[i].name)
+        return (np.concatenate([turn.ids for turn in turns]),
+                DialogueFeatures(_last_entity_key(positions),
+                                 frozenset().union(*(turn.tokens for turn in turns)),
+                                 frozenset().union(*(turn.bigrams for turn in turns))))
+
+    def _rewritten_inputs(self, row: PointwiseRow, dialogue: Dialogue
+                          ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The encoder pair and sparse-feature row of ``row`` with its
+        dialogue rewritten to ``dialogue`` (turn for turn): composed from
+        the turns' inputs, of which only those of the turns that are not the
+        compiled dialogue's own are built, and not kept."""
+        turns = [inputs if turn is before else self._turn_inputs(turn)
+                 for turn, before, inputs in zip(
+                     dialogue.turns, row.instance.dialogue.turns, row.turns)]
+        return self._row_inputs(*self._composed_inputs(turns), row.instance.candidate)
+
+    def _row_inputs(self, history: np.ndarray, features: DialogueFeatures,
+                    candidate: KnowledgeSnippet) -> tuple[tuple[np.ndarray, np.ndarray],
+                                                          np.ndarray]:
+        """The encoder pair and sparse-feature row of ``candidate`` against
+        a dialogue's history ids and features."""
         right, = _candidate_ids(self.encoder, self._snippet_ids, [candidate])
         row, = features.indicators([candidate], self.config.variant, self._name_grams)
         return self.encoder.pair_ids(history, right), row
@@ -552,14 +631,15 @@ class PointwiseModel(_Ranker):
             if len(ids2) != len(tokens2):
                 raise RankError("entity input exceeds encoder max_len; raise max_len")
             entity_input = (ids2, segs2, spans)
-        pair, feats = self._dialogue_inputs(instance.dialogue, instance.candidate,
-                                            instance.tracked)
-        return PointwiseRow(instance, pair, feats, entity_input)
+        history, features, turns = self._dialogue_inputs(instance.dialogue, instance.tracked)
+        pair, feats = self._row_inputs(history, features, instance.candidate)
+        return PointwiseRow(instance, pair, feats, entity_input, turns)
 
     def loss_and_grads(self, rows: Sequence[PointwiseRow]) -> tuple[float, dict]:
         """Summed loss of compiled rows and its gradients. Online ENA draws
-        for each row in row order and rebuilds a rewritten row's inputs;
-        then the pairs are encoded in padded stacks
+        for each row in row order; a rewritten row's inputs are composed
+        from its turns' (`_composed_inputs`), of which only the rewritten
+        turns are built afresh. Then the pairs are encoded in padded stacks
         (`ToyEncoder.stacked_passes`), and with MTL the rows' entity-name
         inputs in stacks of their own, whose backward runs last."""
         cfg = self.config
@@ -571,9 +651,8 @@ class PointwiseModel(_Ranker):
                 dialogue = augment_entity_name(
                     instance.dialogue, instance.candidate, bool(instance.label),
                     cfg.ena, self._ena_rng)
-                if dialogue is not instance.dialogue:  # rewritten: built and tracked afresh
-                    pair, row_feats = self._dialogue_inputs(dialogue, instance.candidate,
-                                                            None)
+                if dialogue is not instance.dialogue:  # rewritten: tracked afresh
+                    pair, row_feats = self._rewritten_inputs(row, dialogue)
             pairs.append(pair)
             feats.append(row_feats)
         feats = np.array(feats).reshape(len(rows), N_SPARSE)
@@ -871,8 +950,10 @@ def train_listwise(instances: Sequence[ListwiseInstance], kb: KnowledgeBase,
     if init_from is not None:
         if init_from.encoder.d != config.d:
             raise RankError("warm start requires matching encoder dimension")
-        model = ListwiseModel(init_from.encoder.vocab, config, params={
-            k: v.copy() for k, v in _Ranker.all_params(init_from).items()})
+        # training copies the tensors into a vector of its own (`pack_params`);
+        # a point-wise model's ``mtl.*`` tensors are not read
+        model = ListwiseModel(init_from.encoder.vocab, config,
+                              params=init_from.all_params())
     else:
         dialogues = [inst.dialogue for inst in instances]
         model = ListwiseModel(_ranking_vocab(dialogues, kb), config)

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdial.augment import (
     AdapterError, AugmentConfig, AugmentError, FakeSpeechAdapter,
@@ -10,6 +12,7 @@ from kgdial.augment import (
     embed_phonemes, inject_errors, load_lexicon, phonetic_neighbors,
     tst_transform,
 )
+from kgdial.augment import _rebuild
 from kgdial.corpus import Dialogue, KnowledgeSnippet, Speaker, Turn
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 
@@ -82,14 +85,19 @@ class TestPhoneticIndex:
         index = build_phonetic_index({"only": ["OW", "N", "L", "IY"]})
         assert phonetic_neighbors(index, "only", 1) == []
 
-    @pytest.mark.parametrize("lexicon", ["toy", "synth"])
+    @pytest.mark.parametrize("lexicon", ["toy", "synth", "synth-5"])
     def test_candidates_equal_dict_probing(self, toy_index, lexicon):
+        """The query's signatures in all tables come from one stacked
+        product; the candidates equal those of per-table signatures, on
+        every word of the lexicon (the quick start's, synth seed 5, too),
+        words outside it and random vectors."""
         index = toy_index
         words = list(TOY_LEXICON) + ["zzyzx", "bookings"]
-        if lexicon == "synth":
+        if lexicon != "toy":
             index = build_phonetic_index(build_mini_corpus(MiniCorpusConfig(
-                n_dialogues=4, seed=1))[2])
-            words = index.vocabulary + ["zzyzx", "hamiltons"]
+                n_dialogues=4, seed=1 if lexicon == "synth" else 5))[2])
+            words = index.vocabulary + ["zzyzx", "hamiltons", "bookings",
+                                        "qwerty", "lodges"]
         assert index.probe_radius == 2
         rng = np.random.default_rng(2)
         vecs = [index.embed(w) for w in words]
@@ -98,7 +106,7 @@ class TestPhoneticIndex:
             got = index._candidates(vec)
             expected = dict_probing_candidates(index, vec)
             assert np.array_equal(got, np.sort(expected))
-            if lexicon == "synth":  # set order: ascending ids on this lexicon
+            if lexicon != "toy":  # set order: ascending ids on these lexicons
                 assert np.array_equal(got, expected)
 
     def test_neighbors_sorted_by_exact_distance(self, toy_index):
@@ -233,6 +241,94 @@ class TestEntityNameAugment:
             augment_entity_name(d, snippet("Palm Court"), True, cfg, rng) is not d
             for _ in range(10000))
         assert 0.28 <= applied / 10000 <= 0.32
+
+
+def reference_augment_entity_name(dialogue, candidate, is_positive, config, rng):
+    """`augment_entity_name` as first written: every turn resolved and
+    rebuilt, and the gap drawn from a list of all (turn, gap) pairs."""
+    if rng.uniform() >= config.ena_probability:
+        return dialogue
+    name_words = candidate.entity_name.split(" ")
+    turn_words = [t.text.split(" ") for t in dialogue.turns]
+    target = [w.lower() for w in name_words]
+    match = next(((ti, start) for ti, words in enumerate(turn_words)
+                  for start in range(len(words) - len(target) + 1)
+                  if [w.lower() for w in words[start:start + len(target)]] == target),
+                 None)
+
+    def insert(words):
+        gaps = [(ti, g) for ti, tw in enumerate(turn_words) for g in range(len(tw) + 1)]
+        ti, g = gaps[int(rng.integers(len(gaps)))]
+        turn_words[ti][g:g] = words
+
+    if is_positive and match is not None:
+        ti, start = match
+        w = len(name_words)
+        surface = turn_words[ti][start:start + w]
+        sentinels = [("\x00ent", i) for i in range(w)]
+        turn_words[ti][start:start + w] = sentinels
+        if w >= 2:
+            split = int(rng.integers(1, w))
+            moving = sentinels[:split] if rng.integers(2) else sentinels[split:]
+            turn_words[ti] = [x for x in turn_words[ti] if x not in moving]
+            insert(list(moving))
+        dropped = {i for i in range(w) if rng.uniform() < config.ena_delete_prob}
+        turn_words = [[surface[x[1]] if isinstance(x, tuple) else x for x in words
+                       if not isinstance(x, tuple) or x[1] not in dropped]
+                      for words in turn_words]
+    elif not is_positive and match is None:
+        insert(list(name_words))
+    else:
+        return dialogue
+    return Dialogue(id=dialogue.id, label=dialogue.label, turns=tuple(
+        Turn(t.speaker, " ".join(words)) if words else t
+        for t, words in zip(dialogue.turns, turn_words)))
+
+
+ENA_WORDS = st.sampled_from(["can", "I", "book", "Hamilton", "lodge", "the", "Grand",
+                             "River", "Hotel", "hotel", "river", "?", "a,", "Ritz",
+                             "ΟΔΟΣ", "Σ", "İstanbul", "", "RITZ"])
+
+
+class TestEntityNameRewrites:
+    """Rewrites replace only the turns they touch, with the draws and texts
+    of the first implementation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.lists(ENA_WORDS, min_size=1, max_size=9).map(" ".join)
+                          .filter(str.strip), min_size=1, max_size=5),
+           name=st.sampled_from(["Hamilton Lodge", "Grand River Hotel", "Ritz",
+                                 "River Hotel", "SW Hotel", "Οδος Σ", "istanbul"]),
+           positive=st.booleans(), delete=st.sampled_from([0.0, 0.5]),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_reference_and_keeps_untouched_turns(self, texts, name, positive,
+                                                        delete, seed):
+        d = Dialogue(id="d", turns=tuple(
+            Turn(Speaker.USER if i % 2 == 0 else Speaker.SYSTEM, text)
+            for i, text in enumerate(texts)))
+        cfg = AugmentConfig(ena_probability=1.0, ena_delete_prob=delete)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = augment_entity_name(d, snippet(name), positive, cfg, rng)
+        expected = reference_augment_entity_name(d, snippet(name), positive, cfg,
+                                                 ref_rng)
+        assert out.turns == expected.turns
+        assert rng.random() == ref_rng.random()  # the same draws
+        changed = [t for t, before in zip(out.turns, d.turns) if t is not before]
+        assert len(changed) <= 2
+        assert all(t != before for t, before in zip(out.turns, d.turns)
+                   if t is not before)
+
+    def test_rebuild_keeps_untouched_turns(self):
+        d = Dialogue(id="d", turns=(Turn(Speaker.USER, "book the Ritz"),
+                                    Turn(Speaker.SYSTEM, "sure thing"),
+                                    Turn(Speaker.USER, "is it open")))
+        out = _rebuild(d, {1: ["sure", "Ritz", "thing"]})
+        assert out is not d
+        assert out.turns[0] is d.turns[0] and out.turns[2] is d.turns[2]
+        assert out.turns[1].text == "sure Ritz thing"
+        # a turn rewritten to its own text, or left without words, keeps its Turn
+        out = _rebuild(d, {0: ["book", "the", "Ritz"], 2: []})
+        assert all(t is before for t, before in zip(out.turns, d.turns))
 
 
 class TestSpeechAdapter:

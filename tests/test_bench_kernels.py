@@ -41,3 +41,8 @@ def test_pair_readouts_checks(bench):
 
 def test_train_batch_checks(bench):
     bench.bench_train_batch(n_dialogues=8, d=4, max_len=48, repeat=1)
+
+
+def test_epoch_tail_checks(bench):
+    bench.bench_epoch_tail(n_dialogues=8, d=4, max_history_tokens=48, steps=3,
+                           repeat=1)

@@ -376,16 +376,38 @@ def test_bad_consensus_weights_is_one_line_error(workdir, tmp_path, capsys, text
     assert capsys.readouterr().err == f"error: {weights}: {message}\n"
 
 
-def test_ensemble_subcommand(workdir):
+def test_ensemble_subcommand(workdir, tmp_path):
     root, data, cfg = workdir
     out = root / "out"
     preds = out / "predictions.json"
+    twin = tmp_path / "twin.json"
+    shutil.copy(preds, twin)
     assert main(["ensemble", "--config", str(cfg),
-                 "--predictions", str(preds), str(preds),
+                 "--predictions", str(preds), str(twin),
                  "--base", "predictions.json"]) == EXIT_OK
     fixed = json.loads((out / "ensemble.detection.json").read_text())
     original = json.loads(preds.read_text())
     assert [p["target"] for p in fixed] == [p["target"] for p in original]
+
+
+def test_ensemble_systems_of_one_file_name_are_one_line_error(workdir, tmp_path,
+                                                              capsys):
+    # two decode output directories each hold a predictions.json; the
+    # second must not silently replace the first
+    _, _, cfg = workdir
+    paths = []
+    for system in ("a", "b"):
+        (tmp_path / system).mkdir()
+        path = tmp_path / system / "predictions.json"
+        path.write_text(json.dumps([{"target": True, "detection_probability": 0.9}]))
+        paths.append(str(path))
+    capsys.readouterr()
+    assert main(["ensemble", "--config", str(cfg), "--predictions", *paths,
+                 "--base", "predictions.json"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: system name 'predictions.json' is given twice: {paths[0]} "
+        f"and {paths[1]}; rename one file\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_ensemble_of_decode_outputs_flips_base_labels_inside_delta_d(workdir,

@@ -230,6 +230,36 @@ class TestGenerator:
         assert_close_loss(model.loss_and_grads([model.compile(e)]),
                           reference_loss_and_grads(model, e))
 
+    @settings(max_examples=60, deadline=None)
+    @given(V=st.integers(3, 40), d=st.integers(1, 24), max_target=st.integers(1, 40),
+           rows=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 20)),
+                         min_size=1, max_size=6),
+           block=st.sampled_from([1, 50, 400, 1 << 15]),
+           scale=st.sampled_from([0.1, 1.0, 30.0]), seed=st.integers(0, 2 ** 16))
+    def test_minibatch_equals_per_row_reference(self, V, d, max_target, rows, block,
+                                                scale, seed):
+        """One call on a minibatch, cut into stacks of any size, equals the
+        per-row reference summed over the rows, within 1e-12."""
+        import kgdial.generate as generate
+
+        rng = np.random.default_rng(seed)
+        vocab = {f"w{i}": i for i in range(V - 1)}
+        model = ToyGenerator(vocab, d=d, max_target_tokens=max_target, seed=seed)
+        for key, value in model.params.items():
+            value[...] = rng.normal(0.0, scale, size=value.shape)
+        examples = [GenExample(
+            turn_id=f"r{i}", context=GenerationContext(
+                text=" ".join(f"w{j}" for j in rng.integers(0, V + 3, size=n_ctx)),
+                has_knowledge=False),
+            target=" ".join([TAG_RESP] + [f"w{j}" for j in rng.integers(0, V + 3,
+                                                                          size=n_words)]))
+            for i, (n_words, n_ctx) in enumerate(rows)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generate, "_STACK_BLOCK", block)
+            got = model.loss_and_grads([model.compile(e) for e in examples])
+        assert_close_loss(got, summed_losses(reference_loss_and_grads(model, e)
+                                             for e in examples))
+
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_training_tokenizes_each_example_once(self, monkeypatch, epochs):
         import kgdial.generate as generate

@@ -155,6 +155,45 @@ class TestTraining:
         with pytest.raises(ModelError):
             train_pair_classifier(POS, TrainConfig(epochs=1))
 
+    def test_packing_makes_the_tensors_views_of_one_vector(self):
+        scorer = train_pair_classifier(separable_set(), TrainConfig(epochs=0, seed=2))
+        before = {k: v.copy() for k, v in scorer.all_params().items()}
+        data = models.pack_params(scorer)
+        params = scorer.all_params()
+        assert all(v.base is data for v in params.values())
+        assert data.tobytes() == np.concatenate(
+            [before[k].ravel() for k in sorted(before)]).tobytes()
+        for key, value in before.items():
+            assert params[key].tobytes() == value.tobytes()
+        data += 1.0  # the model reads the vector
+        assert np.array_equal(scorer.encoder.params["emb"], before["enc.emb"] + 1.0)
+        assert np.array_equal(scorer.head["w"], before["head.w"] + 1.0)
+
+    def test_fused_adamw_equals_per_tensor_steps(self):
+        """Five steps over the one vector, with weight decay, equal the
+        per-tensor update bit for bit."""
+        rng = np.random.default_rng(3)
+        shapes = {"emb": (7, 3), "b": (1,), "w": (3, 3), "v": (4,)}
+        ref = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        data, views = models.packed(ref)
+        opt = models.AdamW(data, lr=0.05, weight_decay=0.1)
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+        b1, b2, eps, lr, wd = 0.9, 0.999, 1e-8, 0.05, 0.1
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                     for k, shape in shapes.items()}
+            opt.step(np.concatenate([grads[k].ravel() for k in sorted(grads)]))
+            for key, p in ref.items():  # the per-tensor loop
+                g = grads[key]
+                m[key] = b1 * m[key] + (1 - b1) * g
+                v2[key] = b2 * v2[key] + (1 - b2) * g * g
+                mhat = m[key] / (1 - b1 ** t)
+                vhat = v2[key] / (1 - b2 ** t)
+                p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
+            for key, value in ref.items():
+                assert views[key].tobytes() == value.tobytes(), (t, key)
+
 
 @st.composite
 def tensor_sets(draw):

@@ -366,10 +366,21 @@ class TestPointwiseTraining:
         model = with_ena(0.0)
         wide_grad(inst)
         assert calls == []
-        # ENA that fires rewrites the dialogue, which is then tracked afresh
+        # ENA that fires rewrites the dialogue, which is then tracked afresh:
+        # compiling matched every turn once, the rewrite matches only the
+        # one or two turns it touched
+        mentioned = []
+        real_mentions = rank.exact_mentions
+        monkeypatch.setattr(rank, "exact_mentions", lambda tokens, index: (
+            mentioned.append(tokens) or real_mentions(tokens, index)))
         model = with_ena(1.0)
-        wide_grad(inst)
-        assert len(calls) == 1 and calls[0] is not inst.dialogue
+        row = model.compile(inst)
+        assert len(mentioned) == len(inst.dialogue.turns)
+        mentioned.clear()
+        model.loss_and_grads([row])
+        assert calls == [] and 1 <= len(mentioned) <= 2
+        assert all(tokens != tokenize(turn.text)
+                   for tokens in mentioned for turn in inst.dialogue.turns)
 
     def test_instances_match_entities_once_per_dialogue(self, monkeypatch):
         kb = make_kb()
@@ -1071,6 +1082,61 @@ class TestBatchedTraining:
         n = len(build_pointwise_instances(corpus, kb, cfg, np.random.default_rng(0)))
         sizes = [16] * (n // 16) + [n % 16] * (n % 16 > 0)
         assert calls == [(rank.PointwiseModel, size) for size in sizes] * 2
+
+
+TURN_WORDS = st.sampled_from([
+    "i", "want", "Hamilton", "lodge", "LODGE", "sw", "Hotel", "hotel", "city", "cab",
+    "Union", "square", "inn", "palm", "court", "river", "grill", "?", "wifi,", "it's",
+    "ΣΑΣ", "(x)", "⟨user⟩", "a⟨kng⟩b", "naïve"])
+
+
+class TestComposedRows:
+    """A row that ENA rewrites is composed from its turns' inputs, the
+    untouched turns' built when compiling; it equals the row built from the
+    rewritten dialogue's text byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(st.lists(TURN_WORDS, min_size=1, max_size=10).map(" ".join),
+                          min_size=1, max_size=5),
+           pick=st.integers(0, 12), label=st.booleans(),
+           delete=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2 ** 16))
+    def test_composed_inputs_equal_text_path(self, texts, pick, label, delete, seed):
+        kb = make_kb()
+        dialogue = Dialogue(id="h", turns=tuple(
+            Turn(Speaker.USER if i % 2 == 0 else Speaker.SYSTEM, text)
+            for i, text in enumerate(texts)))
+        candidate = kb.snippets[pick]
+        cfg = small_config(ena=AugmentConfig(ena_probability=1.0, ena_delete_prob=delete))
+        model = rank.PointwiseModel(rank._ranking_vocab([dialogue], kb),
+                                    sorted({s.domain for s in kb.snippets}), cfg)
+        model.bind_kb(kb)
+        row = model.compile(PointwiseInstance(dialogue, candidate, int(label), 0))
+        rewritten = augment_entity_name(dialogue, candidate, label, cfg.ena,
+                                        np.random.default_rng(seed))
+        fresh = []
+        turns = [inputs if turn is before else fresh.append(turn) or model._turn_inputs(turn)
+                 for turn, before, inputs in zip(rewritten.turns, dialogue.turns, row.turns)]
+        assert len(fresh) <= 2
+        history, features = model._composed_inputs(turns)
+        text_history = model.encoder.vocab_ids(tokenize(linearize_history(rewritten)))
+        text_features = exact_context(rewritten, kb)
+        assert history.tobytes() == text_history.tobytes()
+        assert features == text_features
+        pair, feats = model._rewritten_inputs(row, rewritten)
+        text_pair, text_feats = model._row_inputs(text_history, text_features, candidate)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, text_pair))
+        assert feats.tobytes() == text_feats.tobytes()
+
+    def test_rewritten_dialogues_are_not_kept(self):
+        kb = make_kb()
+        corpus = make_corpus(kb, 4)
+        cfg = small_config(ena=AugmentConfig(ena_probability=1.0))
+        model = train_pointwise(corpus, kb, replace(cfg, epochs=0))
+        rows = [model.compile(inst) for inst in build_pointwise_instances(
+            corpus, kb, cfg, np.random.default_rng(0))]
+        memo = model._last_dialogue
+        model.loss_and_grads(rows)
+        assert model._last_dialogue is memo
 
 
 class TestCompiledRows:
