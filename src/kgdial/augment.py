@@ -330,11 +330,15 @@ class FakeSpeechAdapter:
     def from_file(cls, path: str) -> "FakeSpeechAdapter":
         table = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):
                     continue
-                src, dst = line.split("\t", 1)
+                try:
+                    src, dst = line.split("\t", 1)
+                except ValueError as exc:
+                    raise AugmentError(f"{path} line {lineno}: expected "
+                                       f"word<TAB>replacement") from exc
                 table[src.strip()] = dst.strip()
         return cls(table)
 

@@ -453,7 +453,7 @@ def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
         for d in fold:
             tracked = tracker_fn(d, kb)
             ranked = pointwise_rank(model, d, collect_candidates(tracked, kb),
-                                    dialogue_features(d, tracked), kb=kb)
+                                    dialogue_features(d, kb, tracked), kb=kb)
             outputs[d.id] = [s for s, _ in ranked.items]
     return outputs
 
@@ -503,8 +503,8 @@ class DecodeComponents:
     `DialogueFeatures`, built once from the dialogue and those entities.
     `ranker` ranks a turn's candidates once (called with the dialogue, the
     candidates and the `DialogueFeatures`). When `reranker` is set, it
-    reorders that very list (called with the dialogue, the ranker's list
-    and the same `DialogueFeatures`) and the two lists are ensembled;
+    reorders that very list (called with the ranker's list and the same
+    `DialogueFeatures`) and the two lists are ensembled;
     otherwise the ranker's list is ensembled alone."""
     detector: Callable[[Dialogue], float]
     tracker: Callable[[Dialogue, KnowledgeBase], list]
@@ -512,7 +512,7 @@ class DecodeComponents:
     generator: object
     consensus_weights: ConsensusWeights
     nbest: int = 5
-    reranker: Optional[Callable[[Dialogue, RankedKnowledgeList, DialogueFeatures],
+    reranker: Optional[Callable[[RankedKnowledgeList, DialogueFeatures],
                                 RankedKnowledgeList]] = None
 
 
@@ -538,11 +538,11 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                 continue
             tracked = components.tracker(dialogue, kb)
             candidates = collect_candidates(tracked, kb)
-            features = dialogue_features(dialogue, tracked)
+            features = dialogue_features(dialogue, kb, tracked)
             first = components.ranker(dialogue, candidates, features)
             ranked_lists = [first]
             if components.reranker is not None:
-                ranked_lists.append(components.reranker(dialogue, first, features))
+                ranked_lists.append(components.reranker(first, features))
             merged = ensemble_rank(ranked_lists)
             top5 = [s for s, _ in merged.items]
             context = build_generation_context(dialogue, top5,
@@ -657,8 +657,8 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     def ranker(dialogue, candidates, features):
         return pointwise_rank(pointwise, dialogue, candidates, features, kb=kb)
 
-    def reranker(dialogue, first, features):
-        return listwise_rerank(listwise, dialogue, first, features, alpha)
+    def reranker(first, features):
+        return listwise_rerank(listwise, first, features, alpha)
 
     components = DecodeComponents(
         detector=detector_fn,

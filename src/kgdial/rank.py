@@ -6,9 +6,13 @@ Both rankers are `models.ToyPairScorer` plus the wide weights ``wide.u``
 (`_Ranker`); the point-wise one adds the multi-task block, its tensors a
 dict named as checkpoints name them (``mtl.*``).
 
-A turn reaches the rankers one way: as the `DialogueFeatures` that
-``dialogue_features(dialogue, tracked)`` builds once, so the models track
-no entities and need no knowledge base at inference. Between ranking layers
+A dialogue reaches the rankers one way: as the `DialogueFeatures` that
+``dialogue_features(dialogue, kb, tracked)`` composes from its turns'
+`TurnInputs` (tag and word tokens, word and bigram sets, exact entity
+mentions), each built by one tokenizing and one `exact_mentions` pass over
+the turn. It holds the history's tokens, so the rankers never tokenize a
+dialogue, and the rightmost exact mention among the tracked entities, so
+the models track no entities. Between ranking layers
 a candidate list's sparse features are one n x 4 indicator array
 (``DialogueFeatures.indicators``), scaled by alpha at inference. At
 inference a candidate list is encoded in one `ToyEncoder.pair_readouts`
@@ -27,14 +31,13 @@ fixed.
 
 Training compiles each row once per training run, not once per epoch:
 the encoder pair, the sparse-feature row and (with MTL) the entity-name
-input of a point-wise row, the pairs of a list-wise one. A dialogue's
-history ids and `dialogue_features` are built once for all its point-wise
-rows. With online entity-name augmentation (ENA), each turn's inputs are
-built once too (`TurnInputs`: ids, token and bigram sets, exact entity
-mentions), and a row that ENA rewrites on a call has its inputs composed
-from them: only the one or two turns the rewrite touched are tokenized and
-exact-matched afresh, against the knowledge base training bound, and
-their inputs are not kept.
+input of a point-wise row, the pairs and sparse-feature rows of a list-wise
+one. Training features track exactly: every entity the dialogue mentions.
+A dialogue's `TurnInputs`, features and history ids are built once for all
+its point-wise rows. A row that online entity-name augmentation (ENA)
+rewrites on a call is composed again from those `TurnInputs`: only the one
+or two turns the rewrite touched are built afresh, against the knowledge
+base training bound, and their inputs are not kept.
 
 The multi-task head computes, for a pooled query vector f and per-token
 states H of the concatenated entity names,
@@ -54,7 +57,7 @@ import math
 import zlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -120,30 +123,34 @@ class NameGrams(dict):
         return grams
 
 
-def _rightmost_occurrence(utterances: list[list[str]], name_tokens: list[str]) -> int:
-    """Global token offset just past the last occurrence of name_tokens,
-    or -1 when the name never matches. Comparing match ends (with a
-    longer-name tie-break at the caller) keeps nested mentions sane,
-    e.g. "SW Hotel" vs the domain pseudo-entity "hotel"."""
-    best = -1
-    offset = 0
-    n = len(name_tokens)
-    for utt in utterances:
-        if n and n <= len(utt):
-            for start in range(len(utt) - n + 1):
-                if utt[start:start + n] == name_tokens:
-                    best = max(best, offset + start + n)
-        offset += len(utt)
-    return best
+class TurnInputs(NamedTuple):
+    """What the rankers read from one turn, so that a dialogue's
+    `DialogueFeatures` is composed turn by turn: its tag and word tokens (its
+    part of the history), its word and bigram sets, and its words'
+    `exact_mentions` of the knowledge base's entities."""
+    tokens: tuple[str, ...]
+    words: frozenset[str]
+    bigrams: frozenset[tuple[str, str]]
+    mentions: dict[int, tuple[int, int]]
+
+
+def turn_inputs(turn: Turn, kb: KnowledgeBase) -> TurnInputs:
+    """One tokenizing and one `exact_mentions` pass over the turn."""
+    words = tokenize(turn.text)
+    return TurnInputs((turn.tag, *words), frozenset(words),
+                      frozenset(zip(words, words[1:])),
+                      exact_mentions(words, kb.name_index))
 
 
 @dataclass(frozen=True)
 class DialogueFeatures:
-    """The part of the sparse features that depends on the dialogue and
-    its tracked entities only, shared by every candidate snippet: the one
-    dialogue input of the rankers."""
+    """The one dialogue input of the rankers: the tokens of the tagged
+    history (each turn's tag, then its words), and the part of the sparse
+    features that depends on the dialogue and its tracked entities only,
+    shared by every candidate snippet."""
+    history: tuple[str, ...]
     last_entity_key: Optional[tuple[str, str]]
-    tokens: frozenset[str]
+    words: frozenset[str]
     bigrams: frozenset[tuple[str, str]]
 
     def indicators(self, snippets: Sequence[KnowledgeSnippet],
@@ -160,54 +167,52 @@ class DialogueFeatures:
         for snippet in snippets:
             unigram = bigram = False
             if variant is Variant.WD2:
-                tokens, bigrams = names[snippet.entity_name]
-                unigram = not self.tokens.isdisjoint(tokens)
+                words, bigrams = names[snippet.entity_name]
+                unigram = not self.words.isdisjoint(words)
                 bigram = not self.bigrams.isdisjoint(bigrams)
             rows.append((snippet.is_domain_level,
                          self.last_entity_key == snippet.entity_key, unigram, bigram))
         return np.array(rows, dtype=np.float64).reshape(len(rows), N_SPARSE)
 
 
-def dialogue_features(dialogue: Dialogue,
-                      tracked_entities: Sequence[Entity]) -> DialogueFeatures:
-    """Tokenize the utterances once, find the tracked entity with the
-    rightmost string-match occurrence (ties go to the longer, then the
-    later-sorting name), and collect the dialogue's token and bigram sets."""
-    utterances = [tokenize(t.text) for t in dialogue.turns]
+def _composed_features(turns: Sequence[TurnInputs], kb: KnowledgeBase,
+                       tracked_keys: AbstractSet[tuple[str, str]]) -> DialogueFeatures:
+    """The `DialogueFeatures` of the dialogue whose turns' inputs are
+    ``turns``: their tokens joined, the unions of their word and bigram
+    sets, and as last entity the tracked one (its key in ``tracked_keys``)
+    whose rightmost mention (its last turn's) is greatest by (match end,
+    name length, name), the first in ``kb.entities`` on a tie. Comparing
+    match ends with the longer name first keeps nested mentions sane, e.g.
+    "SW Hotel" vs the domain pseudo-entity "hotel"."""
+    found = {}
+    offset = 0
+    for turn in turns:
+        for i, (end, length) in turn.mentions.items():
+            found[i] = (offset + end, length)
+        offset += len(turn.tokens)
     positions = {}
-    for entity in tracked_entities:
-        name_tokens = tokenize(entity.name)
-        pos = _rightmost_occurrence(utterances, name_tokens)
-        if pos >= 0:
-            positions[entity.key] = (pos, len(name_tokens), entity.name)
+    for i in sorted(found):
+        entity = kb.entities[i]
+        if entity.key in tracked_keys:
+            positions[entity.key] = (*found[i], entity.name)
     return DialogueFeatures(
-        last_entity_key=_last_entity_key(positions),
-        tokens=frozenset(tok for utt in utterances for tok in utt),
-        bigrams=frozenset((utt[i], utt[i + 1])
-                          for utt in utterances for i in range(len(utt) - 1)))
+        history=tuple(tok for turn in turns for tok in turn.tokens),
+        last_entity_key=(max(positions, key=positions.__getitem__)
+                         if positions else None),
+        words=frozenset().union(*(turn.words for turn in turns)),
+        bigrams=frozenset().union(*(turn.bigrams for turn in turns)))
 
 
-def _last_entity_key(positions: dict[tuple[str, str], tuple[int, int, str]]
-                     ) -> Optional[tuple[str, str]]:
-    """The key whose (match end, name length, name) is greatest, the first
-    such one on a tie; ``None`` when nothing matched."""
-    return max(positions, key=positions.__getitem__) if positions else None
-
-
-class TurnInputs(NamedTuple):
-    """What a point-wise training row reads from one turn, built once per
-    `Turn` so that a dialogue's inputs can be composed turn by turn: the
-    ids of its tag and tokens (its part of the history), its token count,
-    its token and bigram sets, and its `exact_mentions`."""
-    ids: np.ndarray
-    length: int
-    tokens: frozenset[str]
-    bigrams: frozenset[tuple[str, str]]
-    mentions: dict[int, tuple[int, int]]
+def dialogue_features(dialogue: Dialogue, kb: KnowledgeBase,
+                      tracked: Sequence[Entity]) -> DialogueFeatures:
+    """The dialogue's `DialogueFeatures`, composed from its turns'
+    `TurnInputs`; ``tracked`` are entities of ``kb``."""
+    return _composed_features([turn_inputs(turn, kb) for turn in dialogue.turns],
+                              kb, {entity.key for entity in tracked})
 
 
 def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
-                            tracked_entities: Sequence[Entity],
+                            kb: KnowledgeBase, tracked_entities: Sequence[Entity],
                             variant: Variant = Variant.WD2,
                             alpha: float = 1.0) -> SparseFeatures:
     """Indicator features of the candidate snippet against the dialogue.
@@ -222,7 +227,8 @@ def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
     scores several snippets against one dialogue builds the first part once
     and the second as one array for all of them.
     """
-    row = dialogue_features(dialogue, tracked_entities).indicators([snippet], variant)[0]
+    row = dialogue_features(dialogue, kb, tracked_entities).indicators(
+        [snippet], variant)[0]
     return SparseFeatures(*row.astype(np.int64).tolist(), alpha=alpha)
 
 
@@ -389,38 +395,15 @@ def _candidate_ids(encoder: ToyEncoder,
     return rights
 
 
-def _snippet_inputs(encoder: ToyEncoder,
-                    snippet_ids: dict[KnowledgeSnippet, np.ndarray],
-                    dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet]
-                    ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The ids of the dialogue history, mapped once, and of each
-    candidate (`_candidate_ids`)."""
-    return (encoder.vocab_ids(tokenize(linearize_history(dialogue))),
-            _candidate_ids(encoder, snippet_ids, candidates))
-
-
-def _pair_inputs(encoder: ToyEncoder, snippet_ids: dict[KnowledgeSnippet, np.ndarray],
-                 dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet]
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(ids, segs) of the dialogue history followed by each candidate,
-    equal to ``encoder.token_ids(history + snippet, len(history))``: the
-    training rows' encoder inputs."""
-    history, rights = _snippet_inputs(encoder, snippet_ids, dialogue, candidates)
-    return [encoder.pair_ids(history, ids) for ids in rights]
-
-
 @dataclass
 class PointwiseInstance:
-    """One (dialogue, candidate) training row with its auxiliary targets
-    and the dialogue's tracked entities (resolved by the model when
-    ``None``)."""
+    """One (dialogue, candidate) training row with its auxiliary targets."""
     dialogue: Dialogue
     candidate: KnowledgeSnippet
     label: int
     domain_id: int
     entity_names: list[str] = field(default_factory=list)
     true_entity_index: int = 0
-    tracked: Optional[list[Entity]] = None
 
 
 @dataclass
@@ -447,14 +430,13 @@ class PointwiseRow:
     """A point-wise training row compiled to model inputs: the encoder pair
     and the sparse-feature vector built from ``instance.dialogue``, the
     entity-name input of the multi-task head (``None`` without MTL), and
-    with online ENA the dialogue's `TurnInputs`, one per turn (``None``
-    without), which a rewrite of the dialogue reuses for its untouched
-    turns."""
+    the dialogue's `TurnInputs`, one per turn, which an ENA rewrite of the
+    dialogue reuses for its untouched turns."""
     instance: PointwiseInstance
     pair: tuple[np.ndarray, np.ndarray]
     features: np.ndarray
     entity_input: Optional[tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]
-    turns: Optional[tuple[TurnInputs, ...]] = None
+    turns: tuple[TurnInputs, ...]
 
 
 class _Ranker(ToyPairScorer):
@@ -484,14 +466,15 @@ class _Ranker(ToyPairScorer):
     def param_groups(self) -> dict[str, dict[str, np.ndarray]]:
         return {**super().param_groups(), "wide.": self.wide}
 
-    def _ranking_logits(self, dialogue: Dialogue,
-                        candidates: Sequence[KnowledgeSnippet],
-                        vectors: np.ndarray) -> np.ndarray:
-        """`pair_logits` of the dialogue history and every candidate
-        (`_snippet_inputs`), plus ``wide.u . vector`` of its sparse-feature
-        row as `stacked_dot`."""
-        return (self.pair_logits(*_snippet_inputs(self.encoder, self._snippet_ids,
-                                                  dialogue, candidates))
+    def _ranking_logits(self, candidates: Sequence[KnowledgeSnippet],
+                        context: DialogueFeatures, alpha: float) -> np.ndarray:
+        """`pair_logits` of the history of ``context`` and every candidate
+        (`_candidate_ids`), plus ``wide.u`` dotted with the candidate's
+        sparse-feature row scaled by ``alpha``, as `stacked_dot`."""
+        vectors = (context.indicators(candidates, self.config.variant, self._name_grams)
+                   * feature_scale(alpha))
+        return (self.pair_logits(self.encoder.vocab_ids(context.history),
+                                 _candidate_ids(self.encoder, self._snippet_ids, candidates))
                 + stacked_dot(vectors, self.wide["u"]))
 
 
@@ -521,7 +504,8 @@ class PointwiseModel(_Ranker):
         return shapes
 
     def bind_kb(self, kb: KnowledgeBase) -> None:
-        """For training: ENA-rewritten rows are exact-matched against ``kb``."""
+        """For training: rows and their ENA rewrites are exact-matched
+        against ``kb``."""
         self._kb = kb
 
     def param_groups(self) -> dict[str, dict[str, np.ndarray]]:
@@ -540,68 +524,27 @@ class PointwiseModel(_Ranker):
             tokens.extend(name_toks)
         return tokens, spans
 
-    def logits(self, dialogue: Dialogue, candidates: Sequence[KnowledgeSnippet],
+    def logits(self, candidates: Sequence[KnowledgeSnippet],
                context: DialogueFeatures, alpha: float = 1.0) -> list[float]:
-        """Logit of every candidate against one dialogue, whose sparse
-        features' dialogue part is ``context``."""
-        indicators = context.indicators(candidates, self.config.variant,
-                                        self._name_grams)
-        return self._ranking_logits(dialogue, candidates,
-                                    indicators * feature_scale(alpha)).tolist()
+        """Logit of every candidate against the dialogue whose
+        `DialogueFeatures` are ``context``."""
+        return self._ranking_logits(candidates, context, alpha).tolist()
 
-    def _dialogue_inputs(self, dialogue: Dialogue, tracked: Optional[Sequence[Entity]]
-                         ) -> tuple[np.ndarray, DialogueFeatures,
-                                    Optional[tuple[TurnInputs, ...]]]:
-        """The history ids and `dialogue_features` of a training row's
-        dialogue, its entities exact-matched against the bound knowledge
-        base when ``tracked`` is ``None``, and with online ENA its turns'
-        `TurnInputs` (the history then their ids joined). Kept for the last
-        (dialogue, tracked) pair asked about, since a dialogue's positive
-        and negative rows come one after another."""
-        memo = self._last_dialogue
-        if memo is None or memo[0] is not dialogue or memo[1] is not tracked:
-            turns = None
-            if self.config.ena is None:
-                history = self.encoder.vocab_ids(tokenize(linearize_history(dialogue)))
-            else:
-                turns = tuple(self._turn_inputs(turn) for turn in dialogue.turns)
-                history = np.concatenate([turn.ids for turn in turns])
-            features = dialogue_features(dialogue, exact_match_entities(
-                dialogue, self._kb) if tracked is None else tracked)
-            memo = self._last_dialogue = (dialogue, tracked, history, features, turns)
-        return memo[2:]
-
-    def _turn_inputs(self, turn: Turn) -> TurnInputs:
-        """One tokenizing and one `exact_mentions` pass over the turn."""
+    def _dialogue_inputs(self, dialogue: Dialogue
+                         ) -> tuple[tuple[TurnInputs, ...], DialogueFeatures, np.ndarray]:
+        """The `TurnInputs` of a training row's dialogue, its features with
+        exact tracking (every entity of the bound knowledge base) and its
+        history ids. Kept for the last dialogue asked about, since a
+        dialogue's positive and negative rows come one after another."""
         if self._kb is None:
-            raise RankError("online ENA matches entities: bind a knowledge base first")
-        tokens = tokenize(turn.text)
-        return TurnInputs(self.encoder.vocab_ids([turn.tag] + tokens), len(tokens),
-                          frozenset(tokens), frozenset(zip(tokens, tokens[1:])),
-                          exact_mentions(tokens, self._kb.name_index))
-
-    def _composed_inputs(self, turns: Sequence[TurnInputs]
-                         ) -> tuple[np.ndarray, DialogueFeatures]:
-        """The history ids and exact-matched `dialogue_features` of the
-        dialogue whose turns' inputs are ``turns``, equal to those built
-        from its text: the turns' ids joined, the union of their token and
-        bigram sets, and as tracked entities those any turn mentions, each
-        at its rightmost mention (its last turn's, offset by the tokens of
-        the turns before)."""
-        found = {}
-        offset = 0
-        for turn in turns:
-            for i, (end, length) in turn.mentions.items():
-                found[i] = (offset + end, length)
-            offset += turn.length
-        entities = self._kb.entities
-        positions = {}
-        for i in sorted(found):
-            positions[entities[i].key] = (*found[i], entities[i].name)
-        return (np.concatenate([turn.ids for turn in turns]),
-                DialogueFeatures(_last_entity_key(positions),
-                                 frozenset().union(*(turn.tokens for turn in turns)),
-                                 frozenset().union(*(turn.bigrams for turn in turns))))
+            raise RankError("training rows match entities: bind a knowledge base first")
+        memo = self._last_dialogue
+        if memo is None or memo[0] is not dialogue:
+            turns = tuple(turn_inputs(turn, self._kb) for turn in dialogue.turns)
+            features = _composed_features(turns, self._kb, self._kb.entity_index.keys())
+            memo = self._last_dialogue = (dialogue, turns, features,
+                                          self.encoder.vocab_ids(features.history))
+        return memo[1:]
 
     def _rewritten_inputs(self, row: PointwiseRow, dialogue: Dialogue
                           ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
@@ -609,10 +552,12 @@ class PointwiseModel(_Ranker):
         dialogue rewritten to ``dialogue`` (turn for turn): composed from
         the turns' inputs, of which only those of the turns that are not the
         compiled dialogue's own are built, and not kept."""
-        turns = [inputs if turn is before else self._turn_inputs(turn)
+        turns = [inputs if turn is before else turn_inputs(turn, self._kb)
                  for turn, before, inputs in zip(
                      dialogue.turns, row.instance.dialogue.turns, row.turns)]
-        return self._row_inputs(*self._composed_inputs(turns), row.instance.candidate)
+        features = _composed_features(turns, self._kb, self._kb.entity_index.keys())
+        return self._row_inputs(self.encoder.vocab_ids(features.history), features,
+                                row.instance.candidate)
 
     def _row_inputs(self, history: np.ndarray, features: DialogueFeatures,
                     candidate: KnowledgeSnippet) -> tuple[tuple[np.ndarray, np.ndarray],
@@ -631,14 +576,14 @@ class PointwiseModel(_Ranker):
             if len(ids2) != len(tokens2):
                 raise RankError("entity input exceeds encoder max_len; raise max_len")
             entity_input = (ids2, segs2, spans)
-        history, features, turns = self._dialogue_inputs(instance.dialogue, instance.tracked)
+        turns, features, history = self._dialogue_inputs(instance.dialogue)
         pair, feats = self._row_inputs(history, features, instance.candidate)
         return PointwiseRow(instance, pair, feats, entity_input, turns)
 
     def loss_and_grads(self, rows: Sequence[PointwiseRow]) -> tuple[float, dict]:
         """Summed loss of compiled rows and its gradients. Online ENA draws
         for each row in row order; a rewritten row's inputs are composed
-        from its turns' (`_composed_inputs`), of which only the rewritten
+        from its turns' (`_rewritten_inputs`), of which only the rewritten
         turns are built afresh. Then the pairs are encoded in padded stacks
         (`ToyEncoder.stacked_passes`), and with MTL the rows' entity-name
         inputs in stacks of their own, whose backward runs last."""
@@ -651,7 +596,7 @@ class PointwiseModel(_Ranker):
                 dialogue = augment_entity_name(
                     instance.dialogue, instance.candidate, bool(instance.label),
                     cfg.ena, self._ena_rng)
-                if dialogue is not instance.dialogue:  # rewritten: tracked afresh
+                if dialogue is not instance.dialogue:  # rewritten: matched afresh
                     pair, row_feats = self._rewritten_inputs(row, dialogue)
             pairs.append(pair)
             feats.append(row_feats)
@@ -750,7 +695,7 @@ def build_pointwise_instances(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
             instances.append(PointwiseInstance(
                 dialogue=d, candidate=candidate, label=label,
                 domain_id=domain_id, entity_names=names,
-                true_entity_index=true_idx, tracked=tracked))
+                true_entity_index=true_idx))
     return instances
 
 
@@ -810,14 +755,14 @@ def pointwise_rank(model: PointwiseModel, dialogue: Dialogue,
                    alpha: float = 1.0, kb: Optional[KnowledgeBase] = None
                    ) -> RankedKnowledgeList:
     """Score candidates independently and keep the `TOP_K` best. ``context`` is
-    `dialogue_features(dialogue, tracked)`. An empty candidate list falls
+    `dialogue_features(dialogue, kb, tracked)`. An empty candidate list falls
     back to the full knowledge base."""
     pool = list(candidates)
     if not pool:
         if kb is None:
             raise RankError("empty candidates and no knowledge base to fall back to")
         pool = list(kb.snippets)
-    logits = model.logits(dialogue, pool, context, alpha)
+    logits = model.logits(pool, context, alpha)
     scored = [(snip, sigmoid(z)) for snip, z in zip(pool, logits)]
     return RankedKnowledgeList(dialogue.id, _sorted_items(scored))
 
@@ -827,7 +772,7 @@ class ListwiseInstance:
     dialogue: Dialogue
     candidates: list[KnowledgeSnippet]
     true_index: int
-    features: np.ndarray  # `DialogueFeatures.indicators` of the candidates
+    context: DialogueFeatures
 
 
 @dataclass
@@ -845,29 +790,33 @@ class ListwiseConfig:
 @dataclass(frozen=True)
 class ListwiseRow:
     """A list-wise training instance compiled to model inputs: one encoder
-    pair per candidate."""
+    pair and one sparse-feature row per candidate."""
     instance: ListwiseInstance
     pairs: list[tuple[np.ndarray, np.ndarray]]
+    features: np.ndarray
 
 
 class ListwiseModel(_Ranker):
     """Jointly normalized scorer over a short candidate list."""
 
-    def distribution(self, dialogue: Dialogue,
-                     candidates: Sequence[KnowledgeSnippet],
-                     features: np.ndarray, alpha: float) -> np.ndarray:
-        """Distribution over the (at most `TOP_K`) candidates, whose sparse
-        indicators are the rows of ``features``."""
+    def distribution(self, candidates: Sequence[KnowledgeSnippet],
+                     context: DialogueFeatures, alpha: float) -> np.ndarray:
+        """Distribution over the (at most `TOP_K`) candidates against the
+        dialogue whose `DialogueFeatures` are ``context``."""
         if not candidates:
             raise RankError("listwise scoring needs at least one candidate")
         if len(candidates) > TOP_K:
             raise RankError(f"listwise scoring accepts at most {TOP_K} candidates")
-        return softmax(self._ranking_logits(dialogue, candidates,
-                                            features * feature_scale(alpha)))
+        return softmax(self._ranking_logits(candidates, context, alpha))
 
     def compile(self, instance: ListwiseInstance) -> ListwiseRow:
-        return ListwiseRow(instance, _pair_inputs(
-            self.encoder, self._snippet_ids, instance.dialogue, instance.candidates))
+        context, candidates = instance.context, instance.candidates
+        history = self.encoder.vocab_ids(context.history)
+        return ListwiseRow(
+            instance,
+            [self.encoder.pair_ids(history, ids)
+             for ids in _candidate_ids(self.encoder, self._snippet_ids, candidates)],
+            context.indicators(candidates, self.config.variant, self._name_grams))
 
     def loss_and_grads(self, rows: Sequence[ListwiseRow]) -> tuple[float, dict]:
         """Summed list-wise cross entropy of compiled rows and its
@@ -878,7 +827,7 @@ class ListwiseModel(_Ranker):
         loss = 0.0
         for idx, cache in self.encoder.stacked_passes([row.pairs for row in rows]):
             # indicator value 1: alpha is for inference
-            vectors = np.concatenate([rows[i].instance.features for i in idx])
+            vectors = np.concatenate([rows[i].features for i in idx])
             u, z = self._stack_logits(cache)
             z += vectors @ self.wide["u"]
             dz = np.empty_like(z)
@@ -903,13 +852,12 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
                                  tracker: Optional[Callable] = None
                                  ) -> tuple[list[ListwiseInstance], dict]:
     """Decode each fold with a point-wise model trained on the others and
-    keep the 5-way lists whose ground truth survived in the top 5. The
-    lists' sparse features use the point-wise ``config.variant``."""
+    keep the 5-way lists whose ground truth survived in the top 5, each with
+    its dialogue's features under exact tracking."""
     labeled = [d for d in dialogues
                if d.label is not None and d.label.is_knowledge_seeking
                and d.label.knowledge_refs]
     folds = split_kfold(labeled, k=k, seed=seed)
-    names = NameGrams()
     instances: list[ListwiseInstance] = []
     dropped = 0
     decoded_ids: set[str] = set()
@@ -923,17 +871,16 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
         for d in fold:
             decoded_ids.add(d.id)
             candidates = tracker(d, kb) if tracker is not None else list(kb.snippets)
-            context = dialogue_features(d, exact_match_entities(d, kb))
+            context = dialogue_features(d, kb, kb.entities)
             ranked = pointwise_rank(model, d, candidates, context, kb=kb)
             refs = set(d.label.knowledge_refs)
             true_idx = next((j for j, key in enumerate(ranked.keys) if key in refs), None)
             if true_idx is None:
                 dropped += 1
                 continue
-            cands = [s for s, _ in ranked.items]
             instances.append(ListwiseInstance(
-                dialogue=d, candidates=cands, true_index=true_idx,
-                features=context.indicators(cands, config.variant, names)))
+                dialogue=d, candidates=[s for s, _ in ranked.items],
+                true_index=true_idx, context=context))
     stats = {"folds": k, "decoded": len(decoded_ids), "emitted": len(instances),
              "dropped": dropped}
     return instances, stats
@@ -963,16 +910,14 @@ def train_listwise(instances: Sequence[ListwiseInstance], kb: KnowledgeBase,
     return model
 
 
-def listwise_rerank(model: ListwiseModel, dialogue: Dialogue,
-                    ranked: RankedKnowledgeList, context: DialogueFeatures,
-                    alpha: float) -> RankedKnowledgeList:
+def listwise_rerank(model: ListwiseModel, ranked: RankedKnowledgeList,
+                    context: DialogueFeatures, alpha: float) -> RankedKnowledgeList:
     """Reorder a point-wise list by the list-wise distribution. ``context``
-    is `dialogue_features(dialogue, tracked)`."""
+    is `dialogue_features(dialogue, kb, tracked)` of the list's dialogue."""
     if not ranked.items:
         return ranked
     cands = [s for s, _ in ranked.items]
-    feats = context.indicators(cands, model.config.variant, model._name_grams)
-    dist = model.distribution(dialogue, cands, feats, alpha)
+    dist = model.distribution(cands, context, alpha)
     return RankedKnowledgeList(ranked.turn_id,
                                _sorted_items(list(zip(cands, dist))))
 

@@ -196,15 +196,16 @@ def hash_stable(text: str) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
+# per-entity cycle of mention corruption modes, shuffled per entity;
+# stratifying (rather than iid rolls) keeps every entity's spoken variants
+# represented in any sizable training split
+CORRUPTION_PATTERN = ("none", "none", "none", "light", "heavy", "heavy", "scatter", "drop")
+
+
 @dataclass
 class MiniCorpusConfig:
     n_dialogues: int = 200
     seeking_fraction: float = 0.75
-    # per-entity cycle of mention corruption modes, shuffled per entity;
-    # stratifying (rather than iid rolls) keeps every entity's spoken
-    # variants represented in any sizable training split
-    corruption_pattern: tuple[str, ...] = (
-        "none", "none", "none", "light", "heavy", "heavy", "scatter", "drop")
     trailing_question_rate: float = 0.4
     seed: int = 0
 
@@ -246,7 +247,7 @@ def build_mini_corpus(config: Optional[MiniCorpusConfig] = None
     named = [e for e in kb.entities if not e.is_domain_level]
     cycles = {}
     for entity in named:
-        pattern = list(config.corruption_pattern)
+        pattern = list(CORRUPTION_PATTERN)
         erng = np.random.default_rng(hash_stable(f"{config.seed}:{entity.name}"))
         erng.shuffle(pattern)
         cycles[entity.key] = pattern

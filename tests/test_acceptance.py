@@ -330,7 +330,7 @@ def test_criterion_7_ranking_order():
                     tracked = fuzzy_match_entities(d, kb, 0.5)
                     ranked.append(pointwise_rank(
                         model, d, collect_candidates(tracked, kb),
-                        dialogue_features(d, tracked), kb=kb))
+                        dialogue_features(d, kb, tracked), kb=kb))
                 return ranked
 
             def r_at_1(ranked):
@@ -349,8 +349,8 @@ def test_criterion_7_ranking_order():
                 d=24, max_len=96), init_from=pw_wd2)
             base_ranked = mtl_ranked if r_mtl >= r_plain else plain_ranked
             lw_ranked = [
-                listwise_rerank(lw, d, ranked,
-                                dialogue_features(d, fuzzy_match_entities(d, kb, 0.5)),
+                listwise_rerank(lw, ranked,
+                                dialogue_features(d, kb, fuzzy_match_entities(d, kb, 0.5)),
                                 alpha=100.0)
                 for d, ranked in zip(test, base_ranked)]
             r_lw = r_at_1(lw_ranked)
@@ -476,7 +476,7 @@ def test_criterion_9_end_to_end():
         for d in ks:
             tracked = fuzzy_match_entities(d, kb, 0.5)
             ranked = pointwise_rank(pw, d, collect_candidates(tracked, kb),
-                                    dialogue_features(d, tracked), kb=kb)
+                                    dialogue_features(d, kb, tracked), kb=kb)
             selection_outputs[d.id] = [s for s, _ in ranked.items]
         gen_cfg = GenTrainConfig(epochs=10, batch_size=32, learning_rate=0.01,
                                  max_history_tokens=96, max_target_tokens=24,

@@ -135,6 +135,18 @@ def test_out_of_range_probability_is_one_line_config_error(workdir, command,
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
+    _, _, cfg = workdir
+    confusions = tmp_path / "confusions.tsv"
+    confusions.write_text("# word<TAB>replacement\nhotel\thostel\nno tab here\n")
+    capsys.readouterr()
+    assert main(["augment", "--config", str(cfg), "--stage-overrides",
+                 f"paths.output={tmp_path / 'out'}", "augment.tasks=TST",
+                 f"paths.confusions={confusions}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {confusions} line 3: expected word<TAB>replacement\n")
+
+
 @pytest.mark.parametrize("command,args,override,message", [
     ("train-select", [], "rank.kfolds=1",
      "config error: rank.kfolds: expected an int >= 2, got 1"),

@@ -7,9 +7,10 @@ A name counts where code uses it (a name, an attribute, an import) or where
 a string that is not a docstring spells it, as perfbench's tracer does with
 ``"ToyEncoder.forward"``. Dunder methods are called by Python itself.
 
-Likewise every defaulted parameter of a package function or method is set
-by some call in the program or in the benchmark's scripts (perfbench/*.py),
-or is listed in UNSET_DEFAULTS with its reason: a value only tests set is a
+Likewise every defaulted parameter of a package function or method, and
+every field of a package dataclass with a default value, is set by some
+call in the program or in the benchmark's scripts (perfbench/*.py), or is
+listed in UNSET_DEFAULTS with its reason: a value only tests set is a
 constant, not an option."""
 
 import ast
@@ -108,21 +109,66 @@ UNSET_DEFAULTS = {
     "extract_sparse_features(alpha)": "the tracer-wrapped reference the "
                                       "array features are checked against",
     "ToyEncoder.token_ids(boundary)": "the reference definition of the pair "
-                                      "inputs rank._pair_inputs builds",
+                                      "inputs the rankers build from ids",
     "pointwise_rank(alpha)": "point-wise decode scales the wide terms by 1; "
                              "whether rank.alpha should reach it is open",
     "tune_weights(init_weights)": "acceptance criterion 5 tunes from given "
                                   "weights",
+    "TuneConfig.__init__(restarts)": "acceptance criterion 5 and the tuning "
+                                     "tests run one or two restarts to stay fast",
+    "GenTrainConfig.__init__(weight_decay)": "the generator's overfitting and "
+                                             "monotone-loss tests train without "
+                                             "decay",
+    "MiniCorpusConfig.__init__(seeking_fraction)": "perfbench reads it from the "
+                                                   "default config to size its "
+                                                   "workloads",
+    "MiniCorpusConfig.__init__(trailing_question_rate)": "perfbench reads it from "
+                                                         "the default config to "
+                                                         "size its workloads",
 }
+
+
+def _is_dataclass(node):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _factory(node):
+    """Whether ``node`` is a ``field(default_factory=...)`` call."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field"
+            and any(k.arg == "default_factory" for k in node.keywords))
+
+
+class _DataclassInit(ast.FunctionDef):
+    """The ``__init__`` a dataclass generates."""
+
+
+def _dataclass_init(node):
+    """The ``__init__`` a dataclass generates, as a function node: a
+    parameter per field, in order, defaulted where the field is assigned
+    a value (a default, or a ``field`` with a default or a factory)."""
+    args, defaults = [ast.arg("self")], []
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            args.append(ast.arg(item.target.id))
+            if item.value is not None:
+                defaults.append(item.value)
+    return _DataclassInit("__init__", ast.arguments(
+        posonlyargs=[], args=args, kwonlyargs=[], kw_defaults=[], defaults=defaults),
+        [], [])
 
 
 def _scan(path):
     """The functions, the calls and the classes of one file. A function is
     (qualified name, node, offset), where offset is 1 if a call binds the
-    first parameter itself (self or cls). A call is (callee name, node, the
-    function the call sits in as (qualified name, node), or None); the
-    callee of ``super().__init__(...)`` in class C is ``super:C``. A class
-    maps its name to the names of its bases."""
+    first parameter itself (self or cls); a dataclass counts its generated
+    ``__init__``. A call is (callee name, node, the function the call sits
+    in as (qualified name, node), or None); the callee of
+    ``super().__init__(...)`` in class C is ``super:C``, and of
+    ``dataclasses.replace(obj, ...)`` it is ``replace``, which sets the
+    fields it names of every dataclass. A class maps its name to the names
+    of its bases."""
     functions, calls, classes = [], [], {}
 
     def visit(node, prefix, in_class, caller, owner):
@@ -136,6 +182,9 @@ def _scan(path):
             elif isinstance(child, ast.ClassDef):
                 classes[child.name] = [getattr(b, "id", None) or getattr(b, "attr", None)
                                        for b in child.bases]
+                if _is_dataclass(child):
+                    functions.append((f"{prefix}{child.name}.__init__",
+                                      _dataclass_init(child), 1))
                 visit(child, f"{prefix}{child.name}.", True, caller, child.name)
             else:
                 if isinstance(child, ast.Call):
@@ -155,11 +204,14 @@ def _scan(path):
 
 def _defaulted(node):
     """(name, position) of each defaulted parameter, keyword-only ones at
-    position None, then ("**name", None) if the function takes ``**name``."""
+    position None, then ("**name", None) if the function takes ``**name``.
+    A dataclass field built by a default factory is not an option."""
     positional = node.args.posonlyargs + node.args.args
     first = len(positional) - len(node.args.defaults)
-    for position, arg in enumerate(positional[first:], first):
-        yield arg.arg, position
+    for position, (arg, default) in enumerate(
+            zip(positional[first:], node.args.defaults), first):
+        if not _factory(default):
+            yield arg.arg, position
     for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
         if default is not None:
             yield arg.arg, None
@@ -199,6 +251,7 @@ def _unset_defaults(callers=CALLERS, package=PACKAGE) -> list[str]:
         owner, _, name = qualified.rpartition(".")
         by_callee.setdefault(owner if name == "__init__" else name,
                              []).append((qualified, node, offset))
+    by_callee["replace"] = [f for f in functions if isinstance(f[1], _DataclassInit)]
     for cls in bases:
         if constructor(cls) not in (None, cls):
             by_callee.setdefault(cls, []).append(inits[constructor(cls)])
@@ -223,6 +276,8 @@ def _unset_defaults(callers=CALLERS, package=PACKAGE) -> list[str]:
                 for param, position in _defaulted(node):
                     if param.startswith("**"):
                         hit = bool(keywords - named - {None})
+                    elif name == "replace":  # replace(obj, **changes)
+                        hit = param in keywords
                     else:
                         hit = param in keywords or (position is not None and (
                             star or position - offset < len(call.args)))
@@ -243,6 +298,26 @@ def test_every_defaulted_parameter_is_set_by_the_program():
 
 def test_every_unset_default_is_still_unset():
     assert set(UNSET_DEFAULTS) <= set(_unset_defaults())
+
+
+def test_dataclass_fields_are_defaulted_parameters(tmp_path):
+    # Config(1) sets a by position and replace sets c; b is unset, d is
+    # built by a factory and e has no default
+    module = tmp_path / "configs.py"
+    module.write_text(
+        "from dataclasses import dataclass, field, replace\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    e: int\n"
+        "    a: int = 0\n"
+        "    b: int = field(default=1)\n"
+        "    c: int = 2\n"
+        "    d: list = field(default_factory=list)\n"
+        "class Plain:\n"
+        "    f: int = 3\n"
+        "def build():\n"
+        "    return replace(Config(0, 1), c=3)\n")
+    assert _unset_defaults([module], [module]) == ["Config.__init__(b)"]
 
 
 def test_constructor_calls_reach_inherited_and_super_inits(tmp_path):

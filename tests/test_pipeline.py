@@ -249,13 +249,13 @@ def test_decode_ranks_each_turn_once_and_reranks_that_list(mini):
         first_lists[dialogue.id] = oracle_ranker(dialogue, candidates, features)
         return first_lists[dialogue.id]
 
-    def reversing_reranker(dialogue, first, features):
-        assert first is first_lists[dialogue.id]
+    def reversing_reranker(first, features):
+        assert first is first_lists[first.turn_id]
         n = len(first.items)
         reordered = [snip for snip, _ in reversed(first.items)]
-        reranked_lists[dialogue.id] = RankedKnowledgeList(first.turn_id, tuple(
+        reranked_lists[first.turn_id] = RankedKnowledgeList(first.turn_id, tuple(
             (snip, (n - i) / n) for i, snip in enumerate(reordered)))
-        return reranked_lists[dialogue.id]
+        return reranked_lists[first.turn_id]
 
     components.ranker = counting_ranker
     components.reranker = reversing_reranker
@@ -388,9 +388,9 @@ def test_decode_builds_dialogue_features_once_per_targeted_turn(trained,
     calls = []
     real = rank.dialogue_features
 
-    def counting(dialogue, tracked):
+    def counting(dialogue, kb, tracked):
         calls.append(dialogue.id)
-        return real(dialogue, tracked)
+        return real(dialogue, kb, tracked)
 
     monkeypatch.setattr(rank, "dialogue_features", counting)
     monkeypatch.setattr(pipeline, "dialogue_features", counting)
@@ -399,6 +399,24 @@ def test_decode_builds_dialogue_features_once_per_targeted_turn(trained,
         targeted = sum(record["target"] for record in json.load(fh))
     assert targeted > 0
     assert len(calls) == len(set(calls)) == targeted
+
+
+def test_decode_ranks_without_tokenizing_or_tracking_whole_dialogues(trained,
+                                                                    monkeypatch,
+                                                                    tmp_path):
+    """The rankers read the history from the turn's features: decode with
+    the whole-dialogue text path of rank disabled writes the same records."""
+    config, _ = trained
+    with open(stage_decode(config)[0], encoding="utf-8") as fh:
+        expected = json.load(fh)
+
+    def forbidden(*args):
+        raise AssertionError("decode tokenized or tracked a whole dialogue")
+
+    monkeypatch.setattr(rank, "linearize_history", forbidden)
+    monkeypatch.setattr(rank, "exact_match_entities", forbidden)
+    with open(stage_decode(_copy_outputs(config, tmp_path))[0], encoding="utf-8") as fh:
+        assert json.load(fh) == expected
 
 
 def _copy_outputs(config, tmp_path, **values):

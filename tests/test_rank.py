@@ -25,7 +25,7 @@ from kgdial.rank import (
     train_listwise, train_pointwise,
 )
 from kgdial.pipeline import evaluate_predictions
-from kgdial.rank import _mtl_backward, _mtl_forward_cache, _mtl_init, _pair_inputs
+from kgdial.rank import _mtl_backward, _mtl_forward_cache, _mtl_init
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 from test_models import (assert_close_loss, mask_pair_readout_backward,
                          reference_backward, reference_bce, reference_forward,
@@ -151,7 +151,7 @@ class TestSparseFeatures:
         kb = make_kb()
         d = ks_dialogue("x", "Hamilton Lodge", kb)
         domain_snip = kb.snippets_for("hotel", DOMAIN_LEVEL)[0]
-        feats = extract_sparse_features(d, domain_snip, list(kb.entities))
+        feats = extract_sparse_features(d, domain_snip, kb, list(kb.entities))
         assert feats.is_domain_level == 1
 
     def test_last_entity_rightmost_scan(self):
@@ -163,15 +163,15 @@ class TestSparseFeatures:
         tracked = exact_match_entities(d, kb)
         lodge = kb.snippets_for("hotel", "1")[0]
         sw = kb.snippets_for("hotel", "2")[0]
-        assert extract_sparse_features(d, lodge, tracked).is_last_entity == 0
-        assert extract_sparse_features(d, sw, tracked).is_last_entity == 1
+        assert extract_sparse_features(d, lodge, kb, tracked).is_last_entity == 0
+        assert extract_sparse_features(d, sw, kb, tracked).is_last_entity == 1
 
     def test_scattered_name_ngram_indicators(self):
         kb = KnowledgeBase([snip("hotel", "9", "Hilton San Francisco Union Square", "0")])
         turns = (Turn(Speaker.USER, "looking near union square please"),)
         d = Dialogue(id="x", turns=turns)
         target = kb.snippets[0]
-        feats = extract_sparse_features(d, target, list(kb.entities), Variant.WD2)
+        feats = extract_sparse_features(d, target, kb, list(kb.entities), Variant.WD2)
         assert feats.unigram_in_dialogue == 1
         assert feats.bigram_in_dialogue == 1
         assert feats.is_last_entity == 0  # full name never matches
@@ -180,15 +180,15 @@ class TestSparseFeatures:
         kb = make_kb()
         d = ks_dialogue("x", "Hamilton Lodge", kb)
         target = kb.snippets_for("hotel", "1")[0]
-        feats = extract_sparse_features(d, target, list(kb.entities), Variant.WD)
+        feats = extract_sparse_features(d, target, kb, list(kb.entities), Variant.WD)
         assert feats.unigram_in_dialogue == 0
         assert feats.bigram_in_dialogue == 0
 
     def test_alpha_scaling(self):
+        kb = make_kb()
         feats = extract_sparse_features(
-            ks_dialogue("x", "Hamilton Lodge", make_kb()),
-            make_kb().snippets_for("hotel", "1")[0],
-            list(make_kb().entities), Variant.WD2, alpha=100.0)
+            ks_dialogue("x", "Hamilton Lodge", kb), kb.snippets_for("hotel", "1")[0],
+            kb, list(kb.entities), Variant.WD2, alpha=100.0)
         vec = feats.vector()
         assert set(np.unique(vec)) <= {0.0, 100.0}
 
@@ -293,7 +293,7 @@ def exact_tracker(d, kb):
 
 
 def exact_context(d, kb):
-    return rank.dialogue_features(d, exact_match_entities(d, kb))
+    return rank.dialogue_features(d, kb, exact_match_entities(d, kb))
 
 
 def small_config(**kw):
@@ -326,21 +326,20 @@ class TestPointwiseTraining:
             l2, _ = mtl.loss_and_grads([mtl.compile(mtl_inst)])
             assert l1 == pytest.approx(l2, rel=1e-12)
 
-    def test_training_rows_carry_tracking_ena_rewrites_retrack(self, monkeypatch):
+    def test_training_rows_track_exactly_ena_rewrites_rematch(self, monkeypatch):
         kb = make_kb()
         corpus = make_corpus(kb, 4)
         cfg = small_config(use_mtl=False, epochs=0)
         model = train_pointwise(corpus, kb, cfg)
         instances = build_pointwise_instances(corpus, kb, cfg,
                                               np.random.default_rng(0))
-        for inst in instances:
-            assert inst.tracked == exact_match_entities(inst.dialogue, kb)
         # the positive row of d0, whose gt entity is the one mentioned
         inst = next(i for i in instances if i.label == 1)
-        assert [e.name for e in inst.tracked] == [inst.candidate.entity_name]
-
-        def wide_grad(instance):
-            return model.loss_and_grads([model.compile(instance)])[1]["wide.u"]
+        exact = exact_context(inst.dialogue, kb)
+        assert exact.last_entity_key == inst.candidate.entity_key
+        for i in instances:
+            assert model.compile(i).features.tobytes() == exact_context(
+                i.dialogue, kb).indicators([i.candidate]).tobytes()
 
         def with_ena(probability):
             """The model's weights under an ENA config."""
@@ -351,22 +350,15 @@ class TestPointwiseTraining:
             twin.bind_kb(kb)
             return twin
 
-        # the stored list is what the sparse features see
-        assert not np.array_equal(wide_grad(replace(inst, tracked=[])),
-                                  wide_grad(inst))
+        # compiling and training never track a whole dialogue
         calls = []
         real = rank.exact_match_entities
-
-        def counted(dialogue, kb_):
-            calls.append(dialogue)
-            return real(dialogue, kb_)
-
-        monkeypatch.setattr(rank, "exact_match_entities", counted)
-        wide_grad(inst)
-        model = with_ena(0.0)
-        wide_grad(inst)
+        monkeypatch.setattr(rank, "exact_match_entities", lambda dialogue, kb_: (
+            calls.append(dialogue) or real(dialogue, kb_)))
+        for twin in (model, with_ena(0.0)):
+            twin.loss_and_grads([twin.compile(inst)])
         assert calls == []
-        # ENA that fires rewrites the dialogue, which is then tracked afresh:
+        # ENA that fires rewrites the dialogue, which is then matched afresh:
         # compiling matched every turn once, the rewrite matches only the
         # one or two turns it touched
         mentioned = []
@@ -381,6 +373,15 @@ class TestPointwiseTraining:
         assert calls == [] and 1 <= len(mentioned) <= 2
         assert all(tokens != tokenize(turn.text)
                    for tokens in mentioned for turn in inst.dialogue.turns)
+
+    def test_compiling_needs_a_bound_knowledge_base(self):
+        kb = make_kb()
+        corpus = make_corpus(kb, 2)
+        cfg = small_config()
+        model = rank.PointwiseModel(rank._ranking_vocab(corpus, kb), ["hotel"], cfg)
+        inst = build_pointwise_instances(corpus, kb, cfg, np.random.default_rng(0))[0]
+        with pytest.raises(RankError, match="bind a knowledge base"):
+            model.compile(inst)
 
     def test_instances_match_entities_once_per_dialogue(self, monkeypatch):
         kb = make_kb()
@@ -452,7 +453,7 @@ class TestPointwiseRank:
         assert len(ranked.items) == 1
         assert ranked.items[0][0].key == only.key
         assert ranked.items[0][1] == pytest.approx(
-            sigmoid(m.logits(d, [only], context)[0]))
+            sigmoid(m.logits([only], context)[0]))
 
     def test_alpha_invariant_when_features_zero(self, model):
         kb, m = model
@@ -488,13 +489,19 @@ def variant_models():
                 for variant in Variant}
 
 
-def reference_logit(m, d, snippet, alpha, tracked):
-    """One candidate scored on its own, as the point-wise model defines it."""
+def text_pairs(encoder, d, candidates):
+    """The encoder inputs of the dialogue's history followed by each
+    candidate, tokenized from their text."""
     history = tokenize(linearize_history(d))
-    tokens = history + tokenize(linearize_knowledge(snippet))
-    cache = reference_forward(m.encoder,
-                              *reference_token_ids(m.encoder, tokens, len(history)))
-    feats = extract_sparse_features(d, snippet, tracked, m.config.variant, alpha)
+    return [reference_token_ids(encoder, history + tokenize(linearize_knowledge(s)),
+                                len(history)) for s in candidates]
+
+
+def reference_logit(m, d, snippet, alpha, kb, tracked):
+    """One candidate scored on its own, as the point-wise model defines it."""
+    pair, = text_pairs(m.encoder, d, [snippet])
+    cache = reference_forward(m.encoder, *pair)
+    feats = extract_sparse_features(d, snippet, kb, tracked, m.config.variant, alpha)
     return float(m.head["w"] @ reference_pair_readout(cache) + m.head["b"][0]
                  + m.wide["u"] @ feats.vector())
 
@@ -519,12 +526,12 @@ class TestBatchedPointwise:
         assert np.any(m.wide["u"] != 0.0)
         for d in self.dialogues(kb):
             tracked = list(kb.entities) if given else exact_match_entities(d, kb)
-            context = rank.dialogue_features(d, tracked)
+            context = rank.dialogue_features(d, kb, tracked)
             cands = list(kb.snippets)
-            expected = [reference_logit(m, d, s, alpha, tracked) for s in cands]
-            got = m.logits(d, cands, context, alpha)
+            expected = [reference_logit(m, d, s, alpha, kb, tracked) for s in cands]
+            got = m.logits(cands, context, alpha)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
-            assert [m.logits(d, [s], context, alpha)[0] for s in cands] == got
+            assert [m.logits([s], context, alpha)[0] for s in cands] == got
             ranked = pointwise_rank(m, d, cands, context, alpha=alpha)
             want = sorted(((s.key, sigmoid(z)) for s, z in zip(cands, expected)),
                           key=lambda t: (-t[1], t[0]))[:TOP_K]
@@ -541,22 +548,23 @@ class TestBatchedPointwise:
         model = train_listwise(instances, kb,
                                ListwiseConfig(epochs=1, d=10, variant=variant))
         seen = []
-        real = ListwiseModel.distribution
+        real = rank.DialogueFeatures.indicators
 
-        def recording(model_, dialogue, top5, features, alpha=None):
-            seen.append(features)
-            return real(model_, dialogue, top5, features, alpha)
+        def recording(*args):
+            seen.append(real(*args))
+            return seen[-1]
 
-        monkeypatch.setattr(ListwiseModel, "distribution", recording)
+        monkeypatch.setattr(rank.DialogueFeatures, "indicators", recording)
         for d in self.dialogues(kb):
             tracked = exact_match_entities(d, kb)
             cands = collect_candidates(list(kb.entities), kb)[:5]
             ranked = RankedKnowledgeList(d.id, tuple((s, 0.5) for s in cands))
-            listwise_rerank(model, d, ranked, rank.dialogue_features(d, tracked),
+            expected = [extract_sparse_features(d, s, kb, tracked, variant).indicators
+                        for s in cands]
+            seen.clear()
+            listwise_rerank(model, ranked, rank.dialogue_features(d, kb, tracked),
                             alpha=100.0)
-            assert np.array_equal(seen.pop(), [
-                extract_sparse_features(d, s, tracked, variant).indicators
-                for s in cands])
+            assert len(seen) == 1 and np.array_equal(seen[0], expected)
 
 
 # -- the per-candidate inference loops before the features became one array,
@@ -569,18 +577,18 @@ def reference_indicators(context, snippet, variant):
     unigram = bigram = 0
     if variant is Variant.WD2:
         name_tokens = tokenize(snippet.entity_name)
-        unigram = int(any(tok in context.tokens for tok in name_tokens))
+        unigram = int(any(tok in context.words for tok in name_tokens))
         bigram = int(any((name_tokens[i], name_tokens[i + 1]) in context.bigrams
                          for i in range(len(name_tokens) - 1)))
     return (int(snippet.is_domain_level),
             int(context.last_entity_key == snippet.entity_key), unigram, bigram)
 
 
-def reference_logits(m, d, candidates, alpha, tracked):
+def reference_logits(m, d, candidates, alpha, kb, tracked):
     """PointwiseModel.logits as one loop over the candidates."""
-    context = rank.dialogue_features(d, tracked)
+    context = rank.dialogue_features(d, kb, tracked)
     out = []
-    for candidate, pair in zip(candidates, _pair_inputs(m.encoder, {}, d, candidates)):
+    for candidate, pair in zip(candidates, text_pairs(m.encoder, d, candidates)):
         cache = reference_forward(m.encoder, *pair)
         feats = np.array(reference_indicators(context, candidate, m.config.variant),
                          dtype=np.float64) * rank.feature_scale(alpha)
@@ -592,7 +600,7 @@ def reference_logits(m, d, candidates, alpha, tracked):
 def reference_distribution(model, d, candidates, features, alpha):
     """ListwiseModel.distribution as one loop over the candidates."""
     logits = np.empty(len(candidates))
-    pairs = _pair_inputs(model.encoder, {}, d, candidates)
+    pairs = text_pairs(model.encoder, d, candidates)
     for j, (pair, row) in enumerate(zip(pairs, features)):
         u = reference_pair_readout(reference_forward(model.encoder, *pair))
         vec = SparseFeatures(*row.astype(int), alpha=alpha).vector()
@@ -621,8 +629,8 @@ class TestFeatureArrays:
         fired = np.zeros(4)
         for d in dialogues:
             tracked = exact_match_entities(d, kb)
-            context = rank.dialogue_features(d, tracked)
-            feats = [extract_sparse_features(d, s, tracked, variant, alpha)
+            context = rank.dialogue_features(d, kb, tracked)
+            feats = [extract_sparse_features(d, s, kb, tracked, variant, alpha)
                      for s in snippets]
             assert [f.indicators for f in feats] == [
                 reference_indicators(context, s, variant) for s in snippets]
@@ -640,13 +648,12 @@ class TestFeatureArrays:
         model = rank.PointwiseModel(rank._ranking_vocab(dialogues, kb), ["hotel"],
                                     small_config())
         listwise = ListwiseModel(model.encoder.vocab, ListwiseConfig())
-        feats = np.array([SparseFeatures(0, 1, 0, 0).indicators], dtype=np.float64)
-        context = rank.dialogue_features(dialogues[0], [])
+        context = rank.dialogue_features(dialogues[0], kb, [])
         for alpha in (0.0, -1.0):
             with pytest.raises(RankError):
-                model.logits(dialogues[0], list(kb.snippets[:2]), context, alpha)
+                model.logits(list(kb.snippets[:2]), context, alpha)
             with pytest.raises(RankError):
-                listwise.distribution(dialogues[0], list(kb.snippets[:1]), feats, alpha)
+                listwise.distribution(list(kb.snippets[:1]), context, alpha)
             with pytest.raises(RankError):
                 SparseFeatures(0, 1, 0, 0, alpha=alpha)
 
@@ -657,12 +664,12 @@ class TestFeatureArrays:
         m = models[variant]
         for d in TestBatchedPointwise().dialogues(kb):
             tracked = exact_match_entities(d, kb)
-            context = rank.dialogue_features(d, tracked)
+            context = rank.dialogue_features(d, kb, tracked)
             cands = list(kb.snippets)
-            expected = reference_logits(m, d, cands, alpha, tracked)
-            np.testing.assert_allclose(m.logits(d, cands, context, alpha), expected,
+            expected = reference_logits(m, d, cands, alpha, kb, tracked)
+            np.testing.assert_allclose(m.logits(cands, context, alpha), expected,
                                        rtol=1e-12, atol=0)
-            assert m.logits(d, [], context, alpha) == []
+            assert m.logits([], context, alpha) == []
             # an empty list falls back to the whole knowledge base
             ranked = pointwise_rank(m, d, [], context, alpha=alpha, kb=kb)
             np.testing.assert_allclose([p for _, p in ranked.items], sorted(
@@ -680,13 +687,13 @@ class TestFeatureArrays:
                                init_from=models[Variant.WD2])
         assert np.any(model.wide["u"] != 0.0)
         for d in TestBatchedPointwise().dialogues(kb):
-            context = rank.dialogue_features(d, list(kb.entities))
+            context = rank.dialogue_features(d, kb, list(kb.entities))
             for start in range(0, len(kb.snippets), 5):
                 cands = list(kb.snippets[start:start + 5])
-                feats = context.indicators(cands)
                 np.testing.assert_allclose(
-                    model.distribution(d, cands, feats, alpha),
-                    reference_distribution(model, d, cands, feats, alpha),
+                    model.distribution(cands, context, alpha),
+                    reference_distribution(model, d, cands, context.indicators(cands),
+                                           alpha),
                     rtol=1e-12, atol=0)
 
 
@@ -699,8 +706,7 @@ class TestListwise:
         model = train_listwise(instances, kb, ListwiseConfig(epochs=1, d=10))
         d = corpus[0]
         same = [kb.snippets_for("hotel", "1")[0]] * 5
-        feats = rank.dialogue_features(d, []).indicators(same)
-        dist = model.distribution(d, same, feats, alpha=1.0)
+        dist = model.distribution(same, rank.dialogue_features(d, kb, []), alpha=1.0)
         assert dist == pytest.approx([0.2] * 5)
 
     def test_distribution_sums_to_one(self):
@@ -715,8 +721,8 @@ class TestListwise:
             picks = rng.choice(len(kb.snippets), size=take, replace=False)
             cands = [kb.snippets[int(i)] for i in picks]
             d = corpus[int(rng.integers(len(corpus)))]
-            feats = rank.dialogue_features(d, []).indicators(cands)
-            dist = model.distribution(d, cands, feats, alpha=100.0)
+            dist = model.distribution(cands, rank.dialogue_features(d, kb, []),
+                                      alpha=100.0)
             assert abs(dist.sum() - 1.0) < 1e-6
             assert len(dist) == take  # no padding logits
 
@@ -739,8 +745,8 @@ class TestListwise:
         ranked = RankedKnowledgeList(
             inst.dialogue.id,
             tuple((s, 0.5) for s in inst.candidates))
-        out = listwise_rerank(model, inst.dialogue, ranked,
-                              rank.dialogue_features(inst.dialogue, []), alpha=1.0)
+        out = listwise_rerank(model, ranked, rank.dialogue_features(inst.dialogue, kb, []),
+                              alpha=1.0)
         assert sorted(out.keys) == sorted(ranked.keys)
         probs = [p for _, p in out.items]
         assert probs == sorted(probs, reverse=True)
@@ -752,13 +758,15 @@ class TestListwiseData:
         corpus = make_corpus(kb, 6)
         instances, stats = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=3, seed=1, tracker=exact_tracker)
+        model = ListwiseModel(rank._ranking_vocab(corpus, kb), ListwiseConfig(d=10))
         for inst in instances:
             refs = set(inst.dialogue.label.knowledge_refs)
             hits = [j for j, c in enumerate(inst.candidates) if c.key in refs]
             assert inst.true_index in hits
             tracked = exact_match_entities(inst.dialogue, kb)
-            assert np.array_equal(inst.features, [
-                extract_sparse_features(inst.dialogue, c, tracked).indicators
+            assert inst.context == rank.dialogue_features(inst.dialogue, kb, tracked)
+            assert np.array_equal(model.compile(inst).features, [
+                extract_sparse_features(inst.dialogue, c, kb, tracked).indicators
                 for c in inst.candidates])
         assert stats["decoded"] == len(corpus)
         assert stats["emitted"] + stats["dropped"] == len(corpus)
@@ -858,10 +866,8 @@ def reference_pointwise_loss(model, instance, kb):
         model.encoder, *reference_token_ids(model.encoder, tokens1, len(history)))
     f1 = cache1["f"]
     u1 = reference_pair_readout(cache1)
-    tracked = instance.tracked if dialogue is instance.dialogue else None
-    if tracked is None:
-        tracked = exact_match_entities(dialogue, kb)
-    feats = extract_sparse_features(dialogue, instance.candidate, tracked,
+    feats = extract_sparse_features(dialogue, instance.candidate, kb,
+                                    exact_match_entities(dialogue, kb),
                                     cfg.variant).vector()
     z = float(model.head["w"] @ u1 + model.head["b"][0] + model.wide["u"] @ feats)
     rank_loss, dz = reference_bce(z, float(instance.label))
@@ -903,7 +909,8 @@ def reference_listwise_loss(model, instance):
     grads = {k: np.zeros_like(v) for k, v in model.all_params().items()}
     history = tokenize(linearize_history(instance.dialogue))
     caches, logits = [], np.empty(len(instance.candidates))
-    for j, (snip, row) in enumerate(zip(instance.candidates, instance.features)):
+    features = instance.context.indicators(instance.candidates, model.config.variant)
+    for j, (snip, row) in enumerate(zip(instance.candidates, features)):
         tokens = history + tokenize(linearize_knowledge(snip))
         cache = reference_forward(
             model.encoder, *reference_token_ids(model.encoder, tokens, len(history)))
@@ -945,14 +952,15 @@ def long_dialogue(kb):
 @pytest.fixture(scope="module")
 def training_pool():
     """A knowledge base, a corpus with one history longer than any max_len
-    below, and its point-wise instances with and without MTL names."""
+    below, and its point-wise instances with and without MTL names, the
+    first repeated last."""
     kb = make_kb()
     corpus = make_corpus(kb, 6) + [long_dialogue(kb)]
     instances = {use_mtl: build_pointwise_instances(
         corpus, kb, small_config(use_mtl=use_mtl), np.random.default_rng(1))
         for use_mtl in (False, True)}
     for pool in instances.values():
-        pool.append(replace(pool[0], tracked=None))
+        pool.append(replace(pool[0]))
     return kb, corpus, instances
 
 
@@ -1036,7 +1044,7 @@ class TestBatchedTraining:
             cands = [kb.snippets[i] for i in snippets]
             instances.append(rank.ListwiseInstance(
                 dialogue=d, candidates=cands, true_index=true_index % len(cands),
-                features=exact_context(d, kb).indicators(cands)))
+                context=exact_context(d, kb)))
         cfg = ListwiseConfig(d=10, max_len=max_len, pooling=pooling)
         model = randomized(ListwiseModel(rank._ranking_vocab(corpus, kb), cfg), seed)
         rows = [model.compile(inst) for inst in instances]
@@ -1090,17 +1098,72 @@ TURN_WORDS = st.sampled_from([
     "ΣΑΣ", "(x)", "⟨user⟩", "a⟨kng⟩b", "naïve"])
 
 
+def tie_kb():
+    """`make_kb` plus a second "Palm Court" (a full tie with the first) and
+    a "court", which sorts after it and whose mentions nest in it."""
+    return KnowledgeBase(list(make_kb().snippets) + [
+        snip("attraction", "1", "Palm Court", "0"), snip("attraction", "2", "court", "0")])
+
+
+def reference_features(d, kb, tracked):
+    """`dialogue_features` by brute force: the tokens of the history's text,
+    the words and bigrams of each turn, and the tracked entity whose name's
+    rightmost occurrence in the turns' words is greatest by (match end,
+    name length, name), the first in ``kb.entities`` on a tie."""
+    utterances = [tokenize(t.text) for t in d.turns]
+    keys = {e.key for e in tracked}
+    best = last = None
+    for entity in kb.entities:
+        name = tokenize(entity.name)
+        ends, offset = [], 0
+        for utt in utterances:
+            ends += [offset + start + len(name) for start in range(len(utt) - len(name) + 1)
+                     if name and utt[start:start + len(name)] == name]
+            offset += len(utt)
+        if entity.key in keys and ends and (best is None
+                                            or (max(ends), len(name), entity.name) > best):
+            best, last = (max(ends), len(name), entity.name), entity.key
+    return rank.DialogueFeatures(
+        tuple(tokenize(linearize_history(d))), last,
+        frozenset(tok for utt in utterances for tok in utt),
+        frozenset(pair for utt in utterances for pair in zip(utt, utt[1:])))
+
+
+class TestDialogueFeatures:
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.lists(TURN_WORDS, min_size=1, max_size=10).map(" ".join),
+                          min_size=1, max_size=5),
+           tracked=st.lists(st.integers(0, len(tie_kb().entities) - 1), unique=True))
+    def test_composed_features_equal_brute_force(self, texts, tracked):
+        kb = tie_kb()
+        d = Dialogue(id="f", turns=tuple(
+            Turn(Speaker.USER if i % 2 == 0 else Speaker.SYSTEM, text)
+            for i, text in enumerate(texts)))
+        entities = [kb.entities[i] for i in tracked]
+        assert rank.dialogue_features(d, kb, entities) == reference_features(d, kb, entities)
+
+    def test_ties_go_to_the_longer_name_then_the_first_entity(self):
+        kb = tie_kb()
+        d = Dialogue(id="t", turns=(Turn(Speaker.USER, "the palm court please"),))
+        courts = [e for e in kb.entities if e.name in ("Palm Court", "court")]
+        assert [e.domain for e in courts] == ["attraction", "attraction", "restaurant"]
+        for tracked, last in ((courts, 0), (courts[::-1], 0), (courts[1:], 2),
+                              (courts[1:2], 1)):
+            assert rank.dialogue_features(d, kb, tracked).last_entity_key == \
+                courts[last].key
+
+
 class TestComposedRows:
     """A row that ENA rewrites is composed from its turns' inputs, the
-    untouched turns' built when compiling; it equals the row built from the
-    rewritten dialogue's text byte for byte."""
+    untouched turns' built when compiling; it equals the row compiled from
+    the rewritten dialogue byte for byte."""
 
     @settings(max_examples=150, deadline=None)
     @given(texts=st.lists(st.lists(TURN_WORDS, min_size=1, max_size=10).map(" ".join),
                           min_size=1, max_size=5),
            pick=st.integers(0, 12), label=st.booleans(),
            delete=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2 ** 16))
-    def test_composed_inputs_equal_text_path(self, texts, pick, label, delete, seed):
+    def test_rewritten_row_equals_compiled_row(self, texts, pick, label, delete, seed):
         kb = make_kb()
         dialogue = Dialogue(id="h", turns=tuple(
             Turn(Speaker.USER if i % 2 == 0 else Speaker.SYSTEM, text)
@@ -1110,22 +1173,20 @@ class TestComposedRows:
         model = rank.PointwiseModel(rank._ranking_vocab([dialogue], kb),
                                     sorted({s.domain for s in kb.snippets}), cfg)
         model.bind_kb(kb)
-        row = model.compile(PointwiseInstance(dialogue, candidate, int(label), 0))
+        instance = PointwiseInstance(dialogue, candidate, int(label), 0)
+        row = model.compile(instance)
         rewritten = augment_entity_name(dialogue, candidate, label, cfg.ena,
                                         np.random.default_rng(seed))
         fresh = []
-        turns = [inputs if turn is before else fresh.append(turn) or model._turn_inputs(turn)
-                 for turn, before, inputs in zip(rewritten.turns, dialogue.turns, row.turns)]
-        assert len(fresh) <= 2
-        history, features = model._composed_inputs(turns)
-        text_history = model.encoder.vocab_ids(tokenize(linearize_history(rewritten)))
-        text_features = exact_context(rewritten, kb)
-        assert history.tobytes() == text_history.tobytes()
-        assert features == text_features
-        pair, feats = model._rewritten_inputs(row, rewritten)
-        text_pair, text_feats = model._row_inputs(text_history, text_features, candidate)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, text_pair))
-        assert feats.tobytes() == text_feats.tobytes()
+        real = rank.turn_inputs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rank, "turn_inputs",
+                          lambda turn, kb_: fresh.append(turn) or real(turn, kb_))
+            pair, feats = model._rewritten_inputs(row, rewritten)
+        assert len(fresh) <= 2 and not set(map(id, fresh)) & set(map(id, dialogue.turns))
+        compiled = model.compile(replace(instance, dialogue=rewritten))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, compiled.pair))
+        assert feats.tobytes() == compiled.features.tobytes()
 
     def test_rewritten_dialogues_are_not_kept(self):
         kb = make_kb()
@@ -1152,13 +1213,12 @@ class TestCompiledRows:
         cfg = small_config(use_mtl=use_mtl, variant=variant, max_len=48)
         model = train_pointwise(corpus, kb, replace(cfg, epochs=0))
         built = []
-        real = rank.dialogue_features
-        monkeypatch.setattr(rank, "dialogue_features",
-                            lambda d, tracked: built.append(d.id) or real(d, tracked))
+        real = rank._composed_features
+        monkeypatch.setattr(rank, "_composed_features",
+                            lambda *args: built.append(args) or real(*args))
         rows = [model.compile(inst) for inst in pool[use_mtl]]
-        # one build per dialogue; the last instance repeats the first
-        # dialogue with tracked=None
-        assert built == [d.id for d in corpus] + [pool[use_mtl][0].dialogue.id]
+        # one build per dialogue; the last instance repeats the first dialogue
+        assert len(built) == len(corpus) + 1
         for inst, row in zip(pool[use_mtl], rows):
             history = tokenize(linearize_history(inst.dialogue))
             ids, segs = reference_token_ids(
@@ -1166,9 +1226,8 @@ class TestCompiledRows:
                 len(history))
             assert row.pair[0].tobytes() == ids.tobytes()
             assert row.pair[1].tobytes() == segs.tobytes()
-            tracked = (inst.tracked if inst.tracked is not None
-                       else exact_match_entities(inst.dialogue, kb))
-            feats = np.array(extract_sparse_features(inst.dialogue, inst.candidate,
+            tracked = exact_match_entities(inst.dialogue, kb)
+            feats = np.array(extract_sparse_features(inst.dialogue, inst.candidate, kb,
                                                      tracked, variant).indicators,
                              dtype=np.float64)
             assert row.features.tobytes() == feats.tobytes()
@@ -1190,7 +1249,8 @@ class TestCompiledRows:
         cands = [snippets[i % len(snippets)] for i in picks]
         history = tokenize(linearize_history(d))
         for _ in range(2):  # the second pass reads the model's snippet table
-            pairs = _pair_inputs(model.encoder, model._snippet_ids, d, cands)
+            pairs = model.compile(rank.ListwiseInstance(
+                d, cands, 0, rank.dialogue_features(d, kb, []))).pairs
             assert len(pairs) == len(cands)
             for (ids, segs), s in zip(pairs, cands):
                 ref_ids, ref_segs = reference_token_ids(
@@ -1239,10 +1299,10 @@ class TestSharedPairScorer:
                     model.encoder.vocab_ids(tokenize(linearize_history(d))), rights)
                 context = exact_context(d, kb)
                 if isinstance(model, ListwiseModel):
-                    got = model.distribution(d, cands, context.indicators(cands), 100.0)
+                    got = model.distribution(cands, context, 100.0)
                     want = softmax(want)
                 else:
-                    got = model.logits(d, cands, context, 100.0)
+                    got = model.logits(cands, context, 100.0)
                 assert np.array_equal(got, want)
 
     def test_mtl_init_draws_the_fixed_seed_values(self):
@@ -1276,7 +1336,7 @@ class TestSharedPairScorer:
         elif trainer == "listwise":
             model = ListwiseModel(vocab, ListwiseConfig(d=10, max_len=96))
             cands = kb.snippets[:3]
-            items = [rank.ListwiseInstance(d, cands, 0, exact_context(d, kb).indicators(cands))
+            items = [rank.ListwiseInstance(d, cands, 0, exact_context(d, kb))
                      for d in corpus]
         else:
             use_mtl = trainer == "pointwise-mtl"
