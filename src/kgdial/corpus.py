@@ -233,8 +233,6 @@ class KnowledgeBase:
         self.entities: tuple[Entity, ...] = tuple(
             Entity(domain=k[0], entity_id=k[1], name=v[0].entity_name)
             for k, v in sorted(self.entity_index.items()))
-        self.entity_set: tuple[str, ...] = tuple(
-            dict.fromkeys(e.name for e in self.entities))
         self.name_index = EntityNameIndex(self.entities)
 
     def snippets_for(self, domain: str, entity_id: str) -> tuple[KnowledgeSnippet, ...]:

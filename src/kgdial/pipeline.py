@@ -129,7 +129,9 @@ class PipelineConfig:
                 raise ConfigError(f"{key}: expected one of {allowed}, "
                                   f"got {merged[key]!r}")
         for key in merged:
-            if key.endswith(".batch_size") and int(merged[key]) < 1:
+            if ((key.endswith(".batch_size")
+                 or key in ("model.d", "model.max_len", "gen.max_target_tokens"))
+                    and int(merged[key]) < 1):
                 raise ConfigError(f"{key}: expected an int >= 1, got {merged[key]!r}")
             if key.endswith(".kfolds") and int(merged[key]) < 2:
                 raise ConfigError(f"{key}: expected an int >= 2, got {merged[key]!r}")

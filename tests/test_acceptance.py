@@ -24,7 +24,7 @@ from kgdial.detect import ErrorFixConfig, error_fixing_ensemble, predict
 from kgdial.entity_track import (build_tracking_examples, collect_candidates,
                                  entity_recall, exact_match_entities,
                                  fuzzy_match_entities, track_entities)
-from kgdial.metrics import (bleu_n, corpus_bleu, meteor_lite, mrr_at_k,
+from kgdial.metrics import (bleu_n, char_f, corpus_bleu, meteor_lite, mrr_at_k,
                             precision_recall_f1, recall_at_k, rouge_l, rouge_n)
 from kgdial.models import TrainConfig, finite_difference_check, train_pair_classifier
 from kgdial.pipeline import (DecodeComponents, end_to_end_decode,
@@ -37,9 +37,9 @@ from kgdial.rank import (ListwiseConfig, PointwiseConfig,
                          pointwise_rank, train_listwise, train_pointwise)
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 
-from test_metrics import (oracle_bleu, oracle_meteor, oracle_mrr,
-                          oracle_recall_at, oracle_rouge_l, oracle_rouge_n,
-                          random_text)
+from test_metrics import (oracle_bleu, oracle_char_f, oracle_corpus_bleu,
+                          oracle_meteor, oracle_mrr, oracle_recall_at,
+                          oracle_rouge_l, oracle_rouge_n, random_text)
 
 
 @contextmanager
@@ -63,11 +63,20 @@ def test_criterion_1_metric_oracles():
             hyp = random_text(rng)
             ref = random_text(rng, lo=1)
             for n in (1, 2, 3, 4):
-                assert abs(bleu_n(hyp, [ref], n) - oracle_bleu(hyp, [ref], n)) < 1e-9
+                assert abs(bleu_n(hyp, ref, n) - oracle_bleu(hyp, ref, n)) < 1e-9
             for n in (1, 2):
                 assert abs(rouge_n(hyp, ref, n) - oracle_rouge_n(hyp, ref, n)) < 1e-9
             assert abs(rouge_l(hyp, ref) - oracle_rouge_l(hyp, ref)) < 1e-9
             assert abs(meteor_lite(hyp, ref) - oracle_meteor(hyp, ref)) < 1e-9
+            assert abs(char_f(hyp, ref) - oracle_char_f(hyp, ref)) < 1e-9
+        # corpus BLEU on random corpora, from a generator of their own so
+        # that the draws before and after stay as they were
+        corpus_rng = random.Random(20241)
+        for _ in range(100):
+            pairs = [(random_text(corpus_rng), random_text(corpus_rng))
+                     for _ in range(corpus_rng.randint(1, 6))]
+            for n in (1, 2, 3, 4):
+                assert abs(corpus_bleu(pairs, n) - oracle_corpus_bleu(pairs, n)) < 1e-9
         keys = [f"k{i}" for i in range(30)]
         preds, refs = [], []
         for _ in range(500):
@@ -249,7 +258,7 @@ def test_criterion_5_ensemble_invariants():
 
         def bleu(weights):
             return corpus_bleu([(consensus_select(p, weights).text,
-                                 [references[p.turn_id]]) for p in pools])
+                                 references[p.turn_id]) for p in pools])
 
         init = ConsensusWeights(np.full(10, 0.1))
         before = bleu(init)

@@ -152,6 +152,14 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
      "config error: rank.kfolds: expected an int >= 2, got 1"),
     ("train-generate", [], "gen.kfolds=1",
      "config error: gen.kfolds: expected an int >= 2, got 1"),
+    ("train-detect", [], "model.d=0",
+     "config error: model.d: expected an int >= 1, got 0"),
+    ("train-detect", [], "model.d=-4",
+     "config error: model.d: expected an int >= 1, got -4"),
+    ("train-detect", [], "model.max_len=0",
+     "config error: model.max_len: expected an int >= 1, got 0"),
+    ("train-generate", [], "gen.max_target_tokens=0",
+     "config error: gen.max_target_tokens: expected an int >= 1, got 0"),
     ("train-select", [], "augment.ena_probability=1.5",
      "config error: augment.ena_probability: expected a number in [0, 1], got 1.5"),
     ("ensemble", ["--predictions", "{predictions}", "--base", "nope.json"], "",
@@ -168,6 +176,13 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
      "error: {untargeted}: record 0: expected an object with a boolean 'target'"),
     ("tune-consensus", ["--pools", "{pools}", "--references", "{listed}"], "",
      "error: {listed}: expected an object mapping turn ids to reference texts"),
+    ("tune-consensus", ["--pools", "{listpool}", "--references", "{mapped}"], "",
+     "error: bad pool record at line 1: expected a JSON object"),
+    ("tune-consensus", ["--pools", "{numbered}", "--references", "{mapped}"], "",
+     "error: bad pool record at line 1: 'text' must be a string"),
+    ("tune-consensus", ["--pools", "{unlogged}", "--references", "{mapped}"], "",
+     "error: bad pool record at line 1: float() argument must be a string or a "
+     "real number, not 'NoneType'"),
     ("evaluate", ["--predictions", "{predictions}", "--references", "{unkeyed}"], "",
      "error: {unkeyed}: record 0: malformed knowledge ref"),
     ("evaluate", ["--predictions", "{predictions}", "--references", "{numeric}"], "",
@@ -178,9 +193,13 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
      "error: {above}: record 1: detection_probability must be a number in [0, 1]"),
     ("ensemble", ["--predictions", "{unscored}", "--base", "unscored.json"], "",
      "error: {unscored}: record 1: missing detection_probability"),
-], ids=["rank-kfolds", "gen-kfolds", "ena-probability", "ensemble-base",
+], ids=["rank-kfolds", "gen-kfolds", "model-d-zero", "model-d-negative",
+        "model-max-len-zero", "gen-max-target-tokens-zero",
+        "ena-probability", "ensemble-base",
         "lexicon-tab", "evaluate-not-json", "ensemble-not-json",
         "evaluate-no-target", "ensemble-no-target", "tune-consensus-list-references",
+        "tune-consensus-pool-not-object", "tune-consensus-pool-text-not-string",
+        "tune-consensus-pool-logprob-null",
         "evaluate-bad-knowledge", "evaluate-response-not-text",
         "ensemble-probability-not-number", "ensemble-probability-above-one",
         "ensemble-probability-missing"])
@@ -193,7 +212,9 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
         ("pools", "pools.jsonl"), ("listed", "listed.json"),
         ("unkeyed", "unkeyed.json"), ("numeric", "numeric.json"),
         ("worded", "worded.json"), ("above", "above.json"),
-        ("unscored", "unscored.json")]}
+        ("unscored", "unscored.json"), ("listpool", "listpool.jsonl"),
+        ("numbered", "numbered.jsonl"), ("unlogged", "unlogged.jsonl"),
+        ("mapped", "mapped.json")]}
     paths["predictions"].write_text(json.dumps([
         {"target": True, "detection_probability": 0.9},
         {"target": False, "detection_probability": 0.1}]))
@@ -204,6 +225,12 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
                                           "rank": 1, "logprob": -1.0,
                                           "text": "yes"}) + "\n")
     paths["listed"].write_text(json.dumps(["t0"]))
+    record = {"turn_id": "t0", "system_id": "a", "rank": 1, "logprob": -1.0}
+    paths["listpool"].write_text("[1, 2]\n")
+    paths["numbered"].write_text(json.dumps({**record, "text": 5}) + "\n")
+    paths["unlogged"].write_text(json.dumps({**record, "logprob": None,
+                                             "text": "yes"}) + "\n")
+    paths["mapped"].write_text(json.dumps({"t0": "yes"}))
     paths["unkeyed"].write_text(json.dumps([
         {"target": True, "knowledge": [{"domain": "hotel"}]}, {"target": False}]))
     paths["numeric"].write_text(json.dumps([

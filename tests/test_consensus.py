@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdial import consensus
+from kgdial import consensus, metrics
 from kgdial.consensus import (
     Candidate, CandidatePool, ConsensusError, ConsensusWeights, TuneConfig,
     consensus_select, load_pools, pool_features,
@@ -13,6 +13,9 @@ from kgdial.consensus import (
 )
 from kgdial.metrics import (bleu_n, char_f, corpus_bleu, meteor_lite, rouge_l,
                             rouge_n)
+
+from test_metrics import (oracle_bleu, oracle_char_f, oracle_meteor,
+                          oracle_rouge_l, oracle_rouge_n)
 
 
 def cand(text, system="s1", rank=1, logprob=-1.0):
@@ -45,8 +48,8 @@ class TestExtractFeatures:
         p = pool("t", cand(text, "s1", 1), cand(text, "s2", 1), cand(text, "s3", 1))
         feats = pool_features(p)[0]
         # similarity features equal each metric on identical strings
-        assert feats[0] == pytest.approx(bleu_n(text, [text], 1))
-        assert feats[3] == pytest.approx(bleu_n(text, [text], 4))
+        assert feats[0] == pytest.approx(bleu_n(text, text, 1))
+        assert feats[3] == pytest.approx(bleu_n(text, text, 4))
         assert feats[4] == pytest.approx(rouge_n(text, text, 1))
         assert feats[6] == pytest.approx(rouge_l(text, text))
         assert feats[7] == pytest.approx(meteor_lite(text, text))
@@ -60,8 +63,8 @@ class TestExtractFeatures:
         expect_rouge1 = (rouge_n(texts[0], texts[1], 1)
                          + rouge_n(texts[0], texts[2], 1)) / 2
         assert feats[4] == pytest.approx(expect_rouge1)
-        expect_bleu1 = (bleu_n(texts[0], [texts[1]], 1)
-                        + bleu_n(texts[0], [texts[2]], 1)) / 2
+        expect_bleu1 = (bleu_n(texts[0], texts[1], 1)
+                        + bleu_n(texts[0], texts[2], 1)) / 2
         assert feats[0] == pytest.approx(expect_bleu1)
 
     def test_reciprocal_rank(self):
@@ -81,10 +84,10 @@ class TestExtractFeatures:
 
 # the definitions pool_features must reproduce bit for bit, in feature order
 ORACLE_SIMILARITIES = (
-    lambda h, r: bleu_n(h, [r], 1),
-    lambda h, r: bleu_n(h, [r], 2),
-    lambda h, r: bleu_n(h, [r], 3),
-    lambda h, r: bleu_n(h, [r], 4),
+    lambda h, r: bleu_n(h, r, 1),
+    lambda h, r: bleu_n(h, r, 2),
+    lambda h, r: bleu_n(h, r, 3),
+    lambda h, r: bleu_n(h, r, 4),
     lambda h, r: rouge_n(h, r, 1),
     lambda h, r: rouge_n(h, r, 2),
     rouge_l,
@@ -93,14 +96,28 @@ ORACLE_SIMILARITIES = (
 )
 
 
-def oracle_features(p):
+# the same definitions written out by brute force, independently of metrics
+BRUTE_FORCE_SIMILARITIES = (
+    lambda h, r: oracle_bleu(h, r, 1),
+    lambda h, r: oracle_bleu(h, r, 2),
+    lambda h, r: oracle_bleu(h, r, 3),
+    lambda h, r: oracle_bleu(h, r, 4),
+    lambda h, r: oracle_rouge_n(h, r, 1),
+    lambda h, r: oracle_rouge_n(h, r, 2),
+    oracle_rouge_l,
+    oracle_meteor,
+    oracle_char_f,
+)
+
+
+def oracle_features(p, similarities=ORACLE_SIMILARITIES):
     """Each candidate's metric against every other one, averaged in pool
     order, then 1/rank."""
     rows = []
     for i, c in enumerate(p.candidates):
         others = [o for j, o in enumerate(p.candidates) if j != i]
         row = [sum(metric(c.text, o.text) for o in others) / len(others)
-               if others else 0.0 for metric in ORACLE_SIMILARITIES]
+               if others else 0.0 for metric in similarities]
         rows.append(row + [1.0 / c.rank])
     return np.array(rows)
 
@@ -146,15 +163,22 @@ class TestPoolFeaturesMatchMetrics:
         p = pool("t", *(cand(t, "s1", i + 1) for i, t in enumerate(texts)))
         assert np.array_equal(pool_features(p), oracle_features(p))
 
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_pools())
+    def test_close_to_brute_force_definitions(self, p):
+        np.testing.assert_allclose(
+            pool_features(p), oracle_features(p, BRUTE_FORCE_SIMILARITIES),
+            rtol=0, atol=1e-9)
+
     def test_tokenizes_each_candidate_once(self, monkeypatch):
         seen = []
-        real = consensus.tokenize
+        real = metrics.tokenize
 
         def counting(text):
             seen.append(text)
             return real(text)
 
-        monkeypatch.setattr(consensus, "tokenize", counting)
+        monkeypatch.setattr(metrics, "tokenize", counting)
         texts = ["the room allows pets", "the rooms allow pets .", "", "?",
                  "the room allows pets"]
         p = pool("t", *(cand(t, "s1", i + 1) for i, t in enumerate(texts)))
@@ -169,10 +193,10 @@ class TestPoolFeaturesMatchMetrics:
         dev_pools = [p for p, _, _ in dev]
         references = [ref for _, ref, _ in dev]
         selection = [k % len(p.candidates) for p, _, k in dev]
-        stats = [[consensus._text_stats(c.text) for c in p.candidates]
+        stats = [[metrics.text_stats(c.text) for c in p.candidates]
                  for p in dev_pools]
         objective = consensus._selection_bleu(stats, references)
-        expected = corpus_bleu([(p.candidates[k].text, [ref]) for p, ref, k
+        expected = corpus_bleu([(p.candidates[k].text, ref) for p, ref, k
                                 in zip(dev_pools, references, selection)], n=4)
         assert objective(selection) == expected
 
@@ -230,7 +254,7 @@ class TestTuneWeights:
 
     @staticmethod
     def bleu(pools, refs, weights):
-        return corpus_bleu([(consensus_select(p, weights).text, [refs[p.turn_id]])
+        return corpus_bleu([(consensus_select(p, weights).text, refs[p.turn_id])
                             for p in pools])
 
     def test_moves_mass_to_better_system(self):

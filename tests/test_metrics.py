@@ -19,28 +19,54 @@ def oracle_ngram_list(tokens, n):
     return [" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def oracle_bleu(hyp_text, ref_texts, n):
-    hyp = tokenize(hyp_text)
-    refs = [tokenize(r) for r in ref_texts]
+def oracle_clipped(hyp, ref, order):
+    """(clipped n-gram matches, hypothesis n-grams) of one order."""
+    hgrams = oracle_ngram_list(hyp, order)
+    rgrams = oracle_ngram_list(ref, order)
+    clipped = sum(min(hgrams.count(g), rgrams.count(g)) for g in set(hgrams))
+    return clipped, len(hgrams)
+
+
+def oracle_corpus_bleu(pairs, n):
+    """Corpus BLEU-n of (hypothesis, reference) texts: clipped counts and
+    lengths summed over the pairs, then the geometric mean of the realized
+    orders' precisions and one brevity penalty."""
+    clipped, totals = [0] * n, [0] * n
+    hyp_len = ref_len = 0
+    for hyp_text, ref_text in pairs:
+        hyp, ref = tokenize(hyp_text), tokenize(ref_text)
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for order in range(1, n + 1):
+            c, t = oracle_clipped(hyp, ref, order)
+            clipped[order - 1] += c
+            totals[order - 1] += t
+    if hyp_len == 0:
+        return 0.0
+    logs = []
+    for c, t in zip(clipped, totals):
+        if t == 0:
+            continue  # effective-order convention
+        if c == 0:
+            return 0.0
+        logs.append(math.log(c / t))
+    bp = 1.0 if hyp_len > ref_len else math.exp(1 - ref_len / hyp_len)
+    return bp * math.exp(sum(logs) / len(logs))
+
+
+def oracle_bleu(hyp_text, ref_text, n):
+    hyp, ref = tokenize(hyp_text), tokenize(ref_text)
     if not hyp:
         return 0.0
     logs = []
     for order in range(1, n + 1):
-        hgrams = oracle_ngram_list(hyp, order)
-        clipped = 0
-        for gram in set(hgrams):
-            best = max((oracle_ngram_list(r, order).count(gram) for r in refs), default=0)
-            clipped += min(hgrams.count(gram), best)
-        total = len(hgrams)
+        clipped, total = oracle_clipped(hyp, ref, order)
         if total == 0:
             continue  # effective-order convention
         if clipped == 0:
             return 0.0
         logs.append(math.log(clipped / total))
-    if not logs:
-        return 0.0
-    ref_len = min((len(r) for r in refs), key=lambda L: (abs(L - len(hyp)), L))
-    bp = 1.0 if len(hyp) > ref_len else math.exp(1 - ref_len / len(hyp))
+    bp = 1.0 if len(hyp) > len(ref) else math.exp(1 - len(ref) / len(hyp))
     return bp * math.exp(sum(logs) / len(logs))
 
 
@@ -110,6 +136,25 @@ def oracle_meteor(hyp_text, ref_text):
     return f * (1 - 0.5 * (chunks / m) ** 3)
 
 
+def oracle_char_f(hyp_text, ref_text):
+    """Character n-gram F1 of the space-joined tokens, averaged over the
+    orders n = 1..4 that both texts realize."""
+    hyp, ref = " ".join(tokenize(hyp_text)), " ".join(tokenize(ref_text))
+    scores = []
+    for n in range(1, 5):
+        hgrams = [hyp[i:i + n] for i in range(len(hyp) - n + 1)]
+        rgrams = [ref[i:i + n] for i in range(len(ref) - n + 1)]
+        if not hgrams or not rgrams:
+            continue
+        overlap = sum(min(hgrams.count(g), rgrams.count(g)) for g in set(hgrams))
+        if overlap == 0:
+            scores.append(0.0)
+            continue
+        p, r = overlap / len(hgrams), overlap / len(rgrams)
+        scores.append(2 * p * r / (p + r))
+    return sum(scores) / len(scores) if scores else 0.0
+
+
 def oracle_mrr(ranked, refs, k):
     vals = []
     for lst, rset in zip(ranked, refs):
@@ -140,23 +185,19 @@ def random_text(rng, lo=0, hi=9):
 
 class TestBleu:
     def test_identity(self):
-        assert bleu_n("the cat sat on the mat", ["the cat sat on the mat"], 4) == pytest.approx(1.0)
+        assert bleu_n("the cat sat on the mat", "the cat sat on the mat", 4) == pytest.approx(1.0)
 
     def test_clipping_hand_count(self):
         # "the the the the" vs "the cat": clipped 1/4, BP=1 (hyp longer)
-        assert bleu_n("the the the the", ["the cat"], 1) == pytest.approx(0.25)
+        assert bleu_n("the the the the", "the cat", 1) == pytest.approx(0.25)
 
     def test_empty_hypothesis(self):
-        assert bleu_n("", ["the cat"], 4) == 0.0
-
-    def test_requires_reference(self):
-        with pytest.raises(ValueError):
-            bleu_n("the cat", [], 2)
+        assert bleu_n("", "the cat", 4) == 0.0
 
     def test_monotone_in_order_when_positive(self):
         hyp = "the cat sat on the mat"
         ref = "the cat sat on a mat"
-        scores = [bleu_n(hyp, [ref], n) for n in (1, 2, 3, 4)]
+        scores = [bleu_n(hyp, ref, n) for n in (1, 2, 3, 4)]
         assert all(scores[i] >= scores[i + 1] - 1e-12 for i in range(3))
 
 
@@ -199,19 +240,19 @@ class TestMeteor:
 
 class TestCorpusBleu:
     def test_all_identical(self):
-        pairs = [("a b c", ["a b c"]), ("d e", ["d e"])]
+        pairs = [("a b c", "a b c"), ("d e", "d e")]
         assert corpus_bleu(pairs, 4) == pytest.approx(1.0)
 
     def test_single_pair_equals_sentence(self):
         hyp, ref = "the cat sat on mat", "the cat sat on the mat"
-        assert corpus_bleu([(hyp, [ref])], 4) == pytest.approx(bleu_n(hyp, [ref], 4))
+        assert corpus_bleu([(hyp, ref)], 4) == pytest.approx(bleu_n(hyp, ref, 4))
 
     def test_two_pair_hand_aggregation(self):
         # pair 1: hyp "the cat" vs ref "the cat" -> 1-gram 2/2, 2-gram 1/1
         # pair 2: hyp "a dog" vs ref "a cat"     -> 1-gram 1/2, 2-gram 0/1
         # aggregate: p1 = 3/4, p2 = 1/2, hyp_len 4 = ref_len 4 -> BP = exp(0)
         expected = math.exp((math.log(3 / 4) + math.log(1 / 2)) / 2) * math.exp(1 - 4 / 4)
-        got = corpus_bleu([("the cat", ["the cat"]), ("a dog", ["a cat"])], 2)
+        got = corpus_bleu([("the cat", "the cat"), ("a dog", "a cat")], 2)
         assert got == pytest.approx(expected)
 
 
@@ -242,11 +283,20 @@ class TestAgainstOracles:
             hyp = random_text(rng)
             ref = random_text(rng, lo=1)
             for n in (1, 2, 3, 4):
-                assert abs(bleu_n(hyp, [ref], n) - oracle_bleu(hyp, [ref], n)) < 1e-9
+                assert abs(bleu_n(hyp, ref, n) - oracle_bleu(hyp, ref, n)) < 1e-9
             for n in (1, 2):
                 assert abs(rouge_n(hyp, ref, n) - oracle_rouge_n(hyp, ref, n)) < 1e-9
             assert abs(rouge_l(hyp, ref) - oracle_rouge_l(hyp, ref)) < 1e-9
             assert abs(meteor_lite(hyp, ref) - oracle_meteor(hyp, ref)) < 1e-9
+            assert abs(char_f(hyp, ref) - oracle_char_f(hyp, ref)) < 1e-9
+
+    def test_random_corpora_match_oracle(self):
+        rng = random.Random(4321)
+        for _ in range(500):
+            pairs = [(random_text(rng), random_text(rng))
+                     for _ in range(rng.randint(1, 6))]
+            for n in (1, 2, 3, 4):
+                assert abs(corpus_bleu(pairs, n) - oracle_corpus_bleu(pairs, n)) < 1e-9
 
     def test_random_rank_lists_match_oracle(self):
         rng = random.Random(99)

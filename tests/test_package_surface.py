@@ -11,7 +11,12 @@ Likewise every defaulted parameter of a package function or method, and
 every field of a package dataclass with a default value, is set by some
 call in the program or in the benchmark's scripts (perfbench/*.py), or is
 listed in UNSET_DEFAULTS with its reason: a value only tests set is a
-constant, not an option."""
+constant, not an option.
+
+And every attribute that package code assigns on ``self`` is read
+somewhere in the program or the benchmark: an attribute loaded by that
+name from any object, or a string that is not a docstring spelling it.
+An attribute only ever written, or only incremented, is dead state."""
 
 import ast
 import re
@@ -24,8 +29,9 @@ CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 # package code kept because tests check the program against it
 ORACLES = {
-    "bleu_n": "sentence BLEU; consensus's sim-bleu features must equal it "
-              "bit for bit, and criterion 1 checks it against a brute force",
+    "bleu_n": "sentence BLEU of two texts, corpus BLEU of the one pair; "
+              "consensus's sim-bleu features must equal it bit for bit, and "
+              "criterion 1 checks it against a brute force",
     "entity_recall": "tracking recall, criterion 6's score and the tracking "
                      "row of ROADMAP item 5's attribution table",
     "finite_difference_check": "central differences; criterion 3 checks the "
@@ -51,9 +57,18 @@ def _docstrings(tree):
                 yield first.value
 
 
+def _string_names(tree):
+    """The identifiers spelled by the strings of ``tree`` that are not
+    docstrings."""
+    docstrings = {id(node) for node in _docstrings(tree)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings):
+            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+
+
 def _names_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    docstrings = {id(node) for node in _docstrings(tree)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
@@ -61,9 +76,7 @@ def _names_used(path):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1]
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docstrings):
-            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+    yield from _string_names(tree)
 
 
 def _definitions():
@@ -93,13 +106,61 @@ def test_every_oracle_is_still_defined():
     assert set(ORACLES) <= {name for _, name in _definitions()}
 
 
+def _self_assignments(path):
+    """Each attribute that code in ``path`` assigns on ``self``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr
+
+
+def _attributes_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+    yield from _string_names(tree)
+
+
+def _unread_attributes(writers=PACKAGE, readers=READERS) -> list[str]:
+    read = {name for path in readers for name in _attributes_read(path)}
+    return [f"kgdial.{path.stem}: self.{name}" for path in writers
+            for name in dict.fromkeys(_self_assignments(path)) if name not in read]
+
+
+def test_every_attribute_the_package_sets_is_read():
+    unread = _unread_attributes()
+    assert not unread, (
+        f"assigned but read nowhere in src/kgdial or perfbench/: {unread}; "
+        "delete them")
+
+
+def test_attribute_reads_are_loads_and_strings(tmp_path):
+    # a is loaded and b spelled by a string; c is read only by a docstring,
+    # d never, and e is only incremented
+    module = tmp_path / "holder.py"
+    module.write_text(
+        "class Holder:\n"
+        "    def __init__(self):\n"
+        "        self.a, self.b = 1, 2\n"
+        "        self.c: int = 3\n"
+        "        self.d = 4\n"
+        "        self.e = 5\n"
+        "        self.e += 1\n"
+        "    def total(self):\n"
+        '        """self.c is not counted here."""\n'
+        "        return self.a + getattr(self, 'b')\n")
+    assert _unread_attributes([module], [module]) == [
+        "kgdial.holder: self.c", "kgdial.holder: self.d", "kgdial.holder: self.e"]
+
+
 # defaulted parameters that no call in the program sets, each with the
 # reason it stays a parameter
 UNSET_DEFAULTS = {
     "main(argv)": "the console script calls main() and lets argparse read "
                   "sys.argv; tests pass the argument list",
-    "bleu_n(n)": "oracle: consensus's sim-bleu features are BLEU-4 only; "
-                 "criterion 1 checks the other orders against a brute force",
+    "bleu_n(n)": "oracle: the program reads every order from bleu_orders or "
+                 "bleu_stats; tests check each order against a brute force",
     "finite_difference_check(epsilon)": "oracle: criterion 3's step size",
     "finite_difference_check(max_entries_per_param)": "oracle: criterion 3's "
                                                       "sample size",
