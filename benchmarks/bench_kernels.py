@@ -292,10 +292,10 @@ def bench_train_batch(n_dialogues=50, d=24, max_len=128, batch_size=16, repeat=3
     negatives. Checked first: every minibatch's summed loss and gradients
     equal the per-row sums up to rounding (within 1e-12 of the largest
     entry). Times are summed over one epoch's minibatches."""
-    from kgdial.rank import (ListwiseConfig, ListwiseInstance, ListwiseModel,
-                             PointwiseConfig, _ranking_vocab,
+    from kgdial.models import TrainConfig
+    from kgdial.rank import (ListwiseInstance, PointwiseConfig,
                              build_pointwise_instances, dialogue_features,
-                             train_pointwise)
+                             train_listwise, train_pointwise)
     from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 
     dialogues, kb, _ = build_mini_corpus(
@@ -311,8 +311,8 @@ def bench_train_batch(n_dialogues=50, d=24, max_len=128, batch_size=16, repeat=3
         dialogue = group[0].dialogue
         lists.append(ListwiseInstance(dialogue, [inst.candidate for inst in group], 0,
                                       dialogue_features(dialogue, kb, kb.entities)))
-    listwise = ListwiseModel(_ranking_vocab(seeking, kb),
-                             ListwiseConfig(d=d, max_len=max_len, seed=5))
+    # the list-wise model starts from the untrained point-wise one
+    listwise = train_listwise(lists, pointwise, TrainConfig(epochs=0))
     rng = np.random.default_rng(0)
     print(f"\ntraining minibatches at the train workload's shapes, d={d}, "
           f"max_len={max_len}, batch size {batch_size} (best of {repeat}, "

@@ -324,7 +324,9 @@ def load_weights(path: str) -> ConsensusWeights:
 
 def load_pools(path: str) -> list[CandidatePool]:
     """Line-delimited records {turn_id, system_id, rank, logprob, text};
-    a line that is not one is a one-line ConsensusError naming it."""
+    a line that is not one is a one-line ConsensusError naming the line,
+    and a turn whose records do not form a pool (a rank repeated or
+    missing) one naming the file and the turn."""
     grouped: dict[str, list[Candidate]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -343,8 +345,13 @@ def load_pools(path: str) -> list[CandidatePool]:
                     rank=int(rec["rank"]), logprob=float(rec["logprob"])))
             # json.JSONDecodeError is a ValueError; int() and float() of a
             # list or null raise TypeError
-            except (KeyError, TypeError, ValueError) as exc:
+            except (ConsensusError, KeyError, TypeError, ValueError) as exc:
                 raise ConsensusError(f"bad pool record at line {lineno}: {exc}") from exc
-    return [CandidatePool(turn_id=t, candidates=tuple(cands))
-            for t, cands in grouped.items()]
+    pools = []
+    for turn_id, cands in grouped.items():
+        try:
+            pools.append(CandidatePool(turn_id=turn_id, candidates=tuple(cands)))
+        except ConsensusError as exc:
+            raise ConsensusError(f"{path}: bad pool for turn {turn_id!r}: {exc}") from exc
+    return pools
 

@@ -438,24 +438,13 @@ def linearize_entity(name: str) -> str:
     return f"{TAG_ENT} {name}"
 
 
-@dataclass(frozen=True)
-class GenerationContext:
-    """Tagged generation input plus bookkeeping for downstream checks."""
-    text: str
-    has_knowledge: bool
-    snippet_keys: tuple[tuple[str, str, str], ...] = ()
-
-    def __str__(self) -> str:
-        return self.text
-
-
 def build_generation_context(dialogue: Dialogue,
                              topk: Sequence[KnowledgeSnippet],
                              max_tokens: int = 0,
-                             count_tags: bool = True) -> GenerationContext:
-    """History, then knowledge blocks in descending rank order (worst
-    first, best adjacent to the final user turn), then the last user turn.
-    """
+                             count_tags: bool = True) -> str:
+    """The tagged generation input: history, then knowledge blocks in
+    descending rank order (worst first, best adjacent to the final user
+    turn), then the last user turn."""
     if not dialogue.turns:
         raise CorpusError(f"dialogue {dialogue.id} has no turns")
     if len(topk) > TOP_K:
@@ -468,11 +457,7 @@ def build_generation_context(dialogue: Dialogue,
         snip = topk[rank - 1]
         parts.append(f"{tag_kng_k(rank)} {TAG_ENT} {snip.entity_name} {TAG_ANS} {snip.answer}")
     parts.append(f"{TAG_USER} {normalize_ws(last.text)}")
-    text = truncate_left(" ".join(parts), max_tokens, count_tags=count_tags)
-    return GenerationContext(
-        text=text,
-        has_knowledge=len(topk) > 0,
-        snippet_keys=tuple(s.key for s in topk))
+    return truncate_left(" ".join(parts), max_tokens, count_tags=count_tags)
 
 
 def split_kfold(items: Sequence, k: int, seed: int) -> list[list]:

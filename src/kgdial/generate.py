@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import (Dialogue, GenerationContext, KnowledgeSnippet, TAG_RESP,
+from .corpus import (Dialogue, KnowledgeSnippet, TAG_RESP,
                      TOP_K, build_generation_context, normalize_ws, tokenize)
 from .models import _STACK_BLOCK, TrainConfig, build_vocab, scatter_add, train_model
 
@@ -116,9 +116,8 @@ def preprocess_responses(dialogues: Sequence[Dialogue],
 class GenExample:
     """One generation training row: tagged context plus tagged target."""
     turn_id: str
-    context: GenerationContext
+    context: str
     target: str
-    gold_replaced: bool = False
 
 
 def build_gen_examples(dialogues: Sequence[Dialogue],
@@ -138,19 +137,14 @@ def build_gen_examples(dialogues: Sequence[Dialogue],
             raise GenerateError(f"no selection output for turn {d.id}")
         topk = list(selection_outputs[d.id])[:TOP_K]
         refs = set(d.label.knowledge_refs)
-        gold_replaced = False
         if topk and rng.uniform() < config.p_s:
-            survivors = [s for s in topk if s.key not in refs]
-            if len(survivors) < len(topk):
-                topk = survivors
-                gold_replaced = True
+            topk = [s for s in topk if s.key not in refs]
         context = build_generation_context(
             d, topk, max_tokens=config.max_history_tokens,
             count_tags=config.count_tags)
         examples.append(GenExample(
             turn_id=d.id, context=context,
-            target=f"{TAG_RESP} {d.label.response}",
-            gold_replaced=gold_replaced))
+            target=f"{TAG_RESP} {d.label.response}"))
     return examples
 
 
@@ -243,7 +237,7 @@ class ToyGenerator:
     def compile(self, example: GenExample) -> GenRow:
         target = self._target_ids(example.target)
         return GenRow(
-            context_ids=self._ids(tokenize(example.context.text)), target=target,
+            context_ids=self._ids(tokenize(example.context)), target=target,
             prev_ids=np.concatenate([[self.vocab.get(TAG_RESP, 0)], target[:-1]]))
 
     def loss_and_grads(self, rows: Sequence[GenRow]) -> tuple[float, dict]:
@@ -374,7 +368,7 @@ def train_generator(examples: Sequence[GenExample],
     """Fit the reference generator; returns (model, per-epoch mean loss)."""
     if not examples:
         raise GenerateError("no generation examples to train on")
-    streams = [tokenize(e.context.text) + tokenize(e.target) for e in examples]
+    streams = [tokenize(e.context) + tokenize(e.target) for e in examples]
     vocab = build_vocab(streams)
     model = ToyGenerator(vocab, d=config.d,
                          max_target_tokens=config.max_target_tokens,

@@ -39,7 +39,7 @@ from .metrics import (MetricReport, generation_report, mrr_at_k,
 from .models import (ModelError, TrainConfig, check_tensors, load_checkpoint,
                      save_checkpoint, scorer_from_checkpoint,
                      scorer_to_checkpoint, train_pair_classifier)
-from .rank import (DialogueFeatures, ListwiseConfig, PointwiseConfig,
+from .rank import (DialogueFeatures, PointwiseConfig,
                    RankedKnowledgeList, Variant, build_listwise_training_data,
                    dialogue_features, ensemble_rank, listwise_rerank,
                    pointwise_rank, train_listwise, train_pointwise)
@@ -140,6 +140,8 @@ class PipelineConfig:
                     "augment.replace_rate_low", "augment.replace_rate_high"):
             if not 0.0 <= float(merged[key]) <= 1.0:
                 raise ConfigError(f"{key}: expected a number in [0, 1], got {merged[key]!r}")
+        if not float(merged["rank.alpha"]) > 0.0:
+            raise ConfigError(f"rank.alpha: expected a number > 0, got {merged['rank.alpha']!r}")
         low, high = merged["augment.replace_rate_low"], merged["augment.replace_rate_high"]
         if float(low) > float(high):
             raise ConfigError(f"augment.replace_rate_low: expected <= replace_rate_high, "
@@ -335,16 +337,10 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
     instances, stats = build_listwise_training_data(
         ks, kb, pw_config, k=int(config["rank.kfolds"]), seed=seed,
         tracker=lambda d, kb_: collect_candidates(tracker_fn(d, kb_), kb_))
-    lw_config = ListwiseConfig(
-        variant=pw_config.variant,
+    listwise = train_listwise(instances, pointwise, TrainConfig(
         epochs=int(config["rank.listwise_epochs"]),
         learning_rate=float(config["rank.learning_rate"]),
-        batch_size=int(config["rank.batch_size"]),
-        seed=seed,
-        d=int(config["model.d"]),
-        max_len=int(config["model.max_len"]),
-        pooling=str(config["model.pooling"]))
-    listwise = train_listwise(instances, kb, lw_config, init_from=pointwise)
+        batch_size=int(config["rank.batch_size"]), seed=seed))
     lw_path = config.output_path("listwise.npz")
     _save_rank_model(listwise, lw_path)
     outputs.append(lw_path)
@@ -550,8 +546,7 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
             context = build_generation_context(dialogue, top5,
                                                max_tokens=max_history_tokens,
                                                count_tags=count_tags)
-            nbest = decode_nbest(components.generator, context.text,
-                                 components.nbest)
+            nbest = decode_nbest(components.generator, context, components.nbest)
             pool = CandidatePool(
                 turn_id=dialogue.id,
                 candidates=tuple(
@@ -693,14 +688,13 @@ def _load_rank_model(path: str, kind: str):
         if key not in meta:
             raise ModelError(f"checkpoint {path}: missing field {key!r}")
     enc, n_vocab = meta["encoder"], len(meta["vocab"])
-    settings = dict(variant=Variant(meta["variant"]), seed=enc["seed"], d=enc["d"],
-                    max_len=enc["max_len"], pooling=enc["pooling"])
+    config = PointwiseConfig(use_mtl=kind == "PointwiseModel" and meta["use_mtl"],
+                             variant=Variant(meta["variant"]), seed=enc["seed"], d=enc["d"],
+                             max_len=enc["max_len"], pooling=enc["pooling"])
     if kind == "PointwiseModel":
-        config = PointwiseConfig(use_mtl=meta["use_mtl"], **settings)
         check_tensors(path, PointwiseModel.param_shapes(n_vocab, meta["domains"], config),
                       tensors)
         return PointwiseModel(meta["vocab"], meta["domains"], config, tensors)
-    config = ListwiseConfig(**settings)
     check_tensors(path, ListwiseModel.param_shapes(n_vocab, config), tensors)
     return ListwiseModel(meta["vocab"], config, tensors)
 

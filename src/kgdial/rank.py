@@ -12,9 +12,9 @@ A dialogue reaches the rankers one way: as the `DialogueFeatures` that
 mentions), each built by one tokenizing and one `exact_mentions` pass over
 the turn. It holds the history's tokens, so the rankers never tokenize a
 dialogue, and the rightmost exact mention among the tracked entities, so
-the models track no entities. Between ranking layers
-a candidate list's sparse features are one n x 4 indicator array
-(``DialogueFeatures.indicators``), scaled by alpha at inference. At
+the models track no entities. A candidate list's wide features have one
+form, the n x 4 indicator array ``DialogueFeatures.indicators``, which
+inference multiplies by alpha. At
 inference a candidate list is encoded in one `ToyEncoder.pair_readouts`
 call: the history's part of the attention is computed once per truncation
 window and each candidate adds only its own snippet's blocks, which equals
@@ -29,15 +29,24 @@ each snippet to ids, and each entity name to its token and bigram sets
 (``NameGrams``), on first use and keeps them, since its vocabulary is
 fixed.
 
-Training compiles each row once per training run, not once per epoch:
-the encoder pair, the sparse-feature row and (with MTL) the entity-name
-input of a point-wise row, the pairs and sparse-feature rows of a list-wise
-one. Training features track exactly: every entity the dialogue mentions.
-A dialogue's `TurnInputs`, features and history ids are built once for all
-its point-wise rows. A row that online entity-name augmentation (ENA)
-rewrites on a call is composed again from those `TurnInputs`: only the one
-or two turns the rewrite touched are built afresh, against the knowledge
-base training bound, and their inputs are not kept.
+Training instances carry their dialogue's inputs, built once per dialogue
+with exact tracking (every entity the dialogue mentions): a point-wise
+instance its dialogue's `TurnInputs` and `DialogueFeatures`
+(`build_pointwise_instances`), a list-wise one its `DialogueFeatures`
+(`build_listwise_training_data`). Training compiles each row once per
+training run, not once per epoch: the encoder pair, the indicator row and
+(with MTL) the entity-name input of a point-wise row, the pairs and
+indicator rows of a list-wise one. A row that online entity-name
+augmentation (ENA) rewrites on a call is composed again from its
+instance's `TurnInputs`: only the one or two turns the rewrite touched are
+built afresh, against the knowledge base training bound, and their inputs
+are not kept.
+
+The list-wise reranker is derived from a trained point-wise ranker
+(`train_listwise`): it takes the point-wise model's vocabulary, its
+`PointwiseConfig` (a list-wise model reads only the variant and the encoder
+settings) and its tensors as its starting point, since list-wise data is
+scarce (one instance per turn instead of one per candidate).
 
 The multi-task head computes, for a pooled query vector f and per-token
 states H of the concatenated entity names,
@@ -80,37 +89,6 @@ class RankError(Exception):
 class Variant(Enum):
     WD = "WD"
     WD2 = "WD2"
-
-
-@dataclass(frozen=True)
-class SparseFeatures:
-    is_domain_level: int
-    is_last_entity: int
-    unigram_in_dialogue: int
-    bigram_in_dialogue: int
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise RankError("alpha must be positive")
-        for v in self.indicators:
-            if v not in (0, 1):
-                raise RankError("sparse indicators must be binary")
-
-    @property
-    def indicators(self) -> tuple[int, int, int, int]:
-        return (self.is_domain_level, self.is_last_entity,
-                self.unigram_in_dialogue, self.bigram_in_dialogue)
-
-    def vector(self) -> np.ndarray:
-        return np.array(self.indicators, dtype=np.float64) * feature_scale(self.alpha)
-
-
-def feature_scale(alpha: float) -> np.ndarray:
-    """The factor of each sparse-feature column: ``alpha``."""
-    if alpha <= 0:
-        raise RankError("alpha must be positive")
-    return np.full(N_SPARSE, alpha)
 
 
 class NameGrams(dict):
@@ -213,9 +191,8 @@ def dialogue_features(dialogue: Dialogue, kb: KnowledgeBase,
 
 def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
                             kb: KnowledgeBase, tracked_entities: Sequence[Entity],
-                            variant: Variant = Variant.WD2,
-                            alpha: float = 1.0) -> SparseFeatures:
-    """Indicator features of the candidate snippet against the dialogue.
+                            variant: Variant = Variant.WD2) -> np.ndarray:
+    """The indicator row of the candidate snippet against the dialogue.
 
     is_last_entity fires when the snippet's entity has the rightmost
     string-match occurrence among the tracked entities. The n-gram
@@ -227,9 +204,8 @@ def extract_sparse_features(dialogue: Dialogue, snippet: KnowledgeSnippet,
     scores several snippets against one dialogue builds the first part once
     and the second as one array for all of them.
     """
-    row = dialogue_features(dialogue, kb, tracked_entities).indicators(
+    return dialogue_features(dialogue, kb, tracked_entities).indicators(
         [snippet], variant)[0]
-    return SparseFeatures(*row.astype(np.int64).tolist(), alpha=alpha)
 
 
 def sample_negatives(gt_snippet: KnowledgeSnippet, kb: KnowledgeBase,
@@ -397,11 +373,17 @@ def _candidate_ids(encoder: ToyEncoder,
 
 @dataclass
 class PointwiseInstance:
-    """One (dialogue, candidate) training row with its auxiliary targets."""
+    """One (dialogue, candidate) training row with its auxiliary targets,
+    and its dialogue's inputs: the `TurnInputs` of its turns and the
+    `DialogueFeatures` they compose with exact tracking (every entity of
+    the knowledge base the dialogue mentions), shared by the dialogue's
+    rows."""
     dialogue: Dialogue
     candidate: KnowledgeSnippet
     label: int
     domain_id: int
+    turns: tuple[TurnInputs, ...]
+    context: DialogueFeatures
     entity_names: list[str] = field(default_factory=list)
     true_entity_index: int = 0
 
@@ -428,23 +410,21 @@ class PointwiseConfig:
 @dataclass(frozen=True)
 class PointwiseRow:
     """A point-wise training row compiled to model inputs: the encoder pair
-    and the sparse-feature vector built from ``instance.dialogue``, the
-    entity-name input of the multi-task head (``None`` without MTL), and
-    the dialogue's `TurnInputs`, one per turn, which an ENA rewrite of the
-    dialogue reuses for its untouched turns."""
+    and the indicator row built from ``instance.context``, and the
+    entity-name input of the multi-task head (``None`` without MTL)."""
     instance: PointwiseInstance
     pair: tuple[np.ndarray, np.ndarray]
     features: np.ndarray
     entity_input: Optional[tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]]
-    turns: tuple[TurnInputs, ...]
 
 
 class _Ranker(ToyPairScorer):
     """A knowledge ranker: the pair scorer's encoder and head, plus the
     wide part of Wide & Deep, weights ``wide.u`` over the sparse features
-    (zero at the start)."""
+    (zero at the start). Of ``config`` it reads the variant and the encoder
+    settings."""
 
-    def __init__(self, vocab: dict[str, int], config,
+    def __init__(self, vocab: dict[str, int], config: PointwiseConfig,
                  params: Optional[dict[str, np.ndarray]] = None):
         """Seeded initial weights, or ``params`` (named and shaped as
         `param_shapes` says) as they are, with nothing drawn."""
@@ -460,7 +440,7 @@ class _Ranker(ToyPairScorer):
         self._name_grams = NameGrams()
 
     @staticmethod
-    def param_shapes(n_vocab: int, config) -> dict[str, tuple[int, ...]]:
+    def param_shapes(n_vocab: int, config: PointwiseConfig) -> dict[str, tuple[int, ...]]:
         return {**pair_scorer_shapes(n_vocab, config.d), "wide.u": (N_SPARSE,)}
 
     def param_groups(self) -> dict[str, dict[str, np.ndarray]]:
@@ -470,9 +450,10 @@ class _Ranker(ToyPairScorer):
                         context: DialogueFeatures, alpha: float) -> np.ndarray:
         """`pair_logits` of the history of ``context`` and every candidate
         (`_candidate_ids`), plus ``wide.u`` dotted with the candidate's
-        sparse-feature row scaled by ``alpha``, as `stacked_dot`."""
-        vectors = (context.indicators(candidates, self.config.variant, self._name_grams)
-                   * feature_scale(alpha))
+        indicator row times ``alpha``, as `stacked_dot`."""
+        if alpha <= 0:
+            raise RankError("alpha must be positive")
+        vectors = context.indicators(candidates, self.config.variant, self._name_grams) * alpha
         return (self.pair_logits(self.encoder.vocab_ids(context.history),
                                  _candidate_ids(self.encoder, self._snippet_ids, candidates))
                 + stacked_dot(vectors, self.wide["u"]))
@@ -493,7 +474,6 @@ class PointwiseModel(_Ranker):
         self._ena_rng = (None if config.ena is None
                          else np.random.default_rng(config.seed + 2))
         self._kb: Optional[KnowledgeBase] = None
-        self._last_dialogue: Optional[tuple] = None
 
     @staticmethod
     def param_shapes(n_vocab: int, domains: Sequence[str],
@@ -504,8 +484,7 @@ class PointwiseModel(_Ranker):
         return shapes
 
     def bind_kb(self, kb: KnowledgeBase) -> None:
-        """For training: rows and their ENA rewrites are exact-matched
-        against ``kb``."""
+        """For training: ENA rewrites are exact-matched against ``kb``."""
         self._kb = kb
 
     def param_groups(self) -> dict[str, dict[str, np.ndarray]]:
@@ -530,43 +509,28 @@ class PointwiseModel(_Ranker):
         `DialogueFeatures` are ``context``."""
         return self._ranking_logits(candidates, context, alpha).tolist()
 
-    def _dialogue_inputs(self, dialogue: Dialogue
-                         ) -> tuple[tuple[TurnInputs, ...], DialogueFeatures, np.ndarray]:
-        """The `TurnInputs` of a training row's dialogue, its features with
-        exact tracking (every entity of the bound knowledge base) and its
-        history ids. Kept for the last dialogue asked about, since a
-        dialogue's positive and negative rows come one after another."""
-        if self._kb is None:
-            raise RankError("training rows match entities: bind a knowledge base first")
-        memo = self._last_dialogue
-        if memo is None or memo[0] is not dialogue:
-            turns = tuple(turn_inputs(turn, self._kb) for turn in dialogue.turns)
-            features = _composed_features(turns, self._kb, self._kb.entity_index.keys())
-            memo = self._last_dialogue = (dialogue, turns, features,
-                                          self.encoder.vocab_ids(features.history))
-        return memo[1:]
-
     def _rewritten_inputs(self, row: PointwiseRow, dialogue: Dialogue
                           ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """The encoder pair and sparse-feature row of ``row`` with its
+        """The encoder pair and indicator row of ``row`` with its
         dialogue rewritten to ``dialogue`` (turn for turn): composed from
         the turns' inputs, of which only those of the turns that are not the
         compiled dialogue's own are built, and not kept."""
+        if self._kb is None:
+            raise RankError("ENA rewrites match entities: bind a knowledge base first")
+        instance = row.instance
         turns = [inputs if turn is before else turn_inputs(turn, self._kb)
                  for turn, before, inputs in zip(
-                     dialogue.turns, row.instance.dialogue.turns, row.turns)]
+                     dialogue.turns, instance.dialogue.turns, instance.turns)]
         features = _composed_features(turns, self._kb, self._kb.entity_index.keys())
-        return self._row_inputs(self.encoder.vocab_ids(features.history), features,
-                                row.instance.candidate)
+        return self._row_inputs(features, instance.candidate)
 
-    def _row_inputs(self, history: np.ndarray, features: DialogueFeatures,
-                    candidate: KnowledgeSnippet) -> tuple[tuple[np.ndarray, np.ndarray],
-                                                          np.ndarray]:
-        """The encoder pair and sparse-feature row of ``candidate`` against
-        a dialogue's history ids and features."""
+    def _row_inputs(self, features: DialogueFeatures, candidate: KnowledgeSnippet
+                    ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """The encoder pair and indicator row of ``candidate`` against a
+        dialogue's features."""
         right, = _candidate_ids(self.encoder, self._snippet_ids, [candidate])
         row, = features.indicators([candidate], self.config.variant, self._name_grams)
-        return self.encoder.pair_ids(history, right), row
+        return self.encoder.pair_ids(self.encoder.vocab_ids(features.history), right), row
 
     def compile(self, instance: PointwiseInstance) -> PointwiseRow:
         entity_input = None
@@ -576,9 +540,8 @@ class PointwiseModel(_Ranker):
             if len(ids2) != len(tokens2):
                 raise RankError("entity input exceeds encoder max_len; raise max_len")
             entity_input = (ids2, segs2, spans)
-        turns, features, history = self._dialogue_inputs(instance.dialogue)
-        pair, feats = self._row_inputs(history, features, instance.candidate)
-        return PointwiseRow(instance, pair, feats, entity_input, turns)
+        return PointwiseRow(instance, *self._row_inputs(instance.context, instance.candidate),
+                            entity_input)
 
     def loss_and_grads(self, rows: Sequence[PointwiseRow]) -> tuple[float, dict]:
         """Summed loss of compiled rows and its gradients. Online ENA draws
@@ -666,7 +629,8 @@ def build_pointwise_instances(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                               config: PointwiseConfig,
                               rng: np.random.Generator) -> list[PointwiseInstance]:
     """Positive plus sampled-negative instances for every labeled
-    knowledge-seeking turn.
+    knowledge-seeking turn. A dialogue's `TurnInputs` and exact-tracking
+    `DialogueFeatures` are built once, for all its instances.
 
     Sampling runs on a per-dialogue generator derived from the incoming
     one, so the drawn negatives do not depend on unrelated options (an
@@ -684,6 +648,8 @@ def build_pointwise_instances(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
         domain_id = domain_ids[gt.domain]
         gt_entity = next(e for e in kb.entities if e.key == gt.entity_key)
         tracked = exact_match_entities(d, kb)
+        turns = tuple(turn_inputs(turn, kb) for turn in d.turns)
+        context = _composed_features(turns, kb, kb.entity_index.keys())
         rows = [(gt, 1)]
         rows += [(neg, 0) for neg in sample_negatives(
             gt, kb, tracked, drng, count=config.negatives)]
@@ -693,8 +659,8 @@ def build_pointwise_instances(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                 names, true_idx = sample_entity_candidates(
                     kb, tracked, gt_entity, drng, n_total=config.entity_candidates)
             instances.append(PointwiseInstance(
-                dialogue=d, candidate=candidate, label=label,
-                domain_id=domain_id, entity_names=names,
+                dialogue=d, candidate=candidate, label=label, domain_id=domain_id,
+                turns=turns, context=context, entity_names=names,
                 true_entity_index=true_idx))
     return instances
 
@@ -775,22 +741,10 @@ class ListwiseInstance:
     context: DialogueFeatures
 
 
-@dataclass
-class ListwiseConfig:
-    variant: Variant = Variant.WD2
-    epochs: int = 2
-    learning_rate: float = 1e-5
-    batch_size: int = 16
-    seed: int = 0
-    d: int = 24
-    max_len: int = 128
-    pooling: str = "mean"
-
-
 @dataclass(frozen=True)
 class ListwiseRow:
     """A list-wise training instance compiled to model inputs: one encoder
-    pair and one sparse-feature row per candidate."""
+    pair and one indicator row per candidate."""
     instance: ListwiseInstance
     pairs: list[tuple[np.ndarray, np.ndarray]]
     features: np.ndarray
@@ -886,27 +840,17 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
     return instances, stats
 
 
-def train_listwise(instances: Sequence[ListwiseInstance], kb: KnowledgeBase,
-                   config: ListwiseConfig,
-                   init_from: Optional[PointwiseModel] = None) -> ListwiseModel:
-    """Fit the 5-way reranker. List-wise data is scarce (one instance per
-    turn instead of one per candidate), so the encoder and heads can warm
-    start from a trained point-wise model."""
+def train_listwise(instances: Sequence[ListwiseInstance], pointwise: PointwiseModel,
+                   train: TrainConfig) -> ListwiseModel:
+    """Fit the 5-way reranker, starting from the trained point-wise model
+    ``pointwise``: its vocabulary, its config and its tensors. Training
+    copies the tensors into a vector of its own (`pack_params`), and a
+    point-wise model's ``mtl.*`` tensors are not read."""
     if not instances:
         raise RankError("no listwise instances to train on")
-    if init_from is not None:
-        if init_from.encoder.d != config.d:
-            raise RankError("warm start requires matching encoder dimension")
-        # training copies the tensors into a vector of its own (`pack_params`);
-        # a point-wise model's ``mtl.*`` tensors are not read
-        model = ListwiseModel(init_from.encoder.vocab, config,
-                              params=init_from.all_params())
-    else:
-        dialogues = [inst.dialogue for inst in instances]
-        model = ListwiseModel(_ranking_vocab(dialogues, kb), config)
-    train_model(model, list(instances),
-                TrainConfig(epochs=config.epochs, learning_rate=config.learning_rate,
-                            batch_size=config.batch_size, seed=config.seed))
+    model = ListwiseModel(pointwise.encoder.vocab, pointwise.config,
+                          params=pointwise.all_params())
+    train_model(model, list(instances), train)
     return model
 
 

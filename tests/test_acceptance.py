@@ -29,7 +29,7 @@ from kgdial.metrics import (bleu_n, char_f, corpus_bleu, meteor_lite, mrr_at_k,
 from kgdial.models import TrainConfig, finite_difference_check, train_pair_classifier
 from kgdial.pipeline import (DecodeComponents, end_to_end_decode,
                              evaluate_predictions, validate_labels_schema)
-from kgdial.rank import (ListwiseConfig, PointwiseConfig,
+from kgdial.rank import (PointwiseConfig,
                          RankedKnowledgeList, Variant,
                          build_listwise_training_data,
                          build_pointwise_instances, dialogue_features,
@@ -353,9 +353,8 @@ def test_criterion_7_ranking_order():
             instances, _ = build_listwise_training_data(
                 train, kb, wd2, k=3, seed=seed, tracker=_fuzzy_candidates)
             pw_wd2 = train_pointwise(train, kb, wd2)
-            lw = train_listwise(instances, kb, ListwiseConfig(
-                epochs=4, learning_rate=0.003, batch_size=16, seed=seed,
-                d=24, max_len=96), init_from=pw_wd2)
+            lw = train_listwise(instances, pw_wd2, TrainConfig(
+                epochs=4, learning_rate=0.003, batch_size=16, seed=seed))
             base_ranked = mtl_ranked if r_mtl >= r_plain else plain_ranked
             lw_ranked = [
                 listwise_rerank(lw, ranked,

@@ -92,6 +92,10 @@ def test_unknown_rank_variant_is_one_line_config_error(workdir, command, capsys)
     ("train-select", "track.method=XX",
      "config error: track.method: expected one of ['exact', 'fuzzy', "
      "'learned'], got 'XX'"),
+    # rank.alpha is checked when the config loads, before any stage runs
+    ("decode", "rank.alpha=0", "config error: rank.alpha: expected a number > 0, got 0.0"),
+    ("train-select", "rank.alpha=-1",
+     "config error: rank.alpha: expected a number > 0, got -1.0"),
 ])
 def test_bad_config_value_is_one_line_config_error(workdir, command, override,
                                                    message, capsys):
@@ -183,6 +187,12 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
     ("tune-consensus", ["--pools", "{unlogged}", "--references", "{mapped}"], "",
      "error: bad pool record at line 1: float() argument must be a string or a "
      "real number, not 'NoneType'"),
+    ("tune-consensus", ["--pools", "{unranked}", "--references", "{mapped}"], "",
+     "error: bad pool record at line 2: ranks are 1-based"),
+    ("tune-consensus", ["--pools", "{gapped}", "--references", "{mapped}"], "",
+     "error: {gapped}: bad pool for turn 't0': ranks not contiguous for system 'a'"),
+    ("tune-consensus", ["--pools", "{doubled}", "--references", "{mapped}"], "",
+     "error: {doubled}: bad pool for turn 't0': duplicate (system, rank): ('a', 1)"),
     ("evaluate", ["--predictions", "{predictions}", "--references", "{unkeyed}"], "",
      "error: {unkeyed}: record 0: malformed knowledge ref"),
     ("evaluate", ["--predictions", "{predictions}", "--references", "{numeric}"], "",
@@ -199,7 +209,8 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
         "lexicon-tab", "evaluate-not-json", "ensemble-not-json",
         "evaluate-no-target", "ensemble-no-target", "tune-consensus-list-references",
         "tune-consensus-pool-not-object", "tune-consensus-pool-text-not-string",
-        "tune-consensus-pool-logprob-null",
+        "tune-consensus-pool-logprob-null", "tune-consensus-pool-rank-zero",
+        "tune-consensus-pool-ranks-gapped", "tune-consensus-pool-rank-twice",
         "evaluate-bad-knowledge", "evaluate-response-not-text",
         "ensemble-probability-not-number", "ensemble-probability-above-one",
         "ensemble-probability-missing"])
@@ -214,6 +225,8 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
         ("worded", "worded.json"), ("above", "above.json"),
         ("unscored", "unscored.json"), ("listpool", "listpool.jsonl"),
         ("numbered", "numbered.jsonl"), ("unlogged", "unlogged.jsonl"),
+        ("unranked", "unranked.jsonl"), ("gapped", "gapped.jsonl"),
+        ("doubled", "doubled.jsonl"),
         ("mapped", "mapped.json")]}
     paths["predictions"].write_text(json.dumps([
         {"target": True, "detection_probability": 0.9},
@@ -230,6 +243,9 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
     paths["numbered"].write_text(json.dumps({**record, "text": 5}) + "\n")
     paths["unlogged"].write_text(json.dumps({**record, "logprob": None,
                                              "text": "yes"}) + "\n")
+    for name, ranks in (("unranked", (1, 0)), ("gapped", (1, 3)), ("doubled", (1, 1))):
+        paths[name].write_text("".join(json.dumps({**record, "rank": rank, "text": "yes"})
+                                       + "\n" for rank in ranks))
     paths["mapped"].write_text(json.dumps({"t0": "yes"}))
     paths["unkeyed"].write_text(json.dumps([
         {"target": True, "knowledge": [{"domain": "hotel"}]}, {"target": False}]))

@@ -259,35 +259,33 @@ class TestTruncateLeft:
         assert corpus.truncate_left(text, budget) == expected
 
 
-class TestGenerationContext:
+class TestGenerationInput:
     def test_single_snippet_adjacent_to_user(self):
         d = dlg("hi", "hello", "can I cook there?")
         ctx = build_generation_context(d, [snippet()])
-        assert ctx.text.endswith(
+        assert ctx.endswith(
             "⟨kng_1⟩ ⟨ent⟩ Hamilton Lodge ⟨ans⟩ No. "
             "⟨user⟩ can I cook there?")
-        assert ctx.has_knowledge
 
     def test_descending_order(self):
         d = dlg("hi", "hello", "ok?")
         k1 = snippet(doc_id="0", answer="first")
         k2 = snippet(doc_id="1", answer="second")
         ctx = build_generation_context(d, [k1, k2])
-        assert ctx.text.index("⟨kng_2⟩") < ctx.text.index("⟨kng_1⟩")
-        assert "⟨kng_2⟩ ⟨ent⟩ Hamilton Lodge ⟨ans⟩ second" in ctx.text
+        assert ctx.index("⟨kng_2⟩") < ctx.index("⟨kng_1⟩")
+        assert "⟨kng_2⟩ ⟨ent⟩ Hamilton Lodge ⟨ans⟩ second" in ctx
 
-    def test_empty_topk_flagged(self):
+    def test_empty_topk_has_no_knowledge_block(self):
         d = dlg("hi", "hello", "ok?")
         ctx = build_generation_context(d, [])
-        assert not ctx.has_knowledge
-        assert "⟨kng_1⟩" not in ctx.text
+        assert ctx == "⟨user⟩ hi ⟨sys⟩ hello ⟨user⟩ ok?"
 
     @given(st.integers(min_value=1, max_value=40))
     @settings(max_examples=40, deadline=None)
     def test_token_budget_respected(self, budget):
         d = dlg("one two three four", "five six seven", "eight nine ten?")
         ctx = build_generation_context(d, [snippet(), snippet(doc_id="9")], max_tokens=budget)
-        assert corpus.count_tokens(ctx.text) <= budget
+        assert corpus.count_tokens(ctx) <= budget
 
 
 class TestKFold:

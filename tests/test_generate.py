@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdial.corpus import (
-    TAG_RESP, Dialogue, GenerationContext, KnowledgeSnippet, Speaker, Turn,
+    TAG_ANS, TAG_RESP, Dialogue, KnowledgeSnippet, Speaker, Turn,
     TurnLabel, count_tokens, tokenize,
 )
 from kgdial.generate import (
@@ -80,6 +80,11 @@ class TestPreprocessResponses:
         assert out[0].label.response == "Fine."
 
 
+def keeps_gold(example):
+    """Whether the example's context holds the gold snippet, ``snip("0")``."""
+    return f"{TAG_ANS} {snip('0').answer} " in example.context
+
+
 class TestBuildGenExamples:
     def outputs(self, d, with_gold=True):
         lst = [snip("0"), snip("1"), snip("2")]
@@ -92,16 +97,16 @@ class TestBuildGenExamples:
         cfg = GenTrainConfig(p_s=0.0)
         ex = build_gen_examples([d], self.outputs(d), cfg, np.random.default_rng(0))
         assert len(ex) == 1
-        text = ex[0].context.text
+        text = ex[0].context
         for tag in ("⟨kng_3⟩", "⟨kng_2⟩", "⟨kng_1⟩"):
             assert tag in text
-        assert not ex[0].gold_replaced
+        assert keeps_gold(ex[0])
 
     def test_best_snippet_adjacent_to_user_block(self):
         d = ks_dialogue()
         cfg = GenTrainConfig(p_s=0.0)
         ex = build_gen_examples([d], self.outputs(d), cfg, np.random.default_rng(0))
-        text = ex[0].context.text
+        text = ex[0].context
         assert text.index("⟨kng_3⟩") < text.index("⟨kng_1⟩")
         after_k1 = text.split("⟨kng_1⟩", 1)[1]
         assert "⟨user⟩" in after_k1
@@ -111,7 +116,7 @@ class TestBuildGenExamples:
         d = ks_dialogue()
         cfg = GenTrainConfig(p_s=0.0)
         ex = build_gen_examples([d], self.outputs(d), cfg, np.random.default_rng(0))
-        tail = ex[0].context.text.split("⟨kng_1⟩", 1)[1]
+        tail = ex[0].context.split("⟨kng_1⟩", 1)[1]
         assert tail.count("⟨user⟩") == 1
 
     def test_substitution_rate_statistics(self):
@@ -120,11 +125,11 @@ class TestBuildGenExamples:
         dialogues = [ks_dialogue(id=f"d{i}") for i in range(1000)]
         outputs = {d.id: [snip("0"), snip("1"), snip("2")] for d in dialogues}
         ex = build_gen_examples(dialogues, outputs, cfg, rng)
-        rate = sum(e.gold_replaced for e in ex) / len(ex)
+        rate = sum(not keeps_gold(e) for e in ex) / len(ex)
         assert 0.12 <= rate <= 0.18
-        for e in ex:
-            has_gold = ("hotel", "1", "0") in e.context.snippet_keys
-            assert has_gold != e.gold_replaced
+        # a drop removes the gold snippet only
+        assert all(f"{TAG_ANS} {s.answer} " in e.context
+                   for e in ex for s in (snip("1"), snip("2")))
 
     def test_missing_selection_output_names_turn(self):
         d = ks_dialogue(id="d77")
@@ -135,16 +140,14 @@ class TestBuildGenExamples:
         d = ks_dialogue()
         cfg = GenTrainConfig(p_s=0.0, max_history_tokens=18)
         ex = build_gen_examples([d], self.outputs(d), cfg, np.random.default_rng(0))
-        assert count_tokens(ex[0].context.text) <= 18
+        assert count_tokens(ex[0].context) <= 18
 
 
 def overfit_examples(n=50):
     words = [f"w{i}" for i in range(n)]
     out = []
     for i in range(n):
-        ctx = GenerationContext(
-            text=f"⟨user⟩ tell me about {words[i]} place",
-            has_knowledge=False)
+        ctx = f"⟨user⟩ tell me about {words[i]} place"
         target = f"⟨resp⟩ the {words[i]} place is number {words[(i * 7) % n]}"
         out.append(GenExample(turn_id=f"t{i}", context=ctx, target=target))
     return out
@@ -159,7 +162,7 @@ class TestGenerator:
         model, history = train_generator(examples, cfg)
         hits = 0
         for e in examples:
-            decoded = model.generate_nbest(e.context.text, 1)[0][0]
+            decoded = model.generate_nbest(e.context, 1)[0][0]
             expected = " ".join(e.target.split()[1:]).lower()
             if decoded == expected:
                 hits += 1
@@ -224,9 +227,8 @@ class TestGenerator:
             value[...] = rng.normal(0.0, scale, size=value.shape)
         words = [f"w{i}" for i in rng.integers(0, V + 3, size=n_words)]
         ctx = [f"w{i}" for i in rng.integers(0, V + 3, size=ctx_words)]
-        e = GenExample(turn_id="r", context=GenerationContext(
-            text=" ".join(ctx), has_knowledge=False),
-            target=" ".join([TAG_RESP] + words))
+        e = GenExample(turn_id="r", context=" ".join(ctx),
+                       target=" ".join([TAG_RESP] + words))
         assert_close_loss(model.loss_and_grads([model.compile(e)]),
                           reference_loss_and_grads(model, e))
 
@@ -248,9 +250,8 @@ class TestGenerator:
         for key, value in model.params.items():
             value[...] = rng.normal(0.0, scale, size=value.shape)
         examples = [GenExample(
-            turn_id=f"r{i}", context=GenerationContext(
-                text=" ".join(f"w{j}" for j in rng.integers(0, V + 3, size=n_ctx)),
-                has_knowledge=False),
+            turn_id=f"r{i}",
+            context=" ".join(f"w{j}" for j in rng.integers(0, V + 3, size=n_ctx)),
             target=" ".join([TAG_RESP] + [f"w{j}" for j in rng.integers(0, V + 3,
                                                                           size=n_words)]))
             for i, (n_words, n_ctx) in enumerate(rows)]
@@ -318,7 +319,7 @@ def reference_loss_and_grads(model, example):
     """Teacher-forced cross entropy stepped one position at a time."""
     p = model.params
     grads = {k: np.zeros_like(v) for k, v in p.items()}
-    ctx_ids, c = reference_context(model, example.context.text)
+    ctx_ids, c = reference_context(model, example.context)
     target = model._target_ids(example.target)
     loss, dc, n = 0.0, np.zeros(model.d), len(target)
     prev = model.vocab.get(TAG_RESP, 0)
@@ -464,8 +465,8 @@ class TestDecodeNBest:
         model, examples = trained
         for e in examples:
             for n in (1, 3, 5):
-                assert (model.generate_nbest(e.context.text, n)
-                        == reference_nbest(model, e.context.text, n))
+                assert (model.generate_nbest(e.context, n)
+                        == reference_nbest(model, e.context, n))
 
     def test_stops_before_last_position(self, trained, monkeypatch):
         model, examples = trained
@@ -479,19 +480,19 @@ class TestDecodeNBest:
         monkeypatch.setattr(ToyGenerator, "_step_forward", counted)
         for e in examples:
             steps.clear()
-            decode_nbest(model, e.context.text, 4)
+            decode_nbest(model, e.context, 4)
             assert 0 < len(steps) < model.max_target_tokens
 
     def test_n1_is_greedy(self, trained):
         model, examples = trained
         for e in examples:
-            ctx = e.context.text
+            ctx = e.context
             assert decode_nbest(model, ctx, 1)[0][0] == greedy_decode(model, ctx)
 
     def test_sorted_dedup_finite(self, trained):
         model, examples = trained
         for e in examples[:5]:
-            out = decode_nbest(model, e.context.text, 4)
+            out = decode_nbest(model, e.context, 4)
             texts = [t for t, _ in out]
             logps = [lp for _, lp in out]
             assert len(set(texts)) == len(texts)

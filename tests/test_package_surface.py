@@ -13,10 +13,12 @@ call in the program or in the benchmark's scripts (perfbench/*.py), or is
 listed in UNSET_DEFAULTS with its reason: a value only tests set is a
 constant, not an option.
 
-And every attribute that package code assigns on ``self`` is read
-somewhere in the program or the benchmark: an attribute loaded by that
-name from any object, or a string that is not a docstring spelling it.
-An attribute only ever written, or only incremented, is dead state."""
+And every attribute that package code assigns on ``self``, and every
+field of a package dataclass or ``NamedTuple``, is read somewhere in the
+program or the benchmark: an attribute loaded by that name from any
+object, or a string that is not a docstring spelling it. An attribute only
+ever written, or only incremented, is dead state, and so is a field only
+ever set."""
 
 import ast
 import re
@@ -128,6 +130,57 @@ def _unread_attributes(writers=PACKAGE, readers=READERS) -> list[str]:
             for name in dict.fromkeys(_self_assignments(path)) if name not in read]
 
 
+def _is_record(node):
+    """Whether the class ``node`` is a dataclass or a ``NamedTuple``."""
+    return _is_dataclass(node) or any(getattr(b, "id", None) == "NamedTuple"
+                                      for b in node.bases)
+
+
+def _fields(path):
+    """(class, field) of each field of a dataclass or ``NamedTuple`` that
+    ``path`` defines."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef) and _is_record(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def _unread_fields(writers=PACKAGE, readers=READERS) -> list[str]:
+    read = {name for path in readers for name in _attributes_read(path)}
+    return [f"kgdial.{path.stem}.{cls}.{name}" for path in writers
+            for cls, name in _fields(path) if name not in read]
+
+
+def test_every_field_the_package_declares_is_read():
+    unread = _unread_fields()
+    assert not unread, (
+        f"fields read nowhere in src/kgdial or perfbench/: {unread}; delete them")
+
+
+def test_field_reads_are_loads_and_strings(tmp_path):
+    # a is loaded and b spelled by a string; c is only set, d only named by
+    # a docstring, and the plain class's e is no field
+    module = tmp_path / "records.py"
+    module.write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    a: int\n"
+        "    c: int = 0\n"
+        "class Pair(NamedTuple):\n"
+        "    b: int\n"
+        "    d: int\n"
+        "class Plain:\n"
+        "    e: int = 0\n"
+        "def total(record, pair):\n"
+        '    """pair.d is not counted here."""\n'
+        "    return Record(1, c=2).a + getattr(pair, 'b')\n")
+    assert _unread_fields([module], [module]) == [
+        "kgdial.records.Record.c", "kgdial.records.Pair.d"]
+
+
 def test_every_attribute_the_package_sets_is_read():
     unread = _unread_attributes()
     assert not unread, (
@@ -167,8 +220,6 @@ UNSET_DEFAULTS = {
     "finite_difference_check(seed)": "oracle: criterion 3's sample draw",
     "extract_sparse_features(variant)": "the tracer-wrapped reference the "
                                         "array features are checked against",
-    "extract_sparse_features(alpha)": "the tracer-wrapped reference the "
-                                      "array features are checked against",
     "ToyEncoder.token_ids(boundary)": "the reference definition of the pair "
                                       "inputs the rankers build from ids",
     "pointwise_rank(alpha)": "point-wise decode scales the wide terms by 1; "

@@ -20,8 +20,8 @@ from kgdial.generate import GenerateError, ToyGenerator
 from kgdial.models import ModelError, ToyPairScorer, load_checkpoint
 from kgdial.pipeline import (_load_rank_model, _save_generator, _save_rank_model,
                              load_generator)
-from kgdial.rank import (ListwiseConfig, ListwiseModel, PointwiseConfig,
-                         PointwiseModel, RankedKnowledgeList, ensemble_rank)
+from kgdial.rank import (ListwiseModel, PointwiseConfig, PointwiseModel,
+                         RankedKnowledgeList, Variant, ensemble_rank)
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus, save_lexicon
 from test_models import CHECKPOINT_DEFECTS, forbid_draws, rewrite_checkpoint
 
@@ -500,7 +500,7 @@ class TestCheckpointValidation:
         domains = sorted({s.domain for s in kb.snippets})
         pointwise = PointwiseModel(self.VOCAB, domains,
                                    PointwiseConfig(use_mtl=True, d=4, max_len=8))
-        listwise = ListwiseModel(self.VOCAB, ListwiseConfig(d=4, max_len=8))
+        listwise = ListwiseModel(self.VOCAB, PointwiseConfig(d=4, max_len=8))
         generator = ToyGenerator(self.VOCAB, d=4, max_target_tokens=5)
         return [
             ("pointwise", lambda path: _save_rank_model(pointwise, path),
@@ -547,6 +547,28 @@ class TestCheckpointValidation:
             assert sorted(params) == sorted(saved), name
             for key, value in saved.items():
                 assert params[key].tobytes() == value.tobytes(), (name, key)
+
+    def test_listwise_checkpoint_round_trips(self, tmp_path):
+        config = PointwiseConfig(variant=Variant.WD, seed=3, d=4, max_len=8,
+                                 pooling="first")
+        listwise = ListwiseModel(self.VOCAB, config)
+        rng = np.random.default_rng(0)
+        for value in listwise.all_params().values():
+            value[...] = rng.normal(size=value.shape)
+        paths = [str(tmp_path / "listwise.npz"), str(tmp_path / "again.npz")]
+        _save_rank_model(listwise, paths[0])
+        loaded = _load_rank_model(paths[0], "ListwiseModel")
+        assert isinstance(loaded, ListwiseModel)
+        assert loaded.encoder.vocab == self.VOCAB
+        assert loaded.encoder.config() == listwise.encoder.config()
+        assert loaded.config.variant is Variant.WD
+        assert {k: v.tobytes() for k, v in loaded.all_params().items()} == {
+            k: v.tobytes() for k, v in listwise.all_params().items()}
+        _save_rank_model(loaded, paths[1])
+        (first, first_meta), (second, second_meta) = map(load_checkpoint, paths)
+        assert first_meta == second_meta
+        assert {k: v.tobytes() for k, v in first.items()} == {
+            k: v.tobytes() for k, v in second.items()}
 
     def test_rank_checkpoint_of_the_other_kind_is_rejected(self, mini, tmp_path):
         _, save, _ = self.loaders(mini[1])[1]

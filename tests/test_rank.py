@@ -14,10 +14,10 @@ from kgdial.corpus import (
 from kgdial.entity_track import collect_candidates, exact_match_entities
 from kgdial.augment import AugmentConfig, augment_entity_name
 from kgdial import models
-from kgdial.models import finite_difference_check, sigmoid, softmax
+from kgdial.models import TrainConfig, finite_difference_check, sigmoid, softmax
 from kgdial.rank import (
-    ListwiseConfig, ListwiseModel, PointwiseConfig, PointwiseInstance,
-    RankedKnowledgeList, RankError, SparseFeatures, Variant,
+    ListwiseModel, PointwiseConfig, PointwiseInstance,
+    RankedKnowledgeList, RankError, Variant,
     build_listwise_training_data,
     build_pointwise_instances, ensemble_rank, extract_sparse_features,
     listwise_rerank, mtl_forward, pointwise_rank,
@@ -146,13 +146,17 @@ class TestMTLForward:
             mtl_forward(f, H, [(0, 4)], self.fixture_params())
 
 
-class TestSparseFeatures:
+# columns of an indicator row
+IS_DOMAIN_LEVEL, IS_LAST_ENTITY, UNIGRAM, BIGRAM = range(rank.N_SPARSE)
+
+
+class TestWideFeatures:
     def test_domain_level_indicator(self):
         kb = make_kb()
         d = ks_dialogue("x", "Hamilton Lodge", kb)
         domain_snip = kb.snippets_for("hotel", DOMAIN_LEVEL)[0]
         feats = extract_sparse_features(d, domain_snip, kb, list(kb.entities))
-        assert feats.is_domain_level == 1
+        assert feats[IS_DOMAIN_LEVEL] == 1
 
     def test_last_entity_rightmost_scan(self):
         kb = make_kb()
@@ -163,8 +167,8 @@ class TestSparseFeatures:
         tracked = exact_match_entities(d, kb)
         lodge = kb.snippets_for("hotel", "1")[0]
         sw = kb.snippets_for("hotel", "2")[0]
-        assert extract_sparse_features(d, lodge, kb, tracked).is_last_entity == 0
-        assert extract_sparse_features(d, sw, kb, tracked).is_last_entity == 1
+        assert extract_sparse_features(d, lodge, kb, tracked)[IS_LAST_ENTITY] == 0
+        assert extract_sparse_features(d, sw, kb, tracked)[IS_LAST_ENTITY] == 1
 
     def test_scattered_name_ngram_indicators(self):
         kb = KnowledgeBase([snip("hotel", "9", "Hilton San Francisco Union Square", "0")])
@@ -172,25 +176,17 @@ class TestSparseFeatures:
         d = Dialogue(id="x", turns=turns)
         target = kb.snippets[0]
         feats = extract_sparse_features(d, target, kb, list(kb.entities), Variant.WD2)
-        assert feats.unigram_in_dialogue == 1
-        assert feats.bigram_in_dialogue == 1
-        assert feats.is_last_entity == 0  # full name never matches
+        assert feats[UNIGRAM] == 1
+        assert feats[BIGRAM] == 1
+        assert feats[IS_LAST_ENTITY] == 0  # full name never matches
 
     def test_wd_variant_zeroes_ngram_features(self):
         kb = make_kb()
         d = ks_dialogue("x", "Hamilton Lodge", kb)
         target = kb.snippets_for("hotel", "1")[0]
         feats = extract_sparse_features(d, target, kb, list(kb.entities), Variant.WD)
-        assert feats.unigram_in_dialogue == 0
-        assert feats.bigram_in_dialogue == 0
-
-    def test_alpha_scaling(self):
-        kb = make_kb()
-        feats = extract_sparse_features(
-            ks_dialogue("x", "Hamilton Lodge", kb), kb.snippets_for("hotel", "1")[0],
-            kb, list(kb.entities), Variant.WD2, alpha=100.0)
-        vec = feats.vector()
-        assert set(np.unique(vec)) <= {0.0, 100.0}
+        assert feats[UNIGRAM] == 0
+        assert feats[BIGRAM] == 0
 
 
 class TestNegativeSampling:
@@ -303,6 +299,24 @@ def small_config(**kw):
     return PointwiseConfig(**base)
 
 
+def pointwise_instance(dialogue, candidate, label, kb):
+    """A point-wise instance of ``dialogue`` with the inputs
+    `build_pointwise_instances` gives it."""
+    turns = tuple(rank.turn_inputs(turn, kb) for turn in dialogue.turns)
+    return PointwiseInstance(dialogue, candidate, label, 0, turns,
+                             rank.dialogue_features(dialogue, kb, kb.entities))
+
+
+def untrained_listwise(instances, kb, epochs=1, variant=Variant.WD2):
+    """The list-wise model trained from an untrained point-wise model on
+    the vocabulary of the instances' dialogues: training starts from the
+    weights a point-wise model of that config draws."""
+    pointwise = rank.PointwiseModel(
+        rank._ranking_vocab([inst.dialogue for inst in instances], kb), [],
+        PointwiseConfig(d=10, variant=variant))
+    return train_listwise(instances, pointwise, TrainConfig(epochs=epochs))
+
+
 class TestPointwiseTraining:
     def test_mtl_off_equals_plain_bce(self):
         # at identical shared parameters, zero auxiliary weights reduce the
@@ -318,10 +332,7 @@ class TestPointwiseTraining:
         instances = build_pointwise_instances(corpus, kb, plain_cfg, rng)
         names = [e.name for e in kb.entities][:4]
         for inst in instances[:5]:
-            mtl_inst = PointwiseInstance(
-                dialogue=inst.dialogue, candidate=inst.candidate,
-                label=inst.label, domain_id=inst.domain_id,
-                entity_names=names, true_entity_index=0)
+            mtl_inst = replace(inst, entity_names=names, true_entity_index=0)
             l1, _ = plain.loss_and_grads([plain.compile(inst)])
             l2, _ = mtl.loss_and_grads([mtl.compile(mtl_inst)])
             assert l1 == pytest.approx(l2, rel=1e-12)
@@ -359,29 +370,44 @@ class TestPointwiseTraining:
             twin.loss_and_grads([twin.compile(inst)])
         assert calls == []
         # ENA that fires rewrites the dialogue, which is then matched afresh:
-        # compiling matched every turn once, the rewrite matches only the
-        # one or two turns it touched
+        # compiling matches nothing (the instance carries its turns' inputs),
+        # the rewrite matches only the one or two turns it touched
         mentioned = []
         real_mentions = rank.exact_mentions
         monkeypatch.setattr(rank, "exact_mentions", lambda tokens, index: (
             mentioned.append(tokens) or real_mentions(tokens, index)))
         model = with_ena(1.0)
         row = model.compile(inst)
-        assert len(mentioned) == len(inst.dialogue.turns)
-        mentioned.clear()
+        assert mentioned == []
         model.loss_and_grads([row])
         assert calls == [] and 1 <= len(mentioned) <= 2
         assert all(tokens != tokenize(turn.text)
                    for tokens in mentioned for turn in inst.dialogue.turns)
 
-    def test_compiling_needs_a_bound_knowledge_base(self):
+    def test_ena_rewrites_need_a_bound_knowledge_base(self):
         kb = make_kb()
         corpus = make_corpus(kb, 2)
-        cfg = small_config()
+        cfg = small_config(ena=AugmentConfig(ena_probability=1.0))
         model = rank.PointwiseModel(rank._ranking_vocab(corpus, kb), ["hotel"], cfg)
-        inst = build_pointwise_instances(corpus, kb, cfg, np.random.default_rng(0))[0]
-        with pytest.raises(RankError, match="bind a knowledge base"):
-            model.compile(inst)
+        instances = build_pointwise_instances(corpus, kb, cfg, np.random.default_rng(0))
+        rows = [model.compile(inst) for inst in instances]  # compiling needs none
+        with pytest.raises(RankError, match="bind a knowledge base") as info:
+            model.loss_and_grads(rows)
+        assert "\n" not in str(info.value)
+
+    def test_instances_of_a_dialogue_share_its_inputs(self):
+        kb = make_kb()
+        corpus = make_corpus(kb, 4) + [ks_dialogue(
+            "c", "SW Hotel", kb, text="compare Hamilton Lodge with SW Hotel")]
+        instances = build_pointwise_instances(corpus, kb, small_config(use_mtl=True),
+                                              np.random.default_rng(0))
+        for d in corpus:
+            own = [inst for inst in instances if inst.dialogue is d]
+            assert len(own) == 1 + small_config().negatives
+            assert all(inst.context is own[0].context and inst.turns is own[0].turns
+                       for inst in own)
+            assert own[0].context == rank.dialogue_features(d, kb, kb.entities)
+            assert own[0].turns == tuple(rank.turn_inputs(turn, kb) for turn in d.turns)
 
     def test_instances_match_entities_once_per_dialogue(self, monkeypatch):
         kb = make_kb()
@@ -501,9 +527,9 @@ def reference_logit(m, d, snippet, alpha, kb, tracked):
     """One candidate scored on its own, as the point-wise model defines it."""
     pair, = text_pairs(m.encoder, d, [snippet])
     cache = reference_forward(m.encoder, *pair)
-    feats = extract_sparse_features(d, snippet, kb, tracked, m.config.variant, alpha)
+    feats = extract_sparse_features(d, snippet, kb, tracked, m.config.variant) * alpha
     return float(m.head["w"] @ reference_pair_readout(cache) + m.head["b"][0]
-                 + m.wide["u"] @ feats.vector())
+                 + m.wide["u"] @ feats)
 
 
 class TestBatchedPointwise:
@@ -545,8 +571,7 @@ class TestBatchedPointwise:
         corpus = make_corpus(kb, 4)
         instances, _ = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
-        model = train_listwise(instances, kb,
-                               ListwiseConfig(epochs=1, d=10, variant=variant))
+        model = untrained_listwise(instances, kb, variant=variant)
         seen = []
         real = rank.DialogueFeatures.indicators
 
@@ -559,8 +584,7 @@ class TestBatchedPointwise:
             tracked = exact_match_entities(d, kb)
             cands = collect_candidates(list(kb.entities), kb)[:5]
             ranked = RankedKnowledgeList(d.id, tuple((s, 0.5) for s in cands))
-            expected = [extract_sparse_features(d, s, kb, tracked, variant).indicators
-                        for s in cands]
+            expected = [extract_sparse_features(d, s, kb, tracked, variant) for s in cands]
             seen.clear()
             listwise_rerank(model, ranked, rank.dialogue_features(d, kb, tracked),
                             alpha=100.0)
@@ -591,7 +615,7 @@ def reference_logits(m, d, candidates, alpha, kb, tracked):
     for candidate, pair in zip(candidates, text_pairs(m.encoder, d, candidates)):
         cache = reference_forward(m.encoder, *pair)
         feats = np.array(reference_indicators(context, candidate, m.config.variant),
-                         dtype=np.float64) * rank.feature_scale(alpha)
+                         dtype=np.float64) * alpha
         out.append(float(m.head["w"] @ reference_pair_readout(cache) + m.head["b"][0]
                          + m.wide["u"] @ feats))
     return out
@@ -603,7 +627,7 @@ def reference_distribution(model, d, candidates, features, alpha):
     pairs = text_pairs(model.encoder, d, candidates)
     for j, (pair, row) in enumerate(zip(pairs, features)):
         u = reference_pair_readout(reference_forward(model.encoder, *pair))
-        vec = SparseFeatures(*row.astype(int), alpha=alpha).vector()
+        vec = row * alpha
         logits[j] = model.head["w"] @ u + model.head["b"][0] + model.wide["u"] @ vec
     return softmax(logits)
 
@@ -619,43 +643,38 @@ class TestFeatureArrays:
     model's n-gram table, equal the per-snippet features bit for bit."""
 
     @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("alpha", [1.0, 100.0])
-    def test_rows_equal_snippet_features(self, synth_case, variant, alpha):
+    def test_rows_equal_snippet_features(self, synth_case, variant):
         dialogues, kb = synth_case
         vocab = rank._ranking_vocab(dialogues, kb)
         pointwise = rank.PointwiseModel(vocab, ["hotel"], small_config(variant=variant))
-        listwise = ListwiseModel(vocab, ListwiseConfig(variant=variant))
+        listwise = ListwiseModel(vocab, pointwise.config)
         snippets = list(kb.snippets)
         fired = np.zeros(4)
         for d in dialogues:
             tracked = exact_match_entities(d, kb)
             context = rank.dialogue_features(d, kb, tracked)
-            feats = [extract_sparse_features(d, s, kb, tracked, variant, alpha)
-                     for s in snippets]
-            assert [f.indicators for f in feats] == [
+            feats = [extract_sparse_features(d, s, kb, tracked, variant) for s in snippets]
+            assert [tuple(f) for f in feats] == [
                 reference_indicators(context, s, variant) for s in snippets]
             for _ in range(2):  # the second pass reads the filled tables
                 for model in (pointwise, listwise):
                     rows = context.indicators(snippets, variant, model._name_grams)
                     assert rows.shape == (len(snippets), rank.N_SPARSE)
-                    assert all(np.array_equal(row * rank.feature_scale(alpha), f.vector())
-                               for row, f in zip(rows, feats))
-            fired += np.array([f.indicators for f in feats]).sum(axis=0)
+                    assert rows.tobytes() == np.array(feats).tobytes()
+            fired += np.array(feats).sum(axis=0)
         assert np.all(fired[:2 if variant is Variant.WD else 4] > 0)
 
     def test_alpha_must_be_positive(self, synth_case):
         dialogues, kb = synth_case
         model = rank.PointwiseModel(rank._ranking_vocab(dialogues, kb), ["hotel"],
                                     small_config())
-        listwise = ListwiseModel(model.encoder.vocab, ListwiseConfig())
+        listwise = ListwiseModel(model.encoder.vocab, model.config)
         context = rank.dialogue_features(dialogues[0], kb, [])
         for alpha in (0.0, -1.0):
-            with pytest.raises(RankError):
+            with pytest.raises(RankError, match="alpha must be positive"):
                 model.logits(list(kb.snippets[:2]), context, alpha)
-            with pytest.raises(RankError):
+            with pytest.raises(RankError, match="alpha must be positive"):
                 listwise.distribution(list(kb.snippets[:1]), context, alpha)
-            with pytest.raises(RankError):
-                SparseFeatures(0, 1, 0, 0, alpha=alpha)
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
@@ -683,8 +702,7 @@ class TestFeatureArrays:
         instances, _ = build_listwise_training_data(
             make_corpus(kb, 4), kb, small_config(epochs=1), k=2, seed=0,
             tracker=exact_tracker)
-        model = train_listwise(instances, kb, ListwiseConfig(epochs=1, d=10),
-                               init_from=models[Variant.WD2])
+        model = train_listwise(instances, models[Variant.WD2], TrainConfig(epochs=1))
         assert np.any(model.wide["u"] != 0.0)
         for d in TestBatchedPointwise().dialogues(kb):
             context = rank.dialogue_features(d, kb, list(kb.entities))
@@ -698,12 +716,37 @@ class TestFeatureArrays:
 
 
 class TestListwise:
+    @pytest.mark.parametrize("use_mtl", [False, True])
+    def test_model_derives_from_the_pointwise_model(self, use_mtl):
+        kb = make_kb()
+        corpus = make_corpus(kb, 4)
+        instances, _ = build_listwise_training_data(
+            corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
+        pointwise = train_pointwise(corpus, kb, small_config(
+            use_mtl=use_mtl, variant=Variant.WD, pooling="first", max_len=64, seed=3))
+        before = {key: value.copy() for key, value in pointwise.all_params().items()}
+        shared = {key: value for key, value in before.items() if not key.startswith("mtl.")}
+        start = train_listwise(instances, pointwise, TrainConfig(epochs=0))
+        assert start.encoder.vocab == pointwise.encoder.vocab
+        assert start.config == pointwise.config and start.config.variant is Variant.WD
+        assert start.encoder.config() == pointwise.encoder.config()
+        params = start.all_params()
+        assert params.keys() == shared.keys()
+        assert all(params[key].tobytes() == value.tobytes() for key, value in shared.items())
+        trained = train_listwise(instances, pointwise, TrainConfig(epochs=1,
+                                                                   learning_rate=1e-2))
+        assert any(not np.array_equal(trained.all_params()[key], value)
+                   for key, value in shared.items())
+        # the point-wise model's own tensors are left as they were
+        assert all(np.array_equal(pointwise.all_params()[key], value)
+                   for key, value in before.items())
+
     def test_identical_candidates_uniform(self):
         kb = make_kb()
         corpus = make_corpus(kb, 4)
         instances, _ = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
-        model = train_listwise(instances, kb, ListwiseConfig(epochs=1, d=10))
+        model = untrained_listwise(instances, kb)
         d = corpus[0]
         same = [kb.snippets_for("hotel", "1")[0]] * 5
         dist = model.distribution(same, rank.dialogue_features(d, kb, []), alpha=1.0)
@@ -714,7 +757,7 @@ class TestListwise:
         corpus = make_corpus(kb, 4)
         instances, _ = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
-        model = train_listwise(instances, kb, ListwiseConfig(epochs=1, d=10))
+        model = untrained_listwise(instances, kb)
         rng = np.random.default_rng(0)
         for _ in range(10):
             take = int(rng.integers(1, 6))
@@ -731,7 +774,7 @@ class TestListwise:
         corpus = make_corpus(kb, 4)
         instances, _ = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
-        model = train_listwise(instances, kb, ListwiseConfig(epochs=1, d=10))
+        model = untrained_listwise(instances, kb)
         err = finite_difference_check(model, instances[:3], epsilon=1e-5)
         assert err < 1e-4
 
@@ -740,7 +783,7 @@ class TestListwise:
         corpus = make_corpus(kb, 4)
         instances, stats = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
-        model = train_listwise(instances, kb, ListwiseConfig(epochs=1, d=10))
+        model = untrained_listwise(instances, kb)
         inst = instances[0]
         ranked = RankedKnowledgeList(
             inst.dialogue.id,
@@ -758,7 +801,7 @@ class TestListwiseData:
         corpus = make_corpus(kb, 6)
         instances, stats = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=3, seed=1, tracker=exact_tracker)
-        model = ListwiseModel(rank._ranking_vocab(corpus, kb), ListwiseConfig(d=10))
+        model = ListwiseModel(rank._ranking_vocab(corpus, kb), PointwiseConfig(d=10))
         for inst in instances:
             refs = set(inst.dialogue.label.knowledge_refs)
             hits = [j for j, c in enumerate(inst.candidates) if c.key in refs]
@@ -766,7 +809,7 @@ class TestListwiseData:
             tracked = exact_match_entities(inst.dialogue, kb)
             assert inst.context == rank.dialogue_features(inst.dialogue, kb, tracked)
             assert np.array_equal(model.compile(inst).features, [
-                extract_sparse_features(inst.dialogue, c, kb, tracked).indicators
+                extract_sparse_features(inst.dialogue, c, kb, tracked)
                 for c in inst.candidates])
         assert stats["decoded"] == len(corpus)
         assert stats["emitted"] + stats["dropped"] == len(corpus)
@@ -867,8 +910,7 @@ def reference_pointwise_loss(model, instance, kb):
     f1 = cache1["f"]
     u1 = reference_pair_readout(cache1)
     feats = extract_sparse_features(dialogue, instance.candidate, kb,
-                                    exact_match_entities(dialogue, kb),
-                                    cfg.variant).vector()
+                                    exact_match_entities(dialogue, kb), cfg.variant)
     z = float(model.head["w"] @ u1 + model.head["b"][0] + model.wide["u"] @ feats)
     rank_loss, dz = reference_bce(z, float(instance.label))
     loss = cfg.lambda_rank * rank_loss
@@ -914,7 +956,7 @@ def reference_listwise_loss(model, instance):
         tokens = history + tokenize(linearize_knowledge(snip))
         cache = reference_forward(
             model.encoder, *reference_token_ids(model.encoder, tokens, len(history)))
-        vec = SparseFeatures(*row.astype(int)).vector()
+        vec = row  # indicator value 1: alpha is for inference
         logits[j] = (model.head["w"] @ reference_pair_readout(cache)
                      + model.head["b"][0] + model.wide["u"] @ vec)
         caches.append((cache, vec))
@@ -1045,7 +1087,7 @@ class TestBatchedTraining:
             instances.append(rank.ListwiseInstance(
                 dialogue=d, candidates=cands, true_index=true_index % len(cands),
                 context=exact_context(d, kb)))
-        cfg = ListwiseConfig(d=10, max_len=max_len, pooling=pooling)
+        cfg = small_config(max_len=max_len, pooling=pooling)
         model = randomized(ListwiseModel(rank._ranking_vocab(corpus, kb), cfg), seed)
         rows = [model.compile(inst) for inst in instances]
         with pytest.MonkeyPatch.context() as patch:
@@ -1173,8 +1215,7 @@ class TestComposedRows:
         model = rank.PointwiseModel(rank._ranking_vocab([dialogue], kb),
                                     sorted({s.domain for s in kb.snippets}), cfg)
         model.bind_kb(kb)
-        instance = PointwiseInstance(dialogue, candidate, int(label), 0)
-        row = model.compile(instance)
+        row = model.compile(pointwise_instance(dialogue, candidate, int(label), kb))
         rewritten = augment_entity_name(dialogue, candidate, label, cfg.ena,
                                         np.random.default_rng(seed))
         fresh = []
@@ -1184,20 +1225,9 @@ class TestComposedRows:
                           lambda turn, kb_: fresh.append(turn) or real(turn, kb_))
             pair, feats = model._rewritten_inputs(row, rewritten)
         assert len(fresh) <= 2 and not set(map(id, fresh)) & set(map(id, dialogue.turns))
-        compiled = model.compile(replace(instance, dialogue=rewritten))
+        compiled = model.compile(pointwise_instance(rewritten, candidate, int(label), kb))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, compiled.pair))
         assert feats.tobytes() == compiled.features.tobytes()
-
-    def test_rewritten_dialogues_are_not_kept(self):
-        kb = make_kb()
-        corpus = make_corpus(kb, 4)
-        cfg = small_config(ena=AugmentConfig(ena_probability=1.0))
-        model = train_pointwise(corpus, kb, replace(cfg, epochs=0))
-        rows = [model.compile(inst) for inst in build_pointwise_instances(
-            corpus, kb, cfg, np.random.default_rng(0))]
-        memo = model._last_dialogue
-        model.loss_and_grads(rows)
-        assert model._last_dialogue is memo
 
 
 class TestCompiledRows:
@@ -1207,8 +1237,8 @@ class TestCompiledRows:
     @pytest.mark.parametrize("use_mtl", [False, True])
     def test_compiled_rows_equal_per_row_inputs(self, training_pool, monkeypatch,
                                                 variant, use_mtl):
-        """Each dialogue's history and features are built once, and every
-        compiled array equals the one built for its row alone."""
+        """Compiling composes no features (the instances carry them), and
+        every compiled array equals the one built for its row alone."""
         kb, corpus, pool = training_pool
         cfg = small_config(use_mtl=use_mtl, variant=variant, max_len=48)
         model = train_pointwise(corpus, kb, replace(cfg, epochs=0))
@@ -1217,8 +1247,7 @@ class TestCompiledRows:
         monkeypatch.setattr(rank, "_composed_features",
                             lambda *args: built.append(args) or real(*args))
         rows = [model.compile(inst) for inst in pool[use_mtl]]
-        # one build per dialogue; the last instance repeats the first dialogue
-        assert len(built) == len(corpus) + 1
+        assert built == []
         for inst, row in zip(pool[use_mtl], rows):
             history = tokenize(linearize_history(inst.dialogue))
             ids, segs = reference_token_ids(
@@ -1227,9 +1256,8 @@ class TestCompiledRows:
             assert row.pair[0].tobytes() == ids.tobytes()
             assert row.pair[1].tobytes() == segs.tobytes()
             tracked = exact_match_entities(inst.dialogue, kb)
-            feats = np.array(extract_sparse_features(inst.dialogue, inst.candidate, kb,
-                                                     tracked, variant).indicators,
-                             dtype=np.float64)
+            feats = extract_sparse_features(inst.dialogue, inst.candidate, kb, tracked,
+                                            variant)
             assert row.features.tobytes() == feats.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -1242,7 +1270,7 @@ class TestCompiledRows:
         snippets = list(kb.snippets) + [snip("hotel", "9", "Nowhere Inn", "0",
                                              q="", a="")]
         model = ListwiseModel(rank._ranking_vocab(make_corpus(kb, 2), kb),
-                              ListwiseConfig(d=4, max_len=max_len))
+                              PointwiseConfig(d=4, max_len=max_len))
         turns = tuple(Turn(Speaker.USER if i % 2 == 0 else Speaker.SYSTEM, t or "ok")
                       for i, t in enumerate(texts))
         d = Dialogue(id="p", turns=turns)
@@ -1289,7 +1317,7 @@ class TestSharedPairScorer:
         vocab = rank._ranking_vocab(corpus, kb)
         cands = kb.snippets[:TOP_K]
         for model in (rank.PointwiseModel(vocab, ["hotel"], small_config()),
-                      ListwiseModel(vocab, ListwiseConfig(d=10, max_len=96))):
+                      ListwiseModel(vocab, small_config())):
             randomized(model, 5).wide["u"][...] = 0.0
             scorer = models.ToyPairScorer(model.encoder, model.head)
             rights = [model.encoder.vocab_ids(tokenize(linearize_knowledge(s)))
@@ -1334,7 +1362,7 @@ class TestSharedPairScorer:
             items = [(linearize_history(d), linearize_knowledge(s), i % 2)
                      for i, (d, s) in enumerate(zip(corpus, kb.snippets))]
         elif trainer == "listwise":
-            model = ListwiseModel(vocab, ListwiseConfig(d=10, max_len=96))
+            model = ListwiseModel(vocab, small_config())
             cands = kb.snippets[:3]
             items = [rank.ListwiseInstance(d, cands, 0, exact_context(d, kb))
                      for d in corpus]
