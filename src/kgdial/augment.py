@@ -302,11 +302,11 @@ def _insert_at_random_gap(turn_words: list[list[str]], words: list[str],
 def _rebuild(dialogue: Dialogue, rewritten: dict[int, list[str]]) -> Dialogue:
     """A copy of ``dialogue`` whose turn ``t`` reads ``rewritten[t]``. Every
     other turn keeps its `Turn` object, and so does a rewritten turn left
-    without words or with its own text again."""
+    blank (a turn of only the deleted name) or with its own text again."""
     turns = list(dialogue.turns)
     for ti, words in rewritten.items():
         text = " ".join(words)
-        if words and text != turns[ti].text:
+        if text and not text.isspace() and text != turns[ti].text:
             turns[ti] = replace(turns[ti], text=text)
     return replace(dialogue, turns=tuple(turns))
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdial.augment import (
@@ -280,8 +280,9 @@ def reference_augment_entity_name(dialogue, candidate, is_positive, config, rng)
         insert(list(name_words))
     else:
         return dialogue
+    # a turn left blank keeps its text: a Turn cannot be empty
     return Dialogue(id=dialogue.id, label=dialogue.label, turns=tuple(
-        Turn(t.speaker, " ".join(words)) if words else t
+        Turn(t.speaker, " ".join(words)) if " ".join(words).strip() else t
         for t, words in zip(dialogue.turns, turn_words)))
 
 
@@ -301,6 +302,8 @@ class TestEntityNameRewrites:
                                  "River Hotel", "SW Hotel", "Οδος Σ", "istanbul"]),
            positive=st.booleans(), delete=st.sampled_from([0.0, 0.5]),
            seed=st.integers(0, 2 ** 16))
+    # the only word of a turn that starts with a space is the deleted name
+    @example(texts=[" RITZ"], name="Ritz", positive=True, delete=0.5, seed=0)
     def test_equals_reference_and_keeps_untouched_turns(self, texts, name, positive,
                                                         delete, seed):
         d = Dialogue(id="d", turns=tuple(
@@ -327,7 +330,7 @@ class TestEntityNameRewrites:
         assert out.turns[0] is d.turns[0] and out.turns[2] is d.turns[2]
         assert out.turns[1].text == "sure Ritz thing"
         # a turn rewritten to its own text, or left without words, keeps its Turn
-        out = _rebuild(d, {0: ["book", "the", "Ritz"], 2: []})
+        out = _rebuild(d, {0: ["book", "the", "Ritz"], 2: [], 1: [""]})
         assert all(t is before for t, before in zip(out.turns, d.turns))
 
 
