@@ -309,7 +309,7 @@ def bench_train_batch(n_dialogues=50, d=24, max_len=128, batch_size=16, repeat=3
     for start in range(0, len(instances), 5):
         group = instances[start:start + 5]
         dialogue = group[0].dialogue
-        lists.append(ListwiseInstance(dialogue, [inst.candidate for inst in group], 0,
+        lists.append(ListwiseInstance([inst.candidate for inst in group], 0,
                                       dialogue_features(dialogue, kb, kb.entities)))
     # the list-wise model starts from the untrained point-wise one
     listwise = train_listwise(lists, pointwise, TrainConfig(epochs=0))

@@ -462,11 +462,12 @@ def build_generation_context(dialogue: Dialogue,
 
 def split_kfold(items: Sequence, k: int, seed: int) -> list[list]:
     """Shuffle deterministically and deal into k folds with sizes
-    differing by at most one."""
+    differing by at most one. Fewer than 2 folds, or more folds than
+    items, is a CorpusError."""
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise CorpusError("k must be at least 2")
     if k > len(items):
-        raise ValueError(f"cannot split {len(items)} items into {k} folds")
+        raise CorpusError(f"cannot split {len(items)} items into {k} folds")
     order = np.random.default_rng(seed).permutation(len(items))
     folds: list[list] = [[] for _ in range(k)]
     for pos, idx in enumerate(order):

@@ -1,9 +1,14 @@
-"""Knowledge-seeking-turn detection and the error-fixing ensemble."""
+"""Knowledge-seeking-turn detection and the error-fixing ensemble.
+
+`build_detection_examples` gives the detector's training pairs.
+`error_fixing_ensemble` combines several detectors' probabilities, each
+system's given as a list in turn order, into one label and one mean
+probability per turn.
+"""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Dialogue, linearize_history
@@ -13,31 +18,6 @@ logger = logging.getLogger(__name__)
 
 class DetectError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class DetectionPrediction:
-    dialogue_id: str
-    probability: float
-    label: bool
-
-    def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise DetectError(f"probability out of range: {self.probability}")
-
-
-def predict(dialogue_id: str, probability: float) -> DetectionPrediction:
-    return DetectionPrediction(dialogue_id, probability, probability >= 0.5)
-
-
-@dataclass(frozen=True)
-class ErrorFixConfig:
-    base_system_id: str
-    delta_d: float = 0.3
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta_d <= 1.0:
-            raise DetectError(f"delta_d out of range: {self.delta_d}")
 
 
 def build_detection_examples(dialogues: Sequence[Dialogue], max_tokens: int = 0,
@@ -53,35 +33,34 @@ def build_detection_examples(dialogues: Sequence[Dialogue], max_tokens: int = 0,
     return examples
 
 
-def error_fixing_ensemble(predictions: dict[str, Sequence[DetectionPrediction]],
-                          config: ErrorFixConfig) -> list[DetectionPrediction]:
+def error_fixing_ensemble(probabilities: dict[str, Sequence[float]], base: str,
+                          delta_d: float) -> tuple[list[bool], list[float]]:
     """Keep the base system's labels except where it is unsure and the
-    auxiliaries disagree.
+    auxiliaries disagree. ``probabilities`` maps each system to its
+    probabilities in turn order; a system's label is p >= 0.5.
 
     A label flips iff |p_base - 0.5| < delta_d and a strict majority of the
-    auxiliary systems disagrees with the base label. Output probability is
-    the mean over all systems. delta_d = 0 reduces to the base system.
+    auxiliary systems disagrees with the base label. Returns the labels and
+    each turn's mean probability over all systems. delta_d = 0 reduces to
+    the base system.
     """
-    if config.base_system_id not in predictions:
-        raise DetectError(f"base system {config.base_system_id!r} not in predictions")
-    tables = {sys_id: {p.dialogue_id: p for p in preds}
-              for sys_id, preds in predictions.items()}
-    base = tables[config.base_system_id]
-    ids = list(base)
-    for sys_id, table in tables.items():
-        missing = set(ids) ^ set(table)
-        if missing:
-            raise DetectError(f"system {sys_id!r} id mismatch: {sorted(missing)[:5]}")
-    aux_ids = [s for s in tables if s != config.base_system_id]
-    out = []
-    for did in ids:
-        base_pred = base[did]
-        label = base_pred.label
-        if abs(base_pred.probability - 0.5) < config.delta_d and aux_ids:
-            disagree = sum(1 for s in aux_ids if tables[s][did].label != label)
-            if disagree * 2 > len(aux_ids):
+    if base not in probabilities:
+        raise DetectError(f"base system {base!r} not in predictions")
+    if not 0.0 <= delta_d <= 1.0:
+        raise DetectError(f"delta_d out of range: {delta_d}")
+    n = len(probabilities[base])
+    for system, probs in probabilities.items():
+        if len(probs) != n:
+            raise DetectError(f"system {system!r} has {len(probs)} turns, "
+                              f"base {base!r} has {n}")
+    aux = [probs for system, probs in probabilities.items() if system != base]
+    labels, means = [], []
+    for t, p in enumerate(probabilities[base]):
+        label = p >= 0.5
+        if abs(p - 0.5) < delta_d and aux:
+            disagree = sum(1 for probs in aux if (probs[t] >= 0.5) != label)
+            if disagree * 2 > len(aux):
                 label = not label
-        mean_prob = sum(tables[s][did].probability for s in tables) / len(tables)
-        out.append(DetectionPrediction(did, mean_prob, label))
-    return out
-
+        labels.append(label)
+        means.append(sum(probs[t] for probs in probabilities.values()) / len(probabilities))
+    return labels, means

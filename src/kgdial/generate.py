@@ -115,7 +115,6 @@ def preprocess_responses(dialogues: Sequence[Dialogue],
 @dataclass(frozen=True)
 class GenExample:
     """One generation training row: tagged context plus tagged target."""
-    turn_id: str
     context: str
     target: str
 
@@ -143,8 +142,7 @@ def build_gen_examples(dialogues: Sequence[Dialogue],
             d, topk, max_tokens=config.max_history_tokens,
             count_tags=config.count_tags)
         examples.append(GenExample(
-            turn_id=d.id, context=context,
-            target=f"{TAG_RESP} {d.label.response}"))
+            context=context, target=f"{TAG_RESP} {d.label.response}"))
     return examples
 
 

@@ -27,7 +27,7 @@ from .consensus import (Candidate, CandidatePool, ConsensusWeights,
 from .corpus import (CorpusError, Dialogue, KnowledgeBase, linearize_history,
                      load_corpus, load_knowledge_base, save_corpus,
                      strip_labels)
-from .detect import build_detection_examples, predict
+from .detect import build_detection_examples
 from .entity_track import (TrackMethod, build_tracking_examples,
                            collect_candidates, exact_match_entities,
                            fuzzy_match_entities, track_entities)
@@ -450,8 +450,8 @@ def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
         model = train_pointwise(train_set, kb, pw_config)
         for d in fold:
             tracked = tracker_fn(d, kb)
-            ranked = pointwise_rank(model, d, collect_candidates(tracked, kb),
-                                    dialogue_features(d, kb, tracked), kb=kb)
+            ranked = pointwise_rank(model, collect_candidates(tracked, kb),
+                                    dialogue_features(d, kb, tracked), kb)
             outputs[d.id] = [s for s, _ in ranked.items]
     return outputs
 
@@ -499,14 +499,14 @@ class DecodeComponents:
 
     The tracker's entities reach ranking one way: as the turn's
     `DialogueFeatures`, built once from the dialogue and those entities.
-    `ranker` ranks a turn's candidates once (called with the dialogue, the
-    candidates and the `DialogueFeatures`). When `reranker` is set, it
-    reorders that very list (called with the ranker's list and the same
-    `DialogueFeatures`) and the two lists are ensembled;
-    otherwise the ranker's list is ensembled alone."""
+    `ranker` ranks a turn's candidates once (called with the candidates and
+    the `DialogueFeatures`). When `reranker` is set, it reorders that very
+    list (called with the ranker's list and the same `DialogueFeatures`)
+    and the two lists, both of that turn, are ensembled; otherwise the
+    ranker's list is ensembled alone."""
     detector: Callable[[Dialogue], float]
     tracker: Callable[[Dialogue, KnowledgeBase], list]
-    ranker: Callable[[Dialogue, list, DialogueFeatures], RankedKnowledgeList]
+    ranker: Callable[[list, DialogueFeatures], RankedKnowledgeList]
     generator: object
     consensus_weights: ConsensusWeights
     nbest: int = 5
@@ -520,9 +520,10 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                       count_tags: bool = True) -> list[dict]:
     """Full pipeline over label-stripped dialogues, emitting the labels
     schema per turn, each record with the detector's
-    ``detection_probability`` (what `stage_ensemble` reads). The dialogue
-    part of the sparse ranking features is built once per targeted turn
-    and handed to the ranker and the reranker. An error raised for a turn
+    ``detection_probability`` (what `stage_ensemble` reads). A targeted
+    turn reaches the ranker and the reranker only as its candidates and its
+    `DialogueFeatures`, built once; the turn's lists are then ensembled
+    with each other (`ensemble_rank`). An error raised for a turn
     propagates with its class kept (so the CLI still maps domain errors)
     and its message prefixed with the turn id."""
     from .corpus import build_generation_context
@@ -537,7 +538,7 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
             tracked = components.tracker(dialogue, kb)
             candidates = collect_candidates(tracked, kb)
             features = dialogue_features(dialogue, kb, tracked)
-            first = components.ranker(dialogue, candidates, features)
+            first = components.ranker(candidates, features)
             ranked_lists = [first]
             if components.reranker is not None:
                 ranked_lists.append(components.reranker(first, features))
@@ -651,8 +652,8 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         return detector.score(
             linearize_history(dialogue, detect_tokens, count_tags), "")
 
-    def ranker(dialogue, candidates, features):
-        return pointwise_rank(pointwise, dialogue, candidates, features, kb=kb)
+    def ranker(candidates, features):
+        return pointwise_rank(pointwise, candidates, features, kb)
 
     def reranker(first, features):
         return listwise_rerank(listwise, first, features, alpha)
@@ -702,12 +703,13 @@ def _load_rank_model(path: str, kind: str):
 def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
                    base_system: str) -> list[str]:
     """Error-fixing ensemble over several detection prediction files, each
-    record's ``detection_probability`` as its system's probability; a
-    record without one is a CorpusError. A system is named by its file's
-    base name, so two files of one name are a CorpusError too."""
-    from .detect import ErrorFixConfig, error_fixing_ensemble
+    file's ``detection_probability`` list, in record order, as its system's
+    probabilities; a record without one is a CorpusError. A system is named
+    by its file's base name, so two files of one name are a CorpusError
+    too."""
+    from .detect import error_fixing_ensemble
 
-    tables, paths = {}, {}
+    probabilities, paths = {}, {}
     for path in prediction_paths:
         name = os.path.basename(path)
         if name in paths:
@@ -718,15 +720,13 @@ def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
         for i, r in enumerate(records):
             if "detection_probability" not in r:
                 raise CorpusError(f"{path}: record {i}: missing detection_probability")
-        tables[name] = [
-            predict(f"d{i:05d}", float(r["detection_probability"]))
-            for i, r in enumerate(records)]
-    fixed = error_fixing_ensemble(tables, ErrorFixConfig(
-        base_system_id=base_system, delta_d=float(config["detect.delta_d"])))
+        probabilities[name] = [float(r["detection_probability"]) for r in records]
+    labels, means = error_fixing_ensemble(probabilities, base_system,
+                                          float(config["detect.delta_d"]))
     path = config.output_path("ensemble.detection.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([{"target": p.label, "detection_probability": p.probability}
-                   for p in fixed], fh, indent=1)
+        json.dump([{"target": label, "detection_probability": p}
+                   for label, p in zip(labels, means)], fh, indent=1)
     manifest = write_manifest(config, "ensemble", list(prediction_paths), [path])
     return [path, manifest]
 

@@ -694,7 +694,6 @@ def train_pointwise(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
 
 @dataclass(frozen=True)
 class RankedKnowledgeList:
-    turn_id: str
     items: tuple[tuple[KnowledgeSnippet, float], ...]
 
     def __post_init__(self):
@@ -715,27 +714,20 @@ def _sorted_items(scored: list[tuple[KnowledgeSnippet, float]]
     return tuple(ordered[:TOP_K])
 
 
-def pointwise_rank(model: PointwiseModel, dialogue: Dialogue,
-                   candidates: Sequence[KnowledgeSnippet],
-                   context: DialogueFeatures,
-                   alpha: float = 1.0, kb: Optional[KnowledgeBase] = None
-                   ) -> RankedKnowledgeList:
+def pointwise_rank(model: PointwiseModel, candidates: Sequence[KnowledgeSnippet],
+                   context: DialogueFeatures, kb: KnowledgeBase,
+                   alpha: float = 1.0) -> RankedKnowledgeList:
     """Score candidates independently and keep the `TOP_K` best. ``context`` is
     `dialogue_features(dialogue, kb, tracked)`. An empty candidate list falls
-    back to the full knowledge base."""
-    pool = list(candidates)
-    if not pool:
-        if kb is None:
-            raise RankError("empty candidates and no knowledge base to fall back to")
-        pool = list(kb.snippets)
+    back to the full knowledge base ``kb``."""
+    pool = list(candidates) or list(kb.snippets)
     logits = model.logits(pool, context, alpha)
     scored = [(snip, sigmoid(z)) for snip, z in zip(pool, logits)]
-    return RankedKnowledgeList(dialogue.id, _sorted_items(scored))
+    return RankedKnowledgeList(_sorted_items(scored))
 
 
 @dataclass
 class ListwiseInstance:
-    dialogue: Dialogue
     candidates: list[KnowledgeSnippet]
     true_index: int
     context: DialogueFeatures
@@ -826,14 +818,14 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
             decoded_ids.add(d.id)
             candidates = tracker(d, kb) if tracker is not None else list(kb.snippets)
             context = dialogue_features(d, kb, kb.entities)
-            ranked = pointwise_rank(model, d, candidates, context, kb=kb)
+            ranked = pointwise_rank(model, candidates, context, kb)
             refs = set(d.label.knowledge_refs)
             true_idx = next((j for j, key in enumerate(ranked.keys) if key in refs), None)
             if true_idx is None:
                 dropped += 1
                 continue
             instances.append(ListwiseInstance(
-                dialogue=d, candidates=[s for s, _ in ranked.items],
+                candidates=[s for s, _ in ranked.items],
                 true_index=true_idx, context=context))
     stats = {"folds": k, "decoded": len(decoded_ids), "emitted": len(instances),
              "dropped": dropped}
@@ -862,17 +854,14 @@ def listwise_rerank(model: ListwiseModel, ranked: RankedKnowledgeList,
         return ranked
     cands = [s for s, _ in ranked.items]
     dist = model.distribution(cands, context, alpha)
-    return RankedKnowledgeList(ranked.turn_id,
-                               _sorted_items(list(zip(cands, dist))))
+    return RankedKnowledgeList(_sorted_items(list(zip(cands, dist))))
 
 
 def ensemble_rank(system_lists: Sequence[RankedKnowledgeList]) -> RankedKnowledgeList:
-    """Sum each snippet's probability across systems and re-sort."""
+    """Sum each snippet's probability across systems (lists of one turn)
+    and re-sort."""
     if not system_lists:
         raise RankError("ensemble needs at least one system")
-    turn_id = system_lists[0].turn_id
-    if any(lst.turn_id != turn_id for lst in system_lists):
-        raise RankError("ensemble inputs must cover the same turn")
     totals: dict[tuple, float] = {}
     snippets: dict[tuple, KnowledgeSnippet] = {}
     for lst in system_lists:
@@ -882,5 +871,5 @@ def ensemble_rank(system_lists: Sequence[RankedKnowledgeList]) -> RankedKnowledg
     max_total = max(totals.values(), default=1.0)
     scale = 1.0 / max(1.0, max_total)  # keep summed scores valid probabilities
     scored = [(snippets[k], v * scale) for k, v in totals.items()]
-    return RankedKnowledgeList(turn_id, _sorted_items(scored))
+    return RankedKnowledgeList(_sorted_items(scored))
 

@@ -20,7 +20,7 @@ from kgdial.consensus import (Candidate, CandidatePool, ConsensusWeights,
                               TuneConfig, consensus_select, tune_weights)
 from kgdial.corpus import (Dialogue, KnowledgeSnippet, Speaker, Turn,
                            linearize_history)
-from kgdial.detect import ErrorFixConfig, error_fixing_ensemble, predict
+from kgdial.detect import error_fixing_ensemble
 from kgdial.entity_track import (build_tracking_examples, collect_candidates,
                                  entity_recall, exact_match_entities,
                                  fuzzy_match_entities, track_entities)
@@ -225,13 +225,11 @@ def test_criterion_5_ensemble_invariants():
     with criterion(5, "ensemble invariants and monotone consensus tuning"):
         # error-fixing with delta 0 equals the base system
         rng = np.random.default_rng(3)
-        ids = [f"d{i}" for i in range(200)]
-        tables = {
-            system: [predict(i, float(rng.uniform())) for i in ids]
+        probabilities = {
+            system: [float(rng.uniform()) for _ in range(200)]
             for system in ("base", "a1", "a2", "a3")}
-        fixed = error_fixing_ensemble(tables, ErrorFixConfig("base", delta_d=0.0))
-        base_labels = {p.dialogue_id: p.label for p in tables["base"]}
-        assert all(p.label == base_labels[p.dialogue_id] for p in fixed)
+        labels, _ = error_fixing_ensemble(probabilities, "base", 0.0)
+        assert labels == [p >= 0.5 for p in probabilities["base"]]
 
         # sum-of-probabilities argsort invariant under duplication
         snips = [KnowledgeSnippet(domain="hotel", entity_id=str(i),
@@ -240,8 +238,7 @@ def test_criterion_5_ensemble_invariants():
         for seed in range(20):
             srng = np.random.default_rng(seed)
             probs = sorted((float(p) for p in srng.uniform(size=4)), reverse=True)
-            lst = RankedKnowledgeList(
-                "t", tuple(zip(snips[:4], probs)))
+            lst = RankedKnowledgeList(tuple(zip(snips[:4], probs)))
             single = ensemble_rank([lst])
             doubled = ensemble_rank([lst, lst])
             assert single.keys == doubled.keys == lst.keys
@@ -338,8 +335,8 @@ def test_criterion_7_ranking_order():
                 for d in test:
                     tracked = fuzzy_match_entities(d, kb, 0.5)
                     ranked.append(pointwise_rank(
-                        model, d, collect_candidates(tracked, kb),
-                        dialogue_features(d, kb, tracked), kb=kb))
+                        model, collect_candidates(tracked, kb),
+                        dialogue_features(d, kb, tracked), kb))
                 return ranked
 
             def r_at_1(ranked):
@@ -428,11 +425,12 @@ def test_criterion_9_end_to_end():
             return [entities_by_key[(dom, eid)]
                     for dom, eid, _ in truth[dialogue.id].knowledge_refs]
 
-        def ranker(dialogue, candidates, features):
-            refs = set(truth[dialogue.id].knowledge_refs)
+        def ranker(candidates, features):
+            # the decode loop below names the turn being decoded
+            refs = set(truth[oracle_gen.turn].knowledge_refs)
             scored = sorted(((s, 1.0 if s.key in refs else 0.0)
                              for s in candidates), key=lambda t: -t[1])
-            return RankedKnowledgeList(dialogue.id, tuple(scored[:5]))
+            return RankedKnowledgeList(tuple(scored[:5]))
 
         responses = {d.id: truth[d.id].response for d in dialogues
                      if truth[d.id].is_knowledge_seeking}
@@ -483,8 +481,8 @@ def test_criterion_9_end_to_end():
         selection_outputs = {}
         for d in ks:
             tracked = fuzzy_match_entities(d, kb, 0.5)
-            ranked = pointwise_rank(pw, d, collect_candidates(tracked, kb),
-                                    dialogue_features(d, kb, tracked), kb=kb)
+            ranked = pointwise_rank(pw, collect_candidates(tracked, kb),
+                                    dialogue_features(d, kb, tracked), kb)
             selection_outputs[d.id] = [s for s, _ in ranked.items]
         gen_cfg = GenTrainConfig(epochs=10, batch_size=32, learning_rate=0.01,
                                  max_history_tokens=96, max_target_tokens=24,
@@ -499,8 +497,8 @@ def test_criterion_9_end_to_end():
         def trained_tracker(dialogue, kb_):
             return fuzzy_match_entities(dialogue, kb_, 0.5)
 
-        def trained_ranker(dialogue, candidates, features):
-            return pointwise_rank(pw, dialogue, candidates, features, kb=kb)
+        def trained_ranker(candidates, features):
+            return pointwise_rank(pw, candidates, features, kb)
 
         trained = DecodeComponents(
             detector=trained_detector, tracker=trained_tracker,

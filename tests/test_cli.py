@@ -168,6 +168,12 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
      "config error: augment.ena_probability: expected a number in [0, 1], got 1.5"),
     ("ensemble", ["--predictions", "{predictions}", "--base", "nope.json"], "",
      "error: base system 'nope.json' not in predictions"),
+    ("ensemble", ["--predictions", "{predictions}", "{three}", "--base",
+                  "predictions.json"], "",
+     "error: system 'three.json' has 3 turns, base 'predictions.json' has 2"),
+    # the fixture corpus has 23 knowledge-seeking turns to split into folds
+    ("train-select", [], "rank.kfolds=40",
+     "error: cannot split 23 items into 40 folds"),
     ("augment", [], "paths.lexicon={lexicon}",
      "error: lexicon line 1: expected word<TAB>phonemes"),
     ("evaluate", ["--predictions", "{text}", "--references", "{predictions}"], "",
@@ -205,7 +211,8 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
      "error: {unscored}: record 1: missing detection_probability"),
 ], ids=["rank-kfolds", "gen-kfolds", "model-d-zero", "model-d-negative",
         "model-max-len-zero", "gen-max-target-tokens-zero",
-        "ena-probability", "ensemble-base",
+        "ena-probability", "ensemble-base", "ensemble-lengths-differ",
+        "rank-kfolds-above-turns",
         "lexicon-tab", "evaluate-not-json", "ensemble-not-json",
         "evaluate-no-target", "ensemble-no-target", "tune-consensus-list-references",
         "tune-consensus-pool-not-object", "tune-consensus-pool-text-not-string",
@@ -227,10 +234,12 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
         ("numbered", "numbered.jsonl"), ("unlogged", "unlogged.jsonl"),
         ("unranked", "unranked.jsonl"), ("gapped", "gapped.jsonl"),
         ("doubled", "doubled.jsonl"),
-        ("mapped", "mapped.json")]}
+        ("mapped", "mapped.json"), ("three", "three.json")]}
     paths["predictions"].write_text(json.dumps([
         {"target": True, "detection_probability": 0.9},
         {"target": False, "detection_probability": 0.1}]))
+    paths["three"].write_text(json.dumps([
+        {"target": True, "detection_probability": 0.6}] * 3))
     paths["lexicon"].write_text("hotel HH OW T EH L\n")
     paths["text"].write_text("not json\n")
     paths["untargeted"].write_text(json.dumps([{"x": 1}, {"x": 1}]))

@@ -309,7 +309,7 @@ class TestKFold:
         assert sorted(flat) == sorted(items)
 
     def test_k_too_large(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(corpus.CorpusError, match="cannot split 2 items into 3 folds"):
             split_kfold([1, 2], k=3, seed=0)
 
 

@@ -4,10 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdial.corpus import Dialogue, Speaker, Turn, TurnLabel
-from kgdial.detect import (
-    DetectError, ErrorFixConfig, build_detection_examples,
-    error_fixing_ensemble, predict,
-)
+from kgdial.detect import DetectError, build_detection_examples, error_fixing_ensemble
 from kgdial.pipeline import evaluate_predictions
 
 
@@ -35,75 +32,96 @@ class TestExamples:
         assert len(build_detection_examples(corpus)) == 9
 
 
-def table(sys_probs):
-    """sys_probs: {system: {id: prob}} -> prediction tables."""
-    return {s: [predict(i, p) for i, p in probs.items()]
-            for s, probs in sys_probs.items()}
+def reference_ensemble(probabilities, base, delta_d):
+    """The first implementation: each system's probabilities keyed by turn
+    id in a table of (probability, label) records, the flip decided and the
+    mean summed per id."""
+    ids = [f"d{i:05d}" for i in range(len(probabilities[base]))]
+    tables = {system: {did: (p, p >= 0.5) for did, p in zip(ids, probs)}
+              for system, probs in probabilities.items()}
+    aux_ids = [s for s in tables if s != base]
+    labels, means = [], []
+    for did in ids:
+        p_base, label = tables[base][did]
+        if abs(p_base - 0.5) < delta_d and aux_ids:
+            disagree = sum(1 for s in aux_ids if tables[s][did][1] != label)
+            if disagree * 2 > len(aux_ids):
+                label = not label
+        labels.append(label)
+        means.append(sum(tables[s][did][0] for s in tables) / len(tables))
+    return labels, means
+
+
+probability = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+                        st.floats(0, 1).map(lambda p: round(p, 2)))
+
+
+@st.composite
+def probability_tables(draw):
+    n = draw(st.integers(1, 29))
+    systems = draw(st.lists(st.sampled_from(["base", "a1", "a2", "a3", "a4"]),
+                            min_size=1, max_size=4, unique=True))
+    if "base" not in systems:
+        systems[draw(st.integers(0, len(systems) - 1))] = "base"
+    return {s: draw(st.lists(probability, min_size=n, max_size=n)) for s in systems}
 
 
 class TestErrorFixingEnsemble:
     def test_margin_flip_example(self):
-        preds = table({
-            "base": {"x": 0.6},
-            "aux1": {"x": 0.1},
-            "aux2": {"x": 0.2},
-        })
-        out = error_fixing_ensemble(preds, ErrorFixConfig("base", delta_d=0.3))
-        assert out[0].label is False
-        assert out[0].probability == pytest.approx(0.3)
+        labels, means = error_fixing_ensemble(
+            {"base": [0.6], "aux1": [0.1], "aux2": [0.2]}, "base", 0.3)
+        assert labels == [False]
+        assert means == [pytest.approx(0.3)]
 
     def test_delta_zero_is_base(self):
         rng = np.random.default_rng(0)
-        ids = [f"d{i}" for i in range(50)]
-        preds = table({
-            s: {i: float(rng.uniform()) for i in ids}
-            for s in ("base", "a", "b")})
-        out = error_fixing_ensemble(preds, ErrorFixConfig("base", delta_d=0.0))
-        base = {p.dialogue_id: p.label for p in preds["base"]}
-        assert all(p.label == base[p.dialogue_id] for p in out)
+        probs = {s: [float(p) for p in rng.uniform(size=50)] for s in ("base", "a", "b")}
+        labels, _ = error_fixing_ensemble(probs, "base", 0.0)
+        assert labels == [p >= 0.5 for p in probs["base"]]
 
     def test_agreement_never_flips(self):
-        preds = table({
-            "base": {"x": 0.51},
-            "aux1": {"x": 0.9},
-            "aux2": {"x": 0.7},
-        })
-        out = error_fixing_ensemble(preds, ErrorFixConfig("base", delta_d=1.0))
-        assert out[0].label is True
+        labels, _ = error_fixing_ensemble(
+            {"base": [0.51], "aux1": [0.9], "aux2": [0.7]}, "base", 1.0)
+        assert labels == [True]
 
     def test_identical_systems_reproduce_base(self):
-        probs = {"x": 0.42, "y": 0.8, "z": 0.5}
-        preds = table({s: dict(probs) for s in ("base", "c1", "c2", "c3")})
-        out = error_fixing_ensemble(preds, ErrorFixConfig("base", delta_d=0.4))
-        for p in out:
-            assert p.label == (probs[p.dialogue_id] >= 0.5)
-            assert p.probability == pytest.approx(probs[p.dialogue_id])
+        probs = [0.42, 0.8, 0.5]
+        labels, means = error_fixing_ensemble(
+            {s: list(probs) for s in ("base", "c1", "c2", "c3")}, "base", 0.4)
+        assert labels == [p >= 0.5 for p in probs]
+        assert means == pytest.approx(probs)
 
-    def test_missing_id_rejected(self):
-        preds = table({"base": {"x": 0.6}, "aux": {"y": 0.6}})
-        with pytest.raises(DetectError, match="mismatch"):
-            error_fixing_ensemble(preds, ErrorFixConfig("base"))
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DetectError, match="'aux' has 2 turns, base 'base' has 1"):
+            error_fixing_ensemble({"base": [0.6], "aux": [0.6, 0.4]}, "base", 0.3)
 
     def test_missing_base_rejected(self):
-        preds = table({"aux": {"x": 0.6}})
         with pytest.raises(DetectError, match="base"):
-            error_fixing_ensemble(preds, ErrorFixConfig("base"))
+            error_fixing_ensemble({"aux": [0.6]}, "base", 0.3)
+
+    @pytest.mark.parametrize("delta_d", [-0.1, 1.5])
+    def test_delta_outside_unit_interval_rejected(self, delta_d):
+        with pytest.raises(DetectError, match="delta_d out of range"):
+            error_fixing_ensemble({"base": [0.6]}, "base", delta_d)
 
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
                     min_size=1, max_size=30),
            st.floats(0, 0.5))
     @settings(max_examples=60, deadline=None)
     def test_flips_only_inside_margin_band(self, rows, delta):
-        preds = table({
-            "base": {f"d{i}": r[0] for i, r in enumerate(rows)},
-            "a1": {f"d{i}": r[1] for i, r in enumerate(rows)},
-            "a2": {f"d{i}": r[2] for i, r in enumerate(rows)},
-        })
-        out = error_fixing_ensemble(preds, ErrorFixConfig("base", delta_d=delta))
-        for i, p in enumerate(out):
-            base_label = rows[i][0] >= 0.5
-            if abs(rows[i][0] - 0.5) >= delta:
-                assert p.label == base_label
+        probs = {s: [r[j] for r in rows] for j, s in enumerate(("base", "a1", "a2"))}
+        labels, _ = error_fixing_ensemble(probs, "base", delta)
+        for row, label in zip(rows, labels):
+            if abs(row[0] - 0.5) >= delta:
+                assert label == (row[0] >= 0.5)
+
+    @given(probability_tables(), st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.3, 1.0])))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_first_implementation(self, probabilities, delta_d):
+        labels, means = error_fixing_ensemble(probabilities, "base", delta_d)
+        want_labels, want_means = reference_ensemble(probabilities, "base", delta_d)
+        assert labels == want_labels
+        assert [m.hex() for m in means] == [m.hex() for m in want_means]
 
 
 class TestDetectionMetrics:

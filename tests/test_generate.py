@@ -149,7 +149,7 @@ def overfit_examples(n=50):
     for i in range(n):
         ctx = f"⟨user⟩ tell me about {words[i]} place"
         target = f"⟨resp⟩ the {words[i]} place is number {words[(i * 7) % n]}"
-        out.append(GenExample(turn_id=f"t{i}", context=ctx, target=target))
+        out.append(GenExample(context=ctx, target=target))
     return out
 
 
@@ -227,7 +227,7 @@ class TestGenerator:
             value[...] = rng.normal(0.0, scale, size=value.shape)
         words = [f"w{i}" for i in rng.integers(0, V + 3, size=n_words)]
         ctx = [f"w{i}" for i in rng.integers(0, V + 3, size=ctx_words)]
-        e = GenExample(turn_id="r", context=" ".join(ctx),
+        e = GenExample(context=" ".join(ctx),
                        target=" ".join([TAG_RESP] + words))
         assert_close_loss(model.loss_and_grads([model.compile(e)]),
                           reference_loss_and_grads(model, e))
@@ -250,11 +250,10 @@ class TestGenerator:
         for key, value in model.params.items():
             value[...] = rng.normal(0.0, scale, size=value.shape)
         examples = [GenExample(
-            turn_id=f"r{i}",
             context=" ".join(f"w{j}" for j in rng.integers(0, V + 3, size=n_ctx)),
             target=" ".join([TAG_RESP] + [f"w{j}" for j in rng.integers(0, V + 3,
                                                                           size=n_words)]))
-            for i, (n_words, n_ctx) in enumerate(rows)]
+            for n_words, n_ctx in rows]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(generate, "_STACK_BLOCK", block)
             got = model.loss_and_grads([model.compile(e) for e in examples])

@@ -141,16 +141,18 @@ def oracle_components(dialogues, kb):
     def detector(dialogue):
         return 1.0 if truth[dialogue.id].is_knowledge_seeking else 0.0
 
+    turn_refs = set()  # the gold keys of the turn being decoded
+
     def tracker(dialogue, kb_):
         refs = truth[dialogue.id].knowledge_refs
+        turn_refs.clear()
+        turn_refs.update(refs)
         return [entities_by_key[(dom, eid)] for dom, eid, _ in refs]
 
-    def ranker(dialogue, candidates, features):
-        refs = set(truth[dialogue.id].knowledge_refs)
+    def ranker(candidates, features):
         scored = tuple(
-            (snip, 1.0 if snip.key in refs else 0.0) for snip in candidates)
-        ordered = tuple(sorted(scored, key=lambda t: -t[1])[:5])
-        return RankedKnowledgeList(dialogue.id, ordered)
+            (snip, 1.0 if snip.key in turn_refs else 0.0) for snip in candidates)
+        return RankedKnowledgeList(tuple(sorted(scored, key=lambda t: -t[1])[:5]))
 
     generator = OracleGenerator({
         d.id: truth[d.id].response for d in dialogues
@@ -242,30 +244,29 @@ def test_decode_ranks_each_turn_once_and_reranks_that_list(mini):
     dialogues, kb = mini
     truth, components = oracle_components(dialogues, kb)
     oracle_ranker = components.ranker
-    first_lists, reranked_lists = {}, {}
+    # the ranker's lists in call order; each one's rerank, by list identity
+    first_lists, reranked_lists = [], {}
 
-    def counting_ranker(dialogue, candidates, features):
-        assert dialogue.id not in first_lists
-        first_lists[dialogue.id] = oracle_ranker(dialogue, candidates, features)
-        return first_lists[dialogue.id]
+    def counting_ranker(candidates, features):
+        first_lists.append(oracle_ranker(candidates, features))
+        return first_lists[-1]
 
     def reversing_reranker(first, features):
-        assert first is first_lists[first.turn_id]
+        assert first is first_lists[-1] and id(first) not in reranked_lists
         n = len(first.items)
         reordered = [snip for snip, _ in reversed(first.items)]
-        reranked_lists[first.turn_id] = RankedKnowledgeList(first.turn_id, tuple(
+        reranked_lists[id(first)] = RankedKnowledgeList(tuple(
             (snip, (n - i) / n) for i, snip in enumerate(reordered)))
-        return reranked_lists[first.turn_id]
+        return reranked_lists[id(first)]
 
     components.ranker = counting_ranker
     components.reranker = reversing_reranker
     records = end_to_end_decode(dialogues, kb, components)
-    seeking = [d for d in dialogues if truth[d.id].is_knowledge_seeking]
-    assert set(first_lists) == set(reranked_lists) == {d.id for d in seeking}
-    for rec, d in zip(records, dialogues):
-        if d.id not in first_lists:
-            continue
-        merged = ensemble_rank([first_lists[d.id], reranked_lists[d.id]])
+    seeking = [rec for rec, d in zip(records, dialogues)
+               if truth[d.id].is_knowledge_seeking]
+    assert len(first_lists) == len(reranked_lists) == len(seeking)
+    for rec, first in zip(seeking, first_lists):
+        merged = ensemble_rank([first, reranked_lists[id(first)]])
         assert rec["knowledge"] == [
             {"domain": s.domain, "entity_id": s.entity_id, "doc_id": s.doc_id}
             for s, _ in merged.items]

@@ -307,12 +307,12 @@ def pointwise_instance(dialogue, candidate, label, kb):
                              rank.dialogue_features(dialogue, kb, kb.entities))
 
 
-def untrained_listwise(instances, kb, epochs=1, variant=Variant.WD2):
+def untrained_listwise(instances, dialogues, kb, epochs=1, variant=Variant.WD2):
     """The list-wise model trained from an untrained point-wise model on
-    the vocabulary of the instances' dialogues: training starts from the
-    weights a point-wise model of that config draws."""
+    the vocabulary of ``dialogues``: training starts from the weights a
+    point-wise model of that config draws."""
     pointwise = rank.PointwiseModel(
-        rank._ranking_vocab([inst.dialogue for inst in instances], kb), [],
+        rank._ranking_vocab(dialogues, kb), [],
         PointwiseConfig(d=10, variant=variant))
     return train_listwise(instances, pointwise, TrainConfig(epochs=epochs))
 
@@ -475,7 +475,7 @@ class TestPointwiseRank:
         d = ks_dialogue("x", "Hamilton Lodge", kb)
         only = kb.snippets_for("hotel", "1")[0]
         context = exact_context(d, kb)
-        ranked = pointwise_rank(m, d, [only], context)
+        ranked = pointwise_rank(m, [only], context, kb)
         assert len(ranked.items) == 1
         assert ranked.items[0][0].key == only.key
         assert ranked.items[0][1] == pytest.approx(
@@ -486,14 +486,14 @@ class TestPointwiseRank:
         d = ks_dialogue("x", "City Cab", kb, text="no entity words here at all",
                         final="what should i do?")
         cands = list(kb.snippets_for("restaurant", "1"))
-        r1 = pointwise_rank(m, d, cands, exact_context(d, kb), alpha=1.0)
-        r100 = pointwise_rank(m, d, cands, exact_context(d, kb), alpha=100.0)
+        r1 = pointwise_rank(m, cands, exact_context(d, kb), kb, alpha=1.0)
+        r100 = pointwise_rank(m, cands, exact_context(d, kb), kb, alpha=100.0)
         assert r1.keys == r100.keys
 
     def test_sorted_non_increasing(self, model):
         kb, m = model
         d = ks_dialogue("x", "SW Hotel", kb)
-        ranked = pointwise_rank(m, d, list(kb.snippets), exact_context(d, kb))
+        ranked = pointwise_rank(m, list(kb.snippets), exact_context(d, kb), kb)
         probs = [p for _, p in ranked.items]
         assert probs == sorted(probs, reverse=True)
         assert len(ranked.items) == 5
@@ -501,10 +501,8 @@ class TestPointwiseRank:
     def test_empty_candidates_fall_back_to_kb(self, model):
         kb, m = model
         d = ks_dialogue("x", "SW Hotel", kb)
-        ranked = pointwise_rank(m, d, [], exact_context(d, kb), kb=kb)
+        ranked = pointwise_rank(m, [], exact_context(d, kb), kb)
         assert len(ranked.items) == 5
-        with pytest.raises(RankError):
-            pointwise_rank(m, d, [], exact_context(d, kb))
 
 
 @pytest.fixture(scope="module")
@@ -558,7 +556,7 @@ class TestBatchedPointwise:
             got = m.logits(cands, context, alpha)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
             assert [m.logits([s], context, alpha)[0] for s in cands] == got
-            ranked = pointwise_rank(m, d, cands, context, alpha=alpha)
+            ranked = pointwise_rank(m, cands, context, kb, alpha=alpha)
             want = sorted(((s.key, sigmoid(z)) for s, z in zip(cands, expected)),
                           key=lambda t: (-t[1], t[0]))[:TOP_K]
             assert ranked.keys == [key for key, _ in want]
@@ -571,7 +569,7 @@ class TestBatchedPointwise:
         corpus = make_corpus(kb, 4)
         instances, _ = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
-        model = untrained_listwise(instances, kb, variant=variant)
+        model = untrained_listwise(instances, corpus, kb, variant=variant)
         seen = []
         real = rank.DialogueFeatures.indicators
 
@@ -583,7 +581,7 @@ class TestBatchedPointwise:
         for d in self.dialogues(kb):
             tracked = exact_match_entities(d, kb)
             cands = collect_candidates(list(kb.entities), kb)[:5]
-            ranked = RankedKnowledgeList(d.id, tuple((s, 0.5) for s in cands))
+            ranked = RankedKnowledgeList(tuple((s, 0.5) for s in cands))
             expected = [extract_sparse_features(d, s, kb, tracked, variant) for s in cands]
             seen.clear()
             listwise_rerank(model, ranked, rank.dialogue_features(d, kb, tracked),
@@ -690,11 +688,11 @@ class TestFeatureArrays:
                                        rtol=1e-12, atol=0)
             assert m.logits([], context, alpha) == []
             # an empty list falls back to the whole knowledge base
-            ranked = pointwise_rank(m, d, [], context, alpha=alpha, kb=kb)
+            ranked = pointwise_rank(m, [], context, kb, alpha=alpha)
             np.testing.assert_allclose([p for _, p in ranked.items], sorted(
                 (sigmoid(z) for z in expected), reverse=True)[:TOP_K],
                 rtol=1e-12, atol=0)
-            assert ranked == pointwise_rank(m, d, cands, context, alpha=alpha)
+            assert ranked == pointwise_rank(m, cands, context, kb, alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
     def test_distribution_equals_per_candidate_loop(self, variant_models, alpha):
@@ -746,7 +744,7 @@ class TestListwise:
         corpus = make_corpus(kb, 4)
         instances, _ = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
-        model = untrained_listwise(instances, kb)
+        model = untrained_listwise(instances, corpus, kb)
         d = corpus[0]
         same = [kb.snippets_for("hotel", "1")[0]] * 5
         dist = model.distribution(same, rank.dialogue_features(d, kb, []), alpha=1.0)
@@ -757,7 +755,7 @@ class TestListwise:
         corpus = make_corpus(kb, 4)
         instances, _ = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
-        model = untrained_listwise(instances, kb)
+        model = untrained_listwise(instances, corpus, kb)
         rng = np.random.default_rng(0)
         for _ in range(10):
             take = int(rng.integers(1, 6))
@@ -774,7 +772,7 @@ class TestListwise:
         corpus = make_corpus(kb, 4)
         instances, _ = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
-        model = untrained_listwise(instances, kb)
+        model = untrained_listwise(instances, corpus, kb)
         err = finite_difference_check(model, instances[:3], epsilon=1e-5)
         assert err < 1e-4
 
@@ -783,12 +781,9 @@ class TestListwise:
         corpus = make_corpus(kb, 4)
         instances, stats = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=2, seed=0, tracker=exact_tracker)
-        model = untrained_listwise(instances, kb)
-        inst = instances[0]
-        ranked = RankedKnowledgeList(
-            inst.dialogue.id,
-            tuple((s, 0.5) for s in inst.candidates))
-        out = listwise_rerank(model, ranked, rank.dialogue_features(inst.dialogue, kb, []),
+        model = untrained_listwise(instances, corpus, kb)
+        ranked = RankedKnowledgeList(tuple((s, 0.5) for s in instances[0].candidates))
+        out = listwise_rerank(model, ranked, rank.dialogue_features(corpus[0], kb, []),
                               alpha=1.0)
         assert sorted(out.keys) == sorted(ranked.keys)
         probs = [p for _, p in out.items]
@@ -802,15 +797,20 @@ class TestListwiseData:
         instances, stats = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=3, seed=1, tracker=exact_tracker)
         model = ListwiseModel(rank._ranking_vocab(corpus, kb), PointwiseConfig(d=10))
+        features = [rank.dialogue_features(d, kb, exact_match_entities(d, kb))
+                    for d in corpus]
         for inst in instances:
-            refs = set(inst.dialogue.label.knowledge_refs)
+            # the instance's dialogue: one whose exact-tracked features it holds
+            owners = [d for d, f in zip(corpus, features) if f == inst.context]
+            assert owners
+            d = owners[0]
+            refs = set(d.label.knowledge_refs)
+            assert all(set(o.label.knowledge_refs) == refs for o in owners)
             hits = [j for j, c in enumerate(inst.candidates) if c.key in refs]
             assert inst.true_index in hits
-            tracked = exact_match_entities(inst.dialogue, kb)
-            assert inst.context == rank.dialogue_features(inst.dialogue, kb, tracked)
+            tracked = exact_match_entities(d, kb)
             assert np.array_equal(model.compile(inst).features, [
-                extract_sparse_features(inst.dialogue, c, kb, tracked)
-                for c in inst.candidates])
+                extract_sparse_features(d, c, kb, tracked) for c in inst.candidates])
         assert stats["decoded"] == len(corpus)
         assert stats["emitted"] + stats["dropped"] == len(corpus)
 
@@ -823,7 +823,7 @@ class TestListwiseData:
 
 
 class TestEnsemble:
-    def ranked(self, turn, pairs):
+    def ranked(self, pairs):
         kb = make_kb()
         by_name = {e.name: e for e in kb.entities}
         items = []
@@ -831,32 +831,30 @@ class TestEnsemble:
             e = by_name[name]
             items.append((kb.snippets_for(e.domain, e.entity_id)[0], prob))
         items.sort(key=lambda t: -t[1])
-        return RankedKnowledgeList(turn, tuple(items))
+        return RankedKnowledgeList(tuple(items))
 
     def test_single_system_identity(self):
-        lst = self.ranked("t", [("Hamilton Lodge", 0.8), ("SW Hotel", 0.3)])
+        lst = self.ranked([("Hamilton Lodge", 0.8), ("SW Hotel", 0.3)])
         out = ensemble_rank([lst])
         assert out.keys == lst.keys
 
     def test_duplicated_system_same_argsort(self):
-        lst = self.ranked("t", [("Hamilton Lodge", 0.8), ("SW Hotel", 0.3),
+        lst = self.ranked([("Hamilton Lodge", 0.8), ("SW Hotel", 0.3),
                                 ("Palm Court", 0.1)])
         out = ensemble_rank([lst, lst, lst])
         assert out.keys == lst.keys
 
     def test_hand_summed_scores(self):
-        a = self.ranked("t", [("Hamilton Lodge", 0.6), ("SW Hotel", 0.5)])
-        b = self.ranked("t", [("SW Hotel", 0.9), ("Hamilton Lodge", 0.1)])
+        a = self.ranked([("Hamilton Lodge", 0.6), ("SW Hotel", 0.5)])
+        b = self.ranked([("SW Hotel", 0.9), ("Hamilton Lodge", 0.1)])
         out = ensemble_rank([a, b])
         assert out.keys[0][0:2] == ("hotel", "2")  # B: 1.4 over A: 0.7
         probs = dict(zip([k[:2] for k in out.keys], [p for _, p in out.items]))
         assert probs[("hotel", "2")] / probs[("hotel", "1")] == pytest.approx(1.4 / 0.7)
 
-    def test_mismatched_turns_rejected(self):
-        a = self.ranked("t1", [("Hamilton Lodge", 0.6)])
-        b = self.ranked("t2", [("SW Hotel", 0.9)])
-        with pytest.raises(RankError):
-            ensemble_rank([a, b])
+    def test_no_system_rejected(self):
+        with pytest.raises(RankError, match="at least one system"):
+            ensemble_rank([])
 
 
 class TestRankingMetrics:
@@ -945,11 +943,11 @@ def reference_pointwise_loss(model, instance, kb):
     return loss, grads
 
 
-def reference_listwise_loss(model, instance):
-    """ListwiseModel.loss_and_grads re-tokenizing its list on every call and
-    computing each readout twice."""
+def reference_listwise_loss(model, instance, dialogue):
+    """ListwiseModel.loss_and_grads re-tokenizing its list (of ``dialogue``)
+    on every call and computing each readout twice."""
     grads = {k: np.zeros_like(v) for k, v in model.all_params().items()}
-    history = tokenize(linearize_history(instance.dialogue))
+    history = tokenize(linearize_history(dialogue))
     caches, logits = [], np.empty(len(instance.candidates))
     features = instance.context.indicators(instance.candidates, model.config.variant)
     for j, (snip, row) in enumerate(zip(instance.candidates, features)):
@@ -1080,12 +1078,13 @@ class TestBatchedTraining:
     def test_listwise_batch_equals_per_row_reference(self, training_pool, lists, max_len,
                                                      pooling, block, seed):
         kb, corpus, _ = training_pool
-        instances = []
+        instances, dialogues = [], []
         for pick, snippets, true_index in lists:
             d = corpus[pick % len(corpus)]
             cands = [kb.snippets[i] for i in snippets]
+            dialogues.append(d)
             instances.append(rank.ListwiseInstance(
-                dialogue=d, candidates=cands, true_index=true_index % len(cands),
+                candidates=cands, true_index=true_index % len(cands),
                 context=exact_context(d, kb)))
         cfg = small_config(max_len=max_len, pooling=pooling)
         model = randomized(ListwiseModel(rank._ranking_vocab(corpus, kb), cfg), seed)
@@ -1094,8 +1093,8 @@ class TestBatchedTraining:
             patch.setattr(models, "_STACK_BLOCK", block)
             seen = record_stacks(patch)
             got = model.loss_and_grads(rows)
-        assert_close_loss(got, summed_losses(reference_listwise_loss(model, inst)
-                                             for inst in instances))
+        assert_close_loss(got, summed_losses(reference_listwise_loss(model, inst, d)
+                                             for inst, d in zip(instances, dialogues)))
         assert sum(n for n, _ in seen) == len(rows)
         assert_within_block(seen, block, cfg.d)
 
@@ -1278,7 +1277,7 @@ class TestCompiledRows:
         history = tokenize(linearize_history(d))
         for _ in range(2):  # the second pass reads the model's snippet table
             pairs = model.compile(rank.ListwiseInstance(
-                d, cands, 0, rank.dialogue_features(d, kb, []))).pairs
+                cands, 0, rank.dialogue_features(d, kb, []))).pairs
             assert len(pairs) == len(cands)
             for (ids, segs), s in zip(pairs, cands):
                 ref_ids, ref_segs = reference_token_ids(
@@ -1364,7 +1363,7 @@ class TestSharedPairScorer:
         elif trainer == "listwise":
             model = ListwiseModel(vocab, small_config())
             cands = kb.snippets[:3]
-            items = [rank.ListwiseInstance(d, cands, 0, exact_context(d, kb))
+            items = [rank.ListwiseInstance(cands, 0, exact_context(d, kb))
                      for d in corpus]
         else:
             use_mtl = trainer == "pointwise-mtl"
