@@ -6,7 +6,8 @@ bit-parallel LCS kernel (`kernels.lcs_length_tokens`, given Python lists
 as consensus decoding gives it token lists) on random sequences of growing
 length, the batched edit distance (`kernels.levenshtein_many`) against a
 per-pair `levenshtein` loop on (entity name, same-length window) pairs,
-`fuzzy_match_entities` over synth dialogues, the save and load of a
+`fuzzy_match_entities` over synth dialogues, cold and over stitched
+histories with its window tables kept, the save and load of a
 rank checkpoint the size the README quick start trains, and
 `ToyEncoder.pair_readouts` against one encoder pass per history-snippet
 pair on the candidate lists decode ranks, replayed from held-out synth
@@ -20,7 +21,7 @@ the paths training first took. Run after `pip install -e .`:
 Before timing, the kernels are checked against a plain-Python DP of this
 script's own (on the sequences of at most CHECK_MAX elements, where it
 runs in seconds), and fuzzy matching against its scalar definition
-(`fuzzy_similarity`), a loaded checkpoint against the tensors saved, and
+(`fuzzy_similarity`) on warm window tables, a loaded checkpoint against the tensors saved, and
 the shared-history readouts against the per-pair passes, the
 minibatch gradients against the per-row sums, and each per-epoch path
 against the first one; the whole script
@@ -131,31 +132,63 @@ def bench_batched_levenshtein(rng, n_names=30, n_utterances=8):
     print(f"  per-pair kernel loop  {t_loop:.4f}  ({t_loop / t_many:.1f}x)")
 
 
-def bench_fuzzy_workload(threshold=0.5, n_dialogues=150):
-    """`fuzzy_match_entities` over the synth knowledge base and dialogues
-    (the pipeline's tracker at the README quick-start threshold), checked
-    first against the scalar definition: every entity scored against every
-    utterance with `fuzzy_similarity`."""
-    from kgdial.corpus import tokenize
+def bench_fuzzy_workload(threshold=0.5, n_dialogues=150, window=4, repeat=3):
+    """`fuzzy_match_entities` over the synth knowledge base and dialogues at
+    the pipeline's tracker threshold of the README quick start, three ways,
+    each pass from a fresh knowledge base (empty window tables):
+
+    * cold: every dialogue once;
+    * stitched, cold: each dialogue with the ``window - 1`` before it, as
+      the pipeline benchmark's decode-long stitches histories, the tables
+      emptied before each call (every window matched afresh);
+    * stitched, incremental: the same histories in order, the tables kept,
+      as decode serves them.
+
+    Checked first: the incremental results equal the cold ones, and then,
+    on the warm tables, every dialogue's result equals the scalar
+    definition: every entity scored against every utterance with
+    `fuzzy_similarity`."""
+    from kgdial.corpus import Dialogue, KnowledgeBase, tokenize
     from kgdial.entity_track import fuzzy_match_entities, fuzzy_similarity
     from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 
     dialogues, kb, _ = build_mini_corpus(
         MiniCorpusConfig(n_dialogues=n_dialogues, seed=6))
+    histories = [Dialogue(id=dialogues[last].id, turns=tuple(
+        t for part in dialogues[last - window + 1:last + 1] for t in part.turns))
+        for last in range(window - 1, len(dialogues))]
+
+    def track(calls, empty_tables=False):
+        """One pass from a fresh knowledge base: (its results, seconds)."""
+        fresh = KnowledgeBase(kb.snippets)
+        tables = fresh.name_index.fuzzy_windows
+        results = []
+        t0 = time.perf_counter()
+        for d in calls:
+            if empty_tables:
+                tables.clear()
+            results.append(fuzzy_match_entities(d, fresh, threshold))
+        return results, time.perf_counter() - t0, fresh
+
+    incremental, _, warm = track(histories)
+    assert incremental == track(histories, empty_tables=True)[0]
     for d in dialogues:
         utterances = [tokenize(t.text) for t in d.turns]
         expected = [e for e in kb.entities
                     if max((fuzzy_similarity(e.name, u) for u in utterances),
                            default=0.0) >= threshold]
-        assert fuzzy_match_entities(d, kb, threshold) == expected
+        assert fuzzy_match_entities(d, warm, threshold) == expected
 
-    def run():
-        return [fuzzy_match_entities(d, kb, threshold) for d in dialogues]
-
-    elapsed = timeit(run, repeat=3)
-    print(f"\nfuzzy-matching workload: {len(dialogues)} synth dialogues against "
-          f"{len(kb.entities)} entities at threshold {threshold} in {elapsed:.3f}s "
-          f"(best of 3; {elapsed / len(dialogues) * 1e3:.2f} ms per dialogue)")
+    print(f"\nfuzzy-matching workload against {len(kb.entities)} entities at "
+          f"threshold {threshold} (best of {repeat} passes, each from a fresh "
+          f"knowledge base)")
+    for name, calls, empty_tables in (
+            ("cold", dialogues, False),
+            (f"stitched x{window}, cold", histories, True),
+            (f"stitched x{window}, incremental", histories, False)):
+        elapsed = min(track(calls, empty_tables)[1] for _ in range(repeat))
+        print(f"  {name:26} {len(calls):4d} dialogues {elapsed:.3f}s "
+              f"({elapsed / max(len(calls), 1) * 1e3:.2f} ms per dialogue)")
 
 
 def bench_checkpoint_io(n_vocab=288, d=24, repeat=20):

@@ -149,14 +149,11 @@ class KnowledgeSnippet:
     def __post_init__(self):
         if not self.entity_name:
             raise CorpusError("snippet entity_name must be non-empty")
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.domain, self.entity_id, self.doc_id)
-
-    @property
-    def entity_key(self) -> tuple[str, str]:
-        return (self.domain, self.entity_id)
+        # ``key`` and ``entity_key``, built once: plain attributes, not
+        # fields, so equality, hashing and serialisation see only the six
+        # fields above
+        object.__setattr__(self, "key", (self.domain, self.entity_id, self.doc_id))
+        object.__setattr__(self, "entity_key", (self.domain, self.entity_id))
 
     @property
     def is_domain_level(self) -> bool:
@@ -190,6 +187,12 @@ class EntityNameIndex:
     length to the distinct targets of that length (first-seen order) and
     their ``char_counts`` rows over ``alphabet``, the sorted code points of
     all targets.
+
+    ``fuzzy_windows`` is filled by fuzzy matching as it runs: one table per
+    threshold, mapping each window string matched so far to the targets of
+    its token length within that threshold of it. A window's entry depends
+    only on the window, the threshold and the names, so it holds for every
+    later dialogue; ``entity_track`` bounds the tables' size.
     """
 
     def __init__(self, entities: Sequence[Entity]):
@@ -211,6 +214,7 @@ class EntityNameIndex:
         self.groups: dict[int, tuple[tuple[str, ...], np.ndarray]] = {
             w: (tuple(g), char_counts(list(g), self.alphabet))
             for w, g in grouped.items()}
+        self.fuzzy_windows: dict[float, dict[str, tuple[str, ...]]] = {}
 
 
 class KnowledgeBase:
@@ -460,14 +464,18 @@ def build_generation_context(dialogue: Dialogue,
     return truncate_left(" ".join(parts), max_tokens, count_tags=count_tags)
 
 
-def split_kfold(items: Sequence, k: int, seed: int) -> list[list]:
-    """Shuffle deterministically and deal into k folds with sizes
-    differing by at most one. Fewer than 2 folds, or more folds than
-    items, is a CorpusError."""
+def check_kfold(n_items: int, k: int) -> None:
+    """Fewer than 2 folds, or more folds than items, is a CorpusError."""
     if k < 2:
         raise CorpusError("k must be at least 2")
-    if k > len(items):
-        raise CorpusError(f"cannot split {len(items)} items into {k} folds")
+    if k > n_items:
+        raise CorpusError(f"cannot split {n_items} items into {k} folds")
+
+
+def split_kfold(items: Sequence, k: int, seed: int) -> list[list]:
+    """Shuffle deterministically and deal into k folds with sizes
+    differing by at most one; ``check_kfold`` rejects k first."""
+    check_kfold(len(items), k)
     order = np.random.default_rng(seed).permutation(len(items))
     folds: list[list] = [[] for _ in range(k)]
     for pos, idx in enumerate(order):

@@ -5,14 +5,17 @@ distance, learned pair scorer over a threshold) feed candidate knowledge
 collection for the ranking stage. The exact and fuzzy methods read the
 knowledge base's ``name_index``, built once with the knowledge base: exact
 matching is one dict lookup per (utterance position, name token length) at
-the positions that hold some name's first token, and fuzzy matching bounds
-the (name, distinct window) pairs of a token length by a character-count
+the positions that hold some name's first token. Fuzzy matching matches each
+distinct window string once per knowledge base and threshold and keeps the
+result in the index's ``fuzzy_windows`` tables, so a turn served after the
+turns before it computes only the windows its new utterances add: it bounds
+the (name, new window) pairs of a token length by a character-count
 difference, all pairs of the length as one array, then computes the edit
 distances of the pairs the bound leaves open, those of every length
-together, in one batched DP per call (``kernels.levenshtein_many``). Learned tracking scores the history against
-every entity in one ``scores`` call of the pair scorer, which maps the
-history to ids once and, for the reference scorer, encodes it once per
-truncation window (``ToyEncoder.pair_readouts``).
+together, in one batched DP per call (``kernels.levenshtein_many``). Learned
+tracking scores the history against every entity in one ``scores`` call of
+the pair scorer, which maps the history to ids once and, for the reference
+scorer, encodes it once per truncation window (``ToyEncoder.pair_readouts``).
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from .models import SentencePairScorer
 # most elements of the (names x windows x alphabet) count difference that
 # fuzzy matching holds at once: 64 KB of int32 counts
 _BOUND_BLOCK = 1 << 14
+# most windows the fuzzy tables of one knowledge base hold, under 100 bytes
+# each (tracemalloc); decoding 150 held-out synth dialogues meets about 600
+_WINDOW_TABLE_BOUND = 1 << 14
 
 
 class TrackMethod(Enum):
@@ -98,27 +104,44 @@ def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
     ``threshold``; an entity with no same-length window scores 0.0.
 
     Names are grouped by token length and each distinct window string of
-    that length is compared once. The edit distance is bounded below by
-    the character-count difference max(sum (a-b)+, sum (b-a)+) over the
+    that length is matched once per knowledge base and threshold: the
+    targets within the threshold of a window are kept in the name index's
+    ``fuzzy_windows`` table of that threshold, and a dialogue's result is
+    the union over its windows, so a turn whose history was matched before
+    computes only its new windows. A new window is compared to every name
+    of its length. The edit distance is bounded below by the
+    character-count difference max(sum (a-b)+, sum (b-a)+) over the
     alphabet of the names, which also covers the length difference;
     characters outside that alphabet share one count, where the name's
-    count is 0. The bound of every (name, window) pair of a group is one
-    array, computed over blocks of names so that the (names x windows x
+    count is 0. The bound of every (name, new window) pair of a group is
+    one array, computed over blocks of names so that the (names x windows x
     alphabet) difference stays below ``_BOUND_BLOCK`` elements. The edit
     distances of all pairs, of every group, whose bound still allows the
-    threshold are computed in one ``levenshtein_many`` call.
+    threshold are computed in one ``levenshtein_many`` call. The tables of
+    one knowledge base hold at most ``_WINDOW_TABLE_BOUND`` windows (or one
+    call's new windows, if more): a call that would pass it clears them.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold out of [0,1]")
     if threshold == 0.0:  # every score, 0.0 included, reaches it
         return list(kb.entities)
     index = kb.name_index
+    table = index.fuzzy_windows.get(threshold, {})
     utterances = _utterance_tokens(dialogue)
+    hits: set[str] = set()
+    found: dict[str, list[str]] = {}  # each window not in the table -> its targets
     pair_targets, pair_windows, pair_denoms = [], [], []
     for w, (group, group_counts) in index.groups.items():
-        windows = list(dict.fromkeys(
-            " ".join(u[start:start + w])
-            for u in utterances for start in range(len(u) - w + 1)))
+        windows = []
+        for window in dict.fromkeys(
+                " ".join(u[start:start + w])
+                for u in utterances for start in range(len(u) - w + 1)):
+            targets = table.get(window)
+            if targets is None:
+                windows.append(window)
+                found[window] = []
+            else:
+                hits.update(targets)
         if not windows:
             continue
         window_counts = char_counts(windows, index.alphabet)
@@ -135,11 +158,19 @@ def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
             pair_targets += [group[lo + i] for i in rows.tolist()]
             pair_windows += [windows[j] for j in cols.tolist()]
             pair_denoms.append(denom[block][rows, cols])
-    if not pair_targets:
-        return []
-    dist = levenshtein_many(pair_targets, pair_windows)
-    keep = 1.0 - dist / np.concatenate(pair_denoms) >= threshold
-    hits = {t for t, k in zip(pair_targets, keep.tolist()) if k}
+    if pair_targets:
+        dist = levenshtein_many(pair_targets, pair_windows)
+        keep = 1.0 - dist / np.concatenate(pair_denoms) >= threshold
+        for target, window, k in zip(pair_targets, pair_windows, keep.tolist()):
+            if k:
+                found[window].append(target)
+                hits.add(target)
+    if found:
+        tables = index.fuzzy_windows
+        if sum(map(len, tables.values())) + len(found) > _WINDOW_TABLE_BOUND:
+            tables.clear()
+        tables.setdefault(threshold, {}).update(
+            (window, tuple(targets)) for window, targets in found.items())
     return [e for e, target in zip(kb.entities, index.targets) if target in hits]
 
 

@@ -7,7 +7,8 @@ absolute values are not comparable to full METEOR.
 
 Each text score is implemented once, over per-text statistics
 (`text_stats`): tokens, suffix stems, the tables METEOR-lite aligns with,
-and word and character 1-4-gram multisets. A multiset is held as the set
+and word and character 1-4-gram multisets, the character ones built on
+first read (only `char_f` reads them). A multiset is held as the set
 of its occurrences (a gram's k-th repeat is the pair (gram, k)), so a
 clipped overlap is the size of a set intersection. The scores (`bleu_n`,
 `corpus_bleu`, `rouge_n`, `rouge_l`, `meteor_lite`, `char_f`) take texts
@@ -23,7 +24,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,17 +48,24 @@ def stem(word: str) -> str:
     return word
 
 
-class TextStats(NamedTuple):
+@dataclass
+class TextStats:
     """What the text scores need of one text. Each n-gram multiset is held
     as the set of its occurrences (`_occurrences`)."""
     tokens: list[str]
     stems: list[str]
     words: list[frozenset]  # word n-gram occurrences, n = 1.._MAX_N
-    chars: list[frozenset]  # character n-gram occurrences of the joined tokens
-    n_chars: int
+    n_chars: int  # length of the joined tokens
     keys: list  # each token's occurrence key (`_occurrence_keys`)
     positions: dict  # occurrence key -> token position
     stem_positions: dict[str, list[int]]  # stem -> its token positions, ascending
+
+    @cached_property
+    def chars(self) -> list[frozenset]:
+        """Character n-gram occurrences of the joined tokens, n = 1.._MAX_N,
+        built on first read: only char-F reads them, and evaluation reports
+        no char-F."""
+        return [_occurrences(grams) for grams in _char_ngrams(" ".join(self.tokens))]
 
 
 def _occurrence_keys(items: list) -> list:
@@ -95,7 +104,6 @@ def text_stats(text: str) -> TextStats:
     """The statistics of ``text``, tokenized once."""
     tokens = tokenize(text)
     stems = [stem(t) for t in tokens]
-    joined = " ".join(tokens)
     keys = _occurrence_keys(tokens)
     stem_positions: dict[str, list[int]] = {}
     for i, key in enumerate(stems):
@@ -106,8 +114,7 @@ def text_stats(text: str) -> TextStats:
         words=[frozenset(keys)] + [
             _occurrences([tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)])
             for n in range(2, _MAX_N + 1)],
-        chars=[_occurrences(grams) for grams in _char_ngrams(joined)],
-        n_chars=len(joined),
+        n_chars=len(" ".join(tokens)),
         keys=keys,
         positions=dict(zip(keys, range(len(keys)))),
         stem_positions=stem_positions)

@@ -24,9 +24,9 @@ from .augment import (AugmentConfig, FakeSpeechAdapter, augment_corpus,
 from .consensus import (Candidate, CandidatePool, ConsensusWeights,
                         consensus_select, load_weights, save_weights,
                         tune_weights)
-from .corpus import (CorpusError, Dialogue, KnowledgeBase, linearize_history,
-                     load_corpus, load_knowledge_base, save_corpus,
-                     strip_labels)
+from .corpus import (CorpusError, Dialogue, KnowledgeBase, check_kfold,
+                     linearize_history, load_corpus, load_knowledge_base,
+                     save_corpus, strip_labels)
 from .detect import build_detection_examples
 from .entity_track import (TrackMethod, build_tracking_examples,
                            collect_candidates, exact_match_entities,
@@ -312,6 +312,9 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
     outputs = []
     seed = config.seed
     ks = [d for d in corpus if d.label is not None and d.label.is_knowledge_seeking]
+    # the list-wise folds deal the turns with knowledge labels; check them
+    # before any model is trained
+    check_kfold(sum(1 for d in ks if d.label.knowledge_refs), int(config["rank.kfolds"]))
 
     tracker = None
     if str(config["track.method"]) == "learned":

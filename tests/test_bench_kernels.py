@@ -28,7 +28,7 @@ def test_batched_levenshtein_checks(bench):
 
 
 def test_fuzzy_workload_checks(bench):
-    bench.bench_fuzzy_workload(n_dialogues=3)
+    bench.bench_fuzzy_workload(n_dialogues=6, repeat=1)
 
 
 def test_checkpoint_io_checks(bench):

@@ -275,6 +275,8 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
                  *(a.format(**paths) for a in args),
                  "--stage-overrides", *overrides]) == EXIT_CONFIG
     assert capsys.readouterr().err == message.format(**paths) + "\n"
+    # a stage that fails on its input fails before it trains any model
+    assert not list((tmp_path / "out").glob("*.npz"))
 
 
 def test_full_pipeline_runs(workdir, capsys):

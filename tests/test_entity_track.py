@@ -179,21 +179,24 @@ NOISE_WORDS = NAME_WORDS + ("plam", "cort", "hotels", "lodg", "ß", "zz", "42",
                             "?", "court!", "é", "hamiltom")
 
 
+name_kbs = st.lists(
+    st.lists(st.sampled_from(NAME_WORDS), min_size=1, max_size=3).map(" ".join),
+    min_size=1, max_size=6).map(
+        lambda name_list: KnowledgeBase([snip("hotel", str(i), name, "0")
+                                         for i, name in enumerate(name_list)]))
+thresholds = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
 @st.composite
 def fuzzy_cases(draw):
-    name_list = draw(st.lists(
-        st.lists(st.sampled_from(NAME_WORDS), min_size=1, max_size=3)
-        .map(" ".join), min_size=1, max_size=6))
-    kb = KnowledgeBase([snip("hotel", str(i), name, "0")
-                        for i, name in enumerate(name_list)])
+    kb = draw(name_kbs)
     phrase = draw(st.lists(st.sampled_from(NOISE_WORDS), min_size=1, max_size=4))
     # a turn cannot be blank; "?" is the shortest, one token and no letter
     turns = draw(st.lists(
         st.one_of(st.just(phrase), st.just(["?"]),
                   st.lists(st.sampled_from(NOISE_WORDS), min_size=1, max_size=8)),
         max_size=5))
-    threshold = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
-                               st.floats(0.0, 1.0)))
+    threshold = draw(thresholds)
     return kb, dlg(*(" ".join(t) for t in turns)), threshold
 
 
@@ -250,6 +253,20 @@ class TestFuzzyPruning:
         assert len(pairs) < windows_scanned
 
 
+def count_edit_distances(monkeypatch):
+    """The (target, window) pairs each ``levenshtein_many`` call is given,
+    one list per call."""
+    real_many = entity_track.levenshtein_many
+    calls = []
+
+    def counted_many(a, b):
+        calls.append(list(zip(a, b)))
+        return real_many(a, b)
+
+    monkeypatch.setattr(entity_track, "levenshtein_many", counted_many)
+    return calls
+
+
 def test_one_batched_edit_distance_call_per_call(monkeypatch):
     """Names of 1, 2 and 3 tokens all leave pairs open, and their edit
     distances still come from a single ``levenshtein_many`` call."""
@@ -258,22 +275,88 @@ def test_one_batched_edit_distance_call_per_call(monkeypatch):
                         snip("hotel", "3", "Union Square Inn", "0"),
                         snip("taxi", "4", "City Cab", "0")])
     d = dlg("a lodg near the SW hotl", "or the Union Sqare Inn")
-    real_many = entity_track.levenshtein_many
-    calls = []
-
-    def counted_many(a, b):
-        calls.append(list(a))
-        return real_many(a, b)
-
-    monkeypatch.setattr(entity_track, "levenshtein_many", counted_many)
+    calls = count_edit_distances(monkeypatch)
     got = fuzzy_match_entities(d, kb, 0.7)
     assert len(calls) == 1
-    assert {len(t.split()) for t in calls[0]} == {1, 2, 3}
+    assert {len(t.split()) for t, _ in calls[0]} == {1, 2, 3}
     assert names(got) == ["Lodge", "SW Hotel", "Union Square Inn"]
     assert got == fuzzy_reference(d, kb, 0.7)
     calls.clear()
     assert fuzzy_match_entities(dlg("nothing alike here"), kb, 0.9) == []
     assert len(calls) <= 1
+
+
+@st.composite
+def fuzzy_sessions(draw):
+    """A knowledge base and the calls of several interleaved dialogues
+    against it: each call a (dialogue, threshold), the dialogue a run of
+    consecutive turns of one conversation, as decode stitches histories."""
+    kb = draw(name_kbs)
+    turns = draw(st.lists(st.lists(st.sampled_from(NOISE_WORDS), min_size=1,
+                                   max_size=8).map(" ".join),
+                          min_size=1, max_size=8))
+    levels = draw(st.lists(thresholds, min_size=1, max_size=3))
+    calls = draw(st.lists(st.tuples(st.integers(0, len(turns) - 1),
+                                    st.integers(1, len(turns)),
+                                    st.sampled_from(levels)),
+                          min_size=1, max_size=12))
+    return kb, [(dlg(*turns[start:start + length]), threshold)
+                for start, length, threshold in calls]
+
+
+class TestFuzzyWindowTable:
+    @settings(max_examples=200, deadline=None)
+    @given(fuzzy_sessions())
+    def test_warm_table_gives_the_cold_result(self, session):
+        kb, calls = session
+        for dialogue, threshold in calls:
+            cold = fuzzy_match_entities(dialogue, KnowledgeBase(kb.snippets),
+                                        threshold)
+            assert fuzzy_match_entities(dialogue, kb, threshold) == cold
+            assert cold == fuzzy_reference(dialogue, kb, threshold)
+
+    def test_retracking_runs_no_edit_distance(self, monkeypatch):
+        calls = count_edit_distances(monkeypatch)
+        kb = make_kb()
+        d = dlg("can I cooking at Hamilton launch", "the palm cort is nice")
+        expected = fuzzy_match_entities(d, kb, 0.5)
+        assert calls and expected == fuzzy_reference(d, kb, 0.5)
+        calls.clear()
+        assert fuzzy_match_entities(d, kb, 0.5) == expected
+        assert calls == []
+        # another threshold has a table of its own
+        assert fuzzy_match_entities(d, kb, 0.7) == fuzzy_reference(d, kb, 0.7)
+        assert len(calls) == 1
+
+    def test_longer_history_matches_only_its_new_windows(self, monkeypatch):
+        calls = count_edit_distances(monkeypatch)
+        kb = make_kb()
+        first = ("can I cooking at Hamilton launch", "the palm cort is nice")
+        fuzzy_match_entities(dlg(*first), kb, 0.5)
+        calls.clear()
+        longer = dlg(*first, "and the sw hotl")
+        assert fuzzy_match_entities(longer, kb, 0.5) == fuzzy_reference(longer, kb, 0.5)
+        new_words = tokenize("and the sw hotl")
+        assert len(calls) == 1
+        assert {window for _, window in calls[0]} <= {
+            " ".join(new_words[i:i + w]) for w in (1, 2)
+            for i in range(len(new_words) - w + 1)}
+
+    def test_full_table_is_cleared_and_results_hold(self, monkeypatch):
+        monkeypatch.setattr(entity_track, "_WINDOW_TABLE_BOUND", 8)
+        calls = count_edit_distances(monkeypatch)
+        kb = make_kb()  # names of 1 and 2 tokens
+        first = dlg("can I cooking at Hamilton launch")  # 6 + 5 windows
+        second = dlg("the palm cort")  # 3 + 2 windows
+        # each new dialogue finds the other's windows cleared away; a
+        # dialogue tracked again finds its own
+        for d, n_windows, n_calls in ((first, 11, 1), (second, 5, 1),
+                                      (first, 11, 1), (first, 11, 0)):
+            calls.clear()
+            assert fuzzy_match_entities(d, kb, 0.5) == fuzzy_reference(d, kb, 0.5)
+            tables = kb.name_index.fuzzy_windows
+            assert sum(map(len, tables.values())) == n_windows
+            assert len(calls) == n_calls
 
 
 class OracleScorer:

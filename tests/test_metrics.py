@@ -332,3 +332,19 @@ def test_generation_report_shapes():
         assert key in rep.scores
         assert 0.0 <= rep.scores[key] <= 1.0
     assert "bleu-1" in rep.format_table()
+
+
+def test_generation_report_builds_no_character_grams(monkeypatch):
+    """Evaluation reports no char-F, so it never builds the character
+    n-grams; char-F still reads them from the same statistics."""
+    pairs = [("a b c", "a b c"), ("the cat", "the dog")]
+    expected = metrics.generation_report(pairs).scores
+
+    def unread(text):
+        raise AssertionError("character n-grams built")
+
+    monkeypatch.setattr(metrics, "_char_ngrams", unread)
+    assert metrics.generation_report(pairs).scores == expected
+    monkeypatch.undo()
+    stats = metrics.text_stats("the cat")
+    assert char_f(stats, stats) == char_f("the cat", "the cat") == 1.0
