@@ -196,12 +196,12 @@ def bench_checkpoint_io(n_vocab=288, d=24, repeat=20):
     without the multi-task head, at the quick start's vocabulary size and
     encoder width by default; the load is checked against the tensors
     saved first."""
-    from kgdial.models import load_checkpoint, save_checkpoint
+    from kgdial.models import TrainConfig, load_checkpoint, save_checkpoint
     from kgdial.rank import PointwiseConfig, PointwiseModel
 
     vocab = {f"w{i}": i for i in range(n_vocab)}
     model = PointwiseModel(vocab, ["hotel", "restaurant", "taxi"],
-                           PointwiseConfig(d=d))
+                           PointwiseConfig(train=TrainConfig(d=d)))
     tensors = model.all_params()
     meta = {"kind": "PointwiseModel", "vocab": vocab,
             "encoder": model.encoder.config(), "variant": model.config.variant.value}
@@ -334,7 +334,7 @@ def bench_train_batch(n_dialogues=50, d=24, max_len=128, batch_size=16, repeat=3
     dialogues, kb, _ = build_mini_corpus(
         MiniCorpusConfig(n_dialogues=n_dialogues, seed=6))
     seeking = [x for x in dialogues if x.label.is_knowledge_seeking]
-    config = PointwiseConfig(epochs=0, d=d, max_len=max_len, seed=5)
+    config = PointwiseConfig(train=TrainConfig(epochs=0, d=d, max_len=max_len, seed=5))
     pointwise = train_pointwise(seeking, kb, config)
     instances = build_pointwise_instances(seeking, kb, config,
                                           np.random.default_rng(5))
@@ -450,7 +450,7 @@ def bench_epoch_tail(n_dialogues=50, d=24, batch_size=16, gen_batch_size=32,
     from kgdial.augment import AugmentConfig, augment_entity_name
     from kgdial.corpus import TOP_K
     from kgdial.generate import GenTrainConfig, build_gen_examples, train_generator
-    from kgdial.models import AdamW, packed
+    from kgdial.models import AdamW, TrainConfig, packed
     from kgdial.rank import PointwiseConfig, build_pointwise_instances, train_pointwise
     from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 
@@ -458,7 +458,7 @@ def bench_epoch_tail(n_dialogues=50, d=24, batch_size=16, gen_batch_size=32,
         MiniCorpusConfig(n_dialogues=n_dialogues, seed=6))
     seeking = [x for x in dialogues if x.label.is_knowledge_seeking]
     ena = AugmentConfig(ena_probability=1.0)
-    config = PointwiseConfig(epochs=0, d=d, seed=5, ena=ena)
+    config = PointwiseConfig(ena=ena, train=TrainConfig(epochs=0, d=d, seed=5))
     model = train_pointwise(seeking, kb, config)
     rows = [model.compile(inst) for inst in build_pointwise_instances(
         seeking, kb, config, np.random.default_rng(5))]
@@ -507,8 +507,8 @@ def bench_epoch_tail(n_dialogues=50, d=24, batch_size=16, gen_batch_size=32,
     t_per_tensor = timeit(per_tensor, repeat=repeat) - t_copies
     t_fused = timeit(fused, repeat=repeat)
 
-    gen_config = GenTrainConfig(epochs=0, d=d, max_history_tokens=max_history_tokens,
-                                seed=5)
+    gen_config = GenTrainConfig(max_history_tokens=max_history_tokens,
+                                train=TrainConfig(epochs=0, d=d, seed=5))
     examples = build_gen_examples(seeking, {
         x.id: [kb.get(*x.label.knowledge_refs[0])] + list(kb.snippets[:TOP_K - 1])
         for x in seeking}, gen_config, np.random.default_rng(5))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,16 +42,15 @@ class GenerateError(Exception):
 
 @dataclass
 class GenTrainConfig:
-    epochs: int = 6
-    batch_size: int = 32
+    """The generator's own settings: how its training contexts are built
+    (history budget, whether tags count against it, gold-snippet drop
+    rate ``p_s``), its output length, and ``train``, the training loop and
+    model width (``train.d``) it shares with every other model."""
     max_history_tokens: int = 512
     count_tags: bool = True  # whether tags count against max_history_tokens
     max_target_tokens: int = 96
     p_s: float = 0.15
-    seed: int = 0
-    learning_rate: float = 1e-5
-    weight_decay: float = 0.01
-    d: int = 32
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if not 0.0 <= self.p_s <= 1.0:
@@ -368,14 +367,10 @@ def train_generator(examples: Sequence[GenExample],
         raise GenerateError("no generation examples to train on")
     streams = [tokenize(e.context) + tokenize(e.target) for e in examples]
     vocab = build_vocab(streams)
-    model = ToyGenerator(vocab, d=config.d,
+    model = ToyGenerator(vocab, d=config.train.d,
                          max_target_tokens=config.max_target_tokens,
-                         seed=config.seed)
-    history = train_model(model, list(examples), TrainConfig(
-        epochs=config.epochs, learning_rate=config.learning_rate,
-        batch_size=config.batch_size, weight_decay=config.weight_decay,
-        seed=config.seed))
-    return model, history
+                         seed=config.train.seed)
+    return model, train_model(model, list(examples), config.train)
 
 
 def decode_nbest(generator, context: str, n: int) -> list[tuple[str, float]]:

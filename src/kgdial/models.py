@@ -450,6 +450,11 @@ class AdamW:
 
 @dataclass
 class TrainConfig:
+    """How a model trains (`train_model`'s epochs, AdamW's learning rate
+    and weight decay, the batch size and the seed of the batch order) and
+    the encoder it builds (width ``d``, pooling, ``max_len``, and the same
+    seed for its initial weights). Each trainer and config of the package
+    holds one instead of copying its fields."""
     epochs: int = 10
     learning_rate: float = 1e-5
     batch_size: int = 16
@@ -812,9 +817,7 @@ def scorer_to_checkpoint(scorer: ToyPairScorer, path: str) -> None:
 
 def scorer_from_checkpoint(path: str) -> ToyPairScorer:
     tensors, meta = load_checkpoint(path, "pair_scorer")
-    enc_cfg = meta["encoder"]
-    check_tensors(path, pair_scorer_shapes(len(meta["vocab"]), enc_cfg["d"]), tensors)
-    encoder = ToyEncoder(meta["vocab"], d=enc_cfg["d"], pooling=enc_cfg["pooling"],
-                         max_len=enc_cfg["max_len"], seed=enc_cfg["seed"],
+    check_tensors(path, pair_scorer_shapes(len(meta["vocab"]), meta["encoder"]["d"]), tensors)
+    encoder = ToyEncoder(meta["vocab"], **meta["encoder"],
                          params=unprefixed("enc.", tensors))
     return ToyPairScorer(encoder, unprefixed("head.", tensors))

@@ -114,36 +114,40 @@ CONFIG_DEFAULTS: dict[str, object] = {
 
 @dataclass
 class PipelineConfig:
+    """The resolved settings of a run: `CONFIG_DEFAULTS` updated with
+    ``values``, each value converted to its default's type (`_coerce`) and
+    range-checked when the config is built, so a dict config is typed
+    exactly like a file config."""
     values: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = dict(CONFIG_DEFAULTS)
         unknown = set(self.values) - set(CONFIG_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(self.values)
+        merged = dict(CONFIG_DEFAULTS)
+        merged.update((key, _coerce(key, value)) for key, value in self.values.items())
         self.values = merged
         for key, kind in (("rank.variant", Variant), ("track.method", TrackMethod)):
             allowed = [v.value for v in kind]
-            if str(merged[key]) not in allowed:
+            if merged[key] not in allowed:
                 raise ConfigError(f"{key}: expected one of {allowed}, "
                                   f"got {merged[key]!r}")
-        for key in merged:
+        for key, value in merged.items():
             if ((key.endswith(".batch_size")
                  or key in ("model.d", "model.max_len", "gen.max_target_tokens"))
-                    and int(merged[key]) < 1):
-                raise ConfigError(f"{key}: expected an int >= 1, got {merged[key]!r}")
-            if key.endswith(".kfolds") and int(merged[key]) < 2:
-                raise ConfigError(f"{key}: expected an int >= 2, got {merged[key]!r}")
+                    and value < 1):
+                raise ConfigError(f"{key}: expected an int >= 1, got {value!r}")
+            if key.endswith(".kfolds") and value < 2:
+                raise ConfigError(f"{key}: expected an int >= 2, got {value!r}")
         for key in ("track.fuzzy_threshold", "track.delta_e", "detect.delta_d", "gen.p_s",
                     "augment.ena_probability", "augment.ena_delete_prob",
                     "augment.replace_rate_low", "augment.replace_rate_high"):
-            if not 0.0 <= float(merged[key]) <= 1.0:
+            if not 0.0 <= merged[key] <= 1.0:
                 raise ConfigError(f"{key}: expected a number in [0, 1], got {merged[key]!r}")
-        if not float(merged["rank.alpha"]) > 0.0:
+        if not merged["rank.alpha"] > 0.0:
             raise ConfigError(f"rank.alpha: expected a number > 0, got {merged['rank.alpha']!r}")
         low, high = merged["augment.replace_rate_low"], merged["augment.replace_rate_high"]
-        if float(low) > float(high):
+        if low > high:
             raise ConfigError(f"augment.replace_rate_low: expected <= replace_rate_high, "
                               f"got {low!r} > {high!r}")
 
@@ -152,30 +156,31 @@ class PipelineConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.values["seed"])
+        return self.values["seed"]
 
     def output_path(self, name: str) -> str:
-        out = str(self.values["paths.output"])
+        out = self.values["paths.output"]
         os.makedirs(out, exist_ok=True)
         return os.path.join(out, name)
 
 
-def _coerce(key: str, raw: str):
-    default = CONFIG_DEFAULTS.get(key)
-    if isinstance(default, bool):
+def _coerce(key: str, value: object):
+    """``value`` as the type of ``key``'s default. A number or boolean is
+    read as the string it prints as, so a dict, a file and an override type
+    one setting alike; a string key takes a string or a path. A value that
+    does not convert is a ConfigError naming the key."""
+    kind = type(CONFIG_DEFAULTS[key])
+    raw = str(value)
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    kind = type(default)
-    if kind in (int, float):
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected {kind.__name__}, "
-                              f"got {raw!r}") from None
-    return raw
+        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    try:
+        return os.fspath(value) if kind is str else kind(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
 
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
@@ -192,14 +197,14 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> PipelineConfig:
                 key, raw = (part.strip() for part in line.split("=", 1))
                 if key not in CONFIG_DEFAULTS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _coerce(key, raw)
+                values[key] = raw
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"unknown override key {key!r}")
-        values[key] = _coerce(key, raw)
+        values[key] = raw
     return PipelineConfig(values)
 
 
@@ -234,16 +239,18 @@ def require(path: str, stage_hint: str) -> str:
     return path
 
 
-def _model_train_config(config: PipelineConfig, section: str,
-                        batch_size: int) -> TrainConfig:
+def _model_train_config(config: PipelineConfig, section: str) -> TrainConfig:
+    """The training loop and encoder settings of the model that
+    ``section`` trains; a section without a batch-size key of its own (the
+    tracker's) keeps `TrainConfig`'s."""
     return TrainConfig(
-        epochs=int(config[f"{section}.epochs"]),
-        learning_rate=float(config[f"{section}.learning_rate"]),
-        batch_size=batch_size,
+        epochs=config[f"{section}.epochs"],
+        learning_rate=config[f"{section}.learning_rate"],
+        batch_size=config.values.get(f"{section}.batch_size", TrainConfig.batch_size),
         seed=config.seed,
-        d=int(config["model.d"]),
-        pooling=str(config["model.pooling"]),
-        max_len=int(config["model.max_len"]))
+        d=config["model.d"],
+        pooling=config["model.pooling"],
+        max_len=config["model.max_len"])
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +263,17 @@ def stage_augment(config: PipelineConfig) -> list[str]:
                          config["paths.labels"] or None)
     lexicon = load_lexicon(require(config["paths.lexicon"], "synth"))
     index = build_phonetic_index(lexicon)
-    tasks = {t.strip() for t in str(config["augment.tasks"]).split(",") if t.strip()}
+    tasks = {t.strip() for t in config["augment.tasks"].split(",") if t.strip()}
     adapter = None
     if "TST" in tasks:
         adapter = FakeSpeechAdapter.from_file(
             require(config["paths.confusions"], "augment"))
     aug_config = AugmentConfig(
-        replace_rate_low=float(config["augment.replace_rate_low"]),
-        replace_rate_high=float(config["augment.replace_rate_high"]),
-        ena_probability=float(config["augment.ena_probability"]),
-        ena_delete_prob=float(config["augment.ena_delete_prob"]),
-        neighbor_k=int(config["augment.neighbor_k"]),
+        replace_rate_low=config["augment.replace_rate_low"],
+        replace_rate_high=config["augment.replace_rate_high"],
+        ena_probability=config["augment.ena_probability"],
+        ena_delete_prob=config["augment.ena_delete_prob"],
+        neighbor_k=config["augment.neighbor_k"],
         seed=config.seed)
     out = augment_corpus(corpus, index, aug_config, adapter=adapter, tasks=tasks)
     logs_path = config.output_path("augmented.logs.json")
@@ -295,12 +302,10 @@ def _load_training_corpus(config: PipelineConfig
 
 def stage_train_detect(config: PipelineConfig) -> list[str]:
     corpus, _, inputs = _load_training_corpus(config)
-    examples = build_detection_examples(corpus, int(config["detect.max_tokens"]),
-                                        bool(config["corpus.count_tags"]))
-    train_config = _model_train_config(config, "detect",
-                                       int(config["detect.batch_size"]))
+    examples = build_detection_examples(corpus, config["detect.max_tokens"],
+                                        config["corpus.count_tags"])
     scorer = train_pair_classifier([(text, "", int(label)) for text, label in examples],
-                                   train_config)
+                                   _model_train_config(config, "detect"))
     path = config.output_path("detector.npz")
     scorer_to_checkpoint(scorer, path)
     manifest = write_manifest(config, "train-detect", inputs, [path])
@@ -314,18 +319,16 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
     ks = [d for d in corpus if d.label is not None and d.label.is_knowledge_seeking]
     # the list-wise folds deal the turns with knowledge labels; check them
     # before any model is trained
-    check_kfold(sum(1 for d in ks if d.label.knowledge_refs), int(config["rank.kfolds"]))
+    check_kfold(sum(1 for d in ks if d.label.knowledge_refs), config["rank.kfolds"])
 
     tracker = None
-    if str(config["track.method"]) == "learned":
+    if config["track.method"] == "learned":
         rng = np.random.default_rng(seed)
         examples = build_tracking_examples(
-            ks, kb, rng, negatives_per_dialogue=int(config["track.negatives"]))
+            ks, kb, rng, negatives_per_dialogue=config["track.negatives"])
         positives = [e for e in examples if e[2] == 1]
-        balanced = examples + positives * max(0, int(config["track.negatives"]) - 1)
-        # the learned tracker has no batch-size key of its own
-        tracker = train_pair_classifier(balanced, _model_train_config(
-            config, "track", TrainConfig.batch_size))
+        balanced = examples + positives * max(0, config["track.negatives"] - 1)
+        tracker = train_pair_classifier(balanced, _model_train_config(config, "track"))
         tracker_path = config.output_path("tracker.npz")
         scorer_to_checkpoint(tracker, tracker_path)
         outputs.append(tracker_path)
@@ -338,12 +341,10 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
 
     tracker_fn = make_tracker(config, tracker)
     instances, stats = build_listwise_training_data(
-        ks, kb, pw_config, k=int(config["rank.kfolds"]), seed=seed,
+        ks, kb, pw_config, k=config["rank.kfolds"], seed=seed,
         tracker=lambda d, kb_: collect_candidates(tracker_fn(d, kb_), kb_))
-    listwise = train_listwise(instances, pointwise, TrainConfig(
-        epochs=int(config["rank.listwise_epochs"]),
-        learning_rate=float(config["rank.learning_rate"]),
-        batch_size=int(config["rank.batch_size"]), seed=seed))
+    listwise = train_listwise(instances, pointwise, replace(
+        pw_config.train, epochs=config["rank.listwise_epochs"]))
     lw_path = config.output_path("listwise.npz")
     _save_rank_model(listwise, lw_path)
     outputs.append(lw_path)
@@ -358,24 +359,16 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
 def _pointwise_config(config: PipelineConfig) -> PointwiseConfig:
     """The point-wise ranker's settings, as train-select trains it."""
     return PointwiseConfig(
-        use_mtl=bool(config["rank.use_mtl"]),
-        variant=Variant(str(config["rank.variant"])),
-        epochs=int(config["rank.epochs"]),
-        learning_rate=float(config["rank.learning_rate"]),
-        batch_size=int(config["rank.batch_size"]),
-        seed=config.seed,
-        negatives=int(config["rank.negatives"]),
-        entity_candidates=int(config["rank.entity_negatives"]) + 1,
-        lambda_rank=float(config["rank.lambda_rank"]),
-        lambda_domain=float(config["rank.lambda_domain"]),
-        lambda_entity=float(config["rank.lambda_entity"]),
-        d=int(config["model.d"]),
-        max_len=int(config["model.max_len"]),
-        pooling=str(config["model.pooling"]),
-        ena=AugmentConfig(
-            ena_probability=float(config["augment.ena_probability"]),
-            ena_delete_prob=float(config["augment.ena_delete_prob"]),
-            seed=config.seed))
+        use_mtl=config["rank.use_mtl"],
+        variant=Variant(config["rank.variant"]),
+        negatives=config["rank.negatives"],
+        entity_candidates=config["rank.entity_negatives"] + 1,
+        lambda_rank=config["rank.lambda_rank"],
+        lambda_domain=config["rank.lambda_domain"],
+        lambda_entity=config["rank.lambda_entity"],
+        ena=AugmentConfig(ena_probability=config["augment.ena_probability"],
+                          ena_delete_prob=config["augment.ena_delete_prob"]),
+        train=_model_train_config(config, "rank"))
 
 
 def _save_rank_model(model, path: str) -> None:
@@ -393,19 +386,15 @@ def stage_train_generate(config: PipelineConfig) -> list[str]:
           and d.label.response]
     responses = [d.label.response for d in ks]
     interrogatives = mine_frequent_interrogatives(
-        responses, int(config["gen.interrogative_min_count"]))
+        responses, config["gen.interrogative_min_count"])
     ks = preprocess_responses(ks, interrogatives)
 
     gen_config = GenTrainConfig(
-        epochs=int(config["gen.epochs"]),
-        batch_size=int(config["gen.batch_size"]),
-        max_history_tokens=int(config["gen.max_history_tokens"]),
-        count_tags=bool(config["corpus.count_tags"]),
-        max_target_tokens=int(config["gen.max_target_tokens"]),
-        p_s=float(config["gen.p_s"]),
-        seed=config.seed,
-        learning_rate=float(config["gen.learning_rate"]),
-        d=int(config["model.d"]))
+        max_history_tokens=config["gen.max_history_tokens"],
+        count_tags=config["corpus.count_tags"],
+        max_target_tokens=config["gen.max_target_tokens"],
+        p_s=config["gen.p_s"],
+        train=_model_train_config(config, "gen"))
 
     # cross-validated selection outputs so generation sees realistic noise
     selection_outputs = kfold_selection_outputs(ks, kb, config)
@@ -440,11 +429,11 @@ def load_generator(path: str) -> ToyGenerator:
 
 def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
                             config: PipelineConfig) -> dict[str, list]:
-    """Decode every training turn with a ranker that never saw it."""
+    """Decode every training turn with a ranker that never saw it. Too
+    many folds for ``ks`` fail in `split_kfold`, before any ranker trains."""
     from .corpus import split_kfold
 
-    k = min(int(config["gen.kfolds"]), max(2, len(ks) // 2))
-    folds = split_kfold(list(ks), k=k, seed=config.seed)
+    folds = split_kfold(list(ks), k=config["gen.kfolds"], seed=config.seed)
     tracker_fn = load_tracker(config)
     pw_config = replace(_pointwise_config(config), use_mtl=False, ena=None)
     outputs: dict[str, list] = {}
@@ -461,9 +450,9 @@ def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
 
 def make_tracker(config: PipelineConfig,
                  tracker_scorer=None) -> Callable:
-    method = TrackMethod(str(config["track.method"]))
-    threshold = float(config["track.fuzzy_threshold"])
-    delta_e = float(config["track.delta_e"])
+    method = TrackMethod(config["track.method"])
+    threshold = config["track.fuzzy_threshold"]
+    delta_e = config["track.delta_e"]
 
     def tracker(dialogue, kb):
         if method is TrackMethod.EXACT:
@@ -481,7 +470,7 @@ def make_tracker(config: PipelineConfig,
 
 def _tracker_inputs(config: PipelineConfig) -> list[str]:
     """The checkpoint `load_tracker` reads, when tracking is learned."""
-    if str(config["track.method"]) == "learned":
+    if config["track.method"] == "learned":
         return [config.output_path("tracker.npz")]
     return []
 
@@ -490,7 +479,7 @@ def load_tracker(config: PipelineConfig) -> Callable:
     """`make_tracker` with the tracker that train-select saved, when the
     configured method is the learned one."""
     tracker_scorer = None
-    if str(config["track.method"]) == "learned":
+    if config["track.method"] == "learned":
         tracker_scorer = scorer_from_checkpoint(require(
             config.output_path("tracker.npz"), "train-select"))
     return make_tracker(config, tracker_scorer)
@@ -647,9 +636,9 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         weights = load_weights(weights_path)
         inputs.append(weights_path)
 
-    detect_tokens = int(config["detect.max_tokens"])
-    count_tags = bool(config["corpus.count_tags"])
-    alpha = float(config["rank.alpha"])
+    detect_tokens = config["detect.max_tokens"]
+    count_tags = config["corpus.count_tags"]
+    alpha = config["rank.alpha"]
 
     def detector_fn(dialogue):
         return detector.score(
@@ -668,10 +657,10 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         reranker=reranker,
         generator=generator,
         consensus_weights=weights,
-        nbest=int(config["gen.nbest"]))
+        nbest=config["gen.nbest"])
     records = end_to_end_decode(
         corpus, kb, components,
-        max_history_tokens=int(config["gen.max_history_tokens"]),
+        max_history_tokens=config["gen.max_history_tokens"],
         count_tags=count_tags)
     validate_labels_schema(records)
     path = config.output_path("predictions.json")
@@ -691,10 +680,10 @@ def _load_rank_model(path: str, kind: str):
     for key in fields:
         if key not in meta:
             raise ModelError(f"checkpoint {path}: missing field {key!r}")
-    enc, n_vocab = meta["encoder"], len(meta["vocab"])
+    n_vocab = len(meta["vocab"])
     config = PointwiseConfig(use_mtl=kind == "PointwiseModel" and meta["use_mtl"],
-                             variant=Variant(meta["variant"]), seed=enc["seed"], d=enc["d"],
-                             max_len=enc["max_len"], pooling=enc["pooling"])
+                             variant=Variant(meta["variant"]),
+                             train=TrainConfig(**meta["encoder"]))
     if kind == "PointwiseModel":
         check_tensors(path, PointwiseModel.param_shapes(n_vocab, meta["domains"], config),
                       tensors)
@@ -725,7 +714,7 @@ def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
                 raise CorpusError(f"{path}: record {i}: missing detection_probability")
         probabilities[name] = [float(r["detection_probability"]) for r in records]
     labels, means = error_fixing_ensemble(probabilities, base_system,
-                                          float(config["detect.delta_d"]))
+                                          config["detect.delta_d"])
     path = config.output_path("ensemble.detection.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([{"target": label, "detection_probability": p}
@@ -754,7 +743,8 @@ def stage_evaluate(config: PipelineConfig, predictions_path: str,
     predictions = _read_stage_json(require(predictions_path, "decode"), records=True)
     references = _read_stage_json(require(references_path, "synth"), records=True)
     if len(predictions) != len(references):
-        raise ConfigError("prediction/reference length mismatch")
+        raise CorpusError(f"{predictions_path} has {len(predictions)} turn records but "
+                          f"{references_path} has {len(references)}")
     report = evaluate_predictions(predictions, references)
     path = config.output_path("metrics.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -390,21 +390,20 @@ class PointwiseInstance:
 
 @dataclass
 class PointwiseConfig:
+    """The point-wise ranker's own settings: whether it has the multi-task
+    head, its feature variant, how many negatives and entity candidates a
+    turn's instances draw, the loss weights and online ENA (``None`` for
+    none). ``train`` holds its training loop and encoder settings; its
+    seed also seeds the instance draws, the multi-task head and ENA."""
     use_mtl: bool = False
     variant: Variant = Variant.WD2
-    epochs: int = 2
-    learning_rate: float = 1e-5
-    batch_size: int = 16
-    seed: int = 0
     negatives: int = 4
     entity_candidates: int = 4
     lambda_rank: float = 1.0
     lambda_domain: float = 1.0
     lambda_entity: float = 1.0
-    d: int = 24
-    max_len: int = 128
-    pooling: str = "mean"
     ena: Optional[AugmentConfig] = None
+    train: TrainConfig = field(default_factory=TrainConfig)
 
 
 @dataclass(frozen=True)
@@ -430,9 +429,10 @@ class _Ranker(ToyPairScorer):
         `param_shapes` says) as they are, with nothing drawn."""
         self.config = config
         loaded = params is not None
+        train = config.train
         super().__init__(
-            ToyEncoder(vocab, d=config.d, pooling=config.pooling,
-                       max_len=config.max_len, seed=config.seed,
+            ToyEncoder(vocab, d=train.d, pooling=train.pooling,
+                       max_len=train.max_len, seed=train.seed,
                        params=unprefixed("enc.", params) if loaded else None),
             unprefixed("head.", params) if loaded else None)
         self.wide = unprefixed("wide.", params) if loaded else {"u": np.zeros(N_SPARSE)}
@@ -441,7 +441,7 @@ class _Ranker(ToyPairScorer):
 
     @staticmethod
     def param_shapes(n_vocab: int, config: PointwiseConfig) -> dict[str, tuple[int, ...]]:
-        return {**pair_scorer_shapes(n_vocab, config.d), "wide.u": (N_SPARSE,)}
+        return {**pair_scorer_shapes(n_vocab, config.train.d), "wide.u": (N_SPARSE,)}
 
     def param_groups(self) -> dict[str, dict[str, np.ndarray]]:
         return {**super().param_groups(), "wide.": self.wide}
@@ -469,10 +469,11 @@ class PointwiseModel(_Ranker):
         self.domains = list(domains)
         self.mtl: Optional[dict[str, np.ndarray]] = None
         if config.use_mtl:
-            self.mtl = (_mtl_init(config.d, max(1, len(self.domains)), config.seed)
+            self.mtl = (_mtl_init(config.train.d, max(1, len(self.domains)),
+                                  config.train.seed)
                         if params is None else unprefixed("mtl.", params))
         self._ena_rng = (None if config.ena is None
-                         else np.random.default_rng(config.seed + 2))
+                         else np.random.default_rng(config.train.seed + 2))
         self._kb: Optional[KnowledgeBase] = None
 
     @staticmethod
@@ -480,7 +481,7 @@ class PointwiseModel(_Ranker):
                      config: PointwiseConfig) -> dict[str, tuple[int, ...]]:
         shapes = _Ranker.param_shapes(n_vocab, config)
         if config.use_mtl:
-            shapes.update(prefixed("mtl.", _mtl_shapes(config.d, max(1, len(domains)))))
+            shapes.update(prefixed("mtl.", _mtl_shapes(config.train.d, max(1, len(domains)))))
         return shapes
 
     def bind_kb(self, kb: KnowledgeBase) -> None:
@@ -676,7 +677,7 @@ def train_pointwise(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                     config: PointwiseConfig) -> PointwiseModel:
     """Fit the point-wise ranker; loss = lambda_rank * BCE + (if MTL)
     lambda_domain * CE + lambda_entity * KL, with online ENA."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.train.seed)
     instances = build_pointwise_instances(dialogues, kb, config, rng)
     if not instances:
         raise RankError("no labeled knowledge-seeking dialogues to train on")
@@ -686,9 +687,7 @@ def train_pointwise(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
     domains = sorted({s.domain for s in kb.snippets})
     model = PointwiseModel(_ranking_vocab(dialogues, kb), domains, config)
     model.bind_kb(kb)
-    train_model(model, instances,
-                TrainConfig(epochs=config.epochs, learning_rate=config.learning_rate,
-                            batch_size=config.batch_size, seed=config.seed))
+    train_model(model, instances, config.train)
     return model
 
 
@@ -809,7 +808,8 @@ def build_listwise_training_data(dialogues: Sequence[Dialogue], kb: KnowledgeBas
     decoded_ids: set[str] = set()
     for i, fold in enumerate(folds):
         train_set = [d for j, f in enumerate(folds) if j != i for d in f]
-        fold_config = replace(config, seed=zlib.crc32(f"fold{i}".encode()) + config.seed)
+        fold_config = replace(config, train=replace(
+            config.train, seed=zlib.crc32(f"fold{i}".encode()) + config.train.seed))
         try:
             model = train_pointwise(train_set, kb, fold_config)
         except RankError as exc:

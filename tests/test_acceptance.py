@@ -144,9 +144,8 @@ def test_criterion_3_gradient_checks():
         dialogues, kb, _ = build_mini_corpus(MiniCorpusConfig(n_dialogues=30, seed=1))
         ks = [d for d in dialogues if d.label.is_knowledge_seeking]
         for seed in range(10):
-            config = PointwiseConfig(use_mtl=True, variant=Variant.WD2,
-                                     epochs=1, learning_rate=0.01,
-                                     batch_size=8, seed=seed, d=10, max_len=96)
+            config = PointwiseConfig(use_mtl=True, variant=Variant.WD2, train=TrainConfig(
+                epochs=1, learning_rate=0.01, batch_size=8, seed=seed, d=10, max_len=96))
             model = train_pointwise(ks[:8], kb, config)
             instances = build_pointwise_instances(
                 ks[:8], kb, config, np.random.default_rng(seed))
@@ -322,13 +321,13 @@ def test_criterion_7_ranking_order():
         for seed in range(5):
             train, test, kb = _rank_split(seed)
             refs = [set(d.label.knowledge_refs) for d in test]
-            base = dict(epochs=25, learning_rate=0.01, batch_size=16,
-                        seed=seed, d=24, max_len=96)
+            base = TrainConfig(epochs=25, learning_rate=0.01, batch_size=16,
+                               seed=seed, d=24, max_len=96)
             plain = train_pointwise(train, kb, PointwiseConfig(
-                use_mtl=False, variant=Variant.WD, **base))
+                use_mtl=False, variant=Variant.WD, train=base))
             mtl = train_pointwise(train, kb, PointwiseConfig(
                 use_mtl=True, variant=Variant.WD,
-                lambda_domain=0.05, lambda_entity=0.05, **base))
+                lambda_domain=0.05, lambda_entity=0.05, train=base))
 
             def decode(model):
                 ranked = []
@@ -346,7 +345,7 @@ def test_criterion_7_ranking_order():
             r_plain = r_at_1(plain_ranked)
             r_mtl = r_at_1(mtl_ranked)
 
-            wd2 = PointwiseConfig(use_mtl=False, variant=Variant.WD2, **base)
+            wd2 = PointwiseConfig(use_mtl=False, variant=Variant.WD2, train=base)
             instances, _ = build_listwise_training_data(
                 train, kb, wd2, k=3, seed=seed, tracker=_fuzzy_candidates)
             pw_wd2 = train_pointwise(train, kb, wd2)
@@ -476,17 +475,18 @@ def test_criterion_9_end_to_end():
         det = train_detector(det_examples, TrainConfig(
             epochs=6, learning_rate=0.02, batch_size=32, seed=seed, d=16, max_len=64))
         pw = train_pointwise(ks, kb, PointwiseConfig(
-            use_mtl=False, variant=Variant.WD2, epochs=8, learning_rate=0.01,
-            batch_size=16, seed=seed, d=16, max_len=96))
+            use_mtl=False, variant=Variant.WD2, train=TrainConfig(
+                epochs=8, learning_rate=0.01, batch_size=16, seed=seed, d=16,
+                max_len=96)))
         selection_outputs = {}
         for d in ks:
             tracked = fuzzy_match_entities(d, kb, 0.5)
             ranked = pointwise_rank(pw, collect_candidates(tracked, kb),
                                     dialogue_features(d, kb, tracked), kb)
             selection_outputs[d.id] = [s for s, _ in ranked.items]
-        gen_cfg = GenTrainConfig(epochs=10, batch_size=32, learning_rate=0.01,
-                                 max_history_tokens=96, max_target_tokens=24,
-                                 p_s=0.15, seed=seed, d=24)
+        gen_cfg = GenTrainConfig(max_history_tokens=96, max_target_tokens=24, p_s=0.15,
+                                 train=TrainConfig(epochs=10, batch_size=32,
+                                                   learning_rate=0.01, seed=seed, d=24))
         examples = build_gen_examples(ks, selection_outputs, gen_cfg,
                                       np.random.default_rng(seed))
         generator, _ = train_generator(examples, gen_cfg)

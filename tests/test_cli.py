@@ -174,10 +174,15 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
     # the fixture corpus has 23 knowledge-seeking turns to split into folds
     ("train-select", [], "rank.kfolds=40",
      "error: cannot split 23 items into 40 folds"),
+    # all 23 have a response, so train-generate's selection folds deal them too
+    ("train-generate", [], "gen.kfolds=40",
+     "error: cannot split 23 items into 40 folds"),
     ("augment", [], "paths.lexicon={lexicon}",
      "error: lexicon line 1: expected word<TAB>phonemes"),
     ("evaluate", ["--predictions", "{text}", "--references", "{predictions}"], "",
      "error: {text}: Expecting value: line 1 column 1 (char 0)"),
+    ("evaluate", ["--predictions", "{three}", "--references", "{predictions}"], "",
+     "error: {three} has 3 turn records but {predictions} has 2"),
     ("ensemble", ["--predictions", "{text}", "--base", "text.json"], "",
      "error: {text}: Expecting value: line 1 column 1 (char 0)"),
     ("evaluate", ["--predictions", "{untargeted}", "--references", "{predictions}"],
@@ -212,8 +217,9 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
 ], ids=["rank-kfolds", "gen-kfolds", "model-d-zero", "model-d-negative",
         "model-max-len-zero", "gen-max-target-tokens-zero",
         "ena-probability", "ensemble-base", "ensemble-lengths-differ",
-        "rank-kfolds-above-turns",
-        "lexicon-tab", "evaluate-not-json", "ensemble-not-json",
+        "rank-kfolds-above-turns", "gen-kfolds-above-turns",
+        "lexicon-tab", "evaluate-not-json", "evaluate-lengths-differ",
+        "ensemble-not-json",
         "evaluate-no-target", "ensemble-no-target", "tune-consensus-list-references",
         "tune-consensus-pool-not-object", "tune-consensus-pool-text-not-string",
         "tune-consensus-pool-logprob-null", "tune-consensus-pool-rank-zero",

@@ -14,6 +14,7 @@ from kgdial.generate import (
     build_gen_examples, decode_nbest, mine_frequent_interrogatives,
     preprocess_responses, strip_trailing_interrogatives, train_generator,
 )
+from kgdial.models import TrainConfig
 from test_models import assert_close_loss, summed_losses
 
 BOOK_Q = "Would you like to book a room?"
@@ -143,6 +144,13 @@ class TestBuildGenExamples:
         assert count_tokens(ex[0].context) <= 18
 
 
+def gen_config(**train):
+    """A generator config with 16-token outputs; ``train`` sets its
+    `TrainConfig` fields, with batch size 32 and width 32 unless given."""
+    return GenTrainConfig(max_target_tokens=16,
+                          train=TrainConfig(**{"batch_size": 32, "d": 32, **train}))
+
+
 def overfit_examples(n=50):
     words = [f"w{i}" for i in range(n)]
     out = []
@@ -156,9 +164,8 @@ def overfit_examples(n=50):
 class TestGenerator:
     def test_overfit_reproduces_training_responses(self):
         examples = overfit_examples(50)
-        cfg = GenTrainConfig(epochs=250, batch_size=50, learning_rate=0.02,
-                             weight_decay=0.0, d=48, seed=0,
-                             max_target_tokens=16)
+        cfg = gen_config(epochs=250, batch_size=50, learning_rate=0.02,
+                         weight_decay=0.0, d=48, seed=0)
         model, history = train_generator(examples, cfg)
         hits = 0
         for e in examples:
@@ -171,27 +178,24 @@ class TestGenerator:
 
     def test_loss_nonincreasing_full_batch(self):
         examples = overfit_examples(20)
-        cfg = GenTrainConfig(epochs=40, batch_size=20, learning_rate=0.005,
-                             weight_decay=0.0, d=32, seed=1,
-                             max_target_tokens=16)
+        cfg = gen_config(epochs=40, batch_size=20, learning_rate=0.005,
+                         weight_decay=0.0, d=32, seed=1)
         _, history = train_generator(examples, cfg)
         assert all(history[i + 1] <= history[i] + 1e-9
                    for i in range(len(history) - 1))
 
     def test_zero_lr_keeps_parameters(self):
         examples = overfit_examples(5)
-        cfg = GenTrainConfig(epochs=3, learning_rate=0.0, seed=2,
-                             max_target_tokens=16)
+        cfg = gen_config(epochs=3, learning_rate=0.0, seed=2)
         model, _ = train_generator(examples, cfg)
-        fresh = ToyGenerator(model.vocab, d=cfg.d,
+        fresh = ToyGenerator(model.vocab, d=cfg.train.d,
                              max_target_tokens=cfg.max_target_tokens, seed=2)
         for key, val in model.params.items():
             assert np.array_equal(val, fresh.params[key])
 
     def test_seed_determinism(self):
         examples = overfit_examples(10)
-        cfg = GenTrainConfig(epochs=5, learning_rate=0.01, seed=3,
-                             max_target_tokens=16)
+        cfg = gen_config(epochs=5, learning_rate=0.01, seed=3)
         a, _ = train_generator(examples, cfg)
         b, _ = train_generator(examples, cfg)
         for key, val in a.params.items():
@@ -269,8 +273,7 @@ class TestGenerator:
         real = generate.tokenize
         monkeypatch.setattr(generate, "tokenize",
                             lambda text: calls.append(text) or real(text))
-        train_generator(examples, GenTrainConfig(epochs=epochs, seed=1,
-                                                 max_target_tokens=16))
+        train_generator(examples, gen_config(epochs=epochs, seed=1))
         # two streams per example for the vocabulary, two for its row
         assert len(calls) == 4 * len(examples)
 
@@ -278,8 +281,7 @@ class TestGenerator:
         from kgdial.models import finite_difference_check
 
         examples = overfit_examples(3)
-        cfg = GenTrainConfig(epochs=1, learning_rate=0.01, seed=4,
-                             max_target_tokens=16)
+        cfg = gen_config(epochs=1, learning_rate=0.01, seed=4)
         model, _ = train_generator(examples, cfg)
         err = finite_difference_check(model, examples, epsilon=1e-5)
         assert err < 1e-4
@@ -288,9 +290,8 @@ class TestGenerator:
 @pytest.fixture(scope="module")
 def trained():
     examples = overfit_examples(12)
-    cfg = GenTrainConfig(epochs=30, batch_size=12, learning_rate=0.02,
-                         weight_decay=0.0, d=32, seed=5,
-                         max_target_tokens=16)
+    cfg = gen_config(epochs=30, batch_size=12, learning_rate=0.02,
+                     weight_decay=0.0, d=32, seed=5)
     model, _ = train_generator(examples, cfg)
     return model, examples
 

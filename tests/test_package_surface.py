@@ -228,9 +228,6 @@ UNSET_DEFAULTS = {
                                   "weights",
     "TuneConfig.__init__(restarts)": "acceptance criterion 5 and the tuning "
                                      "tests run one or two restarts to stay fast",
-    "GenTrainConfig.__init__(weight_decay)": "the generator's overfitting and "
-                                             "monotone-loss tests train without "
-                                             "decay",
     "MiniCorpusConfig.__init__(seeking_fraction)": "perfbench reads it from the "
                                                    "default config to size its "
                                                    "workloads",

@@ -2,13 +2,17 @@ import json
 import os
 import re
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdial import corpus, generate, pipeline, rank
 from kgdial.consensus import ConsensusError, ConsensusWeights
 from kgdial.corpus import linearize_history, save_corpus, save_knowledge_base
+from kgdial.entity_track import TrackMethod
 from kgdial.pipeline import (
     CONFIG_DEFAULTS, ConfigError, DecodeComponents, DependencyError,
     PipelineConfig, end_to_end_decode, evaluate_predictions, load_config,
@@ -17,7 +21,7 @@ from kgdial.pipeline import (
     write_manifest,
 )
 from kgdial.generate import GenerateError, ToyGenerator
-from kgdial.models import ModelError, ToyPairScorer, load_checkpoint
+from kgdial.models import ModelError, ToyPairScorer, TrainConfig, load_checkpoint
 from kgdial.pipeline import (_load_rank_model, _save_generator, _save_rank_model,
                              load_generator)
 from kgdial.rank import (ListwiseModel, PointwiseConfig, PointwiseModel,
@@ -29,6 +33,24 @@ from test_models import CHECKPOINT_DEFECTS, forbid_draws, rewrite_checkpoint
 UNIT_INTERVAL_KEYS = ["track.fuzzy_threshold", "track.delta_e", "detect.delta_d",
                       "gen.p_s", "augment.ena_probability", "augment.ena_delete_prob",
                       "augment.replace_rate_low", "augment.replace_rate_high"]
+BOOL_KEYS = sorted(k for k, v in CONFIG_DEFAULTS.items() if isinstance(v, bool))
+
+
+def config_text(key):
+    """Strings a config file, an override and a dict all read as a valid
+    value of ``key``."""
+    default = CONFIG_DEFAULTS[key]
+    if key in ("rank.variant", "track.method"):
+        kind = Variant if key == "rank.variant" else TrackMethod
+        return st.sampled_from([v.value for v in kind])
+    if isinstance(default, bool):
+        return st.sampled_from(["true", "false", "1", "0", "yes", "no", "True", "NO"])
+    if isinstance(default, int):
+        return st.integers(2, 10**6).map(str)
+    if isinstance(default, float):
+        # within every range check, and between the default replace rates
+        return st.floats(0.1, 0.3).map(str)
+    return st.text(st.characters(codec="ascii", categories=("L", "N", "P")), max_size=12)
 
 
 class TestConfig:
@@ -62,6 +84,40 @@ class TestConfig:
     def test_bad_boolean_rejected(self):
         with pytest.raises(ConfigError):
             load_config("", overrides=["rank.use_mtl=maybe"])
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_DEFAULTS))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_file_override_and_dict_type_a_value_alike(self, key, data):
+        text = data.draw(config_text(key))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"{key} = {text}\n")
+            from_file = load_config(path).values
+        from_override = load_config("", [f"{key}={text}"]).values
+        from_dict = PipelineConfig({key: text}).values
+        assert from_file == from_override == from_dict
+        assert all(type(value) is type(CONFIG_DEFAULTS[k]) for k, value in from_dict.items())
+        # a typed value reads as itself
+        assert PipelineConfig({key: from_dict[key]}).values == from_dict
+
+    @pytest.mark.parametrize("key", BOOL_KEYS)
+    @pytest.mark.parametrize("text", ["false", "0", "no", "False", "NO"])
+    def test_false_strings_read_as_false(self, key, text):
+        assert PipelineConfig({key: text})[key] is False
+        assert load_config("", [f"{key}={text}"])[key] is False
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("model.d", "abc", "int"), ("rank.epochs", "x", "int"), ("seed", 1.5, "int"),
+        ("seed", True, "int"), ("rank.alpha", "fast", "float"),
+        ("gen.p_s", None, "float"), ("corpus.count_tags", "maybe", "a boolean"),
+        ("rank.use_mtl", 2, "a boolean"), ("paths.labels", None, "str"),
+        ("augment.tasks", 5, "str")])
+    def test_bad_value_is_a_config_error_naming_the_key(self, key, value, expected):
+        with pytest.raises(ConfigError) as raised:
+            PipelineConfig({key: value})
+        assert str(raised.value) == f"{key}: expected {expected}, got {value!r}"
 
     @pytest.mark.parametrize("key", sorted(k for k in CONFIG_DEFAULTS
                                            if k.endswith(".batch_size")))
@@ -500,8 +556,10 @@ class TestCheckpointValidation:
 
         domains = sorted({s.domain for s in kb.snippets})
         pointwise = PointwiseModel(self.VOCAB, domains,
-                                   PointwiseConfig(use_mtl=True, d=4, max_len=8))
-        listwise = ListwiseModel(self.VOCAB, PointwiseConfig(d=4, max_len=8))
+                                   PointwiseConfig(use_mtl=True,
+                                                   train=TrainConfig(d=4, max_len=8)))
+        listwise = ListwiseModel(self.VOCAB,
+                                 PointwiseConfig(train=TrainConfig(d=4, max_len=8)))
         generator = ToyGenerator(self.VOCAB, d=4, max_target_tokens=5)
         return [
             ("pointwise", lambda path: _save_rank_model(pointwise, path),
@@ -550,8 +608,8 @@ class TestCheckpointValidation:
                 assert params[key].tobytes() == value.tobytes(), (name, key)
 
     def test_listwise_checkpoint_round_trips(self, tmp_path):
-        config = PointwiseConfig(variant=Variant.WD, seed=3, d=4, max_len=8,
-                                 pooling="first")
+        config = PointwiseConfig(variant=Variant.WD, train=TrainConfig(
+            seed=3, d=4, max_len=8, pooling="first"))
         listwise = ListwiseModel(self.VOCAB, config)
         rng = np.random.default_rng(0)
         for value in listwise.all_params().values():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -292,11 +292,20 @@ def exact_context(d, kb):
     return rank.dialogue_features(d, kb, exact_match_entities(d, kb))
 
 
+TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
+
+
 def small_config(**kw):
-    base = dict(epochs=1, learning_rate=1e-3, batch_size=8, seed=0, d=10,
-                max_len=96)
-    base.update(kw)
-    return PointwiseConfig(**base)
+    """A small point-wise config; keywords that name `TrainConfig` fields
+    go to its ``train``."""
+    train = dict(epochs=1, learning_rate=1e-3, batch_size=8, seed=0, d=10, max_len=96)
+    train.update((key, kw.pop(key)) for key in list(kw) if key in TRAIN_FIELDS)
+    return PointwiseConfig(train=TrainConfig(**train), **kw)
+
+
+def untrained(cfg):
+    """``cfg`` with no training epochs."""
+    return replace(cfg, train=replace(cfg.train, epochs=0))
 
 
 def pointwise_instance(dialogue, candidate, label, kb):
@@ -313,7 +322,7 @@ def untrained_listwise(instances, dialogues, kb, epochs=1, variant=Variant.WD2):
     point-wise model of that config draws."""
     pointwise = rank.PointwiseModel(
         rank._ranking_vocab(dialogues, kb), [],
-        PointwiseConfig(d=10, variant=variant))
+        PointwiseConfig(variant=variant, train=TrainConfig(d=10)))
     return train_listwise(instances, pointwise, TrainConfig(epochs=epochs))
 
 
@@ -796,7 +805,7 @@ class TestListwiseData:
         corpus = make_corpus(kb, 6)
         instances, stats = build_listwise_training_data(
             corpus, kb, small_config(epochs=1), k=3, seed=1, tracker=exact_tracker)
-        model = ListwiseModel(rank._ranking_vocab(corpus, kb), PointwiseConfig(d=10))
+        model = ListwiseModel(rank._ranking_vocab(corpus, kb), PointwiseConfig(train=TrainConfig(d=10)))
         features = [rank.dialogue_features(d, kb, exact_match_entities(d, kb))
                     for d in corpus]
         for inst in instances:
@@ -1063,7 +1072,7 @@ class TestBatchedTraining:
         assert_close_loss(got, summed_losses(reference_pointwise_loss(twin, inst, kb)
                                              for inst in instances))
         assert sum(n for n, _ in seen) == len(rows) * (2 if use_mtl else 1)
-        assert_within_block(seen, block, cfg.d)
+        assert_within_block(seen, block, cfg.train.d)
         if ena is not None:  # both drew the same rewrites, in row order
             assert model._ena_rng.random() == twin._ena_rng.random()
 
@@ -1096,13 +1105,13 @@ class TestBatchedTraining:
         assert_close_loss(got, summed_losses(reference_listwise_loss(model, inst, d)
                                              for inst, d in zip(instances, dialogues)))
         assert sum(n for n, _ in seen) == len(rows)
-        assert_within_block(seen, block, cfg.d)
+        assert_within_block(seen, block, cfg.train.d)
 
     def test_ena_rewrites_the_rows_the_per_row_loop_rewrites(self, training_pool,
                                                              monkeypatch):
         kb, corpus, pool = training_pool
         cfg = small_config(ena=AugmentConfig(ena_probability=0.6, seed=3))
-        model = train_pointwise(corpus, kb, replace(cfg, epochs=0))
+        model = train_pointwise(corpus, kb, untrained(cfg))
         twin = twin_pointwise(model, kb)
         rewritten = []
         real = rank.augment_entity_name
@@ -1240,7 +1249,7 @@ class TestCompiledRows:
         every compiled array equals the one built for its row alone."""
         kb, corpus, pool = training_pool
         cfg = small_config(use_mtl=use_mtl, variant=variant, max_len=48)
-        model = train_pointwise(corpus, kb, replace(cfg, epochs=0))
+        model = train_pointwise(corpus, kb, untrained(cfg))
         built = []
         real = rank._composed_features
         monkeypatch.setattr(rank, "_composed_features",
@@ -1269,7 +1278,7 @@ class TestCompiledRows:
         snippets = list(kb.snippets) + [snip("hotel", "9", "Nowhere Inn", "0",
                                              q="", a="")]
         model = ListwiseModel(rank._ranking_vocab(make_corpus(kb, 2), kb),
-                              PointwiseConfig(d=4, max_len=max_len))
+                              PointwiseConfig(train=TrainConfig(d=4, max_len=max_len)))
         turns = tuple(Turn(Speaker.USER if i % 2 == 0 else Speaker.SYSTEM, t or "ok")
                       for i, t in enumerate(texts))
         d = Dialogue(id="p", turns=turns)
@@ -1291,7 +1300,7 @@ class TestCompiledRows:
         corpus = make_corpus(kb, 4)
         cfg = small_config(use_mtl=True, epochs=epochs)
         instances = build_pointwise_instances(corpus, kb, cfg, np.random.default_rng(0))
-        model = train_pointwise(corpus, kb, replace(cfg, epochs=0))
+        model = train_pointwise(corpus, kb, untrained(cfg))
         calls = []
         real = rank.tokenize
         monkeypatch.setattr(rank, "tokenize",
