@@ -115,13 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a: _run_stage(
         a, lambda c: pipeline.stage_ensemble(c, a.predictions, a.base)))
 
-    p = sub.add_parser("tune-consensus")
+    p = sub.add_parser("tune-consensus", help="tune consensus weights on a dev decode")
     _add_common(p)
-    p.add_argument("--pools", required=True, help="line-delimited pool records")
-    p.add_argument("--references", required=True,
-                   help="JSON mapping turn_id to reference text")
+    p.add_argument("--predictions", required=True, help="a dev split's predictions.json")
+    p.add_argument("--references", required=True, help="the dev split's labels")
     p.set_defaults(func=lambda a: _run_stage(
-        a, lambda c: pipeline.stage_tune_consensus(c, a.pools, a.references)))
+        a, lambda c: pipeline.stage_tune_consensus(c, a.predictions, a.references)))
 
     p = sub.add_parser("evaluate")
     _add_common(p)

@@ -320,38 +320,3 @@ def load_weights(path: str) -> ConsensusWeights:
             return ConsensusWeights.from_json(json.load(fh))
     except (ValueError, ConsensusError) as exc:  # json.JSONDecodeError is one
         raise ConsensusError(f"{path}: {exc}") from exc
-
-
-def load_pools(path: str) -> list[CandidatePool]:
-    """Line-delimited records {turn_id, system_id, rank, logprob, text};
-    a line that is not one is a one-line ConsensusError naming the line,
-    and a turn whose records do not form a pool (a rank repeated or
-    missing) one naming the file and the turn."""
-    grouped: dict[str, list[Candidate]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("expected a JSON object")
-                for key in ("turn_id", "system_id", "text"):
-                    if not isinstance(rec[key], str):
-                        raise ValueError(f"{key!r} must be a string")
-                grouped.setdefault(rec["turn_id"], []).append(Candidate(
-                    text=rec["text"], system_id=rec["system_id"],
-                    rank=int(rec["rank"]), logprob=float(rec["logprob"])))
-            # json.JSONDecodeError is a ValueError; int() and float() of a
-            # list or null raise TypeError
-            except (ConsensusError, KeyError, TypeError, ValueError) as exc:
-                raise ConsensusError(f"bad pool record at line {lineno}: {exc}") from exc
-    pools = []
-    for turn_id, cands in grouped.items():
-        try:
-            pools.append(CandidatePool(turn_id=turn_id, candidates=tuple(cands)))
-        except ConsensusError as exc:
-            raise ConsensusError(f"{path}: bad pool for turn {turn_id!r}: {exc}") from exc
-    return pools
-

@@ -335,7 +335,8 @@ def load_knowledge_base(path: str) -> KnowledgeBase:
     Doc titles become questions, bodies become answers. Entries under the
     DOMAIN_LEVEL id become a pseudo-entity named after the domain. A domain,
     entity or doc that is not an object, and a name, title or body that is
-    not a string, is a CorpusError naming where it sits.
+    not a string, is a CorpusError naming where it sits; a file with no
+    snippets is one naming the file.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -358,6 +359,8 @@ def load_knowledge_base(path: str) -> KnowledgeBase:
                     question=_kb_text(doc, "title", where_doc),
                     answer=_kb_text(doc, "body", where_doc),
                     doc_id=doc_id))
+    if not snippets:
+        raise CorpusError(f"{path}: no knowledge snippets")
     return KnowledgeBase(snippets)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .augment import (AugmentConfig, FakeSpeechAdapter, augment_corpus,
                       build_phonetic_index, load_lexicon)
-from .consensus import (Candidate, CandidatePool, ConsensusWeights,
+from .consensus import (Candidate, CandidatePool, ConsensusWeights, TuneConfig,
                         consensus_select, load_weights, save_weights,
                         tune_weights)
 from .corpus import (CorpusError, Dialogue, KnowledgeBase, check_kfold,
@@ -339,7 +339,7 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
     _save_rank_model(pointwise, pw_path)
     outputs.append(pw_path)
 
-    tracker_fn = make_tracker(config, tracker)
+    tracker_fn = load_tracker(config, tracker)
     instances, stats = build_listwise_training_data(
         ks, kb, pw_config, k=config["rank.kfolds"], seed=seed,
         tracker=lambda d, kb_: collect_candidates(tracker_fn(d, kb_), kb_))
@@ -448,26 +448,6 @@ def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
     return outputs
 
 
-def make_tracker(config: PipelineConfig,
-                 tracker_scorer=None) -> Callable:
-    method = TrackMethod(config["track.method"])
-    threshold = config["track.fuzzy_threshold"]
-    delta_e = config["track.delta_e"]
-
-    def tracker(dialogue, kb):
-        if method is TrackMethod.EXACT:
-            return exact_match_entities(dialogue, kb)
-        if method is TrackMethod.FUZZY:
-            return fuzzy_match_entities(dialogue, kb, threshold)
-        scorer = tracker_scorer
-        if scorer is None:
-            raise DependencyError("learned tracking needs a trained tracker; "
-                                  "run train-select first")
-        return track_entities(scorer, dialogue, kb, delta_e)
-
-    return tracker
-
-
 def _tracker_inputs(config: PipelineConfig) -> list[str]:
     """The checkpoint `load_tracker` reads, when tracking is learned."""
     if config["track.method"] == "learned":
@@ -475,14 +455,22 @@ def _tracker_inputs(config: PipelineConfig) -> list[str]:
     return []
 
 
-def load_tracker(config: PipelineConfig) -> Callable:
-    """`make_tracker` with the tracker that train-select saved, when the
-    configured method is the learned one."""
-    tracker_scorer = None
-    if config["track.method"] == "learned":
-        tracker_scorer = scorer_from_checkpoint(require(
+def load_tracker(config: PipelineConfig, scorer=None) -> Callable:
+    """The configured entity tracker, its method resolved once. Learned
+    tracking scores with ``scorer``, or else with the tracker that
+    train-select saved; without either it is a DependencyError here. The
+    matchers are looked up as module names on every call."""
+    method = TrackMethod(config["track.method"])
+    if method is TrackMethod.EXACT:
+        return lambda dialogue, kb: exact_match_entities(dialogue, kb)
+    if method is TrackMethod.FUZZY:
+        threshold = config["track.fuzzy_threshold"]
+        return lambda dialogue, kb: fuzzy_match_entities(dialogue, kb, threshold)
+    if scorer is None:
+        scorer = scorer_from_checkpoint(require(
             config.output_path("tracker.npz"), "train-select"))
-    return make_tracker(config, tracker_scorer)
+    delta_e = config["track.delta_e"]
+    return lambda dialogue, kb: track_entities(scorer, dialogue, kb, delta_e)
 
 
 @dataclass
@@ -506,18 +494,27 @@ class DecodeComponents:
                                 RankedKnowledgeList]] = None
 
 
+def _nbest_pool(turn_id: str, nbest: Sequence[dict]) -> CandidatePool:
+    """The consensus pool of a turn record's ``nbest``, in rank order."""
+    return CandidatePool(turn_id=turn_id, candidates=tuple(
+        Candidate(text=c["text"], system_id="gen", rank=i + 1, logprob=c["logprob"])
+        for i, c in enumerate(nbest)))
+
+
 def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                       components: DecodeComponents,
                       max_history_tokens: int = 512,
                       count_tags: bool = True) -> list[dict]:
     """Full pipeline over label-stripped dialogues, emitting the labels
     schema per turn, each record with the detector's
-    ``detection_probability`` (what `stage_ensemble` reads). A targeted
-    turn reaches the ranker and the reranker only as its candidates and its
-    `DialogueFeatures`, built once; the turn's lists are then ensembled
-    with each other (`ensemble_rank`). An error raised for a turn
-    propagates with its class kept (so the CLI still maps domain errors)
-    and its message prefixed with the turn id."""
+    ``detection_probability`` (what `stage_ensemble` reads) and each
+    targeted one with its ``nbest``, the generator's n-best in rank order
+    that consensus chose ``response`` from (what `stage_tune_consensus`
+    reads). A targeted turn reaches the ranker and the reranker only as
+    its candidates and its `DialogueFeatures`, built once; the turn's
+    lists are then ensembled with each other (`ensemble_rank`). An error
+    raised for a turn propagates with its class kept (so the CLI still
+    maps domain errors) and its message prefixed with the turn id."""
     from .corpus import build_generation_context
 
     results = []
@@ -539,14 +536,10 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
             context = build_generation_context(dialogue, top5,
                                                max_tokens=max_history_tokens,
                                                count_tags=count_tags)
-            nbest = decode_nbest(components.generator, context, components.nbest)
-            pool = CandidatePool(
-                turn_id=dialogue.id,
-                candidates=tuple(
-                    Candidate(text=text, system_id="gen", rank=i + 1,
-                              logprob=logprob)
-                    for i, (text, logprob) in enumerate(nbest)))
-            chosen = consensus_select(pool, components.consensus_weights)
+            nbest = [{"text": text, "logprob": logprob} for text, logprob in
+                     decode_nbest(components.generator, context, components.nbest)]
+            chosen = consensus_select(_nbest_pool(dialogue.id, nbest),
+                                      components.consensus_weights)
             results.append({
                 "target": True,
                 "detection_probability": prob,
@@ -554,6 +547,7 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                     {"domain": s.domain, "entity_id": s.entity_id, "doc_id": s.doc_id}
                     for s, _ in merged.items],
                 "response": chosen.text,
+                "nbest": nbest,
             })
         except Exception as exc:
             exc.args = (f"decode failed at turn {dialogue.id}: {exc}",)
@@ -561,12 +555,18 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
     return results
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_turn_records(records) -> None:
     """Every turn record is an object with a boolean ``target``; its
     ``knowledge``, if any, is a list of {domain, entity_id, doc_id}
-    objects, its ``response``, if any, a string and its
-    ``detection_probability``, if any, a number in [0, 1]. A ValueError
-    names the first record that is not."""
+    objects, its ``response``, if any, a string, its
+    ``detection_probability``, if any, a number in [0, 1] and its
+    ``nbest``, if any, a list of {text, logprob} objects with a string text
+    and a numeric logprob. A ValueError names the first record that is
+    not."""
     if not isinstance(records, list):
         raise ValueError(f"expected a list of turn records, got {type(records).__name__}")
     for i, rec in enumerate(records):
@@ -580,10 +580,15 @@ def _check_turn_records(records) -> None:
         if not isinstance(rec.get("response", ""), str):
             raise ValueError(f"record {i}: response must be a string")
         prob = rec.get("detection_probability", 0.0)
-        if isinstance(prob, bool) or not (isinstance(prob, (int, float))
-                                          and 0.0 <= prob <= 1.0):
+        if not (_is_number(prob) and 0.0 <= prob <= 1.0):
             raise ValueError(f"record {i}: detection_probability must be a "
                              f"number in [0, 1]")
+        nbest = rec.get("nbest", [])
+        if not (isinstance(nbest, list) and all(
+                isinstance(c, dict) and isinstance(c.get("text"), str)
+                and _is_number(c.get("logprob")) for c in nbest)):
+            raise ValueError(f"record {i}: nbest must be a list of objects with "
+                             f"a string 'text' and a numeric 'logprob'")
 
 
 def validate_labels_schema(records: Sequence[dict]) -> None:
@@ -597,21 +602,29 @@ def validate_labels_schema(records: Sequence[dict]) -> None:
             raise ValueError(f"record {i}: negative turn carries knowledge")
 
 
-def _read_stage_json(path: str, records: bool) -> list | dict:
-    """A JSON stage input that `evaluate`, `ensemble` or `tune-consensus`
-    reads: with `records`, a list of turn records; otherwise an object
-    mapping turn ids to reference texts. Anything else is a one-line
-    CorpusError naming the file."""
+def _read_stage_json(path: str) -> list[dict]:
+    """The turn records of a JSON stage input that `evaluate`, `ensemble`
+    or `tune-consensus` reads; anything else is a one-line CorpusError
+    naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        if records:
-            _check_turn_records(data)
-        elif not (isinstance(data, dict) and all(isinstance(v, str) for v in data.values())):
-            raise ValueError("expected an object mapping turn ids to reference texts")
+        _check_turn_records(data)
     except ValueError as exc:  # json.JSONDecodeError is one
         raise CorpusError(f"{path}: {exc}") from exc
     return data
+
+
+def _read_predictions_and_references(predictions_path: str, references_path: str
+                                     ) -> tuple[list[dict], list[dict]]:
+    """A decode's turn records and the labels of the same turns, one
+    record each per turn; files of different lengths are a CorpusError."""
+    predictions = _read_stage_json(require(predictions_path, "decode"))
+    references = _read_stage_json(require(references_path, "synth"))
+    if len(predictions) != len(references):
+        raise CorpusError(f"{predictions_path} has {len(predictions)} turn records but "
+                          f"{references_path} has {len(references)}")
+    return predictions, references
 
 
 def stage_decode(config: PipelineConfig) -> list[str]:
@@ -708,7 +721,7 @@ def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
             raise CorpusError(f"system name {name!r} is given twice: {paths[name]} "
                               f"and {path}; rename one file")
         paths[name] = path
-        records = _read_stage_json(require(path, "decode"), records=True)
+        records = _read_stage_json(require(path, "decode"))
         for i, r in enumerate(records):
             if "detection_probability" not in r:
                 raise CorpusError(f"{path}: record {i}: missing detection_probability")
@@ -723,28 +736,30 @@ def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
     return [path, manifest]
 
 
-def stage_tune_consensus(config: PipelineConfig, pools_path: str,
-                         refs_path: str) -> list[str]:
-    from .consensus import TuneConfig, load_pools
-
-    pools = load_pools(require(pools_path, "decode"))
-    references = _read_stage_json(require(refs_path, "synth"), records=False)
-    weights = tune_weights(pools, references,
-                           config=TuneConfig(seed=config.seed))
+def stage_tune_consensus(config: PipelineConfig, predictions_path: str,
+                         references_path: str) -> list[str]:
+    """Tune the consensus weights on a dev split's decode: one pool per
+    turn with a recorded n-best and a reference response, named by its
+    record index, as decode built it."""
+    predictions, references = _read_predictions_and_references(
+        predictions_path, references_path)
+    pools, responses = [], {}
+    for i, (pred, ref) in enumerate(zip(predictions, references)):
+        if pred.get("nbest") and ref.get("response"):
+            pools.append(_nbest_pool(str(i), pred["nbest"]))
+            responses[str(i)] = ref["response"]
+    weights = tune_weights(pools, responses, config=TuneConfig(seed=config.seed))
     path = config.output_path("consensus.weights.json")
     save_weights(weights, path)
-    manifest = write_manifest(config, "tune-consensus", [pools_path, refs_path],
-                              [path])
+    manifest = write_manifest(config, "tune-consensus",
+                              [predictions_path, references_path], [path])
     return [path, manifest]
 
 
 def stage_evaluate(config: PipelineConfig, predictions_path: str,
                    references_path: str) -> list[str]:
-    predictions = _read_stage_json(require(predictions_path, "decode"), records=True)
-    references = _read_stage_json(require(references_path, "synth"), records=True)
-    if len(predictions) != len(references):
-        raise CorpusError(f"{predictions_path} has {len(predictions)} turn records but "
-                          f"{references_path} has {len(references)}")
+    predictions, references = _read_predictions_and_references(
+        predictions_path, references_path)
     report = evaluate_predictions(predictions, references)
     path = config.output_path("metrics.json")
     with open(path, "w", encoding="utf-8") as fh:

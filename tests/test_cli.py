@@ -151,6 +151,16 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
         f"error: {confusions} line 3: expected word<TAB>replacement\n")
 
 
+# a decode record's n-best that is not a list of {text, logprob} objects
+NBEST_DEFECTS = {
+    "nbest-not-list": {"text": "yes", "logprob": -1.0},
+    "nbest-entry-not-object": ["yes"],
+    "nbest-text-not-string": [{"text": 5, "logprob": -1.0}],
+    "nbest-logprob-bool": [{"text": "yes", "logprob": True}],
+    "nbest-logprob-null": [{"text": "yes", "logprob": None}],
+}
+
+
 @pytest.mark.parametrize("command,args,override,message", [
     ("train-select", [], "rank.kfolds=1",
      "config error: rank.kfolds: expected an int >= 2, got 1"),
@@ -189,21 +199,14 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
      "", "error: {untargeted}: record 0: expected an object with a boolean 'target'"),
     ("ensemble", ["--predictions", "{untargeted}", "--base", "untargeted.json"], "",
      "error: {untargeted}: record 0: expected an object with a boolean 'target'"),
-    ("tune-consensus", ["--pools", "{pools}", "--references", "{listed}"], "",
-     "error: {listed}: expected an object mapping turn ids to reference texts"),
-    ("tune-consensus", ["--pools", "{listpool}", "--references", "{mapped}"], "",
-     "error: bad pool record at line 1: expected a JSON object"),
-    ("tune-consensus", ["--pools", "{numbered}", "--references", "{mapped}"], "",
-     "error: bad pool record at line 1: 'text' must be a string"),
-    ("tune-consensus", ["--pools", "{unlogged}", "--references", "{mapped}"], "",
-     "error: bad pool record at line 1: float() argument must be a string or a "
-     "real number, not 'NoneType'"),
-    ("tune-consensus", ["--pools", "{unranked}", "--references", "{mapped}"], "",
-     "error: bad pool record at line 2: ranks are 1-based"),
-    ("tune-consensus", ["--pools", "{gapped}", "--references", "{mapped}"], "",
-     "error: {gapped}: bad pool for turn 't0': ranks not contiguous for system 'a'"),
-    ("tune-consensus", ["--pools", "{doubled}", "--references", "{mapped}"], "",
-     "error: {doubled}: bad pool for turn 't0': duplicate (system, rank): ('a', 1)"),
+    *[("tune-consensus", ["--predictions", f"{{{name}}}", "--references", "{predictions}"],
+       "", f"error: {{{name}}}: record 1: nbest must be a list of objects with a "
+           f"string 'text' and a numeric 'logprob'")
+      for name in NBEST_DEFECTS],
+    ("tune-consensus", ["--predictions", "{three}", "--references", "{predictions}"], "",
+     "error: {three} has 3 turn records but {predictions} has 2"),
+    ("tune-consensus", ["--predictions", "{predictions}", "--references", "{predictions}"],
+     "", "error: tuning requires at least one dev pool"),
     ("evaluate", ["--predictions", "{predictions}", "--references", "{unkeyed}"], "",
      "error: {unkeyed}: record 0: malformed knowledge ref"),
     ("evaluate", ["--predictions", "{predictions}", "--references", "{numeric}"], "",
@@ -220,27 +223,19 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
         "rank-kfolds-above-turns", "gen-kfolds-above-turns",
         "lexicon-tab", "evaluate-not-json", "evaluate-lengths-differ",
         "ensemble-not-json",
-        "evaluate-no-target", "ensemble-no-target", "tune-consensus-list-references",
-        "tune-consensus-pool-not-object", "tune-consensus-pool-text-not-string",
-        "tune-consensus-pool-logprob-null", "tune-consensus-pool-rank-zero",
-        "tune-consensus-pool-ranks-gapped", "tune-consensus-pool-rank-twice",
+        "evaluate-no-target", "ensemble-no-target",
+        *[f"tune-consensus-{name}" for name in NBEST_DEFECTS],
+        "tune-consensus-lengths-differ", "tune-consensus-no-pool",
         "evaluate-bad-knowledge", "evaluate-response-not-text",
         "ensemble-probability-not-number", "ensemble-probability-above-one",
         "ensemble-probability-missing"])
 def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
                                            args, override, message):
     _, _, cfg = workdir
-    paths = {name: tmp_path / file for name, file in [
-        ("predictions", "predictions.json"), ("lexicon", "lexicon.tsv"),
-        ("text", "text.json"), ("untargeted", "untargeted.json"),
-        ("pools", "pools.jsonl"), ("listed", "listed.json"),
-        ("unkeyed", "unkeyed.json"), ("numeric", "numeric.json"),
-        ("worded", "worded.json"), ("above", "above.json"),
-        ("unscored", "unscored.json"), ("listpool", "listpool.jsonl"),
-        ("numbered", "numbered.jsonl"), ("unlogged", "unlogged.jsonl"),
-        ("unranked", "unranked.jsonl"), ("gapped", "gapped.jsonl"),
-        ("doubled", "doubled.jsonl"),
-        ("mapped", "mapped.json"), ("three", "three.json")]}
+    paths = {name: tmp_path / f"{name}.json" for name in [
+        "predictions", "text", "untargeted", "unkeyed", "numeric", "worded",
+        "above", "unscored", "three", *NBEST_DEFECTS]}
+    paths["lexicon"] = tmp_path / "lexicon.tsv"
     paths["predictions"].write_text(json.dumps([
         {"target": True, "detection_probability": 0.9},
         {"target": False, "detection_probability": 0.1}]))
@@ -249,19 +244,11 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
     paths["lexicon"].write_text("hotel HH OW T EH L\n")
     paths["text"].write_text("not json\n")
     paths["untargeted"].write_text(json.dumps([{"x": 1}, {"x": 1}]))
-    paths["pools"].write_text(json.dumps({"turn_id": "t0", "system_id": "a",
-                                          "rank": 1, "logprob": -1.0,
-                                          "text": "yes"}) + "\n")
-    paths["listed"].write_text(json.dumps(["t0"]))
-    record = {"turn_id": "t0", "system_id": "a", "rank": 1, "logprob": -1.0}
-    paths["listpool"].write_text("[1, 2]\n")
-    paths["numbered"].write_text(json.dumps({**record, "text": 5}) + "\n")
-    paths["unlogged"].write_text(json.dumps({**record, "logprob": None,
-                                             "text": "yes"}) + "\n")
-    for name, ranks in (("unranked", (1, 0)), ("gapped", (1, 3)), ("doubled", (1, 1))):
-        paths[name].write_text("".join(json.dumps({**record, "rank": rank, "text": "yes"})
-                                       + "\n" for rank in ranks))
-    paths["mapped"].write_text(json.dumps({"t0": "yes"}))
+    for name, nbest in NBEST_DEFECTS.items():
+        paths[name].write_text(json.dumps([
+            {"target": True, "detection_probability": 0.9,
+             "nbest": [{"text": "yes", "logprob": -1.0}]},
+            {"target": True, "detection_probability": 0.9, "nbest": nbest}]))
     paths["unkeyed"].write_text(json.dumps([
         {"target": True, "knowledge": [{"domain": "hotel"}]}, {"target": False}]))
     paths["numeric"].write_text(json.dumps([
@@ -395,20 +382,24 @@ def _set_name(kb):
     (_drop_body, "knowledge doc attraction/1/0: missing 'body'"),
     (_list_entry, "knowledge entity attraction/1: expected an object, got list"),
     (_set_name, "knowledge entity attraction/1: name must be a string, got int"),
-], ids=["title", "body", "entry", "name"])
+    (dict.clear, "{path}: no knowledge snippets"),
+], ids=["title", "body", "entry", "name", "empty"])
+@pytest.mark.parametrize("command", ["train-detect", "decode"])
 def test_malformed_knowledge_base_is_one_line_domain_error(workdir, tmp_path, capsys,
-                                                           edit, message):
+                                                           command, edit, message):
     _, data, cfg = workdir
     kb = json.loads((data / "knowledge.json").read_text())
     edit(kb)
     bad = tmp_path / "knowledge.json"
     bad.write_text(json.dumps(kb))
     capsys.readouterr()
-    assert main(["train-detect", "--config", str(cfg), "--stage-overrides",
+    # a stage fails when it loads the knowledge base, before it needs any
+    # checkpoint
+    assert main([command, "--config", str(cfg), "--stage-overrides",
                  f"paths.knowledge={bad}", f"paths.output={tmp_path / 'out'}"]) \
         == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message.format(path=bad)}\n"
 
 
 def test_decode_time_domain_error_is_one_line(workdir, tmp_path, capsys):
@@ -518,21 +509,30 @@ def test_ensemble_of_decode_outputs_flips_base_labels_inside_delta_d(workdir,
     assert any(flipped) and not all(flipped)
 
 
-def test_tune_consensus_subcommand(workdir, tmp_path):
-    root, _, cfg = workdir
-    pools = tmp_path / "pools.jsonl"
-    refs = tmp_path / "refs.json"
-    rows = []
-    references = {}
-    for i in range(4):
-        rows.append({"turn_id": f"t{i}", "system_id": "good", "rank": 1,
-                     "logprob": -2.0, "text": f"the answer number {i} is yes"})
-        rows.append({"turn_id": f"t{i}", "system_id": "bad", "rank": 1,
-                     "logprob": -1.0, "text": "unrelated noise words"})
-        references[f"t{i}"] = f"the answer number {i} is yes"
-    pools.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    refs.write_text(json.dumps(references))
+def test_tune_consensus_tunes_on_a_dev_decode_that_decode_then_reads(workdir,
+                                                                     tmp_path):
+    # the dev split is another synth seed over the same knowledge base
+    root, data, cfg = workdir
+    dev, out = tmp_path / "dev", tmp_path / "out"
+    assert main(["synth", "--output", str(dev), "--dialogues", "36",
+                 "--seed", "7"]) == EXIT_OK
+    assert (dev / "knowledge.json").read_bytes() == (data / "knowledge.json").read_bytes()
+    shutil.copytree(root / "out", out)
+    decode = ["decode", "--config", str(cfg), "--stage-overrides",
+              f"paths.output={out}", f"paths.logs={dev / 'logs.json'}",
+              f"paths.labels={dev / 'labels.json'}"]
+    assert main(decode) == EXIT_OK
+    predictions = out / "predictions.json"
+    assert any(r.get("nbest") for r in json.loads(predictions.read_text()))
     assert main(["tune-consensus", "--config", str(cfg),
-                 "--pools", str(pools), "--references", str(refs)]) == EXIT_OK
-    weights = json.loads((root / "out" / "consensus.weights.json").read_text())
-    assert len(weights["weights"]) == 10
+                 "--predictions", str(predictions),
+                 "--references", str(dev / "labels.json"),
+                 "--stage-overrides", f"paths.output={out}"]) == EXIT_OK
+    manifest = json.loads((out / "tune-consensus.manifest.json").read_text())
+    assert set(manifest["inputs"]) == {"predictions.json", "labels.json"}
+    weights = out / "consensus.weights.json"
+    assert len(json.loads(weights.read_text())["weights"]) == 10
+    assert main(decode) == EXIT_OK
+    manifest = json.loads((out / "decode.manifest.json").read_text())
+    assert manifest["inputs"]["consensus.weights.json"] == hashlib.sha256(
+        weights.read_bytes()).hexdigest()

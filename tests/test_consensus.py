@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kgdial import consensus, metrics
 from kgdial.consensus import (
     Candidate, CandidatePool, ConsensusError, ConsensusWeights, TuneConfig,
-    consensus_select, load_pools, pool_features,
+    consensus_select, pool_features,
     save_weights, load_weights, tune_weights,
 )
 from kgdial.metrics import (bleu_n, char_f, corpus_bleu, meteor_lite, rouge_l,
@@ -293,17 +293,6 @@ class TestTuneWeights:
 
 
 class TestIO:
-    def test_pool_round_trip(self, tmp_path):
-        pools, _ = make_dev(3)
-        path = tmp_path / "pools.jsonl"
-        path.write_text("".join(
-            json.dumps({"turn_id": p.turn_id, "system_id": c.system_id,
-                        "rank": c.rank, "logprob": c.logprob, "text": c.text}) + "\n"
-            for p in pools for c in p.candidates))
-        again = load_pools(str(path))
-        assert [p.turn_id for p in again] == [p.turn_id for p in pools]
-        assert again[0].candidates == pools[0].candidates
-
     def test_weights_round_trip(self, tmp_path):
         w = ConsensusWeights(np.linspace(-1, 1, 10))
         path = str(tmp_path / "w.json")
@@ -312,9 +301,3 @@ class TestIO:
         assert np.allclose(again.values, w.values)
         header = json.load(open(path))
         assert header["features"][0] == "sim-bleu1"
-
-    def test_bad_record_line_number(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"turn_id": "t", "system_id": "s"}\n')
-        with pytest.raises(ConsensusError, match="line 1"):
-            load_pools(str(path))

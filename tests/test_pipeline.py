@@ -10,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdial import corpus, generate, pipeline, rank
-from kgdial.consensus import ConsensusError, ConsensusWeights
+from kgdial.consensus import (Candidate, CandidatePool, ConsensusError,
+                              ConsensusWeights, TuneConfig, consensus_select,
+                              load_weights, tune_weights)
 from kgdial.corpus import linearize_history, save_corpus, save_knowledge_base
 from kgdial.entity_track import TrackMethod
 from kgdial.pipeline import (
     CONFIG_DEFAULTS, ConfigError, DecodeComponents, DependencyError,
     PipelineConfig, end_to_end_decode, evaluate_predictions, load_config,
-    make_tracker, require, stage_augment, stage_decode, stage_train_detect,
-    stage_train_generate, stage_train_select, validate_labels_schema,
+    load_tracker, require, stage_augment, stage_decode, stage_train_detect,
+    stage_train_generate, stage_train_select, stage_tune_consensus,
+    validate_labels_schema,
     write_manifest,
 )
 from kgdial.generate import GenerateError, ToyGenerator
@@ -490,6 +493,58 @@ def _checkpoint_members(path):
         return {name: archive[name].tobytes() for name in archive.files}
 
 
+def _decode_in_memory(config, monkeypatch):
+    """stage_decode's records as end_to_end_decode returned them, and the
+    path of the predictions file it wrote."""
+    decoded = []
+    real = pipeline.end_to_end_decode
+
+    def recording(*args, **kwargs):
+        decoded.extend(real(*args, **kwargs))
+        return decoded
+
+    monkeypatch.setattr(pipeline, "end_to_end_decode", recording)
+    return decoded, stage_decode(config)[0]
+
+
+def _pool(turn_id, nbest):
+    return CandidatePool(turn_id, tuple(
+        Candidate(c["text"], "gen", rank, c["logprob"])
+        for rank, c in enumerate(nbest, 1)))
+
+
+def test_decode_records_the_nbest_consensus_chose_from(trained, tmp_path,
+                                                       monkeypatch):
+    config = _copy_outputs(trained[0], tmp_path)  # no tuned weights: uniform
+    decoded, path = _decode_in_memory(config, monkeypatch)
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == decoded
+    targeted = [rec for rec in decoded if rec["target"]]
+    assert targeted
+    for rec in targeted:
+        logprobs = [c["logprob"] for c in rec["nbest"]]
+        assert 1 <= len(logprobs) <= config["gen.nbest"]
+        assert logprobs == sorted(logprobs, reverse=True)
+        chosen = consensus_select(_pool("t", rec["nbest"]), ConsensusWeights.uniform())
+        assert chosen.text == rec["response"]
+
+
+def test_tune_consensus_tunes_the_pools_decode_built(trained, tmp_path, monkeypatch):
+    config = _copy_outputs(trained[0], tmp_path)
+    decoded, path = _decode_in_memory(config, monkeypatch)
+    with open(config["paths.labels"], encoding="utf-8") as fh:
+        labels = json.load(fh)
+    pools, references = [], {}
+    for i, (rec, label) in enumerate(zip(decoded, labels)):
+        if rec.get("nbest") and label.get("response"):
+            pools.append(_pool(str(i), rec["nbest"]))
+            references[str(i)] = label["response"]
+    assert pools
+    expected = tune_weights(pools, references, config=TuneConfig(seed=config.seed))
+    written = stage_tune_consensus(config, path, config["paths.labels"])[0]
+    assert load_weights(written).values.tobytes() == expected.values.tobytes()
+
+
 def test_seeded_training_runs_give_identical_checkpoints(trained, tmp_path):
     """Every trainer (the detector, the learned tracker, the point-wise
     ranker with MTL and ENA, its k-fold retrains, the list-wise ranker and
@@ -642,15 +697,30 @@ class TestTrackerFactory:
         dialogues, kb, _ = build_mini_corpus(MiniCorpusConfig(n_dialogues=10, seed=0))
         for method in ("exact", "fuzzy"):
             cfg = PipelineConfig({"track.method": method})
-            tracker = make_tracker(cfg)
+            tracker = load_tracker(cfg)
             assert isinstance(tracker(dialogues[0], kb), list)
 
-    def test_learned_without_model_is_dependency_error(self):
-        dialogues, kb, _ = build_mini_corpus(MiniCorpusConfig(n_dialogues=10, seed=0))
-        cfg = PipelineConfig({"track.method": "learned"})
-        tracker = make_tracker(cfg)
-        with pytest.raises(DependencyError):
-            tracker(dialogues[0], kb)
+    @pytest.mark.parametrize("method,name", [("exact", "exact_match_entities"),
+                                             ("fuzzy", "fuzzy_match_entities")])
+    def test_matcher_is_looked_up_when_called(self, monkeypatch, method, name):
+        # the benchmark's tracer wraps the matchers as pipeline module names
+        # after the tracker is built
+        tracker = load_tracker(PipelineConfig({"track.method": method}))
+        monkeypatch.setattr(pipeline, name, lambda *args: ["patched"])
+        assert tracker(None, None) == ["patched"]
+
+    def test_learned_without_model_is_dependency_error(self, tmp_path):
+        cfg = PipelineConfig({"track.method": "learned", "paths.output": str(tmp_path)})
+        with pytest.raises(DependencyError, match="train-select"):
+            load_tracker(cfg)
+
+    def test_learned_scores_with_the_given_scorer(self, tmp_path, monkeypatch):
+        cfg = PipelineConfig({"track.method": "learned", "paths.output": str(tmp_path),
+                              "track.delta_e": 0.25})
+        scorer = object()
+        monkeypatch.setattr(pipeline, "track_entities", lambda *args: list(args))
+        assert load_tracker(cfg, scorer)("dialogue", "kb") == [
+            scorer, "dialogue", "kb", 0.25]
 
 
 class TestEvaluatePredictions:
