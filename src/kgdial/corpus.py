@@ -252,24 +252,80 @@ class KnowledgeBase:
         return len(self.snippets)
 
 
+def read_json(path: str):
+    """The JSON value a file holds; a file that is not JSON is a one-line
+    CorpusError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # json.JSONDecodeError is one
+        raise CorpusError(f"{path}: {exc}") from exc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_turn_records(records) -> None:
+    """Every turn record is an object with a boolean ``target``; its
+    ``knowledge``, if any, is a list of {domain, entity_id, doc_id}
+    objects, its ``response``, if any, a string, its
+    ``detection_probability``, if any, a number in [0, 1] and its
+    ``nbest``, if any, a list of {text, logprob} objects with a string text
+    and a numeric logprob. A ValueError names the first record that is
+    not."""
+    if not isinstance(records, list):
+        raise ValueError(f"expected a list of turn records, got {type(records).__name__}")
+    for i, rec in enumerate(records):
+        if not (isinstance(rec, dict) and isinstance(rec.get("target"), bool)):
+            raise ValueError(f"record {i}: expected an object with a boolean 'target'")
+        knowledge = rec.get("knowledge", [])
+        if not (isinstance(knowledge, list) and all(
+                isinstance(k, dict) and {"domain", "entity_id", "doc_id"} <= k.keys()
+                for k in knowledge)):
+            raise ValueError(f"record {i}: malformed knowledge ref")
+        if not isinstance(rec.get("response", ""), str):
+            raise ValueError(f"record {i}: response must be a string")
+        prob = rec.get("detection_probability", 0.0)
+        if not (_is_number(prob) and 0.0 <= prob <= 1.0):
+            raise ValueError(f"record {i}: detection_probability must be a "
+                             f"number in [0, 1]")
+        nbest = rec.get("nbest", [])
+        if not (isinstance(nbest, list) and all(
+                isinstance(c, dict) and isinstance(c.get("text"), str)
+                and _is_number(c.get("logprob")) for c in nbest)):
+            raise ValueError(f"record {i}: nbest must be a list of objects with "
+                             f"a string 'text' and a numeric 'logprob'")
+
+
+def read_turn_records(path: str) -> list[dict]:
+    """The turn records of a labels or predictions file, as
+    `check_turn_records` checks them; anything else is a one-line
+    CorpusError naming the file."""
+    records = read_json(path)
+    try:
+        check_turn_records(records)
+    except ValueError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
+    return records
+
+
 def load_corpus(logs_path: str, labels_path: Optional[str] = None) -> list[Dialogue]:
     """Load DSTC-format logs (and optional aligned labels) into dialogues.
 
     Turn text is whitespace-normalized and reserved tags are escaped, so
     a write/read round trip is the identity.
     """
-    with open(logs_path, encoding="utf-8") as fh:
-        logs = json.load(fh)
+    logs = read_json(logs_path)
     if not isinstance(logs, list):
-        raise CorpusError("logs file must contain an array of dialogues")
+        raise CorpusError(f"{logs_path}: expected a list of dialogues, "
+                          f"got {type(logs).__name__}")
     labels = None
     if labels_path is not None:
-        with open(labels_path, encoding="utf-8") as fh:
-            labels = json.load(fh)
-        if not isinstance(labels, list) or len(labels) != len(logs):
-            raise CorpusError(
-                f"labels/logs length mismatch: {len(labels) if isinstance(labels, list) else '?'} "
-                f"vs {len(logs)}")
+        labels = read_turn_records(labels_path)
+        if len(labels) != len(logs):
+            raise CorpusError(f"labels/logs length mismatch: {len(labels)} records in "
+                              f"{labels_path}, {len(logs)} dialogues in {logs_path}")
     dialogues = []
     for i, raw_turns in enumerate(logs):
         try:
@@ -279,21 +335,17 @@ def load_corpus(logs_path: str, labels_path: Optional[str] = None) -> list[Dialo
                 for t in raw_turns)
         except (KeyError, ValueError, TypeError) as exc:
             raise CorpusError(f"malformed log record at index {i}: {exc}") from exc
-        label = None
-        if labels is not None:
-            try:
-                label = _parse_label(labels[i])
-            except (KeyError, TypeError) as exc:
-                raise CorpusError(f"malformed label record at index {i}: {exc}") from exc
+        label = None if labels is None else _parse_label(labels[i])
         dialogues.append(Dialogue(id=f"d{i:05d}", turns=turns, label=label))
     return dialogues
 
 
 def _parse_label(raw: dict) -> TurnLabel:
-    target = bool(raw["target"])
+    """A labels record that `check_turn_records` passed."""
+    target = raw["target"]
     refs = tuple(
         (str(k["domain"]), str(k["entity_id"]), str(k["doc_id"]))
-        for k in raw.get("knowledge", []) or [])
+        for k in raw.get("knowledge", []))
     response = raw.get("response")
     if response is not None:
         response = _clean_text(response)
@@ -335,11 +387,10 @@ def load_knowledge_base(path: str) -> KnowledgeBase:
     Doc titles become questions, bodies become answers. Entries under the
     DOMAIN_LEVEL id become a pseudo-entity named after the domain. A domain,
     entity or doc that is not an object, and a name, title or body that is
-    not a string, is a CorpusError naming where it sits; a file with no
-    snippets is one naming the file.
+    not a string, is a CorpusError naming where it sits; a file that is not
+    JSON or holds no snippets is one naming the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     snippets = []
     for domain, entities in _kb_items(data, "knowledge file"):
         for entity_id, entry in _kb_items(entities, f"knowledge domain {domain}"):

@@ -11,8 +11,6 @@ lower bound (``char_counts``) cannot rule out, all in one
 ``levenshtein_many`` call. The LCS length is bit-parallel: one row of its
 table is one Python int, updated with a handful of integer operations per
 item of the first sequence.
-
-``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol, Sequence
 
@@ -112,6 +113,9 @@ def softmax_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 class ToyEncoder:
     """Embedding + one residual self-attention layer + pooling."""
 
+    # the constructor arguments `config` writes to a checkpoint
+    CONFIG_FIELDS = ("d", "pooling", "max_len", "seed")
+
     def __init__(self, vocab: dict[str, int], d: int = 24, pooling: str = "mean",
                  max_len: int = 128, seed: int = 0,
                  params: Optional[dict[str, np.ndarray]] = None):
@@ -149,8 +153,7 @@ class ToyEncoder:
                 "wv": (d, d)}
 
     def config(self) -> dict:
-        return {"d": self.d, "pooling": self.pooling, "max_len": self.max_len,
-                "seed": self.seed}
+        return {key: getattr(self, key) for key in self.CONFIG_FIELDS}
 
     def vocab_ids(self, tokens: Sequence[str]) -> np.ndarray:
         """Vocabulary id of every token (0 for unknown ones), uncut."""
@@ -748,23 +751,27 @@ def load_checkpoint(path: str, kind: Optional[str] = None
     given, the config's ``kind`` must equal it. The tensors are writable
     views into the one vector read from the archive; the config block is
     returned without its ``layout`` key."""
-    with np.load(path) as archive:
-        if "__meta__" not in archive:
-            raise ModelError(f"checkpoint {path} missing metadata block")
-        try:
-            meta = json.loads(archive["__meta__"].tobytes().decode("utf-8"))
-        except ValueError:
-            meta = None
-        if not isinstance(meta, dict):
-            raise ModelError(f"checkpoint {path}: metadata block is not a JSON object")
-        if "version" not in meta:
-            raise ModelError(f"checkpoint {path} missing version field")
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ModelError(f"checkpoint {path} has version {meta['version']!r}, "
-                             f"this version reads {CHECKPOINT_VERSION}: retrain it")
-        if "__data__" not in archive:
-            raise ModelError(f"checkpoint {path} missing data block")
-        data = archive["__data__"]
+    try:
+        with np.load(path) as archive:
+            if "__meta__" not in archive:
+                raise ModelError(f"checkpoint {path} missing metadata block")
+            try:
+                meta = json.loads(archive["__meta__"].tobytes().decode("utf-8"))
+            except ValueError:
+                meta = None
+            if not isinstance(meta, dict):
+                raise ModelError(f"checkpoint {path}: metadata block is not a "
+                                 f"JSON object")
+            if "version" not in meta:
+                raise ModelError(f"checkpoint {path} missing version field")
+            if meta["version"] != CHECKPOINT_VERSION:
+                raise ModelError(f"checkpoint {path} has version {meta['version']!r}, "
+                                 f"this version reads {CHECKPOINT_VERSION}: retrain it")
+            if "__data__" not in archive:
+                raise ModelError(f"checkpoint {path} missing data block")
+            data = archive["__data__"]
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ModelError(f"checkpoint {path} is not a readable .npz archive") from exc
     tensors = _unpack(path, data, meta.pop(_LAYOUT, None))
     if kind is not None and meta.get("kind") != kind:
         raise ModelError(f"checkpoint {path}: key 'kind' is {meta.get('kind')!r}, "
@@ -806,6 +813,25 @@ def check_tensors(path: str, shapes: dict[str, tuple[int, ...]],
                              f"{value.shape}, expected {shapes[key]}")
 
 
+def check_fields(path: str, meta: dict, fields: Sequence[str]) -> None:
+    """A checkpoint's config block must hold each of ``fields``; an
+    ``encoder`` among them must be an object of exactly
+    `ToyEncoder.CONFIG_FIELDS`, so a loaded model takes no default it was
+    not saved with."""
+    for key in fields:
+        if key not in meta:
+            raise ModelError(f"checkpoint {path}: missing field {key!r}")
+    if "encoder" in fields:
+        encoder = meta["encoder"]
+        if not isinstance(encoder, dict):
+            raise ModelError(f"checkpoint {path}: field 'encoder' is not an object")
+        for key in ToyEncoder.CONFIG_FIELDS:
+            if key not in encoder:
+                raise ModelError(f"checkpoint {path}: missing field 'encoder.{key}'")
+        for key in sorted(encoder.keys() - set(ToyEncoder.CONFIG_FIELDS)):
+            raise ModelError(f"checkpoint {path}: unknown field 'encoder.{key}'")
+
+
 def scorer_to_checkpoint(scorer: ToyPairScorer, path: str) -> None:
     config = {
         "kind": "pair_scorer",
@@ -817,6 +843,7 @@ def scorer_to_checkpoint(scorer: ToyPairScorer, path: str) -> None:
 
 def scorer_from_checkpoint(path: str) -> ToyPairScorer:
     tensors, meta = load_checkpoint(path, "pair_scorer")
+    check_fields(path, meta, ("vocab", "encoder"))
     check_tensors(path, pair_scorer_shapes(len(meta["vocab"]), meta["encoder"]["d"]), tensors)
     encoder = ToyEncoder(meta["vocab"], **meta["encoder"],
                          params=unprefixed("enc.", tensors))

@@ -25,8 +25,9 @@ from .consensus import (Candidate, CandidatePool, ConsensusWeights, TuneConfig,
                         consensus_select, load_weights, save_weights,
                         tune_weights)
 from .corpus import (CorpusError, Dialogue, KnowledgeBase, check_kfold,
-                     linearize_history, load_corpus, load_knowledge_base,
-                     save_corpus, strip_labels)
+                     check_turn_records, linearize_history, load_corpus,
+                     load_knowledge_base, read_turn_records, save_corpus,
+                     strip_labels)
 from .detect import build_detection_examples
 from .entity_track import (TrackMethod, build_tracking_examples,
                            collect_candidates, exact_match_entities,
@@ -36,8 +37,8 @@ from .generate import (GenTrainConfig, ToyGenerator, build_gen_examples,
                        preprocess_responses, train_generator)
 from .metrics import (MetricReport, generation_report, mrr_at_k,
                       precision_recall_f1, recall_at_k)
-from .models import (ModelError, TrainConfig, check_tensors, load_checkpoint,
-                     save_checkpoint, scorer_from_checkpoint,
+from .models import (ModelError, TrainConfig, check_fields, check_tensors,
+                     load_checkpoint, save_checkpoint, scorer_from_checkpoint,
                      scorer_to_checkpoint, train_pair_classifier)
 from .rank import (DialogueFeatures, PointwiseConfig,
                    RankedKnowledgeList, Variant, build_listwise_training_data,
@@ -420,6 +421,7 @@ def _save_generator(generator: ToyGenerator, path: str) -> None:
 
 def load_generator(path: str) -> ToyGenerator:
     tensors, meta = load_checkpoint(path, "ToyGenerator")
+    check_fields(path, meta, ("vocab", "d", "max_target_tokens", "seed"))
     check_tensors(path, ToyGenerator.param_shapes(
         meta["vocab"], meta["d"], meta["max_target_tokens"]), tensors)
     return ToyGenerator(meta["vocab"], d=meta["d"],
@@ -555,46 +557,10 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
     return results
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_turn_records(records) -> None:
-    """Every turn record is an object with a boolean ``target``; its
-    ``knowledge``, if any, is a list of {domain, entity_id, doc_id}
-    objects, its ``response``, if any, a string, its
-    ``detection_probability``, if any, a number in [0, 1] and its
-    ``nbest``, if any, a list of {text, logprob} objects with a string text
-    and a numeric logprob. A ValueError names the first record that is
-    not."""
-    if not isinstance(records, list):
-        raise ValueError(f"expected a list of turn records, got {type(records).__name__}")
-    for i, rec in enumerate(records):
-        if not (isinstance(rec, dict) and isinstance(rec.get("target"), bool)):
-            raise ValueError(f"record {i}: expected an object with a boolean 'target'")
-        knowledge = rec.get("knowledge", [])
-        if not (isinstance(knowledge, list) and all(
-                isinstance(k, dict) and {"domain", "entity_id", "doc_id"} <= k.keys()
-                for k in knowledge)):
-            raise ValueError(f"record {i}: malformed knowledge ref")
-        if not isinstance(rec.get("response", ""), str):
-            raise ValueError(f"record {i}: response must be a string")
-        prob = rec.get("detection_probability", 0.0)
-        if not (_is_number(prob) and 0.0 <= prob <= 1.0):
-            raise ValueError(f"record {i}: detection_probability must be a "
-                             f"number in [0, 1]")
-        nbest = rec.get("nbest", [])
-        if not (isinstance(nbest, list) and all(
-                isinstance(c, dict) and isinstance(c.get("text"), str)
-                and _is_number(c.get("logprob")) for c in nbest)):
-            raise ValueError(f"record {i}: nbest must be a list of objects with "
-                             f"a string 'text' and a numeric 'logprob'")
-
-
 def validate_labels_schema(records: Sequence[dict]) -> None:
     """Prediction-writer schema check for every turn: a turn record with
     knowledge on every positive turn and on no negative one."""
-    _check_turn_records(records)
+    check_turn_records(records)
     for i, rec in enumerate(records):
         if rec["target"] and not rec.get("knowledge"):
             raise ValueError(f"record {i}: positive turn needs knowledge")
@@ -602,25 +568,12 @@ def validate_labels_schema(records: Sequence[dict]) -> None:
             raise ValueError(f"record {i}: negative turn carries knowledge")
 
 
-def _read_stage_json(path: str) -> list[dict]:
-    """The turn records of a JSON stage input that `evaluate`, `ensemble`
-    or `tune-consensus` reads; anything else is a one-line CorpusError
-    naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        _check_turn_records(data)
-    except ValueError as exc:  # json.JSONDecodeError is one
-        raise CorpusError(f"{path}: {exc}") from exc
-    return data
-
-
 def _read_predictions_and_references(predictions_path: str, references_path: str
                                      ) -> tuple[list[dict], list[dict]]:
     """A decode's turn records and the labels of the same turns, one
     record each per turn; files of different lengths are a CorpusError."""
-    predictions = _read_stage_json(require(predictions_path, "decode"))
-    references = _read_stage_json(require(references_path, "synth"))
+    predictions = read_turn_records(require(predictions_path, "decode"))
+    references = read_turn_records(require(references_path, "synth"))
     if len(predictions) != len(references):
         raise CorpusError(f"{predictions_path} has {len(predictions)} turn records but "
                           f"{references_path} has {len(references)}")
@@ -689,13 +642,15 @@ def _load_rank_model(path: str, kind: str):
     from .rank import ListwiseModel, PointwiseModel
 
     tensors, meta = load_checkpoint(path, kind)
-    fields = ("variant", "use_mtl", "domains") if kind == "PointwiseModel" else ("variant",)
-    for key in fields:
-        if key not in meta:
-            raise ModelError(f"checkpoint {path}: missing field {key!r}")
+    check_fields(path, meta, ("vocab", "encoder", "variant", "use_mtl", "domains")
+                 if kind == "PointwiseModel" else ("vocab", "encoder", "variant"))
+    try:
+        variant = Variant(meta["variant"])
+    except ValueError as exc:
+        raise ModelError(f"checkpoint {path}: {exc}") from exc
     n_vocab = len(meta["vocab"])
     config = PointwiseConfig(use_mtl=kind == "PointwiseModel" and meta["use_mtl"],
-                             variant=Variant(meta["variant"]),
+                             variant=variant,
                              train=TrainConfig(**meta["encoder"]))
     if kind == "PointwiseModel":
         check_tensors(path, PointwiseModel.param_shapes(n_vocab, meta["domains"], config),
@@ -721,7 +676,7 @@ def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
             raise CorpusError(f"system name {name!r} is given twice: {paths[name]} "
                               f"and {path}; rename one file")
         paths[name] = path
-        records = _read_stage_json(require(path, "decode"))
+        records = read_turn_records(require(path, "decode"))
         for i, r in enumerate(records):
             if "detection_probability" not in r:
                 raise CorpusError(f"{path}: record {i}: missing detection_probability")

@@ -8,7 +8,8 @@ from kgdial.cli import main
 from kgdial.consensus import ConsensusWeights, save_weights
 from kgdial.models import load_checkpoint, save_checkpoint
 from kgdial.pipeline import CONFIG_DEFAULTS, EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK
-from test_models import ARCHIVE_DEFECTS, write_archive
+from test_models import (ARCHIVE_DEFECTS, UNREADABLE_ARCHIVES, rewrite_checkpoint,
+                         write_archive)
 from test_pipeline import UNIT_INTERVAL_KEYS
 
 
@@ -193,6 +194,13 @@ NBEST_DEFECTS = {
      "error: {text}: Expecting value: line 1 column 1 (char 0)"),
     ("evaluate", ["--predictions", "{three}", "--references", "{predictions}"], "",
      "error: {three} has 3 turn records but {predictions} has 2"),
+    *[("train-detect", [], f"paths.{name}={{text}}",
+       "error: {text}: Expecting value: line 1 column 1 (char 0)")
+      for name in ("logs", "labels", "knowledge")],
+    ("train-detect", [], "paths.logs={object}",
+     "error: {object}: expected a list of dialogues, got dict"),
+    ("train-detect", [], "paths.labels={stringy}",
+     "error: {stringy}: record 1: expected an object with a boolean 'target'"),
     ("ensemble", ["--predictions", "{text}", "--base", "text.json"], "",
      "error: {text}: Expecting value: line 1 column 1 (char 0)"),
     ("evaluate", ["--predictions", "{untargeted}", "--references", "{predictions}"],
@@ -222,6 +230,8 @@ NBEST_DEFECTS = {
         "ena-probability", "ensemble-base", "ensemble-lengths-differ",
         "rank-kfolds-above-turns", "gen-kfolds-above-turns",
         "lexicon-tab", "evaluate-not-json", "evaluate-lengths-differ",
+        "logs-not-json", "labels-not-json", "knowledge-not-json",
+        "logs-not-a-list", "labels-target-not-bool",
         "ensemble-not-json",
         "evaluate-no-target", "ensemble-no-target",
         *[f"tune-consensus-{name}" for name in NBEST_DEFECTS],
@@ -234,7 +244,7 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
     _, _, cfg = workdir
     paths = {name: tmp_path / f"{name}.json" for name in [
         "predictions", "text", "untargeted", "unkeyed", "numeric", "worded",
-        "above", "unscored", "three", *NBEST_DEFECTS]}
+        "above", "unscored", "three", "stringy", "object", *NBEST_DEFECTS]}
     paths["lexicon"] = tmp_path / "lexicon.tsv"
     paths["predictions"].write_text(json.dumps([
         {"target": True, "detection_probability": 0.9},
@@ -244,6 +254,8 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
     paths["lexicon"].write_text("hotel HH OW T EH L\n")
     paths["text"].write_text("not json\n")
     paths["untargeted"].write_text(json.dumps([{"x": 1}, {"x": 1}]))
+    paths["object"].write_text("{}")
+    paths["stringy"].write_text(json.dumps([{"target": False}, {"target": "false"}]))
     for name, nbest in NBEST_DEFECTS.items():
         paths[name].write_text(json.dumps([
             {"target": True, "detection_probability": 0.9,
@@ -359,6 +371,28 @@ def test_malformed_checkpoint_archive_is_one_line_domain_error(
     assert err.startswith(f"error: checkpoint {out / 'generator.npz'}")
     assert pattern in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _drop_d(path):
+    rewrite_checkpoint(path, path, lambda tensors, meta: meta.pop("d"))
+
+
+@pytest.mark.parametrize("write,message", [
+    *[pytest.param(p.values[0], " is not a readable .npz archive", id=p.id)
+      for p in UNREADABLE_ARCHIVES],
+    pytest.param(_drop_d, ": missing field 'd'", id="missing-field"),
+])
+def test_unreadable_checkpoint_is_one_line_domain_error(workdir, tmp_path, capsys,
+                                                        write, message):
+    root, _, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    write(str(out / "generator.npz"))
+    capsys.readouterr()
+    assert main(["decode", "--config", str(cfg),
+                 "--stage-overrides", f"paths.output={out}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {out / 'generator.npz'}{message}\n")
 
 
 def _set_title(kb):

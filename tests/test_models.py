@@ -244,6 +244,21 @@ ARCHIVE_DEFECTS = [
 ]
 
 
+def _plain_bytes(path):
+    Path(path).write_bytes(b"not an archive\n")
+
+
+def _truncated(path):
+    save_checkpoint(path, {"emb": np.zeros((2, 2))}, {"kind": "ToyGenerator"})
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[:len(data) // 2])
+
+
+# writers of a file at a path that numpy cannot read as an archive
+UNREADABLE_ARCHIVES = [pytest.param(_plain_bytes, id="plain-bytes"),
+                       pytest.param(_truncated, id="truncated")]
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         examples = separable_set()
@@ -302,6 +317,14 @@ class TestCheckpoint:
                                                  pattern):
         path = write_archive(str(tmp_path / "bad.npz"), meta, members)
         with pytest.raises(ModelError, match=pattern) as info:
+            load_checkpoint(path)
+        assert path in str(info.value) and "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("write", UNREADABLE_ARCHIVES)
+    def test_unreadable_archive_is_one_line_error(self, tmp_path, write):
+        path = str(tmp_path / "bad.npz")
+        write(path)
+        with pytest.raises(ModelError, match="is not a readable .npz archive") as info:
             load_checkpoint(path)
         assert path in str(info.value) and "\n" not in str(info.value)
 

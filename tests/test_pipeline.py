@@ -24,7 +24,9 @@ from kgdial.pipeline import (
     write_manifest,
 )
 from kgdial.generate import GenerateError, ToyGenerator
-from kgdial.models import ModelError, ToyPairScorer, TrainConfig, load_checkpoint
+from kgdial.models import (ModelError, ToyEncoder, ToyPairScorer, TrainConfig,
+                           load_checkpoint, scorer_from_checkpoint,
+                           scorer_to_checkpoint)
 from kgdial.pipeline import (_load_rank_model, _save_generator, _save_rank_model,
                              load_generator)
 from kgdial.rank import (ListwiseModel, PointwiseConfig, PointwiseModel,
@@ -616,6 +618,7 @@ class TestCheckpointValidation:
         listwise = ListwiseModel(self.VOCAB,
                                  PointwiseConfig(train=TrainConfig(d=4, max_len=8)))
         generator = ToyGenerator(self.VOCAB, d=4, max_target_tokens=5)
+        scorer = ToyPairScorer(ToyEncoder(self.VOCAB, d=4, max_len=8))
         return [
             ("pointwise", lambda path: _save_rank_model(pointwise, path),
              rank_loader("PointwiseModel")),
@@ -623,6 +626,8 @@ class TestCheckpointValidation:
              rank_loader("ListwiseModel")),
             ("generator", lambda path: _save_generator(generator, path),
              load_generator),
+            ("pair_scorer", lambda path: scorer_to_checkpoint(scorer, path),
+             scorer_from_checkpoint),
         ]
 
     @pytest.mark.parametrize("edit,pattern", CHECKPOINT_DEFECTS)
@@ -636,16 +641,43 @@ class TestCheckpointValidation:
                 load(bad)
             assert bad in str(info.value), name
 
-    @pytest.mark.parametrize("index,field", [(0, "variant"), (0, "use_mtl"),
-                                             (0, "domains"), (1, "variant")])
+    # (index in `loaders`, config field) of every field a loader reads;
+    # ``block.key`` is a key of the ``block`` object
+    @pytest.mark.parametrize("index,field", [
+        (0, "variant"), (0, "use_mtl"), (0, "domains"), (1, "variant"),
+        *[(index, field) for index in (0, 1, 3) for field in (
+            "vocab", "encoder", *(f"encoder.{key}" for key in ToyEncoder.CONFIG_FIELDS))],
+        *[(2, field) for field in ("vocab", "d", "max_target_tokens", "seed")]])
     def test_rank_checkpoint_without_its_training_settings_is_rejected(
             self, mini, tmp_path, index, field):
         _, save, load = self.loaders(mini[1])[index]
         good = str(tmp_path / "good.npz")
         save(good)
-        bad = rewrite_checkpoint(good, str(tmp_path / "bad.npz"),
-                                 lambda tensors, meta: meta.pop(field))
+        block, _, key = field.rpartition(".")
+
+        def drop(tensors, meta):
+            (meta[block] if block else meta).pop(key)
+
+        bad = rewrite_checkpoint(good, str(tmp_path / "bad.npz"), drop)
         with pytest.raises(ModelError, match=f"missing field '{field}'") as info:
+            load(bad)
+        assert bad in str(info.value)
+
+    @pytest.mark.parametrize("index,edit,pattern", [
+        *[(index, lambda meta: meta["encoder"].update(epochs=3),
+           "unknown field 'encoder.epochs'") for index in (0, 1, 3)],
+        *[(index, lambda meta: meta.update(variant="bogus"),
+           "'bogus' is not a valid Variant") for index in (0, 1)]],
+        ids=["pointwise-encoder", "listwise-encoder", "pair_scorer-encoder",
+             "pointwise-variant", "listwise-variant"])
+    def test_checkpoint_with_an_unknown_config_value_is_rejected(self, mini, tmp_path,
+                                                                 index, edit, pattern):
+        _, save, load = self.loaders(mini[1])[index]
+        good = str(tmp_path / "good.npz")
+        save(good)
+        bad = rewrite_checkpoint(good, str(tmp_path / "bad.npz"),
+                                 lambda tensors, meta: edit(meta))
+        with pytest.raises(ModelError, match=pattern) as info:
             load(bad)
         assert bad in str(info.value)
 
