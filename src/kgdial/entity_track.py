@@ -15,7 +15,10 @@ distances of the pairs the bound leaves open, those of every length
 together, in one batched DP per call (``kernels.levenshtein_many``). Learned
 tracking scores the history against every entity in one ``scores`` call of
 the pair scorer, which maps the history to ids once and, for the reference
-scorer, encodes it once per truncation window (``ToyEncoder.pair_readouts``).
+scorer, tables the attention between the history's and the names' distinct
+tokens once, with shifts taken from the history alone, each truncation
+window a count vector over the history's tokens
+(``ToyEncoder.pair_readouts``; the encoder has no position parameters).
 """
 
 from __future__ import annotations

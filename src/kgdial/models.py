@@ -22,13 +22,19 @@ in stacks (`ToyEncoder.stacked_passes`: sorted by length and cut so that no
 temporary exceeds `_STACK_BLOCK` elements) and returns the summed loss and
 gradients, equal to the per-row sums up to rounding.
 At inference, ``pair_readouts`` scores one history against a list of right
-sides (a ranker's candidate snippets, a tracker's entity names): the
-history's attention block is computed once per truncation window and each
-candidate adds only its own blocks, equal to one ``forward`` per pair up to
-rounding (Hydragen's shared-prefix attention, with the online-softmax
-max-shift rescaling of Milakov & Gimelshein to recombine the blocks). Only
-a pair with no window takes the plain ``forward``: an empty right side (the
-detector's), an empty history, or a right side that fills ``max_len``.
+sides (a ranker's candidate snippets, a tracker's entity names), equal to
+one ``forward`` per pair up to rounding. The encoder has no position
+parameters, so an attention score depends only on its two tokens and
+their segments: the history x snippet scores are tabled once per call, one
+entry per distinct (history token, snippet token) pair in each direction,
+and exponentiated with shifts taken from the history alone. Each
+truncation window is a count vector over the history's distinct tokens,
+and each candidate adds only its own snippet x snippet block and sums its
+tokens' table rows. A candidate whose normalisers leave the range the
+shifts keep exact (a shifted score that would overflow, a normaliser that
+would underflow) takes the plain ``forward``, as does a pair with no
+window: an empty right side (the detector's), an empty history, or a right
+side that fills ``max_len``.
 
 A checkpoint is an ``.npz`` archive of two members: a JSON metadata block
 (the model's config, ``version`` and the tensor layout) and one float64
@@ -57,6 +63,14 @@ _LAYOUT = "layout"
 # training stack holds (256 KB of float64), unless one candidate's (one
 # unit's) own needs more
 _STACK_BLOCK = 1 << 15
+
+# the range of a softmax normaliser (a sum of shifted exponentials) that
+# `ToyEncoder.pair_readouts` takes from its token tables: below the smallest
+# normal float its terms lose bits to subnormal rounding; above 2**740
+# (every term is at most the sum, so no shifted score passes 512) its
+# products with the values come near float64 overflow
+_TINY = np.finfo(np.float64).tiny
+_Z_MAX = 2.0 ** 740
 
 
 class ModelError(Exception):
@@ -111,7 +125,12 @@ def softmax_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 
 
 class ToyEncoder:
-    """Embedding + one residual self-attention layer + pooling."""
+    """Embedding + one residual self-attention layer + pooling.
+
+    A position's input is its token's embedding plus its segment's: the
+    encoder has no position parameters, so attention is order-free and
+    only mean pooling's count and ``first`` pooling's position 0 see the
+    order. `pair_readouts` rests on this condition."""
 
     # the constructor arguments `config` writes to a checkpoint
     CONFIG_FIELDS = ("d", "pooling", "max_len", "seed")
@@ -267,92 +286,162 @@ class ToyEncoder:
         """``pair_readout(forward(*pair_ids(left, right)))`` of every right
         side, one row each, equal to it up to rounding; inference only.
 
-        Right sides of one length cut the history at the same position, so
-        they share a window: its left rows' embeddings, Q/K/V rows and
-        left x left score block are computed once. Each right side adds its
-        own blocks, and the left rows' softmax normalisers are recombined
-        with the shared block's by max-shift rescaling, so no candidate
-        builds its attention matrix. Only a pair with no window (an empty
-        right side or history, or a right side of ``max_len`` tokens or
-        more) takes the plain ``forward``; windows of every length are
-        shared, since a list's candidates repeat a few snippet lengths.
-        Every product is stacked per candidate, so a candidate's row is the
-        same, bit for bit, in any list at any position."""
+        The encoder has no position parameters, so a score depends only on
+        its query's and its key's (token, segment). The history x snippet
+        scores are tabled once per call, one row per distinct snippet
+        token against the history's distinct tokens, in both directions
+        (`_token_tables`), and exponentiated with shifts taken from the
+        history alone: a history token's max score against the history's
+        tokens, and a snippet token's. A right side of m tokens cuts the
+        history at ``max_len - m``; that truncation window is a count
+        vector over the history's distinct tokens, and its sums over
+        history keys are products with those counts (`_window_tables`). A
+        candidate then adds only its own snippet x snippet block and sums
+        its tokens' table rows (`_table_readouts`); candidates of one
+        length are stacked, since their own blocks share a shape. A
+        candidate one of whose normalisers leaves [`_TINY`, `_Z_MAX`] (a
+        shifted score that would overflow, or a normaliser that would lose
+        bits to underflow) takes the plain ``forward``, as does a pair with
+        no window: an empty right side or history, or a right side of
+        ``max_len`` tokens or more. A snippet table row is one product of
+        its own token's embedding with a matrix of the history's, and every
+        other product a candidate reads is the history's alone or stacked
+        per candidate, never padded, so a candidate's row is the same, bit
+        for bit, in any list at any position."""
         out = np.empty((len(rights), 2 * self.d))
-        windows: dict[int, dict[int, list[int]]] = {}
+        by_length: dict[int, list[int]] = {}
+        plain = []
         for j, right in enumerate(rights):
-            n_left = min(len(left), self.max_len - len(right))
-            if len(right) == 0 or n_left <= 0:
-                out[j] = pair_readout(self.forward(*self.pair_ids(left, right)))[0]
+            if len(right) == 0 or len(left) == 0 or len(right) >= self.max_len:
+                plain.append(j)
             else:
-                windows.setdefault(n_left, {}).setdefault(len(right), []).append(j)
-        if not windows:
-            return out
-        w_qkv = self._qkv_weights()
-        for n_left, groups in windows.items():
-            shared = self._left_block(left[len(left) - n_left:], w_qkv)
-            for m, members in groups.items():
-                step = max(1, _STACK_BLOCK // (m * max(n_left + m, 3 * self.d)))
-                for lo in range(0, len(members), step):
-                    block = members[lo:lo + step]
-                    out[block] = self._shared_readouts(
-                        shared, w_qkv, np.stack([rights[j] for j in block]))
+                by_length.setdefault(len(right), []).append(j)
+        if by_length:
+            snip, snip_ids = _distinct(np.concatenate(
+                [rights[j] for js in by_length.values() for j in js]))
+            # an overflow or underflow shows in a normaliser, whose
+            # candidate is recomputed below
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                tables = self._token_tables(left, snip)
+                windows: dict[int, tuple] = {}
+                start = 0
+                for m, members in by_length.items():
+                    n_left = min(len(left), self.max_len - m)
+                    if n_left not in windows:
+                        windows[n_left] = self._window_tables(tables, n_left)
+                    ids = snip_ids[start:start + m * len(members)].reshape(-1, m)
+                    start += m * len(members)
+                    # per candidate, the stacked temporaries hold (m, H)
+                    # table rows, an (m, m) own block and (m, 4d + 4) own
+                    # rows
+                    step = max(1, _STACK_BLOCK
+                               // (m * max(len(tables[1]), m, 4 * self.d + 4)))
+                    for lo in range(0, len(members), step):
+                        block = members[lo:lo + step]
+                        rows, ok = self._table_readouts(tables, windows[n_left],
+                                                        ids[lo:lo + step])
+                        out[block] = rows
+                        plain += [j for j, good in zip(block, ok) if not good]
+        for j in plain:
+            out[j] = pair_readout(self.forward(*self.pair_ids(left, rights[j])))[0]
         return out
 
-    def _left_block(self, left: np.ndarray, w_qkv: np.ndarray) -> tuple:
-        """What every right side of one window shares: the left rows'
-        embedding sum and first row, their Q, K and V rows, and per left
-        row the max of its left x left scores, the sum of their
-        exponentials shifted by it, and those exponentials' product with
-        the values."""
-        d = self.d
-        E = self.params["emb"][left] + self.params["seg"][0]
-        QKV = E @ w_qkv
-        Q, K, Vm = QKV[:, :d], QKV[:, d:2 * d], QKV[:, 2 * d:]
-        S = Q @ K.T
-        top = S.max(axis=1)
-        S -= top[:, None]
-        np.exp(S, out=S)
-        return E.sum(axis=0), E[0], Q, K, Vm, top, S.sum(axis=1), S @ Vm
+    def _token_tables(self, left: np.ndarray, snip: np.ndarray) -> tuple:
+        """The tables of one `pair_readouts` call, for the history ``left``
+        and the sorted distinct snippet tokens ``snip``: each history
+        position's row among the history's distinct tokens; those tokens'
+        embeddings (segment 0), values and shifted score exponentials
+        against each other; and per snippet token (segment 1) one row
+        [embedding, 1, Q, -shift, K, 1, 1, V] for the own blocks, then its
+        shifted score exponentials as a key against the history's queries
+        (X) and as a query against its keys (Y). A snippet row is one
+        (1, d + 1) x (d + 1, 3d + 3 + 2H) product with a matrix of the
+        history's, so it does not depend on the other snippet tokens."""
+        d, p = self.d, self.params
+        hist, hist_ids = _distinct(left)
+        H, c = len(hist), 3 * d + 3
+        W = np.zeros((d + 1, c + 2 * H))
+        np.divide(p["wq"], math.sqrt(d), out=W[:d, :d])
+        W[:d, d + 1:2 * d + 1] = p["wk"]
+        W[d, 2 * d + 1:2 * d + 3] = 1.0
+        W[:d, 2 * d + 3:c] = p["wv"]
+        E_h = p["emb"][hist] + p["seg"][0]
+        QKV_h = E_h @ W[:d, :c]
+        Q_h, K_h, V_h = QKV_h[:, :d], QKV_h[:, d + 1:2 * d + 1], QKV_h[:, 2 * d + 3:]
+        P_h = Q_h @ K_h.T
+        top_h = P_h.max(axis=1)
+        P_h -= top_h[:, None]
+        np.exp(P_h, out=P_h)
+        W[:d, c:c + H] = p["wk"] @ Q_h.T
+        W[d, c:c + H] = -top_h
+        W[:d, c + H:] = W[:d, :d] @ K_h.T
+        T = np.empty((len(snip), d + 1 + c + 2 * H))
+        np.add(p["emb"][snip], p["seg"][1], out=T[:, :d])
+        T[:, d] = 1.0
+        np.matmul(T[:, None, :d + 1], W, out=T[:, None, d + 1:])
+        X, Y = T[:, d + 1 + c:d + 1 + c + H], T[:, d + 1 + c + H:]
+        top_s = Y.max(axis=1)
+        Y -= top_s[:, None]
+        T[:, 2 * d + 1] = -top_s
+        np.exp(T[:, d + 1 + c:], out=T[:, d + 1 + c:])
+        return hist_ids, E_h, V_h, P_h, T[:, :d + 1 + c], X, Y
 
-    def _shared_readouts(self, shared: tuple, w_qkv: np.ndarray,
-                         rights: np.ndarray) -> np.ndarray:
-        """`pair_readout` rows of a (k, m) stack of right sides in one
-        window. A left row's scores against a right side raise its row max
-        from ``top`` to ``row_max``: its shared exponentials shrink by
-        exp(top - row_max) and join the right side's in its normaliser.
-        The left x right scores are held transposed, (k, m, n_left), so
-        their per-row reductions run across contiguous rows."""
+    def _window_tables(self, tables: tuple, n_left: int) -> tuple:
+        """What every right side of one truncation window (the last
+        ``n_left`` history positions) reads: the window's length, its
+        count of each distinct history token, its first position's token
+        and embedding, its embedding sum, and, as [normaliser, value sum],
+        its history keys' part of each history query's (G) and each
+        snippet query's (YG) softmax row."""
+        hist_ids, E_h, V_h, P_h, _, _, Y = tables
+        window = hist_ids[len(hist_ids) - n_left:]
+        counts = np.bincount(window, minlength=len(E_h)).astype(np.float64)
+        CV = np.empty((len(E_h), 1 + self.d))
+        CV[:, 0] = counts
+        np.multiply(counts[:, None], V_h, out=CV[:, 1:])
+        return (n_left, counts, window[0], E_h[window[0]], counts @ E_h, P_h @ CV,
+                (Y[:, None, :] @ CV)[:, 0])
+
+    def _table_readouts(self, tables: tuple, window: tuple,
+                        ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`pair_readout` rows of a (k, m) stack of right sides, given as
+        rows of the snippet tables, in one window, and per row whether
+        every normaliser it computes lies in [`_TINY`, `_Z_MAX`] (under
+        mean pooling, those of history tokens outside the window too). A
+        right row's softmax is its token's window row plus its own
+        block's; a history token's is its window row plus its X column
+        summed over the right side's tokens, and the mean pool weighs it
+        by its count. A sum over the right side's tokens is a (1, m)
+        product, stacked per candidate."""
         d = self.d
-        e_left, e_first, Q_l, K_l, V_l, top, z_l, PV_l = shared
-        n_left, m = len(Q_l), rights.shape[1]
-        E = self.params["emb"][rights] + self.params["seg"][1]
-        QKV = E @ w_qkv
-        Q, K, Vm = QKV[:, :, :d], QKV[:, :, d:2 * d], QKV[:, :, 2 * d:]
-        # right rows: plain softmax rows over the left and the right columns
-        S = np.empty((len(rights), m, n_left + m))
-        np.matmul(Q, K_l.T, out=S[:, :, :n_left])
-        np.matmul(Q, K.transpose(0, 2, 1), out=S[:, :, n_left:])
-        S -= S.max(axis=2, keepdims=True)
-        np.exp(S, out=S)
-        cols = (1.0 / S.sum(axis=2))[:, None, :] @ S
-        av_r = (cols[:, :, :n_left] @ V_l + cols[:, :, n_left:] @ Vm)[:, 0]
-        # left rows: the shared block rescaled, plus a right block
-        T = K @ Q_l.T
-        row_max = np.maximum(T.max(axis=1), top)
-        T -= row_max[:, None, :]
-        np.exp(T, out=T)
-        shrink = np.exp(top - row_max)
-        inv_z = 1.0 / (shrink * z_l + T.sum(axis=1))
-        e_right = E.sum(axis=1)
+        own, X = tables[4], tables[5]
+        n_left, counts, first, e_first, e_left, G, YG = window
+        m = ids.shape[1]
+        ones = np.ones((1, m))
+        g = own[ids]
+        E, QS, K1, V1 = (g[:, :, :d], g[:, :, d + 1:2 * d + 2], g[:, :, 2 * d + 2:3 * d + 3],
+                         g[:, :, 3 * d + 3:])
+        V = V1[:, :, 1:]
+        B = QS @ K1.transpose(0, 2, 1)
+        np.exp(B, out=B)
+        N = B @ V1
+        N += YG[ids]
+        z_r = N[:, :, 0]
+        right = ((ones @ E) + (1.0 / z_r)[:, None, :] @ N[:, :, 1:])[:, 0]
         if self.pooling == "mean":
-            av_l = ((shrink * inv_z)[:, None, :] @ PV_l
-                    + (T @ inv_z[:, :, None]).transpose(0, 2, 1) @ Vm)[:, 0]
-            f = (e_left + e_right + av_l + av_r) / (n_left + m)
+            XR = X[ids]
+            z_l = G[:, 0] + (ones @ XR)[:, 0]
+            w = counts / z_l
+            f = (e_left + right + (w[:, None, :] @ G[:, 1:]
+                                   + (XR @ w[:, :, None]).transpose(0, 2, 1) @ V)[:, 0]
+                 ) / (n_left + m)
         else:
-            f = (e_first + (shrink[:, :1] * inv_z[:, :1]) * PV_l[0]
-                 + ((T[:, :, :1] * inv_z[:, None, :1]).transpose(0, 2, 1) @ Vm)[:, 0])
-        return np.concatenate((f, (e_right + av_r) / m), axis=1)
+            x0 = X[ids, first]
+            z_l = G[first, 0] + (x0[:, None, :] @ ones.T)[:, 0]
+            f = e_first + (G[first, 1:] + (x0[:, None, :] @ V)[:, 0]) / z_l
+        z = np.concatenate((z_r, z_l), axis=1)
+        ok = (z.min(axis=1) >= _TINY) & (z.max(axis=1) <= _Z_MAX)
+        return np.concatenate((f, right / m), axis=1), ok
 
     def backward(self, cache: dict, dH: np.ndarray | None, df: np.ndarray | None,
                  grads: dict) -> None:
@@ -397,6 +486,20 @@ class ToyEncoder:
             dE = dE[cache["mask"].ravel()]
         scatter_add(grads["emb"], cache["ids"], dE)
         grads["seg"] += (np.arange(2)[:, None] == cache["segs"]) @ dE
+
+
+def _distinct(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the sorted distinct values of a non-empty ``ids``, each element's
+    index among them), as ``np.unique(ids, return_inverse=True)`` gives
+    them, which would import numpy.ma (about 0.6 MB)."""
+    order = np.argsort(ids)
+    ordered = ids[order]
+    first = np.empty(len(ids), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(ids), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -813,11 +916,35 @@ def check_tensors(path: str, shapes: dict[str, tuple[int, ...]],
                              f"{value.shape}, expected {shapes[key]}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# each config field a loader reads, by the name `check_fields` gives it:
+# the test its value must pass and what its message says it is not
+_FIELD_TYPES = {
+    # a JSON object's keys are strings
+    "vocab": (lambda v: isinstance(v, dict) and set(map(type, v.values())) <= {int},
+              "an object of string -> integer"),
+    "encoder.d": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "encoder.max_len": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "encoder.seed": (_is_int, "an integer"),
+    "encoder.pooling": (lambda v: v in ("mean", "first"), "'mean' or 'first'"),
+    "domains": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                "a list of strings"),
+    "use_mtl": (lambda v: isinstance(v, bool), "a boolean"),
+    "d": (_is_int, "an integer"),
+    "max_target_tokens": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+}
+
+
 def check_fields(path: str, meta: dict, fields: Sequence[str]) -> None:
     """A checkpoint's config block must hold each of ``fields``; an
     ``encoder`` among them must be an object of exactly
     `ToyEncoder.CONFIG_FIELDS`, so a loaded model takes no default it was
-    not saved with."""
+    not saved with; and each field that `_FIELD_TYPES` names must pass its
+    test there, so a wrong-typed value is rejected on load."""
     for key in fields:
         if key not in meta:
             raise ModelError(f"checkpoint {path}: missing field {key!r}")
@@ -830,6 +957,10 @@ def check_fields(path: str, meta: dict, fields: Sequence[str]) -> None:
                 raise ModelError(f"checkpoint {path}: missing field 'encoder.{key}'")
         for key in sorted(encoder.keys() - set(ToyEncoder.CONFIG_FIELDS)):
             raise ModelError(f"checkpoint {path}: unknown field 'encoder.{key}'")
+    for name, (valid, kind) in _FIELD_TYPES.items():
+        block, _, key = name.rpartition(".")
+        if (block or key) in fields and not valid(meta[block][key] if block else meta[key]):
+            raise ModelError(f"checkpoint {path}: field {name!r} is not {kind}")
 
 
 def scorer_to_checkpoint(scorer: ToyPairScorer, path: str) -> None:

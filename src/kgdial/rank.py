@@ -16,13 +16,17 @@ the models track no entities. A candidate list's wide features have one
 form, the n x 4 indicator array ``DialogueFeatures.indicators``, which
 inference multiplies by alpha. At
 inference a candidate list is encoded in one `ToyEncoder.pair_readouts`
-call: the history's part of the attention is computed once per truncation
-window and each candidate adds only its own snippet's blocks, which equals
-one encoder pass per history-snippet pair up to rounding and gives each
-candidate the same result in any list. Training takes a whole minibatch
-per ``loss_and_grads`` call and encodes its pairs in padded stacks
-(`ToyEncoder.stacked_passes`; a list-wise row's candidates share a stack),
-keeping each stack's caches until its backward. At inference the head and
+call: with no position parameters in the encoder, the history x snippet
+attention is tabled once per distinct (history token, snippet token) pair,
+exponentiated with shifts taken from the history alone; each truncation
+window is a count vector over the history's distinct tokens, and each
+candidate adds only its own snippet x snippet block and its tokens' table
+rows (a candidate whose normalisers would overflow or underflow takes the
+plain encoder pass). This equals one encoder pass per history-snippet pair
+up to rounding and gives each candidate the same result in any list.
+Training takes a whole minibatch per ``loss_and_grads`` call and encodes
+its pairs in padded stacks (`ToyEncoder.stacked_passes`; a list-wise row's
+candidates share a stack), keeping each stack's caches until its backward. At inference the head and
 wide terms of all candidates are added at once, as stacked (1, k) @ (k, 1)
 products that equal the per-candidate 1-D dots bit for bit. A model maps
 each snippet to ids, and each entity name to its token and bigram sets

@@ -377,22 +377,36 @@ def _drop_d(path):
     rewrite_checkpoint(path, path, lambda tensors, meta: meta.pop("d"))
 
 
-@pytest.mark.parametrize("write,message", [
-    *[pytest.param(p.values[0], " is not a readable .npz archive", id=p.id)
-      for p in UNREADABLE_ARCHIVES],
-    pytest.param(_drop_d, ": missing field 'd'", id="missing-field"),
+def _set_field(block, key, value):
+    """A writer that sets config field ``key`` (of the ``block`` object,
+    when given) of a checkpoint in place."""
+    def edit(tensors, meta):
+        (meta[block] if block else meta)[key] = value
+    return lambda path: rewrite_checkpoint(path, path, edit)
+
+
+@pytest.mark.parametrize("name,write,message", [
+    *[pytest.param("generator.npz", p.values[0], " is not a readable .npz archive",
+                   id=p.id) for p in UNREADABLE_ARCHIVES],
+    pytest.param("generator.npz", _drop_d, ": missing field 'd'", id="missing-field"),
+    pytest.param("pointwise.npz", _set_field(None, "domains", 5),
+                 ": field 'domains' is not a list of strings", id="domains-not-a-list"),
+    pytest.param("pointwise.npz", _set_field("encoder", "max_len", "x"),
+                 ": field 'encoder.max_len' is not an integer >= 1",
+                 id="max-len-not-an-integer"),
+    pytest.param("generator.npz", _set_field(None, "d", "x"),
+                 ": field 'd' is not an integer", id="generator-d-not-an-integer"),
 ])
 def test_unreadable_checkpoint_is_one_line_domain_error(workdir, tmp_path, capsys,
-                                                        write, message):
+                                                        name, write, message):
     root, _, cfg = workdir
     out = tmp_path / "out"
     shutil.copytree(root / "out", out)
-    write(str(out / "generator.npz"))
+    write(str(out / name))
     capsys.readouterr()
     assert main(["decode", "--config", str(cfg),
                  "--stage-overrides", f"paths.output={out}"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"error: checkpoint {out / 'generator.npz'}{message}\n")
+    assert capsys.readouterr().err == f"error: checkpoint {out / name}{message}\n"
 
 
 def _set_title(kb):

@@ -697,10 +697,11 @@ def per_pair_readouts(encoder, left, rights):
             len(rights), 2 * encoder.d)
 
 
-def random_case(rng, max_len, n_left, lengths):
-    """A random vocabulary's encoder with a history of ``n_left`` ids and
-    one right side per length in ``lengths``."""
-    n_vocab = int(rng.integers(2, 30))
+def random_case(rng, max_len, n_left, lengths, n_vocab=None):
+    """A random vocabulary's encoder (of ``n_vocab`` tokens, or 2-29 drawn)
+    with a history of ``n_left`` ids and one right side per length in
+    ``lengths``."""
+    n_vocab = int(rng.integers(2, 30)) if n_vocab is None else n_vocab
     encoder = ToyEncoder({f"w{i}": i for i in range(n_vocab)},
                          d=int(rng.integers(2, 9)), max_len=max_len,
                          seed=int(rng.integers(1000)))
@@ -708,7 +709,7 @@ def random_case(rng, max_len, n_left, lengths):
     return encoder, left, [rng.integers(0, n_vocab, size=m) for m in lengths]
 
 
-# (max_len, history length, right-side lengths)
+# (max_len, history length, right-side lengths[, vocabulary size])
 READOUT_CASES = {
     "no truncation": (64, 12, [3, 5, 3, 7]),
     "truncation inside the history": (24, 30, [4, 6, 4, 9, 6]),
@@ -723,6 +724,10 @@ READOUT_CASES = {
     "one snippet length": (64, 30, [6, 6, 6, 6]),
     "short history, decode-sized list": (128, 27, [18, 21, 24, 21, 18, 19, 24, 21,
                                                    18, 20, 21, 24, 19, 18, 21]),
+    # every token repeated many times over: few table rows, many occurrences
+    "two-token vocabulary, 40 candidates": (48, 30, [3, 7, 12, 7, 3, 20, 12, 7] * 5, 2),
+    "long repeating history, several windows": (32, 90, [1, 2, 5, 9, 14, 20, 27, 31,
+                                                         5, 14, 1, 27], 4),
 }
 
 
@@ -734,9 +739,9 @@ class TestPairReadouts:
     @pytest.mark.parametrize("case", sorted(READOUT_CASES))
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_per_pair_passes(self, case, pooling, seed):
-        max_len, n_left, lengths = READOUT_CASES[case]
+        max_len, n_left, lengths, *n_vocab = READOUT_CASES[case]
         rng = np.random.default_rng(seed)
-        encoder, left, rights = random_case(rng, max_len, n_left, lengths)
+        encoder, left, rights = random_case(rng, max_len, n_left, lengths, *n_vocab)
         encoder.pooling = pooling
         if case == "duplicate candidates":
             rights[1] = rights[0].copy()
@@ -749,7 +754,7 @@ class TestPairReadouts:
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), max_len=st.integers(2, 40),
-           n_left=st.integers(0, 50), lengths=st.lists(st.integers(0, 45), max_size=8),
+           n_left=st.integers(0, 50), lengths=st.lists(st.integers(0, 45), max_size=40),
            pooling=st.sampled_from(["mean", "first"]))
     def test_random_lists_equal_per_pair_passes(self, seed, max_len, n_left,
                                                 lengths, pooling):
@@ -780,22 +785,77 @@ class TestPairReadouts:
                 got = encoder.pair_readouts(left, [rights[i] for i in order])
                 assert got.tobytes() == rows[order].tobytes()
 
+    @pytest.mark.parametrize("pooling", ["mean", "first"])
+    def test_readout_ignores_token_order(self, pooling):
+        """The condition the token tables rest on: the encoder has no
+        position parameters, so permuting the window's history tokens and
+        the snippet's tokens (all but the window's first under ``first``
+        pooling) leaves a pair's readout unchanged up to rounding."""
+        rng = np.random.default_rng(9)
+        for max_len, n_left, m in ((64, 20, 7), (24, 30, 9), (16, 40, 1)):
+            encoder, left, (right,) = random_case(rng, max_len, n_left, [m])
+            encoder.pooling = pooling
+            start = max(0, n_left - (max_len - m)) + (pooling == "first")
+            shuffled = left.copy()
+            shuffled[start:] = rng.permutation(left[start:])
+            moved = rng.permutation(right)
+            expected = per_pair_readouts(encoder, left, [right])
+            for got in (per_pair_readouts(encoder, shuffled, [moved]),
+                        encoder.pair_readouts(shuffled, [moved])):
+                assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    # a token scaled far past the others: one only in the right sides
+    # passes `_Z_MAX` in the history's normalisers and its own block; one
+    # only at the history's start, outside every window, raises shifts
+    # that leave windowed normalisers below `_TINY`
+    @pytest.mark.parametrize("where,scale", [("right", 60.0), ("history", 80.0)])
+    @pytest.mark.parametrize("pooling", ["mean", "first"])
+    def test_normaliser_out_of_range_takes_the_plain_pass(self, monkeypatch, where,
+                                                         scale, pooling):
+        rng = np.random.default_rng(11)
+        encoder, left, rights = random_case(rng, 24, 30,
+                                            rng.integers(1, 9, size=24).tolist())
+        encoder.pooling = pooling
+        hot = rights[0][0] if where == "right" else left[0]
+        other = (hot + 1) % len(encoder.vocab)
+        left = np.where(left == hot, other, left)
+        rights = [np.where(r == hot, other, r) if where == "history" else r
+                  for r in rights]
+        if where == "history":
+            left[0] = hot
+        encoder.params["emb"][hot] *= scale
+        calls = []
+        real = ToyEncoder.forward
+        monkeypatch.setattr(ToyEncoder, "forward",
+                            lambda self, *a: calls.append(1) or real(self, *a))
+        rows = encoder.pair_readouts(left, rights)
+        if where == "right":
+            assert len(calls) == sum(hot in r for r in rights) > 0
+        elif pooling == "mean":
+            assert len(calls) == len(rights)
+        expected = per_pair_readouts(encoder, left, rights)
+        assert np.abs(rows - expected).max() <= 1e-12 * np.abs(expected).max()
+        for j, right in enumerate(rights):
+            assert encoder.pair_readouts(left, [right])[0].tobytes() == rows[j].tobytes()
+
     def test_stacks_stay_within_the_block(self, monkeypatch):
         monkeypatch.setattr(models, "_STACK_BLOCK", 200)
         seen = []
-        real = ToyEncoder._shared_readouts
+        real = ToyEncoder._table_readouts
 
-        def recording(self, shared, w_qkv, rights):
-            seen.append((len(shared[2]), *rights.shape))
-            return real(self, shared, w_qkv, rights)
+        def recording(self, tables, window, ids):
+            seen.append((len(window[1]), *ids.shape))
+            return real(self, tables, window, ids)
 
-        monkeypatch.setattr(ToyEncoder, "_shared_readouts", recording)
+        monkeypatch.setattr(ToyEncoder, "_table_readouts", recording)
         encoder, left, rights = random_case(np.random.default_rng(3), 24, 30,
                                             [4] * 9 + [6] * 5)
         encoder.pair_readouts(left, rights)
         assert sum(k for _, k, _ in seen) == len(rights) and len(seen) > 2
-        assert all(k == 1 or k * m * max(n + m, 3 * encoder.d) <= 200
-                   for n, k, m in seen)
+        # the stacked temporaries: own-table rows (k, m, 4d + 4), the own
+        # block (k, m, m) and the history tokens' X rows (k, m, H)
+        assert all(k == 1 or k * m * max(h, m, 4 * encoder.d + 4) <= 200
+                   for h, k, m in seen)
 
     # (max_len, history length, right-side lengths, pairs with no window):
     # an empty right side, one of max_len tokens or more, or an empty history

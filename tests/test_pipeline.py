@@ -667,9 +667,28 @@ class TestCheckpointValidation:
         *[(index, lambda meta: meta["encoder"].update(epochs=3),
            "unknown field 'encoder.epochs'") for index in (0, 1, 3)],
         *[(index, lambda meta: meta.update(variant="bogus"),
-           "'bogus' is not a valid Variant") for index in (0, 1)]],
+           "'bogus' is not a valid Variant") for index in (0, 1)],
+        (0, lambda meta: meta.update(vocab={"a": "0"}),
+         "field 'vocab' is not an object of string -> integer"),
+        (3, lambda meta: meta["encoder"].update(d=True),
+         "field 'encoder.d' is not an integer >= 1"),
+        (1, lambda meta: meta["encoder"].update(max_len=0),
+         "field 'encoder.max_len' is not an integer >= 1"),
+        (0, lambda meta: meta["encoder"].update(seed=1.5),
+         "field 'encoder.seed' is not an integer"),
+        (3, lambda meta: meta["encoder"].update(pooling="max"),
+         "field 'encoder.pooling' is not 'mean' or 'first'"),
+        (0, lambda meta: meta.update(domains=["hotel", 3]),
+         "field 'domains' is not a list of strings"),
+        (0, lambda meta: meta.update(use_mtl="yes"), "field 'use_mtl' is not a boolean"),
+        (2, lambda meta: meta.update(max_target_tokens="5"),
+         "field 'max_target_tokens' is not an integer"),
+        (2, lambda meta: meta.update(seed=None), "field 'seed' is not an integer")],
         ids=["pointwise-encoder", "listwise-encoder", "pair_scorer-encoder",
-             "pointwise-variant", "listwise-variant"])
+             "pointwise-variant", "listwise-variant", "vocab-id-a-string",
+             "encoder-d-a-bool", "encoder-max-len-zero", "encoder-seed-a-float",
+             "encoder-pooling-unknown", "domains-not-strings", "use-mtl-a-string",
+             "generator-max-target-tokens-a-string", "generator-seed-null"])
     def test_checkpoint_with_an_unknown_config_value_is_rejected(self, mini, tmp_path,
                                                                  index, edit, pattern):
         _, save, load = self.loaders(mini[1])[index]
