@@ -5,8 +5,11 @@ Conventions used throughout the package:
     punctuation detachment; reserved tags count as one token each;
   * reserved tags never occur inside utterance text (escaped on load
     by bracket substitution), which keeps linearization invertible;
-  * truncation always drops the left-most tokens, so the most recent
-    context survives.
+  * a model input is cut once, by the model that reads it, and always
+    from the left, so the most recent context survives: an encoder keeps
+    the last ``max_len`` positions of what it is given, and the generation
+    context, whose generator has no length limit of its own, is cut to
+    its token budget by `truncate_left`.
 """
 
 from __future__ import annotations
@@ -94,11 +97,9 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def count_tokens(text: str, count_tags: bool = True) -> int:
-    toks = tokenize(text)
-    if count_tags:
-        return len(toks)
-    return sum(1 for t in toks if not _TAG_RE.fullmatch(t))
+def count_tokens(text: str) -> int:
+    """Length of the canonical token stream, each tag one token."""
+    return len(tokenize(text))
 
 
 @dataclass(frozen=True)
@@ -443,28 +444,30 @@ def save_knowledge_base(kb: KnowledgeBase, path: str) -> None:
         json.dump(data, fh, ensure_ascii=False, indent=1)
 
 
-def linearize_history(dialogue: Dialogue, max_tokens: int = 0,
-                      count_tags: bool = True) -> str:
-    """Tag-separated dialogue history, left-truncated to max_tokens.
-
-    max_tokens <= 0 means unlimited. Tags are single tokens and are never
-    split; when the budget is exceeded, whole whitespace units are dropped
-    from the left until the canonical token count fits.
-    """
+def linearize_history(dialogue: Dialogue) -> str:
+    """The whole tag-separated dialogue history, uncut: the model that
+    reads it cuts it to its own input length."""
     if not dialogue.turns:
         raise CorpusError(f"dialogue {dialogue.id} has no turns")
-    text = " ".join(f"{t.tag} {normalize_ws(t.text)}" for t in dialogue.turns)
-    return truncate_left(text, max_tokens, count_tags=count_tags)
+    return " ".join(f"{t.tag} {normalize_ws(t.text)}" for t in dialogue.turns)
 
 
-def truncate_left(text: str, max_tokens: int, count_tags: bool = True) -> str:
-    if max_tokens <= 0 or count_tokens(text, count_tags) <= max_tokens:
+def truncate_left(text: str, max_tokens: int) -> str:
+    """``text`` cut from the left to at most ``max_tokens`` tokens, each
+    tag one token (`count_tokens`); max_tokens <= 0 means unlimited.
+
+    Whole space-separated units are dropped, so a tag is never split. The
+    generation context is the one model input cut this way, because the
+    generator has no length limit of its own; the encoders cut their
+    inputs themselves (`ToyEncoder.pair_ids`).
+    """
+    if max_tokens <= 0 or count_tokens(text) <= max_tokens:
         return text
     # drop leading space-separated units until the remainder fits; no
     # token spans a space, so the remainder's count is the sum of its
     # units' counts
     units = text.split(" ")
-    counts = [count_tokens(u, count_tags) for u in units]
+    counts = [count_tokens(u) for u in units]
     remaining = sum(counts)
     for lo, count in enumerate(counts):
         if remaining <= max_tokens:
@@ -498,11 +501,12 @@ def linearize_entity(name: str) -> str:
 
 def build_generation_context(dialogue: Dialogue,
                              topk: Sequence[KnowledgeSnippet],
-                             max_tokens: int = 0,
-                             count_tags: bool = True) -> str:
+                             max_tokens: int = 0) -> str:
     """The tagged generation input: history, then knowledge blocks in
     descending rank order (worst first, best adjacent to the final user
-    turn), then the last user turn."""
+    turn), then the last user turn, cut from the left to ``max_tokens``
+    tokens by `truncate_left` (``gen.max_history_tokens``; <= 0 keeps it
+    whole). It is the one input cut before its model reads it."""
     if not dialogue.turns:
         raise CorpusError(f"dialogue {dialogue.id} has no turns")
     if len(topk) > TOP_K:
@@ -515,7 +519,7 @@ def build_generation_context(dialogue: Dialogue,
         snip = topk[rank - 1]
         parts.append(f"{tag_kng_k(rank)} {TAG_ENT} {snip.entity_name} {TAG_ANS} {snip.answer}")
     parts.append(f"{TAG_USER} {normalize_ws(last.text)}")
-    return truncate_left(" ".join(parts), max_tokens, count_tags=count_tags)
+    return truncate_left(" ".join(parts), max_tokens)
 
 
 def check_kfold(n_items: int, k: int) -> None:

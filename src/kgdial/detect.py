@@ -1,6 +1,9 @@
 """Knowledge-seeking-turn detection and the error-fixing ensemble.
 
-`build_detection_examples` gives the detector's training pairs.
+`build_detection_examples` gives the detector's training pairs, each
+the whole tagged history: like every encoder input, it is cut once, by
+the model that reads it (the detector keeps the last ``model.max_len``
+positions, `ToyEncoder.pair_ids`).
 `error_fixing_ensemble` combines several detectors' probabilities, each
 system's given as a list in turn order, into one label and one mean
 probability per turn.
@@ -20,16 +23,14 @@ class DetectError(Exception):
     pass
 
 
-def build_detection_examples(dialogues: Sequence[Dialogue], max_tokens: int = 0,
-                             count_tags: bool = True) -> list[tuple[str, bool]]:
+def build_detection_examples(dialogues: Sequence[Dialogue]) -> list[tuple[str, bool]]:
     """One (tagged history, is_knowledge_seeking) pair per labeled dialogue."""
     examples = []
     for d in dialogues:
         if d.label is None:
             logger.warning("skipping unlabeled dialogue %s", d.id)
             continue
-        examples.append((linearize_history(d, max_tokens, count_tags),
-                         d.label.is_knowledge_seeking))
+        examples.append((linearize_history(d), d.label.is_knowledge_seeking))
     return examples
 
 

@@ -43,11 +43,13 @@ class GenerateError(Exception):
 @dataclass
 class GenTrainConfig:
     """The generator's own settings: how its training contexts are built
-    (history budget, whether tags count against it, gold-snippet drop
-    rate ``p_s``), its output length, and ``train``, the training loop and
-    model width (``train.d``) it shares with every other model."""
+    (``max_history_tokens``, the context's token budget, each tag one
+    token; gold-snippet drop rate ``p_s``), its output length, and
+    ``train``, the training loop and model width (``train.d``) it shares
+    with every other model. The generator has no input length limit of its
+    own, so its context is the one model input cut before the model reads
+    it (`build_generation_context`); every encoder cuts its own."""
     max_history_tokens: int = 512
-    count_tags: bool = True  # whether tags count against max_history_tokens
     max_target_tokens: int = 96
     p_s: float = 0.15
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -137,9 +139,8 @@ def build_gen_examples(dialogues: Sequence[Dialogue],
         refs = set(d.label.knowledge_refs)
         if topk and rng.uniform() < config.p_s:
             topk = [s for s in topk if s.key not in refs]
-        context = build_generation_context(
-            d, topk, max_tokens=config.max_history_tokens,
-            count_tags=config.count_tags)
+        context = build_generation_context(d, topk,
+                                           max_tokens=config.max_history_tokens)
         examples.append(GenExample(
             context=context, target=f"{TAG_RESP} {d.label.response}"))
     return examples

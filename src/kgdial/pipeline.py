@@ -67,7 +67,6 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "paths.lexicon": "",
     "paths.confusions": "",
     "paths.output": "out",
-    "corpus.count_tags": True,
     "augment.replace_rate_low": 0.1,
     "augment.replace_rate_high": 0.3,
     "augment.ena_probability": 0.3,
@@ -77,7 +76,6 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "detect.epochs": 10,
     "detect.learning_rate": 1e-5,
     "detect.batch_size": 16,
-    "detect.max_tokens": 512,
     "detect.delta_d": 0.3,
     "track.method": "learned",
     "track.fuzzy_threshold": 0.8,
@@ -303,8 +301,7 @@ def _load_training_corpus(config: PipelineConfig
 
 def stage_train_detect(config: PipelineConfig) -> list[str]:
     corpus, _, inputs = _load_training_corpus(config)
-    examples = build_detection_examples(corpus, config["detect.max_tokens"],
-                                        config["corpus.count_tags"])
+    examples = build_detection_examples(corpus)
     scorer = train_pair_classifier([(text, "", int(label)) for text, label in examples],
                                    _model_train_config(config, "detect"))
     path = config.output_path("detector.npz")
@@ -392,7 +389,6 @@ def stage_train_generate(config: PipelineConfig) -> list[str]:
 
     gen_config = GenTrainConfig(
         max_history_tokens=config["gen.max_history_tokens"],
-        count_tags=config["corpus.count_tags"],
         max_target_tokens=config["gen.max_target_tokens"],
         p_s=config["gen.p_s"],
         train=_model_train_config(config, "gen"))
@@ -505,8 +501,7 @@ def _nbest_pool(turn_id: str, nbest: Sequence[dict]) -> CandidatePool:
 
 def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
                       components: DecodeComponents,
-                      max_history_tokens: int = 512,
-                      count_tags: bool = True) -> list[dict]:
+                      max_history_tokens: int = 512) -> list[dict]:
     """Full pipeline over label-stripped dialogues, emitting the labels
     schema per turn, each record with the detector's
     ``detection_probability`` (what `stage_ensemble` reads) and each
@@ -536,8 +531,7 @@ def end_to_end_decode(dialogues: Sequence[Dialogue], kb: KnowledgeBase,
             merged = ensemble_rank(ranked_lists)
             top5 = [s for s, _ in merged.items]
             context = build_generation_context(dialogue, top5,
-                                               max_tokens=max_history_tokens,
-                                               count_tags=count_tags)
+                                               max_tokens=max_history_tokens)
             nbest = [{"text": text, "logprob": logprob} for text, logprob in
                      decode_nbest(components.generator, context, components.nbest)]
             chosen = consensus_select(_nbest_pool(dialogue.id, nbest),
@@ -602,13 +596,10 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         weights = load_weights(weights_path)
         inputs.append(weights_path)
 
-    detect_tokens = config["detect.max_tokens"]
-    count_tags = config["corpus.count_tags"]
     alpha = config["rank.alpha"]
 
     def detector_fn(dialogue):
-        return detector.score(
-            linearize_history(dialogue, detect_tokens, count_tags), "")
+        return detector.score(linearize_history(dialogue), "")
 
     def ranker(candidates, features):
         return pointwise_rank(pointwise, candidates, features, kb)
@@ -626,8 +617,7 @@ def stage_decode(config: PipelineConfig) -> list[str]:
         nbest=config["gen.nbest"])
     records = end_to_end_decode(
         corpus, kb, components,
-        max_history_tokens=config["gen.max_history_tokens"],
-        count_tags=count_tags)
+        max_history_tokens=config["gen.max_history_tokens"])
     validate_labels_schema(records)
     path = config.output_path("predictions.json")
     with open(path, "w", encoding="utf-8") as fh:

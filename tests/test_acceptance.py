@@ -470,7 +470,7 @@ def test_criterion_9_end_to_end():
         seed = 11
         ks = [d for d in dialogues if d.label.is_knowledge_seeking]
         det_examples = [
-            (linearize_history(d, 64), "", int(d.label.is_knowledge_seeking))
+            (linearize_history(d), "", int(d.label.is_knowledge_seeking))
             for d in dialogues]
         det = train_detector(det_examples, TrainConfig(
             epochs=6, learning_rate=0.02, batch_size=32, seed=seed, d=16, max_len=64))
@@ -492,7 +492,7 @@ def test_criterion_9_end_to_end():
         generator, _ = train_generator(examples, gen_cfg)
 
         def trained_detector(dialogue):
-            return det.score(linearize_history(dialogue, 64), "")
+            return det.score(linearize_history(dialogue), "")
 
         def trained_tracker(dialogue, kb_):
             return fuzzy_match_entities(dialogue, kb_, 0.5)

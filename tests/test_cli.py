@@ -31,7 +31,6 @@ def workdir(tmp_path_factory):
         "model.max_len = 64",
         "detect.epochs = 4",
         "detect.learning_rate = 0.02",
-        "detect.max_tokens = 64",
         "track.method = fuzzy",
         "track.fuzzy_threshold = 0.5",
         "track.epochs = 2",
@@ -49,6 +48,21 @@ def workdir(tmp_path_factory):
     return root, data, cfg
 
 
+@pytest.fixture(scope="module")
+def trained(workdir):
+    """`workdir` with the whole pipeline run once into its ``out``
+    directory, augment to evaluate; tests that read ``out`` copy it before
+    they change it."""
+    root, data, cfg = workdir
+    for command in ("augment", "train-detect", "train-select", "train-generate",
+                    "decode"):
+        assert main([command, "--config", str(cfg)]) == EXIT_OK, command
+    assert main(["evaluate", "--config", str(cfg),
+                 "--predictions", str(root / "out" / "predictions.json"),
+                 "--references", str(data / "labels.json")]) == EXIT_OK
+    return workdir
+
+
 def test_synth_writes_all_inputs(workdir):
     _, data, _ = workdir
     for name in ("logs.json", "labels.json", "knowledge.json", "lexicon.tsv"):
@@ -58,9 +72,10 @@ def test_synth_writes_all_inputs(workdir):
     assert len(logs) == len(labels) == 36
 
 
-def test_decode_before_train_is_dependency_error(workdir):
-    root, _, cfg = workdir
-    assert main(["decode", "--config", str(cfg)]) == EXIT_DEPENDENCY
+def test_decode_before_train_is_dependency_error(workdir, tmp_path):
+    _, _, cfg = workdir
+    assert main(["decode", "--config", str(cfg), "--stage-overrides",
+                 f"paths.output={tmp_path / 'out'}"]) == EXIT_DEPENDENCY
 
 
 def test_ensemble_of_a_missing_file_is_dependency_error(workdir, tmp_path):
@@ -69,10 +84,18 @@ def test_ensemble_of_a_missing_file_is_dependency_error(workdir, tmp_path):
                  str(tmp_path / "none.json"), "--base", "none.json"]) == EXIT_DEPENDENCY
 
 
-def test_unknown_config_key_is_config_error(workdir):
+# the detector cuts its own input to model.max_len, and the generation
+# context's gen.max_history_tokens counts every token: neither
+# detect.max_tokens nor corpus.count_tags is a key
+@pytest.mark.parametrize("key", ["bogus.key", "detect.max_tokens", "corpus.count_tags"])
+def test_unknown_config_key_is_config_error(workdir, key, capsys):
     _, _, cfg = workdir
+    capsys.readouterr()
     assert main(["augment", "--config", str(cfg),
-                 "--stage-overrides", "bogus.key=1"]) == EXIT_CONFIG
+                 "--stage-overrides", f"{key}=1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(key) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["train-select", "decode"])
@@ -284,29 +307,20 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
     assert not list((tmp_path / "out").glob("*.npz"))
 
 
-def test_full_pipeline_runs(workdir, capsys):
-    root, data, cfg = workdir
-    for command in ("augment", "train-detect", "train-select", "train-generate",
-                    "decode"):
-        assert main([command, "--config", str(cfg)]) == EXIT_OK, command
-    captured = capsys.readouterr()
+def test_full_pipeline_runs(trained):
+    root, _, _ = trained
     out = root / "out"
-    assert (out / "predictions.json").exists()
     predictions = json.loads((out / "predictions.json").read_text())
     assert len(predictions) == 36
     assert all("target" in p for p in predictions)
-
-    assert main(["evaluate", "--config", str(cfg),
-                 "--predictions", str(out / "predictions.json"),
-                 "--references", str(data / "labels.json")]) == EXIT_OK
     report = json.loads((out / "metrics.json").read_text())
     assert "detection-f1" in report["scores"]
     assert "selection-r@1" in report["scores"]
     assert "generation-bleu-4" in report["scores"]
 
 
-def test_manifests_record_hashes(workdir, tmp_path):
-    root, _, cfg = workdir
+def test_manifests_record_hashes(trained, tmp_path):
+    root, _, cfg = trained
     out = root / "out"
     manifest = json.loads((out / "decode.manifest.json").read_text())
     assert manifest["stage"] == "decode"
@@ -342,8 +356,8 @@ def test_manifests_record_hashes(workdir, tmp_path):
     assert manifest["config"]["paths.output"] == str(tuned)
 
 
-def test_corrupt_checkpoint_is_one_line_domain_error(workdir, tmp_path, capsys):
-    root, _, cfg = workdir
+def test_corrupt_checkpoint_is_one_line_domain_error(trained, tmp_path, capsys):
+    root, _, cfg = trained
     out = tmp_path / "out"
     shutil.copytree(root / "out", out)
     tensors, meta = load_checkpoint(str(out / "generator.npz"))
@@ -359,8 +373,8 @@ def test_corrupt_checkpoint_is_one_line_domain_error(workdir, tmp_path, capsys):
 
 @pytest.mark.parametrize("meta,members,pattern", ARCHIVE_DEFECTS)
 def test_malformed_checkpoint_archive_is_one_line_domain_error(
-        workdir, tmp_path, capsys, meta, members, pattern):
-    root, _, cfg = workdir
+        trained, tmp_path, capsys, meta, members, pattern):
+    root, _, cfg = trained
     out = tmp_path / "out"
     shutil.copytree(root / "out", out)
     write_archive(str(out / "generator.npz"), meta, members)
@@ -397,9 +411,9 @@ def _set_field(block, key, value):
     pytest.param("generator.npz", _set_field(None, "d", "x"),
                  ": field 'd' is not an integer", id="generator-d-not-an-integer"),
 ])
-def test_unreadable_checkpoint_is_one_line_domain_error(workdir, tmp_path, capsys,
+def test_unreadable_checkpoint_is_one_line_domain_error(trained, tmp_path, capsys,
                                                         name, write, message):
-    root, _, cfg = workdir
+    root, _, cfg = trained
     out = tmp_path / "out"
     shutil.copytree(root / "out", out)
     write(str(out / name))
@@ -450,9 +464,9 @@ def test_malformed_knowledge_base_is_one_line_domain_error(workdir, tmp_path, ca
     assert err == f"error: {message.format(path=bad)}\n"
 
 
-def test_decode_time_domain_error_is_one_line(workdir, tmp_path, capsys):
+def test_decode_time_domain_error_is_one_line(trained, tmp_path, capsys):
     # n = 0 passes config loading and fails in generation, inside decode
-    root, _, cfg = workdir
+    root, _, cfg = trained
     out = tmp_path / "out"
     shutil.copytree(root / "out", out)
     capsys.readouterr()
@@ -474,9 +488,9 @@ def test_decode_time_domain_error_is_one_line(workdir, tmp_path, capsys):
      "expected 10 weights"),
 ], ids=["not-json", "not-an-object", "no-header", "weights-not-numbers",
         "too-few-weights"])
-def test_bad_consensus_weights_is_one_line_error(workdir, tmp_path, capsys, text,
+def test_bad_consensus_weights_is_one_line_error(trained, tmp_path, capsys, text,
                                                  message):
-    root, _, cfg = workdir
+    root, _, cfg = trained
     out = tmp_path / "out"
     shutil.copytree(root / "out", out)
     weights = out / "consensus.weights.json"
@@ -487,8 +501,8 @@ def test_bad_consensus_weights_is_one_line_error(workdir, tmp_path, capsys, text
     assert capsys.readouterr().err == f"error: {weights}: {message}\n"
 
 
-def test_ensemble_subcommand(workdir, tmp_path):
-    root, data, cfg = workdir
+def test_ensemble_subcommand(trained, tmp_path):
+    root, data, cfg = trained
     out = root / "out"
     preds = out / "predictions.json"
     twin = tmp_path / "twin.json"
@@ -521,12 +535,12 @@ def test_ensemble_systems_of_one_file_name_are_one_line_error(workdir, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-def test_ensemble_of_decode_outputs_flips_base_labels_inside_delta_d(workdir,
+def test_ensemble_of_decode_outputs_flips_base_labels_inside_delta_d(trained,
                                                                      tmp_path):
     # the auxiliary system is decode with the detector's head negated, so
     # it disagrees with the base on every turn; the ensemble then flips
     # exactly the base labels whose probability lies within delta_d of 0.5
-    root, _, cfg = workdir
+    root, _, cfg = trained
     aux = tmp_path / "aux"
     shutil.copytree(root / "out", aux)
     tensors, meta = load_checkpoint(str(aux / "detector.npz"))
@@ -557,10 +571,10 @@ def test_ensemble_of_decode_outputs_flips_base_labels_inside_delta_d(workdir,
     assert any(flipped) and not all(flipped)
 
 
-def test_tune_consensus_tunes_on_a_dev_decode_that_decode_then_reads(workdir,
+def test_tune_consensus_tunes_on_a_dev_decode_that_decode_then_reads(trained,
                                                                      tmp_path):
     # the dev split is another synth seed over the same knowledge base
-    root, data, cfg = workdir
+    root, data, cfg = trained
     dev, out = tmp_path / "dev", tmp_path / "out"
     assert main(["synth", "--output", str(dev), "--dialogues", "36",
                  "--seed", "7"]) == EXIT_OK

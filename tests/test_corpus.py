@@ -10,7 +10,7 @@ from kgdial.corpus import (
     RESERVED_TAGS, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
     build_generation_context, escape_tags, linearize_history,
     linearize_knowledge, load_corpus, load_knowledge_base, normalize_ws,
-    parse_history, split_kfold, tokenize,
+    parse_history, split_kfold, tokenize, truncate_left,
 )
 
 
@@ -163,11 +163,11 @@ class TestLinearize:
 
     def test_left_truncation_keeps_suffix(self):
         d = dlg("hi", "hello", "thanks")
-        assert linearize_history(d, max_tokens=4) == "⟨sys⟩ hello ⟨user⟩ thanks"
+        assert truncate_left(linearize_history(d), 4) == "⟨sys⟩ hello ⟨user⟩ thanks"
 
     def test_no_truncation_when_budget_large(self):
         d = dlg("hi", "hello", "thanks")
-        assert linearize_history(d, max_tokens=100) == linearize_history(d)
+        assert truncate_left(linearize_history(d), 100) == linearize_history(d)
 
     def test_empty_dialogue_raises(self):
         d = Dialogue(id="x", turns=())
@@ -196,22 +196,22 @@ class TestLinearize:
     def test_truncation_never_splits_a_tag(self):
         d = dlg("aa bb cc", "dd ee ff", "gg hh")
         for budget in range(1, 15):
-            out = linearize_history(d, max_tokens=budget)
+            out = truncate_left(linearize_history(d), budget)
             assert "⟨" not in out or all(
                 tok in corpus.RESERVED_TAGS for tok in tokenize(out)
                 if tok.startswith("⟨"))
             assert corpus.count_tokens(out) <= budget
 
 
-def truncate_left_by_suffix(text, max_tokens, count_tags=True):
+def truncate_left_by_suffix(text, max_tokens):
     """Left truncation written out plainly: drop one leading
     space-separated unit at a time, re-counting the whole remainder."""
-    if max_tokens <= 0 or corpus.count_tokens(text, count_tags) <= max_tokens:
+    if max_tokens <= 0 or corpus.count_tokens(text) <= max_tokens:
         return text
     units = text.split(" ")
     for lo in range(len(units)):
         candidate = " ".join(units[lo:])
-        if corpus.count_tokens(candidate, count_tags) <= max_tokens:
+        if corpus.count_tokens(candidate) <= max_tokens:
             return candidate
     return ""
 
@@ -229,24 +229,22 @@ TRUNCATION_TEXT = st.lists(
 @st.composite
 def truncation_cases(draw):
     text = draw(TRUNCATION_TEXT)
-    count_tags = draw(st.booleans())
     units = text.split(" ")
     suffix = " ".join(units[draw(st.integers(0, len(units) - 1)):])
-    total = corpus.count_tokens(text, count_tags)
+    total = corpus.count_tokens(text)
     budget = draw(st.one_of(
         st.sampled_from([0, 1, total, total + 1, max(total - 1, 0)]),
-        st.just(corpus.count_tokens(suffix, count_tags)),
+        st.just(corpus.count_tokens(suffix)),
         st.integers(0, total + 2)))
-    return text, budget, count_tags
+    return text, budget
 
 
 class TestTruncateLeft:
     @settings(max_examples=400, deadline=None)
     @given(truncation_cases())
     def test_equals_suffix_by_suffix_loop(self, case):
-        text, budget, count_tags = case
-        assert (corpus.truncate_left(text, budget, count_tags=count_tags)
-                == truncate_left_by_suffix(text, budget, count_tags))
+        text, budget = case
+        assert corpus.truncate_left(text, budget) == truncate_left_by_suffix(text, budget)
 
     @pytest.mark.parametrize("text,budget,expected", [
         ("  a b  ", 1, "b  "),

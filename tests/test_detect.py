@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdial.corpus import Dialogue, Speaker, Turn, TurnLabel
+from kgdial.corpus import Dialogue, Speaker, Turn, TurnLabel, tokenize
 from kgdial.detect import DetectError, build_detection_examples, error_fixing_ensemble
+from kgdial.models import TrainConfig, train_pair_classifier
 from kgdial.pipeline import evaluate_predictions
 
 
@@ -30,6 +31,28 @@ class TestExamples:
     def test_count_matches_labeled(self):
         corpus = [labeled(f"d{i}", i % 2 == 0) for i in range(9)]
         assert len(build_detection_examples(corpus)) == 9
+
+    # a history is cut once, by the detector that reads it: the whole
+    # tagged history scores as its last model.max_len tokens
+    @pytest.mark.parametrize("max_len", [4, 9, 16])
+    def test_detector_reads_the_last_max_len_tokens(self, max_len):
+        turns = tuple(Turn(Speaker.USER if i % 2 == 0 else Speaker.SYSTEM,
+                           f"turn {i} asks about the wifi and the parking")
+                      for i in range(5))
+        corpus = [Dialogue(id=f"d{i}", turns=turns[i % 2:],
+                           label=labeled("x", i % 2 == 0).label)
+                  for i in range(4)]
+        examples = build_detection_examples(corpus)
+        detector = train_pair_classifier(
+            [(text, "", int(label)) for text, label in examples],
+            TrainConfig(epochs=2, learning_rate=0.05, batch_size=2, d=8,
+                        max_len=max_len))
+        for text, _ in examples:
+            tokens = tokenize(text)
+            assert len(tokens) > max_len
+            suffix = " ".join(tokens[-max_len:])
+            assert tokenize(suffix) == tokens[-max_len:]
+            assert detector.score(text, "") == detector.score(suffix, "")
 
 
 def reference_ensemble(probabilities, base, delta_d):

@@ -86,6 +86,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    # the detector cuts its own input to model.max_len and the generation
+    # context's gen.max_history_tokens counts every token, so neither key is
+    # read any more; a config still naming one fails from every source
+    @pytest.mark.parametrize("key", ["detect.max_tokens", "corpus.count_tags"])
+    @pytest.mark.parametrize("source", ["file", "override", "dict"])
+    def test_retired_key_rejected_from_every_source(self, tmp_path, key, source):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"seed = 1\n{key} = 1\n")
+        load = {"file": lambda: load_config(str(path)),
+                "override": lambda: load_config("", [f"{key}=1"]),
+                "dict": lambda: PipelineConfig({key: 1})}[source]
+        with pytest.raises(ConfigError) as raised:
+            load()
+        assert str(raised.value) == {
+            "file": f"{path}:2: unknown key {key!r}",
+            "override": f"unknown override key {key!r}",
+            "dict": f"unknown config keys: [{key!r}]"}[source]
+
     def test_bad_boolean_rejected(self):
         with pytest.raises(ConfigError):
             load_config("", overrides=["rank.use_mtl=maybe"])
@@ -116,9 +134,9 @@ class TestConfig:
     @pytest.mark.parametrize("key,value,expected", [
         ("model.d", "abc", "int"), ("rank.epochs", "x", "int"), ("seed", 1.5, "int"),
         ("seed", True, "int"), ("rank.alpha", "fast", "float"),
-        ("gen.p_s", None, "float"), ("corpus.count_tags", "maybe", "a boolean"),
-        ("rank.use_mtl", 2, "a boolean"), ("paths.labels", None, "str"),
-        ("augment.tasks", 5, "str")])
+        ("gen.p_s", None, "float"), ("rank.use_mtl", "maybe", "a boolean"),
+        ("rank.use_mtl", 2, "a boolean"),
+        ("paths.labels", None, "str"), ("augment.tasks", 5, "str")])
     def test_bad_value_is_a_config_error_naming_the_key(self, key, value, expected):
         with pytest.raises(ConfigError) as raised:
             PipelineConfig({key: value})
@@ -367,8 +385,7 @@ def test_default_learned_tracking_runs_end_to_end(tmp_path):
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A small fuzzy-tracking pipeline trained without augment, so train and
-    decode read the same dialogues; the detector budget truncates histories
-    and tags do not count against it."""
+    decode read the same dialogues."""
     root = tmp_path_factory.mktemp("trained")
     dialogues, kb, _ = build_mini_corpus(MiniCorpusConfig(n_dialogues=30, seed=4))
     save_corpus(dialogues, str(root / "logs.json"), str(root / "labels.json"))
@@ -378,7 +395,6 @@ def trained(tmp_path_factory):
         "paths.labels": str(root / "labels.json"),
         "paths.knowledge": str(root / "knowledge.json"),
         "paths.output": str(root / "out"),
-        "corpus.count_tags": False, "detect.max_tokens": 8,
         "track.method": "fuzzy", "track.fuzzy_threshold": 0.5,
         "model.d": 8, "model.max_len": 64,
         "detect.epochs": 4, "detect.learning_rate": 0.02,
@@ -409,8 +425,8 @@ def test_decode_scores_the_detector_input_train_detect_trained_on(trained,
     stage_train_detect(config)
     stage_decode(config)
     assert scored == trained_on
-    # counting tags, the default, would cut the histories shorter
-    assert scored != [linearize_history(d, 8) for d in dialogues]
+    # both read the whole history, which the detector cuts to model.max_len
+    assert scored == [linearize_history(d) for d in dialogues]
 
 
 @pytest.mark.parametrize("batch_size", [1, 5])
@@ -576,15 +592,16 @@ def test_rankers_pool_as_configured(trained, tmp_path):
         validate_labels_schema(json.load(fh))
 
 
-def test_generation_contexts_follow_count_tags(trained, tmp_path, monkeypatch):
-    # the trained pipeline does not count tags; 30 tokens truncate histories
+def test_generation_contexts_follow_max_history_tokens(trained, tmp_path,
+                                                       monkeypatch):
+    # gen.max_history_tokens reaches every generation context, at train and
+    # at decode time, and 30 tokens cut some of them
     config = _copy_outputs(trained[0], tmp_path, **{"gen.max_history_tokens": 30})
-    assert config["corpus.count_tags"] is False
     real = corpus.build_generation_context
     built = []
 
-    def recording(dialogue, topk, max_tokens=0, count_tags=True):
-        context = real(dialogue, topk, max_tokens, count_tags)
+    def recording(dialogue, topk, max_tokens=0):
+        context = real(dialogue, topk, max_tokens)
         built.append((dialogue, list(topk), max_tokens, context))
         return context
 
@@ -597,8 +614,7 @@ def test_generation_contexts_follow_count_tags(trained, tmp_path, monkeypatch):
     truncated = 0
     for dialogue, topk, max_tokens, context in built:
         assert max_tokens == 30
-        assert context == real(dialogue, topk, 30, count_tags=False)
-        truncated += context != real(dialogue, topk, 30, count_tags=True)
+        truncated += context != real(dialogue, topk)
     assert truncated > 0
 
 
