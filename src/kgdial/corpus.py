@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import char_counts
+from .kernels import char_units
 
 DOMAIN_LEVEL = "*"
 TOP_K = 5  # length of the ranked knowledge list that selection hands to generation
@@ -184,10 +185,10 @@ class EntityNameIndex:
     its entities in the entity list, ``firsts`` holds those tuples' first
     tokens, ``lengths`` their token lengths in ascending order, and
     ``targets`` is each entity's name as
-    its space-joined tokens. For fuzzy matching, ``groups`` maps a token
-    length to the distinct targets of that length (first-seen order) and
-    their ``char_counts`` rows over ``alphabet``, the sorted code points of
-    all targets.
+    its space-joined tokens. For fuzzy matching, ``alphabet`` holds the
+    targets' code points, sorted, each as often as the most any target
+    holds it, and ``groups`` maps a token length to the distinct targets of
+    that length (first-seen order) and their ``char_units`` rows over it.
 
     ``fuzzy_windows`` is filled by fuzzy matching as it runs: one table per
     threshold, mapping each window string matched so far to the targets of
@@ -209,11 +210,13 @@ class EntityNameIndex:
             k: tuple(v) for k, v in positions.items()}
         self.firsts: frozenset[str] = frozenset(name[0] for name in positions)
         self.lengths: tuple[int, ...] = tuple(sorted(grouped))
-        # sorted code points; np.unique would import numpy.ma (about 0.6 MB)
-        self.alphabet = np.array(sorted(set(map(ord, "".join(self.targets)))),
-                                 dtype=np.int64)
+        most: Counter[str] = Counter()
+        for target in self.targets:
+            most |= Counter(target)
+        # sorted in Python: np.unique would import numpy.ma (about 0.6 MB)
+        self.alphabet = np.array(sorted(map(ord, most.elements())), dtype=np.int64)
         self.groups: dict[int, tuple[tuple[str, ...], np.ndarray]] = {
-            w: (tuple(g), char_counts(list(g), self.alphabet))
+            w: (tuple(g), char_units(list(g), self.alphabet))
             for w, g in grouped.items()}
         self.fuzzy_windows: dict[float, dict[str, tuple[str, ...]]] = {}
 

@@ -10,7 +10,7 @@ distinct window string once per knowledge base and threshold and keeps the
 result in the index's ``fuzzy_windows`` tables, so a turn served after the
 turns before it computes only the windows its new utterances add: it bounds
 the (name, new window) pairs of a token length by a character-count
-difference, all pairs of the length as one array, then computes the edit
+difference, all pairs of the length as one product, then computes the edit
 distances of the pairs the bound leaves open, those of every length
 together, in one batched DP per call (``kernels.levenshtein_many``). Learned
 tracking scores the history against every entity in one ``scores`` call of
@@ -31,13 +31,10 @@ import numpy as np
 from .corpus import (DOMAIN_LEVEL, Dialogue, Entity, EntityNameIndex,
                      KnowledgeBase, KnowledgeSnippet, linearize_entity,
                      linearize_history, tokenize)
-from .kernels import char_counts, levenshtein, levenshtein_many
+from .kernels import char_units, levenshtein, levenshtein_many
 from .models import SentencePairScorer
 
 
-# most elements of the (names x windows x alphabet) count difference that
-# fuzzy matching holds at once: 64 KB of int32 counts
-_BOUND_BLOCK = 1 << 14
 # most windows the fuzzy tables of one knowledge base hold, under 100 bytes
 # each (tracemalloc); decoding 150 held-out synth dialogues meets about 600
 _WINDOW_TABLE_BOUND = 1 << 14
@@ -113,12 +110,12 @@ def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
     the union over its windows, so a turn whose history was matched before
     computes only its new windows. A new window is compared to every name
     of its length. The edit distance is bounded below by the
-    character-count difference max(sum (a-b)+, sum (b-a)+) over the
-    alphabet of the names, which also covers the length difference;
-    characters outside that alphabet share one count, where the name's
-    count is 0. The bound of every (name, new window) pair of a group is
-    one array, computed over blocks of names so that the (names x windows x
-    alphabet) difference stays below ``_BOUND_BLOCK`` elements. The edit
+    character-count difference max(sum (a-b)+, sum (b-a)+) of the name's
+    counts a and the window's b. No name holds a character outside the
+    names' alphabet, so that is max(len a, len b) - sum min(a, b), and
+    sum min(a, b) is the dot product of the two strings' repeat-unit rows
+    (``char_units``): the bound of every (name, new window) pair of a group
+    is one float64 product, exact for these small counts. The edit
     distances of all pairs, of every group, whose bound still allows the
     threshold are computed in one ``levenshtein_many`` call. The tables of
     one knowledge base hold at most ``_WINDOW_TABLE_BOUND`` windows (or one
@@ -134,7 +131,7 @@ def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
     hits: set[str] = set()
     found: dict[str, list[str]] = {}  # each window not in the table -> its targets
     pair_targets, pair_windows, pair_denoms = [], [], []
-    for w, (group, group_counts) in index.groups.items():
+    for w, (group, group_units) in index.groups.items():
         windows = []
         for window in dict.fromkeys(
                 " ".join(u[start:start + w])
@@ -147,20 +144,13 @@ def fuzzy_match_entities(dialogue: Dialogue, kb: KnowledgeBase,
                 hits.update(targets)
         if not windows:
             continue
-        window_counts = char_counts(windows, index.alphabet)
-        window_lens = np.array([len(x) for x in windows])
-        target_lens = np.array([len(t) for t in group])[:, None]
-        denom = np.maximum(window_lens, target_lens)
-        step = max(1, _BOUND_BLOCK // window_counts.size)
-        for lo in range(0, len(group), step):
-            block = slice(lo, lo + step)
-            diff = group_counts[block, None] - window_counts
-            surplus = np.maximum(diff, 0, out=diff).sum(axis=2)
-            bound = np.maximum(surplus, surplus + window_lens - target_lens[block])
-            rows, cols = np.nonzero(1.0 - bound / denom[block] >= threshold)
-            pair_targets += [group[lo + i] for i in rows.tolist()]
-            pair_windows += [windows[j] for j in cols.tolist()]
-            pair_denoms.append(denom[block][rows, cols])
+        denom = np.maximum(np.array([len(x) for x in windows]),
+                           np.array([len(t) for t in group])[:, None])
+        bound = denom - group_units @ char_units(windows, index.alphabet).T
+        rows, cols = np.nonzero(1.0 - bound / denom >= threshold)
+        pair_targets += [group[i] for i in rows.tolist()]
+        pair_windows += [windows[j] for j in cols.tolist()]
+        pair_denoms.append(denom[rows, cols])
     if pair_targets:
         dist = levenshtein_many(pair_targets, pair_windows)
         keep = 1.0 - dist / np.concatenate(pair_denoms) >= threshold

@@ -4,13 +4,14 @@ Both sit on a critical path: the edit distance on fuzzy entity matching,
 the LCS length on ROUGE-L, which consensus decoding evaluates over all
 candidate pairs in a pool. The edit distance has one implementation,
 ``levenshtein_many``: one O(n*m) row DP in numpy, batched over string
-pairs, the in-row recurrence as a prefix scan; ``levenshtein`` is that DP
-on a single pair. Fuzzy matching computes the edit distance of every
-(name, same-length window) pair of a dialogue that a character-count
-lower bound (``char_counts``) cannot rule out, all in one
-``levenshtein_many`` call. The LCS length is bit-parallel: one row of its
-table is one Python int, updated with a handful of integer operations per
-item of the first sequence.
+pairs, the in-row recurrence a prefix minimum over shifted rows;
+``levenshtein`` is that DP on a single pair. Fuzzy matching computes the
+edit distance of every (name, same-length window) pair of a dialogue that a
+character-count lower bound cannot rule out, all in one
+``levenshtein_many`` call; the bound is max(len a, len b) less the dot
+product of the two strings' repeat-unit rows (``char_units``). The LCS
+length is bit-parallel: one row of its table is one Python int, updated
+with a handful of integer operations per item of the first sequence.
 """
 
 from __future__ import annotations
@@ -51,46 +52,47 @@ def levenshtein_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
     One row DP runs over all pairs at once, every pair through every row.
     The strings are right-padded with two sentinels that match no code
     point; the DP's cell (i, j) depends on a[:i] and b[:j] only, so the
-    padding never reaches cell (len(a[k]), len(b[k])). Each row keeps its
-    column len(b[k]) per pair, and pair k reads its distance at row
-    len(a[k]). In a row, the insertion recurrence
-    cur[j] = min(t[j], cur[j-1] + 1) is a prefix scan:
-    cur = min.accumulate(t - arange) + arange.
+    padding never reaches cell (len(a[k]), len(b[k])). The rows hold
+    D[i, j] - j: row 0 is zero, a diagonal match costs -1 and an insertion
+    nothing, so the in-row recurrence is a plain prefix minimum. Each row
+    keeps its column len(b[k]) per pair, and pair k reads its distance at
+    row len(a[k]), adding len(b[k]) back.
     """
     if len(a) != len(b):
         raise ValueError(f"levenshtein_many: {len(a)} strings against {len(b)}")
     A, la = _pad_codes(a, -1)
     B, lb = _pad_codes(b, -2)
     pairs = np.arange(len(a))
-    # int32 rows move half the bytes of int64; a cell is at most max(i, j)
-    idx = np.arange(B.shape[1] + 1, dtype=np.int32)
-    prev = np.tile(idx, (len(a), 1))
+    # int32 rows move half the bytes of int64; |D[i, j] - j| <= max(i, j)
+    prev = np.zeros((len(a), B.shape[1] + 1), dtype=np.int32)
     row = np.empty_like(prev)
-    at_lb = np.empty((A.shape[1] + 1, len(a)), dtype=np.int64)
-    at_lb[0] = lb
+    at_lb = np.zeros((A.shape[1] + 1, len(a)), dtype=np.int64)
     for i in range(1, A.shape[1] + 1):
         row[:, 0] = i
-        np.minimum(prev[:, :-1] + (A[:, i - 1:i] != B), prev[:, 1:] + 1,
+        np.minimum(prev[:, :-1] - (A[:, i - 1:i] == B), prev[:, 1:] + 1,
                    out=row[:, 1:])
-        row -= idx
         np.minimum.accumulate(row, axis=1, out=row)
-        row += idx
         at_lb[i] = row[pairs, lb]
         prev, row = row, prev
-    return at_lb[la, pairs]
+    return at_lb[la, pairs] + lb
 
 
-def char_counts(strings: Sequence[str], alphabet: np.ndarray) -> np.ndarray:
-    """Per-string character counts over ``alphabet`` (sorted code points),
-    one int32 row per string. Column 0 pools every character outside the
-    alphabet."""
+def char_units(strings: Sequence[str], alphabet: np.ndarray) -> np.ndarray:
+    """Repeat units over ``alphabet`` (sorted code points, each as often as
+    it may repeat), one float64 0/1 row per string: the column of the t-th
+    copy of c is 1 where the string holds c more than t times. Two rows dot
+    to sum_c min(count_a(c), count_b(c)) if one string holds no c more
+    often than ``alphabet``; characters outside it fill no column."""
     codes = encode_chars("".join(strings))
-    pos = np.minimum(np.searchsorted(alphabet, codes), len(alphabet) - 1)
-    column = np.where(alphabet[pos] == codes, pos + 1, 0)
     row = np.repeat(np.arange(len(strings)), [len(s) for s in strings])
-    width = len(alphabet) + 1
-    counts = np.bincount(row * width + column, minlength=len(strings) * width)
-    return counts.astype(np.int32).reshape(len(strings), width)
+    column = np.searchsorted(alphabet, codes)  # a code point's first copy
+    inside = np.append(alphabet, -1)[column] == codes
+    width = len(alphabet)
+    counts = np.bincount(row[inside] * width + column[inside],
+                         minlength=len(strings) * width)
+    first = np.searchsorted(alphabet, alphabet)
+    return (counts.reshape(len(strings), width)[:, first]
+            > np.arange(width) - first).astype(np.float64)
 
 
 def lcs_length_tokens(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:

@@ -14,7 +14,8 @@ the turn. It holds the history's tokens, so the rankers never tokenize a
 dialogue, and the rightmost exact mention among the tracked entities, so
 the models track no entities. A candidate list's wide features have one
 form, the n x 4 indicator array ``DialogueFeatures.indicators``, which
-inference multiplies by alpha. At
+point-wise ranking adds as it is and the list-wise reranker multiplies by
+``alpha`` (the ``rank.alpha`` setting) at inference. At
 inference a candidate list is encoded in one `ToyEncoder.pair_readouts`
 call: with no position parameters in the encoder, the history x snippet
 attention is tabled once per distinct (history token, snippet token) pair,
@@ -509,10 +510,10 @@ class PointwiseModel(_Ranker):
         return tokens, spans
 
     def logits(self, candidates: Sequence[KnowledgeSnippet],
-               context: DialogueFeatures, alpha: float = 1.0) -> list[float]:
+               context: DialogueFeatures) -> list[float]:
         """Logit of every candidate against the dialogue whose
-        `DialogueFeatures` are ``context``."""
-        return self._ranking_logits(candidates, context, alpha).tolist()
+        `DialogueFeatures` are ``context``, the wide terms unscaled."""
+        return self._ranking_logits(candidates, context, 1.0).tolist()
 
     def _rewritten_inputs(self, row: PointwiseRow, dialogue: Dialogue
                           ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
@@ -718,13 +719,12 @@ def _sorted_items(scored: list[tuple[KnowledgeSnippet, float]]
 
 
 def pointwise_rank(model: PointwiseModel, candidates: Sequence[KnowledgeSnippet],
-                   context: DialogueFeatures, kb: KnowledgeBase,
-                   alpha: float = 1.0) -> RankedKnowledgeList:
+                   context: DialogueFeatures, kb: KnowledgeBase) -> RankedKnowledgeList:
     """Score candidates independently and keep the `TOP_K` best. ``context`` is
     `dialogue_features(dialogue, kb, tracked)`. An empty candidate list falls
     back to the full knowledge base ``kb``."""
     pool = list(candidates) or list(kb.snippets)
-    logits = model.logits(pool, context, alpha)
+    logits = model.logits(pool, context)
     scored = [(snip, sigmoid(z)) for snip, z in zip(pool, logits)]
     return RankedKnowledgeList(_sorted_items(scored))
 

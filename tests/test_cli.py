@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -598,3 +602,43 @@ def test_tune_consensus_tunes_on_a_dev_decode_that_decode_then_reads(trained,
     manifest = json.loads((out / "decode.manifest.json").read_text())
     assert manifest["inputs"]["consensus.weights.json"] == hashlib.sha256(
         weights.read_bytes()).hexdigest()
+
+
+# every stage, one epoch each, in one interpreter; the last line it prints
+# says whether numpy.ma was imported on the way
+NO_MASKED_ARRAYS = """
+import sys
+from kgdial.cli import main
+
+def run(*args):
+    assert main(list(args)) == 0, args
+
+run("synth", "--output", "data", "--dialogues", "16", "--seed", "5")
+with open("run.cfg", "w") as fh:
+    fh.write("\\n".join([
+        "paths.logs = data/logs.json", "paths.labels = data/labels.json",
+        "paths.knowledge = data/knowledge.json", "paths.lexicon = data/lexicon.tsv",
+        "paths.output = out", "model.d = 8", "track.method = fuzzy",
+        "track.fuzzy_threshold = 0.5", "detect.epochs = 1", "rank.epochs = 1",
+        "rank.listwise_epochs = 1", "rank.kfolds = 2", "gen.epochs = 1",
+        "gen.kfolds = 2"]) + "\\n")
+for command in ("augment", "train-detect", "train-select", "train-generate",
+                "decode"):
+    run(command, "--config", "run.cfg")
+run("evaluate", "--config", "run.cfg", "--predictions", "out/predictions.json",
+    "--references", "data/labels.json")
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_stage_imports_numpy_ma(tmp_path):
+    """``np.unique`` and other masked-array users import ``numpy.ma``, about
+    0.6 MB of peak memory; augment, training, decode and evaluate run in a
+    fresh interpreter without it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -357,6 +359,72 @@ class TestFuzzyWindowTable:
             tables = kb.name_index.fuzzy_windows
             assert sum(map(len, tables.values())) == n_windows
             assert len(calls) == n_calls
+
+
+def count_bound_pairs(dialogue, kb, threshold, matched):
+    """The (target, window) pairs whose character-count difference bound
+    still allows ``threshold``, over the windows not in ``matched``: the
+    reference definition of the pairs fuzzy matching sends to the edit
+    distance, the bound written as it was first computed, as the count
+    difference max(sum (a-b)+, sum (b-a)+) over the names' alphabet with
+    every other character pooled into one count."""
+    if threshold == 0.0:
+        return []
+    index = kb.name_index
+    alphabet = sorted(set("".join(index.targets)))
+
+    def char_counts(strings):
+        return np.array([[sum(c not in alphabet for c in x)]
+                         + [x.count(c) for c in alphabet] for x in strings])
+
+    utterances = [tokenize(t.text) for t in dialogue.turns]
+    pairs = []
+    for w, (group, _) in index.groups.items():
+        windows = [x for x in dict.fromkeys(
+            " ".join(u[start:start + w])
+            for u in utterances for start in range(len(u) - w + 1))
+            if x not in matched]
+        if not windows:
+            continue
+        group_counts, window_counts = char_counts(group), char_counts(windows)
+        window_lens = np.array([len(x) for x in windows])
+        target_lens = np.array([len(t) for t in group])[:, None]
+        denom = np.maximum(window_lens, target_lens)
+        diff = group_counts[:, None] - window_counts
+        surplus = np.maximum(diff, 0).sum(axis=2)
+        bound = np.maximum(surplus, surplus + window_lens - target_lens)
+        rows, cols = np.nonzero(1.0 - bound / denom >= threshold)
+        pairs += [(group[i], windows[j]) for i, j in zip(rows, cols)]
+    return pairs
+
+
+class TestBoundPairs:
+    """The unit-product bound admits exactly the pairs the count-difference
+    bound admits, and only those reach ``levenshtein_many``."""
+
+    def check_calls(self, kb, calls):
+        real_many = entity_track.levenshtein_many
+        for dialogue, threshold in calls:
+            matched = set(kb.name_index.fuzzy_windows.get(threshold, {}))
+            seen = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(entity_track, "levenshtein_many",
+                           lambda a, b: seen.append(list(zip(a, b))) or real_many(a, b))
+                fuzzy_match_entities(dialogue, kb, threshold)
+            expected = count_bound_pairs(dialogue, kb, threshold, matched)
+            assert len(seen) == (1 if expected else 0)
+            assert Counter(pair for call in seen for pair in call) == Counter(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fuzzy_cases())
+    def test_cold_calls(self, case):
+        kb, dialogue, threshold = case
+        self.check_calls(kb, [(dialogue, threshold)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(fuzzy_sessions())
+    def test_sessions(self, session):
+        self.check_calls(*session)
 
 
 class OracleScorer:

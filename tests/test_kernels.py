@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -120,12 +122,62 @@ def test_levenshtein_many_paths_agree_on_random_pairs():
     assert kernels.levenshtein_many(a, b).tolist() == expected
 
 
+def test_levenshtein_many_mixes_long_short_and_empty_pairs():
+    # one call pads every pair to the longest side, so short and empty pairs
+    # run through many rows past their own length, and the shifted rows of a
+    # long pair move far from D[i, j] itself
+    rng = np.random.default_rng(2)
+    chars = np.array(list("ab \U0001F600"))
+    long_a = "".join(rng.choice(chars, size=150))
+    long_b = "".join(rng.choice(chars, size=90))
+    a = [long_a, "", "ab", long_a, "a" * 120, long_b, ""]
+    b = [long_b, long_b, "", "", "b" * 5, long_a, ""]
+    expected = [lev_oracle(x, y) for x, y in zip(a, b)]
+    assert kernels.levenshtein_many(a, b).tolist() == expected
+    assert expected[2:5] == [2, 150, 120]
+
+
 def test_levenshtein_many_rejects_unequal_lists():
     with pytest.raises(ValueError):
         kernels.levenshtein_many(["a"], [])
 
 
-def test_char_counts_pools_characters_outside_alphabet():
-    alphabet = np.array(sorted(map(ord, "ab")), dtype=np.int64)
-    counts = kernels.char_counts(["abba", "", "a\U0001F600z"], alphabet)
-    assert counts.tolist() == [[0, 2, 2], [0, 0, 0], [2, 1, 0]]
+def repeat_alphabet(names):
+    """The multiset union of the names' code points, sorted: the alphabet
+    the name index builds its unit rows over."""
+    most = Counter()
+    for name in names:
+        most |= Counter(name)
+    return np.array(sorted(map(ord, most.elements())), dtype=np.int64)
+
+
+def test_char_units_skip_characters_outside_alphabet():
+    alphabet = repeat_alphabet(["abba"])  # a, a, b, b
+    units = kernels.char_units(["abba", "", "a\U0001F600z", "aaab"], alphabet)
+    assert units.dtype == np.float64
+    assert units.tolist() == [[1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 0, 0],
+                              [1, 1, 1, 0]]
+
+
+# name strings and window strings: windows may repeat a character more often
+# than any name, and hold characters no name holds, non-BMP ones included
+NAME_TEXT = st.text(alphabet="ab é\U0001F600", max_size=8)
+WINDOW_TEXT = st.text(alphabet="ab é\U0001F600\U00010348z", max_size=16)
+
+
+@given(st.lists(NAME_TEXT, min_size=1, max_size=4),
+       st.lists(WINDOW_TEXT, max_size=4))
+@example(["ab"], ["aaaaab", "", "zz\U00010348"])
+@example([""], ["a"])
+@settings(max_examples=300, deadline=None)
+def test_char_units_dot_to_shared_character_counts(names, windows):
+    alphabet = repeat_alphabet(names)
+    name_units = kernels.char_units(names, alphabet)
+    window_units = kernels.char_units(windows, alphabet)
+    assert name_units.shape == (len(names), len(alphabet))
+    assert window_units.shape == (len(windows), len(alphabet))
+    for name, row in zip(names, name_units):
+        for text, other in zip(names + windows,
+                               np.vstack([name_units, window_units])):
+            shared = sum((Counter(name) & Counter(text)).values())
+            assert row @ other == shared

@@ -222,8 +222,6 @@ UNSET_DEFAULTS = {
                                         "array features are checked against",
     "ToyEncoder.token_ids(boundary)": "the reference definition of the pair "
                                       "inputs the rankers build from ids",
-    "pointwise_rank(alpha)": "point-wise decode scales the wide terms by 1; "
-                             "whether rank.alpha should reach it is open",
     "tune_weights(init_weights)": "acceptance criterion 5 tunes from given "
                                   "weights",
     "TuneConfig.__init__(restarts)": "acceptance criterion 5 and the tuning "

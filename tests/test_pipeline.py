@@ -429,6 +429,34 @@ def test_decode_scores_the_detector_input_train_detect_trained_on(trained,
     assert scored == [linearize_history(d) for d in dialogues]
 
 
+def test_decode_scores_a_long_history_by_its_last_max_len_positions(trained,
+                                                                   tmp_path,
+                                                                   monkeypatch):
+    """Four consecutive fixture dialogues stitched into one history, as the
+    benchmark's long-history decode stitches them, with the id and label of
+    the last: decode's detection probability is the trained detector's
+    score of the history's last model.max_len positions alone."""
+    config, dialogues = trained
+    parts = dialogues[-4:]
+    stitched = corpus.Dialogue(id=parts[-1].id, label=parts[-1].label,
+                               turns=tuple(t for d in parts for t in d.turns))
+    save_corpus([stitched], str(tmp_path / "long.logs.json"),
+                str(tmp_path / "long.labels.json"))
+    config = _copy_outputs(config, tmp_path, **{
+        "paths.logs": str(tmp_path / "long.logs.json"),
+        "paths.labels": str(tmp_path / "long.labels.json")})
+    decoded, _ = _decode_in_memory(config, monkeypatch)
+    detector = scorer_from_checkpoint(config.output_path("detector.npz"))
+    max_len = config["model.max_len"]
+    assert detector.encoder.max_len == max_len
+    tokens = corpus.tokenize(linearize_history(stitched))
+    assert len(tokens) > max_len
+    suffix = " ".join(tokens[-max_len:])
+    assert corpus.tokenize(suffix) == tokens[-max_len:]
+    assert len(decoded) == 1
+    assert decoded[0]["detection_probability"] == detector.score(suffix, "")
+
+
 @pytest.mark.parametrize("batch_size", [1, 5])
 def test_train_detect_trains_with_its_batch_size(trained, tmp_path, monkeypatch,
                                                  batch_size):

@@ -490,14 +490,18 @@ class TestPointwiseRank:
         assert ranked.items[0][1] == pytest.approx(
             sigmoid(m.logits([only], context)[0]))
 
-    def test_alpha_invariant_when_features_zero(self, model):
+    def test_listwise_rerank_alpha_invariant_when_features_zero(self, model):
+        # rank.alpha scales only the list-wise reranker's wide terms
         kb, m = model
+        listwise = ListwiseModel(m.encoder.vocab, m.config, params=m.all_params())
         d = ks_dialogue("x", "City Cab", kb, text="no entity words here at all",
                         final="what should i do?")
         cands = list(kb.snippets_for("restaurant", "1"))
-        r1 = pointwise_rank(m, cands, exact_context(d, kb), kb, alpha=1.0)
-        r100 = pointwise_rank(m, cands, exact_context(d, kb), kb, alpha=100.0)
-        assert r1.keys == r100.keys
+        context = exact_context(d, kb)
+        assert not context.indicators(cands).any()
+        ranked = pointwise_rank(m, cands, context, kb)
+        assert (listwise_rerank(listwise, ranked, context, 1.0)
+                == listwise_rerank(listwise, ranked, context, 100.0))
 
     def test_sorted_non_increasing(self, model):
         kb, m = model
@@ -530,11 +534,11 @@ def text_pairs(encoder, d, candidates):
                                 len(history)) for s in candidates]
 
 
-def reference_logit(m, d, snippet, alpha, kb, tracked):
+def reference_logit(m, d, snippet, kb, tracked):
     """One candidate scored on its own, as the point-wise model defines it."""
     pair, = text_pairs(m.encoder, d, [snippet])
     cache = reference_forward(m.encoder, *pair)
-    feats = extract_sparse_features(d, snippet, kb, tracked, m.config.variant) * alpha
+    feats = extract_sparse_features(d, snippet, kb, tracked, m.config.variant)
     return float(m.head["w"] @ reference_pair_readout(cache) + m.head["b"][0]
                  + m.wide["u"] @ feats)
 
@@ -551,9 +555,8 @@ class TestBatchedPointwise:
         return [ks_dialogue("x", "Palm Court", kb), compare]
 
     @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("alpha", [1.0, 100.0])
     @pytest.mark.parametrize("given", [False, True])
-    def test_logits_equal_reference(self, variant_models, variant, alpha, given):
+    def test_logits_equal_reference(self, variant_models, variant, given):
         kb, models = variant_models
         m = models[variant]
         assert np.any(m.wide["u"] != 0.0)
@@ -561,11 +564,11 @@ class TestBatchedPointwise:
             tracked = list(kb.entities) if given else exact_match_entities(d, kb)
             context = rank.dialogue_features(d, kb, tracked)
             cands = list(kb.snippets)
-            expected = [reference_logit(m, d, s, alpha, kb, tracked) for s in cands]
-            got = m.logits(cands, context, alpha)
+            expected = [reference_logit(m, d, s, kb, tracked) for s in cands]
+            got = m.logits(cands, context)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
-            assert [m.logits([s], context, alpha)[0] for s in cands] == got
-            ranked = pointwise_rank(m, cands, context, kb, alpha=alpha)
+            assert [m.logits([s], context)[0] for s in cands] == got
+            ranked = pointwise_rank(m, cands, context, kb)
             want = sorted(((s.key, sigmoid(z)) for s, z in zip(cands, expected)),
                           key=lambda t: (-t[1], t[0]))[:TOP_K]
             assert ranked.keys == [key for key, _ in want]
@@ -615,14 +618,14 @@ def reference_indicators(context, snippet, variant):
             int(context.last_entity_key == snippet.entity_key), unigram, bigram)
 
 
-def reference_logits(m, d, candidates, alpha, kb, tracked):
+def reference_logits(m, d, candidates, kb, tracked):
     """PointwiseModel.logits as one loop over the candidates."""
     context = rank.dialogue_features(d, kb, tracked)
     out = []
     for candidate, pair in zip(candidates, text_pairs(m.encoder, d, candidates)):
         cache = reference_forward(m.encoder, *pair)
         feats = np.array(reference_indicators(context, candidate, m.config.variant),
-                         dtype=np.float64) * alpha
+                         dtype=np.float64)
         out.append(float(m.head["w"] @ reference_pair_readout(cache) + m.head["b"][0]
                          + m.wide["u"] @ feats))
     return out
@@ -673,35 +676,30 @@ class TestFeatureArrays:
 
     def test_alpha_must_be_positive(self, synth_case):
         dialogues, kb = synth_case
-        model = rank.PointwiseModel(rank._ranking_vocab(dialogues, kb), ["hotel"],
-                                    small_config())
-        listwise = ListwiseModel(model.encoder.vocab, model.config)
+        listwise = ListwiseModel(rank._ranking_vocab(dialogues, kb), small_config())
         context = rank.dialogue_features(dialogues[0], kb, [])
         for alpha in (0.0, -1.0):
-            with pytest.raises(RankError, match="alpha must be positive"):
-                model.logits(list(kb.snippets[:2]), context, alpha)
             with pytest.raises(RankError, match="alpha must be positive"):
                 listwise.distribution(list(kb.snippets[:1]), context, alpha)
 
     @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("alpha", [1.0, 100.0])
-    def test_logits_equal_per_candidate_loop(self, variant_models, variant, alpha):
+    def test_logits_equal_per_candidate_loop(self, variant_models, variant):
         kb, models = variant_models
         m = models[variant]
         for d in TestBatchedPointwise().dialogues(kb):
             tracked = exact_match_entities(d, kb)
             context = rank.dialogue_features(d, kb, tracked)
             cands = list(kb.snippets)
-            expected = reference_logits(m, d, cands, alpha, kb, tracked)
-            np.testing.assert_allclose(m.logits(cands, context, alpha), expected,
+            expected = reference_logits(m, d, cands, kb, tracked)
+            np.testing.assert_allclose(m.logits(cands, context), expected,
                                        rtol=1e-12, atol=0)
-            assert m.logits([], context, alpha) == []
+            assert m.logits([], context) == []
             # an empty list falls back to the whole knowledge base
-            ranked = pointwise_rank(m, [], context, kb, alpha=alpha)
+            ranked = pointwise_rank(m, [], context, kb)
             np.testing.assert_allclose([p for _, p in ranked.items], sorted(
                 (sigmoid(z) for z in expected), reverse=True)[:TOP_K],
                 rtol=1e-12, atol=0)
-            assert ranked == pointwise_rank(m, cands, context, kb, alpha=alpha)
+            assert ranked == pointwise_rank(m, cands, context, kb)
 
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
     def test_distribution_equals_per_candidate_loop(self, variant_models, alpha):
@@ -1338,7 +1336,7 @@ class TestSharedPairScorer:
                     got = model.distribution(cands, context, 100.0)
                     want = softmax(want)
                 else:
-                    got = model.logits(cands, context, 100.0)
+                    got = model.logits(cands, context)
                 assert np.array_equal(got, want)
 
     def test_mtl_init_draws_the_fixed_seed_values(self):
