@@ -23,18 +23,20 @@ temporary exceeds `_STACK_BLOCK` elements) and returns the summed loss and
 gradients, equal to the per-row sums up to rounding.
 At inference, ``pair_readouts`` scores one history against a list of right
 sides (a ranker's candidate snippets, a tracker's entity names), equal to
-one ``forward`` per pair up to rounding. The encoder has no position
-parameters, so an attention score depends only on its two tokens and
-their segments: the history x snippet scores are tabled once per call, one
-entry per distinct (history token, snippet token) pair in each direction,
-and exponentiated with shifts taken from the history alone. Each
-truncation window is a count vector over the history's distinct tokens,
-and each candidate adds only its own snippet x snippet block and sums its
-tokens' table rows. A candidate whose normalisers leave the range the
-shifts keep exact (a shifted score that would overflow, a normaliser that
-would underflow) takes the plain ``forward``, as does a pair with no
-window: an empty right side (the detector's), an empty history, or a right
-side that fills ``max_len``.
+one ``forward`` per pair up to rounding. Under ``first`` pooling, which no
+program config sets, that is what every pair takes. Under mean pooling it
+reads token tables: the encoder has no position parameters, so an
+attention score depends only on its two tokens and their segments, and
+the history x snippet scores are tabled once per call, one entry per
+distinct (history token, snippet token) pair in each direction, and
+exponentiated with shifts taken from the history alone. Each truncation
+window is a count vector over the history's distinct tokens, and each
+candidate adds only its own snippet x snippet block and sums its tokens'
+table rows. A candidate whose normalisers leave the range the shifts keep
+exact (a shifted score that would overflow, a normaliser that would
+underflow) takes the plain ``forward``, as does a pair with no window: an
+empty right side (the detector's), an empty history, or a right side that
+fills ``max_len``.
 
 A checkpoint is an ``.npz`` archive of two members: a JSON metadata block
 (the model's config, ``version`` and the tensor layout) and one float64
@@ -202,48 +204,37 @@ class ToyEncoder:
         return self.pair_ids(self.vocab_ids(tokens[:cut]),
                              self.vocab_ids(tokens[cut:]))
 
-    def forward(self, ids: np.ndarray, segs: Optional[np.ndarray] = None,
+    def forward(self, ids: np.ndarray, segs: np.ndarray,
                 lengths: Optional[Sequence[int]] = None) -> dict:
         """One padded pass over a stack of sequences, laid end to end in
-        ``ids`` and ``segs`` (segment 0 throughout when ``None``), of
-        ``lengths`` tokens each, at least one (one sequence when ``None``).
-        Each sequence is one row of the (B, L, ...) caches `backward` reads,
-        padded at its end to the longest one; a padded position is masked
-        out as a key (a -inf score) and from pooling, so a row equals the
-        sequence encoded alone up to rounding. Q, K and V come from one
-        fused product, with 1/sqrt(d) folded into the query projection."""
+        ``ids`` and ``segs``, of ``lengths`` tokens each, at least one (one
+        sequence when ``None``). Each sequence is one row of the (B, L, ...)
+        caches `backward` reads, padded at its end to the longest one; a
+        padded position is masked out as a key (a -inf score) and from
+        pooling, so a row equals the sequence encoded alone up to rounding.
+        Q, K and V come from one fused product, with 1/sqrt(d) folded into
+        the query projection."""
         p, d = self.params, self.d
-        if segs is None:
-            segs = np.zeros_like(ids)
-        if lengths is None:
-            lengths = [len(ids)]
-        B, L = len(lengths), int(max(lengths))
-        x = p["emb"][ids] + p["seg"][segs]
-        if len(ids) == B * L:
-            mask = None
-            E = x.reshape(B, L, d)
-            seg1 = segs.reshape(B, L).astype(np.float64)
-        else:
-            lengths = np.asarray(lengths)
-            mask = np.arange(L) < lengths[:, None]
-            E = np.zeros((B, L, d))
-            E[mask] = x
-            seg1 = np.zeros((B, L))
-            seg1[mask] = segs
+        lengths = np.asarray([len(ids)] if lengths is None else lengths)
+        B, L = len(lengths), int(lengths.max())
+        mask = np.arange(L) < lengths[:, None]
+        E = np.zeros((B, L, d))
+        E[mask] = p["emb"][ids] + p["seg"][segs]
+        seg1 = np.zeros((B, L))
+        seg1[mask] = segs
         # segment-1 pooling weights: per row, 1/n at its n segment-1 positions
         seg_w = seg1 / np.maximum(seg1.sum(axis=1), 1.0)[:, None]
         w_qkv = self._qkv_weights()
         QKV = (E.reshape(B * L, d) @ w_qkv).reshape(B, L, 3 * d)
         A = QKV[:, :, :d] @ QKV[:, :, d:2 * d].transpose(0, 2, 1)
-        if mask is not None:
-            A += np.where(mask, 0.0, -np.inf)[:, None, :]
+        A += np.where(mask, 0.0, -np.inf)[:, None, :]
         A -= A.max(axis=2, keepdims=True)
         np.exp(A, out=A)
         A /= A.sum(axis=2, keepdims=True)
         H = A @ QKV[:, :, 2 * d:]
         H += E
         if self.pooling == "mean":
-            pool = np.full((B, L), 1.0 / L) if mask is None else mask / lengths[:, None]
+            pool = mask / lengths[:, None]
             f = (pool[:, None, :] @ H)[:, 0]
         else:
             pool = None
@@ -285,6 +276,8 @@ class ToyEncoder:
                       rights: Sequence[np.ndarray]) -> np.ndarray:
         """``pair_readout(forward(*pair_ids(left, right)))`` of every right
         side, one row each, equal to it up to rounding; inference only.
+        Under ``first`` pooling that is what every pair takes; the tables
+        below serve mean pooling.
 
         The encoder has no position parameters, so a score depends only on
         its query's and its key's (token, segment). The history x snippet
@@ -311,8 +304,9 @@ class ToyEncoder:
         out = np.empty((len(rights), 2 * self.d))
         by_length: dict[int, list[int]] = {}
         plain = []
+        tabled = self.pooling == "mean" and len(left) > 0
         for j, right in enumerate(rights):
-            if len(right) == 0 or len(left) == 0 or len(right) >= self.max_len:
+            if not tabled or len(right) == 0 or len(right) >= self.max_len:
                 plain.append(j)
             else:
                 by_length.setdefault(len(right), []).append(j)
@@ -389,8 +383,8 @@ class ToyEncoder:
     def _window_tables(self, tables: tuple, n_left: int) -> tuple:
         """What every right side of one truncation window (the last
         ``n_left`` history positions) reads: the window's length, its
-        count of each distinct history token, its first position's token
-        and embedding, its embedding sum, and, as [normaliser, value sum],
+        count of each distinct history token, its embedding sum (the
+        mean pool's history part), and, as [normaliser, value sum],
         its history keys' part of each history query's (G) and each
         snippet query's (YG) softmax row."""
         hist_ids, E_h, V_h, P_h, _, _, Y = tables
@@ -399,23 +393,22 @@ class ToyEncoder:
         CV = np.empty((len(E_h), 1 + self.d))
         CV[:, 0] = counts
         np.multiply(counts[:, None], V_h, out=CV[:, 1:])
-        return (n_left, counts, window[0], E_h[window[0]], counts @ E_h, P_h @ CV,
-                (Y[:, None, :] @ CV)[:, 0])
+        return (n_left, counts, counts @ E_h, P_h @ CV, (Y[:, None, :] @ CV)[:, 0])
 
     def _table_readouts(self, tables: tuple, window: tuple,
                         ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`pair_readout` rows of a (k, m) stack of right sides, given as
-        rows of the snippet tables, in one window, and per row whether
-        every normaliser it computes lies in [`_TINY`, `_Z_MAX`] (under
-        mean pooling, those of history tokens outside the window too). A
-        right row's softmax is its token's window row plus its own
-        block's; a history token's is its window row plus its X column
-        summed over the right side's tokens, and the mean pool weighs it
-        by its count. A sum over the right side's tokens is a (1, m)
-        product, stacked per candidate."""
+        """Mean-pooled `pair_readout` rows of a (k, m) stack of right
+        sides, given as rows of the snippet tables, in one window, and per
+        row whether every normaliser it computes, those of history tokens
+        outside the window included, lies in [`_TINY`, `_Z_MAX`]. A right
+        row's softmax is its token's window row plus its own block's; a
+        history token's is its window row plus its X column summed over
+        the right side's tokens, and the mean pool weighs it by its count.
+        A sum over the right side's tokens is a (1, m) product, stacked
+        per candidate."""
         d = self.d
         own, X = tables[4], tables[5]
-        n_left, counts, first, e_first, e_left, G, YG = window
+        n_left, counts, e_left, G, YG = window
         m = ids.shape[1]
         ones = np.ones((1, m))
         g = own[ids]
@@ -428,22 +421,17 @@ class ToyEncoder:
         N += YG[ids]
         z_r = N[:, :, 0]
         right = ((ones @ E) + (1.0 / z_r)[:, None, :] @ N[:, :, 1:])[:, 0]
-        if self.pooling == "mean":
-            XR = X[ids]
-            z_l = G[:, 0] + (ones @ XR)[:, 0]
-            w = counts / z_l
-            f = (e_left + right + (w[:, None, :] @ G[:, 1:]
-                                   + (XR @ w[:, :, None]).transpose(0, 2, 1) @ V)[:, 0]
-                 ) / (n_left + m)
-        else:
-            x0 = X[ids, first]
-            z_l = G[first, 0] + (x0[:, None, :] @ ones.T)[:, 0]
-            f = e_first + (G[first, 1:] + (x0[:, None, :] @ V)[:, 0]) / z_l
+        XR = X[ids]
+        z_l = G[:, 0] + (ones @ XR)[:, 0]
+        w = counts / z_l
+        f = (e_left + right + (w[:, None, :] @ G[:, 1:]
+                               + (XR @ w[:, :, None]).transpose(0, 2, 1) @ V)[:, 0]
+             ) / (n_left + m)
         z = np.concatenate((z_r, z_l), axis=1)
         ok = (z.min(axis=1) >= _TINY) & (z.max(axis=1) <= _Z_MAX)
         return np.concatenate((f, right / m), axis=1), ok
 
-    def backward(self, cache: dict, dH: np.ndarray | None, df: np.ndarray | None,
+    def backward(self, cache: dict, dH: np.ndarray, df: np.ndarray | None,
                  grads: dict) -> None:
         """Accumulate the parameter gradients of a `forward` pass, summed
         over its sequences, given the (B, L, d) gradient ``dH`` of its
@@ -453,8 +441,6 @@ class ToyEncoder:
         d = self.d
         E, A, QKV, w_qkv = cache["E"], cache["A"], cache["QKV"], cache["w_qkv"]
         B, L = A.shape[:2]
-        if dH is None:
-            dH = np.zeros_like(E)
         if df is not None:
             if self.pooling == "mean":
                 pooled = cache["pool"][:, :, None] * df[:, None, :]
@@ -482,8 +468,7 @@ class ToyEncoder:
         dE = dQKV @ w_qkv.T
         del dQKV
         dE += dH.reshape(B * L, d)
-        if cache["mask"] is not None:
-            dE = dE[cache["mask"].ravel()]
+        dE = dE[cache["mask"].ravel()]
         scatter_add(grads["emb"], cache["ids"], dE)
         grads["seg"] += (np.arange(2)[:, None] == cache["segs"]) @ dE
 
@@ -578,7 +563,7 @@ def pair_readout(cache: dict) -> np.ndarray:
     Pooling the second segment separately matters: in the global mean the
     displacement a matched token picks up from attending to its twin in
     the other segment is cancelled by the twin's mirror-image displacement.
-    With no segment 1, as for ``forward(ids)``, its pool is zero.
+    With no segment 1, as in the detector's pairs, its pool is zero.
     """
     pooled = (cache["seg_w"][:, None, :] @ cache["H"])[:, 0]
     return np.concatenate((cache["f"], pooled), axis=1)

@@ -110,6 +110,15 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "model.max_len": 128,
 }
 
+# the least valid value of each bounded integer key, in `CONFIG_DEFAULTS`
+# order, so that the first bad key is the one reported
+_INT_MINIMA = {
+    "seed": 0, "detect.batch_size": 1, "track.negatives": 0, "rank.batch_size": 1,
+    "rank.negatives": 0, "rank.entity_negatives": 0, "rank.kfolds": 2,
+    "gen.batch_size": 1, "gen.max_target_tokens": 1, "gen.kfolds": 2, "model.d": 1,
+    "model.max_len": 1,
+}
+
 
 @dataclass
 class PipelineConfig:
@@ -131,13 +140,9 @@ class PipelineConfig:
             if merged[key] not in allowed:
                 raise ConfigError(f"{key}: expected one of {allowed}, "
                                   f"got {merged[key]!r}")
-        for key, value in merged.items():
-            if ((key.endswith(".batch_size")
-                 or key in ("model.d", "model.max_len", "gen.max_target_tokens"))
-                    and value < 1):
-                raise ConfigError(f"{key}: expected an int >= 1, got {value!r}")
-            if key.endswith(".kfolds") and value < 2:
-                raise ConfigError(f"{key}: expected an int >= 2, got {value!r}")
+        for key, low in _INT_MINIMA.items():
+            if merged[key] < low:
+                raise ConfigError(f"{key}: expected an int >= {low}, got {merged[key]!r}")
         for key in ("track.fuzzy_threshold", "track.delta_e", "detect.delta_d", "gen.p_s",
                     "augment.ena_probability", "augment.ena_delete_prob",
                     "augment.replace_rate_low", "augment.replace_rate_high"):
@@ -279,7 +284,9 @@ def stage_augment(config: PipelineConfig) -> list[str]:
     labels_path = config.output_path("augmented.labels.json")
     save_corpus(out, logs_path, labels_path)
     manifest = write_manifest(config, "augment",
-                              [config["paths.logs"], config["paths.lexicon"]],
+                              [config["paths.logs"], config["paths.labels"],
+                               config["paths.lexicon"],
+                               config["paths.confusions"] if adapter else ""],
                               [logs_path, labels_path])
     return [logs_path, labels_path, manifest]
 

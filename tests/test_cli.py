@@ -179,6 +179,36 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
         f"error: {confusions} line 3: expected word<TAB>replacement\n")
 
 
+def test_augment_manifest_hashes_every_file_it_reads(workdir, tmp_path):
+    """augment reads the labels file as well as the logs and the lexicon,
+    and the confusion file when TST is among its tasks."""
+    _, data, cfg = workdir
+    labels = tmp_path / "labels.json"
+    shutil.copy(data / "labels.json", labels)
+    confusions = tmp_path / "confusions.tsv"
+    confusions.write_text("hotel\thostel\n")
+
+    def inputs(*overrides):
+        out = tmp_path / "out"
+        assert main(["augment", "--config", str(cfg), "--stage-overrides",
+                     f"paths.output={out}", f"paths.labels={labels}",
+                     *overrides]) == EXIT_OK
+        return json.loads((out / "augment.manifest.json").read_text())["inputs"]
+
+    before = inputs()
+    assert set(before) == {"logs.json", "labels.json", "lexicon.tsv"}
+    records = json.loads(labels.read_text())
+    edited = next(r for r in records if r["target"])
+    edited["response"] += " Anything else?"
+    labels.write_text(json.dumps(records))
+    after = inputs()
+    assert after["labels.json"] != before["labels.json"]
+    assert {k: v for k, v in after.items() if k != "labels.json"} == {
+        k: v for k, v in before.items() if k != "labels.json"}
+    assert set(inputs("augment.tasks=TST", f"paths.confusions={confusions}")) == {
+        "logs.json", "labels.json", "lexicon.tsv", "confusions.tsv"}
+
+
 # a decode record's n-best that is not a list of {text, logprob} objects
 NBEST_DEFECTS = {
     "nbest-not-list": {"text": "yes", "logprob": -1.0},
@@ -202,6 +232,14 @@ NBEST_DEFECTS = {
      "config error: model.max_len: expected an int >= 1, got 0"),
     ("train-generate", [], "gen.max_target_tokens=0",
      "config error: gen.max_target_tokens: expected an int >= 1, got 0"),
+    # below 0, each of these four would end a stage in a traceback
+    ("train-detect", [], "seed=-1", "config error: seed: expected an int >= 0, got -1"),
+    ("train-select", [], "track.negatives=-1",
+     "config error: track.negatives: expected an int >= 0, got -1"),
+    ("train-select", [], "rank.negatives=-1",
+     "config error: rank.negatives: expected an int >= 0, got -1"),
+    ("train-select", [], "rank.entity_negatives=-1",
+     "config error: rank.entity_negatives: expected an int >= 0, got -1"),
     ("train-select", [], "augment.ena_probability=1.5",
      "config error: augment.ena_probability: expected a number in [0, 1], got 1.5"),
     ("ensemble", ["--predictions", "{predictions}", "--base", "nope.json"], "",
@@ -253,8 +291,9 @@ NBEST_DEFECTS = {
     ("ensemble", ["--predictions", "{unscored}", "--base", "unscored.json"], "",
      "error: {unscored}: record 1: missing detection_probability"),
 ], ids=["rank-kfolds", "gen-kfolds", "model-d-zero", "model-d-negative",
-        "model-max-len-zero", "gen-max-target-tokens-zero",
-        "ena-probability", "ensemble-base", "ensemble-lengths-differ",
+        "model-max-len-zero", "gen-max-target-tokens-zero", "seed-negative",
+        "track-negatives-negative", "rank-negatives-negative",
+        "rank-entity-negatives-negative", "ena-probability", "ensemble-base", "ensemble-lengths-differ",
         "rank-kfolds-above-turns", "gen-kfolds-above-turns",
         "lexicon-tab", "evaluate-not-json", "evaluate-lengths-differ",
         "logs-not-json", "labels-not-json", "knowledge-not-json",

@@ -808,14 +808,13 @@ class TestPairReadouts:
     # passes `_Z_MAX` in the history's normalisers and its own block; one
     # only at the history's start, outside every window, raises shifts
     # that leave windowed normalisers below `_TINY`
+    # (the tables serve mean pooling only)
     @pytest.mark.parametrize("where,scale", [("right", 60.0), ("history", 80.0)])
-    @pytest.mark.parametrize("pooling", ["mean", "first"])
     def test_normaliser_out_of_range_takes_the_plain_pass(self, monkeypatch, where,
-                                                         scale, pooling):
+                                                         scale):
         rng = np.random.default_rng(11)
         encoder, left, rights = random_case(rng, 24, 30,
                                             rng.integers(1, 9, size=24).tolist())
-        encoder.pooling = pooling
         hot = rights[0][0] if where == "right" else left[0]
         other = (hot + 1) % len(encoder.vocab)
         left = np.where(left == hot, other, left)
@@ -831,7 +830,7 @@ class TestPairReadouts:
         rows = encoder.pair_readouts(left, rights)
         if where == "right":
             assert len(calls) == sum(hot in r for r in rights) > 0
-        elif pooling == "mean":
+        else:
             assert len(calls) == len(rights)
         expected = per_pair_readouts(encoder, left, rights)
         assert np.abs(rows - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -874,6 +873,25 @@ class TestPairReadouts:
                             lambda self, *a: calls.append(len(a[0])) or real(self, *a))
         encoder.pair_readouts(left, rights)
         assert len(calls) == plain
+
+    def test_first_pooling_takes_one_plain_pass_per_pair(self, monkeypatch):
+        """The token tables serve mean pooling: under ``first`` pooling
+        every right side, windowed or not, is one plain `forward`, whose
+        readout row it returns as it is."""
+        encoder, left, rights = random_case(np.random.default_rng(13), 24, 30,
+                                            [0, 3, 6, 24, 9, 3])
+        encoder.pooling = "first"
+        plain = [pair_readout(encoder.forward(*encoder.pair_ids(left, r)))[0]
+                 for r in rights]
+        calls = []
+        real = ToyEncoder.forward
+        monkeypatch.setattr(ToyEncoder, "forward",
+                            lambda self, *a: calls.append(1) or real(self, *a))
+        rows = encoder.pair_readouts(left, rights)
+        assert len(calls) == len(rights)
+        assert rows.tobytes() == np.array(plain).tobytes()
+        expected = per_pair_readouts(encoder, left, rights)
+        assert np.abs(rows - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_scorer_scores_equal_score(self):
         examples = separable_set()
