@@ -51,8 +51,6 @@ def _config(args) -> pipeline.PipelineConfig:
 
 
 def cmd_synth(args) -> int:
-    import os
-
     from .corpus import save_corpus, save_knowledge_base
     from .synth import MiniCorpusConfig, build_mini_corpus, save_lexicon
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,8 +101,6 @@ def strip_trailing_interrogatives(response: str,
 
 def preprocess_responses(dialogues: Sequence[Dialogue],
                          interrogatives: Sequence[str]) -> list[Dialogue]:
-    from dataclasses import replace
-
     out = []
     for d in dialogues:
         if d.label is None or d.label.response is None:

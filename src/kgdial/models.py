@@ -58,6 +58,9 @@ from .corpus import tokenize
 
 UNK = "⟨unk⟩"
 
+# the encoder's poolings: the mean over the positions, or position 0
+POOLINGS = ("mean", "first")
+
 CHECKPOINT_VERSION = 2
 _LAYOUT = "layout"
 
@@ -142,7 +145,7 @@ class ToyEncoder:
                  params: Optional[dict[str, np.ndarray]] = None):
         """Seeded initial weights, or ``params`` (laid out as
         `param_shapes` says) as they are, with nothing drawn."""
-        if pooling not in ("mean", "first"):
+        if pooling not in POOLINGS:
             raise ModelError(f"unknown pooling: {pooling}")
         self.vocab = dict(vocab)
         self.d = d
@@ -914,7 +917,7 @@ _FIELD_TYPES = {
     "encoder.d": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "encoder.max_len": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "encoder.seed": (_is_int, "an integer"),
-    "encoder.pooling": (lambda v: v in ("mean", "first"), "'mean' or 'first'"),
+    "encoder.pooling": (lambda v: v in POOLINGS, "'mean' or 'first'"),
     "domains": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
                 "a list of strings"),
     "use_mtl": (lambda v: isinstance(v, bool), "a boolean"),

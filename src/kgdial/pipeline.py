@@ -27,8 +27,8 @@ from .consensus import (Candidate, CandidatePool, ConsensusWeights, TuneConfig,
 from .corpus import (CorpusError, Dialogue, KnowledgeBase, check_kfold,
                      check_turn_records, linearize_history, load_corpus,
                      load_knowledge_base, read_turn_records, save_corpus,
-                     strip_labels)
-from .detect import build_detection_examples
+                     split_kfold, strip_labels)
+from .detect import build_detection_examples, error_fixing_ensemble
 from .entity_track import (TrackMethod, build_tracking_examples,
                            collect_candidates, exact_match_entities,
                            fuzzy_match_entities, track_entities)
@@ -37,13 +37,13 @@ from .generate import (GenTrainConfig, ToyGenerator, build_gen_examples,
                        preprocess_responses, train_generator)
 from .metrics import (MetricReport, generation_report, mrr_at_k,
                       precision_recall_f1, recall_at_k)
-from .models import (ModelError, TrainConfig, check_fields, check_tensors,
+from .models import (POOLINGS, TrainConfig, check_fields, check_tensors,
                      load_checkpoint, save_checkpoint, scorer_from_checkpoint,
                      scorer_to_checkpoint, train_pair_classifier)
 from .rank import (DialogueFeatures, PointwiseConfig,
                    RankedKnowledgeList, Variant, build_listwise_training_data,
-                   dialogue_features, ensemble_rank, listwise_rerank,
-                   pointwise_rank, train_listwise, train_pointwise)
+                   dialogue_features, ensemble_rank, listwise_rerank, load_rankers,
+                   pointwise_rank, save_rankers, train_listwise, train_pointwise)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,9 +113,11 @@ CONFIG_DEFAULTS: dict[str, object] = {
 # the least valid value of each bounded integer key, in `CONFIG_DEFAULTS`
 # order, so that the first bad key is the one reported
 _INT_MINIMA = {
-    "seed": 0, "detect.batch_size": 1, "track.negatives": 0, "rank.batch_size": 1,
+    "seed": 0, "augment.neighbor_k": 1, "detect.epochs": 0, "detect.batch_size": 1,
+    "track.epochs": 0, "track.negatives": 0, "rank.epochs": 0, "rank.batch_size": 1,
     "rank.negatives": 0, "rank.entity_negatives": 0, "rank.kfolds": 2,
-    "gen.batch_size": 1, "gen.max_target_tokens": 1, "gen.kfolds": 2, "model.d": 1,
+    "rank.listwise_epochs": 0, "gen.epochs": 0, "gen.batch_size": 1,
+    "gen.max_target_tokens": 1, "gen.kfolds": 2, "gen.nbest": 1, "model.d": 1,
     "model.max_len": 1,
 }
 
@@ -135,8 +137,9 @@ class PipelineConfig:
         merged = dict(CONFIG_DEFAULTS)
         merged.update((key, _coerce(key, value)) for key, value in self.values.items())
         self.values = merged
-        for key, kind in (("rank.variant", Variant), ("track.method", TrackMethod)):
-            allowed = [v.value for v in kind]
+        for key, allowed in (("rank.variant", [v.value for v in Variant]),
+                             ("track.method", [m.value for m in TrackMethod]),
+                             ("model.pooling", list(POOLINGS))):
             if merged[key] not in allowed:
                 raise ConfigError(f"{key}: expected one of {allowed}, "
                                   f"got {merged[key]!r}")
@@ -340,9 +343,6 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
 
     pw_config = _pointwise_config(config)
     pointwise = train_pointwise(ks, kb, pw_config)
-    pw_path = config.output_path("pointwise.npz")
-    _save_rank_model(pointwise, pw_path)
-    outputs.append(pw_path)
 
     tracker_fn = load_tracker(config, tracker)
     instances, stats = build_listwise_training_data(
@@ -350,9 +350,9 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
         tracker=lambda d, kb_: collect_candidates(tracker_fn(d, kb_), kb_))
     listwise = train_listwise(instances, pointwise, replace(
         pw_config.train, epochs=config["rank.listwise_epochs"]))
-    lw_path = config.output_path("listwise.npz")
-    _save_rank_model(listwise, lw_path)
-    outputs.append(lw_path)
+    rankers_path = config.output_path("rankers.npz")
+    save_rankers(pointwise, listwise, rankers_path)
+    outputs.append(rankers_path)
     stats_path = config.output_path("listwise.stats.json")
     with open(stats_path, "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=1, sort_keys=True)
@@ -374,15 +374,6 @@ def _pointwise_config(config: PipelineConfig) -> PointwiseConfig:
         ena=AugmentConfig(ena_probability=config["augment.ena_probability"],
                           ena_delete_prob=config["augment.ena_delete_prob"]),
         train=_model_train_config(config, "rank"))
-
-
-def _save_rank_model(model, path: str) -> None:
-    meta = {"kind": type(model).__name__, "vocab": model.encoder.vocab,
-            "encoder": model.encoder.config(),
-            "variant": model.config.variant.value}
-    if meta["kind"] == "PointwiseModel":
-        meta.update(use_mtl=model.config.use_mtl, domains=model.domains)
-    save_checkpoint(path, model.all_params(), meta)
 
 
 def stage_train_generate(config: PipelineConfig) -> list[str]:
@@ -436,8 +427,6 @@ def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
                             config: PipelineConfig) -> dict[str, list]:
     """Decode every training turn with a ranker that never saw it. Too
     many folds for ``ks`` fail in `split_kfold`, before any ranker trains."""
-    from .corpus import split_kfold
-
     folds = split_kfold(list(ks), k=config["gen.kfolds"], seed=config.seed)
     tracker_fn = load_tracker(config)
     pw_config = replace(_pointwise_config(config), use_mtl=False, ena=None)
@@ -587,13 +576,11 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     kb = load_knowledge_base(require(config["paths.knowledge"], "synth"))
     checkpoints = {name: require(config.output_path(f"{name}.npz"), stage)
                    for name, stage in (("detector", "train-detect"),
-                                       ("pointwise", "train-select"),
-                                       ("listwise", "train-select"),
+                                       ("rankers", "train-select"),
                                        ("generator", "train-generate"))}
     detector = scorer_from_checkpoint(checkpoints["detector"])
     tracker = load_tracker(config)
-    pointwise = _load_rank_model(checkpoints["pointwise"], "PointwiseModel")
-    listwise = _load_rank_model(checkpoints["listwise"], "ListwiseModel")
+    pointwise, listwise = load_rankers(checkpoints["rankers"])
     generator = load_generator(checkpoints["generator"])
     inputs = [config["paths.logs"], config["paths.labels"], config["paths.knowledge"],
               *checkpoints.values(), *_tracker_inputs(config)]
@@ -633,30 +620,6 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     return [path, manifest]
 
 
-def _load_rank_model(path: str, kind: str):
-    """A rank model as train-select saved it: its variant, multi-task head
-    and domain list come from the checkpoint, not from the decode config."""
-    from .rank import ListwiseModel, PointwiseModel
-
-    tensors, meta = load_checkpoint(path, kind)
-    check_fields(path, meta, ("vocab", "encoder", "variant", "use_mtl", "domains")
-                 if kind == "PointwiseModel" else ("vocab", "encoder", "variant"))
-    try:
-        variant = Variant(meta["variant"])
-    except ValueError as exc:
-        raise ModelError(f"checkpoint {path}: {exc}") from exc
-    n_vocab = len(meta["vocab"])
-    config = PointwiseConfig(use_mtl=kind == "PointwiseModel" and meta["use_mtl"],
-                             variant=variant,
-                             train=TrainConfig(**meta["encoder"]))
-    if kind == "PointwiseModel":
-        check_tensors(path, PointwiseModel.param_shapes(n_vocab, meta["domains"], config),
-                      tensors)
-        return PointwiseModel(meta["vocab"], meta["domains"], config, tensors)
-    check_tensors(path, ListwiseModel.param_shapes(n_vocab, config), tensors)
-    return ListwiseModel(meta["vocab"], config, tensors)
-
-
 def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
                    base_system: str) -> list[str]:
     """Error-fixing ensemble over several detection prediction files, each
@@ -664,8 +627,6 @@ def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
     probabilities; a record without one is a CorpusError. A system is named
     by its file's base name, so two files of one name are a CorpusError
     too."""
-    from .detect import error_fixing_ensemble
-
     probabilities, paths = {}, {}
     for path in prediction_paths:
         name = os.path.basename(path)

@@ -51,7 +51,11 @@ The list-wise reranker is derived from a trained point-wise ranker
 (`train_listwise`): it takes the point-wise model's vocabulary, its
 `PointwiseConfig` (a list-wise model reads only the variant and the encoder
 settings) and its tensors as its starting point, since list-wise data is
-scarce (one instance per turn instead of one per candidate).
+scarce (one instance per turn instead of one per candidate). So the two
+are saved as one checkpoint (`save_rankers`, `load_rankers`): the
+point-wise tensors named ``pointwise.*``, the list-wise ones
+``listwise.*``, and the vocabulary, encoder config and variant they share,
+with the point-wise ``use_mtl`` and domain list, written once.
 
 The multi-task head computes, for a pooled query vector f and per-token
 states H of the concatenated entity names,
@@ -80,9 +84,10 @@ from .corpus import (Dialogue, Entity, KnowledgeBase, KnowledgeSnippet,
                      TAG_ENT, TOP_K, Turn, linearize_history, linearize_knowledge,
                      split_kfold, tokenize)
 from .entity_track import exact_match_entities, exact_mentions
-from .models import (ToyEncoder, ToyPairScorer, TrainConfig, bce_loss, build_vocab,
-                     pair_scorer_shapes, prefixed, sigmoid, softmax, softmax_backward,
-                     stacked_dot, train_model, unprefixed)
+from .models import (ModelError, ToyEncoder, ToyPairScorer, TrainConfig, bce_loss,
+                     build_vocab, check_fields, check_tensors, load_checkpoint,
+                     pair_scorer_shapes, prefixed, save_checkpoint, sigmoid, softmax,
+                     softmax_backward, stacked_dot, train_model, unprefixed)
 
 N_SPARSE = 4  # is_domain_level, is_last_entity, unigram, bigram
 
@@ -848,6 +853,40 @@ def train_listwise(instances: Sequence[ListwiseInstance], pointwise: PointwiseMo
                           params=pointwise.all_params())
     train_model(model, list(instances), train)
     return model
+
+
+def save_rankers(pointwise: PointwiseModel, listwise: ListwiseModel, path: str) -> None:
+    """One checkpoint of the two rankers: the point-wise tensors named
+    ``pointwise.*``, the list-wise ones ``listwise.*``, and the vocabulary,
+    encoder config, variant, ``use_mtl`` and domain list written once: the
+    list-wise model shares the vocabulary, encoder config and variant of
+    the point-wise one it continues (`train_listwise`)."""
+    meta = {"kind": "rankers", "vocab": pointwise.encoder.vocab,
+            "encoder": pointwise.encoder.config(),
+            "variant": pointwise.config.variant.value,
+            "use_mtl": pointwise.config.use_mtl, "domains": pointwise.domains}
+    save_checkpoint(path, {**prefixed("pointwise.", pointwise.all_params()),
+                           **prefixed("listwise.", listwise.all_params())}, meta)
+
+
+def load_rankers(path: str) -> tuple[PointwiseModel, ListwiseModel]:
+    """The two rankers as train-select saved them (`save_rankers`): their
+    variant, multi-task head and domain list come from the checkpoint, not
+    from the decode config."""
+    tensors, meta = load_checkpoint(path, "rankers")
+    check_fields(path, meta, ("vocab", "encoder", "variant", "use_mtl", "domains"))
+    try:
+        variant = Variant(meta["variant"])
+    except ValueError as exc:
+        raise ModelError(f"checkpoint {path}: {exc}") from exc
+    vocab, domains = meta["vocab"], meta["domains"]
+    config = PointwiseConfig(use_mtl=meta["use_mtl"], variant=variant,
+                             train=TrainConfig(**meta["encoder"]))
+    check_tensors(path, {
+        **prefixed("pointwise.", PointwiseModel.param_shapes(len(vocab), domains, config)),
+        **prefixed("listwise.", ListwiseModel.param_shapes(len(vocab), config))}, tensors)
+    return (PointwiseModel(vocab, domains, config, unprefixed("pointwise.", tensors)),
+            ListwiseModel(vocab, config, unprefixed("listwise.", tensors)))
 
 
 def listwise_rerank(model: ListwiseModel, ranked: RankedKnowledgeList,

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgdial.cli import main
 from kgdial.consensus import ConsensusWeights, save_weights
-from kgdial.models import load_checkpoint, save_checkpoint
+from kgdial.models import load_checkpoint, save_checkpoint, unprefixed
 from kgdial.pipeline import CONFIG_DEFAULTS, EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK
 from test_models import (ARCHIVE_DEFECTS, UNREADABLE_ARCHIVES, rewrite_checkpoint,
                          write_archive)
@@ -82,6 +83,30 @@ def test_decode_before_train_is_dependency_error(workdir, tmp_path):
                  f"paths.output={tmp_path / 'out'}"]) == EXIT_DEPENDENCY
 
 
+def test_decode_of_the_two_file_rank_layout_is_dependency_error(trained, tmp_path,
+                                                                capsys):
+    """An output directory from before ``rankers.npz``, its rankers saved as
+    ``pointwise.npz`` and ``listwise.npz``, is not decoded: decode names the
+    one rank checkpoint and the stage that writes it."""
+    root, _, cfg = trained
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    tensors, meta = load_checkpoint(str(out / "rankers.npz"))
+    for name, kind, fields in (
+            ("pointwise", "PointwiseModel", ("vocab", "encoder", "variant", "use_mtl",
+                                             "domains")),
+            ("listwise", "ListwiseModel", ("vocab", "encoder", "variant"))):
+        save_checkpoint(str(out / f"{name}.npz"), unprefixed(f"{name}.", tensors),
+                        {"kind": kind, **{key: meta[key] for key in fields}})
+    (out / "rankers.npz").unlink()
+    capsys.readouterr()
+    assert main(["decode", "--config", str(cfg),
+                 "--stage-overrides", f"paths.output={out}"]) == EXIT_DEPENDENCY
+    assert capsys.readouterr().err == (
+        f"dependency error: missing artifact {str(out / 'rankers.npz')!r}: "
+        f"run the 'train-select' stage first\n")
+
+
 def test_ensemble_of_a_missing_file_is_dependency_error(workdir, tmp_path):
     _, _, cfg = workdir
     assert main(["ensemble", "--config", str(cfg), "--predictions",
@@ -120,6 +145,9 @@ def test_unknown_rank_variant_is_one_line_config_error(workdir, command, capsys)
     ("train-select", "track.method=XX",
      "config error: track.method: expected one of ['exact', 'fuzzy', "
      "'learned'], got 'XX'"),
+    # so is model.pooling, before train-detect builds an encoder
+    ("train-detect", "model.pooling=max",
+     "config error: model.pooling: expected one of ['mean', 'first'], got 'max'"),
     # rank.alpha is checked when the config loads, before any stage runs
     ("decode", "rank.alpha=0", "config error: rank.alpha: expected a number > 0, got 0.0"),
     ("train-select", "rank.alpha=-1",
@@ -240,6 +268,17 @@ NBEST_DEFECTS = {
      "config error: rank.negatives: expected an int >= 0, got -1"),
     ("train-select", [], "rank.entity_negatives=-1",
      "config error: rank.entity_negatives: expected an int >= 0, got -1"),
+    # a negative epoch count would train nothing, and exit 0
+    *[(command, [], f"{key}=-1", f"config error: {key}: expected an int >= 0, got -1")
+      for command, key in (("train-detect", "detect.epochs"),
+                           ("train-select", "track.epochs"),
+                           ("train-select", "rank.epochs"),
+                           ("train-select", "rank.listwise_epochs"),
+                           ("train-generate", "gen.epochs"))],
+    # no n-best would fail at decode's first targeted turn
+    ("decode", [], "gen.nbest=0", "config error: gen.nbest: expected an int >= 1, got 0"),
+    ("augment", [], "augment.neighbor_k=0",
+     "config error: augment.neighbor_k: expected an int >= 1, got 0"),
     ("train-select", [], "augment.ena_probability=1.5",
      "config error: augment.ena_probability: expected a number in [0, 1], got 1.5"),
     ("ensemble", ["--predictions", "{predictions}", "--base", "nope.json"], "",
@@ -293,7 +332,10 @@ NBEST_DEFECTS = {
 ], ids=["rank-kfolds", "gen-kfolds", "model-d-zero", "model-d-negative",
         "model-max-len-zero", "gen-max-target-tokens-zero", "seed-negative",
         "track-negatives-negative", "rank-negatives-negative",
-        "rank-entity-negatives-negative", "ena-probability", "ensemble-base", "ensemble-lengths-differ",
+        "rank-entity-negatives-negative", "detect-epochs-negative",
+        "track-epochs-negative", "rank-epochs-negative", "rank-listwise-epochs-negative",
+        "gen-epochs-negative", "gen-nbest-zero", "augment-neighbor-k-zero",
+        "ena-probability", "ensemble-base", "ensemble-lengths-differ",
         "rank-kfolds-above-turns", "gen-kfolds-above-turns",
         "lexicon-tab", "evaluate-not-json", "evaluate-lengths-differ",
         "logs-not-json", "labels-not-json", "knowledge-not-json",
@@ -372,7 +414,7 @@ def test_manifests_record_hashes(trained, tmp_path):
     # fuzzy tracking reads no tracker; no consensus weights were tuned
     assert set(manifest["inputs"]) == {
         "logs.json", "labels.json", "knowledge.json", "detector.npz",
-        "pointwise.npz", "listwise.npz", "generator.npz"}
+        "rankers.npz", "generator.npz"}
     for name in ("detector.npz", "generator.npz"):
         assert manifest["inputs"][name] == hashlib.sha256(
             (out / name).read_bytes()).hexdigest()
@@ -446,9 +488,9 @@ def _set_field(block, key, value):
     *[pytest.param("generator.npz", p.values[0], " is not a readable .npz archive",
                    id=p.id) for p in UNREADABLE_ARCHIVES],
     pytest.param("generator.npz", _drop_d, ": missing field 'd'", id="missing-field"),
-    pytest.param("pointwise.npz", _set_field(None, "domains", 5),
+    pytest.param("rankers.npz", _set_field(None, "domains", 5),
                  ": field 'domains' is not a list of strings", id="domains-not-a-list"),
-    pytest.param("pointwise.npz", _set_field("encoder", "max_len", "x"),
+    pytest.param("rankers.npz", _set_field("encoder", "max_len", "x"),
                  ": field 'encoder.max_len' is not an integer >= 1",
                  id="max-len-not-an-integer"),
     pytest.param("generator.npz", _set_field(None, "d", "x"),
@@ -508,16 +550,19 @@ def test_malformed_knowledge_base_is_one_line_domain_error(workdir, tmp_path, ca
 
 
 def test_decode_time_domain_error_is_one_line(trained, tmp_path, capsys):
-    # n = 0 passes config loading and fails in generation, inside decode
+    # a non-finite wide weight passes checkpoint loading and fails in
+    # ranking, inside decode
     root, _, cfg = trained
     out = tmp_path / "out"
     shutil.copytree(root / "out", out)
+    rewrite_checkpoint(str(out / "rankers.npz"), str(out / "rankers.npz"),
+                       lambda tensors, meta: tensors["pointwise.wide.u"].fill(np.nan))
     capsys.readouterr()
     assert main(["decode", "--config", str(cfg), "--stage-overrides",
-                 f"paths.output={out}", "gen.nbest=0"]) == EXIT_CONFIG
+                 f"paths.output={out}"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: decode failed at turn ")
-    assert err.rstrip().endswith("n must be >= 1")
+    assert err.rstrip().endswith("probabilities must lie in [0,1]")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -24,13 +24,13 @@ from kgdial.pipeline import (
     write_manifest,
 )
 from kgdial.generate import GenerateError, ToyGenerator
-from kgdial.models import (ModelError, ToyEncoder, ToyPairScorer, TrainConfig,
-                           load_checkpoint, scorer_from_checkpoint,
-                           scorer_to_checkpoint)
-from kgdial.pipeline import (_load_rank_model, _save_generator, _save_rank_model,
-                             load_generator)
+from kgdial.models import (POOLINGS, ModelError, ToyEncoder, ToyPairScorer,
+                           TrainConfig, load_checkpoint, prefixed, save_checkpoint,
+                           scorer_from_checkpoint, scorer_to_checkpoint)
+from kgdial.pipeline import _save_generator, load_generator
 from kgdial.rank import (ListwiseModel, PointwiseConfig, PointwiseModel,
-                         RankedKnowledgeList, Variant, ensemble_rank)
+                         RankedKnowledgeList, Variant, ensemble_rank, load_rankers,
+                         save_rankers)
 from kgdial.synth import MiniCorpusConfig, build_mini_corpus, save_lexicon
 from test_models import CHECKPOINT_DEFECTS, forbid_draws, rewrite_checkpoint
 
@@ -45,9 +45,11 @@ def config_text(key):
     """Strings a config file, an override and a dict all read as a valid
     value of ``key``."""
     default = CONFIG_DEFAULTS[key]
-    if key in ("rank.variant", "track.method"):
-        kind = Variant if key == "rank.variant" else TrackMethod
-        return st.sampled_from([v.value for v in kind])
+    enums = {"rank.variant": [v.value for v in Variant],
+             "track.method": [m.value for m in TrackMethod],
+             "model.pooling": list(POOLINGS)}
+    if key in enums:
+        return st.sampled_from(enums[key])
     if isinstance(default, bool):
         return st.sampled_from(["true", "false", "1", "0", "yes", "no", "True", "NO"])
     if isinstance(default, int):
@@ -604,18 +606,18 @@ def test_seeded_training_runs_give_identical_checkpoints(trained, tmp_path):
         for stage in (stage_train_detect, stage_train_select, stage_train_generate):
             stage(config)
         runs.append({name: _checkpoint_members(config.output_path(name))
-                     for name in ("detector.npz", "tracker.npz", "pointwise.npz",
-                                  "listwise.npz", "generator.npz")})
+                     for name in ("detector.npz", "tracker.npz", "rankers.npz",
+                                  "generator.npz")})
     assert runs[0] == runs[1]
 
 
 def test_rankers_pool_as_configured(trained, tmp_path):
     config = _copy_outputs(trained[0], tmp_path, **{"model.pooling": "first"})
     stage_train_select(config)
-    for name, kind in (("pointwise", "PointwiseModel"), ("listwise", "ListwiseModel")):
-        path = config.output_path(f"{name}.npz")
-        assert load_checkpoint(path)[1]["encoder"]["pooling"] == "first", name
-        assert _load_rank_model(path, kind).encoder.pooling == "first", name
+    path = config.output_path("rankers.npz")
+    assert load_checkpoint(path)[1]["encoder"]["pooling"] == "first"
+    for model in load_rankers(path):
+        assert model.encoder.pooling == "first", type(model).__name__
     with open(stage_decode(config)[0], encoding="utf-8") as fh:
         validate_labels_schema(json.load(fh))
 
@@ -646,37 +648,39 @@ def test_generation_contexts_follow_max_history_tokens(trained, tmp_path,
     assert truncated > 0
 
 
+def _loaded_params(loaded):
+    """The tensors of a loaded model, or of a loaded ranker pair named as
+    `save_rankers` names them."""
+    if isinstance(loaded, tuple):
+        pointwise, listwise = loaded
+        return {**prefixed("pointwise.", pointwise.all_params()),
+                **prefixed("listwise.", listwise.all_params())}
+    return loaded.all_params()
+
+
 class TestCheckpointValidation:
     VOCAB = {"a": 0, "b": 1, "c": 2}
 
     def loaders(self, kb):
-        """(name, save a good checkpoint to a path, load a path) for every
-        model that decode loads from train-* output."""
-        def rank_loader(kind):
-            return lambda path: _load_rank_model(path, kind)
-
+        """{name: (save a good checkpoint to a path, load a path)} for every
+        checkpoint that decode loads from train-* output."""
         domains = sorted({s.domain for s in kb.snippets})
-        pointwise = PointwiseModel(self.VOCAB, domains,
-                                   PointwiseConfig(use_mtl=True,
-                                                   train=TrainConfig(d=4, max_len=8)))
-        listwise = ListwiseModel(self.VOCAB,
-                                 PointwiseConfig(train=TrainConfig(d=4, max_len=8)))
+        config = PointwiseConfig(use_mtl=True, train=TrainConfig(d=4, max_len=8))
+        pointwise = PointwiseModel(self.VOCAB, domains, config)
+        listwise = ListwiseModel(self.VOCAB, config)
         generator = ToyGenerator(self.VOCAB, d=4, max_target_tokens=5)
         scorer = ToyPairScorer(ToyEncoder(self.VOCAB, d=4, max_len=8))
-        return [
-            ("pointwise", lambda path: _save_rank_model(pointwise, path),
-             rank_loader("PointwiseModel")),
-            ("listwise", lambda path: _save_rank_model(listwise, path),
-             rank_loader("ListwiseModel")),
-            ("generator", lambda path: _save_generator(generator, path),
-             load_generator),
-            ("pair_scorer", lambda path: scorer_to_checkpoint(scorer, path),
-             scorer_from_checkpoint),
-        ]
+        return {
+            "rankers": (lambda path: save_rankers(pointwise, listwise, path),
+                        load_rankers),
+            "generator": (lambda path: _save_generator(generator, path), load_generator),
+            "pair_scorer": (lambda path: scorer_to_checkpoint(scorer, path),
+                            scorer_from_checkpoint),
+        }
 
     @pytest.mark.parametrize("edit,pattern", CHECKPOINT_DEFECTS)
     def test_decode_loads_reject_defect(self, mini, tmp_path, edit, pattern):
-        for name, save, load in self.loaders(mini[1]):
+        for name, (save, load) in self.loaders(mini[1]).items():
             good = str(tmp_path / f"{name}.npz")
             save(good)
             load(good)
@@ -685,16 +689,16 @@ class TestCheckpointValidation:
                 load(bad)
             assert bad in str(info.value), name
 
-    # (index in `loaders`, config field) of every field a loader reads;
-    # ``block.key`` is a key of the ``block`` object
-    @pytest.mark.parametrize("index,field", [
-        (0, "variant"), (0, "use_mtl"), (0, "domains"), (1, "variant"),
-        *[(index, field) for index in (0, 1, 3) for field in (
+    # (loader, config field) of every field a loader reads; ``block.key`` is
+    # a key of the ``block`` object
+    @pytest.mark.parametrize("name,field", [
+        ("rankers", "variant"), ("rankers", "use_mtl"), ("rankers", "domains"),
+        *[(name, field) for name in ("rankers", "pair_scorer") for field in (
             "vocab", "encoder", *(f"encoder.{key}" for key in ToyEncoder.CONFIG_FIELDS))],
-        *[(2, field) for field in ("vocab", "d", "max_target_tokens", "seed")]])
+        *[("generator", field) for field in ("vocab", "d", "max_target_tokens", "seed")]])
     def test_rank_checkpoint_without_its_training_settings_is_rejected(
-            self, mini, tmp_path, index, field):
-        _, save, load = self.loaders(mini[1])[index]
+            self, mini, tmp_path, name, field):
+        save, load = self.loaders(mini[1])[name]
         good = str(tmp_path / "good.npz")
         save(good)
         block, _, key = field.rpartition(".")
@@ -707,35 +711,36 @@ class TestCheckpointValidation:
             load(bad)
         assert bad in str(info.value)
 
-    @pytest.mark.parametrize("index,edit,pattern", [
-        *[(index, lambda meta: meta["encoder"].update(epochs=3),
-           "unknown field 'encoder.epochs'") for index in (0, 1, 3)],
-        *[(index, lambda meta: meta.update(variant="bogus"),
-           "'bogus' is not a valid Variant") for index in (0, 1)],
-        (0, lambda meta: meta.update(vocab={"a": "0"}),
+    @pytest.mark.parametrize("name,edit,pattern", [
+        *[(name, lambda meta: meta["encoder"].update(epochs=3),
+           "unknown field 'encoder.epochs'") for name in ("rankers", "pair_scorer")],
+        ("rankers", lambda meta: meta.update(variant="bogus"),
+         "'bogus' is not a valid Variant"),
+        ("rankers", lambda meta: meta.update(vocab={"a": "0"}),
          "field 'vocab' is not an object of string -> integer"),
-        (3, lambda meta: meta["encoder"].update(d=True),
+        ("pair_scorer", lambda meta: meta["encoder"].update(d=True),
          "field 'encoder.d' is not an integer >= 1"),
-        (1, lambda meta: meta["encoder"].update(max_len=0),
+        ("rankers", lambda meta: meta["encoder"].update(max_len=0),
          "field 'encoder.max_len' is not an integer >= 1"),
-        (0, lambda meta: meta["encoder"].update(seed=1.5),
+        ("rankers", lambda meta: meta["encoder"].update(seed=1.5),
          "field 'encoder.seed' is not an integer"),
-        (3, lambda meta: meta["encoder"].update(pooling="max"),
+        ("pair_scorer", lambda meta: meta["encoder"].update(pooling="max"),
          "field 'encoder.pooling' is not 'mean' or 'first'"),
-        (0, lambda meta: meta.update(domains=["hotel", 3]),
+        ("rankers", lambda meta: meta.update(domains=["hotel", 3]),
          "field 'domains' is not a list of strings"),
-        (0, lambda meta: meta.update(use_mtl="yes"), "field 'use_mtl' is not a boolean"),
-        (2, lambda meta: meta.update(max_target_tokens="5"),
+        ("rankers", lambda meta: meta.update(use_mtl="yes"),
+         "field 'use_mtl' is not a boolean"),
+        ("generator", lambda meta: meta.update(max_target_tokens="5"),
          "field 'max_target_tokens' is not an integer"),
-        (2, lambda meta: meta.update(seed=None), "field 'seed' is not an integer")],
-        ids=["pointwise-encoder", "listwise-encoder", "pair_scorer-encoder",
-             "pointwise-variant", "listwise-variant", "vocab-id-a-string",
-             "encoder-d-a-bool", "encoder-max-len-zero", "encoder-seed-a-float",
-             "encoder-pooling-unknown", "domains-not-strings", "use-mtl-a-string",
-             "generator-max-target-tokens-a-string", "generator-seed-null"])
+        ("generator", lambda meta: meta.update(seed=None), "field 'seed' is not an integer")],
+        ids=["rankers-encoder", "pair_scorer-encoder", "rankers-variant",
+             "vocab-id-a-string", "encoder-d-a-bool", "encoder-max-len-zero",
+             "encoder-seed-a-float", "encoder-pooling-unknown", "domains-not-strings",
+             "use-mtl-a-string", "generator-max-target-tokens-a-string",
+             "generator-seed-null"])
     def test_checkpoint_with_an_unknown_config_value_is_rejected(self, mini, tmp_path,
-                                                                 index, edit, pattern):
-        _, save, load = self.loaders(mini[1])[index]
+                                                                 name, edit, pattern):
+        save, load = self.loaders(mini[1])[name]
         good = str(tmp_path / "good.npz")
         save(good)
         bad = rewrite_checkpoint(good, str(tmp_path / "bad.npz"),
@@ -745,46 +750,62 @@ class TestCheckpointValidation:
         assert bad in str(info.value)
 
     def test_decode_loads_draw_no_weights(self, mini, tmp_path, monkeypatch):
-        """Each loader builds its model around the checkpoint's tensors."""
-        for name, save, load in self.loaders(mini[1]):
+        """Each loader builds its models around the checkpoint's tensors."""
+        for name, (save, load) in self.loaders(mini[1]).items():
             path = str(tmp_path / f"{name}.npz")
             save(path)
             saved, _ = load_checkpoint(path)
             with monkeypatch.context() as patch:
                 forbid_draws(patch)
-                params = load(path).all_params()
+                params = _loaded_params(load(path))
             assert sorted(params) == sorted(saved), name
             for key, value in saved.items():
                 assert params[key].tobytes() == value.tobytes(), (name, key)
 
-    def test_listwise_checkpoint_round_trips(self, tmp_path):
-        config = PointwiseConfig(variant=Variant.WD, train=TrainConfig(
+    def test_rank_checkpoint_round_trips(self, tmp_path):
+        """Both rankers come back with their tensors, vocabulary, encoder
+        config and variant bit for bit, and a re-save writes the same
+        checkpoint."""
+        config = PointwiseConfig(use_mtl=True, variant=Variant.WD, train=TrainConfig(
             seed=3, d=4, max_len=8, pooling="first"))
-        listwise = ListwiseModel(self.VOCAB, config)
+        domains = ["hotel", "restaurant"]
+        models = (PointwiseModel(self.VOCAB, domains, config),
+                  ListwiseModel(self.VOCAB, config))
         rng = np.random.default_rng(0)
-        for value in listwise.all_params().values():
-            value[...] = rng.normal(size=value.shape)
-        paths = [str(tmp_path / "listwise.npz"), str(tmp_path / "again.npz")]
-        _save_rank_model(listwise, paths[0])
-        loaded = _load_rank_model(paths[0], "ListwiseModel")
-        assert isinstance(loaded, ListwiseModel)
-        assert loaded.encoder.vocab == self.VOCAB
-        assert loaded.encoder.config() == listwise.encoder.config()
-        assert loaded.config.variant is Variant.WD
-        assert {k: v.tobytes() for k, v in loaded.all_params().items()} == {
-            k: v.tobytes() for k, v in listwise.all_params().items()}
-        _save_rank_model(loaded, paths[1])
+        for model in models:
+            for value in model.all_params().values():
+                value[...] = rng.normal(size=value.shape)
+        paths = [str(tmp_path / "rankers.npz"), str(tmp_path / "again.npz")]
+        save_rankers(*models, paths[0])
+        loaded = load_rankers(paths[0])
+        for model, restored in zip(models, loaded):
+            assert type(restored) is type(model)
+            assert restored.encoder.vocab == self.VOCAB
+            assert restored.encoder.config() == model.encoder.config()
+            assert restored.config.variant is Variant.WD
+            assert {k: v.tobytes() for k, v in restored.all_params().items()} == {
+                k: v.tobytes() for k, v in model.all_params().items()}
+        assert loaded[0].domains == domains and loaded[0].config.use_mtl
+        save_rankers(*loaded, paths[1])
         (first, first_meta), (second, second_meta) = map(load_checkpoint, paths)
         assert first_meta == second_meta
         assert {k: v.tobytes() for k, v in first.items()} == {
             k: v.tobytes() for k, v in second.items()}
 
-    def test_rank_checkpoint_of_the_other_kind_is_rejected(self, mini, tmp_path):
-        _, save, _ = self.loaders(mini[1])[1]
-        path = str(tmp_path / "listwise.npz")
-        save(path)
-        with pytest.raises(ModelError, match="expected 'PointwiseModel'"):
-            _load_rank_model(path, "PointwiseModel")
+    def test_rank_checkpoint_of_the_other_kind_is_rejected(self, tmp_path):
+        """A point-wise checkpoint of the two-file layout, which predates
+        ``rankers.npz``, is refused by its kind, in one line."""
+        pointwise = PointwiseModel(self.VOCAB, ["hotel"], PointwiseConfig(
+            train=TrainConfig(d=4, max_len=8)))
+        path = str(tmp_path / "pointwise.npz")
+        save_checkpoint(path, pointwise.all_params(), {
+            "kind": "PointwiseModel", "vocab": self.VOCAB,
+            "encoder": pointwise.encoder.config(), "variant": "WD2", "use_mtl": False,
+            "domains": ["hotel"]})
+        with pytest.raises(ModelError) as info:
+            load_rankers(path)
+        assert str(info.value) == (f"checkpoint {path}: key 'kind' is 'PointwiseModel', "
+                                   f"expected 'rankers'")
 
 
 class TestTrackerFactory:
