@@ -24,13 +24,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 from . import pipeline
 from .augment import AugmentError
 from .consensus import ConsensusError
-from .corpus import CorpusError
+from .corpus import CorpusError, save_corpus, save_knowledge_base
 from .detect import DetectError
 from .generate import GenerateError
 from .models import ModelError
 from .pipeline import (ConfigError, DependencyError, EXIT_CONFIG,
                        EXIT_DEPENDENCY, EXIT_OK, load_config)
 from .rank import RankError
+from .synth import MiniCorpusConfig, build_mini_corpus, save_lexicon
 
 DOMAIN_ERRORS = (CorpusError, AugmentError, DetectError, ModelError, RankError,
                  GenerateError, ConsensusError)
@@ -50,37 +51,30 @@ def _config(args) -> pipeline.PipelineConfig:
     return load_config(args.config, overrides)
 
 
-def cmd_synth(args) -> int:
-    from .corpus import save_corpus, save_knowledge_base
-    from .synth import MiniCorpusConfig, build_mini_corpus, save_lexicon
-
+def cmd_synth(args) -> None:
     os.makedirs(args.output, exist_ok=True)
-    config = MiniCorpusConfig(n_dialogues=args.dialogues, seed=args.seed or 0)
-    dialogues, kb, lexicon = build_mini_corpus(config)
-    save_corpus(dialogues, os.path.join(args.output, "logs.json"),
-                os.path.join(args.output, "labels.json"))
-    save_knowledge_base(kb, os.path.join(args.output, "knowledge.json"))
-    save_lexicon(lexicon, os.path.join(args.output, "lexicon.tsv"))
-    print(f"wrote {len(dialogues)} dialogues, {len(kb)} snippets to {args.output}")
-    return EXIT_OK
+    dialogues, kb, lexicon = build_mini_corpus(
+        MiniCorpusConfig(n_dialogues=args.dialogues, seed=args.seed))
+    logs, labels, knowledge, lexicon_path = (os.path.join(args.output, name) for name in (
+        "logs.json", "labels.json", "knowledge.json", "lexicon.tsv"))
+    save_corpus(dialogues, logs, labels)
+    save_knowledge_base(kb, knowledge)
+    save_lexicon(lexicon, lexicon_path)
+    print(logs, labels, knowledge, lexicon_path, sep="\n")
 
 
-def _run_stage(args, runner) -> int:
-    config = _config(args)
-    outputs = runner(config)
-    for path in outputs:
-        print(path)
-    return EXIT_OK
+def _run_stage(args, stage: str, run, *stage_args) -> list[str]:
+    """Run a stage through `pipeline.run_stage` and print its output paths."""
+    outputs = pipeline.run_stage(_config(args), stage, run, *stage_args)
+    print(*outputs, sep="\n")
+    return outputs
 
 
-def cmd_evaluate(args) -> int:
-    config = _config(args)
-    outputs = pipeline.stage_evaluate(config, args.predictions, args.references)
-    for path in outputs:
-        print(path)
+def cmd_evaluate(args) -> None:
+    outputs = _run_stage(args, "evaluate", pipeline.stage_evaluate, args.predictions,
+                         args.references)
     with open(outputs[1], encoding="utf-8") as fh:
         print(fh.read().rstrip())
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,21 +98,21 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name)
         _add_common(p)
-        p.set_defaults(func=lambda a, r=runner: _run_stage(a, r))
+        p.set_defaults(func=lambda a, n=name, r=runner: _run_stage(a, n, r))
 
     p = sub.add_parser("ensemble", help="error-fixing detection ensemble")
     _add_common(p)
     p.add_argument("--predictions", nargs="+", required=True)
     p.add_argument("--base", required=True, help="base system file name")
     p.set_defaults(func=lambda a: _run_stage(
-        a, lambda c: pipeline.stage_ensemble(c, a.predictions, a.base)))
+        a, "ensemble", pipeline.stage_ensemble, a.predictions, a.base))
 
     p = sub.add_parser("tune-consensus", help="tune consensus weights on a dev decode")
     _add_common(p)
     p.add_argument("--predictions", required=True, help="a dev split's predictions.json")
     p.add_argument("--references", required=True, help="the dev split's labels")
     p.set_defaults(func=lambda a: _run_stage(
-        a, lambda c: pipeline.stage_tune_consensus(c, a.predictions, a.references)))
+        a, "tune-consensus", pipeline.stage_tune_consensus, a.predictions, a.references))
 
     p = sub.add_parser("evaluate")
     _add_common(p)
@@ -133,7 +127,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -144,6 +138,7 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

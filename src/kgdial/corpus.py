@@ -212,7 +212,10 @@ class EntityNameIndex:
         self.lengths: tuple[int, ...] = tuple(sorted(grouped))
         most: Counter[str] = Counter()
         for target in self.targets:
-            most |= Counter(target)
+            for char in set(target):
+                count = target.count(char)
+                if count > most[char]:
+                    most[char] = count
         # sorted in Python: np.unique would import numpy.ma (about 0.6 MB)
         self.alphabet = np.array(sorted(map(ord, most.elements())), dtype=np.int64)
         self.groups: dict[int, tuple[tuple[str, ...], np.ndarray]] = {

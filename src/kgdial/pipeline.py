@@ -2,10 +2,11 @@
 file handling, and the end-to-end decode path (detect, track, rank,
 rerank, ensemble, generate, consensus).
 
-Every stage writes its outputs plus a manifest recording input hashes,
-the seed, the resolved configuration and the package version; re-running
-a stage with identical inputs produces identical artifacts. The decode
-path never reads gold labels of the turns it predicts.
+`run_stage` runs a stage and writes its manifest next to its outputs:
+the package version, the config keys the stage read with their values,
+and the hashes of the files it read and of the outputs it wrote.
+Re-running a stage with identical inputs produces identical artifacts.
+The decode path never reads gold labels of the turns it predicts.
 """
 
 from __future__ import annotations
@@ -127,8 +128,12 @@ class PipelineConfig:
     """The resolved settings of a run: `CONFIG_DEFAULTS` updated with
     ``values``, each value converted to its default's type (`_coerce`) and
     range-checked when the config is built, so a dict config is typed
-    exactly like a file config."""
+    exactly like a file config. It records what a stage running on it
+    reads: every key looked up through it and every file `require` lets
+    through."""
     values: dict[str, object] = field(default_factory=dict)
+    keys_read: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    files_read: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         unknown = set(self.values) - set(CONFIG_DEFAULTS)
@@ -159,14 +164,15 @@ class PipelineConfig:
                               f"got {low!r} > {high!r}")
 
     def __getitem__(self, key: str):
+        self.keys_read.add(key)
         return self.values[key]
 
     @property
     def seed(self) -> int:
-        return self.values["seed"]
+        return self["seed"]
 
     def output_path(self, name: str) -> str:
-        out = self.values["paths.output"]
+        out = self["paths.output"]
         os.makedirs(out, exist_ok=True)
         return os.path.join(out, name)
 
@@ -223,14 +229,14 @@ def _hash_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(config: PipelineConfig, stage: str, inputs: Sequence[str],
-                   outputs: Sequence[str]) -> str:
+def write_manifest(config: PipelineConfig, stage: str, outputs: Sequence[str]) -> str:
+    """``stage``'s manifest: what ``config`` recorded it read, and the
+    hashes of ``outputs``."""
     manifest = {
         "stage": stage,
         "version": __version__,
-        "seed": config.seed,
-        "config": config.values,
-        "inputs": {os.path.basename(p): _hash_file(p) for p in inputs if p},
+        "config": {key: config.values[key] for key in config.keys_read},
+        "inputs": {os.path.basename(p): _hash_file(p) for p in config.files_read},
         "outputs": {os.path.basename(p): _hash_file(p) for p in outputs},
     }
     path = config.output_path(f"{stage}.manifest.json")
@@ -239,10 +245,23 @@ def write_manifest(config: PipelineConfig, stage: str, inputs: Sequence[str],
     return path
 
 
-def require(path: str, stage_hint: str) -> str:
+def run_stage(config: PipelineConfig, stage: str, run: Callable[..., list[str]],
+              *args) -> list[str]:
+    """``run(config, *args)``, the stage named ``stage``, with a manifest
+    of only what it read; returns its outputs, then the manifest's path."""
+    config.keys_read.clear()
+    config.files_read.clear()
+    outputs = run(config, *args)
+    return [*outputs, write_manifest(config, stage, outputs)]
+
+
+def require(config: PipelineConfig, path: str, stage_hint: str) -> str:
+    """``path``, recorded as an input of the stage running on ``config``;
+    a missing file is a DependencyError naming the stage that writes it."""
     if not path or not os.path.exists(path):
         raise DependencyError(
             f"missing artifact {path!r}: run the {stage_hint!r} stage first")
+    config.files_read.add(path)
     return path
 
 
@@ -250,10 +269,12 @@ def _model_train_config(config: PipelineConfig, section: str) -> TrainConfig:
     """The training loop and encoder settings of the model that
     ``section`` trains; a section without a batch-size key of its own (the
     tracker's) keeps `TrainConfig`'s."""
+    batch_size = f"{section}.batch_size"
     return TrainConfig(
         epochs=config[f"{section}.epochs"],
         learning_rate=config[f"{section}.learning_rate"],
-        batch_size=config.values.get(f"{section}.batch_size", TrainConfig.batch_size),
+        batch_size=(config[batch_size] if batch_size in CONFIG_DEFAULTS
+                    else TrainConfig.batch_size),
         seed=config.seed,
         d=config["model.d"],
         pooling=config["model.pooling"],
@@ -265,16 +286,22 @@ def _model_train_config(config: PipelineConfig, section: str) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 
+def _load_input_corpus(config: PipelineConfig) -> list[Dialogue]:
+    """The ``paths.logs`` dialogues, labelled when ``paths.labels`` is set."""
+    labels = config["paths.labels"]
+    return load_corpus(require(config, config["paths.logs"], "synth"),
+                       require(config, labels, "synth") if labels else None)
+
+
 def stage_augment(config: PipelineConfig) -> list[str]:
-    corpus = load_corpus(require(config["paths.logs"], "synth"),
-                         config["paths.labels"] or None)
-    lexicon = load_lexicon(require(config["paths.lexicon"], "synth"))
+    corpus = _load_input_corpus(config)
+    lexicon = load_lexicon(require(config, config["paths.lexicon"], "synth"))
     index = build_phonetic_index(lexicon)
     tasks = {t.strip() for t in config["augment.tasks"].split(",") if t.strip()}
     adapter = None
     if "TST" in tasks:
         adapter = FakeSpeechAdapter.from_file(
-            require(config["paths.confusions"], "augment"))
+            require(config, config["paths.confusions"], "augment"))
     aug_config = AugmentConfig(
         replace_rate_low=config["augment.replace_rate_low"],
         replace_rate_high=config["augment.replace_rate_high"],
@@ -286,42 +313,31 @@ def stage_augment(config: PipelineConfig) -> list[str]:
     logs_path = config.output_path("augmented.logs.json")
     labels_path = config.output_path("augmented.labels.json")
     save_corpus(out, logs_path, labels_path)
-    manifest = write_manifest(config, "augment",
-                              [config["paths.logs"], config["paths.labels"],
-                               config["paths.lexicon"],
-                               config["paths.confusions"] if adapter else ""],
-                              [logs_path, labels_path])
-    return [logs_path, labels_path, manifest]
+    return [logs_path, labels_path]
 
 
-def _load_training_corpus(config: PipelineConfig
-                          ) -> tuple[list[Dialogue], KnowledgeBase, list[str]]:
-    """The augmented corpus (the synth one before augment has run), the
-    knowledge base, and the paths of the three files read."""
-    logs = config.output_path("augmented.logs.json")
-    labels = config.output_path("augmented.labels.json")
+def _load_training_corpus(config: PipelineConfig) -> list[Dialogue]:
+    """The augmented corpus, or the synth one before augment has run."""
+    logs, labels, stage = (config.output_path("augmented.logs.json"),
+                           config.output_path("augmented.labels.json"), "augment")
     if not os.path.exists(logs):
-        logs = require(config["paths.logs"], "synth")
-        labels = require(config["paths.labels"], "synth")
-    knowledge = require(config["paths.knowledge"], "synth")
-    corpus = load_corpus(logs, labels)
-    kb = load_knowledge_base(knowledge)
-    return corpus, kb, [logs, labels, knowledge]
+        logs, labels, stage = config["paths.logs"], config["paths.labels"], "synth"
+    return load_corpus(require(config, logs, stage), require(config, labels, stage))
 
 
 def stage_train_detect(config: PipelineConfig) -> list[str]:
-    corpus, _, inputs = _load_training_corpus(config)
+    corpus = _load_training_corpus(config)
     examples = build_detection_examples(corpus)
     scorer = train_pair_classifier([(text, "", int(label)) for text, label in examples],
                                    _model_train_config(config, "detect"))
     path = config.output_path("detector.npz")
     scorer_to_checkpoint(scorer, path)
-    manifest = write_manifest(config, "train-detect", inputs, [path])
-    return [path, manifest]
+    return [path]
 
 
 def stage_train_select(config: PipelineConfig) -> list[str]:
-    corpus, kb, inputs = _load_training_corpus(config)
+    corpus = _load_training_corpus(config)
+    kb = load_knowledge_base(require(config, config["paths.knowledge"], "synth"))
     outputs = []
     seed = config.seed
     ks = [d for d in corpus if d.label is not None and d.label.is_knowledge_seeking]
@@ -357,8 +373,7 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
     with open(stats_path, "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=1, sort_keys=True)
     outputs.append(stats_path)
-    manifest = write_manifest(config, "train-select", inputs, outputs)
-    return outputs + [manifest]
+    return outputs
 
 
 def _pointwise_config(config: PipelineConfig) -> PointwiseConfig:
@@ -377,7 +392,8 @@ def _pointwise_config(config: PipelineConfig) -> PointwiseConfig:
 
 
 def stage_train_generate(config: PipelineConfig) -> list[str]:
-    corpus, kb, inputs = _load_training_corpus(config)
+    corpus = _load_training_corpus(config)
+    kb = load_knowledge_base(require(config, config["paths.knowledge"], "synth"))
     ks = [d for d in corpus if d.label is not None and d.label.is_knowledge_seeking
           and d.label.response]
     responses = [d.label.response for d in ks]
@@ -401,9 +417,7 @@ def stage_train_generate(config: PipelineConfig) -> list[str]:
     inter_path = config.output_path("interrogatives.json")
     with open(inter_path, "w", encoding="utf-8") as fh:
         json.dump(interrogatives, fh, indent=1)
-    manifest = write_manifest(config, "train-generate",
-                              inputs + _tracker_inputs(config), [path, inter_path])
-    return [path, inter_path, manifest]
+    return [path, inter_path]
 
 
 def _save_generator(generator: ToyGenerator, path: str) -> None:
@@ -442,13 +456,6 @@ def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
     return outputs
 
 
-def _tracker_inputs(config: PipelineConfig) -> list[str]:
-    """The checkpoint `load_tracker` reads, when tracking is learned."""
-    if config["track.method"] == "learned":
-        return [config.output_path("tracker.npz")]
-    return []
-
-
 def load_tracker(config: PipelineConfig, scorer=None) -> Callable:
     """The configured entity tracker, its method resolved once. Learned
     tracking scores with ``scorer``, or else with the tracker that
@@ -462,7 +469,7 @@ def load_tracker(config: PipelineConfig, scorer=None) -> Callable:
         return lambda dialogue, kb: fuzzy_match_entities(dialogue, kb, threshold)
     if scorer is None:
         scorer = scorer_from_checkpoint(require(
-            config.output_path("tracker.npz"), "train-select"))
+            config, config.output_path("tracker.npz"), "train-select"))
     delta_e = config["track.delta_e"]
     return lambda dialogue, kb: track_entities(scorer, dialogue, kb, delta_e)
 
@@ -558,12 +565,13 @@ def validate_labels_schema(records: Sequence[dict]) -> None:
             raise ValueError(f"record {i}: negative turn carries knowledge")
 
 
-def _read_predictions_and_references(predictions_path: str, references_path: str
+def _read_predictions_and_references(config: PipelineConfig, predictions_path: str,
+                                     references_path: str
                                      ) -> tuple[list[dict], list[dict]]:
     """A decode's turn records and the labels of the same turns, one
     record each per turn; files of different lengths are a CorpusError."""
-    predictions = read_turn_records(require(predictions_path, "decode"))
-    references = read_turn_records(require(references_path, "synth"))
+    predictions = read_turn_records(require(config, predictions_path, "decode"))
+    references = read_turn_records(require(config, references_path, "synth"))
     if len(predictions) != len(references):
         raise CorpusError(f"{predictions_path} has {len(predictions)} turn records but "
                           f"{references_path} has {len(references)}")
@@ -571,10 +579,9 @@ def _read_predictions_and_references(predictions_path: str, references_path: str
 
 
 def stage_decode(config: PipelineConfig) -> list[str]:
-    corpus = load_corpus(require(config["paths.logs"], "synth"),
-                         config["paths.labels"] or None)
-    kb = load_knowledge_base(require(config["paths.knowledge"], "synth"))
-    checkpoints = {name: require(config.output_path(f"{name}.npz"), stage)
+    corpus = _load_input_corpus(config)
+    kb = load_knowledge_base(require(config, config["paths.knowledge"], "synth"))
+    checkpoints = {name: require(config, config.output_path(f"{name}.npz"), stage)
                    for name, stage in (("detector", "train-detect"),
                                        ("rankers", "train-select"),
                                        ("generator", "train-generate"))}
@@ -582,13 +589,10 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     tracker = load_tracker(config)
     pointwise, listwise = load_rankers(checkpoints["rankers"])
     generator = load_generator(checkpoints["generator"])
-    inputs = [config["paths.logs"], config["paths.labels"], config["paths.knowledge"],
-              *checkpoints.values(), *_tracker_inputs(config)]
     weights_path = config.output_path("consensus.weights.json")
     weights = ConsensusWeights.uniform()
     if os.path.exists(weights_path):
-        weights = load_weights(weights_path)
-        inputs.append(weights_path)
+        weights = load_weights(require(config, weights_path, "tune-consensus"))
 
     alpha = config["rank.alpha"]
 
@@ -616,8 +620,7 @@ def stage_decode(config: PipelineConfig) -> list[str]:
     path = config.output_path("predictions.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, ensure_ascii=False, indent=1)
-    manifest = write_manifest(config, "decode", inputs, [path])
-    return [path, manifest]
+    return [path]
 
 
 def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
@@ -634,7 +637,7 @@ def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
             raise CorpusError(f"system name {name!r} is given twice: {paths[name]} "
                               f"and {path}; rename one file")
         paths[name] = path
-        records = read_turn_records(require(path, "decode"))
+        records = read_turn_records(require(config, path, "decode"))
         for i, r in enumerate(records):
             if "detection_probability" not in r:
                 raise CorpusError(f"{path}: record {i}: missing detection_probability")
@@ -645,8 +648,7 @@ def stage_ensemble(config: PipelineConfig, prediction_paths: Sequence[str],
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([{"target": label, "detection_probability": p}
                    for label, p in zip(labels, means)], fh, indent=1)
-    manifest = write_manifest(config, "ensemble", list(prediction_paths), [path])
-    return [path, manifest]
+    return [path]
 
 
 def stage_tune_consensus(config: PipelineConfig, predictions_path: str,
@@ -655,7 +657,7 @@ def stage_tune_consensus(config: PipelineConfig, predictions_path: str,
     turn with a recorded n-best and a reference response, named by its
     record index, as decode built it."""
     predictions, references = _read_predictions_and_references(
-        predictions_path, references_path)
+        config, predictions_path, references_path)
     pools, responses = [], {}
     for i, (pred, ref) in enumerate(zip(predictions, references)):
         if pred.get("nbest") and ref.get("response"):
@@ -664,15 +666,13 @@ def stage_tune_consensus(config: PipelineConfig, predictions_path: str,
     weights = tune_weights(pools, responses, config=TuneConfig(seed=config.seed))
     path = config.output_path("consensus.weights.json")
     save_weights(weights, path)
-    manifest = write_manifest(config, "tune-consensus",
-                              [predictions_path, references_path], [path])
-    return [path, manifest]
+    return [path]
 
 
 def stage_evaluate(config: PipelineConfig, predictions_path: str,
                    references_path: str) -> list[str]:
     predictions, references = _read_predictions_and_references(
-        predictions_path, references_path)
+        config, predictions_path, references_path)
     report = evaluate_predictions(predictions, references)
     path = config.output_path("metrics.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -680,10 +680,7 @@ def stage_evaluate(config: PipelineConfig, predictions_path: str,
     text_path = config.output_path("metrics.txt")
     with open(text_path, "w", encoding="utf-8") as fh:
         fh.write(report.format_table() + "\n")
-    manifest = write_manifest(config, "evaluate",
-                              [predictions_path, references_path],
-                              [path, text_path])
-    return [path, text_path, manifest]
+    return [path, text_path]
 
 
 def evaluate_predictions(predictions: Sequence[dict],

@@ -12,7 +12,7 @@ import pytest
 from kgdial.cli import main
 from kgdial.consensus import ConsensusWeights, save_weights
 from kgdial.models import load_checkpoint, save_checkpoint, unprefixed
-from kgdial.pipeline import CONFIG_DEFAULTS, EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK
+from kgdial.pipeline import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, load_config
 from test_models import (ARCHIVE_DEFECTS, UNREADABLE_ARCHIVES, rewrite_checkpoint,
                          write_archive)
 from test_pipeline import UNIT_INTERVAL_KEYS
@@ -75,6 +75,19 @@ def test_synth_writes_all_inputs(workdir):
     logs = json.loads((data / "logs.json").read_text())
     labels = json.loads((data / "labels.json").read_text())
     assert len(logs) == len(labels) == 36
+
+
+def test_synth_prints_the_paths_it_wrote(tmp_path, capsys):
+    """synth's stdout is its four output paths, one a line, as a stage's
+    is; without --seed it writes what seed 0 writes."""
+    names = ("logs.json", "labels.json", "knowledge.json", "lexicon.tsv")
+    for out, seed in ((tmp_path / "default", []), (tmp_path / "zero", ["--seed", "0"])):
+        capsys.readouterr()
+        assert main(["synth", "--output", str(out), "--dialogues", "4", *seed]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [str(out / n) for n in names]
+    for name in names:
+        assert (tmp_path / "default" / name).read_bytes() == \
+            (tmp_path / "zero" / name).read_bytes()
 
 
 def test_decode_before_train_is_dependency_error(workdir, tmp_path):
@@ -298,9 +311,11 @@ NBEST_DEFECTS = {
      "error: {text}: Expecting value: line 1 column 1 (char 0)"),
     ("evaluate", ["--predictions", "{three}", "--references", "{predictions}"], "",
      "error: {three} has 3 turn records but {predictions} has 2"),
-    *[("train-detect", [], f"paths.{name}={{text}}",
+    # train-detect reads no knowledge base; train-select does
+    *[(command, [], f"paths.{name}={{text}}",
        "error: {text}: Expecting value: line 1 column 1 (char 0)")
-      for name in ("logs", "labels", "knowledge")],
+      for command, name in (("train-detect", "logs"), ("train-detect", "labels"),
+                            ("train-select", "knowledge"))],
     ("train-detect", [], "paths.logs={object}",
      "error: {object}: expected a list of dialogues, got dict"),
     ("train-detect", [], "paths.labels={stringy}",
@@ -409,7 +424,6 @@ def test_manifests_record_hashes(trained, tmp_path):
     out = root / "out"
     manifest = json.loads((out / "decode.manifest.json").read_text())
     assert manifest["stage"] == "decode"
-    assert manifest["seed"] == 5
     assert "predictions.json" in manifest["outputs"]
     # fuzzy tracking reads no tracker; no consensus weights were tuned
     assert set(manifest["inputs"]) == {
@@ -418,18 +432,25 @@ def test_manifests_record_hashes(trained, tmp_path):
     for name in ("detector.npz", "generator.npz"):
         assert manifest["inputs"][name] == hashlib.sha256(
             (out / name).read_bytes()).hexdigest()
-    for stage in ("train-detect", "train-select", "train-generate"):
+    assert set(manifest["config"]) == {
+        "paths.logs", "paths.labels", "paths.knowledge", "paths.output",
+        "track.method", "track.fuzzy_threshold", "rank.alpha", "gen.nbest",
+        "gen.max_history_tokens"}
+    # train-detect reads the augmented corpus alone, no knowledge base
+    augmented = {"augmented.logs.json", "augmented.labels.json"}
+    for stage, inputs in (("train-detect", augmented),
+                          ("train-select", augmented | {"knowledge.json"}),
+                          ("train-generate", augmented | {"knowledge.json"})):
         manifest = json.loads((out / f"{stage}.manifest.json").read_text())
-        assert manifest["inputs"], stage
-        assert {"augmented.logs.json", "augmented.labels.json",
-                "knowledge.json"} <= set(manifest["inputs"]), stage
+        assert set(manifest["inputs"]) == inputs, stage
+    values = load_config(str(cfg)).values
     for stage in ("augment", "train-detect", "train-select", "train-generate",
                   "decode", "evaluate"):
         config = json.loads((out / f"{stage}.manifest.json").read_text())["config"]
-        assert config == dict(CONFIG_DEFAULTS, **config), stage
+        assert config == {key: values[key] for key in config}, stage
         assert config["paths.output"] == f"{root}/out", stage
-        assert config["track.method"] == "fuzzy" and config["seed"] == 5, stage
-        assert config["rank.alpha"] == CONFIG_DEFAULTS["rank.alpha"], stage
+        # decode and evaluate draw nothing at random
+        assert ("seed" in config) == (stage not in ("decode", "evaluate")), stage
 
     tuned = tmp_path / "out"
     shutil.copytree(out, tuned)
@@ -531,7 +552,7 @@ def _set_name(kb):
     (_set_name, "knowledge entity attraction/1: name must be a string, got int"),
     (dict.clear, "{path}: no knowledge snippets"),
 ], ids=["title", "body", "entry", "name", "empty"])
-@pytest.mark.parametrize("command", ["train-detect", "decode"])
+@pytest.mark.parametrize("command", ["train-select", "decode"])
 def test_malformed_knowledge_base_is_one_line_domain_error(workdir, tmp_path, capsys,
                                                            command, edit, message):
     _, data, cfg = workdir

@@ -1,17 +1,20 @@
 import json
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdial import corpus
 from kgdial.corpus import (
-    RESERVED_TAGS, Dialogue, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
+    RESERVED_TAGS, Dialogue, Entity, EntityNameIndex, KnowledgeBase, KnowledgeSnippet, Speaker, Turn,
     build_generation_context, escape_tags, linearize_history,
     linearize_knowledge, load_corpus, load_knowledge_base, normalize_ws,
     parse_history, split_kfold, tokenize, truncate_left,
 )
+from kgdial.synth import MiniCorpusConfig, build_mini_corpus
 
 
 def dlg(*texts, label=None, id="d0"):
@@ -154,6 +157,30 @@ class TestKnowledgeBase:
                             snippet(entity_id="*", name="x", doc_id="0")])
         indexed = [s for group in kb.entity_index.values() for s in group]
         assert sorted(s.key for s in indexed) == sorted(s.key for s in kb.snippets)
+
+
+def counter_union_alphabet(targets):
+    """The names' code points as the multiset union of their `Counter`s,
+    sorted: each as often as the name that holds it most."""
+    most = Counter()
+    for target in targets:
+        most |= Counter(target)
+    return sorted(map(ord, most.elements()))
+
+
+class TestNameAlphabet:
+    def test_synth_knowledge_base(self):
+        _, kb, _ = build_mini_corpus(MiniCorpusConfig(n_dialogues=1, seed=0))
+        index = kb.name_index
+        assert index.alphabet.tolist() == counter_union_alphabet(index.targets)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.text(alphabet="ab é\U0001F600", max_size=8), max_size=6))
+    def test_generated_names(self, names):
+        index = EntityNameIndex([Entity("hotel", str(i), name)
+                                 for i, name in enumerate(names)])
+        assert index.alphabet.dtype == np.int64
+        assert index.alphabet.tolist() == counter_union_alphabet(index.targets)
 
 
 class TestLinearize:

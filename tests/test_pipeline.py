@@ -18,10 +18,9 @@ from kgdial.entity_track import TrackMethod
 from kgdial.pipeline import (
     CONFIG_DEFAULTS, ConfigError, DecodeComponents, DependencyError,
     PipelineConfig, end_to_end_decode, evaluate_predictions, load_config,
-    load_tracker, require, stage_augment, stage_decode, stage_train_detect,
-    stage_train_generate, stage_train_select, stage_tune_consensus,
-    validate_labels_schema,
-    write_manifest,
+    load_tracker, require, run_stage, stage_augment, stage_decode, stage_ensemble,
+    stage_evaluate, stage_train_detect, stage_train_generate, stage_train_select,
+    stage_tune_consensus, validate_labels_schema,
 )
 from kgdial.generate import GenerateError, ToyGenerator
 from kgdial.models import (POOLINGS, ModelError, ToyEncoder, ToyPairScorer,
@@ -169,19 +168,38 @@ class TestConfig:
 
 class TestManifest:
     def test_identical_inputs_identical_manifests(self, tmp_path):
+        source = tmp_path / "source.json"
+        source.write_text('{"x": 1}')
         out = tmp_path / "out"
-        cfg = PipelineConfig({"paths.output": str(out)})
-        artifact = out / "artifact.json"
-        os.makedirs(out, exist_ok=True)
-        artifact.write_text('{"x": 1}')
-        m1 = write_manifest(cfg, "demo", [], [str(artifact)])
-        first = open(m1).read()
-        m2 = write_manifest(cfg, "demo", [], [str(artifact)])
-        assert open(m2).read() == first
+        cfg = PipelineConfig({"paths.output": str(out), "paths.logs": str(source)})
+
+        def copy(config):
+            path = config.output_path("artifact.json")
+            shutil.copy(require(config, config["paths.logs"], "synth"), path)
+            return [path]
+
+        first = run_stage(cfg, "demo", copy)
+        assert first == [str(out / "artifact.json"), str(out / "demo.manifest.json")]
+        text = open(first[-1]).read()
+        assert open(run_stage(cfg, "demo", copy)[-1]).read() == text
+        manifest = json.loads(text)
+        assert manifest["config"] == {"paths.logs": str(source), "paths.output": str(out)}
+        assert set(manifest["inputs"]) == {"source.json"}
+        assert set(manifest["outputs"]) == {"artifact.json"}
+
+    def test_each_run_records_only_its_own_reads(self, tmp_path):
+        source = tmp_path / "source.json"
+        source.write_text('{"x": 1}')
+        cfg = PipelineConfig({"paths.output": str(tmp_path), "paths.logs": str(source)})
+        run_stage(cfg, "first", lambda c: [require(c, c["paths.logs"], "synth")])
+        path = run_stage(cfg, "second", lambda c: [c.output_path("source.json")])[-1]
+        manifest = json.loads(open(path).read())
+        assert manifest["config"] == {"paths.output": str(tmp_path)}
+        assert manifest["inputs"] == {}
 
     def test_require_names_missing_stage(self):
         with pytest.raises(DependencyError, match="train-detect"):
-            require("/nope/never.npz", "train-detect")
+            require(PipelineConfig(), "/nope/never.npz", "train-detect")
 
 
 class TestLabelsSchema:
@@ -353,35 +371,104 @@ def test_decode_ranks_each_turn_once_and_reranks_that_list(mini):
             for s, _ in merged.items]
 
 
-def test_default_learned_tracking_runs_end_to_end(tmp_path):
-    assert CONFIG_DEFAULTS["track.method"] == "learned"
+@pytest.fixture(scope="module")
+def every_command(tmp_path_factory):
+    """Every command run once through `run_stage` on a small corpus, one
+    epoch each: augment with both tasks, the training stages with the
+    default learned tracking and multi-task head, decode, evaluate,
+    ensemble and tune-consensus, and a decode with fuzzy tracking. Returns
+    the config, the dialogues and each run's manifest, in run order."""
+    assert CONFIG_DEFAULTS["track.method"] == "learned" and CONFIG_DEFAULTS["rank.use_mtl"]
+    root = tmp_path_factory.mktemp("every-command")
     dialogues, kb, lexicon = build_mini_corpus(
         MiniCorpusConfig(n_dialogues=30, seed=4))
-    data = tmp_path / "data"
+    data = root / "data"
     data.mkdir()
     save_corpus(dialogues, str(data / "logs.json"), str(data / "labels.json"))
     save_knowledge_base(kb, str(data / "knowledge.json"))
     save_lexicon(lexicon, str(data / "lexicon.tsv"))
+    (data / "confusions.tsv").write_text("hotel\thostel\nmuseum\tmuseums\n")
     config = PipelineConfig({
         "paths.logs": str(data / "logs.json"),
         "paths.labels": str(data / "labels.json"),
         "paths.knowledge": str(data / "knowledge.json"),
         "paths.lexicon": str(data / "lexicon.tsv"),
-        "paths.output": str(tmp_path / "out"),
+        "paths.confusions": str(data / "confusions.tsv"),
+        "paths.output": str(root / "out"),
+        "augment.tasks": "AEI,TST", "model.d": 8,
         "detect.epochs": 1, "track.epochs": 1, "rank.epochs": 1,
         "rank.listwise_epochs": 1, "gen.epochs": 1})
+    manifests = []
+
+    def run(stage, *args, run_config=config):
+        paths = run_stage(run_config, stage.__name__.removeprefix("stage_").replace("_", "-"),
+                          stage, *args)
+        with open(paths[-1], encoding="utf-8") as fh:
+            manifests.append(json.load(fh))
+        return paths[0]
+
     for stage in (stage_augment, stage_train_detect, stage_train_select,
                   stage_train_generate):
-        stage(config)
-    assert (tmp_path / "out" / "tracker.npz").exists()
-    predictions_path = stage_decode(config)[0]
-    with open(predictions_path, encoding="utf-8") as fh:
+        run(stage)
+    fuzzy = PipelineConfig(dict(config.values, **{
+        "track.method": "fuzzy", "paths.output": str(root / "fuzzy")}))
+    shutil.copytree(root / "out", root / "fuzzy")
+    run(stage_decode, run_config=fuzzy)
+    predictions = run(stage_decode)
+    run(stage_evaluate, predictions, config["paths.labels"])
+    twin = root / "twin.json"
+    shutil.copy(predictions, twin)
+    run(stage_ensemble, [predictions, str(twin)], "predictions.json")
+    run(stage_tune_consensus, predictions, config["paths.labels"])
+    return config, dialogues, manifests
+
+
+def _manifest(manifests, stage):
+    """The last manifest of ``stage``."""
+    return [m for m in manifests if m["stage"] == stage][-1]
+
+
+def test_default_learned_tracking_runs_end_to_end(every_command):
+    config, dialogues, manifests = every_command
+    assert os.path.exists(config.output_path("tracker.npz"))
+    with open(config.output_path("predictions.json"), encoding="utf-8") as fh:
         records = json.load(fh)
     assert len(records) == len(dialogues)
     validate_labels_schema(records)
     for stage in ("train-generate", "decode"):
-        with open(tmp_path / "out" / f"{stage}.manifest.json", encoding="utf-8") as fh:
-            assert "tracker.npz" in json.load(fh)["inputs"], stage
+        assert "tracker.npz" in _manifest(manifests, stage)["inputs"], stage
+
+
+def test_every_config_key_is_read_by_some_stage(every_command):
+    _, _, manifests = every_command
+    assert set().union(*(m["config"] for m in manifests)) == set(CONFIG_DEFAULTS)
+
+
+def test_train_detect_reads_the_augmented_corpus_alone(every_command):
+    manifest = _manifest(every_command[2], "train-detect")
+    assert set(manifest["inputs"]) == {"augmented.logs.json", "augmented.labels.json"}
+    assert not [key for key in manifest["config"]
+                if key.split(".")[0] in ("rank", "gen", "track")]
+    assert "paths.knowledge" not in manifest["config"]
+
+
+def test_evaluate_reads_only_its_files_and_output_directory(every_command):
+    config, _, manifests = every_command
+    manifest = _manifest(manifests, "evaluate")
+    assert manifest["config"] == {"paths.output": config["paths.output"]}
+    assert set(manifest["inputs"]) == {"predictions.json", "labels.json"}
+
+
+def test_train_generate_records_what_its_fold_rankers_read(every_command):
+    config, _, manifests = every_command
+    read = _manifest(manifests, "train-generate")["config"]
+    assert {key for key in read if key.startswith("rank.")} == {
+        "rank.use_mtl", "rank.variant", "rank.negatives", "rank.entity_negatives",
+        "rank.lambda_rank", "rank.lambda_domain", "rank.lambda_entity",
+        "rank.epochs", "rank.learning_rate", "rank.batch_size"}
+    # fold decoding tracks as decode does: with the learned tracker
+    assert {"track.method", "track.delta_e"} <= set(read)
+    assert read == {key: config.values[key] for key in read}
 
 
 @pytest.fixture(scope="module")
