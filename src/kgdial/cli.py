@@ -70,13 +70,6 @@ def _run_stage(args, stage: str, run, *stage_args) -> list[str]:
     return outputs
 
 
-def cmd_evaluate(args) -> None:
-    outputs = _run_stage(args, "evaluate", pipeline.stage_evaluate, args.predictions,
-                         args.references)
-    with open(outputs[1], encoding="utf-8") as fh:
-        print(fh.read().rstrip())
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgdial",
@@ -118,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--predictions", required=True)
     p.add_argument("--references", required=True)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=lambda a: _run_stage(
+        a, "evaluate", pipeline.stage_evaluate, a.predictions, a.references))
 
     return parser
 

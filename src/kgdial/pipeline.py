@@ -6,7 +6,8 @@ rerank, ensemble, generate, consensus).
 the package version, the config keys the stage read with their values,
 and the hashes of the files it read and of the outputs it wrote.
 Re-running a stage with identical inputs produces identical artifacts.
-The decode path never reads gold labels of the turns it predicts.
+Every training stage reads augment's output alone, and decode reads the
+logs it predicts but no labels file.
 """
 
 from __future__ import annotations
@@ -286,29 +287,24 @@ def _model_train_config(config: PipelineConfig, section: str) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def _load_input_corpus(config: PipelineConfig) -> list[Dialogue]:
-    """The ``paths.logs`` dialogues, labelled when ``paths.labels`` is set."""
-    labels = config["paths.labels"]
-    return load_corpus(require(config, config["paths.logs"], "synth"),
-                       require(config, labels, "synth") if labels else None)
-
-
 def stage_augment(config: PipelineConfig) -> list[str]:
-    corpus = _load_input_corpus(config)
-    lexicon = load_lexicon(require(config, config["paths.lexicon"], "synth"))
-    index = build_phonetic_index(lexicon)
+    """The corpus plus one copy per task in ``augment.tasks``, or as it is
+    with none; the lexicon and AEI settings are read only when AEI runs."""
+    corpus = load_corpus(require(config, config["paths.logs"], "synth"),
+                         require(config, config["paths.labels"], "synth"))
     tasks = {t.strip() for t in config["augment.tasks"].split(",") if t.strip()}
-    adapter = None
+    index, aug_config, adapter = None, AugmentConfig(), None
+    if "AEI" in tasks:
+        index = build_phonetic_index(load_lexicon(
+            require(config, config["paths.lexicon"], "synth")))
+        aug_config = AugmentConfig(
+            replace_rate_low=config["augment.replace_rate_low"],
+            replace_rate_high=config["augment.replace_rate_high"],
+            neighbor_k=config["augment.neighbor_k"],
+            seed=config.seed)
     if "TST" in tasks:
         adapter = FakeSpeechAdapter.from_file(
             require(config, config["paths.confusions"], "augment"))
-    aug_config = AugmentConfig(
-        replace_rate_low=config["augment.replace_rate_low"],
-        replace_rate_high=config["augment.replace_rate_high"],
-        ena_probability=config["augment.ena_probability"],
-        ena_delete_prob=config["augment.ena_delete_prob"],
-        neighbor_k=config["augment.neighbor_k"],
-        seed=config.seed)
     out = augment_corpus(corpus, index, aug_config, adapter=adapter, tasks=tasks)
     logs_path = config.output_path("augmented.logs.json")
     labels_path = config.output_path("augmented.labels.json")
@@ -317,12 +313,9 @@ def stage_augment(config: PipelineConfig) -> list[str]:
 
 
 def _load_training_corpus(config: PipelineConfig) -> list[Dialogue]:
-    """The augmented corpus, or the synth one before augment has run."""
-    logs, labels, stage = (config.output_path("augmented.logs.json"),
-                           config.output_path("augmented.labels.json"), "augment")
-    if not os.path.exists(logs):
-        logs, labels, stage = config["paths.logs"], config["paths.labels"], "synth"
-    return load_corpus(require(config, logs, stage), require(config, labels, stage))
+    """augment's output, the one corpus every model trains on."""
+    return load_corpus(*(require(config, config.output_path(f"augmented.{name}.json"),
+                                 "augment") for name in ("logs", "labels")))
 
 
 def stage_train_detect(config: PipelineConfig) -> list[str]:
@@ -358,6 +351,15 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
         outputs.append(tracker_path)
 
     pw_config = _pointwise_config(config)
+    if config["rank.use_mtl"]:
+        pw_config = replace(pw_config, use_mtl=True,
+                            entity_candidates=config["rank.entity_negatives"] + 1,
+                            lambda_domain=config["rank.lambda_domain"],
+                            lambda_entity=config["rank.lambda_entity"])
+    if config["augment.ena_probability"] > 0:
+        pw_config = replace(pw_config, ena=AugmentConfig(
+            ena_probability=config["augment.ena_probability"],
+            ena_delete_prob=config["augment.ena_delete_prob"]))
     pointwise = train_pointwise(ks, kb, pw_config)
 
     tracker_fn = load_tracker(config, tracker)
@@ -377,17 +379,12 @@ def stage_train_select(config: PipelineConfig) -> list[str]:
 
 
 def _pointwise_config(config: PipelineConfig) -> PointwiseConfig:
-    """The point-wise ranker's settings, as train-select trains it."""
+    """The point-wise ranker's settings, as train-generate's fold rankers
+    train: train-select adds the multi-task head and online ENA."""
     return PointwiseConfig(
-        use_mtl=config["rank.use_mtl"],
         variant=Variant(config["rank.variant"]),
         negatives=config["rank.negatives"],
-        entity_candidates=config["rank.entity_negatives"] + 1,
         lambda_rank=config["rank.lambda_rank"],
-        lambda_domain=config["rank.lambda_domain"],
-        lambda_entity=config["rank.lambda_entity"],
-        ena=AugmentConfig(ena_probability=config["augment.ena_probability"],
-                          ena_delete_prob=config["augment.ena_delete_prob"]),
         train=_model_train_config(config, "rank"))
 
 
@@ -443,7 +440,7 @@ def kfold_selection_outputs(ks: Sequence[Dialogue], kb: KnowledgeBase,
     many folds for ``ks`` fail in `split_kfold`, before any ranker trains."""
     folds = split_kfold(list(ks), k=config["gen.kfolds"], seed=config.seed)
     tracker_fn = load_tracker(config)
-    pw_config = replace(_pointwise_config(config), use_mtl=False, ena=None)
+    pw_config = _pointwise_config(config)
     outputs: dict[str, list] = {}
     for i, fold in enumerate(folds):
         train_set = [d for j, f in enumerate(folds) if j != i for d in f]
@@ -579,7 +576,7 @@ def _read_predictions_and_references(config: PipelineConfig, predictions_path: s
 
 
 def stage_decode(config: PipelineConfig) -> list[str]:
-    corpus = _load_input_corpus(config)
+    corpus = load_corpus(require(config, config["paths.logs"], "synth"))
     kb = load_knowledge_base(require(config, config["paths.knowledge"], "synth"))
     checkpoints = {name: require(config, config.output_path(f"{name}.npz"), stage)
                    for name, stage in (("detector", "train-detect"),

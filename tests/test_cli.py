@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kgdial import pipeline
 from kgdial.cli import main
 from kgdial.consensus import ConsensusWeights, save_weights
 from kgdial.models import load_checkpoint, save_checkpoint, unprefixed
@@ -54,17 +57,41 @@ def workdir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def trained(workdir):
+def stage_stdout(workdir):
+    """The whole pipeline run once into `workdir`'s ``out`` directory,
+    augment to evaluate, then ensemble and tune-consensus on its decode
+    into ``extra``: for each command, the lines it printed and the paths
+    `pipeline.run_stage` returned."""
+    root, data, cfg = workdir
+    predictions, labels = str(root / "out" / "predictions.json"), str(data / "labels.json")
+    extra = ["--stage-overrides", f"paths.output={root / 'extra'}"]
+    real, returned, runs = pipeline.run_stage, [], {}
+
+    def recording(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "run_stage", recording)
+        for command, *args in (
+                ("augment",), ("train-detect",), ("train-select",), ("train-generate",),
+                ("decode",),
+                ("evaluate", "--predictions", predictions, "--references", labels),
+                ("ensemble", "--predictions", predictions, "--base", "predictions.json",
+                 *extra),
+                ("tune-consensus", "--predictions", predictions, "--references", labels,
+                 *extra)):
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                assert main([command, "--config", str(cfg), *args]) == EXIT_OK, command
+            runs[command] = printed.getvalue().splitlines(), returned.pop()
+    return runs
+
+
+@pytest.fixture(scope="module")
+def trained(workdir, stage_stdout):
     """`workdir` with the whole pipeline run once into its ``out``
     directory, augment to evaluate; tests that read ``out`` copy it before
     they change it."""
-    root, data, cfg = workdir
-    for command in ("augment", "train-detect", "train-select", "train-generate",
-                    "decode"):
-        assert main([command, "--config", str(cfg)]) == EXIT_OK, command
-    assert main(["evaluate", "--config", str(cfg),
-                 "--predictions", str(root / "out" / "predictions.json"),
-                 "--references", str(data / "labels.json")]) == EXIT_OK
     return workdir
 
 
@@ -90,10 +117,57 @@ def test_synth_prints_the_paths_it_wrote(tmp_path, capsys):
             (tmp_path / "zero" / name).read_bytes()
 
 
-def test_decode_before_train_is_dependency_error(workdir, tmp_path):
+@pytest.mark.parametrize("command", ["augment", "train-detect", "train-select",
+                                     "train-generate", "decode", "evaluate", "ensemble",
+                                     "tune-consensus"])
+def test_a_stage_prints_the_paths_it_returned_manifest_last(stage_stdout, command):
+    printed, returned = stage_stdout[command]
+    assert printed == returned
+    assert os.path.basename(returned[-1]) == f"{command}.manifest.json"
+
+
+def _augment_unchanged(cfg, out):
+    """augment's un-augmented run (no task) into ``out``: the corpus a
+    training stage reads there."""
+    assert main(["augment", "--config", str(cfg), "--stage-overrides",
+                 f"paths.output={out}", "augment.tasks="]) == EXIT_OK
+
+
+def test_augment_without_tasks_writes_the_corpus_it_read(workdir, tmp_path):
+    """``augment.tasks=`` is the un-augmented run: it needs no lexicon,
+    reads only the logs and labels and writes them as synth did."""
+    _, data, cfg = workdir
+    out = tmp_path / "out"
+    assert main(["augment", "--config", str(cfg), "--stage-overrides",
+                 f"paths.output={out}", "augment.tasks=", "paths.lexicon="]) == EXIT_OK
+    manifest = json.loads((out / "augment.manifest.json").read_text())
+    assert set(manifest["inputs"]) == {"logs.json", "labels.json"}
+    assert set(manifest["config"]) == {"augment.tasks", "paths.logs", "paths.labels",
+                                       "paths.output"}
+    for name in ("logs", "labels"):
+        assert (out / f"augmented.{name}.json").read_bytes() == \
+            (data / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("command,override,missing,stage", [
+    *[(command, "", "{out}/augmented.logs.json", "augment")
+      for command in ("train-detect", "train-select", "train-generate")],
+    ("augment", "paths.labels=", "", "synth"),
+    ("decode", "", "{out}/detector.npz", "train-detect"),
+])
+def test_a_stage_before_its_upstream_is_one_line_dependency_error(
+        workdir, tmp_path, capsys, command, override, missing, stage):
+    """A training stage reads augment's output alone, never the synth
+    corpus; augment needs the labels as well as the logs; decode needs the
+    trained checkpoints."""
     _, _, cfg = workdir
-    assert main(["decode", "--config", str(cfg), "--stage-overrides",
-                 f"paths.output={tmp_path / 'out'}"]) == EXIT_DEPENDENCY
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--stage-overrides",
+                 f"paths.output={out}", *filter(None, [override])]) == EXIT_DEPENDENCY
+    assert capsys.readouterr().err == (
+        f"dependency error: missing artifact {missing.format(out=out)!r}: "
+        f"run the {stage!r} stage first\n")
 
 
 def test_decode_of_the_two_file_rank_layout_is_dependency_error(trained, tmp_path,
@@ -221,8 +295,8 @@ def test_malformed_confusion_file_is_one_line_error(workdir, tmp_path, capsys):
 
 
 def test_augment_manifest_hashes_every_file_it_reads(workdir, tmp_path):
-    """augment reads the labels file as well as the logs and the lexicon,
-    and the confusion file when TST is among its tasks."""
+    """augment reads the labels file as well as the logs, the lexicon only
+    when AEI is among its tasks, and the confusion file only when TST is."""
     _, data, cfg = workdir
     labels = tmp_path / "labels.json"
     shutil.copy(data / "labels.json", labels)
@@ -247,7 +321,7 @@ def test_augment_manifest_hashes_every_file_it_reads(workdir, tmp_path):
     assert {k: v for k, v in after.items() if k != "labels.json"} == {
         k: v for k, v in before.items() if k != "labels.json"}
     assert set(inputs("augment.tasks=TST", f"paths.confusions={confusions}")) == {
-        "logs.json", "labels.json", "lexicon.tsv", "confusions.tsv"}
+        "logs.json", "labels.json", "confusions.tsv"}
 
 
 # a decode record's n-best that is not a list of {text, logprob} objects
@@ -311,14 +385,15 @@ NBEST_DEFECTS = {
      "error: {text}: Expecting value: line 1 column 1 (char 0)"),
     ("evaluate", ["--predictions", "{three}", "--references", "{predictions}"], "",
      "error: {three} has 3 turn records but {predictions} has 2"),
-    # train-detect reads no knowledge base; train-select does
+    # augment reads the logs and labels that every training stage trains
+    # on; train-detect reads no knowledge base, train-select does
     *[(command, [], f"paths.{name}={{text}}",
        "error: {text}: Expecting value: line 1 column 1 (char 0)")
-      for command, name in (("train-detect", "logs"), ("train-detect", "labels"),
+      for command, name in (("augment", "logs"), ("augment", "labels"),
                             ("train-select", "knowledge"))],
-    ("train-detect", [], "paths.logs={object}",
+    ("augment", [], "paths.logs={object}",
      "error: {object}: expected a list of dialogues, got dict"),
-    ("train-detect", [], "paths.labels={stringy}",
+    ("augment", [], "paths.labels={stringy}",
      "error: {stringy}: record 1: expected an object with a boolean 'target'"),
     ("ensemble", ["--predictions", "{text}", "--base", "text.json"], "",
      "error: {text}: Expecting value: line 1 column 1 (char 0)"),
@@ -398,6 +473,8 @@ def test_bad_stage_input_is_one_line_error(workdir, tmp_path, capsys, command,
     overrides = [f"paths.output={tmp_path / 'out'}"]
     if override:
         overrides.append(override.format(**paths))
+    if command.startswith("train-"):
+        _augment_unchanged(cfg, tmp_path / "out")
     capsys.readouterr()
     assert main([command, "--config", str(cfg),
                  *(a.format(**paths) for a in args),
@@ -425,15 +502,16 @@ def test_manifests_record_hashes(trained, tmp_path):
     manifest = json.loads((out / "decode.manifest.json").read_text())
     assert manifest["stage"] == "decode"
     assert "predictions.json" in manifest["outputs"]
-    # fuzzy tracking reads no tracker; no consensus weights were tuned
+    # fuzzy tracking reads no tracker; no consensus weights were tuned; the
+    # labels of the turns decode predicts are not among its inputs
     assert set(manifest["inputs"]) == {
-        "logs.json", "labels.json", "knowledge.json", "detector.npz",
-        "rankers.npz", "generator.npz"}
+        "logs.json", "knowledge.json", "detector.npz", "rankers.npz",
+        "generator.npz"}
     for name in ("detector.npz", "generator.npz"):
         assert manifest["inputs"][name] == hashlib.sha256(
             (out / name).read_bytes()).hexdigest()
     assert set(manifest["config"]) == {
-        "paths.logs", "paths.labels", "paths.knowledge", "paths.output",
+        "paths.logs", "paths.knowledge", "paths.output",
         "track.method", "track.fuzzy_threshold", "rank.alpha", "gen.nbest",
         "gen.max_history_tokens"}
     # train-detect reads the augmented corpus alone, no knowledge base
@@ -443,6 +521,16 @@ def test_manifests_record_hashes(trained, tmp_path):
                           ("train-generate", augmented | {"knowledge.json"})):
         manifest = json.loads((out / f"{stage}.manifest.json").read_text())
         assert set(manifest["inputs"]) == inputs, stage
+    # no stage records a setting that cannot change its outputs: augment
+    # applies no online ENA, train-generate's fold rankers have neither the
+    # multi-task head nor ENA, and train-select (no MTL here) draws no
+    # entity candidates
+    mtl = {"rank.entity_negatives", "rank.lambda_domain", "rank.lambda_entity"}
+    ena = {"augment.ena_probability", "augment.ena_delete_prob"}
+    for stage, unread in (("augment", ena), ("train-select", mtl),
+                          ("train-generate", mtl | ena | {"rank.use_mtl"})):
+        manifest = json.loads((out / f"{stage}.manifest.json").read_text())
+        assert not unread & set(manifest["config"]), stage
     values = load_config(str(cfg)).values
     for stage in ("augment", "train-detect", "train-select", "train-generate",
                   "decode", "evaluate"):
@@ -560,6 +648,8 @@ def test_malformed_knowledge_base_is_one_line_domain_error(workdir, tmp_path, ca
     edit(kb)
     bad = tmp_path / "knowledge.json"
     bad.write_text(json.dumps(kb))
+    if command == "train-select":
+        _augment_unchanged(cfg, tmp_path / "out")
     capsys.readouterr()
     # a stage fails when it loads the knowledge base, before it needs any
     # checkpoint

@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,10 +463,11 @@ def test_evaluate_reads_only_its_files_and_output_directory(every_command):
 def test_train_generate_records_what_its_fold_rankers_read(every_command):
     config, _, manifests = every_command
     read = _manifest(manifests, "train-generate")["config"]
+    # without the multi-task head and online ENA, whatever train-select uses
     assert {key for key in read if key.startswith("rank.")} == {
-        "rank.use_mtl", "rank.variant", "rank.negatives", "rank.entity_negatives",
-        "rank.lambda_rank", "rank.lambda_domain", "rank.lambda_entity",
+        "rank.variant", "rank.negatives", "rank.lambda_rank",
         "rank.epochs", "rank.learning_rate", "rank.batch_size"}
+    assert not [key for key in read if key.startswith("augment.")]
     # fold decoding tracks as decode does: with the learned tracker
     assert {"track.method", "track.delta_e"} <= set(read)
     assert read == {key: config.values[key] for key in read}
@@ -473,24 +475,27 @@ def test_train_generate_records_what_its_fold_rankers_read(every_command):
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """A small fuzzy-tracking pipeline trained without augment, so train and
-    decode read the same dialogues."""
+    """A small fuzzy-tracking pipeline trained on augment's un-augmented
+    run (no task), so train and decode read the same dialogues."""
     root = tmp_path_factory.mktemp("trained")
-    dialogues, kb, _ = build_mini_corpus(MiniCorpusConfig(n_dialogues=30, seed=4))
+    dialogues, kb, lexicon = build_mini_corpus(MiniCorpusConfig(n_dialogues=30, seed=4))
     save_corpus(dialogues, str(root / "logs.json"), str(root / "labels.json"))
     save_knowledge_base(kb, str(root / "knowledge.json"))
+    save_lexicon(lexicon, str(root / "lexicon.tsv"))
     config = PipelineConfig({
         "paths.logs": str(root / "logs.json"),
         "paths.labels": str(root / "labels.json"),
         "paths.knowledge": str(root / "knowledge.json"),
-        "paths.output": str(root / "out"),
+        "paths.lexicon": str(root / "lexicon.tsv"),
+        "paths.output": str(root / "out"), "augment.tasks": "",
         "track.method": "fuzzy", "track.fuzzy_threshold": 0.5,
         "model.d": 8, "model.max_len": 64,
         "detect.epochs": 4, "detect.learning_rate": 0.02,
         "rank.epochs": 2, "rank.learning_rate": 0.01,
         "rank.kfolds": 2, "rank.listwise_epochs": 1, "gen.epochs": 1,
         "gen.kfolds": 2})
-    for stage in (stage_train_detect, stage_train_select, stage_train_generate):
+    for stage in (stage_augment, stage_train_detect, stage_train_select,
+                  stage_train_generate):
         stage(config)
     return config, dialogues
 
@@ -690,11 +695,41 @@ def test_seeded_training_runs_give_identical_checkpoints(trained, tmp_path):
         config = PipelineConfig(dict(trained[0].values, **{
             "paths.output": str(tmp_path / run), "track.method": "learned",
             "track.epochs": 1, "model.d": 24}))
-        for stage in (stage_train_detect, stage_train_select, stage_train_generate):
+        for stage in (stage_augment, stage_train_detect, stage_train_select,
+                      stage_train_generate):
             stage(config)
         runs.append({name: _checkpoint_members(config.output_path(name))
                      for name in ("detector.npz", "tracker.npz", "rankers.npz",
                                   "generator.npz")})
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("stage,base,key,value", [
+    (stage_augment, {"augment.tasks": "AEI"}, "augment.ena_probability", 0.9),
+    (stage_train_select, {"rank.use_mtl": False}, "rank.lambda_entity", 0.5),
+    (stage_train_select, {"augment.ena_probability": 0.0}, "augment.ena_delete_prob", 0.9),
+    # train-generate's fold rankers have no multi-task head, MTL or not
+    (stage_train_generate, {"rank.use_mtl": False}, "rank.use_mtl", True),
+    (stage_train_generate, {}, "rank.lambda_domain", 0.5),
+    (stage_decode, {}, "paths.labels", "no-such-labels.json"),
+], ids=["augment-ena", "select-lambda-entity-without-mtl",
+        "select-ena-delete-without-ena", "generate-use-mtl", "generate-lambda-domain",
+        "decode-labels"])
+def test_a_setting_a_stage_does_not_record_leaves_its_outputs(trained, tmp_path, stage,
+                                                              base, key, value):
+    """A stage run again with one setting changed that cannot shape its
+    outputs: the setting is not in its manifest and every output is the
+    same (a checkpoint member for member)."""
+    runs = []
+    for name, values in (("base", base), ("changed", {**base, key: value})):
+        config = _copy_outputs(trained[0], tmp_path / name, **{"rank.epochs": 1, **values})
+        *outputs, manifest = run_stage(
+            config, stage.__name__.removeprefix("stage_").replace("_", "-"), stage)
+        with open(manifest, encoding="utf-8") as fh:
+            assert key not in json.load(fh)["config"]
+        runs.append({os.path.basename(path): _checkpoint_members(path)
+                     if path.endswith(".npz") else Path(path).read_bytes()
+                     for path in outputs})
     assert runs[0] == runs[1]
 
 
