@@ -361,12 +361,14 @@ def _dialogue_rng(seed: int, dialogue_id: str, task: str) -> np.random.Generator
 
 
 def augment_corpus(dialogues: Sequence[Dialogue], index: Optional[PhoneticIndex],
-                   config: AugmentConfig, adapter: Optional[SpeechAdapter] = None,
+                   config: Optional[AugmentConfig] = None,
+                   adapter: Optional[SpeechAdapter] = None,
                    tasks: Iterable[str] = ("AEI",)) -> list[Dialogue]:
     """Original dialogues plus one augmented copy per offline strategy.
 
     AEI and TST run here; ENA is an online training-time transform and is
-    deliberately not applied. Output is reproducible bit-for-bit from
+    deliberately not applied. Only AEI reads ``config`` (and ``index``),
+    so only AEI requires one. Output is reproducible bit-for-bit from
     (input, config.seed).
     """
     tasks = set(tasks)
@@ -377,6 +379,8 @@ def augment_corpus(dialogues: Sequence[Dialogue], index: Optional[PhoneticIndex]
         raise AugmentError("TST augmentation requires a speech adapter")
     if "AEI" in tasks and index is None:
         raise AugmentError("AEI augmentation requires a phonetic index")
+    if "AEI" in tasks and config is None:
+        raise AugmentError("AEI augmentation requires an augmentation config")
     out = list(dialogues)
     if "AEI" in tasks:
         for d in dialogues:

@@ -4,23 +4,29 @@ Each candidate is scored by a weighted sum of 10 features: 9 similarity
 features (its mean BLEU-1..4, ROUGE-1/2/L, METEOR-lite and character-F
 against every other candidate in the pool) and the reciprocal of its
 rank within its own system. The similarities are the ``metrics`` scores,
-run on each candidate's ``metrics.text_stats``, built once per pool.
-Clipped n-gram counts, LCS lengths (the bit-parallel
-``kernels.lcs_length_tokens``) and character overlaps are symmetric, so
-each unordered pair is compared once; the ROUGE and character-F scores
-are symmetric F1s and are reused for both orders, BLEU-1..4 share one
-pass over the orders, and METEOR-lite's alignment pairs the same tokens
-whichever side is the hypothesis, so one alignment gives both orders'
-scores. Nothing is kept between calls. Feature weights are tuned toward
-corpus BLEU-4, summed from the ``metrics.bleu_stats`` rows that
-evaluation sums too, by coordinate ascent with exact line search: along
-one coordinate every pool's selection is a piecewise-constant function
-of the weight, so the objective only changes at candidate-crossing
-breakpoints, all of which are enumerated.
+run on each candidate's ``metrics.text_stats``. Clipped n-gram counts,
+LCS lengths (the bit-parallel ``kernels.lcs_length_tokens``) and
+character overlaps are symmetric, so each unordered pair of texts is
+compared once; the ROUGE and character-F scores are symmetric F1s and are
+reused for both orders, BLEU-1..4 share one pass over the orders, and
+METEOR-lite's alignment pairs the same tokens whichever side is the
+hypothesis, so one alignment gives both orders' scores. Every similarity
+depends on its two texts alone, and n-best texts repeat across turns (a
+collapsed generator answers many turns alike, and "." recurs in most
+pools), so a pair's similarities in both orders are kept, keyed on its
+two texts, for the last `_PAIR_CACHE_SIZE` pairs used (`_pair_sims`). A
+pair not kept is compared on the ``text_stats`` of its texts, built once
+per `pool_features` call and dropped when it returns. Feature weights are
+tuned toward corpus BLEU-4, summed from the ``metrics.bleu_stats`` rows
+that evaluation sums too, by coordinate ascent with exact line search:
+along one coordinate every pool's selection is a piecewise-constant
+function of the weight, so the objective only changes at
+candidate-crossing breakpoints, all of which are enumerated.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -110,46 +116,81 @@ class ConsensusWeights:
         return cls(np.ones(len(FEATURE_NAMES)))
 
 
-def _features(pool: CandidatePool, stats: Sequence[TextStats]) -> np.ndarray:
-    """Feature rows of the pool's candidates from their statistics."""
-    if not pool.candidates:
-        raise ConsensusError(f"empty candidate pool for turn {pool.turn_id}")
-    n = len(stats)
-    sims: list[list] = [[None] * n for _ in range(n)]  # [i][j]: i against j
-    for i in range(n):
-        a = stats[i]
-        for j in range(i + 1, n):
-            b = stats[j]
-            clipped = []
-            for x, y in zip(a.words, b.words):
-                clipped.append(clipped_overlap(x, y) if not clipped or clipped[-1] else 0)
-            len_a, len_b = len(a.tokens), len(b.tokens)
-            # symmetric scores: one value serves both orders
-            shared = [f_measure(clipped[0], len_a, len_b),
-                      f_measure(clipped[1], len_a - 1, len_b - 1),
-                      f_measure(lcs_length_tokens(a.tokens, b.tokens), len_a, len_b)]
-            char_score = char_f(a, b)
-            meteor_ab, meteor_ba = meteor_pair(a, b)
-            sims[i][j] = (bleu_orders(len_a, len_b, clipped) + shared
-                          + [meteor_ab, char_score])
-            sims[j][i] = (bleu_orders(len_b, len_a, clipped) + shared
-                          + [meteor_ba, char_score])
-    feats = []
-    for i, candidate in enumerate(pool.candidates):
-        # Python sum in pool order, as the metric definitions are averaged,
-        # so that the bits match
-        others = [sims[i][j] for j in range(n) if j != i]
-        means = ([sum(column) / (n - 1) for column in zip(*others)] if others
-                 else [0.0] * (len(FEATURE_NAMES) - 1))
-        feats.append(means + [1.0 / candidate.rank])
-    return np.array(feats)
+# unordered text pairs whose similarities are kept; a pair whose two texts
+# of `GenTrainConfig.max_target_tokens` tokens only it holds keeps 2.5 KB,
+# so a full cache keeps about 0.65 MB
+_PAIR_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
+def _pair_sims(text_a: str, text_b: str) -> list:
+    """The kept similarities of two texts, ``text_a <= text_b``: a list,
+    empty until `pool_features` fills it with the two tuples of
+    `_similarities`."""
+    return []
+
+
+def _similarities(a: TextStats, b: TextStats) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The 9 similarities of ``a`` against ``b`` and of ``b`` against
+    ``a``, in `FEATURE_NAMES` order."""
+    clipped = []
+    for x, y in zip(a.words, b.words):
+        clipped.append(clipped_overlap(x, y) if not clipped or clipped[-1] else 0)
+    len_a, len_b = len(a.tokens), len(b.tokens)
+    # symmetric scores: one value serves both orders
+    shared = [f_measure(clipped[0], len_a, len_b),
+              f_measure(clipped[1], len_a - 1, len_b - 1),
+              f_measure(lcs_length_tokens(a.tokens, b.tokens), len_a, len_b)]
+    char_score = char_f(a, b)
+    meteor_ab, meteor_ba = meteor_pair(a, b)
+    bleu_ab = bleu_orders(len_a, len_b, clipped)
+    bleu_ba = bleu_ab if len_a == len_b else bleu_orders(len_b, len_a, clipped)
+    return (tuple(bleu_ab + shared + [meteor_ab, char_score]),
+            tuple(bleu_ba + shared + [meteor_ba, char_score]))
 
 
 def pool_features(pool: CandidatePool) -> np.ndarray:
     """One row per candidate: its mean similarity to every other pool
     candidate per metric, then 1/rank. A singleton pool has zero
-    similarity features."""
-    return _features(pool, [text_stats(c.text) for c in pool.candidates])
+    similarity features.
+
+    Every pair's similarities come from its `_pair_sims` cell, keyed on
+    its texts in sorted order, since each similarity is the same either
+    way round. The cells found empty are filled after the statistics of
+    their texts are built, each text once and all before any comparison
+    (measurably faster than building them between comparisons)."""
+    if not pool.candidates:
+        raise ConsensusError(f"empty candidate pool for turn {pool.turn_id}")
+    texts = [c.text for c in pool.candidates]
+    n = len(texts)
+    cells = []  # (i, j, cell) with texts[i] <= texts[j]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if texts[j] < texts[i]:
+                cells.append((j, i, _pair_sims(texts[j], texts[i])))
+            else:
+                cells.append((i, j, _pair_sims(texts[i], texts[j])))
+    empty = [(i, j, cell) for i, j, cell in cells if not cell]
+    needed = {texts[k] for i, j, _ in empty for k in (i, j)}
+    stats = {}
+    for text in texts:
+        if text in needed and text not in stats:
+            stats[text] = text_stats(text)
+    for i, j, cell in empty:
+        if not cell:  # a pair can recur within a pool
+            cell[:] = _similarities(stats[texts[i]], stats[texts[j]])
+    sims: list[list] = [[None] * n for _ in range(n)]  # [i][j]: i against j
+    for i, j, (ab, ba) in cells:
+        sims[i][j], sims[j][i] = ab, ba
+    feats = []
+    for i, candidate in enumerate(pool.candidates):
+        # Python sum in pool order, as the metric definitions are averaged,
+        # so that the bits match
+        others = sims[i][:i] + sims[i][i + 1:]
+        means = ([total / (n - 1) for total in map(sum, zip(*others))] if others
+                 else [0.0] * (len(FEATURE_NAMES) - 1))
+        feats.append(means + [1.0 / candidate.rank])
+    return np.array(feats)
 
 
 def _tie_key(candidate: Candidate):
@@ -240,9 +281,10 @@ def tune_weights(dev_pools: Sequence[CandidatePool],
     if missing:
         raise ConsensusError(f"missing references for turns: {missing[:5]}")
 
-    stats = [[text_stats(c.text) for c in p.candidates] for p in dev_pools]
-    feats = [_features(p, s) for p, s in zip(dev_pools, stats)]
-    objective = _selection_bleu(stats, [references[p.turn_id] for p in dev_pools])
+    feats = [pool_features(p) for p in dev_pools]
+    objective = _selection_bleu([[text_stats(c.text) for c in p.candidates]
+                                 for p in dev_pools],
+                                [references[p.turn_id] for p in dev_pools])
 
     def select_all(weights: np.ndarray) -> list[int]:
         return [_best_index(f @ weights, pool.candidates)

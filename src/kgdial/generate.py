@@ -213,17 +213,22 @@ class ToyGenerator:
         tokens = tokens[: self.max_target_tokens - 1] + [EOS]
         return self._ids(tokens)
 
-    def _step_forward(self, prev_ids: np.ndarray, pos, c: np.ndarray) -> dict:
+    def _context_term(self, c: np.ndarray) -> np.ndarray:
+        """``c @ wc`` for one context vector or a stack of them, each
+        multiplied as a (1, d) matrix (see `_step_forward`)."""
+        return (c[..., None, :] @ self.params["wc"])[..., 0, :]
+
+    def _step_forward(self, prev_ids: np.ndarray, pos, cw: np.ndarray) -> dict:
         """One step for a batch of rows: row i continues ``prev_ids[i]`` at
-        position ``pos`` (one int for all rows, or one per row) in context
-        ``c`` (one context vector for all rows, or one per row). Each row
-        is multiplied as a (1, d) matrix, which numpy does row by row
-        exactly as for a single row; one matrix-matrix product for all rows
-        would round differently."""
+        position ``pos`` (one int for all rows, or one per row) under the
+        context term ``cw`` (`_context_term` of one context vector for all
+        rows, or of one per row). Each row is multiplied as a (1, d)
+        matrix, which numpy does row by row exactly as for a single row;
+        one matrix-matrix product for all rows would round differently."""
         p = self.params
         x = p["emb"][prev_ids]
         xw = (x[:, None] @ p["wp"])[:, 0]
-        h = np.tanh(xw + (c[..., None, :] @ p["wc"])[..., 0, :] + p["pos"][pos] + p["bh"])
+        h = np.tanh(xw + cw + p["pos"][pos] + p["bh"])
         logits = (h[:, None] @ p["out"])[:, 0] + p["bo"]
         shifted = logits - logits.max(axis=1, keepdims=True)
         norm = [math.log(s) for s in np.exp(shifted).sum(axis=1)]
@@ -270,7 +275,8 @@ class ToyGenerator:
         at = np.arange(owner.size), np.concatenate([row.target for row in rows])
         prev_ids = np.concatenate([row.prev_ids for row in rows])
         contexts = np.stack([self.context_vector(row.context_ids) for row in rows])
-        step = self._step_forward(prev_ids, positions, contexts[owner])
+        step = self._step_forward(prev_ids, positions,
+                                  self._context_term(contexts[owner]))
         x, h, dlogits = step["x"], step["h"], step["logp"]
         per_row = lengths[owner]
         loss = float(-(dlogits[at] / per_row).sum())
@@ -314,15 +320,17 @@ class ToyGenerator:
         if n < 1:
             raise GenerateError("n must be >= 1")
         width = 2 * n
-        c = self.context_vector(self._ids(tokenize(context)))
+        cw = self._context_term(self.context_vector(self._ids(tokenize(context))))
         bos = self.vocab.get(TAG_RESP, 0)
         eos_id = self.vocab[EOS]
-        beams: list[tuple[float, list[int], bool]] = [(0.0, [], False)]
+        # (log-probability, tokens, text): a finished beam's text is joined
+        # when it finishes, a live beam's is None
+        beams: list[tuple[float, list[int], Optional[str]]] = [(0.0, [], None)]
         for pos in range(self.max_target_tokens):
-            done = [b for b in beams if b[2]]
-            live = [b for b in beams if not b[2]]
+            done = [b for b in beams if b[2] is not None]
+            live = [b for b in beams if b[2] is None]
             prev_ids = np.asarray([b[1][-1] if b[1] else bos for b in live])
-            logp = self._step_forward(prev_ids, pos, c)["logp"]
+            logp = self._step_forward(prev_ids, pos, cw)["logp"]
             scores = np.asarray([b[0] for b in live])[:, None] + logp
             pool = np.concatenate([[b[0] for b in done], scores.ravel()])
             cut = -math.inf
@@ -330,25 +338,29 @@ class ToyGenerator:
                 cut = np.partition(pool, pool.size - width)[pool.size - width]
             nxt = [b for b in done if b[0] >= cut]
             rows, toks = np.nonzero(scores >= cut)
-            for r, tok in zip(rows.tolist(), toks.tolist()):
-                score, row = scores[r, tok], logp[r]
-                if score == cut and (np.count_nonzero(row > row[tok])
-                                     + np.count_nonzero(row[:tok] == row[tok])
-                                     >= width):
-                    continue
-                nxt.append((float(score), live[r][1] + [tok], tok == eos_id))
+            for r, tok, score in zip(rows.tolist(), toks.tolist(),
+                                     scores[rows, toks].tolist()):
+                if score == cut:
+                    row = logp[r]
+                    if (np.count_nonzero(row > row[tok])
+                            + np.count_nonzero(row[:tok] == row[tok]) >= width):
+                        continue
+                tokens = live[r][1] + [tok]
+                nxt.append((score, tokens,
+                            self._text(tokens) if tok == eos_id else None))
             nxt.sort(key=lambda b: (-b[0], b[1]))
             beams = nxt[:width]
-            live_scores = [lp for lp, _, finished in beams if not finished]
+            live_scores = [lp for lp, _, text in beams if text is None]
             if not live_scores:
                 break
-            settled = {self._text(tokens) for lp, tokens, finished in beams
-                       if finished and lp > live_scores[0]}
+            settled = {text for lp, _, text in beams
+                       if text is not None and lp > live_scores[0]}
             if len(settled) >= n:
                 break
         best: dict[str, float] = {}
-        for logprob, tokens, _ in beams:
-            text = self._text(tokens)
+        for logprob, tokens, text in beams:
+            if text is None:
+                text = self._text(tokens)
             if text not in best or logprob > best[text]:
                 best[text] = logprob
         ranked = sorted(best.items(), key=lambda t: (-t[1], t[0]))

@@ -88,7 +88,17 @@ def _occurrences(grams: list) -> frozenset:
     unique = frozenset(grams)
     if len(unique) == len(grams):
         return unique
-    return frozenset(_occurrence_keys(grams))
+    # `unique` holds every first occurrence; only the later ones, picked
+    # out in one pass (set.add returns None), take the counting loop
+    seen: set = set()
+    add = seen.add
+    counts: dict = {}
+    repeats = []
+    for gram in [g for g in grams if g in seen or add(g)]:
+        k = counts.get(gram, 1)
+        counts[gram] = k + 1
+        repeats.append((gram, k))
+    return unique.union(repeats)
 
 
 def _char_ngrams(text: str) -> list[list[str]]:

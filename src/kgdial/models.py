@@ -836,18 +836,26 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict) -> 
     np.savez(path, __meta__=header, __data__=data)
 
 
+# bytes of the data block read at a time: a load holds the data vector
+# and at most this much of the archive besides
+_READ_CHUNK = 1 << 15
+
+
 def load_checkpoint(path: str, kind: Optional[str] = None
                     ) -> tuple[dict[str, np.ndarray], dict]:
     """Named tensors and config block of a checkpoint; when ``kind`` is
     given, the config's ``kind`` must equal it. The tensors are writable
-    views into the one vector read from the archive; the config block is
-    returned without its ``layout`` key."""
+    views into the one vector the data block is read into; the config
+    block is returned without its ``layout`` key."""
     try:
-        with np.load(path) as archive:
-            if "__meta__" not in archive:
+        with zipfile.ZipFile(path) as archive:
+            names = set(archive.namelist())
+            if "__meta__.npy" not in names:
                 raise ModelError(f"checkpoint {path} missing metadata block")
+            with archive.open("__meta__.npy") as member:
+                block = np.lib.format.read_array(member, allow_pickle=False)
             try:
-                meta = json.loads(archive["__meta__"].tobytes().decode("utf-8"))
+                meta = json.loads(block.tobytes().decode("utf-8"))
             except ValueError:
                 meta = None
             if not isinstance(meta, dict):
@@ -858,23 +866,31 @@ def load_checkpoint(path: str, kind: Optional[str] = None
             if meta["version"] != CHECKPOINT_VERSION:
                 raise ModelError(f"checkpoint {path} has version {meta['version']!r}, "
                                  f"this version reads {CHECKPOINT_VERSION}: retrain it")
-            if "__data__" not in archive:
+            if "__data__.npy" not in names:
                 raise ModelError(f"checkpoint {path} missing data block")
-            data = archive["__data__"]
+            layout = meta.pop(_LAYOUT, None)
+            with archive.open("__data__.npy") as member:
+                data = _read_data(path, member, layout)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ModelError(f"checkpoint {path} is not a readable .npz archive") from exc
-    tensors = _unpack(path, data, meta.pop(_LAYOUT, None))
     if kind is not None and meta.get("kind") != kind:
         raise ModelError(f"checkpoint {path}: key 'kind' is {meta.get('kind')!r}, "
                          f"expected {kind!r}")
-    return tensors, meta
+    return _views(data, [(name, tuple(shape)) for name, shape in layout]), meta
 
 
-def _unpack(path: str, data: np.ndarray, layout) -> dict[str, np.ndarray]:
-    """The tensors a checkpoint's layout places in its data vector."""
+def _read_data(path: str, member, layout) -> np.ndarray:
+    """The float64 vector of the data block, an open ``.npy`` archive
+    member, checked against the checkpoint's layout and then read into it
+    in `_READ_CHUNK` pieces, so the block's bytes are never held whole
+    beside it."""
+    # `np.savez` writes a float vector's header in .npy format 1.0
+    if np.lib.format.read_magic(member) != (1, 0):
+        raise ValueError(f"checkpoint {path}: data block is not .npy format 1.0")
+    dims, _, dtype = np.lib.format.read_array_header_1_0(member)
     if not isinstance(layout, list):
         raise ModelError(f"checkpoint {path} missing tensor layout")
-    if data.dtype != np.float64 or data.ndim != 1:
+    if dtype != np.float64 or len(dims) != 1:
         raise ModelError(f"checkpoint {path}: data block is not a float64 vector")
     for entry in layout:
         if not (isinstance(entry, list) and len(entry) == 2
@@ -884,10 +900,16 @@ def _unpack(path: str, data: np.ndarray, layout) -> dict[str, np.ndarray]:
     if len({name for name, _ in layout}) < len(layout):
         raise ModelError(f"checkpoint {path}: layout names a tensor twice")
     needed = sum(math.prod(shape) for _, shape in layout)
-    if needed != data.size:
+    if needed != dims[0]:
         raise ModelError(f"checkpoint {path}: layout needs {needed} values, "
-                         f"data block holds {data.size}")
-    return _views(data, [(name, tuple(shape)) for name, shape in layout])
+                         f"data block holds {dims[0]}")
+    data = np.empty(needed)
+    view = memoryview(data).cast("B")
+    for start in range(0, view.nbytes, _READ_CHUNK):
+        chunk = view[start:start + _READ_CHUNK]
+        if member.readinto(chunk) < chunk.nbytes:
+            raise EOFError(f"checkpoint {path}: data block ends early")
+    return data
 
 
 def check_tensors(path: str, shapes: dict[str, tuple[int, ...]],

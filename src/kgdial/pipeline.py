@@ -293,7 +293,7 @@ def stage_augment(config: PipelineConfig) -> list[str]:
     corpus = load_corpus(require(config, config["paths.logs"], "synth"),
                          require(config, config["paths.labels"], "synth"))
     tasks = {t.strip() for t in config["augment.tasks"].split(",") if t.strip()}
-    index, aug_config, adapter = None, AugmentConfig(), None
+    index, aug_config, adapter = None, None, None
     if "AEI" in tasks:
         index = build_phonetic_index(load_lexicon(
             require(config, config["paths.lexicon"], "synth")))

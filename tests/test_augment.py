@@ -380,6 +380,16 @@ class TestAugmentCorpus:
         with pytest.raises(AugmentError, match="adapter"):
             augment_corpus(self.make_corpus(2), toy_index, AugmentConfig(), tasks={"TST"})
 
+    def test_aei_without_config_rejected(self, toy_index):
+        with pytest.raises(AugmentError, match="augmentation config"):
+            augment_corpus(self.make_corpus(2), toy_index, tasks={"AEI"})
+
+    def test_tst_needs_no_config(self):
+        fake = FakeSpeechAdapter({"lodge": "large"})
+        out = augment_corpus(self.make_corpus(2), None, adapter=fake, tasks={"TST"})
+        assert [d.id for d in out] == ["d0", "d1", "d0-tst", "d1-tst"]
+        assert out[2].turns[0].text == "can I cooking at Hamilton large"
+
     def test_seed_reproducibility(self, toy_index):
         cfg = AugmentConfig(seed=99)
         a = augment_corpus(self.make_corpus(20), toy_index, cfg, tasks={"AEI"})

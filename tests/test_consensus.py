@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from kgdial.consensus import (
     consensus_select, pool_features,
     save_weights, load_weights, tune_weights,
 )
+from kgdial.generate import GenTrainConfig
 from kgdial.metrics import (bleu_n, char_f, corpus_bleu, meteor_lite, rouge_l,
                             rouge_n)
 
@@ -170,7 +173,7 @@ class TestPoolFeaturesMatchMetrics:
             pool_features(p), oracle_features(p, BRUTE_FORCE_SIMILARITIES),
             rtol=0, atol=1e-9)
 
-    def test_tokenizes_each_candidate_once(self, monkeypatch):
+    def test_tokenizes_each_text_once_then_none(self, monkeypatch):
         seen = []
         real = metrics.tokenize
 
@@ -182,8 +185,55 @@ class TestPoolFeaturesMatchMetrics:
         texts = ["the room allows pets", "the rooms allow pets .", "", "?",
                  "the room allows pets"]
         p = pool("t", *(cand(t, "s1", i + 1) for i, t in enumerate(texts)))
-        pool_features(p)
-        assert sorted(seen) == sorted(texts)
+        consensus._pair_sims.cache_clear()
+        first = pool_features(p)
+        assert sorted(seen) == sorted(set(texts))
+        seen.clear()
+        assert np.array_equal(pool_features(p), first)
+        assert seen == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_pools())
+    def test_kept_similarities_serve_either_order(self, p):
+        consensus._pair_sims.cache_clear()
+        cold = pool_features(p)
+        assert np.array_equal(cold, oracle_features(p))
+        consensus._pair_sims.cache_clear()
+        # the same texts, in the other order
+        pool_features(pool("u", *(cand(c.text, "s1", k + 1) for k, c
+                                  in enumerate(reversed(p.candidates)))))
+        misses = consensus._pair_sims.cache_info().misses
+        assert np.array_equal(pool_features(p), cold)
+        assert consensus._pair_sims.cache_info().misses == misses
+
+    def test_a_full_cache_keeps_under_a_megabyte(self):
+        """Every kept pair holds two texts of the generator's longest
+        output, which only it references."""
+        words = WORDS[:-2]
+        rng = random.Random(0)
+        tokens = GenTrainConfig().max_target_tokens
+
+        def features(a, b):
+            pool_features(pool("t", cand(a, "s1"), cand(b, "s2")))
+
+        def text(i):
+            return " ".join(rng.choice(words) for _ in range(tokens - 1)) + f" w{i}"
+
+        # set-up that any metric use pays, and the interpreter's tuple free
+        # lists filled by one long pair: neither is kept by the cache
+        features(text(-1), " ".join([text(-2)] * 40))
+        consensus._pair_sims.cache_clear()
+        size = consensus._pair_sims.cache_info().maxsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(size + 1):
+                features(text(2 * k), text(2 * k + 1))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert consensus._pair_sims.cache_info().currsize == size
+        assert kept < 1_000_000
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(

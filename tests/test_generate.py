@@ -434,10 +434,10 @@ def one_text_two_sequences():
 def greedy_decode(model, context):
     """The most probable token at every position (ties to the lower id),
     one `_step_forward` at a time, until EOS or the positions run out."""
-    c = model.context_vector(model._ids(tokenize(context)))
+    cw = model._context_term(model.context_vector(model._ids(tokenize(context))))
     prev, eos_id, tokens = model.vocab.get(TAG_RESP, 0), model.vocab[EOS], []
     for pos in range(model.max_target_tokens):
-        prev = int(np.argmax(model._step_forward(np.asarray([prev]), pos, c)["logp"][0]))
+        prev = int(np.argmax(model._step_forward(np.asarray([prev]), pos, cw)["logp"][0]))
         tokens.append(prev)
         if prev == eos_id:
             break

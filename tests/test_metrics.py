@@ -348,3 +348,17 @@ def test_generation_report_builds_no_character_grams(monkeypatch):
     monkeypatch.undo()
     stats = metrics.text_stats("the cat")
     assert char_f(stats, stats) == char_f("the cat", "the cat") == 1.0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_occurrences_are_the_occurrence_keys(seed):
+    """`_occurrences` keys only the repeats past `unique`; the set equals
+    that of `_occurrence_keys` over every gram, and two sets intersect in
+    the clipped overlap."""
+    rng = random.Random(seed)
+    grams = [rng.choice("aab c") * rng.randint(1, 2) for _ in range(rng.randint(0, 40))]
+    other = [rng.choice("abc ") for _ in range(rng.randint(0, 40))]
+    assert metrics._occurrences(grams) == frozenset(metrics._occurrence_keys(grams))
+    assert (metrics.clipped_overlap(metrics._occurrences(grams),
+                                    metrics._occurrences(other))
+            == sum(min(grams.count(g), other.count(g)) for g in set(grams)))

@@ -1,6 +1,8 @@
 import json
 import math
 import tempfile
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -254,9 +256,22 @@ def _truncated(path):
     Path(path).write_bytes(data[:len(data) // 2])
 
 
+def _truncated_data(path):
+    """A checkpoint whose data member ends one value short of the vector
+    its .npy header announces."""
+    save_checkpoint(path, {"emb": np.zeros((2, 2))}, {"kind": "ToyGenerator"})
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members["__data__.npy"] = members["__data__.npy"][:-8]
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, raw in members.items():
+            archive.writestr(name, raw)
+
+
 # writers of a file at a path that numpy cannot read as an archive
 UNREADABLE_ARCHIVES = [pytest.param(_plain_bytes, id="plain-bytes"),
-                       pytest.param(_truncated, id="truncated")]
+                       pytest.param(_truncated, id="truncated"),
+                       pytest.param(_truncated_data, id="truncated-data")]
 
 
 class TestCheckpoint:
@@ -283,6 +298,22 @@ class TestCheckpoint:
         np.savez(path, w=np.zeros(3))
         with pytest.raises(ModelError, match="metadata"):
             load_checkpoint(path)
+
+    def test_load_holds_the_data_block_once(self, tmp_path):
+        """A load holds the data vector and at most a chunk of the archive
+        besides, not a second whole copy of the block."""
+        path = str(tmp_path / "ck.npz")
+        values = np.arange(25_000, dtype=np.float64)  # 200 KB
+        save_checkpoint(path, {"w": values}, {"kind": "test"})
+        load_checkpoint(path)  # first-use set-up is not the load's
+        tracemalloc.start()
+        try:
+            tensors, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensors["w"].tobytes() == values.tobytes()
+        assert peak < 1.75 * values.nbytes  # a second copy makes it 2x
 
     def test_meta_preserved(self, tmp_path):
         path = str(tmp_path / "ck.npz")
